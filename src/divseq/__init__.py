@@ -21,7 +21,6 @@ from .divergences import (
     NAMED_IDENTIFIERS,
     Orientation,
     evaluate,
-    finite_difference_path_derivative,
     make_bregman,
     make_f_divergence,
     named_divergence,
@@ -30,7 +29,7 @@ from .divergences import (
 )
 from .quadrature import QuadratureConfig, cumulative_integral, integrate
 from .chebyshev import ChebyshevInterpolant, lobatto_nodes
-from .polylog import polylog, polylog_integral, polylog_recurrence_check, polylog_series
+from .polylog import polylog, polylog_integral, polylog_series
 from .operators import (
     OperatorResult,
     psi,
@@ -67,7 +66,6 @@ __all__ = [
     "NAMED_IDENTIFIERS",
     "Orientation",
     "evaluate",
-    "finite_difference_path_derivative",
     "make_bregman",
     "make_f_divergence",
     "named_divergence",
@@ -80,7 +78,6 @@ __all__ = [
     "lobatto_nodes",
     "polylog",
     "polylog_integral",
-    "polylog_recurrence_check",
     "polylog_series",
     "OperatorResult",
     "psi",

@@ -18,6 +18,7 @@ from .distributions import Distribution, MixturePath, mixture
 from .distributions import new_distribution
 from .divergences import NAMED_IDENTIFIERS, named_divergence
 from .errors import DomainError, SpecError, ToleranceError
+from .errors import require_index, require_position
 from .operators import QuadratureConfig, psi_iter
 from .polylog import polylog
 from .sequences import pl, sl
@@ -70,11 +71,6 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _check_depth(depth: int) -> None:
-    if depth < 0:
-        raise DomainError(f"depth must be nonnegative, got {depth}")
-
-
 def _sequence_levels(family, start, path, t: float, depth: int) -> list[float]:
     probe = mixture(path, t)
     return [family(k, start, probe) for k in range(depth + 1)]
@@ -84,23 +80,18 @@ def _cmd_eval(args) -> int:
     start, end = _load_pair(args)
     if (args.div is None) == (args.seq is None):
         raise DomainError("exactly one of --div and --seq is required")
-    _check_depth(args.depth)
-    if not 0.0 <= args.t <= 1.0:
-        raise DomainError(f"t must lie in [0, 1], got {args.t}")
+    require_index(args.depth, "depth")
+    t = require_position(args.t)
     path = MixturePath(start, end)
     if args.div is not None:
         D = named_divergence(args.div)
-        levels = psi_iter(
-            D, args.depth, path, np.array([args.t]), _quad_config(args.tol)
-        )
+        levels = psi_iter(D, args.depth, path, np.array([t]), _quad_config(args.tol))
         value = float(levels[-1, 0])
     else:
         if args.k is None:
             raise DomainError("--k is required with --seq")
-        if args.k < 0:
-            raise DomainError(f"k must be nonnegative, got {args.k}")
         family = _SEQUENCES[args.seq]
-        value = family(args.k, start, mixture(path, args.t))
+        value = family(args.k, start, mixture(path, t))
     print(_VALUE_FORMAT % value)
     return 0
 
@@ -109,7 +100,7 @@ def _cmd_sweep(args) -> int:
     start, end = _load_pair(args)
     if (args.div is None) == (args.seq is None):
         raise DomainError("exactly one of --div and --seq is required")
-    _check_depth(args.depth)
+    require_index(args.depth, "depth")
     grid = _parse_grid(args.t)
     path = MixturePath(start, end)
     if args.div is not None:

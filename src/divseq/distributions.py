@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_position
 
 # Inputs whose mass sum drifts from 1 by less than this are renormalized;
 # anything further off is rejected as a bad input rather than silently fixed.
@@ -67,15 +67,10 @@ def new_distribution(masses: Sequence[float] | np.ndarray) -> Distribution:
     """Validate a mass vector and return a Distribution.
 
     Sums within ``RENORMALIZATION_WINDOW`` of 1 are renormalized (benign
-    floating point drift); larger deviations raise DomainError.
+    floating point drift); larger deviations raise DomainError, and the
+    Distribution constructor rejects any other malformed vector.
     """
     arr = np.asarray(masses, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise DomainError(
-            f"need a 1-d mass vector with at least 2 entries, got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError("masses must be finite and strictly positive")
     total = float(arr.sum())
     if abs(total - 1.0) >= RENORMALIZATION_WINDOW:
         raise DomainError(
@@ -142,8 +137,5 @@ class MixturePath:
 
 def mixture(path: MixturePath, t: float) -> Distribution:
     """The distribution at position t along the path, t in [0, 1]."""
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"path position must lie in [0, 1], got {t!r}")
-    row = path.masses_at(np.array([t]))[0]
+    row = path.masses_at(np.array([require_position(t)]))[0]
     return Distribution(row)

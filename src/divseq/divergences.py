@@ -1,11 +1,11 @@
 """Divergence functionals over finite discrete distributions.
 
-Ships five named divergences with hand-coded analytic path derivatives,
-plus factories for generic f-divergences and Bregman divergences. A
-functional knows its convexity orientation: right-convex means convex in
-the second argument (the f-divergence family), left-convex means convex in
-the first (the Bregman family). The swap adapter exchanges arguments and
-flips the recorded orientation.
+Ships five named divergences, each given by its closed-form masses and its
+f-divergence generator, plus factories for generic f-divergences and
+Bregman divergences. A functional knows its convexity orientation:
+right-convex means convex in the second argument (the f-divergence
+family), left-convex means convex in the first (the Bregman family). The
+swap adapter exchanges arguments and flips the recorded orientation.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import Distribution, MixturePath
-from .errors import DomainError, SpecError
-
-_EPS = np.finfo(float).eps
+from .distributions import MixturePath
+from .errors import DomainError, SpecError, require_pair, require_position
 
 # Path-derivative callables take (path, t) and return d/dt of the
 # functional evaluated with the path's start pinned in one slot and the
@@ -44,15 +42,14 @@ class DivergenceFunctional:
     argument may be a single vector (n,) or a stack (m, n), reduction is
     over the last axis. Distribution objects are accepted in place of raw
     arrays. ``analytic_path_derivative`` gives d/dt of
-    evaluator(start, R(t)); when None, callers fall back to finite
-    differences.
+    evaluator(start, R(t)); it is None for a functional whose second
+    argument has no derivative formula (an unswapped Bregman divergence).
     """
 
     identifier: str
     orientation: Orientation
     evaluator: Callable[..., np.ndarray]
     analytic_path_derivative: Optional[PathDerivative]
-    differentiable: bool
     # Derivative with the moving point in the first slot instead, i.e.
     # d/dt evaluator(R(t), start). swap_orientation exchanges the two so
     # swapped functionals keep analytic derivatives.
@@ -61,17 +58,8 @@ class DivergenceFunctional:
 
 def evaluate(D: DivergenceFunctional, P, Q) -> float:
     """The divergence value D(P | Q); DomainError on support mismatch."""
-    p = _as_masses(P)
-    q = _as_masses(Q)
-    if p.shape != q.shape:
-        raise DomainError(
-            f"support sizes differ: {p.shape[-1]} vs {q.shape[-1]}"
-        )
-    return float(D.evaluator(p, q))
+    return float(D.evaluator(*require_pair(P, Q)))
 
-
-# ---------------------------------------------------------------------------
-# Named divergences.
 
 def _lift(mass_fn):
     def evaluator(first, second):
@@ -79,6 +67,43 @@ def _lift(mass_fn):
 
     return evaluator
 
+
+def _path_parts(path: MixturePath, t: float):
+    p = path.start.masses
+    delta = path.end.masses - p
+    r = path.masses_at(np.array([float(t)]))[0]
+    return p, delta, r
+
+
+def _f_functional(identifier: str, mass_fn, f, fp) -> DivergenceFunctional:
+    """Right-convex functional with masses mass_fn(p, q) = Sum q f(p/q).
+
+    Both path derivatives follow from the generator f and its derivative
+    fp: moving the second argument gives Sum delta (f(u) - u f'(u)) with
+    u = p/r, moving the first gives Sum delta f'(r/p).
+    """
+
+    def deriv_moving_right(path, t):
+        p, delta, r = _path_parts(path, t)
+        u = p / r
+        return float(np.sum(delta * (f(u) - u * fp(u))))
+
+    def deriv_moving_left(path, t):
+        p, delta, r = _path_parts(path, t)
+        return float(np.sum(delta * fp(r / p)))
+
+    return DivergenceFunctional(
+        identifier=identifier,
+        orientation=Orientation.RIGHT_CONVEX,
+        evaluator=_lift(mass_fn),
+        analytic_path_derivative=deriv_moving_right,
+        mirror_path_derivative=deriv_moving_left,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Named divergences. The closed-form masses are the evaluators; the
+# generators only feed the path derivatives.
 
 def _kl_masses(p, q):
     return np.sum(p * np.log(p / q), axis=-1)
@@ -96,84 +121,30 @@ def _hellinger2_masses(p, q):
     return 0.5 * np.sum((np.sqrt(q) - np.sqrt(p)) ** 2, axis=-1)
 
 
-def _path_parts(path: MixturePath, t: float):
-    p = path.start.masses
-    delta = path.end.masses - p
-    r = path.masses_at(np.array([float(t)]))[0]
-    return p, delta, r
-
-
-def _kl_deriv_moving_right(path, t):
-    p, delta, r = _path_parts(path, t)
-    return float(-np.sum(p * delta / r))
-
-
-def _kl_deriv_moving_left(path, t):
-    p, delta, r = _path_parts(path, t)
-    return float(np.sum(delta * (1.0 + np.log(r / p))))
-
-
-def _chi2_deriv_moving_right(path, t):
-    p, delta, r = _path_parts(path, t)
-    return float(np.sum(delta * (1.0 - (p / r) ** 2)))
-
-
-def _chi2_deriv_moving_left(path, t):
-    p, delta, r = _path_parts(path, t)
-    return float(2.0 * np.sum(delta * (r - p) / p))
-
-
-def _jeffreys_deriv(path, t):
-    p, delta, r = _path_parts(path, t)
-    return float(np.sum(delta * (1.0 + np.log(r / p))) - np.sum(p * delta / r))
-
-
-def _hellinger2_deriv(path, t):
-    p, delta, r = _path_parts(path, t)
-    return float(0.5 * np.sum(delta * (1.0 - np.sqrt(p / r))))
-
-
 _NAMED: dict[str, DivergenceFunctional] = {
-    "kl": DivergenceFunctional(
-        identifier="kl",
-        orientation=Orientation.RIGHT_CONVEX,
-        evaluator=_lift(_kl_masses),
-        analytic_path_derivative=_kl_deriv_moving_right,
-        differentiable=True,
-        mirror_path_derivative=_kl_deriv_moving_left,
-    ),
-    "reverse_kl": DivergenceFunctional(
-        identifier="reverse_kl",
-        orientation=Orientation.RIGHT_CONVEX,
-        evaluator=_lift(lambda p, q: _kl_masses(q, p)),
-        analytic_path_derivative=_kl_deriv_moving_left,
-        differentiable=True,
-        mirror_path_derivative=_kl_deriv_moving_right,
-    ),
-    "chi2": DivergenceFunctional(
-        identifier="chi2",
-        orientation=Orientation.RIGHT_CONVEX,
-        evaluator=_lift(_chi2_masses),
-        analytic_path_derivative=_chi2_deriv_moving_right,
-        differentiable=True,
-        mirror_path_derivative=_chi2_deriv_moving_left,
-    ),
-    "jeffreys": DivergenceFunctional(
-        identifier="jeffreys",
-        orientation=Orientation.RIGHT_CONVEX,
-        evaluator=_lift(_jeffreys_masses),
-        analytic_path_derivative=_jeffreys_deriv,
-        differentiable=True,
-        mirror_path_derivative=_jeffreys_deriv,
-    ),
-    "hellinger2": DivergenceFunctional(
-        identifier="hellinger2",
-        orientation=Orientation.RIGHT_CONVEX,
-        evaluator=_lift(_hellinger2_masses),
-        analytic_path_derivative=_hellinger2_deriv,
-        differentiable=True,
-        mirror_path_derivative=_hellinger2_deriv,
-    ),
+    identifier: _f_functional(identifier, mass_fn, f, fp)
+    for identifier, mass_fn, f, fp in (
+        ("kl", _kl_masses, lambda u: u * np.log(u), lambda u: np.log(u) + 1.0),
+        (
+            "reverse_kl",
+            lambda p, q: _kl_masses(q, p),
+            lambda u: -np.log(u),
+            lambda u: -1.0 / u,
+        ),
+        ("chi2", _chi2_masses, lambda u: (u - 1.0) ** 2, lambda u: 2.0 * (u - 1.0)),
+        (
+            "jeffreys",
+            _jeffreys_masses,
+            lambda u: (u - 1.0) * np.log(u),
+            lambda u: np.log(u) + 1.0 - 1.0 / u,
+        ),
+        (
+            "hellinger2",
+            _hellinger2_masses,
+            lambda u: 0.5 * (np.sqrt(u) - 1.0) ** 2,
+            lambda u: 0.5 * (1.0 - 1.0 / np.sqrt(u)),
+        ),
+    )
 }
 
 NAMED_IDENTIFIERS = tuple(_NAMED)
@@ -236,23 +207,7 @@ def make_f_divergence(spec: FDivergenceSpec) -> DivergenceFunctional:
     def mass_fn(p, q):
         return np.sum(q * f(p / q), axis=-1)
 
-    def deriv_moving_right(path, t):
-        p, delta, r = _path_parts(path, t)
-        u = p / r
-        return float(np.sum(delta * (f(u) - u * fp(u))))
-
-    def deriv_moving_left(path, t):
-        p, delta, r = _path_parts(path, t)
-        return float(np.sum(delta * fp(r / p)))
-
-    return DivergenceFunctional(
-        identifier="f_divergence",
-        orientation=Orientation.RIGHT_CONVEX,
-        evaluator=_lift(mass_fn),
-        analytic_path_derivative=deriv_moving_right,
-        differentiable=True,
-        mirror_path_derivative=deriv_moving_left,
-    )
+    return _f_functional("f_divergence", mass_fn, f, fp)
 
 
 def make_bregman(spec: BregmanSpec) -> DivergenceFunctional:
@@ -260,8 +215,9 @@ def make_bregman(spec: BregmanSpec) -> DivergenceFunctional:
 
     The generator pair is screened with the gradient inequality
     F(x) >= F(y) + F'(y)(x - y) on a sampled grid; violations raise
-    SpecError. The result has no analytic path derivative, so
-    path_derivative falls back to finite differences.
+    SpecError. Only the first argument has a derivative formula,
+    Sum delta (F'(r) - F'(p)), so path_derivative needs the functional
+    wrapped with swap_orientation.
     """
     F, Fp = spec.F, spec.F_prime
     x, y = np.meshgrid(_CONVEXITY_GRID, _CONVEXITY_GRID)
@@ -277,13 +233,16 @@ def make_bregman(spec: BregmanSpec) -> DivergenceFunctional:
     def mass_fn(p, q):
         return np.sum(F(p) - F(q) - Fp(q) * (p - q), axis=-1)
 
+    def deriv_moving_left(path, t):
+        p, delta, r = _path_parts(path, t)
+        return float(np.sum(delta * (Fp(r) - Fp(p))))
+
     return DivergenceFunctional(
         identifier="bregman",
         orientation=Orientation.LEFT_CONVEX,
         evaluator=_lift(mass_fn),
         analytic_path_derivative=None,
-        differentiable=True,
-        mirror_path_derivative=None,
+        mirror_path_derivative=deriv_moving_left,
     )
 
 
@@ -300,53 +259,20 @@ def swap_orientation(D: DivergenceFunctional) -> DivergenceFunctional:
         orientation=flipped,
         evaluator=lambda first, second: base(second, first),
         analytic_path_derivative=D.mirror_path_derivative,
-        differentiable=D.differentiable,
         mirror_path_derivative=D.analytic_path_derivative,
     )
 
 
-# ---------------------------------------------------------------------------
-# Path derivatives.
-
-def _check_path_position(t: float) -> float:
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"path position must lie in [0, 1], got {t!r}")
-    return t
-
-
-def finite_difference_path_derivative(
-    D: DivergenceFunctional, path: MixturePath, t: float
-) -> float:
-    """Second-order finite difference of t -> evaluator(start, R(t)).
-
-    Central step h = cbrt(machine epsilon) * max(t, 0.1); one-sided
-    three-point stencils take over when t is within h of 0 or 1.
-    """
-    t = _check_path_position(t)
-    h = float(np.cbrt(_EPS)) * max(t, 0.1)
-    if t - h >= 0.0 and t + h <= 1.0:
-        pts = np.array([t - h, t + h])
-        lo, hi = D.evaluator(path.start.masses, path.masses_at(pts))
-        return float((hi - lo) / (2.0 * h))
-    if t - h < 0.0:
-        pts = np.array([t, t + h, t + 2.0 * h])
-        g0, g1, g2 = D.evaluator(path.start.masses, path.masses_at(pts))
-        return float((-3.0 * g0 + 4.0 * g1 - g2) / (2.0 * h))
-    pts = np.array([t, t - h, t - 2.0 * h])
-    g0, g1, g2 = D.evaluator(path.start.masses, path.masses_at(pts))
-    return float((3.0 * g0 - 4.0 * g1 + g2) / (2.0 * h))
-
-
 def path_derivative(D: DivergenceFunctional, path: MixturePath, t: float) -> float:
-    """d/dt of evaluator(start, R(t)), analytic when available.
+    """d/dt of evaluator(start, R(t)).
 
-    Raises DomainError if D is not flagged differentiable or t is outside
-    [0, 1].
+    Raises DomainError if t is outside [0, 1] or D has no derivative in
+    its second argument (an unswapped Bregman functional).
     """
-    if not D.differentiable:
-        raise DomainError(f"divergence {D.identifier!r} is not differentiable")
-    t = _check_path_position(t)
-    if D.analytic_path_derivative is not None:
-        return float(D.analytic_path_derivative(path, t))
-    return finite_difference_path_derivative(D, path, t)
+    t = require_position(t)
+    if D.analytic_path_derivative is None:
+        raise DomainError(
+            f"divergence {D.identifier!r} has no derivative in its second "
+            "argument; wrap it with swap_orientation first"
+        )
+    return float(D.analytic_path_derivative(path, t))

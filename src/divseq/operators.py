@@ -9,7 +9,6 @@ stays linear in the iteration depth instead of exponential.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .chebyshev import ChebyshevInterpolant
 from .distributions import MixturePath
 from .divergences import DivergenceFunctional, Orientation, path_derivative
-from .errors import DomainError
+from .errors import DomainError, require_grid, require_index, require_position
 from .quadrature import QuadratureConfig, cumulative_integral, integrate
 
 __all__ = [
@@ -40,13 +39,6 @@ class OperatorResult:
 
 def _default(cfg: QuadratureConfig | None) -> QuadratureConfig:
     return QuadratureConfig() if cfg is None else cfg
-
-
-def _check_position(t) -> float:
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"path position must lie in [0, 1], got {t!r}")
-    return t
 
 
 def _require_right_convex(D: DivergenceFunctional) -> None:
@@ -79,9 +71,9 @@ def psi(
     interior points, so no special casing is needed beyond the exact
     short-circuits for t = 0 and a constant path.
     """
-    cfg = _default(cfg)
     _require_right_convex(D)
-    t = _check_position(t)
+    cfg = _default(cfg)
+    t = require_position(t)
     if t == 0.0 or path.is_constant:
         return OperatorResult(0.0, 0.0, 0)
     value, err, evals = integrate(_path_integrand(D, path), 0.0, t, cfg)
@@ -99,13 +91,9 @@ def psi_profile(
     The grid may be unsorted and contain duplicates; values come back in
     the given order.
     """
-    cfg = _default(cfg)
     _require_right_convex(D)
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise DomainError("t_grid must be a nonempty 1-d array")
-    if not np.all(np.isfinite(grid)) or np.any(grid < 0.0) or np.any(grid > 1.0):
-        raise DomainError("t_grid values must lie in [0, 1]")
+    cfg = _default(cfg)
+    grid = require_grid(t_grid)
     if path.is_constant:
         return np.zeros_like(grid)
     distinct, inverse = np.unique(grid, return_inverse=True)
@@ -127,7 +115,8 @@ def _integrate_from_zero(f, points: np.ndarray, cfg: QuadratureConfig) -> np.nda
 
 def psi_inverse(D: DivergenceFunctional, path: MixturePath, t: float) -> float:
     """Differential operator: t * d/dt D(start | R(t)); exactly 0 at t = 0."""
-    t = _check_position(t)
+    _require_right_convex(D)
+    t = require_position(t)
     if t == 0.0 or path.is_constant:
         return 0.0
     return t * path_derivative(D, path, t)
@@ -159,18 +148,10 @@ def psi_iter(
     integrates interpolant(s)/s cumulatively. Rows are nonincreasing in
     the level at every grid point.
     """
+    _require_right_convex(D)
     cfg = _default(cfg)
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise DomainError(f"iteration depth must be an integer, got {k!r}") from None
-    if k < 0:
-        raise DomainError(f"iteration depth must be nonnegative, got {k}")
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise DomainError("t_grid must be a nonempty 1-d array")
-    if not np.all(np.isfinite(grid)) or np.any(grid < 0.0) or np.any(grid > 1.0):
-        raise DomainError("t_grid values must lie in [0, 1]")
+    k = require_index(k, "iteration depth")
+    grid = require_grid(t_grid)
 
     rows = np.zeros((k + 1, grid.size))
     if path.is_constant:
@@ -179,7 +160,6 @@ def psi_iter(
     rows[0] = D.evaluator(p, path.masses_at(grid))
     if k == 0:
         return rows
-    _require_right_convex(D)
 
     tight = _tightened(cfg)
     distinct, inverse = np.unique(grid, return_inverse=True)
@@ -218,15 +198,13 @@ def psi_roundtrip(
     stencil division does not amplify integration noise past the 1e-6
     scale.
     """
+    _require_right_convex(D)
     cfg = _default(cfg)
     t = float(t)
     if not 0.0 < t <= 1.0:
         raise DomainError(f"roundtrip position must lie in (0, 1], got {t!r}")
     if path.is_constant:
         return (0.0, 0.0)
-    _require_right_convex(D)
-    if not D.differentiable:
-        raise DomainError(f"divergence {D.identifier!r} is not differentiable")
 
     tight = QuadratureConfig(
         rel_tol=1e-13, abs_tol=1e-14, max_subdivisions=max(cfg.max_subdivisions, 2000)

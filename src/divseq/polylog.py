@@ -13,11 +13,10 @@ The module contract is 1e-12 relative accuracy.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
-from .errors import DomainError, ToleranceError
+from .errors import DomainError, ToleranceError, require_index
 from .quadrature import QuadratureConfig, integrate
 
 _SERIES_RADIUS = 0.95
@@ -26,17 +25,6 @@ _SERIES_MAX_TERMS = 10_000
 _TAIL_BOUND = 1e-14
 
 _INTEGRAL_CFG = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=2000)
-_RECURRENCE_CFG = QuadratureConfig()
-
-
-def _check_order(k, minimum: int = 0) -> int:
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise DomainError(f"order must be an integer, got {k!r}") from None
-    if k < minimum:
-        raise DomainError(f"order must be at least {minimum}, got {k}")
-    return k
 
 
 def _check_argument(z) -> float:
@@ -52,7 +40,7 @@ def polylog_series(k, z) -> float:
     Terms are added until the next one falls below 1e-15 of the partial
     sum; ToleranceError if that has not happened after 10000 terms.
     """
-    k = _check_order(k)
+    k = require_index(k)
     z = _check_argument(z)
     if z == 0.0:
         return 0.0
@@ -91,7 +79,7 @@ def polylog_integral(k, z) -> float:
     This is the mandatory route for z <= -0.95 and the cross-validation
     oracle elsewhere.
     """
-    k = _check_order(k, minimum=1)
+    k = require_index(k, minimum=1)
     z = _check_argument(z)
     if z == 0.0:
         return 0.0
@@ -114,7 +102,7 @@ def polylog_integral(k, z) -> float:
 
 def polylog(k, z) -> float:
     """Li_k(z) for integer k >= 0 and real z < 1."""
-    k = _check_order(k)
+    k = require_index(k)
     z = _check_argument(z)
     if z == 0.0:
         return 0.0
@@ -126,25 +114,3 @@ def polylog(k, z) -> float:
         return polylog_series(k, z)
     return polylog_integral(k, z)
 
-
-def polylog_recurrence_check(k, z) -> float:
-    """Li_{k+1}(z) obtained by integrating Li_k(x)/x over [0, z].
-
-    Test oracle for the recurrence; the integrand takes its limiting
-    value 1 at x = 0.
-    """
-    k = _check_order(k, minimum=1)
-    z = _check_argument(z)
-    if z == 0.0:
-        return 0.0
-
-    def integrand(x):
-        return np.array(
-            [polylog(k, xi) / xi if xi != 0.0 else 1.0 for xi in x]
-        )
-
-    if z > 0.0:
-        value, _, _ = integrate(integrand, 0.0, z, _RECURRENCE_CFG)
-        return value
-    value, _, _ = integrate(integrand, z, 0.0, _RECURRENCE_CFG)
-    return -value

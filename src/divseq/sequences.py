@@ -9,48 +9,27 @@ as exact oracles for the numerically iterated integral operator.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from .distributions import MixturePath
 from .divergences import named_divergence
-from .errors import DomainError
+from .errors import require_index, require_pair, require_position
 from .polylog import polylog
 
 _JEFFREYS = named_divergence("jeffreys")
-_HELLINGER2 = named_divergence("hellinger2")
-
-
-def _check_order(k) -> int:
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise DomainError(f"order must be an integer, got {k!r}") from None
-    if k < 0:
-        raise DomainError(f"order must be nonnegative, got {k}")
-    return k
-
-
-def _pair_masses(P, Q) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(getattr(P, "masses", P), dtype=np.float64)
-    q = np.asarray(getattr(Q, "masses", Q), dtype=np.float64)
-    if p.shape != q.shape:
-        raise DomainError(f"support sizes differ: {p.size} vs {q.size}")
-    return p, q
 
 
 def pl(k, P, Q) -> float:
     """Sum_i p_i Li_k(1 - q_i/p_i); the argument is always below 1."""
-    k = _check_order(k)
-    p, q = _pair_masses(P, Q)
+    k = require_index(k)
+    p, q = require_pair(P, Q)
     return float(sum(pi * polylog(k, 1.0 - qi / pi) for pi, qi in zip(p, q)))
 
 
 def sl(k, P, Q) -> float:
     """Jeffreys divergence minus the first k polylogarithm-sequence terms."""
-    k = _check_order(k)
-    p, q = _pair_masses(P, Q)
+    k = require_index(k)
+    p, q = require_pair(P, Q)
     total = float(_JEFFREYS.evaluator(p, q))
     for j in range(1, k + 1):
         total -= pl(j, p, q)
@@ -58,11 +37,8 @@ def sl(k, P, Q) -> float:
 
 
 def _mixture_row(P, Q, t: float) -> tuple[np.ndarray, np.ndarray]:
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"path position must lie in [0, 1], got {t!r}")
     path = MixturePath(P, Q)
-    return path.start.masses, path.masses_at(np.array([t]))[0]
+    return path.start.masses, path.masses_at(np.array([require_position(t)]))[0]
 
 
 def hellinger_psi_inverse(P, Q, t) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,7 +27,7 @@ from .divergences import (
     named_divergence,
     swap_orientation,
 )
-from .errors import DomainError, ToleranceError
+from .errors import ToleranceError, require_index
 from .operators import psi, psi_inverse, psi_iter, psi_profile
 from .sequences import pl, sl
 
@@ -184,9 +183,7 @@ def check_iterated_chain(
     chi-square and Jeffreys divergences the levels are also compared against
     their closed-form polylogarithm expressions.
     """
-    depth = operator.index(depth)
-    if depth < 0:
-        raise DomainError(f"depth must be nonnegative, got {depth}")
+    depth = require_index(depth, "depth")
     rng = np.random.default_rng(seed)
     worst = 0.0
     try:
@@ -332,9 +329,7 @@ def run_suite(seed: int, instances: int) -> VerificationReport:
     a generic f-divergence, and a swapped Bregman divergence.  Per-check seeds
     are derived from ``seed`` so the report is reproducible bit for bit.
     """
-    instances = operator.index(instances)
-    if instances < 1:
-        raise DomainError(f"instances must be at least 1, got {instances}")
+    instances = require_index(instances, "instances", minimum=1)
     checks: list[PropertyCheck] = []
     for d_index, D in enumerate(_suite_divergences()):
         runners = (

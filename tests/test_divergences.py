@@ -14,7 +14,6 @@ from divseq.divergences import (
     NAMED_IDENTIFIERS,
     Orientation,
     evaluate,
-    finite_difference_path_derivative,
     make_bregman,
     make_f_divergence,
     named_divergence,
@@ -33,6 +32,89 @@ CHI2_PQ = 1.0 / 3.0
 JEFFREYS_PQ = 0.27465307216702742
 HELLINGER2_PQ = 0.034074173710931713
 HELLINGER2_DERIV_AT_1 = 0.07471462268067113
+
+
+def _finite_difference_path_derivative(D, path, t):
+    """Second-order finite difference of t -> evaluator(start, R(t)).
+
+    Central step h = cbrt(machine epsilon) * max(t, 0.1); one-sided
+    three-point stencils take over when t is within h of 0 or 1.
+    """
+    h = float(np.cbrt(np.finfo(float).eps)) * max(t, 0.1)
+    if t - h >= 0.0 and t + h <= 1.0:
+        pts = np.array([t - h, t + h])
+        lo, hi = D.evaluator(path.start.masses, path.masses_at(pts))
+        return float((hi - lo) / (2.0 * h))
+    if t - h < 0.0:
+        pts = np.array([t, t + h, t + 2.0 * h])
+        g0, g1, g2 = D.evaluator(path.start.masses, path.masses_at(pts))
+        return float((-3.0 * g0 + 4.0 * g1 - g2) / (2.0 * h))
+    pts = np.array([t, t - h, t - 2.0 * h])
+    g0, g1, g2 = D.evaluator(path.start.masses, path.masses_at(pts))
+    return float((3.0 * g0 - 4.0 * g1 + g2) / (2.0 * h))
+
+
+# Hand-written path derivatives of the named divergences: d/dt D(P, R(t))
+# with the second argument moving ("right") or D(R(t), P) with the first
+# moving ("left"). Oracles for the derivatives derived from the generators.
+def _path_parts(path, t):
+    p = path.start.masses
+    return p, path.end.masses - p, path.masses_at(np.array([t]))[0]
+
+
+def _kl_deriv_moving_right(path, t):
+    p, delta, r = _path_parts(path, t)
+    return float(-np.sum(p * delta / r))
+
+
+def _kl_deriv_moving_left(path, t):
+    p, delta, r = _path_parts(path, t)
+    return float(np.sum(delta * (1.0 + np.log(r / p))))
+
+
+def _chi2_deriv_moving_right(path, t):
+    p, delta, r = _path_parts(path, t)
+    return float(np.sum(delta * (1.0 - (p / r) ** 2)))
+
+
+def _chi2_deriv_moving_left(path, t):
+    p, delta, r = _path_parts(path, t)
+    return float(2.0 * np.sum(delta * (r - p) / p))
+
+
+def _jeffreys_deriv(path, t):
+    p, delta, r = _path_parts(path, t)
+    return float(np.sum(delta * (1.0 + np.log(r / p))) - np.sum(p * delta / r))
+
+
+def _hellinger2_deriv(path, t):
+    p, delta, r = _path_parts(path, t)
+    return float(0.5 * np.sum(delta * (1.0 - np.sqrt(p / r))))
+
+
+HAND_WRITTEN_DERIVATIVES = {
+    "kl": (_kl_deriv_moving_right, _kl_deriv_moving_left),
+    "reverse_kl": (_kl_deriv_moving_left, _kl_deriv_moving_right),
+    "chi2": (_chi2_deriv_moving_right, _chi2_deriv_moving_left),
+    "jeffreys": (_jeffreys_deriv, _jeffreys_deriv),
+    "hellinger2": (_hellinger2_deriv, _hellinger2_deriv),
+}
+
+
+def _tiny_mass_pairs(count, seed, floor=1e-6):
+    """Seeded pairs in which each side has one coordinate at exactly floor."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        sides = []
+        for _side in range(2):
+            weights = rng.exponential(size=n)
+            weights[rng.integers(n)] = 0.0
+            masses = floor + (1.0 - n * floor) * weights / weights.sum()
+            sides.append(new_distribution(masses))
+        pairs.append(tuple(sides))
+    return pairs
 
 
 class TestNamedDivergences:
@@ -60,8 +142,8 @@ class TestNamedDivergences:
     def test_named_are_right_convex_and_differentiable(self, identifier):
         D = named_divergence(identifier)
         assert D.orientation is Orientation.RIGHT_CONVEX
-        assert D.differentiable
         assert D.analytic_path_derivative is not None
+        assert D.mirror_path_derivative is not None
         assert D.identifier == identifier
 
     def test_unknown_identifier(self):
@@ -166,8 +248,8 @@ class TestFDivergenceFactory:
             FDivergenceSpec(f=lambda u: (u - 1.0) ** 2, f_prime=lambda u: 2.0 * (u - 1.0))
         )
         assert D.orientation is Orientation.RIGHT_CONVEX
-        assert D.differentiable
         assert D.analytic_path_derivative is not None
+        assert D.mirror_path_derivative is not None
 
     def test_rejects_f_not_vanishing_at_one(self):
         with pytest.raises(SpecError):
@@ -185,8 +267,8 @@ class TestBregmanFactory:
         D = make_bregman(BregmanSpec(F=lambda x: x**2, F_prime=lambda x: 2.0 * x))
         assert evaluate(D, P, Q) == pytest.approx(0.125, abs=1e-15)
         assert D.orientation is Orientation.LEFT_CONVEX
-        assert D.differentiable
         assert D.analytic_path_derivative is None
+        assert D.mirror_path_derivative is not None
 
     def test_negative_entropy_recovers_kl(self):
         D = make_bregman(
@@ -237,8 +319,8 @@ class TestSwap:
 
     def test_swapped_named_keeps_analytic_derivative(self):
         swapped = swap_orientation(named_divergence("kl"))
-        assert swapped.differentiable
         assert swapped.analytic_path_derivative is not None
+        assert swapped.mirror_path_derivative is not None
 
 
 class TestPathDerivative:
@@ -248,8 +330,24 @@ class TestPathDerivative:
         D = named_divergence(identifier)
         path = MixturePath(P, Q)
         analytic = path_derivative(D, path, t)
-        numeric = finite_difference_path_derivative(D, path, t)
+        numeric = _finite_difference_path_derivative(D, path, t)
         assert analytic == pytest.approx(numeric, abs=1e-6), f"t={t}"
+
+    @pytest.mark.parametrize("identifier", NAMED_IDENTIFIERS)
+    @pytest.mark.parametrize("moving", ["second", "first"])
+    def test_generator_derivatives_match_hand_written(self, identifier, moving):
+        right, left = HAND_WRITTEN_DERIVATIVES[identifier]
+        D = named_divergence(identifier)
+        oracle = right
+        if moving == "first":
+            D, oracle = swap_orientation(D), left
+        for A, B in _tiny_mass_pairs(20, seed=6047):
+            path = MixturePath(A, B)
+            scale = float(np.sum(np.abs(B.masses - A.masses)))
+            for t in (0.0, 0.3, 0.9, 1.0):
+                expected = oracle(path, t)
+                bound = 1e-12 * max(abs(expected), scale)
+                assert abs(path_derivative(D, path, t) - expected) <= bound, (A, B, t)
 
     def test_hellinger_derivative_reference_value(self):
         D = named_divergence("hellinger2")
@@ -271,14 +369,18 @@ class TestPathDerivative:
                 path_derivative(rev, path, t), rel=1e-13, abs=1e-15
             )
 
-    def test_bregman_falls_back_to_finite_differences(self):
+    def test_swapped_bregman_derivative_is_exact(self):
         D = make_bregman(BregmanSpec(F=lambda x: x**2, F_prime=lambda x: 2.0 * x))
         path = MixturePath(P, Q)
         delta_sq = float(np.sum((Q.masses - P.masses) ** 2))
         for t in [0.0, 0.4, 1.0]:
-            assert path_derivative(D, path, t) == pytest.approx(
-                2.0 * t * delta_sq, abs=1e-8
-            )
+            value = path_derivative(swap_orientation(D), path, t)
+            assert abs(value - 2.0 * t * delta_sq) <= 1e-15, f"t={t}"
+
+    def test_rejects_unswapped_bregman(self):
+        D = make_bregman(BregmanSpec(F=lambda x: x**2, F_prime=lambda x: 2.0 * x))
+        with pytest.raises(DomainError):
+            path_derivative(D, MixturePath(P, Q), 0.5)
 
     def test_generic_f_divergence_derivative(self):
         D = make_f_divergence(
@@ -290,13 +392,6 @@ class TestPathDerivative:
             assert path_derivative(D, path, t) == pytest.approx(
                 path_derivative(ref, path, t), rel=1e-12
             )
-
-    def test_rejects_non_differentiable(self):
-        D = named_divergence("kl")
-        blunted = swap_orientation(D)
-        object.__setattr__(blunted, "differentiable", False)
-        with pytest.raises(DomainError):
-            path_derivative(blunted, MixturePath(P, Q), 0.5)
 
     def test_rejects_t_outside_unit_interval(self):
         D = named_divergence("kl")

@@ -104,12 +104,6 @@ class TestPsiInverse:
     def test_constant_path(self):
         assert psi_inverse(named_divergence("kl"), MixturePath(Q, Q), 0.8) == 0.0
 
-    def test_rejects_non_differentiable(self):
-        D = swap_orientation(named_divergence("kl"))
-        object.__setattr__(D, "differentiable", False)
-        with pytest.raises(DomainError):
-            psi_inverse(D, PATH, 0.5)
-
 
 class TestPsiProfile:
     def test_matches_pointwise_psi(self):
@@ -174,11 +168,6 @@ class TestPsiIter:
         rows = psi_iter(named_divergence("chi2"), 3, MixturePath(P, P), np.linspace(0, 1, 5))
         assert np.array_equal(rows, np.zeros((4, 5)))
 
-    def test_depth_zero_allows_any_orientation(self):
-        breg = make_bregman(BregmanSpec(F=lambda x: x**2, F_prime=lambda x: 2.0 * x))
-        rows = psi_iter(breg, 0, PATH, np.array([0.5, 1.0]))
-        assert rows.shape == (1, 2)
-
     def test_deeper_levels_require_right_convex(self):
         breg = make_bregman(BregmanSpec(F=lambda x: x**2, F_prime=lambda x: 2.0 * x))
         with pytest.raises(DomainError):
@@ -223,6 +212,31 @@ class TestPsiRoundtrip:
     def test_rejects_t_outside_half_open_interval(self, t):
         with pytest.raises(DomainError):
             psi_roundtrip(named_divergence("kl"), PATH, t)
+
+
+class TestOrientation:
+    # Every operator rejects a left-convex D before any other work, so even
+    # the constant-path and t = 0 short cuts never accept one.
+    @pytest.mark.parametrize(
+        "apply",
+        [
+            lambda D, path: psi(D, path, 1.0),
+            lambda D, path: psi_profile(D, path, np.array([0.0, 0.5, 1.0])),
+            lambda D, path: psi_iter(D, 0, path, np.array([0.5, 1.0])),
+            lambda D, path: psi_iter(D, 2, path, np.array([0.5, 1.0])),
+            lambda D, path: psi_inverse(D, path, 0.5),
+            lambda D, path: psi_roundtrip(D, path, 0.5),
+        ],
+        ids=["psi", "psi_profile", "psi_iter_k0", "psi_iter_k2", "psi_inverse",
+             "psi_roundtrip"],
+    )
+    @pytest.mark.parametrize(
+        "path", [PATH, MixturePath(P, P)], ids=["moving", "constant"]
+    )
+    def test_unswapped_bregman_rejected(self, apply, path):
+        breg = make_bregman(BregmanSpec(F=lambda x: x**2, F_prime=lambda x: 2.0 * x))
+        with pytest.raises(DomainError):
+            apply(breg, path)
 
 
 class TestOrderingProperties:

@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from divseq.errors import DomainError, ToleranceError
-from divseq.polylog import (
-    polylog,
-    polylog_integral,
-    polylog_recurrence_check,
-    polylog_series,
-)
+from divseq.polylog import polylog, polylog_integral, polylog_series
+from polylog_oracles import polylog_recurrence_check
 
 # Reference values from 50-digit arbitrary-precision evaluation.
 LI2_HALF = 0.5822405264650125  # = pi^2/12 - (log 2)^2/2

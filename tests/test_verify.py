@@ -31,7 +31,6 @@ def _broken_divergence():
         orientation=Orientation.RIGHT_CONVEX,
         evaluator=lambda a, b: -np.asarray(ev(a, b)),
         analytic_path_derivative=lambda path, t: -deriv(path, t),
-        differentiable=True,
     )
 
 
