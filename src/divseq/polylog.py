@@ -1,12 +1,24 @@
-"""Integer-order polylogarithm Li_k(z) for real z < 1.
+"""Integer-order polylogarithm Li_k(z) for real z < 1, elementwise.
 
-Two evaluation strategies with an automatic switchover: the defining power
-series Sum_{j>=1} z^j / j^k inside |z| <= 0.95, and the integral
-representation
+Every entry point takes a scalar, which gives a float, or an array, which
+gives an array of the same shape. The kernel works on the pair z and
+w = 1 - z and takes each from the form the caller holds exactly:
+``polylog`` and ``polylog_integral`` take either. The pl sequence passes
+w = q/p, so no digits are lost to forming 1 - q/p as q/p -> 0.
 
-    Li_k(z) = z / (k-1)! * Integral_0^inf x^(k-1) / (e^x - z) dx
+- Orders 0 and 1 use their closed forms z/w and -log w (-log1p(-z) for
+  |z| <= 1/2).
+- Inside |z| <= 0.95 the defining power series Sum_{j>=1} z^j / j^k is
+  summed for all coordinates together, each stopped by the same rule.
+- Outside, where the series diverges or crawls, the integral
+  representation
 
-outside, where the series diverges. Orders 0 and 1 use their closed forms.
+      Li_k(z) = z / (k-1)! * Integral_0^inf x^(k-1) e^(-x) / (-expm1(-x) + w e^(-x)) dx
+
+  is integrated in log x for all coordinates in one adaptive run on
+  shared panels. Its denominator 1 - z e^(-x) is written without
+  cancellation, so w -> 0 (z -> 1) keeps every digit.
+
 The module contract is 1e-12 relative accuracy.
 """
 
@@ -17,44 +29,88 @@ import math
 import numpy as np
 
 from .errors import DomainError, ToleranceError, require_index
-from .quadrature import QuadratureConfig, integrate
+from .quadrature import QuadratureConfig, cumulative_integral
 
 _SERIES_RADIUS = 0.95
 _SERIES_REL_STOP = 1e-15
 _SERIES_MAX_TERMS = 10_000
+_SERIES_BLOCK_CELLS = 1 << 13
+_SERIES_MIN_BLOCK = 8
+_SERIES_MAX_BLOCK = 64
 _TAIL_BOUND = 1e-14
+_LOG_TAIL = 40.0
+_INTEGRAL_PIECES = 8
 
-_INTEGRAL_CFG = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=2000)
+# The integrand is positive, so every integral is nonzero and a relative
+# target alone is well defined. An absolute floor would loosen the contract
+# for large |z|, where the integral is about (k-1)! Li_k(z) / z.
+_INTEGRAL_CFG = QuadratureConfig(
+    rel_tol=1e-12, abs_tol=np.finfo(float).tiny, max_subdivisions=2000
+)
 
 
-def _check_argument(z) -> float:
-    z = float(z)
-    if not np.isfinite(z) or z >= 1.0:
-        raise DomainError(f"argument must be a finite real below 1, got {z!r}")
-    return z
+def _arguments(z, w) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Flat z and w = 1 - z, each formed from the one the caller gave."""
+    if (z is None) == (w is None):
+        raise DomainError("give the argument as z or as w = 1 - z, not both")
+    given = np.asarray(z if w is None else w, dtype=float)
+    flat = given.ravel()
+    if w is None:
+        bad = ~(np.isfinite(flat) & (flat < 1.0))
+        what = "argument must be a finite real below 1"
+    else:
+        bad = ~(np.isfinite(flat) & (flat > 0.0))
+        what = "w = 1 - z must be finite and positive"
+    if bad.any():
+        raise DomainError(f"{what}, got {float(flat[bad][0])!r}")
+    if w is None:
+        return flat, 1.0 - flat, given.shape
+    return 1.0 - flat, flat, given.shape
 
 
-def polylog_series(k, z) -> float:
-    """Direct power-series summation, for |z| comfortably below 1.
+def _shaped(values: np.ndarray, shape: tuple):
+    return float(values[0]) if shape == () else values.reshape(shape)
 
-    Terms are added until the next one falls below 1e-15 of the partial
-    sum; ToleranceError if that has not happened after 10000 terms.
-    """
-    k = require_index(k)
-    z = _check_argument(z)
-    if z == 0.0:
-        return 0.0
-    total = z
-    power = z
-    for j in range(2, _SERIES_MAX_TERMS + 1):
-        power *= z
-        term = power / float(j) ** k
-        if abs(term) < _SERIES_REL_STOP * abs(total):
-            return total
-        total += term
-    raise ToleranceError(
-        f"series for Li_{k}({z}) still moving after {_SERIES_MAX_TERMS} terms"
-    )
+
+def _series(k: int, z: np.ndarray) -> np.ndarray:
+    # Each coordinate adds terms until the next one falls below 1e-15 of its
+    # partial sum, exactly as a term-by-term loop would. The terms come in
+    # blocks, so the loop runs once per block and not once per term; a block
+    # holds at most _SERIES_BLOCK_CELLS terms over all pending coordinates,
+    # which bounds the memory a large support takes.
+    out = np.zeros_like(z)
+    pending = np.flatnonzero(z != 0.0)
+    total = z[pending]
+    power = z[pending]
+    first = 2
+    while pending.size:
+        if first > _SERIES_MAX_TERMS:
+            raise ToleranceError(
+                f"series for Li_{k}({float(z[pending[0]])}) still moving after "
+                f"{_SERIES_MAX_TERMS} terms"
+            )
+        width = min(
+            max(_SERIES_BLOCK_CELLS // pending.size, _SERIES_MIN_BLOCK),
+            _SERIES_MAX_BLOCK,
+            _SERIES_MAX_TERMS + 1 - first,
+        )
+        block = np.empty((pending.size, width + 1))
+        block[:, 0] = power
+        block[:, 1:] = z[pending, None]
+        np.cumprod(block, axis=1, out=block)
+        power = block[:, -1].copy()
+        block[:, 1:] /= np.arange(first, first + width, dtype=float) ** k
+        block[:, 0] = total
+        # partial[:, c] is the sum before term c + 1 of the block is added.
+        partial = np.cumsum(block, axis=1)
+        stops = np.abs(block[:, 1:]) < _SERIES_REL_STOP * np.abs(partial[:, :-1])
+        done = stops.any(axis=1)
+        out[pending[done]] = partial[done, np.argmax(stops[done], axis=1)]
+        pending = pending[~done]
+        total = partial[~done, -1]
+        power = power[~done]
+        first += width
+    return out
 
 
 def _tail_cutoff(k: int, z: float) -> float:
@@ -73,44 +129,78 @@ def _tail_cutoff(k: int, z: float) -> float:
         x += 5.0
 
 
-def polylog_integral(k, z) -> float:
+def _integral(k: int, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # The bound grows with |z| on either side of 0, so the extreme
+    # arguments set the cutoff every coordinate shares.
+    cutoff = max(_tail_cutoff(k, float(z.min())), _tail_cutoff(k, float(z.max())))
+    # Integrate in u = log x. Near z = 1 the integrand turns over at x ~ w,
+    # which a panel starting at x = 0 cannot see below its first node; in u
+    # that turn sits at log w and is resolved like any other feature. The
+    # denominator is a convex combination of w and 1, and at least w/e for
+    # x <= 1, so below the lower limit L the integrand is under
+    # e^(k u) / min(w, 1) and e^(k u + 1) / w. The part left out is then
+    # under e^(2 - _LOG_TAIL) of the integral, which is at least 1 for
+    # z >= 0.95 and at least 0.6 / w for z <= -0.95.
+    lower = math.log(min(float(w.min()), 1.0)) - _LOG_TAIL / k
+
+    def integrand(u):
+        # x^k e^(-x) / (1 - z e^(-x)) with x = e^u; the exp(-x) form stays
+        # finite however large the cutoff gets.
+        x = np.exp(u)
+        out = w[:, None] * np.exp(-x)
+        out -= np.expm1(-x)
+        return np.divide(np.exp(k * u - x), out, out=out)
+
+    # The integrand is positive, so holding each piece to the relative
+    # tolerance holds the whole integral to it; starting from several
+    # pieces, each refined in every round, takes fewer rounds than one.
+    edges = np.linspace(lower, math.log(cutoff), _INTEGRAL_PIECES + 1)
+    values, _, _ = cumulative_integral(integrand, edges, _INTEGRAL_CFG)
+    return z * values[:, -1] / float(math.factorial(k - 1))
+
+
+def polylog_series(k, z):
+    """Direct power-series summation, for |z| comfortably below 1.
+
+    Each coordinate adds terms until the next one falls below 1e-15 of its
+    partial sum; ToleranceError if any has not stopped after 10000 terms.
+    """
+    k = require_index(k)
+    z, _, shape = _arguments(z, None)
+    return _shaped(_series(k, z), shape)
+
+
+def polylog_integral(k, z=None, *, w=None):
     """Quadrature of the integral representation; valid for any z < 1.
 
-    This is the mandatory route for z <= -0.95 and the cross-validation
-    oracle elsewhere.
+    Takes z or, like ``polylog``, w = 1 - z. All coordinates share one
+    adaptive run. This is the mandatory route for z <= -0.95 and the
+    cross-validation oracle elsewhere.
     """
     k = require_index(k, minimum=1)
-    z = _check_argument(z)
-    if z == 0.0:
-        return 0.0
-    cutoff = _tail_cutoff(k, z)
-
-    def integrand(x):
-        out = np.empty_like(x)
-        pos = x > 0.0
-        xp = x[pos]
-        # x^(k-1) e^(-x) / (1 - z e^(-x)); the exp(-x) form stays finite
-        # however large the cutoff gets.
-        decay = np.exp(-xp)
-        out[pos] = np.exp((k - 1) * np.log(xp) - xp) / (1.0 - z * decay)
-        out[~pos] = 1.0 / (1.0 - z) if k == 1 else 0.0
-        return out
-
-    value, _, _ = integrate(integrand, 0.0, cutoff, _INTEGRAL_CFG)
-    return z * value / float(math.factorial(k - 1))
+    z, w, shape = _arguments(z, w)
+    if z.size == 0:
+        return _shaped(z, shape)
+    return _shaped(_integral(k, z, w), shape)
 
 
-def polylog(k, z) -> float:
-    """Li_k(z) for integer k >= 0 and real z < 1."""
+def polylog(k, z=None, *, w=None):
+    """Li_k(z) for integer k >= 0 and real z < 1, elementwise.
+
+    Give either z or w = 1 - z. Pass w when the caller holds it exactly,
+    as the pl sequence holds q/p: as w -> 0 every digit of w then reaches
+    the result, where forming 1 - w would have lost them.
+    """
     k = require_index(k)
-    z = _check_argument(z)
-    if z == 0.0:
-        return 0.0
+    z, w, shape = _arguments(z, w)
     if k == 0:
-        return z / (1.0 - z)
-    if k == 1:
-        return -np.log1p(-z)
-    if abs(z) <= _SERIES_RADIUS:
-        return polylog_series(k, z)
-    return polylog_integral(k, z)
-
+        out = z / w
+    elif k == 1:
+        out = np.where(np.abs(z) <= 0.5, -np.log1p(-z), -np.log(w))
+    else:
+        out = np.empty_like(z)
+        near = np.abs(z) <= _SERIES_RADIUS
+        out[near] = polylog_series(k, z[near])
+        if not near.all():
+            out[~near] = polylog_integral(k, w=w[~near])
+    return _shaped(out, shape)

@@ -1,7 +1,9 @@
 """Adaptive Gauss-Kronrod quadrature with batched integrand evaluation.
 
-The integrand is always called with a single 1-d array of abscissae and must
-return an array of the same shape.  Each refinement round gathers the worst
+The integrand is always called with a single 1-d array of n abscissae and
+returns either an array of the same shape or, for m integrands sharing one
+set of panels, an array of shape (m, n); each of the m components is held
+to its own tolerance.  Each refinement round gathers the worst
 panel of every still-unconverged segment and evaluates all of their children
 in one call, which keeps the number of Python-level round trips small even
 when the integrand itself is expensive (for example a divergence evaluated
@@ -79,33 +81,45 @@ class QuadratureConfig:
 
 def _apply_panels(
     f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int, tuple]:
     """Evaluate the K15 rule on each [a_i, b_i] with one integrand call.
 
-    Returns the Kronrod estimates, the per-panel error estimates and the
-    number of integrand evaluations.
+    f returns shape (n,) or (m, n) for n abscissae. Returns the Kronrod
+    estimates and the per-panel error estimates, both (panels, m), the
+    number of abscissae and the integrand's leading shape (() or (m,)).
+    Beyond the integrand's own output, one more array of its size is held.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     pts = mid[:, None] + half[:, None] * _XK[None, :]
-    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-    if not np.all(np.isfinite(vals)):
+    raw = np.asarray(f(pts.ravel()), dtype=float)
+    if raw.ndim not in (1, 2) or raw.shape[-1] != pts.size:
+        raise DomainError(
+            f"integrand returned shape {raw.shape} for {pts.size} abscissae"
+        )
+    lead = raw.shape[:-1]
+    shape = (raw.size // pts.size, len(a))
+    # One row of 15 values per (component, panel), without a copy: with
+    # m = 1 this is the (panels, 15) array of a scalar integrand, so the
+    # arithmetic is unchanged.
+    vals = raw.reshape(-1, 15)
+    if not np.isfinite(vals).all():
         raise DomainError("integrand returned a non-finite value")
-    kron = (vals @ _WK) * half
-    gauss = (vals @ _WG) * half
-    resabs = (np.abs(vals) @ _WK) * half
+    kron = (vals @ _WK).reshape(shape) * half
+    gauss = (vals @ _WG).reshape(shape) * half
+    work = np.abs(vals)
+    resabs = (work @ _WK).reshape(shape) * half
     mean = kron / (b - a)
-    resasc = (np.abs(vals - mean[:, None]) @ _WK) * half
+    np.subtract(vals, mean.reshape(-1, 1), out=work)
+    resasc = (np.abs(work, out=work) @ _WK).reshape(shape) * half
     delta = np.abs(kron - gauss)
     # QUADPACK-style scaled estimate, floored at the roundoff level of the
     # panel so that impossible tolerances surface as non-convergence.
-    err = delta.copy()
-    scale = np.ones_like(delta)
     pos = resasc > 0.0
-    scale[pos] = np.minimum(1.0, (200.0 * delta[pos] / resasc[pos]) ** 1.5)
-    err[pos] = resasc[pos] * scale[pos]
+    scale = np.minimum(1.0, (200.0 * delta / np.where(pos, resasc, 1.0)) ** 1.5)
+    err = np.where(pos, resasc * scale, delta)
     err = np.maximum(err, 50.0 * _EPS * resabs)
-    return kron, err, pts.size
+    return kron.T, err.T, pts.size, lead
 
 
 def _integrate_segments(
@@ -115,50 +129,64 @@ def _integrate_segments(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Integrate f over each [edges[i], edges[i+1]] to the configured tolerance.
 
-    All segments share one subdivision budget.  Returns per-segment values,
-    per-segment error estimates and the evaluation count.
+    f may return shape (m, n) for n abscissae: m integrands on shared
+    panels, each held to its own max(abs_tol, rel_tol * |I_i|). A segment
+    is refined while any component misses its target, by splitting the
+    panel with the worst error-to-target ratio over those components.
+    All segments share one subdivision budget. Returns per-segment values
+    and error estimates, shaped (n_seg,) or (m, n_seg), and the evaluation
+    count (abscissae, whatever m is).
     """
     n_seg = len(edges) - 1
     pa = edges[:-1].astype(float).copy()
     pb = edges[1:].astype(float).copy()
     pseg = np.arange(n_seg)
-    pi, pe, neval = _apply_panels(f, pa, pb)
+    pi, pe, neval, lead = _apply_panels(f, pa, pb)
+    m = pi.shape[1]
     splits_used = 0
     while True:
-        seg_val = np.bincount(pseg, weights=pi, minlength=n_seg)
-        seg_err = np.bincount(pseg, weights=pe, minlength=n_seg)
+        # Panels are added in panel order for each (segment, component), the
+        # order a 1-d bincount adds them in.
+        index = pseg if m == 1 else (pseg[:, None] * m + np.arange(m)).ravel()
+        seg_val = np.bincount(index, weights=pi.ravel(), minlength=n_seg * m)
+        seg_err = np.bincount(index, weights=pe.ravel(), minlength=n_seg * m)
+        seg_val, seg_err = seg_val.reshape(n_seg, m), seg_err.reshape(n_seg, m)
         target = np.maximum(config.abs_tol, config.rel_tol * np.abs(seg_val))
-        bad = np.flatnonzero(seg_err > target)
+        missed = seg_err > target
+        bad = np.flatnonzero(missed.any(axis=1))
         if bad.size == 0:
-            return seg_val, seg_err, neval
+            shape = lead + (n_seg,)
+            return seg_val.T.reshape(shape), seg_err.T.reshape(shape), neval
         if splits_used >= config.max_subdivisions:
             raise ToleranceError(
                 "quadrature failed to converge within "
                 f"{config.max_subdivisions} subdivisions "
                 f"(worst segment error {seg_err.max():.3e})"
             )
-        # One split per unconverged segment per round: its worst panel.
-        split_idx = []
-        for s in bad:
-            mask = pseg == s
-            cand = np.flatnonzero(mask)
-            worst = cand[np.argmax(pe[cand])]
-            width = pb[worst] - pa[worst]
-            if width <= 4.0 * _EPS * max(abs(pa[worst]), abs(pb[worst]), 1e-300):
-                raise ToleranceError(
-                    "quadrature interval shrank to roundoff width without "
-                    "meeting the requested tolerance"
-                )
-            split_idx.append(worst)
-            if len(split_idx) + splits_used >= config.max_subdivisions:
-                break
-        split_idx = np.asarray(split_idx)
+        # One split per unconverged segment per round: its worst panel, the
+        # first of the panels tied for it. A single component has one target
+        # per segment, so its raw error ranks the panels the same way.
+        if m == 1:
+            score = pe[:, 0]
+        else:
+            score = (pe * (missed / target)[pseg]).max(axis=1)
+        order = np.lexsort((-score, pseg))
+        split_idx = order[np.searchsorted(pseg[order], bad)]
+        split_idx = split_idx[: config.max_subdivisions - splits_used]
+        lo, hi = pa[split_idx], pb[split_idx]
+        # max(|lo|, |hi|, 1e-300), as lo < hi.
+        reach = np.maximum(np.maximum(hi, -lo), 1e-300)
+        if (hi - lo <= 4.0 * _EPS * reach).any():
+            raise ToleranceError(
+                "quadrature interval shrank to roundoff width without "
+                "meeting the requested tolerance"
+            )
         splits_used += len(split_idx)
-        mids = 0.5 * (pa[split_idx] + pb[split_idx])
-        child_a = np.concatenate([pa[split_idx], mids])
-        child_b = np.concatenate([mids, pb[split_idx]])
+        mids = 0.5 * (lo + hi)
+        child_a = np.concatenate([lo, mids])
+        child_b = np.concatenate([mids, hi])
         child_seg = np.concatenate([pseg[split_idx], pseg[split_idx]])
-        ci, ce, ne = _apply_panels(f, child_a, child_b)
+        ci, ce, ne, _ = _apply_panels(f, child_a, child_b)
         neval += ne
         keep = np.ones(len(pa), dtype=bool)
         keep[split_idx] = False
@@ -175,7 +203,12 @@ def integrate(
     b: float,
     config: QuadratureConfig,
 ) -> tuple[float, float, int]:
-    """Return (value, error_estimate, evaluations) for the integral over [a, b]."""
+    """Return (value, error_estimate, evaluations) for the integral over [a, b].
+
+    For an integrand returning shape (m, n) the value and error estimate
+    are arrays of length m, computed on shared panels (an empty interval
+    gives scalar zeros); otherwise they are floats.
+    """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise DomainError(f"integration limits must be finite, got [{a}, {b}]")
     if a > b:
@@ -183,6 +216,8 @@ def integrate(
     if a == b:
         return 0.0, 0.0, 0
     vals, errs, neval = _integrate_segments(f, np.array([a, b]), config)
+    if vals.ndim == 2:
+        return vals[:, 0], errs[:, 0], neval
     return float(vals[0]), float(errs[0]), neval
 
 
@@ -194,7 +229,9 @@ def cumulative_integral(
     """Integrals from edges[0] to every edge, sharing panel refinement.
 
     Returns an array aligned with ``edges`` (first entry exactly 0.0), the
-    summed error estimate and the evaluation count.
+    summed error estimate and the evaluation count. For an integrand
+    returning shape (m, n) the array is (m, len(edges)) and the error
+    estimate has length m; otherwise the estimate is a float.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2:
@@ -204,5 +241,8 @@ def cumulative_integral(
     if np.any(np.diff(edges) <= 0.0):
         raise DomainError("integration edges must be strictly increasing")
     seg_vals, seg_errs, neval = _integrate_segments(f, edges, config)
-    out = np.concatenate([[0.0], np.cumsum(seg_vals)])
+    start = np.zeros(seg_vals.shape[:-1] + (1,))
+    out = np.concatenate([start, np.cumsum(seg_vals, axis=-1)], axis=-1)
+    if seg_vals.ndim == 2:
+        return out, seg_errs.sum(axis=-1), neval
     return out, float(seg_errs.sum()), neval

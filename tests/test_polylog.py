@@ -123,3 +123,82 @@ class TestValidation:
     def test_series_stalls_near_one(self):
         with pytest.raises(ToleranceError):
             polylog_series(2, 0.9999)
+
+
+class TestArrays:
+    # Both sides of the series radius |z| = 0.95, the z -> 1 edge and a far
+    # negative argument, in one array.
+    Z = np.array(
+        [-1e6, -3.0, -0.951, -0.949, -0.3, 0.0, 0.4, 0.949, 0.951, 0.999, 1.0 - 1e-12]
+    )
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
+    def test_array_matches_scalar_calls(self, k):
+        values = polylog(k, self.Z)
+        assert isinstance(values, np.ndarray) and values.shape == self.Z.shape
+        scalars = np.array([polylog(k, z) for z in self.Z])
+        series_side = np.abs(self.Z) <= 0.95
+        # The series stops each coordinate on its own, so those agree
+        # exactly; the integral route shares panels across coordinates,
+        # so those agree to the 1e-12 contract.
+        np.testing.assert_array_equal(values[series_side], scalars[series_side])
+        np.testing.assert_allclose(values, scalars, rtol=1e-12, atol=0.0)
+
+    def test_array_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        for k in [2, 3, 4]:
+            values = polylog(k, self.Z)
+            with mp.workdps(40):
+                ref = np.array([float(mp.polylog(k, mp.mpf(z))) for z in self.Z])
+            np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0.0, err_msg=f"k={k}")
+
+    def test_scalar_gives_float_and_shape_is_kept(self):
+        assert type(polylog(2, 0.5)) is float
+        assert type(polylog_series(2, 0.5)) is float
+        assert type(polylog_integral(2, -3.0)) is float
+        grid = self.Z[:10].reshape(2, 5)
+        for fn in (polylog, polylog_integral):
+            assert fn(3, grid).shape == (2, 5)
+        assert polylog_series(3, np.array([[0.1, 0.2]])).shape == (1, 2)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_routes_agree_on_arrays(self, k):
+        z = np.array([-0.9, -0.5, -0.1, 0.1, 0.5, 0.9])
+        np.testing.assert_allclose(
+            polylog_series(k, z), polylog_integral(k, z), rtol=0, atol=1e-12
+        )
+
+    def test_w_form_keeps_digits_at_the_edge(self):
+        mp = pytest.importorskip("mpmath")
+        w = np.array([1e-15, 1e-12, 3e-9, 1e-4, 0.04, 0.5, 1.0, 2.5, 1e3, 1e12])
+        for k in range(5):
+            with mp.workdps(40):
+                ref = np.array([float(mp.polylog(k, 1 - mp.mpf(x))) for x in w])
+            np.testing.assert_allclose(polylog(k, w=w), ref, rtol=1e-12, atol=0.0)
+            if k >= 1:
+                integral = polylog_integral(k, w=w)
+                np.testing.assert_allclose(integral, ref, rtol=1e-12, atol=0.0)
+
+    def test_takes_z_or_w_not_both(self):
+        for fn in (polylog, polylog_integral):
+            with pytest.raises(DomainError):
+                fn(2)
+            with pytest.raises(DomainError):
+                fn(2, 0.5, w=0.5)
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, np.nan, np.inf])
+    def test_one_bad_element_raises(self, bad):
+        z = np.array([0.5, -2.0, bad, 0.1])
+        for fn in (polylog, polylog_series, polylog_integral):
+            with pytest.raises(DomainError):
+                fn(2, z)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_one_bad_w_raises(self, bad):
+        for fn in (polylog, polylog_integral):
+            with pytest.raises(DomainError):
+                fn(2, w=np.array([0.5, bad, 2.0]))
+
+    def test_one_stalled_series_raises(self):
+        with pytest.raises(ToleranceError):
+            polylog_series(2, np.array([0.1, 0.9999, -0.5]))

@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
 
+from divseq import MixturePath, named_divergence, random_distribution
 from divseq.errors import DomainError, ToleranceError
-from divseq.quadrature import QuadratureConfig, cumulative_integral, integrate
+from divseq.quadrature import (
+    _EPS,
+    _WG,
+    _WK,
+    _XK,
+    QuadratureConfig,
+    cumulative_integral,
+    integrate,
+)
 
 CFG = QuadratureConfig()
 
@@ -49,6 +58,14 @@ def test_agrees_with_scipy_quad(fn, a, b):
 def test_zero_width_interval():
     value, err, neval = integrate(np.exp, 0.3, 0.3, CFG)
     assert value == 0.0 and err == 0.0 and neval == 0
+
+
+@pytest.mark.parametrize(
+    "fn", [lambda x: x[:-1], lambda x: np.ones((2, 3, x.size)), lambda x: np.ones(2 * x.size)]
+)
+def test_integrand_of_the_wrong_shape_rejected(fn):
+    with pytest.raises(DomainError):
+        integrate(fn, 0.0, 1.0, CFG)
 
 
 def test_reversed_interval_rejected():
@@ -117,3 +134,96 @@ def test_defaults():
     assert cfg.rel_tol == 1e-10
     assert cfg.abs_tol == 1e-12
     assert cfg.max_subdivisions == 2000
+
+
+def _scalar_reference(f, a, b, config):
+    """The adaptive loop for scalar integrands as it stood before vector
+    integrands: one panel split per round, chosen by its raw error."""
+    pa, pb = np.array([a]), np.array([b])
+
+    def panels(a, b):
+        half = 0.5 * (b - a)
+        pts = (0.5 * (a + b))[:, None] + half[:, None] * _XK[None, :]
+        vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+        kron = (vals @ _WK) * half
+        gauss = (vals @ _WG) * half
+        resabs = (np.abs(vals) @ _WK) * half
+        mean = kron / (b - a)
+        resasc = (np.abs(vals - mean[:, None]) @ _WK) * half
+        delta = np.abs(kron - gauss)
+        err = delta.copy()
+        scale = np.ones_like(delta)
+        pos = resasc > 0.0
+        scale[pos] = np.minimum(1.0, (200.0 * delta[pos] / resasc[pos]) ** 1.5)
+        err[pos] = resasc[pos] * scale[pos]
+        return kron, np.maximum(err, 50.0 * _EPS * resabs), pts.size
+
+    pi, pe, neval = panels(pa, pb)
+    while True:
+        value = np.bincount(np.zeros(len(pa), dtype=int), weights=pi)[0]
+        error = np.bincount(np.zeros(len(pa), dtype=int), weights=pe)[0]
+        if error <= max(config.abs_tol, config.rel_tol * abs(value)):
+            return float(value), float(error), neval
+        worst = int(np.argmax(pe))
+        mid = 0.5 * (pa[worst] + pb[worst])
+        ci, ce, ne = panels(np.array([pa[worst], mid]), np.array([mid, pb[worst]]))
+        neval += ne
+        keep = np.arange(len(pa)) != worst
+        pa = np.concatenate([pa[keep], [pa[worst], mid]])
+        pb = np.concatenate([pb[keep], [mid, pb[worst]]])
+        pi = np.concatenate([pi[keep], ci])
+        pe = np.concatenate([pe[keep], ce])
+
+
+def _chi2_path_integrand():
+    path = MixturePath(random_distribution(6, seed=11), random_distribution(6, seed=12))
+    chi2 = named_divergence("chi2")
+    return lambda s: chi2.evaluator(path.start.masses, path.masses_at(s)) / s
+
+
+_BITWISE_CASES = [
+    (np.sin, 0.0, np.pi),
+    (np.sqrt, 0.0, 1.0),
+    (lambda x: np.exp(x) * np.cos(10.0 * x), 0.0, 2.0),
+    (_chi2_path_integrand(), 0.0, 0.8),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_BITWISE_CASES)))
+@pytest.mark.parametrize("cfg", [CFG, QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)])
+def test_single_component_is_bitwise_the_scalar_loop(case, cfg):
+    fn, a, b = _BITWISE_CASES[case]
+    expected = _scalar_reference(fn, a, b, cfg)
+    assert integrate(fn, a, b, cfg) == expected
+    value, err, neval = integrate(lambda x: fn(x)[None, :], a, b, cfg)
+    assert (value.tolist(), err.tolist(), neval) == ([expected[0]], [expected[1]], expected[2])
+
+
+def test_vector_integrand_meets_each_component_target():
+    rates = np.array([0.5, 1.0, 3.0, 20.0, 200.0])
+    freqs = np.array([0.0, 2.0, 7.0, 1.0, 30.0])
+
+    def family(x):
+        return np.exp(-rates[:, None] * x) * np.cos(freqs[:, None] * x)
+
+    cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
+    value, err, neval = integrate(family, 0.0, 2.0, cfg)
+    assert value.shape == err.shape == (5,)
+    # Closed form of the integral of e^(-a x) cos(b x) over [0, 2].
+    e2 = np.exp(-2.0 * rates)
+    truth = (
+        rates + e2 * (freqs * np.sin(2.0 * freqs) - rates * np.cos(2.0 * freqs))
+    ) / (rates**2 + freqs**2)
+    for i, (a_i, b_i) in enumerate(zip(rates, freqs)):
+        target = max(cfg.abs_tol, cfg.rel_tol * abs(truth[i]))
+        assert err[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(value[i]))
+        assert abs(value[i] - truth[i]) <= target
+        scalar, _, scalar_neval = integrate(
+            lambda x, a_i=a_i, b_i=b_i: np.exp(-a_i * x) * np.cos(b_i * x), 0.0, 2.0, cfg
+        )
+        assert abs(value[i] - scalar) <= target
+        assert scalar_neval <= neval
+    values, errs, _ = cumulative_integral(family, [0.0, 0.7, 2.0], cfg)
+    assert values.shape == (5, 3) and errs.shape == (5,)
+    assert np.all(values[:, 0] == 0.0)
+    np.testing.assert_allclose(values[:, -1], truth, rtol=cfg.rel_tol, atol=cfg.abs_tol)

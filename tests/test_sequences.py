@@ -8,6 +8,7 @@ from divseq.divergences import evaluate, named_divergence
 from divseq.errors import DomainError
 from divseq.operators import psi, psi_inverse, psi_iter
 from divseq.sequences import hellinger_psi, hellinger_psi_inverse, pl, sl
+from polylog_oracles import mpmath_jeffreys, mpmath_pl
 
 P = new_distribution(np.array([0.5, 0.5]))
 Q = new_distribution(np.array([0.25, 0.75]))
@@ -27,6 +28,29 @@ SL_REFERENCE = {
 }
 HELLINGER2_PSI = 0.016296227542159367
 HELLINGER2_PSI_INV = 0.07471462268067113
+
+
+def _tiny_masses(seed, n=12):
+    """Masses with four entries between 1e-12 and 1e-9, the rest of order 1/n."""
+    rng = np.random.default_rng(seed)
+    masses = rng.exponential(size=n)
+    masses[:4] = [1e-12, 3e-12, 1e-10, 1e-9]
+    return masses / masses.sum()
+
+
+# The pair on which 1 - q/p lost digits, and tiny masses on either side. At
+# t = 1 the mixture is Q itself, so q_i/p_i reaches 1e-12 or 1e12.
+EDGE_PAIRS = {
+    "roadmap": (np.array([0.5, 0.5]), np.array([1.0 - 1e-9, 1e-9])),
+    "tiny_p": (_tiny_masses(1), _tiny_masses(2)[::-1].copy()),
+    "tiny_q": (_tiny_masses(3)[::-1].copy(), _tiny_masses(4)),
+}
+
+
+def _edge_pair(name):
+    p, q = EDGE_PAIRS[name]
+    A, B = new_distribution(p), new_distribution(q)
+    return A, mixture(MixturePath(A, B), 1.0)
 
 
 def _pair(seed, n=None):
@@ -76,11 +100,40 @@ class TestPolylogSequence:
         with pytest.raises(DomainError):
             pl(1, P, R3)
 
+    @pytest.mark.parametrize("name", sorted(EDGE_PAIRS))
+    @pytest.mark.parametrize("k", range(4))
+    def test_matches_mpmath_at_the_edge(self, name, k):
+        A, R = _edge_pair(name)
+        expected = mpmath_pl(k, A.masses, R.masses)
+        assert abs(pl(k, A, R) - expected) <= 1e-12 * abs(expected)
+
+    def test_one_call_over_a_large_support(self):
+        rng = np.random.default_rng(17)
+        p, q = rng.exponential(size=(2, 500))
+        A, B = new_distribution(p / p.sum()), new_distribution(q / q.sum())
+        expected = mpmath_pl(3, A.masses, B.masses)
+        assert abs(pl(3, A, B) - expected) <= 1e-12 * abs(expected)
+
+    def test_accepts_raw_arrays(self):
+        assert pl(2, P.masses, Q.masses) == pl(2, P, Q)
+        with pytest.raises(DomainError):
+            pl(2, np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+
 
 class TestSumSequence:
     @pytest.mark.parametrize("k,expected", sorted(SL_REFERENCE.items()))
     def test_reference_values(self, k, expected):
         assert sl(k, P, Q) == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_PAIRS))
+    @pytest.mark.parametrize("k", range(4))
+    def test_matches_mpmath_at_the_edge(self, name, k):
+        A, R = _edge_pair(name)
+        jeffreys = mpmath_jeffreys(A.masses, R.masses)
+        terms = [mpmath_pl(j, A.masses, R.masses) for j in range(1, k + 1)]
+        expected = jeffreys - sum(terms)
+        scale = abs(jeffreys) + sum(abs(x) for x in terms)
+        assert abs(sl(k, A, R) - expected) <= 1e-12 * scale
 
     def test_order_zero_is_jeffreys(self):
         j = named_divergence("jeffreys")
@@ -197,6 +250,35 @@ class TestHellingerClosedForms:
             assert hellinger_psi_inverse(A, B, t) == pytest.approx(
                 psi_inverse(D, path, t), abs=1e-10
             )
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
+    def test_near_identical_pairs_match_mpmath(self, eps):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(int(-np.log10(eps)))
+        for _ in range(5):
+            p = rng.exponential(size=20)
+            A = new_distribution(p / p.sum())
+            q = A.masses * (1.0 + eps * rng.uniform(-1.0, 1.0, size=20))
+            B = new_distribution(q / q.sum())
+            with mp.workdps(50):
+                ps = [mp.mpf(x) for x in A.masses]
+                rs = [mp.mpf(x) for x in B.masses]
+                gaps = [(mp.sqrt(r) - mp.sqrt(pi)) ** 2 for pi, r in zip(ps, rs)]
+                psi_ref = float(sum(gaps) + 2 * mp.fsum(
+                    pi * mp.log((mp.sqrt(pi) + mp.sqrt(r)) / (2 * mp.sqrt(pi)))
+                    for pi, r in zip(ps, rs)
+                ))
+                inv_ref = float(mp.fsum(
+                    g / 2 + g * mp.sqrt(pi / r) / 2 for g, pi, r in zip(gaps, ps, rs)
+                ))
+            assert abs(hellinger_psi(A, B, 1.0) - psi_ref) <= 1e-13 * psi_ref
+            assert abs(hellinger_psi_inverse(A, B, 1.0) - inv_ref) <= 1e-13 * inv_ref
+
+    def test_accepts_raw_arrays(self):
+        for fn in (hellinger_psi, hellinger_psi_inverse):
+            assert fn(P.masses, Q.masses, 0.7) == fn(P, Q, 0.7)
+            with pytest.raises(DomainError):
+                fn(P.masses, np.array([0.2, 0.3, 0.5]), 0.7)
 
     def test_rejects_bad_t(self):
         for t in [-0.1, 1.1, np.nan]:
