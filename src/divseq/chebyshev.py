@@ -31,6 +31,35 @@ def _bary_weights(n: int) -> np.ndarray:
     return w
 
 
+# On [0, 1] the node sin^2(j*pi/(2n)) is x_j = -cos(j*pi/n) in x = 2s - 1,
+# so the values read backwards sit at the Chebyshev extreme points
+# cos(m*pi/n), and values and coefficients are a DCT-I apart: one real FFT
+# of the even extension.
+def _dct1(v: np.ndarray) -> np.ndarray:
+    return np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real
+
+
+def _tail_sums(v: np.ndarray) -> np.ndarray:
+    return np.cumsum(v[::-1])[::-1]
+
+
+def _coefficients(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients in x = 2s - 1 of the values at lobatto_nodes."""
+    n = len(values) - 1
+    a = _dct1(values[::-1]) / n
+    a[0] *= 0.5
+    a[n] *= 0.5
+    return a
+
+
+def _values(coefficients: np.ndarray) -> np.ndarray:
+    """Inverse of _coefficients: the series' values at lobatto_nodes."""
+    c = coefficients.copy()
+    c[0] *= 2.0
+    c[-1] *= 2.0
+    return 0.5 * _dct1(c)[::-1]
+
+
 @dataclass(frozen=True)
 class ChebyshevInterpolant:
     """Barycentric interpolant through function values at Lobatto nodes."""
@@ -62,6 +91,36 @@ class ChebyshevInterpolant:
         if np.ndim(x) == 0:
             return float(out[0])
         return out
+
+    def lifted(self) -> "ChebyshevInterpolant":
+        """The interpolant of s -> Integral_0^s self(u) / u du on the same nodes.
+
+        The integral is exact for the interpolating polynomial less its
+        value at s = 0, which a divergence along a path from P has as
+        D(P, P) = 0. In x = 2s - 1 the integrand is self / (1 + x),
+        integrated from x = -1.
+        """
+        a = _coefficients(self.values)
+        n = len(a) - 1
+        # alt[i] = (-1)^i, which is (-1)^(k-1) for coefficient k = i + 1.
+        alt = np.ones(n)
+        alt[1::2] = -1.0
+        # Divide by 1 + x: the quotient's coefficients follow
+        # b_{k-1} = 2(a_k - b_k) - b_{k+1} down from b_n = b_{n+1} = 0, with
+        # b_0 left doubled, the form the integration below takes. The
+        # remainder, self at s = 0, is dropped. With d_k = (-1)^k b_k the
+        # recurrence reads d_{k-1} - d_k = d_k - d_{k+1} + 2(-1)^(k-1) a_k,
+        # so d is two sums over the tail.
+        b = np.zeros(n + 2)
+        b[:n] = alt * _tail_sums(_tail_sums(2.0 * alt * a[1:]))
+        # Integrate: c_k = (b_{k-1} - b_{k+1}) / (2k), and c_0 makes the
+        # value at x = -1 zero.
+        c = np.empty(n + 1)
+        c[1:] = (b[:n] - b[2:]) / (2.0 * np.arange(1, n + 1))
+        c[0] = np.sum(alt * c[1:])
+        values = _values(c)
+        values[0] = 0.0
+        return ChebyshevInterpolant(self.nodes, values, self.weights)
 
     @classmethod
     def fit_adaptive(

@@ -72,7 +72,9 @@ def _shaped(values: np.ndarray, shape: tuple):
     return float(values[0]) if shape == () else values.reshape(shape)
 
 
-def _series(k: int, z: np.ndarray) -> np.ndarray:
+def _series(k: int, z: np.ndarray, linear: bool = True) -> np.ndarray:
+    # Sum_{j>=1} z^j / j^k, or Sum_{j>=2} = Li_k(z) - z with linear=False,
+    # which keeps the digits of the difference for small z.
     # Each coordinate adds terms until the next one falls below 1e-15 of its
     # partial sum, exactly as a term-by-term loop would. The terms come in
     # blocks, so the loop runs once per block and not once per term; a block
@@ -80,8 +82,8 @@ def _series(k: int, z: np.ndarray) -> np.ndarray:
     # which bounds the memory a large support takes.
     out = np.zeros_like(z)
     pending = np.flatnonzero(z != 0.0)
-    total = z[pending]
     power = z[pending]
+    total = power if linear else np.zeros_like(power)
     first = 2
     while pending.size:
         if first > _SERIES_MAX_TERMS:

@@ -7,43 +7,75 @@ Jeffreys divergence and starts at Jeffreys (k=0) and reverse KL (k=1).
 These closed forms serve as exact oracles for the numerically iterated
 integral operator. Each order is one array call of the polylogarithm over
 the whole support, in the variable w, which keeps every digit as
-q_i/p_i -> 0.
+q_i/p_i -> 0. When the sum cancels, as it does near P, the coordinates
+near P are summed as p_i (Li_k(z_i) - z_i) and p_i - q_i instead.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .divergences import named_divergence
 from .errors import require_index, require_pair, require_position
-from .polylog import polylog
+from .polylog import _series, polylog
 
 _JEFFREYS = named_divergence("jeffreys")
 # Below this |x| the Taylor series gives x - log1p(x) without the
 # cancellation of the direct difference.
 _XLOG_TAYLOR_RADIUS = 0.25
 _XLOG_TAYLOR = np.array([0.0, 0.0] + [(-1.0) ** n / n for n in range(2, 32)])
+# The plain sum Sum_i p_i Li_k(z_i) stands when Sum_i |p_i Li_k(z_i)| is at
+# most this many times its value. Each term is good to 8.2e-15 relative (the
+# polylogarithm's worst) and the sum adds about 3e-15 more at 10^4
+# coordinates, so the plain sum is then within 4e-13 of the exact one,
+# relative.
+_MAX_CANCELLATION = 32.0
+# Where |z_i| <= 1/2 a cancelling sum takes Li_k(z_i) - z_i directly.
+_NEAR_RADIUS = 0.5
 
 
-def _pl(k: int, p: np.ndarray, w: np.ndarray) -> float:
-    return float(np.sum(p * polylog(k, w=w)))
+def _li_minus_z(k: int, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # Li_k(z) - z for w = 1 - z and |z| <= 1/2, without forming Li_k(z).
+    if k == 0:
+        return z * z / w
+    if k == 1:
+        return _x_minus_log1p(-z)
+    return _series(k, z, linear=False)
+
+
+def _pl(k: int, p: np.ndarray, q: np.ndarray) -> float:
+    w = q / p
+    terms = p * polylog(k, w=w)
+    total = float(np.sum(terms))
+    if np.sum(np.abs(terms)) <= _MAX_CANCELLATION * abs(total):
+        return total
+    # Near P the plain sum cancels its first-order part
+    # Sum_i p_i z_i = Sum_i (p_i - q_i) ~ 0. Where |z_i| <= 1/2 the terms
+    # are split into p_i (Li_k(z_i) - z_i) and p_i - q_i, which is exact
+    # there, as q_i lies within a factor 2 of p_i, and is summed exactly.
+    d = p - q
+    z = d / p
+    near = np.abs(z) <= _NEAR_RADIUS
+    split = np.sum(terms[~near]) + np.sum(p[near] * _li_minus_z(k, z[near], w[near]))
+    return float(split) + math.fsum(d[near].tolist())
 
 
 def pl(k, P, Q) -> float:
     """Sum_i p_i Li_k(1 - w_i) with w_i = q_i/p_i > 0."""
     k = require_index(k)
     p, q = require_pair(P, Q)
-    return _pl(k, p, q / p)
+    return _pl(k, p, q)
 
 
 def sl(k, P, Q) -> float:
     """Jeffreys divergence minus the first k polylogarithm-sequence terms."""
     k = require_index(k)
     p, q = require_pair(P, Q)
-    w = q / p
     total = float(_JEFFREYS.evaluator(p, q))
     for j in range(1, k + 1):
-        total -= _pl(j, p, w)
+        total -= _pl(j, p, q)
     return total
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from divseq.chebyshev import ChebyshevInterpolant, lobatto_nodes
+from divseq.chebyshev import ChebyshevInterpolant, _coefficients, _values, lobatto_nodes
 from divseq.errors import ToleranceError
 
 
@@ -73,3 +73,54 @@ def test_fit_rejects_bad_target():
 
     with pytest.raises(DomainError):
         ChebyshevInterpolant.fit_adaptive(np.exp, 0.0)
+
+
+@pytest.mark.parametrize("n", [16, 256, 16384])
+def test_coefficients_round_trip(n):
+    s = lobatto_nodes(n)
+    values = np.cos(7.0 * s) + s**3
+    gap = np.max(np.abs(_values(_coefficients(values)) - values))
+    assert gap <= 1e-15 * np.max(np.abs(values))
+
+
+@pytest.mark.parametrize("n", [16, 256, 16384])
+@pytest.mark.parametrize("j", [1, 2, 5, 16])
+def test_lift_of_a_monomial_is_exact(n, j):
+    # Integral_0^s u^j / u du = s^j / j.
+    s = lobatto_nodes(n)
+    lifted = ChebyshevInterpolant(s, s**j).lifted()
+    assert np.array_equal(lifted.nodes, s)
+    assert lifted.values[0] == 0.0
+    assert np.max(np.abs(lifted.values - s**j / j)) <= 1e-14
+    x = np.linspace(0.0, 1.0, 101)
+    assert np.max(np.abs(lifted(x) - x**j / j)) <= 1e-14
+
+
+
+def _lifted_by_loops(values):
+    """The lift by the textbook recurrences, one coefficient at a time."""
+    a = _coefficients(values)
+    n = len(a) - 1
+    # Divide by 1 + x: b_{k-1} = 2(a_k - b_k) - b_{k+1} from b_{n-1} = 2 a_n,
+    # closed with b_0 = a_1 - b_1 - b_2 / 2.
+    b = np.zeros(n + 2)
+    for k in range(n, 1, -1):
+        b[k - 1] = 2.0 * (a[k] - b[k]) - b[k + 1]
+    b[0] = a[1] - b[1] - 0.5 * b[2]
+    # Integrate from x = -1, as numpy's chebint with lbnd = -1.
+    c = np.zeros(n + 1)
+    c[1] = b[0] - 0.5 * b[2]
+    for k in range(2, n + 1):
+        c[k] = (b[k - 1] - b[k + 1]) / (2.0 * k)
+    c[0] = -sum((-1.0) ** k * c[k] for k in range(1, n + 1))
+    out = _values(c)
+    out[0] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("n", [16, 256, 4096])
+def test_lift_matches_the_recurrences_run_as_loops(n):
+    s = lobatto_nodes(n)
+    values = np.expm1(s) * np.exp(-3.0 * s) + np.sin(40.0 * s) ** 2
+    lifted = ChebyshevInterpolant(s, values).lifted()
+    assert np.max(np.abs(lifted.values - _lifted_by_loops(values))) <= 1e-14

@@ -14,7 +14,7 @@ from divseq.divergences import (
     named_divergence,
     swap_orientation,
 )
-from divseq.errors import DomainError
+from divseq.errors import DomainError, ToleranceError
 from divseq.operators import (
     OperatorResult,
     QuadratureConfig,
@@ -24,6 +24,7 @@ from divseq.operators import (
     psi_profile,
     psi_roundtrip,
 )
+from divseq.sequences import pl, sl
 
 P = new_distribution(np.array([0.5, 0.5]))
 Q = new_distribution(np.array([0.25, 0.75]))
@@ -172,6 +173,48 @@ class TestPsiIter:
         breg = make_bregman(BregmanSpec(F=lambda x: x**2, F_prime=lambda x: 2.0 * x))
         with pytest.raises(DomainError):
             psi_iter(breg, 1, PATH, np.array([1.0]))
+
+    def test_depth_six_matches_closed_forms(self):
+        # Verify-style pairs: 2 to 10 points, every mass at least 0.01.
+        grid = np.array([0.0, 0.3, 0.7, 1.0])
+        for seed in range(20):
+            n = int(np.random.default_rng(seed).integers(2, 11))
+            A = random_distribution(n, seed=2 * seed + 1, min_mass=0.01)
+            B = random_distribution(n, seed=2 * seed + 2, min_mass=0.01)
+            path = MixturePath(A, B)
+            chi2 = psi_iter(named_divergence("chi2"), 6, path, grid)
+            jeffreys = psi_iter(named_divergence("jeffreys"), 6, path, grid)
+            for j, t in enumerate(grid):
+                R = mixture(path, t)
+                for k in range(7):
+                    assert abs(chi2[k, j] - pl(k, A, R)) <= 1e-10, (seed, t, k)
+                    assert abs(jeffreys[k, j] - sl(k, A, R)) <= 1e-10, (seed, t, k)
+
+    def test_large_support_with_tiny_masses(self):
+        # 877 points, masses floored at 0.01/n, and two masses near 1e-11 in
+        # P: the level-0 fit takes the full 16384 intervals, and every level
+        # above it comes from that one fit. psi^k[kl] = pl(k + 1).
+        rng = np.random.default_rng(8)
+        p, q = (1e-5 + 0.99 * d / d.sum() for d in rng.exponential(size=(2, 877)))
+        p[:2] = [6e-12, 2.5e-11]
+        p[2:] *= (1.0 - p[:2].sum()) / p[2:].sum()
+        A, B = new_distribution(p), new_distribution(q / q.sum())
+        path = MixturePath(A, B)
+        grid = np.linspace(0.0, 1.0, 5)
+        rows = psi_iter(named_divergence("kl"), 3, path, grid)
+        for j, t in enumerate(grid):
+            R = mixture(path, t)
+            for k in range(4):
+                assert abs(rows[k, j] - pl(k + 1, A, R)) <= 1e-9, (t, k)
+
+    def test_unresolvable_level_zero_raises_tolerance_error(self):
+        # chi2 toward q masses of 1e-11 peaks near t = 1 at about 1e10; no
+        # fit within the node cap meets the 1e-12 residual (CLI exit 3).
+        p = np.array([0.2, 0.1, 0.15, 0.05, 0.2, 0.1, 0.2])
+        q = np.array([0.3, 1e-11, 0.2, 0.1, 0.1, 3e-11, 0.3])
+        path = MixturePath(new_distribution(p), new_distribution(q / q.sum()))
+        with pytest.raises(ToleranceError):
+            psi_iter(named_divergence("chi2"), 3, path, np.linspace(0.0, 1.0, 5))
 
     def test_rejects_bad_inputs(self):
         D = named_divergence("chi2")

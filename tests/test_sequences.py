@@ -114,6 +114,20 @@ class TestPolylogSequence:
         expected = mpmath_pl(3, A.masses, B.masses)
         assert abs(pl(3, A, B) - expected) <= 1e-12 * abs(expected)
 
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
+    @pytest.mark.parametrize("k", range(4))
+    def test_near_identical_pairs_match_mpmath(self, eps, k):
+        # pl(k) is about eps^2 here, while its first-order part
+        # Sum p_i z_i = Sum (p_i - q_i) cancels to zero.
+        rng = np.random.default_rng(int(-np.log10(eps)))
+        for _ in range(5):
+            p = rng.exponential(size=20)
+            A = new_distribution(p / p.sum())
+            q = A.masses * (1.0 + eps * rng.uniform(-1.0, 1.0, size=20))
+            B = new_distribution(q / q.sum())
+            expected = mpmath_pl(k, A.masses, B.masses)
+            assert abs(pl(k, A, B) - expected) <= 1e-12 * abs(expected)
+
     def test_accepts_raw_arrays(self):
         assert pl(2, P.masses, Q.masses) == pl(2, P, Q)
         with pytest.raises(DomainError):
