@@ -62,7 +62,7 @@ def main() -> int:
             path = MixturePath(start, end)
             direct = np.asarray(D.evaluator(start.masses, path.masses_at(T_GRID)))
             below = psi_profile(D, path, T_GRID)
-            above = np.array([psi_inverse(D, path, float(t)) for t in T_GRID])
+            above = psi_inverse(D, path, T_GRID)
             upper_gaps.extend(above - direct)
             lower_gaps.extend(direct - below)
         print(quantile_row(identifier, "derivative_above", np.asarray(upper_gaps)))

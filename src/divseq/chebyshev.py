@@ -10,6 +10,10 @@ import numpy as np
 from .errors import DomainError, ToleranceError
 
 
+# Cells (points x nodes) per row block of a barycentric evaluation.
+_BLOCK_CELLS = 1 << 20
+
+
 def lobatto_nodes(n: int) -> np.ndarray:
     """The n+1 Chebyshev extreme points mapped to [0, 1], ascending.
 
@@ -80,7 +84,18 @@ class ChebyshevInterpolant:
 
     def __call__(self, x: float | np.ndarray) -> float | np.ndarray:
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        diff = x_arr[:, None] - self.nodes[None, :]
+        out = np.empty(x_arr.shape)
+        # Row blocks of at most _BLOCK_CELLS cells bound the temporaries;
+        # each row reduces on its own, so blocking changes no value.
+        rows = max(1, _BLOCK_CELLS // len(self.nodes))
+        for lo in range(0, len(x_arr), rows):
+            out[lo : lo + rows] = self._evaluate(x_arr[lo : lo + rows])
+        if np.ndim(x) == 0:
+            return float(out[0])
+        return out
+
+    def _evaluate(self, x: np.ndarray) -> np.ndarray:
+        diff = x[:, None] - self.nodes[None, :]
         hit_row, hit_col = np.nonzero(diff == 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = self.weights / diff
@@ -88,8 +103,6 @@ class ChebyshevInterpolant:
             # batched calls reduce in the same order and agree bitwise.
             out = (inv * self.values).sum(axis=1) / inv.sum(axis=1)
         out[hit_row] = self.values[hit_col]
-        if np.ndim(x) == 0:
-            return float(out[0])
         return out
 
     def lifted(self) -> "ChebyshevInterpolant":

@@ -17,12 +17,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distributions import MixturePath
-from .errors import DomainError, SpecError, require_pair, require_position
+from .errors import DomainError, SpecError, require_pair, require_positions
 
 # Path-derivative callables take (path, t) and return d/dt of the
 # functional evaluated with the path's start pinned in one slot and the
-# moving mixture R(t) in the other.
-PathDerivative = Callable[[MixturePath, float], float]
+# moving mixture R(t) in the other: a float for a position t, an array for
+# a 1-d grid of positions.
+PathDerivative = Callable[[MixturePath, float | np.ndarray], float | np.ndarray]
 
 
 class Orientation(Enum):
@@ -68,11 +69,12 @@ def _lift(mass_fn):
     return evaluator
 
 
-def _path_parts(path: MixturePath, t: float):
+def _path_parts(path: MixturePath, t):
+    """Start masses, direction and R(t): one row for a position t, (m, n)
+    rows for a grid of m positions."""
     p = path.start.masses
-    delta = path.end.masses - p
-    r = path.masses_at(np.array([float(t)]))[0]
-    return p, delta, r
+    r = path.masses_at(np.atleast_1d(t))
+    return p, path.end.masses - p, r.reshape(np.shape(t) + p.shape)
 
 
 def _f_functional(identifier: str, mass_fn, f, fp) -> DivergenceFunctional:
@@ -86,11 +88,11 @@ def _f_functional(identifier: str, mass_fn, f, fp) -> DivergenceFunctional:
     def deriv_moving_right(path, t):
         p, delta, r = _path_parts(path, t)
         u = p / r
-        return float(np.sum(delta * (f(u) - u * fp(u))))
+        return np.sum(delta * (f(u) - u * fp(u)), axis=-1)
 
     def deriv_moving_left(path, t):
         p, delta, r = _path_parts(path, t)
-        return float(np.sum(delta * fp(r / p)))
+        return np.sum(delta * fp(r / p), axis=-1)
 
     return DivergenceFunctional(
         identifier=identifier,
@@ -235,7 +237,7 @@ def make_bregman(spec: BregmanSpec) -> DivergenceFunctional:
 
     def deriv_moving_left(path, t):
         p, delta, r = _path_parts(path, t)
-        return float(np.sum(delta * (Fp(r) - Fp(p))))
+        return np.sum(delta * (Fp(r) - Fp(p)), axis=-1)
 
     return DivergenceFunctional(
         identifier="bregman",
@@ -263,16 +265,20 @@ def swap_orientation(D: DivergenceFunctional) -> DivergenceFunctional:
     )
 
 
-def path_derivative(D: DivergenceFunctional, path: MixturePath, t: float) -> float:
-    """d/dt of evaluator(start, R(t)).
+def path_derivative(D: DivergenceFunctional, path: MixturePath, t):
+    """d/dt of evaluator(start, R(t)) at a position t or along a 1-d grid.
 
-    Raises DomainError if t is outside [0, 1] or D has no derivative in
-    its second argument (an unswapped Bregman functional).
+    Returns a float for a scalar t and an array of the grid's length
+    otherwise; a grid call equals the scalar calls bitwise. Raises
+    DomainError if a position is outside [0, 1], the grid is not 1-d, or
+    D has no derivative in its second argument (an unswapped Bregman
+    functional).
     """
-    t = require_position(t)
+    t = require_positions(t)
     if D.analytic_path_derivative is None:
         raise DomainError(
             f"divergence {D.identifier!r} has no derivative in its second "
             "argument; wrap it with swap_orientation first"
         )
-    return float(D.analytic_path_derivative(path, t))
+    value = D.analytic_path_derivative(path, t)
+    return float(value) if np.ndim(t) == 0 else np.asarray(value, dtype=float)

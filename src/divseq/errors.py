@@ -52,6 +52,11 @@ def require_grid(t_grid) -> np.ndarray:
     return grid
 
 
+def require_positions(t):
+    """require_position for a scalar t, require_grid for anything else."""
+    return require_position(t) if np.ndim(t) == 0 else require_grid(t)
+
+
 def require_pair(P, Q) -> tuple[np.ndarray, np.ndarray]:
     """Mass arrays of two distributions (or raw arrays) on the same support."""
     p = np.asarray(getattr(P, "masses", P), dtype=np.float64)

@@ -18,7 +18,13 @@ import numpy as np
 from .chebyshev import ChebyshevInterpolant
 from .distributions import MixturePath
 from .divergences import DivergenceFunctional, Orientation, path_derivative
-from .errors import DomainError, require_grid, require_index, require_position
+from .errors import (
+    DomainError,
+    require_grid,
+    require_index,
+    require_position,
+    require_positions,
+)
 from .quadrature import QuadratureConfig, cumulative_integral, integrate
 
 __all__ = [
@@ -115,13 +121,17 @@ def _integrate_from_zero(f, points: np.ndarray, cfg: QuadratureConfig) -> np.nda
     return values[1:]
 
 
-def psi_inverse(D: DivergenceFunctional, path: MixturePath, t: float) -> float:
-    """Differential operator: t * d/dt D(start | R(t)); exactly 0 at t = 0."""
+def psi_inverse(D: DivergenceFunctional, path: MixturePath, t):
+    """Differential operator: t * d/dt D(start | R(t)) at a position t or
+    along a 1-d grid (a float or an array of the grid's length).
+
+    Exactly 0.0 at t = 0 and on a constant path, never -0.0: there t or the
+    path direction is 0, and adding +0.0 turns a signed zero into 0.0
+    without changing any other value.
+    """
     _require_right_convex(D)
-    t = require_position(t)
-    if t == 0.0 or path.is_constant:
-        return 0.0
-    return t * path_derivative(D, path, t)
+    t = require_positions(t)
+    return t * path_derivative(D, path, t) + 0.0
 
 
 def psi_iter(
@@ -169,6 +179,15 @@ def psi_iter(
     return rows
 
 
+# Fourth-order first-derivative stencils, rows (steps, weights): the
+# derivative is Sum weights * f(t + h * steps) / (12 h). The one-sided
+# stencil serves near t = 0, and negated (mirrored) near t = 1.
+_CENTRAL_STENCIL = np.array([[-2.0, -1.0, 1.0, 2.0], [1.0, -8.0, 8.0, -1.0]])
+_ONE_SIDED_STENCIL = np.array(
+    [[0.0, 1.0, 2.0, 3.0, 4.0], [-25.0, 48.0, -36.0, 16.0, -3.0]]
+)
+
+
 def psi_roundtrip(
     D: DivergenceFunctional,
     path: MixturePath,
@@ -195,40 +214,17 @@ def psi_roundtrip(
     tight = QuadratureConfig(
         rel_tol=1e-13, abs_tol=1e-14, max_subdivisions=max(cfg.max_subdivisions, 2000)
     )
-    integrand = _path_integrand(D, path)
-
-    def big_psi(s: float) -> float:
-        value, _, _ = integrate(integrand, 0.0, s, tight)
-        return value
-
     h = 4e-6 * max(t, 0.1)
-    if t - 2.0 * h >= 0.0 and t + 2.0 * h <= 1.0:
-        deriv = (
-            big_psi(t - 2.0 * h)
-            - 8.0 * big_psi(t - h)
-            + 8.0 * big_psi(t + h)
-            - big_psi(t + 2.0 * h)
-        ) / (12.0 * h)
-    elif t - 2.0 * h < 0.0:
-        deriv = (
-            -25.0 * big_psi(t)
-            + 48.0 * big_psi(t + h)
-            - 36.0 * big_psi(t + 2.0 * h)
-            + 16.0 * big_psi(t + 3.0 * h)
-            - 3.0 * big_psi(t + 4.0 * h)
-        ) / (12.0 * h)
-    else:
-        deriv = (
-            25.0 * big_psi(t)
-            - 48.0 * big_psi(t - h)
-            + 36.0 * big_psi(t - 2.0 * h)
-            - 16.0 * big_psi(t - 3.0 * h)
-            + 3.0 * big_psi(t - 4.0 * h)
-        ) / (12.0 * h)
-    differentiated_integral = t * deriv
+    stencil = _CENTRAL_STENCIL
+    if t - 2.0 * h < 0.0:
+        stencil = _ONE_SIDED_STENCIL
+    elif t + 2.0 * h > 1.0:
+        stencil = -_ONE_SIDED_STENCIL
+    steps, weights = stencil
+    values = psi_profile(D, path, t + h * steps, tight)
+    differentiated_integral = t * np.dot(weights, values) / (12.0 * h)
 
-    def inverse_over_s(s: np.ndarray) -> np.ndarray:
-        return np.array([psi_inverse(D, path, si) / si for si in s])
-
-    integrated_derivative, _, _ = integrate(inverse_over_s, 0.0, t, tight)
+    integrated_derivative, _, _ = integrate(
+        lambda s: psi_inverse(D, path, s) / s, 0.0, t, tight
+    )
     return (float(differentiated_integral), float(integrated_derivative))

@@ -4,19 +4,24 @@ Each check draws seeded random distribution pairs, evaluates one of the
 structural guarantees the operators are supposed to satisfy (contraction
 under the path integral, monotone iterated chains, domination by the scaled
 path derivative, invariance under path reparametrization), and reports the
-worst violation seen.  ``run_suite`` bundles the checks over a fixed roster
-of divergences into a single deterministic report.
+worst violation seen. Every check is a body run by one shared runner,
+``_check``, which draws the pairs and turns a ToleranceError into an
+infinite violation; the bodies evaluate each path's t points in one grid
+call. ``run_suite`` bundles the checks over a fixed roster of divergences
+into a single deterministic report.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .distributions import MixturePath, mixture, new_distribution, random_distribution
+from .distributions import Distribution, MixturePath, mixture, new_distribution
+from .distributions import random_distribution
 from .divergences import (
     BregmanSpec,
     DivergenceFunctional,
@@ -55,6 +60,9 @@ _SEPARATION_TV = 0.01
 _MIN_MASS = 0.01
 _FIXED_GRID = np.linspace(0.0, 1.0, 11)
 
+# Divergences whose iterated chains have closed forms to compare against.
+_CLOSED_FORMS = {"chi2": pl, "jeffreys": sl}
+
 
 @dataclass(frozen=True)
 class PropertyCheck:
@@ -68,14 +76,7 @@ class PropertyCheck:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "paper_anchor": self.paper_anchor,
-            "instances": self.instances,
-            "worst_violation": self.worst_violation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -87,29 +88,49 @@ class VerificationReport:
     all_passed: bool
 
     def to_json(self) -> str:
-        payload = {
-            "seed": self.seed,
-            "checks": [check.to_dict() for check in self.checks],
-            "all_passed": self.all_passed,
-        }
-        return json.dumps(payload)
+        return json.dumps(asdict(self))
 
 
-def _sample_pair(rng: np.random.Generator):
-    n = int(rng.integers(2, 11))
-    start = random_distribution(n, seed=int(rng.integers(2**31)), min_mass=_MIN_MASS)
-    end = random_distribution(n, seed=int(rng.integers(2**31)), min_mass=_MIN_MASS)
-    return start, end
+def _check(
+    kind: str,
+    anchor: str,
+    tolerance: float,
+    D: DivergenceFunctional,
+    instances: int,
+    seed: int,
+    violation: Callable[[np.random.Generator, MixturePath, bool], float],
+) -> PropertyCheck:
+    """Run a check body on seeded random pairs and report its worst value.
+
+    Each instance draws a support size and two distributions on it, then
+    calls violation(rng, path, separated): the body draws anything else it
+    needs from rng and returns its worst violation on that path. separated
+    says whether the endpoints are far enough apart in total variation for
+    strict inequalities. A ToleranceError anywhere makes the check's
+    violation infinite.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    try:
+        for _ in range(instances):
+            n = int(rng.integers(2, 11))
+            start, end = _draw(rng, n), _draw(rng, n)
+            tv = 0.5 * float(np.sum(np.abs(end.masses - start.masses)))
+            separated = tv > _SEPARATION_TV
+            worst = max(worst, violation(rng, MixturePath(start, end), separated))
+    except ToleranceError:
+        worst = math.inf
+    name = f"{kind}[{D.identifier}]"
+    return PropertyCheck(name, anchor, instances, worst, tolerance, worst <= tolerance)
+
+
+def _draw(rng: np.random.Generator, n: int) -> Distribution:
+    return random_distribution(n, seed=int(rng.integers(2**31)), min_mass=_MIN_MASS)
 
 
 def _t_points(rng: np.random.Generator) -> np.ndarray:
     extra = rng.uniform(0.0, 1.0, size=2)
     return np.unique(np.concatenate([_FIXED_GRID, extra]))
-
-
-def _is_separated(path: MixturePath) -> bool:
-    tv = 0.5 * float(np.sum(np.abs(path.end.masses - path.start.masses)))
-    return tv > _SEPARATION_TV
 
 
 def _strict_increase_violation(values: np.ndarray, separated: bool) -> float:
@@ -128,48 +149,29 @@ def check_integral_contraction(
     random mixture of two end points, psi at the mixed end must not exceed the
     mixture of the two psi values.
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    try:
-        for _ in range(instances):
-            start, end = _sample_pair(rng)
-            path = MixturePath(start, end)
-            ts = _t_points(rng)
 
-            profile = psi_profile(D, path, ts)
-            direct = np.asarray(D.evaluator(start.masses, path.masses_at(ts)))
+    def violation(rng, path, separated):
+        start, end = path.start, path.end
+        ts = _t_points(rng)
+        profile = psi_profile(D, path, ts)
+        direct = D.evaluator(start.masses, path.masses_at(ts))
+        other = _draw(rng, start.masses.size)
+        lam = float(rng.uniform(0.05, 0.95))
+        mixed = new_distribution(lam * end.masses + (1.0 - lam) * other.masses)
+        at_other = psi(D, MixturePath(start, other), 1.0).value
+        at_mixed = psi(D, MixturePath(start, mixed), 1.0).value
+        return max(
+            float(np.max(profile - direct)),
+            float(np.max(-profile)),
+            _strict_increase_violation(profile, separated),
+            at_mixed - (lam * profile[-1] + (1.0 - lam) * at_other),
+        )
 
-            worst = max(worst, float(np.max(profile - direct)))
-            worst = max(worst, float(np.max(-profile)))
-            worst = max(
-                worst, _strict_increase_violation(profile, _is_separated(path))
-            )
-
-            other = random_distribution(
-                start.masses.size, seed=int(rng.integers(2**31)), min_mass=_MIN_MASS
-            )
-            lam = float(rng.uniform(0.05, 0.95))
-            mixed = new_distribution(
-                lam * end.masses + (1.0 - lam) * other.masses
-            )
-            at_end = profile[-1]
-            at_other = psi(D, MixturePath(start, other), 1.0).value
-            at_mixed = psi(D, MixturePath(start, mixed), 1.0).value
-            worst = max(
-                worst, at_mixed - (lam * at_end + (1.0 - lam) * at_other)
-            )
-    except ToleranceError:
-        worst = math.inf
-    return PropertyCheck(
-        name=f"integral_contraction[{D.identifier}]",
-        paper_anchor=(
-            "0 <= psi[D](t) <= D(start, mix(t)) along mixture paths, strictly "
-            "increasing in t for separated endpoints, and convex in the end point"
-        ),
-        instances=instances,
-        worst_violation=worst,
-        tolerance=_CONTRACTION_TOL,
-        passed=worst <= _CONTRACTION_TOL,
+    return _check(
+        "integral_contraction",
+        "0 <= psi[D](t) <= D(start, mix(t)) along mixture paths, strictly "
+        "increasing in t for separated endpoints, and convex in the end point",
+        _CONTRACTION_TOL, D, instances, seed, violation,
     )
 
 
@@ -184,46 +186,30 @@ def check_iterated_chain(
     their closed-form polylogarithm expressions.
     """
     depth = require_index(depth, "depth")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    try:
-        for _ in range(instances):
-            start, end = _sample_pair(rng)
-            path = MixturePath(start, end)
-            ts = _t_points(rng)
-            separated = _is_separated(path)
+    closed_form = _CLOSED_FORMS.get(D.identifier)
 
-            levels = psi_iter(D, depth, path, ts)
-            worst = max(worst, float(np.max(-levels)))
-            if depth >= 1:
-                worst = max(worst, float(np.max(np.diff(levels, axis=0))))
-            for row in levels:
-                worst = max(worst, _strict_increase_violation(row, separated))
+    def violation(rng, path, separated):
+        ts = _t_points(rng)
+        levels = psi_iter(D, depth, path, ts)
+        worst = max(
+            float(np.max(-levels)),
+            float(np.diff(levels, axis=0).max(initial=0.0)),
+            *(_strict_increase_violation(row, separated) for row in levels),
+        )
+        if closed_form is not None:
+            idx = int(rng.integers(1, ts.size))
+            probe = mixture(path, float(ts[idx]))
+            for k in range(depth + 1):
+                expected = closed_form(k, path.start, probe)
+                worst = max(worst, abs(float(levels[k, idx]) - expected))
+        return worst
 
-            closed_form = None
-            if D.identifier == "chi2":
-                closed_form = pl
-            elif D.identifier == "jeffreys":
-                closed_form = sl
-            if closed_form is not None:
-                idx = int(rng.integers(1, ts.size))
-                probe = mixture(path, float(ts[idx]))
-                for k in range(depth + 1):
-                    expected = closed_form(k, start, probe)
-                    worst = max(worst, abs(float(levels[k, idx]) - expected))
-    except ToleranceError:
-        worst = math.inf
-    return PropertyCheck(
-        name=f"iterated_chain[{D.identifier}]",
-        paper_anchor=(
-            "repeated application of psi yields nonnegative levels that are "
-            "nonincreasing in the level index and strictly increasing in t; "
-            "chi2 and jeffreys levels match their closed-form sequences"
-        ),
-        instances=instances,
-        worst_violation=worst,
-        tolerance=_CHAIN_TOL,
-        passed=worst <= _CHAIN_TOL,
+    return _check(
+        "iterated_chain",
+        "repeated application of psi yields nonnegative levels that are "
+        "nonincreasing in the level index and strictly increasing in t; "
+        "chi2 and jeffreys levels match their closed-form sequences",
+        _CHAIN_TOL, D, instances, seed, violation,
     )
 
 
@@ -231,33 +217,22 @@ def check_derivative_dominates(
     D: DivergenceFunctional, instances: int, seed: int
 ) -> PropertyCheck:
     """Check psi_inverse[D] >= D pointwise, with both strictly increasing."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    try:
-        for _ in range(instances):
-            start, end = _sample_pair(rng)
-            path = MixturePath(start, end)
-            ts = _t_points(rng)
-            separated = _is_separated(path)
 
-            upper = np.array([psi_inverse(D, path, float(t)) for t in ts])
-            direct = np.asarray(D.evaluator(start.masses, path.masses_at(ts)))
+    def violation(rng, path, separated):
+        ts = _t_points(rng)
+        upper = psi_inverse(D, path, ts)
+        direct = D.evaluator(path.start.masses, path.masses_at(ts))
+        return max(
+            float(np.max(direct - upper)),
+            _strict_increase_violation(upper, separated),
+            _strict_increase_violation(direct, separated),
+        )
 
-            worst = max(worst, float(np.max(direct - upper)))
-            worst = max(worst, _strict_increase_violation(upper, separated))
-            worst = max(worst, _strict_increase_violation(direct, separated))
-    except ToleranceError:
-        worst = math.inf
-    return PropertyCheck(
-        name=f"derivative_dominates[{D.identifier}]",
-        paper_anchor=(
-            "psi_inverse[D](t) >= D(start, mix(t)) along mixture paths, with "
-            "both sides strictly increasing in t for separated endpoints"
-        ),
-        instances=instances,
-        worst_violation=worst,
-        tolerance=_DOMINATES_TOL,
-        passed=worst <= _DOMINATES_TOL,
+    return _check(
+        "derivative_dominates",
+        "psi_inverse[D](t) >= D(start, mix(t)) along mixture paths, with "
+        "both sides strictly increasing in t for separated endpoints",
+        _DOMINATES_TOL, D, instances, seed, violation,
     )
 
 
@@ -269,34 +244,20 @@ def check_path_invariance(
     Both psi and psi_inverse evaluated at t on the full path must agree with
     their values at 1 on the shortened path that ends at the mixture point.
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    try:
-        for _ in range(instances):
-            start, end = _sample_pair(rng)
-            path = MixturePath(start, end)
-            t_star = float(rng.uniform(0.05, 1.0))
-            shortened = MixturePath(start, mixture(path, t_star))
 
-            full_integral = psi(D, path, t_star).value
-            short_integral = psi(D, shortened, 1.0).value
-            worst = max(worst, abs(full_integral - short_integral))
+    def violation(rng, path, separated):
+        t_star = float(rng.uniform(0.05, 1.0))
+        shortened = MixturePath(path.start, mixture(path, t_star))
+        return max(
+            abs(psi(D, path, t_star).value - psi(D, shortened, 1.0).value),
+            abs(psi_inverse(D, path, t_star) - psi_inverse(D, shortened, 1.0)),
+        )
 
-            full_derivative = psi_inverse(D, path, t_star)
-            short_derivative = psi_inverse(D, shortened, 1.0)
-            worst = max(worst, abs(full_derivative - short_derivative))
-    except ToleranceError:
-        worst = math.inf
-    return PropertyCheck(
-        name=f"path_invariance[{D.identifier}]",
-        paper_anchor=(
-            "psi and psi_inverse at time t on a path equal their values at "
-            "time 1 on the truncated path ending at the mixture point"
-        ),
-        instances=instances,
-        worst_violation=worst,
-        tolerance=_INVARIANCE_TOL,
-        passed=worst <= _INVARIANCE_TOL,
+    return _check(
+        "path_invariance",
+        "psi and psi_inverse at time t on a path equal their values at "
+        "time 1 on the truncated path ending at the mixture point",
+        _INVARIANCE_TOL, D, instances, seed, violation,
     )
 
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from divseq.chebyshev import ChebyshevInterpolant, _coefficients, _values, lobatto_nodes
+from divseq.chebyshev import (
+    _BLOCK_CELLS,
+    ChebyshevInterpolant,
+    _coefficients,
+    _values,
+    lobatto_nodes,
+)
 from divseq.errors import ToleranceError
 
 
@@ -24,6 +30,17 @@ def test_interpolates_node_values_exactly():
     vals = np.sin(3.0 * nodes)
     interp = ChebyshevInterpolant(nodes, vals)
     assert np.array_equal(interp(nodes), vals)
+
+
+def test_blocked_evaluation_matches_pointwise_calls():
+    # 2049 nodes leave room for 511 rows per block, so 2183 points span
+    # five blocks; node hits fall in several of them.
+    nodes = lobatto_nodes(2048)
+    interp = ChebyshevInterpolant(nodes, np.cos(7.0 * nodes))
+    x = np.concatenate([np.linspace(0.0, 1.0, 1500), nodes[::3]])
+    assert len(x) > 4 * (_BLOCK_CELLS // len(nodes))
+    pointwise = np.array([interp(float(xi)) for xi in x])
+    assert interp(x).tobytes() == pointwise.tobytes()
 
 
 def test_fit_exponential():

@@ -1,3 +1,10 @@
+import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +19,7 @@ from divseq.divergences import (
     evaluate,
     make_bregman,
     named_divergence,
+    path_derivative,
     swap_orientation,
 )
 from divseq.errors import DomainError, ToleranceError
@@ -25,6 +33,9 @@ from divseq.operators import (
     psi_roundtrip,
 )
 from divseq.sequences import pl, sl
+from divseq.verify import _suite_divergences
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 P = new_distribution(np.array([0.5, 0.5]))
 Q = new_distribution(np.array([0.25, 0.75]))
@@ -216,6 +227,39 @@ class TestPsiIter:
         with pytest.raises(ToleranceError):
             psi_iter(named_divergence("chi2"), 3, path, np.linspace(0.0, 1.0, 5))
 
+    def test_unresolvable_level_zero_fits_in_one_gib(self):
+        # The same pair in a child process capped at 1 GiB of address space:
+        # the residual check at the node cap (8192 points against 8193
+        # nodes) must be evaluated in row blocks to reach ToleranceError
+        # instead of MemoryError.
+        script = (
+            "import numpy as np\n"
+            "from divseq.distributions import MixturePath, new_distribution\n"
+            "from divseq.divergences import named_divergence\n"
+            "from divseq.operators import psi_iter\n"
+            "p = np.array([0.2, 0.1, 0.15, 0.05, 0.2, 0.1, 0.2])\n"
+            "q = np.array([0.3, 1e-11, 0.2, 0.1, 0.1, 3e-11, 0.3])\n"
+            "path = MixturePath(new_distribution(p), new_distribution(q / q.sum()))\n"
+            "try:\n"
+            "    psi_iter(named_divergence('chi2'), 3, path, np.linspace(0, 1, 5))\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__)\n"
+        )
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            preexec_fn=cap_address_space,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.stdout.strip() == "ToleranceError", proc.stderr
+
     def test_rejects_bad_inputs(self):
         D = named_divergence("chi2")
         with pytest.raises(DomainError):
@@ -248,6 +292,21 @@ class TestPsiRoundtrip:
                 assert left == pytest.approx(direct, abs=1e-6), f"{identifier} seed {seed}"
                 assert right == pytest.approx(direct, abs=1e-6), f"{identifier} seed {seed}"
 
+    @pytest.mark.parametrize("t", [5e-7, 1.0 - 1e-7], ids=["forward", "backward"])
+    @pytest.mark.parametrize("identifier", ["chi2", "kl", "hellinger2", "jeffreys"])
+    def test_one_sided_stencils(self, identifier, t):
+        # Within two steps of 0 or 1 the stencil is one-sided. kl is held
+        # only to the absolute contract: near P its evaluator itself loses
+        # digits (about 1e-4 relative at t = 5e-7).
+        D = named_divergence(identifier)
+        for seed in [11, 12, 13]:
+            A, B = _random_pair(seed)
+            path = MixturePath(A, B)
+            direct = evaluate(D, A, mixture(path, t))
+            bound = 1e-6 if identifier == "kl" else 1e-8 * direct
+            for value in psi_roundtrip(D, path, t):
+                assert abs(value - direct) <= bound, (seed, value, direct)
+
     def test_constant_path(self):
         assert psi_roundtrip(named_divergence("kl"), MixturePath(P, P), 0.5) == (0.0, 0.0)
 
@@ -255,6 +314,54 @@ class TestPsiRoundtrip:
     def test_rejects_t_outside_half_open_interval(self, t):
         with pytest.raises(DomainError):
             psi_roundtrip(named_divergence("kl"), PATH, t)
+
+
+SUITE = _suite_divergences()
+# Unsorted, with a duplicate, and with both ends of the path.
+GRID = np.array([0.37, 0.0, 1e-9, 0.013, 0.5, 0.37, 0.999, 1.0, 0.2])
+
+
+class TestGridDerivatives:
+    @pytest.mark.parametrize("D", SUITE, ids=[D.identifier for D in SUITE])
+    @pytest.mark.parametrize("n", [2, 7, 10, 64, 500])
+    def test_grid_equals_scalar_calls_bitwise(self, D, n):
+        # n = 500 takes numpy's pairwise summation past one block.
+        A, B = (random_distribution(n, seed=n + s, min_mass=1e-4) for s in (0, 1))
+        path = MixturePath(A, B)
+        for op in (psi_inverse, path_derivative):
+            on_grid = op(D, path, GRID)
+            pointwise = np.array([op(D, path, float(t)) for t in GRID])
+            assert isinstance(op(D, path, 0.5), float)
+            assert on_grid.shape == GRID.shape
+            assert on_grid.tobytes() == pointwise.tobytes(), op.__name__
+
+    @pytest.mark.parametrize("D", SUITE, ids=[D.identifier for D in SUITE])
+    def test_zero_at_origin_is_positive_zero(self, D):
+        for seed in range(10):
+            path = MixturePath(*_random_pair(seed + 800))
+            at_zero = [psi_inverse(D, path, 0.0), psi_inverse(D, path, GRID)[1]]
+            for value in at_zero:
+                assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    @pytest.mark.parametrize("D", SUITE, ids=[D.identifier for D in SUITE])
+    def test_constant_path_gives_zeros(self, D):
+        A, _ = _random_pair(5, n=6)
+        path = MixturePath(A, A)
+        values = psi_inverse(D, path, GRID)
+        assert values.tobytes() == np.zeros_like(GRID).tobytes()
+        assert psi_inverse(D, path, 0.7) == 0.0
+        assert np.all(path_derivative(D, path, GRID) == 0.0)
+
+    @pytest.mark.parametrize(
+        "t",
+        [GRID.reshape(3, 3), np.nan, 1.5, np.array([0.5, np.nan]),
+         np.array([0.5, 1.5]), np.array([])],
+        ids=["2d", "nan", "1.5", "grid_nan", "grid_1.5", "empty"],
+    )
+    @pytest.mark.parametrize("op", [psi_inverse, path_derivative])
+    def test_rejects_bad_positions(self, op, t):
+        with pytest.raises(DomainError):
+            op(named_divergence("kl"), PATH, t)
 
 
 class TestOrientation:
@@ -268,10 +375,12 @@ class TestOrientation:
             lambda D, path: psi_iter(D, 0, path, np.array([0.5, 1.0])),
             lambda D, path: psi_iter(D, 2, path, np.array([0.5, 1.0])),
             lambda D, path: psi_inverse(D, path, 0.5),
+            lambda D, path: psi_inverse(D, path, GRID),
+            lambda D, path: path_derivative(D, path, GRID),
             lambda D, path: psi_roundtrip(D, path, 0.5),
         ],
         ids=["psi", "psi_profile", "psi_iter_k0", "psi_iter_k2", "psi_inverse",
-             "psi_roundtrip"],
+             "psi_inverse_grid", "path_derivative_grid", "psi_roundtrip"],
     )
     @pytest.mark.parametrize(
         "path", [PATH, MixturePath(P, P)], ids=["moving", "constant"]
