@@ -20,7 +20,7 @@ import numpy as np
 
 from divseq.distributions import MixturePath, random_distribution
 from divseq.divergences import NAMED_IDENTIFIERS, named_divergence
-from divseq.operators import psi_inverse, psi_profile
+from divseq.operators import psi, psi_inverse
 
 T_GRID = np.linspace(0.1, 1.0, 10)
 
@@ -61,7 +61,7 @@ def main() -> int:
         for start, end in pairs:
             path = MixturePath(start, end)
             direct = np.asarray(D.evaluator(start.masses, path.masses_at(T_GRID)))
-            below = psi_profile(D, path, T_GRID)
+            below = psi(D, path, T_GRID)
             above = psi_inverse(D, path, T_GRID)
             upper_gaps.extend(above - direct)
             lower_gaps.extend(direct - below)

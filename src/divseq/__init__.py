@@ -35,7 +35,6 @@ from .operators import (
     psi,
     psi_inverse,
     psi_iter,
-    psi_profile,
     psi_roundtrip,
 )
 from .sequences import hellinger_psi, hellinger_psi_inverse, pl, sl
@@ -83,7 +82,6 @@ __all__ = [
     "psi",
     "psi_inverse",
     "psi_iter",
-    "psi_profile",
     "psi_roundtrip",
     "hellinger_psi",
     "hellinger_psi_inverse",

@@ -1,4 +1,10 @@
-"""Chebyshev-Lobatto interpolation on [0, 1] with adaptive degree doubling."""
+"""Chebyshev-Lobatto interpolation on [0, 1] with adaptive degree doubling.
+
+An interpolant is its values at the Lobatto nodes: n + 1 values fix the
+nodes lobatto_nodes(n) and the barycentric weights. fit_adaptive doubles
+the node count from _INITIAL_INTERVALS up to _MAX_INTERVALS, and lifted()
+integrates the interpolant over s exactly in its Chebyshev coefficients.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +13,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ToleranceError
+from .errors import DomainError, ToleranceError, require_positive
 
 
 # Cells (points x nodes) per row block of a barycentric evaluation.
 _BLOCK_CELLS = 1 << 20
+# fit_adaptive starts at this many intervals and doubles up to the cap.
+_INITIAL_INTERVALS = 16
+_MAX_INTERVALS = 2**14
 
 
 def lobatto_nodes(n: int) -> np.ndarray:
@@ -66,21 +75,20 @@ def _values(coefficients: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChebyshevInterpolant:
-    """Barycentric interpolant through function values at Lobatto nodes."""
+    """Barycentric interpolant through n + 1 values at lobatto_nodes(n);
+    the nodes and weights are derived from the values."""
 
-    nodes: np.ndarray
     values: np.ndarray
-    weights: np.ndarray = field(default=None)  # type: ignore[assignment]
+    nodes: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != values.shape or len(nodes) < 2:
-            raise DomainError("nodes and values must be matching 1-d arrays")
-        object.__setattr__(self, "nodes", nodes)
+        if values.ndim != 1 or len(values) < 2:
+            raise DomainError("values must be a 1-d array of at least 2 entries")
         object.__setattr__(self, "values", values)
-        if self.weights is None:
-            object.__setattr__(self, "weights", _bary_weights(len(nodes) - 1))
+        object.__setattr__(self, "nodes", lobatto_nodes(len(values) - 1))
+        object.__setattr__(self, "weights", _bary_weights(len(values) - 1))
 
     def __call__(self, x: float | np.ndarray) -> float | np.ndarray:
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -133,47 +141,41 @@ class ChebyshevInterpolant:
         c[0] = np.sum(alt * c[1:])
         values = _values(c)
         values[0] = 0.0
-        return ChebyshevInterpolant(self.nodes, values, self.weights)
+        return ChebyshevInterpolant(values)
 
     @classmethod
     def fit_adaptive(
-        cls,
-        f: Callable[[np.ndarray], np.ndarray],
-        target: float,
-        max_nodes: int = 2**14,
-        initial: int = 16,
+        cls, f: Callable[[np.ndarray], np.ndarray], target: float
     ) -> tuple["ChebyshevInterpolant", float, int]:
-        """Fit f on [0, 1], doubling the node count until the residual at the
-        newly introduced nodes drops to ``target``.
+        """Fit f on [0, 1], doubling the node count from _INITIAL_INTERVALS
+        until the residual at the newly introduced nodes drops to ``target``.
 
         Returns (interpolant, achieved_residual, function_evaluations).  The
         returned interpolant is the fine one, so its own nodes carry exact
         function values.  Raises ToleranceError if the residual still exceeds
-        the target at ``max_nodes`` intervals.
+        the target at _MAX_INTERVALS intervals.
         """
-        if not (target > 0.0 and np.isfinite(target)):
-            raise DomainError(f"residual target must be positive, got {target}")
-        n = initial
-        nodes = lobatto_nodes(n)
-        vals = np.asarray(f(nodes), dtype=float)
-        neval = len(nodes)
+        require_positive(target, "residual target")
+        n = _INITIAL_INTERVALS
+        coarse = cls(np.asarray(f(lobatto_nodes(n)), dtype=float))
+        neval = n + 1
         while True:
-            fine_nodes = lobatto_nodes(2 * n)
-            new_nodes = fine_nodes[1::2]
+            new_nodes = lobatto_nodes(2 * n)[1::2]
             new_vals = np.asarray(f(new_nodes), dtype=float)
-            neval += len(new_nodes)
-            coarse = cls(nodes, vals)
+            neval += n
             residual = float(np.max(np.abs(coarse(new_nodes) - new_vals)))
             merged = np.empty(2 * n + 1)
-            merged[::2] = vals
+            merged[::2] = coarse.values
             merged[1::2] = new_vals
-            n, nodes, vals = 2 * n, fine_nodes, merged
-            if not np.all(np.isfinite(vals)):
+            n *= 2
+            if not np.all(np.isfinite(merged)):
                 raise DomainError("function returned a non-finite value")
+            fine = cls(merged)
             if residual <= target:
-                return cls(nodes, vals), residual, neval
-            if n >= max_nodes:
+                return fine, residual, neval
+            if n >= _MAX_INTERVALS:
                 raise ToleranceError(
                     f"interpolation residual {residual:.3e} still above "
                     f"{target:.3e} at {n} intervals"
                 )
+            coarse = fine

@@ -19,7 +19,7 @@ from .distributions import new_distribution
 from .divergences import NAMED_IDENTIFIERS, named_divergence
 from .errors import DomainError, SpecError, ToleranceError
 from .errors import require_index, require_position
-from .operators import QuadratureConfig, psi_iter
+from .operators import psi_iter
 from .polylog import polylog
 from .sequences import pl, sl
 from .verify import run_suite
@@ -47,10 +47,10 @@ def _load_pair(args) -> tuple[Distribution, Distribution]:
     return new_distribution(payload["p"]), new_distribution(payload["q"])
 
 
-def _quad_config(tol: float | None) -> QuadratureConfig | None:
-    if tol is None:
-        return None
-    return QuadratureConfig(rel_tol=tol, abs_tol=tol)
+def _operator_levels(args, path: MixturePath, grid: np.ndarray) -> np.ndarray:
+    """psi_iter levels 0..depth of --div on the grid, at --tol if given."""
+    tol = () if args.tol is None else (args.tol,)
+    return psi_iter(named_divergence(args.div), args.depth, path, grid, *tol)
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -84,9 +84,7 @@ def _cmd_eval(args) -> int:
     t = require_position(args.t)
     path = MixturePath(start, end)
     if args.div is not None:
-        D = named_divergence(args.div)
-        levels = psi_iter(D, args.depth, path, np.array([t]), _quad_config(args.tol))
-        value = float(levels[-1, 0])
+        value = float(_operator_levels(args, path, np.array([t]))[-1, 0])
     else:
         if args.k is None:
             raise DomainError("--k is required with --seq")
@@ -104,9 +102,7 @@ def _cmd_sweep(args) -> int:
     grid = _parse_grid(args.t)
     path = MixturePath(start, end)
     if args.div is not None:
-        D = named_divergence(args.div)
-        levels = psi_iter(D, args.depth, path, grid, _quad_config(args.tol))
-        columns = levels.T
+        columns = _operator_levels(args, path, grid).T
     else:
         family = _SEQUENCES[args.seq]
         columns = [
@@ -158,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument(
         "--depth", type=int, default=0, help="operator applications (with --div)"
     )
-    ev.add_argument("--tol", type=float, help="quadrature tolerance override")
+    ev.add_argument("--tol", type=float, help="level-0 fit residual target")
     ev.set_defaults(handler=_cmd_eval)
 
     sw = sub.add_parser("sweep", help="print a (t, k, value) table")
@@ -169,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--t", required=True, help="inclusive grid start:stop:count, count >= 2"
     )
     sw.add_argument("--depth", type=int, default=0, help="levels 0..depth per t")
-    sw.add_argument("--tol", type=float, help="quadrature tolerance override")
+    sw.add_argument("--tol", type=float, help="level-0 fit residual target")
     sw.add_argument("--format", choices=("csv", "json"), default="csv")
     sw.set_defaults(handler=_cmd_sweep)
 

@@ -31,18 +31,15 @@ class Orientation(Enum):
     LEFT_CONVEX = "left_convex"
 
 
-def _as_masses(x) -> np.ndarray:
-    return np.asarray(getattr(x, "masses", x), dtype=np.float64)
-
-
 @dataclass(frozen=True)
 class DivergenceFunctional:
     """A divergence together with the metadata the operators need.
 
     ``evaluator`` maps two mass arrays to a value and broadcasts: either
     argument may be a single vector (n,) or a stack (m, n), reduction is
-    over the last axis. Distribution objects are accepted in place of raw
-    arrays. ``analytic_path_derivative`` gives d/dt of
+    over the last axis. It takes mass arrays only; ``evaluate`` is the
+    entry point that also accepts Distribution objects.
+    ``analytic_path_derivative`` gives d/dt of
     evaluator(start, R(t)); it is None for a functional whose second
     argument has no derivative formula (an unswapped Bregman divergence).
     """
@@ -60,13 +57,6 @@ class DivergenceFunctional:
 def evaluate(D: DivergenceFunctional, P, Q) -> float:
     """The divergence value D(P | Q); DomainError on support mismatch."""
     return float(D.evaluator(*require_pair(P, Q)))
-
-
-def _lift(mass_fn):
-    def evaluator(first, second):
-        return mass_fn(_as_masses(first), _as_masses(second))
-
-    return evaluator
 
 
 def _path_parts(path: MixturePath, t):
@@ -97,7 +87,7 @@ def _f_functional(identifier: str, mass_fn, f, fp) -> DivergenceFunctional:
     return DivergenceFunctional(
         identifier=identifier,
         orientation=Orientation.RIGHT_CONVEX,
-        evaluator=_lift(mass_fn),
+        evaluator=mass_fn,
         analytic_path_derivative=deriv_moving_right,
         mirror_path_derivative=deriv_moving_left,
     )
@@ -242,7 +232,7 @@ def make_bregman(spec: BregmanSpec) -> DivergenceFunctional:
     return DivergenceFunctional(
         identifier="bregman",
         orientation=Orientation.LEFT_CONVEX,
-        evaluator=_lift(mass_fn),
+        evaluator=mass_fn,
         analytic_path_derivative=None,
         mirror_path_derivative=deriv_moving_left,
     )

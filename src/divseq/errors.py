@@ -42,6 +42,14 @@ def require_position(t) -> float:
     return t
 
 
+def require_positive(x, name: str) -> float:
+    """x as a positive finite float: a tolerance or residual target."""
+    x = float(x)
+    if not 0.0 < x < np.inf:
+        raise DomainError(f"{name} must be positive and finite, got {x!r}")
+    return x
+
+
 def require_grid(t_grid) -> np.ndarray:
     """A nonempty 1-d float array of path positions, all in [0, 1]."""
     grid = np.asarray(t_grid, dtype=float)

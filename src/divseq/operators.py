@@ -2,11 +2,13 @@
 
 The integral operator maps D to t -> Integral_0^t D(P | R(s)) / s ds and
 contracts any right-convex divergence toward zero; the differential
-operator t -> t * d/dt D(P | R(t)) expands it. Iterated application of the
-integral operator fits D(P | R(s)) once by a Chebyshev polynomial and
-integrates that polynomial exactly, level after level, in its Chebyshev
-coefficients, so each level above the fit costs two FFTs on the fit's
-nodes and one evaluation on the grid.
+operator t -> t * d/dt D(P | R(t)) expands it. Both take a position t or
+a 1-d grid of positions. Iterated application of the integral operator
+fits D(P | R(s)) once by a Chebyshev polynomial, to a residual target
+tol, and integrates that polynomial exactly, level after level, in its
+Chebyshev coefficients, so each level above the fit costs two FFTs on the
+fit's nodes and one evaluation on the grid. Every operator requires a
+right-convex D and rejects any other before it checks anything else.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import (
     require_index,
     require_position,
     require_positions,
+    require_positive,
 )
 from .quadrature import QuadratureConfig, cumulative_integral, integrate
 
@@ -33,7 +36,6 @@ __all__ = [
     "psi",
     "psi_inverse",
     "psi_iter",
-    "psi_profile",
     "psi_roundtrip",
 ]
 
@@ -45,10 +47,6 @@ class OperatorResult:
     evaluations: int
 
 
-def _default(cfg: QuadratureConfig | None) -> QuadratureConfig:
-    return QuadratureConfig() if cfg is None else cfg
-
-
 def _require_right_convex(D: DivergenceFunctional) -> None:
     if D.orientation is not Orientation.RIGHT_CONVEX:
         raise DomainError(
@@ -57,68 +55,38 @@ def _require_right_convex(D: DivergenceFunctional) -> None:
         )
 
 
-def _path_integrand(D: DivergenceFunctional, path: MixturePath):
+def psi(
+    D: DivergenceFunctional,
+    path: MixturePath,
+    t,
+    cfg: QuadratureConfig | None = None,
+) -> OperatorResult | np.ndarray:
+    """Integral operator: Integral_0^t D(start | R(s)) / s ds at a position
+    t (an OperatorResult) or along a 1-d grid (an array, in grid order).
+
+    The integrand extends continuously by 0 at s = 0, where the quadrature
+    rule never samples; t = 0 and a constant path give exact zeros. The
+    distinct positions of a grid share one cumulative quadrature, so each
+    value agrees with the scalar call to within the quadrature tolerance.
+    """
+    _require_right_convex(D)
+    cfg = QuadratureConfig() if cfg is None else cfg
+    t = require_positions(t)
     p = path.start.masses
 
     def f(s: np.ndarray) -> np.ndarray:
         return D.evaluator(p, path.masses_at(s)) / s
 
-    return f
-
-
-def psi(
-    D: DivergenceFunctional,
-    path: MixturePath,
-    t: float,
-    cfg: QuadratureConfig | None = None,
-) -> OperatorResult:
-    """Integral operator: Integral_0^t D(start | R(s)) / s ds.
-
-    The integrand extends continuously by 0 at s = 0 because both D and
-    its path derivative vanish there; the quadrature rule only samples
-    interior points, so no special casing is needed beyond the exact
-    short-circuits for t = 0 and a constant path.
-    """
-    _require_right_convex(D)
-    cfg = _default(cfg)
-    t = require_position(t)
-    if t == 0.0 or path.is_constant:
-        return OperatorResult(0.0, 0.0, 0)
-    value, err, evals = integrate(_path_integrand(D, path), 0.0, t, cfg)
-    return OperatorResult(float(value), float(err), evals)
-
-
-def psi_profile(
-    D: DivergenceFunctional,
-    path: MixturePath,
-    t_grid,
-    cfg: QuadratureConfig | None = None,
-) -> np.ndarray:
-    """Integral-operator values on a whole grid, sharing the quadrature work.
-
-    The grid may be unsorted and contain duplicates; values come back in
-    the given order.
-    """
-    _require_right_convex(D)
-    cfg = _default(cfg)
-    grid = require_grid(t_grid)
-    if path.is_constant:
-        return np.zeros_like(grid)
-    distinct, inverse = np.unique(grid, return_inverse=True)
-    at_distinct = _integrate_from_zero(_path_integrand(D, path), distinct, cfg)
-    return at_distinct[inverse]
-
-
-def _integrate_from_zero(f, points: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
-    """Cumulative integrals of f from 0 to each of the sorted points."""
-    if points[0] == 0.0:
-        if points.size == 1:
-            return np.zeros(1)
-        values, _, _ = cumulative_integral(f, points, cfg)
-        return values
-    edges = np.concatenate([[0.0], points])
+    if np.ndim(t) == 0:
+        if t == 0.0 or path.is_constant:
+            return OperatorResult(0.0, 0.0, 0)
+        value, err, evals = integrate(f, 0.0, t, cfg)
+        return OperatorResult(float(value), float(err), evals)
+    edges = np.union1d(0.0, t)
+    if edges.size == 1 or path.is_constant:
+        return np.zeros_like(t)
     values, _, _ = cumulative_integral(f, edges, cfg)
-    return values[1:]
+    return values[np.searchsorted(edges, t)]
 
 
 def psi_inverse(D: DivergenceFunctional, path: MixturePath, t):
@@ -139,13 +107,13 @@ def psi_iter(
     k,
     path: MixturePath,
     t_grid,
-    cfg: QuadratureConfig | None = None,
+    tol: float = 1e-12,
 ) -> np.ndarray:
     """Iterated integral operator: rows are levels 0..k over the grid.
 
     Level 0 is D itself evaluated along the path. Above it, one Chebyshev
     interpolant is fitted to level 0 (node count doubling until the
-    residual at fresh nodes drops below cfg.abs_tol), and each further
+    residual at fresh nodes drops below tol), and each further
     level integrates the previous level's polynomial over s exactly, in
     its Chebyshev coefficients, on the same nodes. Rows are nonincreasing
     in the level at every grid point.
@@ -157,22 +125,21 @@ def psi_iter(
     about that factor again at each further level.
     """
     _require_right_convex(D)
-    cfg = _default(cfg)
+    tol = require_positive(tol, "tol")
     k = require_index(k, "iteration depth")
     grid = require_grid(t_grid)
 
     rows = np.zeros((k + 1, grid.size))
     if path.is_constant:
         return rows
-    p = path.start.masses
-    rows[0] = D.evaluator(p, path.masses_at(grid))
-    if k == 0:
-        return rows
 
     def level_zero(s: np.ndarray) -> np.ndarray:
-        return D.evaluator(p, path.masses_at(s))
+        return D.evaluator(path.start.masses, path.masses_at(s))
 
-    interp, _, _ = ChebyshevInterpolant.fit_adaptive(level_zero, cfg.abs_tol)
+    rows[0] = level_zero(grid)
+    if k == 0:
+        return rows
+    interp, _, _ = ChebyshevInterpolant.fit_adaptive(level_zero, tol)
     for level in range(1, k + 1):
         interp = interp.lifted()
         rows[level] = interp(grid)
@@ -188,32 +155,28 @@ _ONE_SIDED_STENCIL = np.array(
 )
 
 
+# Internally tightened quadrature, so that the stencil division does not
+# amplify integration noise past the 1e-6 scale.
+_ROUNDTRIP_CFG = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-14)
+
+
 def psi_roundtrip(
-    D: DivergenceFunctional,
-    path: MixturePath,
-    t: float,
-    cfg: QuadratureConfig | None = None,
+    D: DivergenceFunctional, path: MixturePath, t: float
 ) -> tuple[float, float]:
     """Apply the two operators in both orders at t; each should give back
     D(start | R(t)).
 
     The first component differentiates the numerically integrated operator
     with a fourth-order stencil; the second integrates the differential
-    operator. Both are computed with internally tightened quadrature so the
-    stencil division does not amplify integration noise past the 1e-6
-    scale.
+    operator. Both use the tightened _ROUNDTRIP_CFG. t must lie in (0, 1].
     """
     _require_right_convex(D)
-    cfg = _default(cfg)
-    t = float(t)
-    if not 0.0 < t <= 1.0:
-        raise DomainError(f"roundtrip position must lie in (0, 1], got {t!r}")
+    t = require_position(t)
+    if t == 0.0:
+        raise DomainError("roundtrip position must be positive, got 0.0")
     if path.is_constant:
         return (0.0, 0.0)
 
-    tight = QuadratureConfig(
-        rel_tol=1e-13, abs_tol=1e-14, max_subdivisions=max(cfg.max_subdivisions, 2000)
-    )
     h = 4e-6 * max(t, 0.1)
     stencil = _CENTRAL_STENCIL
     if t - 2.0 * h < 0.0:
@@ -221,10 +184,10 @@ def psi_roundtrip(
     elif t + 2.0 * h > 1.0:
         stencil = -_ONE_SIDED_STENCIL
     steps, weights = stencil
-    values = psi_profile(D, path, t + h * steps, tight)
+    values = psi(D, path, t + h * steps, _ROUNDTRIP_CFG)
     differentiated_integral = t * np.dot(weights, values) / (12.0 * h)
 
     integrated_derivative, _, _ = integrate(
-        lambda s: psi_inverse(D, path, s) / s, 0.0, t, tight
+        lambda s: psi_inverse(D, path, s) / s, 0.0, t, _ROUNDTRIP_CFG
     )
     return (float(differentiated_integral), float(integrated_derivative))

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ToleranceError
+from .errors import DomainError, ToleranceError, require_index, require_positive
 
 _EPS = np.finfo(float).eps
 
@@ -69,14 +69,9 @@ class QuadratureConfig:
     max_subdivisions: int = 2000
 
     def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0 and np.isfinite(self.rel_tol)):
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if not (self.abs_tol > 0.0 and np.isfinite(self.abs_tol)):
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_subdivisions < 10:
-            raise DomainError(
-                f"max_subdivisions must be at least 10, got {self.max_subdivisions}"
-            )
+        require_positive(self.rel_tol, "rel_tol")
+        require_positive(self.abs_tol, "abs_tol")
+        require_index(self.max_subdivisions, "max_subdivisions", minimum=10)
 
 
 def _apply_panels(

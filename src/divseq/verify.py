@@ -5,9 +5,9 @@ structural guarantees the operators are supposed to satisfy (contraction
 under the path integral, monotone iterated chains, domination by the scaled
 path derivative, invariance under path reparametrization), and reports the
 worst violation seen. Every check is a body run by one shared runner,
-``_check``, which draws the pairs and turns a ToleranceError into an
-infinite violation; the bodies evaluate each path's t points in one grid
-call. ``run_suite`` bundles the checks over a fixed roster of divergences
+``_check``, which draws the pairs and turns a ToleranceError or a NaN
+into an infinite violation; the bodies evaluate each path's t points in
+one grid call. ``run_suite`` bundles the checks over a fixed roster of divergences
 into a single deterministic report.
 """
 
@@ -33,7 +33,7 @@ from .divergences import (
     swap_orientation,
 )
 from .errors import ToleranceError, require_index
-from .operators import psi, psi_inverse, psi_iter, psi_profile
+from .operators import psi, psi_inverse, psi_iter
 from .sequences import pl, sl
 
 __all__ = [
@@ -106,8 +106,8 @@ def _check(
     calls violation(rng, path, separated): the body draws anything else it
     needs from rng and returns its worst violation on that path. separated
     says whether the endpoints are far enough apart in total variation for
-    strict inequalities. A ToleranceError anywhere makes the check's
-    violation infinite.
+    strict inequalities. A ToleranceError anywhere, or a NaN violation,
+    makes the check's violation infinite.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -117,11 +117,16 @@ def _check(
             start, end = _draw(rng, n), _draw(rng, n)
             tv = 0.5 * float(np.sum(np.abs(end.masses - start.masses)))
             separated = tv > _SEPARATION_TV
-            worst = max(worst, violation(rng, MixturePath(start, end), separated))
+            worst = _worst(worst, violation(rng, MixturePath(start, end), separated))
     except ToleranceError:
         worst = math.inf
     name = f"{kind}[{D.identifier}]"
     return PropertyCheck(name, anchor, instances, worst, tolerance, worst <= tolerance)
+
+
+def _worst(*violations: float) -> float:
+    """max(violations), but infinite if any is NaN, which max can drop."""
+    return math.inf if any(map(math.isnan, violations)) else max(violations)
 
 
 def _draw(rng: np.random.Generator, n: int) -> Distribution:
@@ -137,7 +142,7 @@ def _strict_increase_violation(values: np.ndarray, separated: bool) -> float:
     if not separated or values.size < 2:
         return 0.0
     smallest_step = float(np.min(np.diff(values)))
-    return max(0.0, _STRICT_MARGIN - smallest_step)
+    return _worst(0.0, _STRICT_MARGIN - smallest_step)
 
 
 def check_integral_contraction(
@@ -153,14 +158,14 @@ def check_integral_contraction(
     def violation(rng, path, separated):
         start, end = path.start, path.end
         ts = _t_points(rng)
-        profile = psi_profile(D, path, ts)
+        profile = psi(D, path, ts)
         direct = D.evaluator(start.masses, path.masses_at(ts))
         other = _draw(rng, start.masses.size)
         lam = float(rng.uniform(0.05, 0.95))
         mixed = new_distribution(lam * end.masses + (1.0 - lam) * other.masses)
         at_other = psi(D, MixturePath(start, other), 1.0).value
         at_mixed = psi(D, MixturePath(start, mixed), 1.0).value
-        return max(
+        return _worst(
             float(np.max(profile - direct)),
             float(np.max(-profile)),
             _strict_increase_violation(profile, separated),
@@ -191,7 +196,7 @@ def check_iterated_chain(
     def violation(rng, path, separated):
         ts = _t_points(rng)
         levels = psi_iter(D, depth, path, ts)
-        worst = max(
+        worst = _worst(
             float(np.max(-levels)),
             float(np.diff(levels, axis=0).max(initial=0.0)),
             *(_strict_increase_violation(row, separated) for row in levels),
@@ -201,7 +206,7 @@ def check_iterated_chain(
             probe = mixture(path, float(ts[idx]))
             for k in range(depth + 1):
                 expected = closed_form(k, path.start, probe)
-                worst = max(worst, abs(float(levels[k, idx]) - expected))
+                worst = _worst(worst, abs(float(levels[k, idx]) - expected))
         return worst
 
     return _check(
@@ -222,7 +227,7 @@ def check_derivative_dominates(
         ts = _t_points(rng)
         upper = psi_inverse(D, path, ts)
         direct = D.evaluator(path.start.masses, path.masses_at(ts))
-        return max(
+        return _worst(
             float(np.max(direct - upper)),
             _strict_increase_violation(upper, separated),
             _strict_increase_violation(direct, separated),
@@ -248,7 +253,7 @@ def check_path_invariance(
     def violation(rng, path, separated):
         t_star = float(rng.uniform(0.05, 1.0))
         shortened = MixturePath(path.start, mixture(path, t_star))
-        return max(
+        return _worst(
             abs(psi(D, path, t_star).value - psi(D, shortened, 1.0).value),
             abs(psi_inverse(D, path, t_star) - psi_inverse(D, shortened, 1.0)),
         )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from divseq import chebyshev
 from divseq.chebyshev import (
     _BLOCK_CELLS,
     ChebyshevInterpolant,
@@ -8,7 +9,7 @@ from divseq.chebyshev import (
     _values,
     lobatto_nodes,
 )
-from divseq.errors import ToleranceError
+from divseq.errors import DomainError, ToleranceError
 
 
 def test_nodes_span_unit_interval():
@@ -28,15 +29,36 @@ def test_nodes_nest_under_doubling():
 def test_interpolates_node_values_exactly():
     nodes = lobatto_nodes(8)
     vals = np.sin(3.0 * nodes)
-    interp = ChebyshevInterpolant(nodes, vals)
+    interp = ChebyshevInterpolant(vals)
+    assert np.array_equal(interp.nodes, nodes)
     assert np.array_equal(interp(nodes), vals)
+
+
+def test_values_fix_the_nodes():
+    # n + 1 values sit at lobatto_nodes(n); nodes cannot be passed, so
+    # values sampled elsewhere cannot be paired with the Lobatto weights.
+    x = np.linspace(0.0, 1.0, 17)
+    with pytest.raises(TypeError):
+        ChebyshevInterpolant(x, np.exp(x))
+    s = lobatto_nodes(16)
+    lifted = ChebyshevInterpolant(np.expm1(s)).lifted()
+    # Integral_0^1 (e^u - 1) / u du = Ein(1).
+    assert abs(lifted(1.0) - 1.3179021514544038) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "values", [np.ones((3, 3)), np.ones(1), []], ids=["2d", "one", "empty"]
+)
+def test_rejects_bad_values(values):
+    with pytest.raises(DomainError):
+        ChebyshevInterpolant(values)
 
 
 def test_blocked_evaluation_matches_pointwise_calls():
     # 2049 nodes leave room for 511 rows per block, so 2183 points span
     # five blocks; node hits fall in several of them.
     nodes = lobatto_nodes(2048)
-    interp = ChebyshevInterpolant(nodes, np.cos(7.0 * nodes))
+    interp = ChebyshevInterpolant(np.cos(7.0 * nodes))
     x = np.concatenate([np.linspace(0.0, 1.0, 1500), nodes[::3]])
     assert len(x) > 4 * (_BLOCK_CELLS // len(nodes))
     pointwise = np.array([interp(float(xi)) for xi in x])
@@ -75,21 +97,30 @@ def test_scalar_and_array_calls_agree():
     assert np.isscalar(interp(0.25)) or np.ndim(interp(0.25)) == 0
 
 
-def test_unreachable_target_raises():
+def test_unreachable_target_raises(monkeypatch):
     rng = np.random.default_rng(7)
+    calls = []
 
     def noise(x):
+        calls.append(np.size(x))
         return rng.standard_normal(np.shape(x))
 
-    with pytest.raises(ToleranceError):
-        ChebyshevInterpolant.fit_adaptive(noise, 1e-12, max_nodes=256)
+    monkeypatch.setattr(chebyshev, "_MAX_INTERVALS", 256)
+    with pytest.raises(ToleranceError, match="at 256 intervals"):
+        ChebyshevInterpolant.fit_adaptive(noise, 1e-12)
+    # 17 initial values, then 16, 32, 64 and 128 fresh ones.
+    assert calls == [17, 16, 32, 64, 128]
 
 
 def test_fit_rejects_bad_target():
-    from divseq.errors import DomainError
+    for target in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            ChebyshevInterpolant.fit_adaptive(np.exp, target)
 
+
+def test_fit_rejects_non_finite_values():
     with pytest.raises(DomainError):
-        ChebyshevInterpolant.fit_adaptive(np.exp, 0.0)
+        ChebyshevInterpolant.fit_adaptive(lambda x: np.where(x > 0.5, np.nan, x), 1e-12)
 
 
 @pytest.mark.parametrize("n", [16, 256, 16384])
@@ -105,7 +136,7 @@ def test_coefficients_round_trip(n):
 def test_lift_of_a_monomial_is_exact(n, j):
     # Integral_0^s u^j / u du = s^j / j.
     s = lobatto_nodes(n)
-    lifted = ChebyshevInterpolant(s, s**j).lifted()
+    lifted = ChebyshevInterpolant(s**j).lifted()
     assert np.array_equal(lifted.nodes, s)
     assert lifted.values[0] == 0.0
     assert np.max(np.abs(lifted.values - s**j / j)) <= 1e-14
@@ -139,5 +170,5 @@ def _lifted_by_loops(values):
 def test_lift_matches_the_recurrences_run_as_loops(n):
     s = lobatto_nodes(n)
     values = np.expm1(s) * np.exp(-3.0 * s) + np.sin(40.0 * s) ** 2
-    lifted = ChebyshevInterpolant(s, values).lifted()
+    lifted = ChebyshevInterpolant(values).lifted()
     assert np.max(np.abs(lifted.values - _lifted_by_loops(values))) <= 1e-14

@@ -116,6 +116,22 @@ class TestEval:
         assert code == 3
         assert err != ""
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("depth", ["0", "2"])
+    @pytest.mark.parametrize("command", [["eval"], ["sweep", "--t", "0:1:5"]])
+    def test_bad_tolerance_exits_2(self, capsys, command, depth, tol):
+        argv = command + ["--div", "chi2", "--depth", depth, "--tol", tol]
+        code, out, err = run_cli(capsys, argv + ["--pair", PAIR])
+        assert code == 2
+        assert out == "" and "tol" in err
+
+    @pytest.mark.parametrize("command", [["eval"], ["sweep", "--t", "0:1:5"]])
+    def test_unattainable_tolerance_at_depth_two_exits_3(self, capsys, command):
+        argv = command + ["--div", "chi2", "--depth", "2", "--tol", "1e-30"]
+        code, out, _ = run_cli(capsys, argv + ["--pair", PAIR])
+        assert code == 3
+        assert out == ""
+
 
 class TestSweep:
     def test_chi2_depth_two_csv(self, capsys):

@@ -29,7 +29,6 @@ from divseq.operators import (
     psi,
     psi_inverse,
     psi_iter,
-    psi_profile,
     psi_roundtrip,
 )
 from divseq.sequences import pl, sl
@@ -118,24 +117,27 @@ class TestPsiInverse:
 
 
 class TestPsiProfile:
+    """psi on a grid: the profile t -> psi[D](t) in one call."""
+
     def test_matches_pointwise_psi(self):
         D = named_divergence("chi2")
         grid = np.array([0.0, 0.2, 0.5, 0.9, 1.0])
-        profile = psi_profile(D, PATH, grid)
+        profile = psi(D, PATH, grid)
+        assert isinstance(profile, np.ndarray) and profile.shape == grid.shape
         for j, t in enumerate(grid):
             assert profile[j] == pytest.approx(psi(D, PATH, t).value, abs=1e-10)
 
     def test_unsorted_grid_with_duplicates(self):
         D = named_divergence("kl")
         grid = np.array([0.8, 0.3, 0.8, 0.0])
-        profile = psi_profile(D, PATH, grid)
+        profile = psi(D, PATH, grid)
         assert profile[0] == profile[2]
         assert profile[3] == 0.0
         assert profile[0] == pytest.approx(psi(D, PATH, 0.8).value, abs=1e-10)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
-            psi_profile(named_divergence("kl"), PATH, np.array([0.2, 1.2]))
+            psi(named_divergence("kl"), PATH, np.array([0.2, 1.2]))
 
 
 class TestPsiIter:
@@ -267,6 +269,20 @@ class TestPsiIter:
         with pytest.raises(DomainError):
             psi_iter(D, 1, PATH, np.array([0.5, 1.5]))
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_rejects_bad_tol_at_any_depth(self, k, tol):
+        # Depth 0 fits nothing, yet the target is checked up front.
+        with pytest.raises(DomainError):
+            psi_iter(named_divergence("chi2"), k, PATH, np.array([1.0]), tol)
+
+    def test_tol_is_the_fit_target(self):
+        D = named_divergence("chi2")
+        loose = psi_iter(D, 2, PATH, np.array([1.0]), tol=1e-6)
+        assert loose[2, 0] == pytest.approx(PL2_PQ, abs=1e-5)
+        with pytest.raises(ToleranceError):
+            psi_iter(D, 2, PATH, np.array([1.0]), tol=1e-30)
+
 
 class TestPsiRoundtrip:
     def test_chi2_at_one(self):
@@ -310,7 +326,7 @@ class TestPsiRoundtrip:
     def test_constant_path(self):
         assert psi_roundtrip(named_divergence("kl"), MixturePath(P, P), 0.5) == (0.0, 0.0)
 
-    @pytest.mark.parametrize("t", [0.0, -0.2, 1.4])
+    @pytest.mark.parametrize("t", [0.0, -0.2, 1.4, np.nan])
     def test_rejects_t_outside_half_open_interval(self, t):
         with pytest.raises(DomainError):
             psi_roundtrip(named_divergence("kl"), PATH, t)
@@ -351,6 +367,7 @@ class TestGridDerivatives:
         assert values.tobytes() == np.zeros_like(GRID).tobytes()
         assert psi_inverse(D, path, 0.7) == 0.0
         assert np.all(path_derivative(D, path, GRID) == 0.0)
+        assert psi(D, path, GRID).tobytes() == np.zeros_like(GRID).tobytes()
 
     @pytest.mark.parametrize(
         "t",
@@ -358,10 +375,39 @@ class TestGridDerivatives:
          np.array([0.5, 1.5]), np.array([])],
         ids=["2d", "nan", "1.5", "grid_nan", "grid_1.5", "empty"],
     )
-    @pytest.mark.parametrize("op", [psi_inverse, path_derivative])
+    @pytest.mark.parametrize("op", [psi_inverse, path_derivative, psi])
     def test_rejects_bad_positions(self, op, t):
         with pytest.raises(DomainError):
             op(named_divergence("kl"), PATH, t)
+
+
+class TestGridPsi:
+    # The distinct positions of a grid share one cumulative quadrature, so
+    # a grid value is a sum of segment integrals and agrees with the scalar
+    # call to within the quadrature target, not bitwise; a one-position grid
+    # is the scalar call's single segment, bitwise.
+    @pytest.mark.parametrize("D", SUITE, ids=[D.identifier for D in SUITE])
+    @pytest.mark.parametrize("n", [2, 7, 10, 64, 500])
+    def test_grid_agrees_with_scalar_calls(self, D, n):
+        A, B = (random_distribution(n, seed=n + s, min_mass=1e-4) for s in (0, 1))
+        path = MixturePath(A, B)
+        on_grid = psi(D, path, GRID)
+        assert on_grid.shape == GRID.shape
+        pointwise = np.array([psi(D, path, float(t)).value for t in GRID])
+        singles = np.array([psi(D, path, np.array([t]))[0] for t in GRID])
+        assert singles.tobytes() == pointwise.tobytes()
+        cfg = QuadratureConfig()
+        target = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(pointwise))
+        assert np.all(np.abs(on_grid - pointwise) <= target)
+        # Order and duplicates change nothing; 0 gives +0.0.
+        distinct = np.unique(GRID)
+        by_distinct = psi(D, path, distinct)[np.searchsorted(distinct, GRID)]
+        assert on_grid.tobytes() == by_distinct.tobytes()
+        assert on_grid[1] == 0.0 and math.copysign(1.0, on_grid[1]) == 1.0
+
+    def test_all_zero_grid_gives_zeros(self):
+        values = psi(named_divergence("kl"), PATH, np.zeros(3))
+        assert values.tobytes() == np.zeros(3).tobytes()
 
 
 class TestOrientation:
@@ -371,7 +417,7 @@ class TestOrientation:
         "apply",
         [
             lambda D, path: psi(D, path, 1.0),
-            lambda D, path: psi_profile(D, path, np.array([0.0, 0.5, 1.0])),
+            lambda D, path: psi(D, path, np.array([0.0, 0.5, 1.0])),
             lambda D, path: psi_iter(D, 0, path, np.array([0.5, 1.0])),
             lambda D, path: psi_iter(D, 2, path, np.array([0.5, 1.0])),
             lambda D, path: psi_inverse(D, path, 0.5),
@@ -379,7 +425,7 @@ class TestOrientation:
             lambda D, path: path_derivative(D, path, GRID),
             lambda D, path: psi_roundtrip(D, path, 0.5),
         ],
-        ids=["psi", "psi_profile", "psi_iter_k0", "psi_iter_k2", "psi_inverse",
+        ids=["psi", "psi_grid", "psi_iter_k0", "psi_iter_k2", "psi_inverse",
              "psi_inverse_grid", "path_derivative_grid", "psi_roundtrip"],
     )
     @pytest.mark.parametrize(
@@ -408,7 +454,7 @@ class TestOrderingProperties:
 
     def test_integral_operator_strictly_increases(self):
         grid = np.linspace(0.0, 1.0, 21)
-        profile = psi_profile(named_divergence("chi2"), PATH, grid)
+        profile = psi(named_divergence("chi2"), PATH, grid)
         assert np.all(np.diff(profile) > 0.0)
 
     def test_differential_operator_strictly_increases(self):

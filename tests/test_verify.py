@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from divseq.errors import DomainError
 from divseq.verify import (
     PropertyCheck,
     VerificationReport,
+    _check,
     check_derivative_dominates,
     check_integral_contraction,
     check_iterated_chain,
@@ -71,6 +73,41 @@ class TestIteratedChain:
     def test_rejects_negative_depth(self):
         with pytest.raises(DomainError):
             check_iterated_chain(named_divergence("kl"), -1, 5, seed=6)
+
+
+def _nan_above(identifier, level):
+    """A named divergence whose evaluator gives NaN wherever it exceeds level."""
+    base = named_divergence(identifier)
+
+    def evaluator(p, q):
+        values = np.asarray(base.evaluator(p, q), dtype=float)
+        return np.where(values > level, np.nan, values)
+
+    return replace(base, evaluator=evaluator)
+
+
+class TestNanViolations:
+    # max(0.0, nan) is 0.0 in Python, so a bare max would pass these.
+    def test_derivative_dominates_fails_on_nan(self):
+        check = check_derivative_dominates(_nan_above("chi2", 0.05), 20, seed=1)
+        assert check.worst_violation == math.inf
+        assert not check.passed
+
+    def test_depth_zero_chain_fails_on_nan(self):
+        check = check_iterated_chain(_nan_above("chi2", 0.05), 0, 20, seed=1)
+        assert check.worst_violation == math.inf
+        assert not check.passed
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_runner_turns_any_nan_into_inf(self, position):
+        bodies = [lambda rng, path, separated: 0.5] * 5
+        bodies[position] = lambda rng, path, separated: math.nan
+        calls = iter(bodies)
+        check = _check(
+            "nan_probe", "anchor", 1.0, named_divergence("kl"), 5, 3,
+            lambda rng, path, separated: next(calls)(rng, path, separated),
+        )
+        assert check.worst_violation == math.inf and not check.passed
 
 
 class TestDerivativeDominates:
