@@ -6,7 +6,7 @@ differential operator that expands them along mixture paths, provides
 closed-form polylogarithm divergence sequences, and ships a verification
 harness that property-tests every claimed inequality.
 """
-from .errors import DomainError, SpecError, ToleranceError
+from .errors import DomainError, NonFiniteError, SpecError, ToleranceError
 from .distributions import (
     Distribution,
     MixturePath,
@@ -52,6 +52,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DomainError",
+    "NonFiniteError",
     "SpecError",
     "ToleranceError",
     "Distribution",

@@ -21,8 +21,9 @@ from .errors import DomainError, SpecError, require_pair, require_positions
 
 # Path-derivative callables take (path, t) and return d/dt of the
 # functional evaluated with the path's start pinned in one slot and the
-# moving mixture R(t) in the other: a float for a position t, an array for
-# a 1-d grid of positions.
+# moving mixture R(t) in the other: a float for a position t, an array of
+# t's shape for a grid of positions or for the positions on a stack of
+# paths.
 PathDerivative = Callable[[MixturePath, float | np.ndarray], float | np.ndarray]
 
 
@@ -35,9 +36,9 @@ class Orientation(Enum):
 class DivergenceFunctional:
     """A divergence together with the metadata the operators need.
 
-    ``evaluator`` maps two mass arrays to a value and broadcasts: either
-    argument may be a single vector (n,) or a stack (m, n), reduction is
-    over the last axis. It takes mass arrays only; ``evaluate`` is the
+    ``evaluator`` maps two mass arrays to a value and broadcasts: the
+    arguments are arrays (..., n) that broadcast against each other, and
+    the reduction is over the last axis, so every row reduces on its own. It takes mass arrays only; ``evaluate`` is the
     entry point that also accepts Distribution objects.
     ``analytic_path_derivative`` gives d/dt of
     evaluator(start, R(t)); it is None for a functional whose second
@@ -60,11 +61,16 @@ def evaluate(D: DivergenceFunctional, P, Q) -> float:
 
 
 def _path_parts(path: MixturePath, t):
-    """Start masses, direction and R(t): one row for a position t, (m, n)
-    rows for a grid of m positions."""
+    """Start masses, direction and R(t), broadcast against each other: one
+    row for a position t, rows of t's shape for a grid, and on a stack of
+    paths the start and direction of path i against row i of t."""
     p = path.start.masses
-    r = path.masses_at(np.atleast_1d(t))
-    return p, path.end.masses - p, r.reshape(np.shape(t) + p.shape)
+    delta = path.end.masses - p
+    r = path.masses_at(np.atleast_1d(t)).reshape(np.shape(t) + p.shape[-1:])
+    if p.ndim == 2:
+        shape = p.shape[:1] + (1,) * (np.ndim(t) - 1) + p.shape[1:]
+        p, delta = p.reshape(shape), delta.reshape(shape)
+    return p, delta, r
 
 
 def _f_functional(identifier: str, mass_fn, f, fp) -> DivergenceFunctional:
@@ -256,15 +262,16 @@ def swap_orientation(D: DivergenceFunctional) -> DivergenceFunctional:
 
 
 def path_derivative(D: DivergenceFunctional, path: MixturePath, t):
-    """d/dt of evaluator(start, R(t)) at a position t or along a 1-d grid.
+    """d/dt of evaluator(start, R(t)) at a position t or along a 1-d grid,
+    or on a stack of m paths at t of shape (m,) or (m, k).
 
-    Returns a float for a scalar t and an array of the grid's length
-    otherwise; a grid call equals the scalar calls bitwise. Raises
-    DomainError if a position is outside [0, 1], the grid is not 1-d, or
-    D has no derivative in its second argument (an unswapped Bregman
-    functional).
+    Returns a float for a scalar t and an array of t's shape otherwise; a
+    grid call equals the scalar calls bitwise, and row i of a stacked call
+    equals the call on path i. Raises DomainError if a position is outside
+    [0, 1], t has the wrong shape, or D has no derivative in its second
+    argument (an unswapped Bregman functional).
     """
-    t = require_positions(t)
+    t = require_positions(t, path.stack_size)
     if D.analytic_path_derivative is None:
         raise DomainError(
             f"divergence {D.identifier!r} has no derivative in its second "

@@ -3,12 +3,17 @@
 The integral operator maps D to t -> Integral_0^t D(P | R(s)) / s ds and
 contracts any right-convex divergence toward zero; the differential
 operator t -> t * d/dt D(P | R(t)) expands it. Both take a position t or
-a 1-d grid of positions. Iterated application of the integral operator
-fits D(P | R(s)) once by a Chebyshev polynomial, to a residual target
-tol, and integrates that polynomial exactly, level after level, in its
-Chebyshev coefficients, so each level above the fit costs two FFTs on the
-fit's nodes and one evaluation on the grid. Every operator requires a
-right-convex D and rejects any other before it checks anything else.
+a 1-d grid of positions, and on a stack of m paths t of shape (m,), one
+position per path, or (m, k), one grid per path; each result has t's
+shape. Since ds/s is scale-free, psi at t is Integral_0^1 D(P | R(t u)) /
+u du, so every (path, position) pair is one component of a single
+integral over [0, 1] on shared Gauss-Kronrod panels. Iterated application
+of the integral operator fits D(P | R(s)) once by a Chebyshev polynomial,
+over the whole stack, to a residual target tol, and integrates that
+polynomial exactly, level after level, in its Chebyshev coefficients, so
+each level above the fit costs two FFTs on the fit's nodes and one
+evaluation on the grid. Every operator requires a right-convex D and
+rejects any other before it checks anything else.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import ChebyshevInterpolant
-from .distributions import MixturePath
+from .chebyshev import _BLOCK_CELLS, ChebyshevInterpolant
+from .distributions import MixturePath, _mix
 from .divergences import DivergenceFunctional, Orientation, path_derivative
 from .errors import (
     DomainError,
@@ -28,7 +33,7 @@ from .errors import (
     require_positions,
     require_positive,
 )
-from .quadrature import QuadratureConfig, cumulative_integral, integrate
+from .quadrature import QuadratureConfig, integrate
 
 __all__ = [
     "OperatorResult",
@@ -38,7 +43,6 @@ __all__ = [
     "psi_iter",
     "psi_roundtrip",
 ]
-
 
 @dataclass(frozen=True)
 class OperatorResult:
@@ -55,50 +59,101 @@ def _require_right_convex(D: DivergenceFunctional) -> None:
         )
 
 
+def _along(D: DivergenceFunctional, p: np.ndarray, q: np.ndarray, s) -> np.ndarray:
+    """D(p | (1-s) p + s q) at positions s, an array of s's shape.
+
+    p and q are one path's endpoint masses (n,), for any shape of s, or
+    rows (m, n), for s of shape (m, L) whose row i moves along row i. The
+    mixtures are formed and reduced in blocks of at most _BLOCK_CELLS mass
+    cells; each position reduces on its own, so blocking changes no value.
+    """
+    s = np.asarray(s, dtype=float)
+    out = np.empty(s.shape)
+    if p.ndim == 1:
+        flat_s, flat_out = s.reshape(-1), out.reshape(-1)
+        step = max(1, _BLOCK_CELLS // p.size)
+        for lo in range(0, flat_s.size, step):
+            block = flat_s[lo : lo + step]
+            flat_out[lo : lo + step] = D.evaluator(p, _mix(p, q, block))
+        return out
+    rows = _BLOCK_CELLS // s[0].size // p.shape[-1]
+    if rows == 0:
+        # One path's positions fill a block: take the paths one at a time.
+        for i in range(len(s)):
+            out[i] = _along(D, p[i], q[i], s[i])
+        return out
+    for lo in range(0, len(s), rows):
+        pb, qb = p[lo : lo + rows], q[lo : lo + rows]
+        out[lo : lo + rows] = D.evaluator(pb[:, None], _mix(pb, qb, s[lo : lo + rows]))
+    return out
+
+
+def _path_rows(path: MixturePath, t: np.ndarray) -> np.ndarray:
+    """The stacked path each position of t lies on: 0 on a single path."""
+    if path.stack_size is None:
+        return np.zeros(np.shape(t), dtype=int)
+    rows = np.arange(path.stack_size).reshape((-1,) + (1,) * (t.ndim - 1))
+    return np.broadcast_to(rows, t.shape)
+
+
 def psi(
     D: DivergenceFunctional,
     path: MixturePath,
     t,
     cfg: QuadratureConfig | None = None,
 ) -> OperatorResult | np.ndarray:
-    """Integral operator: Integral_0^t D(start | R(s)) / s ds at a position
-    t (an OperatorResult) or along a 1-d grid (an array, in grid order).
+    """Integral operator: Integral_0^t D(start | R(s)) / s ds.
 
-    The integrand extends continuously by 0 at s = 0, where the quadrature
-    rule never samples; t = 0 and a constant path give exact zeros. The
-    distinct positions of a grid share one cumulative quadrature, so each
-    value agrees with the scalar call to within the quadrature tolerance.
+    A position t on a single path gives an OperatorResult; a 1-d grid, or
+    t of shape (m,) or (m, k) on a stack of m paths, gives an array of t's
+    shape. Each value is Integral_0^1 D(start | R(t u)) / u du, and all
+    (path, position) pairs are components of one quadrature on shared
+    panels, each held to its own tolerance, so a value agrees with the
+    call at its position alone to within that tolerance, and a call at
+    one position on one path is that single component. t = 0 and a
+    constant path give exact zeros and take no evaluations.
     """
     _require_right_convex(D)
     cfg = QuadratureConfig() if cfg is None else cfg
-    t = require_positions(t)
-    p = path.start.masses
+    t = np.asarray(require_positions(t, path.stack_size))
+    rows = _path_rows(path, t)
+    live = (t > 0.0) & ~np.atleast_1d(path.is_constant)[rows]
+    # One component per distinct (path, position) pair, in sorted order, so
+    # that neither the order of t nor its duplicates change a value.
+    pairs, which = np.unique(
+        np.stack([rows[live], t[live]], axis=-1), axis=0, return_inverse=True
+    )
+    positions = pairs[:, 1]
+    p, q = path.start.masses, path.end.masses
+    if p.ndim == 2:
+        index = pairs[:, 0].astype(int)
+        p, q = p[index], q[index]
 
-    def f(s: np.ndarray) -> np.ndarray:
-        return D.evaluator(p, path.masses_at(s)) / s
+    def f(u: np.ndarray) -> np.ndarray:
+        return _along(D, p, q, positions[:, None] * u) / u
 
-    if np.ndim(t) == 0:
-        if t == 0.0 or path.is_constant:
-            return OperatorResult(0.0, 0.0, 0)
-        value, err, evals = integrate(f, 0.0, t, cfg)
-        return OperatorResult(float(value), float(err), evals)
-    edges = np.union1d(0.0, t)
-    if edges.size == 1 or path.is_constant:
-        return np.zeros_like(t)
-    values, _, _ = cumulative_integral(f, edges, cfg)
-    return values[np.searchsorted(edges, t)]
+    values = np.zeros(t.shape)
+    err, evals = np.zeros(1), 0
+    if positions.size:
+        integrals, err, evals = integrate(f, 0.0, 1.0, cfg)
+        values[live] = integrals[which.reshape(-1)]
+    if t.ndim == 0:
+        return OperatorResult(float(values), float(err[0]), evals)
+    return values
 
 
 def psi_inverse(D: DivergenceFunctional, path: MixturePath, t):
     """Differential operator: t * d/dt D(start | R(t)) at a position t or
-    along a 1-d grid (a float or an array of the grid's length).
+    along a 1-d grid (a float or an array of the grid's length), or on a
+    stack of m paths at t of shape (m,) or (m, k) (an array of t's shape,
+    row i equal to the call on path i).
 
     Exactly 0.0 at t = 0 and on a constant path, never -0.0: there t or the
     path direction is 0, and adding +0.0 turns a signed zero into 0.0
     without changing any other value.
     """
     _require_right_convex(D)
-    t = require_positions(t)
+    t = require_positions(t, path.stack_size)
     return t * path_derivative(D, path, t) + 0.0
 
 
@@ -109,14 +164,18 @@ def psi_iter(
     t_grid,
     tol: float = 1e-12,
 ) -> np.ndarray:
-    """Iterated integral operator: rows are levels 0..k over the grid.
+    """Iterated integral operator: levels 0..k along a leading axis, in
+    front of the grid's shape.
 
-    Level 0 is D itself evaluated along the path. Above it, one Chebyshev
-    interpolant is fitted to level 0 (node count doubling until the
-    residual at fresh nodes drops below tol), and each further
-    level integrates the previous level's polynomial over s exactly, in
-    its Chebyshev coefficients, on the same nodes. Rows are nonincreasing
-    in the level at every grid point.
+    On a single path t_grid is a 1-d grid and the result is (k + 1, len);
+    on a stack of m paths it has shape (m,) or (m, k') and the result
+    (k + 1, m) or (k + 1, m, k'). Level 0 is D itself evaluated along the
+    path. Above it, one Chebyshev interpolant is fitted to level 0 of every
+    path on shared nodes (node count doubling until the residual at fresh
+    nodes drops below tol on every path), and each further level
+    integrates the previous level's polynomial over s exactly, in its
+    Chebyshev coefficients, on the same nodes. Rows are nonincreasing in
+    the level at every grid point.
 
     No level is refitted or integrated numerically, so every level's error
     is the level-0 residual r carried through psi: at most about
@@ -127,23 +186,30 @@ def psi_iter(
     _require_right_convex(D)
     tol = require_positive(tol, "tol")
     k = require_index(k, "iteration depth")
-    grid = require_grid(t_grid)
+    stack = path.stack_size
+    grid = require_grid(t_grid) if stack is None else require_positions(t_grid, stack)
 
-    rows = np.zeros((k + 1, grid.size))
-    if path.is_constant:
-        return rows
+    levels = np.zeros((k + 1,) + grid.shape)
+    if stack is None and path.is_constant:
+        return levels
+    p, q = path.start.masses, path.end.masses
+    # Positions with one row per path on a stack: (m, L).
+    per_path = grid if stack is None else grid.reshape(stack, -1)
 
     def level_zero(s: np.ndarray) -> np.ndarray:
-        return D.evaluator(path.start.masses, path.masses_at(s))
+        if stack is not None:
+            s = np.broadcast_to(s, (stack, s.size))
+        return _along(D, p, q, s)
 
-    rows[0] = level_zero(grid)
-    if k == 0:
-        return rows
-    interp, _, _ = ChebyshevInterpolant.fit_adaptive(level_zero, tol)
-    for level in range(1, k + 1):
-        interp = interp.lifted()
-        rows[level] = interp(grid)
-    return rows
+    levels[0] = _along(D, p, q, per_path).reshape(grid.shape)
+    if k > 0:
+        interp, _, _ = ChebyshevInterpolant.fit_adaptive(level_zero, tol)
+        for level in range(1, k + 1):
+            interp = interp.lifted()
+            levels[level] = interp(per_path).reshape(grid.shape)
+    if stack is not None:
+        levels[:, path.is_constant] = 0.0
+    return levels
 
 
 # Fourth-order first-derivative stencils, rows (steps, weights): the
@@ -168,9 +234,12 @@ def psi_roundtrip(
 
     The first component differentiates the numerically integrated operator
     with a fourth-order stencil; the second integrates the differential
-    operator. Both use the tightened _ROUNDTRIP_CFG. t must lie in (0, 1].
+    operator. Both use the tightened _ROUNDTRIP_CFG. t must lie in (0, 1],
+    and the path must be a single one.
     """
     _require_right_convex(D)
+    if path.stack_size is not None:
+        raise DomainError("psi_roundtrip takes a single path, not a stack")
     t = require_position(t)
     if t == 0.0:
         raise DomainError("roundtrip position must be positive, got 0.0")

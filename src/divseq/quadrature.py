@@ -17,7 +17,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ToleranceError, require_index, require_positive
+from .errors import (
+    DomainError,
+    NonFiniteError,
+    ToleranceError,
+    require_index,
+    require_positive,
+)
 
 _EPS = np.finfo(float).eps
 
@@ -99,7 +105,7 @@ def _apply_panels(
     # arithmetic is unchanged.
     vals = raw.reshape(-1, 15)
     if not np.isfinite(vals).all():
-        raise DomainError("integrand returned a non-finite value")
+        raise NonFiniteError("integrand returned a non-finite value")
     kron = (vals @ _WK).reshape(shape) * half
     gauss = (vals @ _WG).reshape(shape) * half
     work = np.abs(vals)

@@ -8,7 +8,10 @@ These closed forms serve as exact oracles for the numerically iterated
 integral operator. Each order is one array call of the polylogarithm over
 the whole support, in the variable w, which keeps every digit as
 q_i/p_i -> 0. When the sum cancels, as it does near P, the coordinates
-near P are summed as p_i (Li_k(z_i) - z_i) and p_i - q_i instead.
+near P are summed as p_i (Li_k(z_i) - z_i) and p_i - q_i instead. pl and
+sl also take two (m, n) stacks and give the m rows' values from one
+polylogarithm call per order, deciding the cancellation fallback row by
+row.
 """
 
 from __future__ import annotations
@@ -45,12 +48,7 @@ def _li_minus_z(k: int, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _series(k, z, linear=False)
 
 
-def _pl(k: int, p: np.ndarray, q: np.ndarray) -> float:
-    w = q / p
-    terms = p * polylog(k, w=w)
-    total = float(np.sum(terms))
-    if np.sum(np.abs(terms)) <= _MAX_CANCELLATION * abs(total):
-        return total
+def _split_sum(k: int, p, q, w, terms) -> float:
     # Near P the plain sum cancels its first-order part
     # Sum_i p_i z_i = Sum_i (p_i - q_i) ~ 0. Where |z_i| <= 1/2 the terms
     # are split into p_i (Li_k(z_i) - z_i) and p_i - q_i, which is exact
@@ -62,18 +60,41 @@ def _pl(k: int, p: np.ndarray, q: np.ndarray) -> float:
     return float(split) + math.fsum(d[near].tolist())
 
 
-def pl(k, P, Q) -> float:
-    """Sum_i p_i Li_k(1 - w_i) with w_i = q_i/p_i > 0."""
+def _pl(k: int, p: np.ndarray, q: np.ndarray):
+    """pl for one pair (a float) or for the rows of two stacks (an array);
+    every row's polylogarithm terms come from one array call."""
+    w = q / p
+    terms = p * polylog(k, w=w)
+    total = np.sum(terms, axis=-1)
+    plain = np.sum(np.abs(terms), axis=-1) <= _MAX_CANCELLATION * np.abs(total)
+    if p.ndim == 1:
+        return float(total) if plain else _split_sum(k, p, q, w, terms)
+    for i in np.flatnonzero(~plain):
+        total[i] = _split_sum(k, p[i], q[i], w[i], terms[i])
+    return total
+
+
+def pl(k, P, Q):
+    """Sum_i p_i Li_k(1 - w_i) with w_i = q_i/p_i > 0.
+
+    A float for two distributions; for two stacks of m, an array of the m
+    rows' values.
+    """
     k = require_index(k)
     p, q = require_pair(P, Q)
     return _pl(k, p, q)
 
 
-def sl(k, P, Q) -> float:
-    """Jeffreys divergence minus the first k polylogarithm-sequence terms."""
+def sl(k, P, Q):
+    """Jeffreys divergence minus the first k polylogarithm-sequence terms.
+
+    A float for two distributions; for two stacks of m, an array of the m
+    rows' values.
+    """
     k = require_index(k)
     p, q = require_pair(P, Q)
-    total = float(_JEFFREYS.evaluator(p, q))
+    total = _JEFFREYS.evaluator(p, q)
+    total = float(total) if p.ndim == 1 else total
     for j in range(1, k + 1):
         total -= _pl(j, p, q)
     return total

@@ -5,10 +5,12 @@ structural guarantees the operators are supposed to satisfy (contraction
 under the path integral, monotone iterated chains, domination by the scaled
 path derivative, invariance under path reparametrization), and reports the
 worst violation seen. Every check is a body run by one shared runner,
-``_check``, which draws the pairs and turns a ToleranceError or a NaN
-into an infinite violation; the bodies evaluate each path's t points in
-one grid call. ``run_suite`` bundles the checks over a fixed roster of divergences
-into a single deterministic report.
+``_check``. The runner draws every instance first, in a fixed order, then
+stacks the instances by support size; the body makes one call per operator
+for each stack, so the checked numbers are the public operators' values on
+stacked paths. A ToleranceError, a NonFiniteError or a NaN becomes an
+infinite violation. ``run_suite`` bundles the checks over a fixed roster
+of divergences into a single deterministic report.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import Distribution, MixturePath, mixture, new_distribution
-from .distributions import random_distribution
+from .distributions import _random_masses
 from .divergences import (
     BregmanSpec,
     DivergenceFunctional,
@@ -32,7 +34,7 @@ from .divergences import (
     named_divergence,
     swap_orientation,
 )
-from .errors import ToleranceError, require_index
+from .errors import NonFiniteError, ToleranceError, require_index
 from .operators import psi, psi_inverse, psi_iter
 from .sequences import pl, sl
 
@@ -60,8 +62,16 @@ _SEPARATION_TV = 0.01
 _MIN_MASS = 0.01
 _FIXED_GRID = np.linspace(0.0, 1.0, 11)
 
-# Divergences whose iterated chains have closed forms to compare against.
-_CLOSED_FORMS = {"chi2": pl, "jeffreys": sl}
+# Divergences whose iterated chains have closed forms to compare against:
+# level k is sequence(k + shift). psi[chi2] = kl and psi[jeffreys] =
+# reverse kl, so the kl and reverse-kl (swap(kl)) chains are the chi2 and
+# jeffreys chains one level on.
+_CLOSED_FORMS = {
+    "chi2": (pl, 0),
+    "jeffreys": (sl, 0),
+    "kl": (pl, 1),
+    "swap(kl)": (sl, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -98,39 +108,55 @@ def _check(
     D: DivergenceFunctional,
     instances: int,
     seed: int,
-    violation: Callable[[np.random.Generator, MixturePath, bool], float],
+    draw: Callable[[np.random.Generator, int], tuple],
+    violations: Callable[..., np.ndarray],
 ) -> PropertyCheck:
     """Run a check body on seeded random pairs and report its worst value.
 
     Each instance draws a support size and two distributions on it, then
-    calls violation(rng, path, separated): the body draws anything else it
-    needs from rng and returns its worst violation on that path. separated
-    says whether the endpoints are far enough apart in total variation for
-    strict inequalities. A ToleranceError anywhere, or a NaN violation,
-    makes the check's violation infinite.
+    calls draw(rng, n) for the body's own draws, returned as a tuple. Once
+    every instance is drawn, the instances are stacked by support size
+    (and by the shapes of their draws), and violations(path, separated,
+    *draws) takes one such stack: a stacked path, a flag per path saying
+    whether its endpoints are far enough apart in total variation for
+    strict inequalities, and each draw stacked along a leading axis. It
+    returns each instance's worst violation. A ToleranceError or a
+    NonFiniteError anywhere, or a NaN violation, makes the check's
+    violation infinite.
     """
     rng = np.random.default_rng(seed)
+    stacks: dict[tuple, list] = {}
+    for _ in range(instances):
+        n = int(rng.integers(2, 11))
+        start, end = _draw(rng, n), _draw(rng, n)
+        extras = draw(rng, n)
+        key = (n,) + tuple(np.shape(x) for x in extras)
+        stacks.setdefault(key, []).append((start, end) + extras)
     worst = 0.0
     try:
-        for _ in range(instances):
-            n = int(rng.integers(2, 11))
-            start, end = _draw(rng, n), _draw(rng, n)
-            tv = 0.5 * float(np.sum(np.abs(end.masses - start.masses)))
-            separated = tv > _SEPARATION_TV
-            worst = _worst(worst, violation(rng, MixturePath(start, end), separated))
-    except ToleranceError:
+        for members in stacks.values():
+            start, end, *extras = (np.array(column) for column in zip(*members))
+            path = MixturePath(Distribution(start), Distribution(end))
+            separated = 0.5 * np.sum(np.abs(end - start), axis=-1) > _SEPARATION_TV
+            worst = max(worst, float(np.max(_worst(violations(path, separated, *extras)))))
+    except (ToleranceError, NonFiniteError):
         worst = math.inf
     name = f"{kind}[{D.identifier}]"
     return PropertyCheck(name, anchor, instances, worst, tolerance, worst <= tolerance)
 
 
-def _worst(*violations: float) -> float:
-    """max(violations), but infinite if any is NaN, which max can drop."""
-    return math.inf if any(map(math.isnan, violations)) else max(violations)
+def _worst(*violations) -> np.ndarray:
+    """Elementwise maximum of the violations, infinite wherever one is NaN
+    (Python's max can drop a NaN; this never does)."""
+    worst = np.maximum.reduce(np.broadcast_arrays(*violations))
+    return np.where(np.isnan(worst), math.inf, worst)
 
 
-def _draw(rng: np.random.Generator, n: int) -> Distribution:
-    return random_distribution(n, seed=int(rng.integers(2**31)), min_mass=_MIN_MASS)
+def _draw(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The masses random_distribution(n, seed, _MIN_MASS) would hold, for a
+    seed drawn from rng; the stack they join is validated as a whole."""
+    seed = int(rng.integers(2**31))
+    return _random_masses(np.random.default_rng(seed), n, _MIN_MASS)
 
 
 def _t_points(rng: np.random.Generator) -> np.ndarray:
@@ -138,11 +164,18 @@ def _t_points(rng: np.random.Generator) -> np.ndarray:
     return np.unique(np.concatenate([_FIXED_GRID, extra]))
 
 
-def _strict_increase_violation(values: np.ndarray, separated: bool) -> float:
-    if not separated or values.size < 2:
-        return 0.0
-    smallest_step = float(np.min(np.diff(values)))
-    return _worst(0.0, _STRICT_MARGIN - smallest_step)
+def _strict_increase_violation(values: np.ndarray, separated: np.ndarray) -> np.ndarray:
+    """Per row of values (m, k): how far the row falls short of strict
+    growth by _STRICT_MARGIN, or 0 where its path is not separated."""
+    if values.shape[-1] < 2:
+        return np.zeros(values.shape[:-1])
+    smallest_step = np.min(np.diff(values, axis=-1), axis=-1)
+    return np.where(separated, _worst(0.0, _STRICT_MARGIN - smallest_step), 0.0)
+
+
+def _paths(starts: list, ends: list) -> MixturePath:
+    """The stacked paths from the rows of the starts to those of the ends."""
+    return MixturePath(Distribution(np.concatenate(starts)), Distribution(np.concatenate(ends)))
 
 
 def check_integral_contraction(
@@ -155,28 +188,37 @@ def check_integral_contraction(
     mixture of the two psi values.
     """
 
-    def violation(rng, path, separated):
-        start, end = path.start, path.end
-        ts = _t_points(rng)
-        profile = psi(D, path, ts)
-        direct = D.evaluator(start.masses, path.masses_at(ts))
-        other = _draw(rng, start.masses.size)
-        lam = float(rng.uniform(0.05, 0.95))
-        mixed = new_distribution(lam * end.masses + (1.0 - lam) * other.masses)
-        at_other = psi(D, MixturePath(start, other), 1.0).value
-        at_mixed = psi(D, MixturePath(start, mixed), 1.0).value
+    def draw(rng, n):
+        return _t_points(rng), _draw(rng, n), float(rng.uniform(0.05, 0.95))
+
+    def violations(path, separated, ts, other, lam):
+        start, end = path.start.masses, path.end.masses
+        mix = lam[:, None]
+        mixed = new_distribution(mix * end + (1.0 - mix) * other).masses
+        # One psi call: the profile along each path, and psi at 1 toward the
+        # other and the mixed end point, whose positions are 0 (an exact
+        # zero that costs nothing) but for the last.
+        at_one = np.zeros_like(ts)
+        at_one[:, -1] = 1.0
+        values = psi(
+            D,
+            _paths([start] * 3, [end, other, mixed]),
+            np.concatenate([ts, at_one, at_one]),
+        )
+        profile, at_other, at_mixed = np.split(values, 3)
+        direct = D.evaluator(start[:, None], path.masses_at(ts))
         return _worst(
-            float(np.max(profile - direct)),
-            float(np.max(-profile)),
+            np.max(profile - direct, axis=-1),
+            np.max(-profile, axis=-1),
             _strict_increase_violation(profile, separated),
-            at_mixed - (lam * profile[-1] + (1.0 - lam) * at_other),
+            at_mixed[:, -1] - (lam * profile[:, -1] + (1.0 - lam) * at_other[:, -1]),
         )
 
     return _check(
         "integral_contraction",
         "0 <= psi[D](t) <= D(start, mix(t)) along mixture paths, strictly "
         "increasing in t for separated endpoints, and convex in the end point",
-        _CONTRACTION_TOL, D, instances, seed, violation,
+        _CONTRACTION_TOL, D, instances, seed, draw, violations,
     )
 
 
@@ -186,35 +228,42 @@ def check_iterated_chain(
     """Check that iterated averaging produces a nonincreasing chain of levels.
 
     Every level must stay nonnegative and strictly increasing in t, and each
-    application of the operator must not increase the value at any t.  For the
-    chi-square and Jeffreys divergences the levels are also compared against
+    application of the operator must not increase the value at any t. For
+    the divergences in _CLOSED_FORMS the levels are also compared against
     their closed-form polylogarithm expressions.
     """
     depth = require_index(depth, "depth")
     closed_form = _CLOSED_FORMS.get(D.identifier)
 
-    def violation(rng, path, separated):
+    def draw(rng, n):
         ts = _t_points(rng)
+        if closed_form is None:
+            return (ts,)
+        return ts, int(rng.integers(1, ts.size))
+
+    def violations(path, separated, ts, probe_index=None):
         levels = psi_iter(D, depth, path, ts)
         worst = _worst(
-            float(np.max(-levels)),
-            float(np.diff(levels, axis=0).max(initial=0.0)),
+            np.max(-levels, axis=(0, 2)),
+            np.diff(levels, axis=0).max(axis=(0, 2), initial=0.0),
             *(_strict_increase_violation(row, separated) for row in levels),
         )
         if closed_form is not None:
-            idx = int(rng.integers(1, ts.size))
-            probe = mixture(path, float(ts[idx]))
+            sequence, shift = closed_form
+            at = np.arange(len(ts))
+            probe = mixture(path, ts[at, probe_index])
             for k in range(depth + 1):
-                expected = closed_form(k, path.start, probe)
-                worst = _worst(worst, abs(float(levels[k, idx]) - expected))
+                expected = sequence(k + shift, path.start, probe)
+                worst = _worst(worst, np.abs(levels[k, at, probe_index] - expected))
         return worst
 
     return _check(
         "iterated_chain",
         "repeated application of psi yields nonnegative levels that are "
         "nonincreasing in the level index and strictly increasing in t; "
-        "chi2 and jeffreys levels match their closed-form sequences",
-        _CHAIN_TOL, D, instances, seed, violation,
+        "chi2, kl, jeffreys and swap(kl) levels match their closed-form "
+        "sequences",
+        _CHAIN_TOL, D, instances, seed, draw, violations,
     )
 
 
@@ -223,12 +272,14 @@ def check_derivative_dominates(
 ) -> PropertyCheck:
     """Check psi_inverse[D] >= D pointwise, with both strictly increasing."""
 
-    def violation(rng, path, separated):
-        ts = _t_points(rng)
+    def draw(rng, n):
+        return (_t_points(rng),)
+
+    def violations(path, separated, ts):
         upper = psi_inverse(D, path, ts)
-        direct = D.evaluator(path.start.masses, path.masses_at(ts))
+        direct = D.evaluator(path.start.masses[:, None], path.masses_at(ts))
         return _worst(
-            float(np.max(direct - upper)),
+            np.max(direct - upper, axis=-1),
             _strict_increase_violation(upper, separated),
             _strict_increase_violation(direct, separated),
         )
@@ -237,7 +288,7 @@ def check_derivative_dominates(
         "derivative_dominates",
         "psi_inverse[D](t) >= D(start, mix(t)) along mixture paths, with "
         "both sides strictly increasing in t for separated endpoints",
-        _DOMINATES_TOL, D, instances, seed, violation,
+        _DOMINATES_TOL, D, instances, seed, draw, violations,
     )
 
 
@@ -250,19 +301,24 @@ def check_path_invariance(
     their values at 1 on the shortened path that ends at the mixture point.
     """
 
-    def violation(rng, path, separated):
-        t_star = float(rng.uniform(0.05, 1.0))
-        shortened = MixturePath(path.start, mixture(path, t_star))
-        return _worst(
-            abs(psi(D, path, t_star).value - psi(D, shortened, 1.0).value),
-            abs(psi_inverse(D, path, t_star) - psi_inverse(D, shortened, 1.0)),
-        )
+    def draw(rng, n):
+        return (float(rng.uniform(0.05, 1.0)),)
+
+    def violations(path, separated, t_star):
+        # Each operator takes the full paths at t* and their truncations at
+        # 1 in one call.
+        start = path.start.masses
+        both = _paths([start, start], [path.end.masses, mixture(path, t_star).masses])
+        t = np.concatenate([t_star, np.ones_like(t_star)])
+        full, shortened = np.split(psi(D, both, t), 2)
+        upper_full, upper_shortened = np.split(psi_inverse(D, both, t), 2)
+        return _worst(np.abs(full - shortened), np.abs(upper_full - upper_shortened))
 
     return _check(
         "path_invariance",
         "psi and psi_inverse at time t on a path equal their values at "
         "time 1 on the truncated path ending at the mixture point",
-        _INVARIANCE_TOL, D, instances, seed, violation,
+        _INVARIANCE_TOL, D, instances, seed, draw, violations,
     )
 
 

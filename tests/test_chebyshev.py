@@ -47,16 +47,19 @@ def test_values_fix_the_nodes():
 
 
 @pytest.mark.parametrize(
-    "values", [np.ones((3, 3)), np.ones(1), []], ids=["2d", "one", "empty"]
+    "values",
+    [np.ones((2, 3, 3)), np.ones(1), [], np.ones((3, 1)), np.ones((0, 3))],
+    ids=["3d", "one", "empty", "one_value_rows", "empty_stack"],
 )
 def test_rejects_bad_values(values):
+    # 2-d values are a stack of interpolants; see test_stacked_interpolants.
     with pytest.raises(DomainError):
         ChebyshevInterpolant(values)
 
 
 def test_blocked_evaluation_matches_pointwise_calls():
-    # 2049 nodes leave room for 511 rows per block, so 2183 points span
-    # five blocks; node hits fall in several of them.
+    # 2049 nodes leave room for _BLOCK_CELLS // 2049 rows per block, so
+    # 2183 points span more than four blocks; node hits fall in several.
     nodes = lobatto_nodes(2048)
     interp = ChebyshevInterpolant(np.cos(7.0 * nodes))
     x = np.concatenate([np.linspace(0.0, 1.0, 1500), nodes[::3]])

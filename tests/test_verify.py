@@ -11,11 +11,16 @@ from divseq.divergences import (
     named_divergence,
     swap_orientation,
 )
-from divseq.errors import DomainError
+from divseq import verify
+from divseq.cli import main
+from divseq.divergences import evaluate
+from divseq.errors import DomainError, NonFiniteError
 from divseq.verify import (
+    _CLOSED_FORMS,
     PropertyCheck,
     VerificationReport,
     _check,
+    _suite_divergences,
     check_derivative_dominates,
     check_integral_contraction,
     check_iterated_chain,
@@ -100,14 +105,73 @@ class TestNanViolations:
 
     @pytest.mark.parametrize("position", [0, 2, 4])
     def test_runner_turns_any_nan_into_inf(self, position):
-        bodies = [lambda rng, path, separated: 0.5] * 5
-        bodies[position] = lambda rng, path, separated: math.nan
-        calls = iter(bodies)
+        # Each instance draws its own index; the body reports NaN for the
+        # instance at position, whichever stack it lands in.
+        indices = iter(range(5))
         check = _check(
             "nan_probe", "anchor", 1.0, named_divergence("kl"), 5, 3,
-            lambda rng, path, separated: next(calls)(rng, path, separated),
+            lambda rng, n: (next(indices),),
+            lambda path, separated, index: np.where(index == position, math.nan, 0.5),
         )
         assert check.worst_violation == math.inf and not check.passed
+
+
+class TestNonFiniteValues:
+    # A NaN from the evaluator reaches the quadrature of psi and the level-0
+    # fit of psi_iter, which raise NonFiniteError; the runner reports inf.
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda D: check_integral_contraction(D, 20, seed=1),
+            lambda D: check_iterated_chain(D, 3, 20, seed=1),
+            lambda D: check_derivative_dominates(D, 20, seed=1),
+            lambda D: check_path_invariance(D, 20, seed=1),
+        ],
+        ids=["contraction", "chain", "dominates", "invariance"],
+    )
+    def test_every_check_reports_inf(self, run):
+        check = run(_nan_above("chi2", 0.05))
+        assert check.worst_violation == math.inf
+        assert not check.passed
+
+    def test_verify_command_exits_1(self, monkeypatch, capsys):
+        roster = (named_divergence("kl"), _nan_above("chi2", 0.05))
+        monkeypatch.setattr(verify, "_suite_divergences", lambda: roster)
+        assert main(["verify", "--seed", "1", "--instances", "20"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        failed = [c["name"] for c in payload["checks"] if not c["passed"]]
+        assert len(failed) == 4 and all("chi2" in name for name in failed)
+
+    def test_support_size_mismatch_still_raises(self):
+        base = named_divergence("chi2")
+        D = replace(base, evaluator=lambda p, q: evaluate(base, p[..., :-1], q))
+        with pytest.raises(DomainError) as caught:
+            check_integral_contraction(D, 5, seed=1)
+        assert not isinstance(caught.value, NonFiniteError)
+
+
+class TestClosedFormOracles:
+    def test_every_named_chain_in_the_roster_has_an_oracle(self):
+        named = {"chi2", "kl", "jeffreys", "swap(kl)"}
+        assert named <= {D.identifier for D in _suite_divergences()}
+        assert set(_CLOSED_FORMS) == named
+
+    @pytest.mark.parametrize(
+        "D",
+        [D for D in _suite_divergences() if D.identifier in _CLOSED_FORMS],
+        ids=lambda D: D.identifier,
+    )
+    def test_named_chains_pass(self, D):
+        check = check_iterated_chain(D, 3, 30, seed=12)
+        assert check.passed and check.worst_violation <= 1e-11
+
+    @pytest.mark.parametrize("identifier", ["kl", "swap(kl)"])
+    def test_a_wrong_chain_is_caught(self, identifier):
+        # chi2's chain under kl's name misses pl(k + 1); jeffreys' chain
+        # under swap(kl)'s misses sl(k + 1).
+        base = named_divergence("chi2" if identifier == "kl" else "jeffreys")
+        check = check_iterated_chain(replace(base, identifier=identifier), 2, 10, seed=13)
+        assert not check.passed
 
 
 class TestDerivativeDominates:
