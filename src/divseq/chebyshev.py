@@ -134,13 +134,18 @@ class ChebyshevInterpolant:
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
         # x is (k,) for one interpolant and (m, k) for a stack of m.
         diff = x[..., None] - self.nodes
-        hits = np.nonzero(diff == 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             inv = self.weights / diff
             # Row-wise reductions rather than a matvec so that scalar and
             # batched calls reduce in the same order and agree bitwise.
             out = (inv * self.values[..., None, :]).sum(axis=-1) / inv.sum(axis=-1)
-        out[hits[:-1]] = self.values[hits[:-2] + hits[-1:]]
+        # A point on a node divides by zero, and a point within about 1e-308
+        # of one overflows: both leave a non-finite value, and there the
+        # nearest node's value is the interpolant's value.
+        bad = np.nonzero(~np.isfinite(out) & np.isfinite(x))
+        if bad[0].size:
+            nearest = np.abs(x[bad][:, None] - self.nodes).argmin(axis=-1)
+            out[bad] = self.values[bad[:-1] + (nearest,)]
         return out
 
     def lifted(self) -> "ChebyshevInterpolant":

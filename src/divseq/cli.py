@@ -25,7 +25,8 @@ from .sequences import pl, sl
 from .verify import run_suite
 
 _VALUE_FORMAT = "%.15g"
-_SEQUENCES = {"pl": pl, "sl": sl}
+# Names, resolved at call time so that a rebound pl or sl is the one called.
+_SEQUENCES = ("pl", "sl")
 
 
 def _load_pair(args) -> tuple[Distribution, Distribution]:
@@ -44,7 +45,10 @@ def _load_pair(args) -> tuple[Distribution, Distribution]:
         raise DomainError(f"pair input is not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or "p" not in payload or "q" not in payload:
         raise DomainError('pair input must be an object with "p" and "q" arrays')
-    return new_distribution(payload["p"]), new_distribution(payload["q"])
+    start, end = new_distribution(payload["p"]), new_distribution(payload["q"])
+    if start.stack_size is not None or end.stack_size is not None:
+        raise DomainError('pair input "p" and "q" must be 1-d mass arrays')
+    return start, end
 
 
 def _operator_levels(args, path: MixturePath, grid: np.ndarray) -> np.ndarray:
@@ -88,7 +92,7 @@ def _cmd_eval(args) -> int:
     else:
         if args.k is None:
             raise DomainError("--k is required with --seq")
-        family = _SEQUENCES[args.seq]
+        family = pl if args.seq == "pl" else sl
         value = family(args.k, start, mixture(path, t))
     print(_VALUE_FORMAT % value)
     return 0
@@ -104,7 +108,7 @@ def _cmd_sweep(args) -> int:
     if args.div is not None:
         columns = _operator_levels(args, path, grid).T
     else:
-        family = _SEQUENCES[args.seq]
+        family = pl if args.seq == "pl" else sl
         columns = [
             _sequence_levels(family, start, path, float(t), args.depth) for t in grid
         ]
@@ -148,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="print a single value")
     _add_pair_flags(ev)
     ev.add_argument("--div", choices=NAMED_IDENTIFIERS)
-    ev.add_argument("--seq", choices=sorted(_SEQUENCES))
+    ev.add_argument("--seq", choices=_SEQUENCES)
     ev.add_argument("--k", type=int, help="sequence order (with --seq)")
     ev.add_argument("--t", type=float, default=1.0, help="path position in [0, 1]")
     ev.add_argument(
@@ -160,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="print a (t, k, value) table")
     _add_pair_flags(sw)
     sw.add_argument("--div", choices=NAMED_IDENTIFIERS)
-    sw.add_argument("--seq", choices=sorted(_SEQUENCES))
+    sw.add_argument("--seq", choices=_SEQUENCES)
     sw.add_argument(
         "--t", required=True, help="inclusive grid start:stop:count, count >= 2"
     )

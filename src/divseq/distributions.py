@@ -7,9 +7,11 @@ central object: operators integrate and differentiate along it.
 
 Masses of shape (m, n) are a stack of m distributions on one support of
 size n, each row validated on its own, and two stacks of equal shape make
-a stack of m paths. Row i of a stack is then handled exactly as the
-single distribution or path it holds would be; stacking is an input
-shape, not a separate API.
+a stack of m paths. A single distribution, pair or path is a stack of one:
+_lift_pair and _lift_path turn every input into endpoint rows (m, n) and
+positions (m, L) when it enters a public function, and the caller's shape
+they record turns the result back into the caller's form on return. They
+are the only places that tell a single input from a stack.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, require_position, require_positions
+from .errors import DomainError
 
 # Inputs whose mass sum drifts from 1 by less than this are renormalized;
 # anything further off is rejected as a bad input rather than silently fixed.
@@ -87,10 +89,13 @@ def new_distribution(masses: Sequence[float] | np.ndarray) -> Distribution:
 
     Sums within ``RENORMALIZATION_WINDOW`` of 1 are renormalized (benign
     floating point drift), row by row for a stack; larger deviations raise
-    DomainError, and the Distribution constructor rejects any other
-    malformed input.
+    DomainError, and so do masses that are not numbers or not a regular
+    array; the Distribution constructor rejects any other malformed input.
     """
-    arr = np.asarray(masses, dtype=np.float64)
+    try:
+        arr = np.asarray(masses, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"masses must be an array of numbers: {exc}") from None
     _require_shape(arr)
     totals = arr.sum(axis=-1, keepdims=True)
     off = np.abs(totals - 1.0) >= RENORMALIZATION_WINDOW
@@ -129,19 +134,19 @@ def random_distribution(n: int, seed: int, min_mass: float = 0.01) -> Distributi
 def _mix(p: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray:
     """(1-t) p + t q for masses p, q and positions t, of shape t.shape + (n,).
 
-    p and q are one distribution's masses (n,), for any shape of t, or
-    stacks (m, n), for t of shape (m, ...) whose row i moves along row i.
-    The convex form recovers the endpoints bitwise at t = 0 and t = 1 and
-    stays strictly positive in between.
+    p and q are masses (..., n) whose leading axes lead t's: row i of a
+    stack (m, n) moves along t[i], and one distribution (n,) along all of
+    t. The convex form recovers the endpoints bitwise at t = 0 and t = 1
+    and stays strictly positive in between.
     """
-    if p.ndim == 2:
-        if t.ndim == 0 or t.shape[0] != p.shape[0]:
-            raise DomainError(
-                f"positions on a stack of {p.shape[0]} paths need a leading "
-                f"axis of {p.shape[0]}, got shape {t.shape}"
-            )
-        shape = p.shape[:1] + (1,) * (t.ndim - 1) + p.shape[1:]
-        p, q = p.reshape(shape), q.reshape(shape)
+    lead = p.shape[:-1]
+    if t.shape[: len(lead)] != lead:
+        raise DomainError(
+            f"positions on a stack of {lead[0]} paths need a leading axis of "
+            f"{lead[0]}, got shape {t.shape}"
+        )
+    shape = lead + (1,) * (t.ndim - len(lead)) + p.shape[-1:]
+    p, q = p.reshape(shape), q.reshape(shape)
     return (1.0 - t)[..., None] * p + t[..., None] * q
 
 
@@ -180,16 +185,57 @@ class MixturePath:
         return _mix(self.start.masses, self.end.masses, np.asarray(t, dtype=np.float64))
 
 
+def _lift_pair(P, Q) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Mass rows p, q (m, n) of two distributions (or raw mass arrays) on
+    the same support, or of two stacks of m, and the caller's shape: () for
+    a single pair, a stack of one, and (m,) for two stacks.
+    """
+    p = np.asarray(getattr(P, "masses", P), dtype=np.float64)
+    q = np.asarray(getattr(Q, "masses", Q), dtype=np.float64)
+    if p.shape != q.shape or p.ndim == 0:
+        raise DomainError(f"need mass arrays of one shape, got {p.shape} and {q.shape}")
+    return p.reshape(-1, p.shape[-1]), q.reshape(-1, q.shape[-1]), p.shape[:-1]
+
+
+def _lift_path(path: MixturePath, t) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """Endpoint rows p, q (m, n) of a path or stack of m paths, positions
+    (m, L) on them and the caller's shape of t.
+
+    A single path is a stack of one, and t a row of positions on it: a
+    scalar or a nonempty 1-d grid. On a stack of m paths t has shape (m,),
+    one position per path, or (m, k), one grid per path. A result
+    (..., m, L) computed on the rows is reshaped to (...) + shape on
+    return. Every position must lie in [0, 1].
+    """
+    p, q = path.start.masses, path.end.masses
+    t = np.asarray(t, dtype=float)
+    shape = t.shape
+    if path.stack_size is None:
+        p, q, t = p[None], q[None], t[None]
+    m = len(p)
+    if t.ndim not in (1, 2) or t.shape[0] != m or t.size == 0:
+        raise DomainError(
+            f"positions take a scalar or a nonempty 1-d grid on a single path, and "
+            f"shape ({m},) or ({m}, k) on a stack of {m} paths, got shape {shape}"
+        )
+    if not (t.min() >= 0.0 and t.max() <= 1.0):  # NaN fails both
+        raise DomainError("path positions must lie in [0, 1]")
+    return p, q, t.reshape(m, -1), shape
+
+
+def _caller_form(values: np.ndarray, shape: tuple):
+    """values reshaped to the caller's shape: a float where that is ()."""
+    values = np.reshape(values, shape)
+    return float(values) if values.ndim == 0 else values
+
+
 def mixture(path: MixturePath, t) -> Distribution:
     """The distribution at position t along the path, t in [0, 1].
 
     On a stack of m paths t has shape (m,), and the result is the stack of
     the mixtures of path i at t[i].
     """
-    if path.stack_size is None:
-        row = path.masses_at(np.array([require_position(t)]))[0]
-        return Distribution(row)
-    t = require_positions(t, path.stack_size)
-    if t.ndim != 1:
-        raise DomainError(f"mixture takes one position per path, got shape {t.shape}")
-    return Distribution(path.masses_at(t))
+    p, q, s, shape = _lift_path(path, t)
+    if shape != path.start.masses.shape[:-1]:
+        raise DomainError(f"mixture takes one position per path, got shape {shape}")
+    return Distribution(_mix(p, q, s).reshape(shape + p.shape[-1:]))

@@ -16,15 +16,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import MixturePath
-from .errors import DomainError, SpecError, require_pair, require_positions
+from .distributions import MixturePath, _caller_form, _lift_pair, _lift_path, _mix
+from .errors import DomainError, SpecError
 
-# Path-derivative callables take (path, t) and return d/dt of the
-# functional evaluated with the path's start pinned in one slot and the
-# moving mixture R(t) in the other: a float for a position t, an array of
-# t's shape for a grid of positions or for the positions on a stack of
-# paths.
-PathDerivative = Callable[[MixturePath, float | np.ndarray], float | np.ndarray]
+# Path-derivative callables take (ends, s): the endpoint rows (p, q), each
+# (m, n), of a stack of m paths, and positions s of shape (m, L), row i on
+# path i. They return the (m, L) values of d/dt of the functional
+# evaluated with the path's start pinned in one slot and the moving
+# mixture R(t) in the other.
+PathDerivative = Callable[[tuple[np.ndarray, np.ndarray], np.ndarray], np.ndarray]
 
 
 class Orientation(Enum):
@@ -38,10 +38,10 @@ class DivergenceFunctional:
 
     ``evaluator`` maps two mass arrays to a value and broadcasts: the
     arguments are arrays (..., n) that broadcast against each other, and
-    the reduction is over the last axis, so every row reduces on its own. It takes mass arrays only; ``evaluate`` is the
-    entry point that also accepts Distribution objects.
-    ``analytic_path_derivative`` gives d/dt of
-    evaluator(start, R(t)); it is None for a functional whose second
+    the reduction is over the last axis, so every row reduces on its own.
+    It takes mass arrays only; ``evaluate`` is the entry point that also
+    accepts Distribution objects. ``analytic_path_derivative`` gives d/dt
+    of evaluator(start, R(t)); it is None for a functional whose second
     argument has no derivative formula (an unswapped Bregman divergence).
     """
 
@@ -55,22 +55,19 @@ class DivergenceFunctional:
     mirror_path_derivative: Optional[PathDerivative] = field(default=None, repr=False)
 
 
-def evaluate(D: DivergenceFunctional, P, Q) -> float:
-    """The divergence value D(P | Q); DomainError on support mismatch."""
-    return float(D.evaluator(*require_pair(P, Q)))
+def evaluate(D: DivergenceFunctional, P, Q):
+    """The divergence value D(P | Q): a float for two distributions, an
+    array of the m rows' values for two stacks of m; DomainError on a
+    support or stack mismatch."""
+    p, q, shape = _lift_pair(P, Q)
+    return _caller_form(D.evaluator(p, q), shape)
 
 
-def _path_parts(path: MixturePath, t):
-    """Start masses, direction and R(t), broadcast against each other: one
-    row for a position t, rows of t's shape for a grid, and on a stack of
-    paths the start and direction of path i against row i of t."""
-    p = path.start.masses
-    delta = path.end.masses - p
-    r = path.masses_at(np.atleast_1d(t)).reshape(np.shape(t) + p.shape[-1:])
-    if p.ndim == 2:
-        shape = p.shape[:1] + (1,) * (np.ndim(t) - 1) + p.shape[1:]
-        p, delta = p.reshape(shape), delta.reshape(shape)
-    return p, delta, r
+def _path_parts(ends: tuple[np.ndarray, np.ndarray], s: np.ndarray):
+    """Start masses and direction (m, 1, n) of the paths between the rows
+    of ends, and their mixtures (m, L, n) at positions s of shape (m, L)."""
+    p, q = ends
+    return p[:, None], (q - p)[:, None], _mix(p, q, s)
 
 
 def _f_functional(identifier: str, mass_fn, f, fp) -> DivergenceFunctional:
@@ -81,13 +78,13 @@ def _f_functional(identifier: str, mass_fn, f, fp) -> DivergenceFunctional:
     u = p/r, moving the first gives Sum delta f'(r/p).
     """
 
-    def deriv_moving_right(path, t):
-        p, delta, r = _path_parts(path, t)
+    def deriv_moving_right(ends, s):
+        p, delta, r = _path_parts(ends, s)
         u = p / r
         return np.sum(delta * (f(u) - u * fp(u)), axis=-1)
 
-    def deriv_moving_left(path, t):
-        p, delta, r = _path_parts(path, t)
+    def deriv_moving_left(ends, s):
+        p, delta, r = _path_parts(ends, s)
         return np.sum(delta * fp(r / p), axis=-1)
 
     return DivergenceFunctional(
@@ -231,8 +228,8 @@ def make_bregman(spec: BregmanSpec) -> DivergenceFunctional:
     def mass_fn(p, q):
         return np.sum(F(p) - F(q) - Fp(q) * (p - q), axis=-1)
 
-    def deriv_moving_left(path, t):
-        p, delta, r = _path_parts(path, t)
+    def deriv_moving_left(ends, s):
+        p, delta, r = _path_parts(ends, s)
         return np.sum(delta * (Fp(r) - Fp(p)), axis=-1)
 
     return DivergenceFunctional(
@@ -271,11 +268,10 @@ def path_derivative(D: DivergenceFunctional, path: MixturePath, t):
     [0, 1], t has the wrong shape, or D has no derivative in its second
     argument (an unswapped Bregman functional).
     """
-    t = require_positions(t, path.stack_size)
+    p, q, s, shape = _lift_path(path, t)
     if D.analytic_path_derivative is None:
         raise DomainError(
             f"divergence {D.identifier!r} has no derivative in its second "
             "argument; wrap it with swap_orientation first"
         )
-    value = D.analytic_path_derivative(path, t)
-    return float(value) if np.ndim(t) == 0 else np.asarray(value, dtype=float)
+    return _caller_form(np.asarray(D.analytic_path_derivative((p, q), s), dtype=float), shape)

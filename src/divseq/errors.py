@@ -52,44 +52,3 @@ def require_positive(x, name: str) -> float:
     if not 0.0 < x < np.inf:
         raise DomainError(f"{name} must be positive and finite, got {x!r}")
     return x
-
-
-def require_grid(t_grid) -> np.ndarray:
-    """A nonempty 1-d float array of path positions, all in [0, 1]."""
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise DomainError("t_grid must be a nonempty 1-d array")
-    if not np.all(np.isfinite(grid)) or np.any(grid < 0.0) or np.any(grid > 1.0):
-        raise DomainError("t_grid values must lie in [0, 1]")
-    return grid
-
-
-def require_positions(t, stack: int | None = None):
-    """Path positions for one path or for a stack of paths.
-
-    For one path (stack None): require_position for a scalar t,
-    require_grid for anything else. For a stack of that many paths: a float
-    array of shape (stack,), one position per path, or (stack, k), one
-    grid per path, with k >= 1 and every value in [0, 1].
-    """
-    if stack is None:
-        return require_position(t) if np.ndim(t) == 0 else require_grid(t)
-    t = np.asarray(t, dtype=float)
-    if t.ndim not in (1, 2) or t.shape[0] != stack or t.size == 0:
-        raise DomainError(
-            f"positions on a stack of {stack} paths need shape ({stack},) or "
-            f"({stack}, k), got {t.shape}"
-        )
-    if not np.all(np.isfinite(t)) or np.any(t < 0.0) or np.any(t > 1.0):
-        raise DomainError("path positions must lie in [0, 1]")
-    return t
-
-
-def require_pair(P, Q) -> tuple[np.ndarray, np.ndarray]:
-    """Mass arrays of two distributions (or raw arrays) on the same support,
-    or of two stacks of equal shape."""
-    p = np.asarray(getattr(P, "masses", P), dtype=np.float64)
-    q = np.asarray(getattr(Q, "masses", Q), dtype=np.float64)
-    if p.shape != q.shape:
-        raise DomainError(f"support sizes or stack shapes differ: {p.shape} vs {q.shape}")
-    return p, q

@@ -5,9 +5,12 @@ contracts any right-convex divergence toward zero; the differential
 operator t -> t * d/dt D(P | R(t)) expands it. Both take a position t or
 a 1-d grid of positions, and on a stack of m paths t of shape (m,), one
 position per path, or (m, k), one grid per path; each result has t's
-shape. Since ds/s is scale-free, psi at t is Integral_0^1 D(P | R(t u)) /
-u du, so every (path, position) pair is one component of a single
-integral over [0, 1] on shared Gauss-Kronrod panels. Iterated application
+shape. Every operator lifts its path to a stack (a single path is a stack
+of one, see distributions._lift_path), computes on endpoint rows (m, n)
+and positions (m, L) only, and reshapes the result to the caller's form.
+Since ds/s is scale-free, psi at t is Integral_0^1 D(P | R(t u)) / u du,
+so every (path, position) pair is one component of a single integral
+over [0, 1] on shared Gauss-Kronrod panels. Iterated application
 of the integral operator fits D(P | R(s)) once by a Chebyshev polynomial,
 over the whole stack, to a residual target tol, and integrates that
 polynomial exactly, level after level, in its Chebyshev coefficients, so
@@ -23,16 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import _BLOCK_CELLS, ChebyshevInterpolant
-from .distributions import MixturePath, _mix
+from .distributions import MixturePath, _caller_form, _lift_path, _mix
 from .divergences import DivergenceFunctional, Orientation, path_derivative
-from .errors import (
-    DomainError,
-    require_grid,
-    require_index,
-    require_position,
-    require_positions,
-    require_positive,
-)
+from .errors import DomainError, require_index, require_position, require_positive
 from .quadrature import QuadratureConfig, integrate
 
 __all__ = [
@@ -59,41 +55,25 @@ def _require_right_convex(D: DivergenceFunctional) -> None:
         )
 
 
-def _along(D: DivergenceFunctional, p: np.ndarray, q: np.ndarray, s) -> np.ndarray:
-    """D(p | (1-s) p + s q) at positions s, an array of s's shape.
+def _along(
+    D: DivergenceFunctional, p: np.ndarray, q: np.ndarray, s: np.ndarray, paths: np.ndarray
+) -> np.ndarray:
+    """D(p | (1-s) p + s q) at positions s (m, L), row i along the path
+    with endpoint rows p[paths[i]] and q[paths[i]]: an (m, L) array.
 
-    p and q are one path's endpoint masses (n,), for any shape of s, or
-    rows (m, n), for s of shape (m, L) whose row i moves along row i. The
-    mixtures are formed and reduced in blocks of at most _BLOCK_CELLS mass
-    cells; each position reduces on its own, so blocking changes no value.
+    The mixtures are formed and reduced in blocks of at most _BLOCK_CELLS
+    mass cells: whole rows of s where one fits, else pieces of a row. Each
+    position reduces on its own, so blocking changes no value.
     """
-    s = np.asarray(s, dtype=float)
     out = np.empty(s.shape)
-    if p.ndim == 1:
-        flat_s, flat_out = s.reshape(-1), out.reshape(-1)
-        step = max(1, _BLOCK_CELLS // p.size)
-        for lo in range(0, flat_s.size, step):
-            block = flat_s[lo : lo + step]
-            flat_out[lo : lo + step] = D.evaluator(p, _mix(p, q, block))
-        return out
-    rows = _BLOCK_CELLS // s[0].size // p.shape[-1]
-    if rows == 0:
-        # One path's positions fill a block: take the paths one at a time.
-        for i in range(len(s)):
-            out[i] = _along(D, p[i], q[i], s[i])
-        return out
-    for lo in range(0, len(s), rows):
-        pb, qb = p[lo : lo + rows], q[lo : lo + rows]
-        out[lo : lo + rows] = D.evaluator(pb[:, None], _mix(pb, qb, s[lo : lo + rows]))
+    cells = max(1, _BLOCK_CELLS // p.shape[-1])
+    rows, step = max(1, cells // s.shape[1]), min(s.shape[1], cells)
+    for i in range(0, len(s), rows):
+        pb, qb = p[paths[i : i + rows]], q[paths[i : i + rows]]
+        for j in range(0, s.shape[1], step):
+            block = s[i : i + rows, j : j + step]
+            out[i : i + rows, j : j + step] = D.evaluator(pb[:, None], _mix(pb, qb, block))
     return out
-
-
-def _path_rows(path: MixturePath, t: np.ndarray) -> np.ndarray:
-    """The stacked path each position of t lies on: 0 on a single path."""
-    if path.stack_size is None:
-        return np.zeros(np.shape(t), dtype=int)
-    rows = np.arange(path.stack_size).reshape((-1,) + (1,) * (t.ndim - 1))
-    return np.broadcast_to(rows, t.shape)
 
 
 def psi(
@@ -115,31 +95,27 @@ def psi(
     """
     _require_right_convex(D)
     cfg = QuadratureConfig() if cfg is None else cfg
-    t = np.asarray(require_positions(t, path.stack_size))
-    rows = _path_rows(path, t)
-    live = (t > 0.0) & ~np.atleast_1d(path.is_constant)[rows]
+    p, q, t, shape = _lift_path(path, t)
+    rows = np.broadcast_to(np.arange(len(t))[:, None], t.shape)
+    live = (t > 0.0) & ~np.all(p == q, axis=-1)[:, None]
     # One component per distinct (path, position) pair, in sorted order, so
     # that neither the order of t nor its duplicates change a value.
     pairs, which = np.unique(
         np.stack([rows[live], t[live]], axis=-1), axis=0, return_inverse=True
     )
-    positions = pairs[:, 1]
-    p, q = path.start.masses, path.end.masses
-    if p.ndim == 2:
-        index = pairs[:, 0].astype(int)
-        p, q = p[index], q[index]
+    index, positions = pairs[:, 0].astype(int), pairs[:, 1]
 
     def f(u: np.ndarray) -> np.ndarray:
-        return _along(D, p, q, positions[:, None] * u) / u
+        return _along(D, p, q, positions[:, None] * u, index) / u
 
     values = np.zeros(t.shape)
     err, evals = np.zeros(1), 0
     if positions.size:
         integrals, err, evals = integrate(f, 0.0, 1.0, cfg)
         values[live] = integrals[which.reshape(-1)]
-    if t.ndim == 0:
-        return OperatorResult(float(values), float(err[0]), evals)
-    return values
+    if shape == ():
+        return OperatorResult(float(values[0, 0]), float(err[0]), evals)
+    return values.reshape(shape)
 
 
 def psi_inverse(D: DivergenceFunctional, path: MixturePath, t):
@@ -153,7 +129,8 @@ def psi_inverse(D: DivergenceFunctional, path: MixturePath, t):
     without changing any other value.
     """
     _require_right_convex(D)
-    t = require_positions(t, path.stack_size)
+    _, _, s, shape = _lift_path(path, t)
+    t = _caller_form(s, shape)
     return t * path_derivative(D, path, t) + 0.0
 
 
@@ -175,7 +152,7 @@ def psi_iter(
     nodes drops below tol on every path), and each further level
     integrates the previous level's polynomial over s exactly, in its
     Chebyshev coefficients, on the same nodes. Rows are nonincreasing in
-    the level at every grid point.
+    the level at every grid point, and a constant path gives zeros.
 
     No level is refitted or integrated numerically, so every level's error
     is the level-0 residual r carried through psi: at most about
@@ -186,30 +163,23 @@ def psi_iter(
     _require_right_convex(D)
     tol = require_positive(tol, "tol")
     k = require_index(k, "iteration depth")
-    stack = path.stack_size
-    grid = require_grid(t_grid) if stack is None else require_positions(t_grid, stack)
-
-    levels = np.zeros((k + 1,) + grid.shape)
-    if stack is None and path.is_constant:
-        return levels
-    p, q = path.start.masses, path.end.masses
-    # Positions with one row per path on a stack: (m, L).
-    per_path = grid if stack is None else grid.reshape(stack, -1)
+    if np.ndim(t_grid) == 0:
+        raise DomainError("t_grid must be a nonempty 1-d array, not a scalar")
+    p, q, t, shape = _lift_path(path, t_grid)
+    every = np.arange(len(p))
 
     def level_zero(s: np.ndarray) -> np.ndarray:
-        if stack is not None:
-            s = np.broadcast_to(s, (stack, s.size))
-        return _along(D, p, q, s)
+        return _along(D, p, q, np.broadcast_to(s, (len(p), s.size)), every)
 
-    levels[0] = _along(D, p, q, per_path).reshape(grid.shape)
+    levels = np.empty((k + 1,) + t.shape)
+    levels[0] = _along(D, p, q, t, every)
     if k > 0:
         interp, _, _ = ChebyshevInterpolant.fit_adaptive(level_zero, tol)
         for level in range(1, k + 1):
             interp = interp.lifted()
-            levels[level] = interp(per_path).reshape(grid.shape)
-    if stack is not None:
-        levels[:, path.is_constant] = 0.0
-    return levels
+            levels[level] = interp(t)
+    levels[:, np.all(p == q, axis=-1)] = 0.0
+    return levels.reshape((k + 1,) + shape)
 
 
 # Fourth-order first-derivative stencils, rows (steps, weights): the

@@ -8,10 +8,10 @@ These closed forms serve as exact oracles for the numerically iterated
 integral operator. Each order is one array call of the polylogarithm over
 the whole support, in the variable w, which keeps every digit as
 q_i/p_i -> 0. When the sum cancels, as it does near P, the coordinates
-near P are summed as p_i (Li_k(z_i) - z_i) and p_i - q_i instead. pl and
-sl also take two (m, n) stacks and give the m rows' values from one
-polylogarithm call per order, deciding the cancellation fallback row by
-row.
+near P are summed as p_i (Li_k(z_i) - z_i) and p_i - q_i instead. Every
+function here also takes two (m, n) stacks and gives the m rows' values:
+a single pair is a stack of one. pl and sl make one polylogarithm call
+per order over all rows and decide the cancellation fallback row by row.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ import math
 
 import numpy as np
 
+from .distributions import _caller_form, _lift_pair
 from .divergences import named_divergence
-from .errors import require_index, require_pair, require_position
+from .errors import require_index, require_position
 from .polylog import _series, polylog
 
 _JEFFREYS = named_divergence("jeffreys")
@@ -60,16 +61,14 @@ def _split_sum(k: int, p, q, w, terms) -> float:
     return float(split) + math.fsum(d[near].tolist())
 
 
-def _pl(k: int, p: np.ndarray, q: np.ndarray):
-    """pl for one pair (a float) or for the rows of two stacks (an array);
-    every row's polylogarithm terms come from one array call."""
+def _pl(k: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """pl for the rows (m, n) of two stacks, an array of m values; every
+    row's polylogarithm terms come from one array call."""
     w = q / p
     terms = p * polylog(k, w=w)
     total = np.sum(terms, axis=-1)
     plain = np.sum(np.abs(terms), axis=-1) <= _MAX_CANCELLATION * np.abs(total)
-    if p.ndim == 1:
-        return float(total) if plain else _split_sum(k, p, q, w, terms)
-    for i in np.flatnonzero(~plain):
+    for i in (~plain).nonzero()[0]:
         total[i] = _split_sum(k, p[i], q[i], w[i], terms[i])
     return total
 
@@ -81,8 +80,8 @@ def pl(k, P, Q):
     rows' values.
     """
     k = require_index(k)
-    p, q = require_pair(P, Q)
-    return _pl(k, p, q)
+    p, q, shape = _lift_pair(P, Q)
+    return _caller_form(_pl(k, p, q), shape)
 
 
 def sl(k, P, Q):
@@ -92,18 +91,17 @@ def sl(k, P, Q):
     rows' values.
     """
     k = require_index(k)
-    p, q = require_pair(P, Q)
+    p, q, shape = _lift_pair(P, Q)
     total = _JEFFREYS.evaluator(p, q)
-    total = float(total) if p.ndim == 1 else total
     for j in range(1, k + 1):
         total -= _pl(j, p, q)
-    return total
+    return _caller_form(total, shape)
 
 
-def _mixture_row(P, Q, t) -> tuple[np.ndarray, np.ndarray]:
-    p, q = require_pair(P, Q)
+def _mixture_rows(P, Q, t) -> tuple[np.ndarray, np.ndarray, tuple]:
+    p, q, shape = _lift_pair(P, Q)
     t = require_position(t)
-    return p, (1.0 - t) * p + t * q
+    return p, (1.0 - t) * p + t * q, shape
 
 
 def _root_gap(p: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -116,25 +114,31 @@ def _x_minus_log1p(x: np.ndarray) -> np.ndarray:
     return np.where(np.abs(x) <= _XLOG_TAYLOR_RADIUS, series, x - np.log1p(x))
 
 
-def hellinger_psi_inverse(P, Q, t) -> float:
+def hellinger_psi_inverse(P, Q, t):
     """Closed form for the differential operator applied to squared
-    Hellinger: Hel2(P, R(t)) + (1/2) Sum (sqrt(r) - sqrt(p))^2 sqrt(p/r)."""
-    p, r = _mixture_row(P, Q, t)
+    Hellinger: Hel2(P, R(t)) + (1/2) Sum (sqrt(r) - sqrt(p))^2 sqrt(p/r):
+    a float for two distributions, m values for two stacks of m."""
+    p, r, shape = _mixture_rows(P, Q, t)
     gap = _root_gap(p, r) ** 2
-    return float(0.5 * np.sum(gap) + 0.5 * np.sum(gap * np.sqrt(p / r)))
+    value = 0.5 * np.sum(gap, axis=-1) + 0.5 * np.sum(gap * np.sqrt(p / r), axis=-1)
+    return _caller_form(value, shape)
 
 
-def hellinger_psi(P, Q, t) -> float:
+def hellinger_psi(P, Q, t):
     """Closed form for the integral operator applied to squared Hellinger:
     2 Hel2(P, R(t)) + 2 Sum p log((sqrt(p) + sqrt(r)) / (2 sqrt(p))).
 
     With g = sqrt(r) - sqrt(p) and x = g / (2 sqrt(p)) this equals
     (1/2) Sum g^2 + (1/2) Sum (r - p) - 2 Sum p (x - log1p(x)), whose
-    terms do not cancel to first order when R(t) is close to P.
+    terms do not cancel to first order when R(t) is close to P. A float
+    for two distributions, m values for two stacks of m.
     """
-    p, r = _mixture_row(P, Q, t)
+    p, r, shape = _mixture_rows(P, Q, t)
     gap = _root_gap(p, r)
     x = gap / (2.0 * np.sqrt(p))
-    return float(
-        0.5 * np.sum(gap**2) + 0.5 * np.sum(r - p) - 2.0 * np.sum(p * _x_minus_log1p(x))
+    value = (
+        0.5 * np.sum(gap**2, axis=-1)
+        + 0.5 * np.sum(r - p, axis=-1)
+        - 2.0 * np.sum(p * _x_minus_log1p(x), axis=-1)
     )
+    return _caller_form(value, shape)

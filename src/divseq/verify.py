@@ -65,12 +65,14 @@ _FIXED_GRID = np.linspace(0.0, 1.0, 11)
 # Divergences whose iterated chains have closed forms to compare against:
 # level k is sequence(k + shift). psi[chi2] = kl and psi[jeffreys] =
 # reverse kl, so the kl and reverse-kl (swap(kl)) chains are the chi2 and
-# jeffreys chains one level on.
+# jeffreys chains one level on. The sequences are named and resolved when
+# a check runs, so a rebound pl or sl (a tracing or counting wrapper) is
+# the one called.
 _CLOSED_FORMS = {
-    "chi2": (pl, 0),
-    "jeffreys": (sl, 0),
-    "kl": (pl, 1),
-    "swap(kl)": (sl, 1),
+    "chi2": ("pl", 0),
+    "jeffreys": ("sl", 0),
+    "kl": ("pl", 1),
+    "swap(kl)": ("sl", 1),
 }
 
 
@@ -249,7 +251,8 @@ def check_iterated_chain(
             *(_strict_increase_violation(row, separated) for row in levels),
         )
         if closed_form is not None:
-            sequence, shift = closed_form
+            name, shift = closed_form
+            sequence = pl if name == "pl" else sl
             at = np.arange(len(ts))
             probe = mixture(path, ts[at, probe_index])
             for k in range(depth + 1):

@@ -34,6 +34,21 @@ def test_interpolates_node_values_exactly():
     assert np.array_equal(interp(nodes), vals)
 
 
+def test_node_hits_and_overflow_take_the_node_value():
+    # Points on a node, or so close to one that 1/(x - node) overflows,
+    # take that node's value bitwise, for one interpolant and for a stack;
+    # a NaN point stays NaN.
+    nodes = lobatto_nodes(32)
+    values = np.stack([np.cos(3.0 * nodes) + 1.0, np.sin(5.0 * nodes)])
+    x = np.concatenate([nodes, [1e-310, 5e-324, 1.0 - 1e-17]])
+    expected = np.concatenate([values, values[:, [0, 0, -1]]], axis=-1)
+    stack = ChebyshevInterpolant(values)
+    assert stack(x).tobytes() == expected.tobytes()
+    for row, want in zip(values, expected):
+        assert ChebyshevInterpolant(row)(x).tobytes() == want.tobytes()
+    assert np.isnan(stack(np.array([np.nan, 0.5]))[:, 0]).all()
+
+
 def test_values_fix_the_nodes():
     # n + 1 values sit at lobatto_nodes(n); nodes cannot be passed, so
     # values sampled elsewhere cannot be paired with the Lobatto weights.

@@ -75,6 +75,31 @@ class TestEval:
         assert code == 2
         assert err != ""
 
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"p":["a",1],"q":[0.5,0.5]}',
+            '{"p":{"a":1},"q":[0.5,0.5]}',
+            '{"p":[[0.5,0.5],[0.5]],"q":[0.5,0.5]}',
+            '{"p":[[0.5,0.5]],"q":[[0.25,0.75]]}',
+        ],
+        ids=["string_mass", "object_masses", "ragged", "stacked_pair"],
+    )
+    def test_masses_that_are_not_one_distribution_exit_2(self, capsys, command, bad):
+        argv = [command, "--div", "kl", "--pair", bad]
+        if command == "sweep":
+            argv += ["--t", "0:1:3"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+    def test_subnormal_position_prints_a_number(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["eval", "--div", "chi2", "--depth", "2", "--t", "1e-310", "--pair", PAIR]
+        )
+        assert code == 0 and float(out) == 0.0
+
     def test_malformed_json_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["eval", "--div", "kl", "--pair", "{oops"])
         assert code == 2

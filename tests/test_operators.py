@@ -262,6 +262,14 @@ class TestPsiIter:
         )
         assert proc.stdout.strip() == "ToleranceError", proc.stderr
 
+    @pytest.mark.parametrize("t", [1e-310, 5e-324])
+    def test_levels_at_a_subnormal_position_are_zero(self, t):
+        # 1/t overflows next to the node at 0, where every level above 0
+        # is exactly 0.
+        for identifier in ("chi2", "kl"):
+            rows = psi_iter(named_divergence(identifier), 3, PATH, np.array([t, 1.0]))
+            assert np.all(rows[1:, 0] == 0.0) and np.all(np.isfinite(rows))
+
     def test_rejects_bad_inputs(self):
         D = named_divergence("chi2")
         with pytest.raises(DomainError):

@@ -1,6 +1,8 @@
-"""Smoke runs of the study scripts, so an API change that breaks one fails here."""
+"""Smoke runs of the study scripts and of the README's examples, so an API
+change that breaks one fails here."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +38,12 @@ def test_scripts_run_and_print_their_csv_header():
         out, err = proc.communicate(timeout=60)
         assert proc.returncode == 0, f"{name}: {err}"
         assert out.splitlines()[0] == RUNS[name][1], name
+
+
+def test_readme_python_blocks_run(capsys):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) >= 2
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), {})
+    assert capsys.readouterr().out

@@ -15,10 +15,10 @@ from divseq.distributions import (
     new_distribution,
     random_distribution,
 )
-from divseq.divergences import named_divergence, path_derivative
+from divseq.divergences import evaluate, named_divergence, path_derivative
 from divseq.errors import DomainError
 from divseq.operators import QuadratureConfig, psi, psi_inverse, psi_iter, psi_roundtrip
-from divseq.sequences import pl, sl
+from divseq.sequences import hellinger_psi, hellinger_psi_inverse, pl, sl
 from divseq.verify import _suite_divergences
 
 SUITE = _suite_divergences()
@@ -114,6 +114,22 @@ def test_closed_form_rows_within_1e12_relative(n):
                 assert abs(values[i] - alone) <= 1e-12 * abs(alone), (family.__name__, k, i)
 
 
+@pytest.mark.parametrize("n", [2, 7, 300])
+def test_evaluate_and_hellinger_forms_give_one_value_per_row(n):
+    stacked, singles = _stack(n, seed=9 * n)
+    P, Q = stacked.start, stacked.end
+    values = [evaluate(D, P, Q) for D in SUITE]
+    hellinger = [f(P, Q, 0.4) for f in (hellinger_psi, hellinger_psi_inverse)]
+    for row in values + hellinger:
+        assert row.shape == (M,)
+    for i, path in enumerate(singles):
+        A, B = path.start, path.end
+        for D, row in zip(SUITE, values):
+            assert row[i] == evaluate(D, A, B), (D.identifier, i)
+        assert hellinger[0][i] == hellinger_psi(A, B, 0.4)
+        assert hellinger[1][i] == hellinger_psi_inverse(A, B, 0.4)
+
+
 def test_closed_form_fallback_is_decided_row_by_row():
     # Row 0 is nearly identical to its end point, so its plain sum cancels
     # and it takes the split sum; row 1 does not.
@@ -172,8 +188,9 @@ def test_blocking_changes_no_value(D, monkeypatch):
         psi(D, stacked, grids), psi_iter(D, 2, stacked, grids),
         psi(D, single, grids[0]), psi_iter(D, 2, single, grids[0]),
     ]
-    # Below one path's positions per block, and below one position's support.
-    for cells in (64, 4):
+    # Several whole rows (but not all five) of 9 positions per block, below
+    # one path's positions per block, and below one position's support.
+    for cells in (300, 64, 4):
         monkeypatch.setattr(operators, "_BLOCK_CELLS", cells)
         monkeypatch.setattr(chebyshev, "_BLOCK_CELLS", cells)
         after = [

@@ -165,6 +165,24 @@ class TestClosedFormOracles:
         check = check_iterated_chain(D, 3, 30, seed=12)
         assert check.passed and check.worst_violation <= 1e-11
 
+    def test_oracles_call_the_module_sequences(self, monkeypatch):
+        # pl and sl are resolved when a check runs, so a wrapper bound in
+        # their place (as a tracer binds one) sees every oracle call.
+        calls = {"pl": 0, "sl": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(verify, "pl", counting("pl", verify.pl))
+        monkeypatch.setattr(verify, "sl", counting("sl", verify.sl))
+        check_iterated_chain(named_divergence("chi2"), 2, 5, seed=3)
+        assert calls["pl"] > 0 and calls["sl"] == 0
+        check_iterated_chain(named_divergence("jeffreys"), 2, 5, seed=3)
+        assert calls["sl"] > 0
+
     @pytest.mark.parametrize("identifier", ["kl", "swap(kl)"])
     def test_a_wrong_chain_is_caught(self, identifier):
         # chi2's chain under kl's name misses pl(k + 1); jeffreys' chain
