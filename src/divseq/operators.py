@@ -8,15 +8,15 @@ position per path, or (m, k), one grid per path; each result has t's
 shape. Every operator lifts its path to a stack (a single path is a stack
 of one, see distributions._lift_path), computes on endpoint rows (m, n)
 and positions (m, L) only, and reshapes the result to the caller's form.
-Since ds/s is scale-free, psi at t is Integral_0^1 D(P | R(t u)) / u du,
-so every (path, position) pair is one component of a single integral
-over [0, 1] on shared Gauss-Kronrod panels. Iterated application
-of the integral operator fits D(P | R(s)) once by a Chebyshev polynomial,
-over the whole stack, to a residual target tol, and integrates that
-polynomial exactly, level after level, in its Chebyshev coefficients, so
-each level above the fit costs two FFTs on the fit's nodes and one
-evaluation on the grid. Every operator requires a right-convex D and
-rejects any other before it checks anything else.
+Since ds/s is scale-free, psi integrates each path once, cumulatively,
+in u = s / T for its largest position T, every (path, segment) cell on
+Gauss-Kronrod panels of its own. Iterated application of the integral
+operator fits D(P | R(s)) once by a Chebyshev polynomial, over the whole
+stack, to a residual target tol, and integrates that polynomial exactly,
+level after level, in its Chebyshev coefficients, so each level above
+the fit costs two FFTs on the fit's nodes and one evaluation on the
+grid. Every operator requires a right-convex D and rejects any other
+before it checks anything else.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .chebyshev import _BLOCK_CELLS, ChebyshevInterpolant
 from .distributions import MixturePath, _caller_form, _lift_path, _mix
 from .divergences import DivergenceFunctional, Orientation, path_derivative
 from .errors import DomainError, require_index, require_position, require_positive
-from .quadrature import QuadratureConfig, integrate
+from .quadrature import QuadratureConfig, cumulative_integral, integrate
 
 __all__ = [
     "OperatorResult",
@@ -86,33 +86,33 @@ def psi(
 
     A position t on a single path gives an OperatorResult; a 1-d grid, or
     t of shape (m,) or (m, k) on a stack of m paths, gives an array of t's
-    shape. Each value is Integral_0^1 D(start | R(t u)) / u du, and all
-    (path, position) pairs are components of one quadrature on shared
-    panels, each held to its own tolerance, so a value agrees with the
-    call at its position alone to within that tolerance, and a call at
-    one position on one path is that single component. t = 0 and a
+    shape. Each path is one cumulative quadrature of D(start | R(T u)) / u
+    in u = s / T, T its largest position, over the segments between its
+    sorted positions over T, each refined on its own panels to its own
+    tolerance. So a grid value agrees with the call at its position alone
+    to within that tolerance, no path's refinement depends on the rest of
+    the stack, and one position is the single segment [0, 1]. t = 0 and a
     constant path give exact zeros and take no evaluations.
     """
     _require_right_convex(D)
     cfg = QuadratureConfig() if cfg is None else cfg
     p, q, t, shape = _lift_path(path, t)
-    rows = np.broadcast_to(np.arange(len(t))[:, None], t.shape)
-    live = (t > 0.0) & ~np.all(p == q, axis=-1)[:, None]
-    # One component per distinct (path, position) pair, in sorted order, so
-    # that neither the order of t nor its duplicates change a value.
-    pairs, which = np.unique(
-        np.stack([rows[live], t[live]], axis=-1), axis=0, return_inverse=True
-    )
-    index, positions = pairs[:, 0].astype(int), pairs[:, 1]
+    t = np.where(np.all(p == q, axis=-1)[:, None], 0.0, t)
+    # Sorted, so neither the order of t nor its duplicates (empty segments)
+    # change a value; a path with no position above 0 has only empty ones.
+    order = np.argsort(t, axis=-1)
+    top = np.maximum(t.max(axis=-1, keepdims=True), 5e-324)
 
-    def f(u: np.ndarray) -> np.ndarray:
-        return _along(D, p, q, positions[:, None] * u, index) / u
+    def f(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # D(start | R(0)) / 0 has the limit 0: u = 0 is only reached on
+        # segments of subnormal width.
+        d = _along(D, p, q, top[rows] * u, rows)
+        return np.divide(d, u, out=np.zeros_like(d), where=u > 0.0)
 
-    values = np.zeros(t.shape)
-    err, evals = np.zeros(1), 0
-    if positions.size:
-        integrals, err, evals = integrate(f, 0.0, 1.0, cfg)
-        values[live] = integrals[which.reshape(-1)]
+    edges = np.pad(np.take_along_axis(t, order, axis=-1) / top, ((0, 0), (1, 0)))
+    running, err, evals = cumulative_integral(f, edges, cfg)
+    values = np.empty(t.shape)
+    np.put_along_axis(values, order, running[:, 1:], axis=-1)
     if shape == ():
         return OperatorResult(float(values[0, 0]), float(err[0]), evals)
     return values.reshape(shape)

@@ -157,6 +157,8 @@ def _integral(k: int, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     # tolerance holds the whole integral to it; starting from several
     # pieces, each refined in every round, takes fewer rounds than one.
     edges = np.linspace(lower, math.log(cutoff), _INTEGRAL_PIECES + 1)
+    # All coordinates stay on shared panels, not rows of their own: the
+    # common abscissae let exp and expm1 be computed once for all of them.
     values, _, _ = cumulative_integral(integrand, edges, _INTEGRAL_CFG)
     return z * values[:, -1] / float(math.factorial(k - 1))
 

@@ -1,13 +1,15 @@
 """Adaptive Gauss-Kronrod quadrature with batched integrand evaluation.
 
-The integrand is always called with a single 1-d array of n abscissae and
-returns either an array of the same shape or, for m integrands sharing one
-set of panels, an array of shape (m, n); each of the m components is held
-to its own tolerance.  Each refinement round gathers the worst
-panel of every still-unconverged segment and evaluates all of their children
-in one call, which keeps the number of Python-level round trips small even
-when the integrand itself is expensive (for example a divergence evaluated
-along a mixture path).
+The work list holds segments, each owned by one row of edges. On one row
+the integrand gets a 1-d array of n abscissae and returns (n,) or, for m
+integrands sharing one set of panels, (m, n), each component held to its
+own tolerance. On 2-d edges, one running integral per row, it is called
+as f(x, rows) and evaluates each panel for its own row only, so a row's
+panels, splits and budget are its own. Each refinement round gathers the
+worst panel of every unconverged segment and evaluates all of their
+children in one call, which keeps the number of Python-level round trips
+small even when the integrand itself is expensive (for example a
+divergence evaluated along a mixture path).
 """
 
 from __future__ import annotations
@@ -81,25 +83,28 @@ class QuadratureConfig:
 
 
 def _apply_panels(
-    f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+    rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, int, tuple]:
     """Evaluate the K15 rule on each [a_i, b_i] with one integrand call.
 
-    f returns shape (n,) or (m, n) for n abscissae. Returns the Kronrod
-    estimates and the per-panel error estimates, both (panels, m), the
-    number of abscissae and the integrand's leading shape (() or (m,)).
-    Beyond the integrand's own output, one more array of its size is held.
+    f(x (panels, 15), rows) gives (n,) or (m, n) for x's n abscissae. Returns
+    Kronrod estimates and per-panel error estimates, both (panels, m), the
+    abscissa count and f's leading shape (() or (m,)). Beyond f's output,
+    one more array of its size is held.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     pts = mid[:, None] + half[:, None] * _XK[None, :]
-    raw = np.asarray(f(pts.ravel()), dtype=float)
+    raw = np.asarray(f(pts, rows), dtype=float)
     if raw.ndim not in (1, 2) or raw.shape[-1] != pts.size:
         raise DomainError(
             f"integrand returned shape {raw.shape} for {pts.size} abscissae"
         )
     lead = raw.shape[:-1]
-    shape = (raw.size // pts.size, len(a))
+    shape = (lead[0] if lead else 1, len(a))
     # One row of 15 values per (component, panel), without a copy: with
     # m = 1 this is the (panels, 15) array of a scalar integrand, so the
     # arithmetic is unchanged.
@@ -124,27 +129,32 @@ def _apply_panels(
 
 
 def _integrate_segments(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable,
     edges: np.ndarray,
     config: QuadratureConfig,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Integrate f over each [edges[i], edges[i+1]] to the configured tolerance.
+    """Integrate f over each [edges[..., j], edges[..., j+1]] to tolerance.
 
-    f may return shape (m, n) for n abscissae: m integrands on shared
-    panels, each held to its own max(abs_tol, rel_tol * |I_i|). A segment
-    is refined while any component misses its target, by splitting the
-    panel with the worst error-to-target ratio over those components.
-    All segments share one subdivision budget. Returns per-segment values
-    and error estimates, shaped (n_seg,) or (m, n_seg), and the evaluation
-    count (abscissae, whatever m is).
+    On 1-d edges f may return (m, n) for n abscissae: m integrands on
+    shared panels, each held to its own max(abs_tol, rel_tol * |I_i|). On
+    2-d edges f(x, rows) returns x's shape. A segment is refined while any
+    component misses its target, by splitting the panel with the worst
+    error-to-target ratio over those components. Each row of edges has its
+    own subdivision budget; an empty segment is 0.0, not evaluated. Returns
+    values and error estimates shaped lead + edges[..., 1:].shape, lead ()
+    or (m,), and the evaluation count (abscissae, whatever m is).
     """
-    n_seg = len(edges) - 1
-    pa = edges[:-1].astype(float).copy()
-    pb = edges[1:].astype(float).copy()
-    pseg = np.arange(n_seg)
-    pi, pe, neval, lead = _apply_panels(f, pa, pb)
+    grid = np.atleast_2d(edges)
+    live = grid[:, 1:] > grid[:, :-1]
+    owner = np.nonzero(live)[0]
+
+    def g(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return f(x.ravel()) if edges.ndim == 1 else np.reshape(f(x, rows), -1)
+
+    n_seg = owner.size
+    pa, pb, pseg = grid[:, :-1][live], grid[:, 1:][live], np.arange(n_seg)
+    pi, pe, neval, lead = _apply_panels(g, pa, pb, owner)
     m = pi.shape[1]
-    splits_used = 0
     while True:
         # Panels are added in panel order for each (segment, component), the
         # order a 1-d bincount adds them in.
@@ -156,14 +166,9 @@ def _integrate_segments(
         missed = seg_err > target
         bad = np.flatnonzero(missed.any(axis=1))
         if bad.size == 0:
-            shape = lead + (n_seg,)
-            return seg_val.T.reshape(shape), seg_err.T.reshape(shape), neval
-        if splits_used >= config.max_subdivisions:
-            raise ToleranceError(
-                "quadrature failed to converge within "
-                f"{config.max_subdivisions} subdivisions "
-                f"(worst segment error {seg_err.max():.3e})"
-            )
+            out = np.zeros((2, m) + live.shape)
+            out[0][:, live], out[1][:, live] = seg_val.T, seg_err.T
+            return *out.reshape((2,) + lead + edges[..., 1:].shape), neval
         # One split per unconverged segment per round: its worst panel, the
         # first of the panels tied for it. A single component has one target
         # per segment, so its raw error ranks the panels the same way.
@@ -173,7 +178,22 @@ def _integrate_segments(
             score = (pe * (missed / target)[pseg]).max(axis=1)
         order = np.lexsort((-score, pseg))
         split_idx = order[np.searchsorted(pseg[order], bad)]
-        split_idx = split_idx[: config.max_subdivisions - splits_used]
+        if len(pa) - n_seg + bad.size > config.max_subdivisions:
+            # The rows' splits together may pass one row's budget, so count
+            # each row's own: every split added one panel to its row.
+            bad_rows, rows = owner[bad], len(grid)
+            used = np.bincount(owner[pseg], minlength=rows)
+            used -= np.bincount(owner, minlength=rows)
+            room = config.max_subdivisions - used[bad_rows]
+            if (room <= 0).any():
+                raise ToleranceError(
+                    "quadrature failed to converge within "
+                    f"{config.max_subdivisions} subdivisions "
+                    f"(worst segment error {seg_err.max():.3e})"
+                )
+            # Each row splits its first unconverged segments, up to its room.
+            rank = np.arange(bad.size) - np.searchsorted(bad_rows, bad_rows)
+            split_idx = split_idx[rank < room]
         lo, hi = pa[split_idx], pb[split_idx]
         # max(|lo|, |hi|, 1e-300), as lo < hi.
         reach = np.maximum(np.maximum(hi, -lo), 1e-300)
@@ -182,12 +202,11 @@ def _integrate_segments(
                 "quadrature interval shrank to roundoff width without "
                 "meeting the requested tolerance"
             )
-        splits_used += len(split_idx)
         mids = 0.5 * (lo + hi)
         child_a = np.concatenate([lo, mids])
         child_b = np.concatenate([mids, hi])
         child_seg = np.concatenate([pseg[split_idx], pseg[split_idx]])
-        ci, ce, ne, _ = _apply_panels(f, child_a, child_b)
+        ci, ce, ne, _ = _apply_panels(g, child_a, child_b, owner[child_seg])
         neval += ne
         keep = np.ones(len(pa), dtype=bool)
         keep[split_idx] = False
@@ -223,24 +242,27 @@ def integrate(
 
 
 def cumulative_integral(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable,
     edges: Sequence[float] | np.ndarray,
     config: QuadratureConfig,
-) -> tuple[np.ndarray, float, int]:
-    """Integrals from edges[0] to every edge, sharing panel refinement.
+) -> tuple[np.ndarray, float | np.ndarray, int]:
+    """Integrals from edges[..., 0] to every edge, row by row.
 
-    Returns an array aligned with ``edges`` (first entry exactly 0.0), the
-    summed error estimate and the evaluation count. For an integrand
-    returning shape (m, n) the array is (m, len(edges)) and the error
-    estimate has length m; otherwise the estimate is a float.
+    On 1-d edges f(x) is as for ``integrate``. On (rows, k) edges f(x, rows)
+    gets abscissae x (panels, 15) and each panel's row and returns x's
+    shape; each row is refined as it would be alone. Edges are
+    nondecreasing, and an empty segment adds exactly 0.0. Returns an array
+    aligned with ``edges`` (first entries exactly 0.0), or (m, len(edges))
+    for an integrand returning (m, n), the summed error estimate (one per
+    row or component, else a float) and the evaluation count.
     """
     edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or len(edges) < 2:
-        raise DomainError("cumulative_integral needs at least two edges")
+    if edges.ndim not in (1, 2) or edges.shape[-1] < 2:
+        raise DomainError("cumulative_integral needs at least two edges per row")
     if not np.all(np.isfinite(edges)):
         raise DomainError("integration edges must be finite")
-    if np.any(np.diff(edges) <= 0.0):
-        raise DomainError("integration edges must be strictly increasing")
+    if np.any(np.diff(edges) < 0.0):
+        raise DomainError("integration edges must be nondecreasing")
     seg_vals, seg_errs, neval = _integrate_segments(f, edges, config)
     start = np.zeros(seg_vals.shape[:-1] + (1,))
     out = np.concatenate([start, np.cumsum(seg_vals, axis=-1)], axis=-1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import resource
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from divseq.distributions import (
+    Distribution,
     MixturePath,
     mixture,
     new_distribution,
@@ -416,6 +418,80 @@ class TestGridPsi:
     def test_all_zero_grid_gives_zeros(self):
         values = psi(named_divergence("kl"), PATH, np.zeros(3))
         assert values.tobytes() == np.zeros(3).tobytes()
+
+
+def _counting(D):
+    """D with an evaluator that counts the (row, position) cells it is given."""
+    seen = [0]
+
+    def evaluator(p, r):
+        seen[0] += int(np.prod(r.shape[:-1]))
+        return D.evaluator(p, r)
+
+    return dataclasses.replace(D, evaluator=evaluator), seen
+
+
+def _stacked(starts, ends):
+    paths = [MixturePath(Distribution(a), Distribution(b)) for a, b in zip(starts, ends)]
+    return MixturePath(Distribution(np.array(starts)), Distribution(np.array(ends))), paths
+
+
+class TestPsiRowByRow:
+    # Each path of a stack is refined on its own panels within its own
+    # subdivision budget, so it costs and converges as it would alone.
+    def test_each_path_has_its_own_subdivision_budget(self):
+        chi2, seen = _counting(named_divergence("chi2"))
+        cfg = QuadratureConfig(max_subdivisions=10)
+        starts = [random_distribution(5, 2 * i, 1e-3).masses for i in range(30)]
+        ends = [random_distribution(5, 2 * i + 1, 1e-3).masses for i in range(30)]
+        stack, paths = _stacked(starts, ends)
+        grids = np.tile(np.linspace(0.0, 1.0, 11), (30, 1))
+        splits = 0
+        for path, grid, row in zip(paths, grids, psi(chi2, stack, grids, cfg)):
+            seen[0] = 0
+            alone = psi(chi2, path, grid, cfg)
+            # Ten segments of 15 abscissae, and two panels of 15 per split.
+            splits += (seen[0] // 15 - 10) // 2
+            np.testing.assert_allclose(row, alone, rtol=1e-14, atol=0.0)
+        assert splits > cfg.max_subdivisions
+
+    def test_a_hard_path_costs_the_stack_its_own_evaluations_only(self):
+        chi2, seen = _counting(named_divergence("chi2"))
+        hard = np.array([1e-6, 0.25, 0.25, 0.25, 0.25 - 1e-6])
+        starts = [random_distribution(5, i).masses for i in range(21)]
+        ends = [hard] + [random_distribution(5, 100 + i).masses for i in range(20)]
+        stack, paths = _stacked(starts, ends)
+        grids = np.empty((21, 11))
+        grids[0] = np.linspace(0.0, 1.0, 11)
+        # Six distinct positions per regular path, the rest duplicates.
+        grids[1:] = np.linspace(0.0, 1.0, 6)[np.arange(11) % 6]
+        seen[0] = 0
+        values = psi(chi2, stack, grids)
+        stacked_cost, alone_cost = seen[0], 0
+        for path, grid, row in zip(paths, grids, values):
+            seen[0] = 0
+            np.testing.assert_allclose(row, psi(chi2, path, grid), rtol=1e-14, atol=0.0)
+            alone_cost += seen[0]
+        assert abs(stacked_cost - alone_cost) <= 0.02 * alone_cost
+
+
+@pytest.mark.parametrize("D", SUITE, ids=[D.identifier for D in SUITE])
+@pytest.mark.parametrize("t", [5e-324, 1e-310])
+def test_psi_at_a_subnormal_position_is_zero(D, t):
+    # u = s / T keeps a subnormal T finite: the integrand never divides by
+    # a position, and an abscissa u = 0 on a segment of subnormal width
+    # takes the integrand's limit 0.
+    def positive_zero(x):
+        return x == 0.0 and not math.copysign(1.0, x) < 0.0
+
+    A, B = random_distribution(6, seed=1), random_distribution(6, seed=2)
+    assert positive_zero(psi(D, MixturePath(A, B), t).value)
+    grid = psi(D, MixturePath(A, B), np.array([0.3, t, 0.0, 5e-324, 1.0]))
+    assert positive_zero(grid[1]) and positive_zero(grid[3]) and np.all(grid[[0, 4]] > 0.0)
+    stack, _ = _stacked([A.masses, B.masses], [B.masses, A.masses])
+    rows = psi(D, stack, np.array([[t, 1e-310], [t, 0.5]]))
+    assert all(positive_zero(v) for v in (rows[0, 0], rows[0, 1], rows[1, 0]))
+    assert rows[1, 1] > 0.0
 
 
 class TestOrientation:

@@ -227,3 +227,54 @@ def test_vector_integrand_meets_each_component_target():
     assert values.shape == (5, 3) and errs.shape == (5,)
     assert np.all(values[:, 0] == 0.0)
     np.testing.assert_allclose(values[:, -1], truth, rtol=cfg.rel_tol, atol=cfg.abs_tol)
+
+
+_RATES = np.array([30.0, 100.0, 300.0, 1000.0, 3000.0])
+
+
+def _decays(x, rows):
+    # Row i integrates e^(-rate_i x); x is (panels, 15), rows (panels,).
+    return np.exp(-_RATES[rows][:, None] * x)
+
+
+def test_rows_of_edges_are_refined_as_alone_within_their_own_budget():
+    # Each row converges alone within 10 splits, but the rows need more
+    # than 10 between them.
+    cfg = QuadratureConfig(max_subdivisions=10)
+    edges = np.array([[0.0, 0.01, 0.01, 0.5, 1.0]] * len(_RATES))
+    values, errs, neval = cumulative_integral(_decays, edges, cfg)
+    assert values.shape == edges.shape and errs.shape == (len(_RATES),)
+    splits, total = 0, 0
+    for i, rate in enumerate(_RATES):
+        alone, err, n = cumulative_integral(
+            lambda x, rate=rate: np.exp(-rate * x), edges[i], cfg
+        )
+        np.testing.assert_allclose(values[i], alone, rtol=1e-15, atol=0.0)
+        assert errs[i] == pytest.approx(err, rel=1e-12)
+        # The empty segment adds exactly 0.0 and is not evaluated.
+        assert values[i, 2] == values[i, 1]
+        splits, total = splits + (n // 15 - 3) // 2, total + n
+        truth = -np.expm1(-rate * edges[i]) / rate
+        np.testing.assert_allclose(values[i], truth, rtol=1e-10, atol=1e-12)
+    assert splits > cfg.max_subdivisions
+    assert neval == total
+
+
+def test_a_row_past_its_budget_fails_the_call():
+    cfg = QuadratureConfig(max_subdivisions=10)
+    # Row 1 is the cusp that exhausts this budget alone; row 0 converges.
+
+    def rows_f(x, rows):
+        return np.where(rows[:, None] == 1, _inverse_sqrt_cusp(x), np.exp(x))
+
+    with pytest.raises(ToleranceError):
+        cumulative_integral(rows_f, np.array([[0.0, 1.0], [0.0, 1.0]]), cfg)
+    values, _, _ = cumulative_integral(rows_f, np.array([[0.0, 1.0], [0.0, 0.0]]), cfg)
+    assert values[0, 1] == pytest.approx(np.e - 1.0, rel=1e-12)
+
+
+def test_edges_without_a_nonempty_segment_give_zeros():
+    values, err, neval = cumulative_integral(np.exp, [0.3, 0.3], CFG)
+    assert values.tolist() == [0.0, 0.0] and err == 0.0 and neval == 0
+    values, errs, neval = cumulative_integral(_decays, np.zeros((2, 3)), CFG)
+    assert values.tolist() == [[0.0] * 3] * 2 and errs.tolist() == [0.0, 0.0] and neval == 0
