@@ -107,16 +107,16 @@ def new_distribution(masses: Sequence[float] | np.ndarray) -> Distribution:
     return Distribution(arr / totals)
 
 
-def _random_masses(rng: np.random.Generator, n: int, min_mass: float) -> np.ndarray:
-    """Draw a mass vector with every component at least min_mass.
+def _random_masses(rng: np.random.Generator, shape: tuple, min_mass: float) -> np.ndarray:
+    """Draw masses of shape (n,), or (m, n) rows, each at least min_mass.
 
-    Normalized exponential draws are shifted into the floored simplex:
-    min_mass + (1 - n*min_mass) * weights. This keeps the floor and the
-    unit sum exact in one step.
+    Normalized exponential draws are shifted into the floored simplex,
+    row by row: min_mass + (1 - n*min_mass) * weights. This keeps the
+    floor and the unit sum exact in one step.
     """
-    draws = rng.exponential(size=n)
-    weights = draws / draws.sum()
-    return min_mass + (1.0 - n * min_mass) * weights
+    draws = rng.exponential(size=shape)
+    weights = draws / draws.sum(axis=-1, keepdims=True)
+    return min_mass + (1.0 - shape[-1] * min_mass) * weights
 
 
 def random_distribution(n: int, seed: int, min_mass: float = 0.01) -> Distribution:
@@ -128,7 +128,7 @@ def random_distribution(n: int, seed: int, min_mass: float = 0.01) -> Distributi
             f"min_mass must lie in (0, 1/{n}) for support size {n}, got {min_mass}"
         )
     rng = np.random.default_rng(seed)
-    return Distribution(_random_masses(rng, n, min_mass))
+    return Distribution(_random_masses(rng, (n,), min_mass))
 
 
 def _mix(p: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -5,12 +5,13 @@ structural guarantees the operators are supposed to satisfy (contraction
 under the path integral, monotone iterated chains, domination by the scaled
 path derivative, invariance under path reparametrization), and reports the
 worst violation seen. Every check is a body run by one shared runner,
-``_check``. The runner draws every instance first, in a fixed order, then
-stacks the instances by support size; the body makes one call per operator
-for each stack, so the checked numbers are the public operators' values on
-stacked paths. A ToleranceError, a NonFiniteError or a NaN becomes an
-infinite violation. ``run_suite`` bundles the checks over a fixed roster
-of divergences into a single deterministic report.
+``_check``. The runner draws every instance's support size, then, one
+support size at a time, the masses and the body's draws of all its
+instances as arrays with a leading instance axis; the body makes one call
+per operator for each such stack, so the checked numbers are the public
+operators' values on stacked paths. A ToleranceError, a NonFiniteError or
+a NaN becomes an infinite violation. ``run_suite`` bundles the checks over
+a fixed roster of divergences into a single deterministic report.
 """
 
 from __future__ import annotations
@@ -110,34 +111,30 @@ def _check(
     D: DivergenceFunctional,
     instances: int,
     seed: int,
-    draw: Callable[[np.random.Generator, int], tuple],
+    draw: Callable[[np.random.Generator, int, int], tuple],
     violations: Callable[..., np.ndarray],
 ) -> PropertyCheck:
     """Run a check body on seeded random pairs and report its worst value.
 
-    Each instance draws a support size and two distributions on it, then
-    calls draw(rng, n) for the body's own draws, returned as a tuple. Once
-    every instance is drawn, the instances are stacked by support size
-    (and by the shapes of their draws), and violations(path, separated,
-    *draws) takes one such stack: a stacked path, a flag per path saying
-    whether its endpoints are far enough apart in total variation for
-    strict inequalities, and each draw stacked along a leading axis. It
-    returns each instance's worst violation. A ToleranceError or a
-    NonFiniteError anywhere, or a NaN violation, makes the check's
+    The check's generator draws the support size of every instance first.
+    Then, for each support size n in ascending order, it draws the start
+    and the end masses of that size's count instances as two (count, n)
+    arrays, and draw(rng, count, n) makes the body's own draws for all of
+    them: a tuple of arrays with a leading axis of length count.
+    violations(path, separated, *draws) takes that stack: the stacked
+    paths, a flag per path saying whether its endpoints are far enough
+    apart in total variation for strict inequalities, and the body's
+    draws. It returns each instance's worst violation. A ToleranceError or
+    a NonFiniteError anywhere, or a NaN violation, makes the check's
     violation infinite.
     """
     rng = np.random.default_rng(seed)
-    stacks: dict[tuple, list] = {}
-    for _ in range(instances):
-        n = int(rng.integers(2, 11))
-        start, end = _draw(rng, n), _draw(rng, n)
-        extras = draw(rng, n)
-        key = (n,) + tuple(np.shape(x) for x in extras)
-        stacks.setdefault(key, []).append((start, end) + extras)
+    sizes = rng.integers(2, 11, size=instances)
     worst = 0.0
     try:
-        for members in stacks.values():
-            start, end, *extras = (np.array(column) for column in zip(*members))
+        for n, count in zip(*np.unique(sizes, return_counts=True)):
+            start, end = (_random_masses(rng, (count, n), _MIN_MASS) for _ in range(2))
+            extras = draw(rng, count, n)
             path = MixturePath(Distribution(start), Distribution(end))
             separated = 0.5 * np.sum(np.abs(end - start), axis=-1) > _SEPARATION_TV
             worst = max(worst, float(np.max(_worst(violations(path, separated, *extras)))))
@@ -154,16 +151,10 @@ def _worst(*violations) -> np.ndarray:
     return np.where(np.isnan(worst), math.inf, worst)
 
 
-def _draw(rng: np.random.Generator, n: int) -> np.ndarray:
-    """The masses random_distribution(n, seed, _MIN_MASS) would hold, for a
-    seed drawn from rng; the stack they join is validated as a whole."""
-    seed = int(rng.integers(2**31))
-    return _random_masses(np.random.default_rng(seed), n, _MIN_MASS)
-
-
-def _t_points(rng: np.random.Generator) -> np.ndarray:
-    extra = rng.uniform(0.0, 1.0, size=2)
-    return np.unique(np.concatenate([_FIXED_GRID, extra]))
+def _t_points(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count rows of positions: _FIXED_GRID and two uniform draws, sorted."""
+    extra = rng.uniform(0.0, 1.0, size=(count, 2))
+    return np.sort(np.hstack([np.tile(_FIXED_GRID, (count, 1)), extra]), axis=-1)
 
 
 def _strict_increase_violation(values: np.ndarray, separated: np.ndarray) -> np.ndarray:
@@ -190,8 +181,12 @@ def check_integral_contraction(
     mixture of the two psi values.
     """
 
-    def draw(rng, n):
-        return _t_points(rng), _draw(rng, n), float(rng.uniform(0.05, 0.95))
+    def draw(rng, count, n):
+        return (
+            _t_points(rng, count),
+            _random_masses(rng, (count, n), _MIN_MASS),
+            rng.uniform(0.05, 0.95, size=count),
+        )
 
     def violations(path, separated, ts, other, lam):
         start, end = path.start.masses, path.end.masses
@@ -237,11 +232,11 @@ def check_iterated_chain(
     depth = require_index(depth, "depth")
     closed_form = _CLOSED_FORMS.get(D.identifier)
 
-    def draw(rng, n):
-        ts = _t_points(rng)
+    def draw(rng, count, n):
+        ts = _t_points(rng, count)
         if closed_form is None:
             return (ts,)
-        return ts, int(rng.integers(1, ts.size))
+        return ts, rng.integers(1, ts.shape[-1], size=count)
 
     def violations(path, separated, ts, probe_index=None):
         levels = psi_iter(D, depth, path, ts)
@@ -252,12 +247,14 @@ def check_iterated_chain(
         )
         if closed_form is not None:
             name, shift = closed_form
-            sequence = pl if name == "pl" else sl
             at = np.arange(len(ts))
             probe = mixture(path, ts[at, probe_index])
-            for k in range(depth + 1):
-                expected = sequence(k + shift, path.start, probe)
-                worst = _worst(worst, np.abs(levels[k, at, probe_index] - expected))
+            expected = [sl(shift, path.start, probe)] if name == "sl" else []
+            for k in range(len(expected), depth + 1):
+                term = pl(k + shift, path.start, probe)
+                # sl(j) is sl(j - 1) - pl(j) bit for bit: one pl pass a level.
+                expected.append(expected[-1] - term if name == "sl" else term)
+            worst = _worst(worst, np.max(np.abs(levels[:, at, probe_index] - expected), axis=0))
         return worst
 
     return _check(
@@ -275,8 +272,8 @@ def check_derivative_dominates(
 ) -> PropertyCheck:
     """Check psi_inverse[D] >= D pointwise, with both strictly increasing."""
 
-    def draw(rng, n):
-        return (_t_points(rng),)
+    def draw(rng, count, n):
+        return (_t_points(rng, count),)
 
     def violations(path, separated, ts):
         upper = psi_inverse(D, path, ts)
@@ -304,8 +301,8 @@ def check_path_invariance(
     their values at 1 on the shortened path that ends at the mixture point.
     """
 
-    def draw(rng, n):
-        return (float(rng.uniform(0.05, 1.0)),)
+    def draw(rng, count, n):
+        return (rng.uniform(0.05, 1.0, size=count),)
 
     def violations(path, separated, t_star):
         # Each operator takes the full paths at t* and their truncations at

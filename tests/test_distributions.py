@@ -166,6 +166,24 @@ class TestRandomDistribution:
         with pytest.raises(DomainError):
             random_distribution(1, seed=0, min_mass=0.1)
 
+    @pytest.mark.parametrize(
+        "n, seed, masses",
+        [
+            (2, 0, [0.40206936966578555, 0.5979306303342145]),
+            (3, 42, [0.337302486984236, 0.3280425704977658, 0.3346549425179983]),
+            (5, 7, [0.2075221359296761, 0.29620774824471563, 0.16872268781393857,
+                    0.2598893306555145, 0.06765809735615508]),
+            (10, 2024, [0.11878468981862386, 0.02460421394247956, 0.031575747218766076,
+                        0.17521463803489934, 0.3072467754456769, 0.0398259436042668,
+                        0.07620211975706948, 0.06537995123310139, 0.021012901896972722,
+                        0.1401530190481439]),
+        ],
+    )
+    def test_frozen_draws(self, n, seed, masses):
+        # The acceptance tests draw their pairs through random_distribution,
+        # so its masses are pinned bit for bit.
+        np.testing.assert_array_equal(random_distribution(n, seed).masses, masses)
+
     @pytest.mark.parametrize("n", [2, 3, 7, 10])
     def test_supports(self, n):
         d = random_distribution(n, seed=11, min_mass=0.01)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -105,15 +106,41 @@ class TestNanViolations:
 
     @pytest.mark.parametrize("position", [0, 2, 4])
     def test_runner_turns_any_nan_into_inf(self, position):
-        # Each instance draws its own index; the body reports NaN for the
-        # instance at position, whichever stack it lands in.
-        indices = iter(range(5))
+        # Each stack takes the next count indices; the body reports NaN for
+        # the instance at position, whichever stack it lands in.
+        indices = itertools.count()
         check = _check(
             "nan_probe", "anchor", 1.0, named_divergence("kl"), 5, 3,
-            lambda rng, n: (next(indices),),
+            lambda rng, count, n: (np.fromiter(indices, int, count),),
             lambda path, separated, index: np.where(index == position, math.nan, 0.5),
         )
         assert check.worst_violation == math.inf and not check.passed
+
+
+class TestRunner:
+    def test_stacks_hold_every_instance_once(self):
+        # The runner draws one stack per support size, in ascending order,
+        # and every row is a floored, normalized mass vector.
+        stacks = []
+
+        def draw(rng, count, n):
+            return (np.full(count, n),)
+
+        def violations(path, separated, n):
+            stacks.append((path.start.masses, path.end.masses, n))
+            assert separated.shape == n.shape
+            return np.zeros(len(n))
+
+        check = _check("stacks", "anchor", 1.0, named_divergence("kl"), 200, 5, draw, violations)
+        assert check.passed and check.worst_violation == 0.0
+        sizes = [start.shape[1] for start, _, _ in stacks]
+        assert sizes == sorted(set(sizes)) and set(sizes) <= set(range(2, 11))
+        assert sum(start.shape[0] for start, _, _ in stacks) == 200
+        for start, end, n in stacks:
+            assert start.shape == end.shape and np.all(n == start.shape[1])
+            for masses in (start, end):
+                assert masses.min() >= 0.01
+                assert np.all(np.abs(masses.sum(axis=-1) - 1.0) <= 1e-12)
 
 
 class TestNonFiniteValues:
