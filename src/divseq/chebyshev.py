@@ -6,7 +6,8 @@ nodes lobatto_nodes(n) and the barycentric weights. Values of shape
 operation works along the last axis, so row i of a stack behaves exactly
 as the interpolant of its own values. fit_adaptive doubles the node count
 from _INITIAL_INTERVALS up to _MAX_INTERVALS, until every row meets the
-target, and lifted() integrates each row over s exactly in its Chebyshev
+target at the fresh nodes, tested by one inverse DCT per doubling, and
+lifted() integrates each row over s exactly in its Chebyshev
 coefficients.
 """
 
@@ -21,9 +22,10 @@ from .errors import DomainError, NonFiniteError, ToleranceError, require_positiv
 
 
 # Cells per block of an evaluation over many points: rows x points x nodes
-# here, positions x support for a divergence along paths (operators). At
-# 2^14 cells (128 KiB per temporary) the blocks stay in cache: evaluating
-# 8192 points against 8193 nodes took half the time it took at 2^20 cells.
+# for barycentric evaluation here, positions x support for a divergence
+# along paths (operators). At 2^14 cells (128 KiB per temporary) the
+# blocks stay in cache: barycentric evaluation of 8192 points against
+# 8193 nodes took half the time it took at 2^20 cells.
 _BLOCK_CELLS = 1 << 14
 # fit_adaptive starts at this many intervals and doubles up to the cap.
 _INITIAL_INTERVALS = 16
@@ -78,6 +80,17 @@ def _values(coefficients: np.ndarray) -> np.ndarray:
     c[..., 0] *= 2.0
     c[..., -1] *= 2.0
     return 0.5 * _dct1(c)[..., ::-1]
+
+
+def _fresh_values(values: np.ndarray) -> np.ndarray:
+    """The interpolant of values at lobatto_nodes(n), evaluated at the
+    fresh nodes lobatto_nodes(2n)[1::2]: its coefficients zero-padded to
+    degree 2n, one inverse DCT, the odd entries. O(n log n) per row.
+    """
+    a = _coefficients(values)
+    padded = np.zeros(a.shape[:-1] + (2 * a.shape[-1] - 1,))
+    padded[..., : a.shape[-1]] = a
+    return _values(padded)[..., 1::2]
 
 
 @dataclass(frozen=True)
@@ -187,34 +200,44 @@ class ChebyshevInterpolant:
 
         f maps N nodes to N values, or to (m, N) values for a stack of m
         functions; a stack is fitted on shared nodes, doubled until every
-        row meets the target. Returns (interpolant, achieved_residual,
-        function_evaluations), the residual being the worst over the rows
-        and the evaluations counting nodes. The returned interpolant is the
-        fine one, so its own nodes carry exact function values. Raises
-        NonFiniteError if f returns NaN or infinity, and ToleranceError if
-        the residual still exceeds the target at _MAX_INTERVALS intervals.
+        row meets the target. f sees only sorted node sets symmetric about
+        1/2, lobatto_nodes(n) and the fresh lobatto_nodes(2n)[1::2], so
+        s[::-1] is 1 - s to relative precision, where 1.0 - s loses digits
+        near s = 1. The coarse polynomial at the fresh nodes is one inverse
+        DCT of its coefficients, exact only for values at the exact
+        Chebyshev points: an f mixing along s takes 1 - s from s[::-1].
+
+        Returns (interpolant, achieved_residual, function_evaluations),
+        the residual being the worst over the rows and the evaluations
+        counting nodes. The returned interpolant is the fine one, so its
+        own nodes carry exact function values. Raises NonFiniteError as
+        soon as f returns NaN or infinity, and ToleranceError if the
+        residual still exceeds the target at _MAX_INTERVALS intervals.
         """
         require_positive(target, "residual target")
+
+        def sample(nodes: np.ndarray) -> np.ndarray:
+            values = np.asarray(f(nodes), dtype=float)
+            if not np.isfinite(values).all():
+                raise NonFiniteError("function returned a non-finite value")
+            return values
+
         n = _INITIAL_INTERVALS
-        coarse = cls(np.asarray(f(lobatto_nodes(n)), dtype=float))
+        values = sample(lobatto_nodes(n))
         neval = n + 1
         while True:
-            new_nodes = lobatto_nodes(2 * n)[1::2]
-            new_vals = np.asarray(f(new_nodes), dtype=float)
+            new_vals = sample(lobatto_nodes(2 * n)[1::2])
             neval += n
-            residual = float(np.max(np.abs(coarse(new_nodes) - new_vals)))
-            merged = np.empty(coarse.values.shape[:-1] + (2 * n + 1,))
-            merged[..., ::2] = coarse.values
+            residual = float(np.max(np.abs(_fresh_values(values) - new_vals)))
+            merged = np.empty(values.shape[:-1] + (2 * n + 1,))
+            merged[..., ::2] = values
             merged[..., 1::2] = new_vals
             n *= 2
-            if not np.all(np.isfinite(merged)):
-                raise NonFiniteError("function returned a non-finite value")
-            fine = cls(merged)
             if residual <= target:
-                return fine, residual, neval
+                return cls(merged), residual, neval
             if n >= _MAX_INTERVALS:
                 raise ToleranceError(
                     f"interpolation residual {residual:.3e} still above "
                     f"{target:.3e} at {n} intervals"
                 )
-            coarse = fine
+            values = merged

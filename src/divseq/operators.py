@@ -56,10 +56,12 @@ def _require_right_convex(D: DivergenceFunctional) -> None:
 
 
 def _along(
-    D: DivergenceFunctional, p: np.ndarray, q: np.ndarray, s: np.ndarray, paths: np.ndarray
+    D: DivergenceFunctional, p: np.ndarray, q: np.ndarray, s: np.ndarray,
+    paths: np.ndarray, rest: np.ndarray | None = None,
 ) -> np.ndarray:
     """D(p | (1-s) p + s q) at positions s (m, L), row i along the path
-    with endpoint rows p[paths[i]] and q[paths[i]]: an (m, L) array.
+    with endpoint rows p[paths[i]] and q[paths[i]]: an (m, L) array. An
+    exact complement rest of s's shape stands for 1 - s, as in _mix.
 
     The mixtures are formed and reduced in blocks of at most _BLOCK_CELLS
     mass cells: whole rows of s where one fits, else pieces of a row. Each
@@ -71,8 +73,9 @@ def _along(
     for i in range(0, len(s), rows):
         pb, qb = p[paths[i : i + rows]], q[paths[i : i + rows]]
         for j in range(0, s.shape[1], step):
-            block = s[i : i + rows, j : j + step]
-            out[i : i + rows, j : j + step] = D.evaluator(pb[:, None], _mix(pb, qb, block))
+            block = np.s_[i : i + rows, j : j + step]
+            mixed = _mix(pb, qb, s[block], None if rest is None else rest[block])
+            out[block] = D.evaluator(pb[:, None], mixed)
     return out
 
 
@@ -151,8 +154,10 @@ def psi_iter(
     path on shared nodes (node count doubling until the residual at fresh
     nodes drops below tol on every path), and each further level
     integrates the previous level's polynomial over s exactly, in its
-    Chebyshev coefficients, on the same nodes. Rows are nonincreasing in
-    the level at every grid point, and a constant path gives zeros.
+    Chebyshev coefficients, on the same nodes. The fit samples level 0 at
+    the exact Chebyshev points, each node's weight 1 - s on the start
+    taken from the mirrored node. Rows are nonincreasing in the level at
+    every grid point, and a constant path gives zeros.
 
     No level is refitted or integrated numerically, so every level's error
     is the level-0 residual r carried through psi: at most about
@@ -169,7 +174,12 @@ def psi_iter(
     every = np.arange(len(p))
 
     def level_zero(s: np.ndarray) -> np.ndarray:
-        return _along(D, p, q, np.broadcast_to(s, (len(p), s.size)), every)
+        # s is symmetric about 1/2 (fit_adaptive), so s[::-1] is 1 - s;
+        # near s = 1 the rounded 1.0 - s would put a floor of about
+        # |f'| * 1e-16 under the fit's DCT residual.
+        rows = (len(p), s.size)
+        rest = np.broadcast_to(s[::-1], rows)
+        return _along(D, p, q, np.broadcast_to(s, rows), every, rest)
 
     levels = np.empty((k + 1,) + t.shape)
     levels[0] = _along(D, p, q, t, every)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -6,10 +7,11 @@ from divseq.chebyshev import (
     _BLOCK_CELLS,
     ChebyshevInterpolant,
     _coefficients,
+    _fresh_values,
     _values,
     lobatto_nodes,
 )
-from divseq.errors import DomainError, ToleranceError
+from divseq.errors import DomainError, NonFiniteError, ToleranceError
 
 
 def test_nodes_span_unit_interval():
@@ -139,6 +141,82 @@ def test_fit_rejects_bad_target():
 def test_fit_rejects_non_finite_values():
     with pytest.raises(DomainError):
         ChebyshevInterpolant.fit_adaptive(lambda x: np.where(x > 0.5, np.nan, x), 1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("batch", ["first", "one_node", "fresh"])
+def test_fit_rejects_a_non_finite_batch_as_it_arrives(bad, batch):
+    # Under the suite's error::RuntimeWarning filter, residual arithmetic
+    # on a non-finite value would fail this test with a RuntimeWarning.
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        out = np.cos(x)
+        if batch == "first" and len(calls) == 1:
+            out[x > 0.5] = bad
+        elif batch == "one_node" and len(calls) == 1:
+            out[3] = bad
+        elif batch == "fresh" and len(calls) == 3:
+            out[-1] = bad
+        return out
+
+    with pytest.raises(NonFiniteError):
+        ChebyshevInterpolant.fit_adaptive(f, 1e-30)
+    assert calls == ([17] if batch != "fresh" else [17, 16, 32])
+
+
+@pytest.mark.parametrize("n", [2**e for e in range(4, 15)])
+def test_node_sets_mirror_to_their_exact_complements(n):
+    # fit_adaptive samples lobatto_nodes(n) and the fresh nodes
+    # lobatto_nodes(2n)[1::2]; reversed, each is cos^2 of its angle, that
+    # is 1 - s of the exact Chebyshev point, to a few ulp relative, where
+    # 1.0 - s misses by dozens of ulp at the node next to s = 1.
+    mpmath.mp.dps = 30
+    eps = np.finfo(float).eps
+    for s, intervals, j in (
+        (lobatto_nodes(n), 2 * n, np.arange(n + 1)),
+        (lobatto_nodes(2 * n)[1::2], 4 * n, np.arange(1, 2 * n, 2)),
+    ):
+        assert np.all(np.diff(s) > 0)
+        exact = np.array(
+            [float(mpmath.cos(mpmath.pi * int(i) / intervals) ** 2) for i in j]
+        )
+        exact[j == intervals // 2] = 0.0  # the angle pi/2 at s = 1
+        mirrored = s[::-1]
+        assert np.all(mirrored[exact == 0.0] == 0.0)
+        inner = exact > 0.0
+        rel = np.abs(mirrored[inner] - exact[inner]) / exact[inner]
+        assert rel.max() <= 4.0 * eps, rel.max() / eps
+        last = np.nonzero(inner)[0][-1]
+        naive = abs((1.0 - s)[last] - exact[last]) / exact[last]
+        assert naive > 16.0 * eps, naive / eps
+
+
+def _runge(s):
+    return 1.0 / (1.0 + 25.0 * (s - 0.5) ** 2)
+
+
+@pytest.mark.parametrize("n", [16, 256, 8192])
+@pytest.mark.parametrize("m", [1, 3])
+def test_fresh_values_match_barycentric_evaluation(n, m):
+    s = lobatto_nodes(n)
+    values = np.stack([np.cos(7.0 * s), _runge(s), np.exp(s)])[:m]
+    fresh = lobatto_nodes(2 * n)[1::2]
+    gap = np.abs(_fresh_values(values) - ChebyshevInterpolant(values)(fresh))
+    assert gap.max() <= 1e-13
+
+
+def test_fit_never_evaluates_barycentrically(monkeypatch):
+    def refuse(self, x):
+        raise AssertionError("barycentric evaluation inside fit_adaptive")
+
+    monkeypatch.setattr(ChebyshevInterpolant, "__call__", refuse)
+    interp, residual, _ = ChebyshevInterpolant.fit_adaptive(np.exp, 1e-12)
+    assert residual <= 1e-12
+    stack = lambda x: np.stack([np.cos(7.0 * x), _runge(x)])
+    interp, residual, _ = ChebyshevInterpolant.fit_adaptive(stack, 1e-12)
+    assert residual <= 1e-12 and interp.values.shape[0] == 2
 
 
 @pytest.mark.parametrize("n", [16, 256, 16384])

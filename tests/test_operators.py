@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from divseq.chebyshev import ChebyshevInterpolant
 from divseq.distributions import (
     Distribution,
     MixturePath,
@@ -233,8 +234,8 @@ class TestPsiIter:
 
     def test_unresolvable_level_zero_fits_in_one_gib(self):
         # The same pair in a child process capped at 1 GiB of address space:
-        # the residual check at the node cap (8192 points against 8193
-        # nodes) must be evaluated in row blocks to reach ToleranceError
+        # the fit runs to the node cap (16385 nodes, each doubling's
+        # residual one DCT of the stack) and must reach ToleranceError
         # instead of MemoryError.
         script = (
             "import numpy as np\n"
@@ -263,6 +264,68 @@ class TestPsiIter:
             timeout=300,
         )
         assert proc.stdout.strip() == "ToleranceError", proc.stderr
+
+    # Node counts of the level-0 fit, one per seeded pair (seed, support
+    # size) below, for each verify divergence.
+    _FITTED_NODES = {
+        "chi2": [65, 129, 129, 65],
+        "kl": [65, 129, 65, 65],
+        "jeffreys": [65, 129, 65, 65],
+        "hellinger2": [33, 129, 65, 65],
+        "swap(kl)": [33, 129, 65, 65],
+        "f_divergence": [33, 65, 65, 65],
+        "swap(bregman)": [33, 33, 33, 33],
+    }
+
+    @staticmethod
+    def _fitted_nodes(monkeypatch, D, path):
+        counts = []
+        fit = ChebyshevInterpolant.fit_adaptive.__func__
+
+        def counted(cls, f, target):
+            interp, residual, evaluations = fit(cls, f, target)
+            counts.append(len(interp.nodes))
+            return interp, residual, evaluations
+
+        monkeypatch.setattr(ChebyshevInterpolant, "fit_adaptive", classmethod(counted))
+        psi_iter(D, 3, path, np.linspace(0.0, 1.0, 11))
+        return counts
+
+    @pytest.mark.parametrize("D", _suite_divergences(), ids=lambda D: D.identifier)
+    def test_fits_stop_at_their_recorded_node_counts(self, monkeypatch, D):
+        counts = []
+        for seed, n in [(0, 2), (1, 5), (2, 10), (3, 40)]:
+            A, B = _random_pair(seed, n)
+            counts += self._fitted_nodes(monkeypatch, D, MixturePath(A, B))
+        assert counts == self._FITTED_NODES[D.identifier]
+
+    def test_fit_near_a_small_ratio_at_one_uses_exact_complements(self, monkeypatch):
+        # chi2 on 23 points with min q/p = 0.0034: near s = 1 level 0 is
+        # steep, and sampled at 1.0 - s in place of the exact complement
+        # its fit stalls above 1e-12 up to the node cap. It fits at 1024
+        # intervals.
+        p = np.array([
+            0.1377940554790809, 0.043452626106112155, 0.000991062291418603,
+            0.19143048425959722, 0.012062824313446036, 0.03892956207485482,
+            0.015373231823087337, 0.02898065932956215, 0.017462025159841382,
+            0.0253451329700742, 0.009446080457467936, 0.002237329695127666,
+            0.07618390125647098, 0.05114304424647392, 0.0597749168557682,
+            0.006115347777975873, 0.0743636172870481, 0.0015771740646240357,
+            0.031020738651990624, 0.03265764875492846, 0.013256401125704255,
+            0.12210657282152296, 0.008295563197822016,
+        ])
+        q = np.array([
+            0.0004631698119198326, 0.026145123797381733, 0.014550822818444819,
+            0.03927025441541762, 0.024957004283791072, 0.13895025439306127,
+            0.02122290125968634, 0.07967874247728353, 0.07985723572853377,
+            0.05314267690373703, 0.028895878197397227, 0.02182535129658932,
+            0.03963043694555125, 0.10252239911822794, 0.009290395915556379,
+            0.022873192686828376, 0.004703472172673964, 0.08188737733067117,
+            0.09143120813836948, 0.014912185689930448, 0.03618982020911904,
+            0.019195484220446417, 0.048404612189381996,
+        ])
+        path = MixturePath(new_distribution(p), new_distribution(q))
+        assert self._fitted_nodes(monkeypatch, named_divergence("chi2"), path) == [1025]
 
     @pytest.mark.parametrize("t", [1e-310, 5e-324])
     def test_levels_at_a_subnormal_position_are_zero(self, t):
