@@ -323,11 +323,7 @@ def check_path_invariance(
 
 
 def _triangular_discrimination() -> DivergenceFunctional:
-    spec = FDivergenceSpec(
-        f=lambda u: (u - 1.0) ** 2 / (u + 1.0),
-        f_prime=lambda u: (u - 1.0) * (u + 3.0) / (u + 1.0) ** 2,
-    )
-    return make_f_divergence(spec)
+    return make_f_divergence(FDivergenceSpec(f=lambda u: (u - 1.0) ** 2 / (u + 1.0)))
 
 
 def _suite_divergences() -> tuple[DivergenceFunctional, ...]:

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +6,13 @@ from hypothesis import strategies as st
 
 from divseq.distributions import (
     MixturePath,
+    mixture,
     new_distribution,
     random_distribution,
 )
 from divseq.divergences import (
     BregmanSpec,
+    DivergenceFunctional,
     FDivergenceSpec,
     NAMED_IDENTIFIERS,
     Orientation,
@@ -21,6 +24,8 @@ from divseq.divergences import (
     swap_orientation,
 )
 from divseq.errors import DomainError, SpecError
+from divseq.operators import psi_inverse
+from divseq.sequences import pl, sl
 
 P = new_distribution(np.array([0.5, 0.5]))
 Q = new_distribution(np.array([0.25, 0.75]))
@@ -56,7 +61,7 @@ def _finite_difference_path_derivative(D, path, t):
 
 # Hand-written path derivatives of the named divergences: d/dt D(P, R(t))
 # with the second argument moving ("right") or D(R(t), P) with the first
-# moving ("left"). Oracles for the derivatives derived from the generators.
+# moving ("left"). Oracles for the complex-step derivatives.
 def _path_parts(path, t):
     p = path.start.masses
     return p, path.end.masses - p, path.masses_at(np.array([t]))[0]
@@ -101,6 +106,44 @@ HAND_WRITTEN_DERIVATIVES = {
 }
 
 
+# The same formulas term by term, as (p, delta, r) -> term, summed in
+# mpmath over the exact path r = (1 - t) p + t q of the float endpoints.
+def _mp_kl_right(p, d, r):
+    return -p * d / r
+
+
+def _mp_kl_left(p, d, r):
+    return d * (1 + mpmath.log(r / p))
+
+
+def _mp_jeffreys(p, d, r):
+    return _mp_kl_left(p, d, r) + _mp_kl_right(p, d, r)
+
+
+def _mp_hellinger2(p, d, r):
+    return d * (1 - mpmath.sqrt(p / r)) / 2
+
+
+MPMATH_DERIVATIVE_TERMS = {
+    "kl": (_mp_kl_right, _mp_kl_left),
+    "reverse_kl": (_mp_kl_left, _mp_kl_right),
+    "chi2": (lambda p, d, r: d * (1 - (p / r) ** 2), lambda p, d, r: 2 * d * (r - p) / p),
+    "jeffreys": (_mp_jeffreys, _mp_jeffreys),
+    "hellinger2": (_mp_hellinger2, _mp_hellinger2),
+}
+
+
+def _mp_path_sum(term, path, t):
+    """Sum_i term(p_i, q_i - p_i, r_i(t)) at 60 digits, as a float."""
+    with mpmath.workdps(60):
+        t = mpmath.mpf(float(t))
+        total = mpmath.fsum(
+            term(p, q - p, (1 - t) * p + t * q)
+            for p, q in zip(map(mpmath.mpf, path.start.masses), map(mpmath.mpf, path.end.masses))
+        )
+        return float(total)
+
+
 def _tiny_mass_pairs(count, seed, floor=1e-6):
     """Seeded pairs in which each side has one coordinate at exactly floor."""
     rng = np.random.default_rng(seed)
@@ -142,8 +185,7 @@ class TestNamedDivergences:
     def test_named_are_right_convex_and_differentiable(self, identifier):
         D = named_divergence(identifier)
         assert D.orientation is Orientation.RIGHT_CONVEX
-        assert D.analytic_path_derivative is not None
-        assert D.mirror_path_derivative is not None
+        assert np.isfinite(path_derivative(D, MixturePath(P, Q), 0.5))
         assert D.identifier == identifier
 
     def test_unknown_identifier(self):
@@ -216,25 +258,17 @@ class TestDivergenceAxioms:
 
 class TestFDivergenceFactory:
     @pytest.mark.parametrize(
-        "f,f_prime,matches",
+        "f,matches",
         [
-            (lambda u: u * np.log(u), lambda u: np.log(u) + 1.0, "kl"),
-            (lambda u: (u - 1.0) ** 2, lambda u: 2.0 * (u - 1.0), "chi2"),
-            (lambda u: -np.log(u), lambda u: -1.0 / u, "reverse_kl"),
-            (
-                lambda u: 0.5 * (1.0 - np.sqrt(u)) ** 2,
-                lambda u: 0.5 * (1.0 - 1.0 / np.sqrt(u)),
-                "hellinger2",
-            ),
-            (
-                lambda u: (u - 1.0) * np.log(u),
-                lambda u: np.log(u) + (u - 1.0) / u,
-                "jeffreys",
-            ),
+            (lambda u: u * np.log(u), "kl"),
+            (lambda u: (u - 1.0) ** 2, "chi2"),
+            (lambda u: -np.log(u), "reverse_kl"),
+            (lambda u: 0.5 * (1.0 - np.sqrt(u)) ** 2, "hellinger2"),
+            (lambda u: (u - 1.0) * np.log(u), "jeffreys"),
         ],
     )
-    def test_recovers_named_divergences(self, f, f_prime, matches):
-        D = make_f_divergence(FDivergenceSpec(f=f, f_prime=f_prime))
+    def test_recovers_named_divergences(self, f, matches):
+        D = make_f_divergence(FDivergenceSpec(f=f))
         ref = named_divergence(matches)
         for seed in range(25):
             A = random_distribution(4, seed=seed)
@@ -244,22 +278,31 @@ class TestFDivergenceFactory:
             )
 
     def test_orientation_and_derivative(self):
-        D = make_f_divergence(
-            FDivergenceSpec(f=lambda u: (u - 1.0) ** 2, f_prime=lambda u: 2.0 * (u - 1.0))
-        )
+        D = make_f_divergence(FDivergenceSpec(f=lambda u: (u - 1.0) ** 2))
         assert D.orientation is Orientation.RIGHT_CONVEX
-        assert D.analytic_path_derivative is not None
-        assert D.mirror_path_derivative is not None
+        path = MixturePath(P, Q)
+        assert path_derivative(D, path, 1.0) == pytest.approx(
+            _chi2_deriv_moving_right(path, 1.0), rel=1e-15
+        )
 
     def test_rejects_f_not_vanishing_at_one(self):
         with pytest.raises(SpecError):
-            make_f_divergence(FDivergenceSpec(f=lambda u: u**2, f_prime=lambda u: 2 * u))
+            make_f_divergence(FDivergenceSpec(f=lambda u: u**2))
 
     def test_rejects_concave_f(self):
         with pytest.raises(SpecError):
-            make_f_divergence(
-                FDivergenceSpec(f=lambda u: -((u - 1.0) ** 2), f_prime=lambda u: -2 * (u - 1.0))
-            )
+            make_f_divergence(FDivergenceSpec(f=lambda u: -((u - 1.0) ** 2)))
+
+    # Both generators are convex with f(1) = 0, so only the complex-step
+    # screen catches them: each drops the imaginary part of a complex u.
+    @pytest.mark.parametrize(
+        "f",
+        [lambda u: np.abs(u - 1.0), lambda u: (u.real - 1.0) ** 2],
+        ids=["abs", "real_part"],
+    )
+    def test_rejects_generator_that_drops_the_complex_step(self, f):
+        with pytest.raises(SpecError, match="complex"):
+            make_f_divergence(FDivergenceSpec(f=f))
 
 
 class TestBregmanFactory:
@@ -267,8 +310,6 @@ class TestBregmanFactory:
         D = make_bregman(BregmanSpec(F=lambda x: x**2, F_prime=lambda x: 2.0 * x))
         assert evaluate(D, P, Q) == pytest.approx(0.125, abs=1e-15)
         assert D.orientation is Orientation.LEFT_CONVEX
-        assert D.analytic_path_derivative is None
-        assert D.mirror_path_derivative is not None
 
     def test_negative_entropy_recovers_kl(self):
         D = make_bregman(
@@ -283,6 +324,11 @@ class TestBregmanFactory:
     def test_rejects_concave_generator(self):
         with pytest.raises(SpecError):
             make_bregman(BregmanSpec(F=lambda x: np.sqrt(x), F_prime=lambda x: 0.5 / np.sqrt(x)))
+
+    def test_rejects_derivative_that_drops_the_complex_step(self):
+        # 2|x| is F' on the positive grid, so the gradient inequality holds.
+        with pytest.raises(SpecError, match="F_prime"):
+            make_bregman(BregmanSpec(F=lambda x: x**2, F_prime=lambda x: 2.0 * np.abs(x)))
 
 
 class TestSwap:
@@ -319,8 +365,11 @@ class TestSwap:
 
     def test_swapped_named_keeps_analytic_derivative(self):
         swapped = swap_orientation(named_divergence("kl"))
-        assert swapped.analytic_path_derivative is not None
-        assert swapped.mirror_path_derivative is not None
+        path = MixturePath(P, Q)
+        for t in (0.0, 0.5, 1.0):
+            assert path_derivative(swapped, path, t) == pytest.approx(
+                _kl_deriv_moving_left(path, t), rel=1e-15, abs=1e-16
+            )
 
 
 class TestPathDerivative:
@@ -377,15 +426,43 @@ class TestPathDerivative:
             value = path_derivative(swap_orientation(D), path, t)
             assert abs(value - 2.0 * t * delta_sq) <= 1e-15, f"t={t}"
 
-    def test_rejects_unswapped_bregman(self):
+    def test_unswapped_bregman_derivative_is_exact(self):
+        # path_derivative is not an operator: it differentiates the second
+        # argument of any functional, here Sum (p - r)^2 = t^2 Sum delta^2.
         D = make_bregman(BregmanSpec(F=lambda x: x**2, F_prime=lambda x: 2.0 * x))
-        with pytest.raises(DomainError):
+        path = MixturePath(P, Q)
+        delta_sq = float(np.sum((Q.masses - P.masses) ** 2))
+        for t in [0.0, 0.4, 1.0]:
+            value = path_derivative(D, path, t)
+            assert abs(value - 2.0 * t * delta_sq) <= 1e-15, f"t={t}"
+
+    def test_rejects_an_evaluator_that_drops_the_imaginary_part(self):
+        chi2 = named_divergence("chi2")
+        D = DivergenceFunctional(
+            "real_chi2", Orientation.RIGHT_CONVEX, lambda p, q: np.real(chi2.evaluator(p, q))
+        )
+        with pytest.raises(SpecError, match="imaginary"):
             path_derivative(D, MixturePath(P, Q), 0.5)
 
+    @pytest.mark.parametrize("identifier", NAMED_IDENTIFIERS)
+    @pytest.mark.parametrize("moving", ["second", "first"])
+    @pytest.mark.parametrize("floor", [1e-6, 1e-12])
+    def test_complex_step_matches_mpmath(self, identifier, moving, floor):
+        right, left = MPMATH_DERIVATIVE_TERMS[identifier]
+        D, term = named_divergence(identifier), right
+        if moving == "first":
+            D, term = swap_orientation(D), left
+        grid = np.array([1e-9, 0.3, 0.9, 1.0])
+        for A, B in _tiny_mass_pairs(10, seed=3191, floor=floor):
+            path = MixturePath(A, B)
+            scale = float(np.sum(np.abs(B.masses - A.masses)))
+            values = path_derivative(D, path, grid)
+            for t, value in zip(grid, values):
+                exact = _mp_path_sum(term, path, t)
+                assert abs(value - exact) <= 4e-15 * max(abs(exact), scale), (A, B, t)
+
     def test_generic_f_divergence_derivative(self):
-        D = make_f_divergence(
-            FDivergenceSpec(f=lambda u: (u - 1.0) ** 2, f_prime=lambda u: 2.0 * (u - 1.0))
-        )
+        D = make_f_divergence(FDivergenceSpec(f=lambda u: (u - 1.0) ** 2))
         ref = named_divergence("chi2")
         path = MixturePath(P, Q)
         for t in [0.1, 0.6, 1.0]:
@@ -397,6 +474,30 @@ class TestPathDerivative:
         D = named_divergence("kl")
         with pytest.raises(DomainError):
             path_derivative(D, MixturePath(P, Q), 1.5)
+
+
+class TestInverseIdentities:
+    # Level 1 of the chain run backwards, t d/dt Li_k(tz) = Li_{k-1}(tz):
+    # psi_inverse[kl] = chi2(P, R(t)) = pl(0), psi_inverse[reverse_kl] =
+    # jeffreys(P, R(t)) = sl(0), and psi_inverse[jeffreys] is their sum.
+    @pytest.mark.parametrize(
+        "identifier,closed_form",
+        [
+            ("kl", lambda A, R: pl(0, A, R)),
+            ("reverse_kl", lambda A, R: sl(0, A, R)),
+            ("jeffreys", lambda A, R: sl(0, A, R) + pl(0, A, R)),
+        ],
+        ids=["kl", "reverse_kl", "jeffreys"],
+    )
+    @pytest.mark.parametrize("floor", [1e-6, 1e-12])
+    def test_psi_inverse_matches_the_closed_forms(self, identifier, closed_form, floor):
+        D = named_divergence(identifier)
+        grid = np.array([0.05, 0.3, 0.9, 1.0])
+        for A, B in _tiny_mass_pairs(20, seed=3191, floor=floor):
+            path = MixturePath(A, B)
+            for t, value in zip(grid, psi_inverse(D, path, grid)):
+                exact = closed_form(A, mixture(path, t))
+                assert abs(value - exact) <= 2e-15 * max(abs(exact), 1.0), (A, B, t)
 
 
 @st.composite

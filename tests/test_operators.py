@@ -569,11 +569,10 @@ class TestOrientation:
             lambda D, path: psi_iter(D, 2, path, np.array([0.5, 1.0])),
             lambda D, path: psi_inverse(D, path, 0.5),
             lambda D, path: psi_inverse(D, path, GRID),
-            lambda D, path: path_derivative(D, path, GRID),
             lambda D, path: psi_roundtrip(D, path, 0.5),
         ],
         ids=["psi", "psi_grid", "psi_iter_k0", "psi_iter_k2", "psi_inverse",
-             "psi_inverse_grid", "path_derivative_grid", "psi_roundtrip"],
+             "psi_inverse_grid", "psi_roundtrip"],
     )
     @pytest.mark.parametrize(
         "path", [PATH, MixturePath(P, P)], ids=["moving", "constant"]

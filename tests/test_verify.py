@@ -33,12 +33,10 @@ from divseq.verify import (
 def _broken_divergence():
     base = named_divergence("chi2")
     ev = base.evaluator
-    deriv = base.analytic_path_derivative
     return DivergenceFunctional(
         identifier="broken",
         orientation=Orientation.RIGHT_CONVEX,
         evaluator=lambda a, b: -np.asarray(ev(a, b)),
-        analytic_path_derivative=lambda path, t: -deriv(path, t),
     )
 
 
@@ -86,8 +84,9 @@ def _nan_above(identifier, level):
     base = named_divergence(identifier)
 
     def evaluator(p, q):
-        values = np.asarray(base.evaluator(p, q), dtype=float)
-        return np.where(values > level, np.nan, values)
+        # Complex masses (a path derivative's step) get NaN in both parts.
+        values = np.asarray(base.evaluator(p, q))
+        return np.where(values.real > level, np.nan * values, values)
 
     return replace(base, evaluator=evaluator)
 
