@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -181,6 +182,10 @@ def _build_parser() -> argparse.ArgumentParser:
     po = sub.add_parser("polylog", help="evaluate the polylogarithm")
     po.add_argument("--k", type=int, required=True, help="nonnegative integer order")
     po.add_argument("--z", type=float, required=True, help="real argument below 1")
+    # argparse before Python 3.13 takes "-1e6" for an option, not a value;
+    # its later rule reads any token that starts "-<digit>" or "-.<digit>" as
+    # a number.
+    po._negative_number_matcher = re.compile(r"-\.?\d")
     po.set_defaults(handler=_cmd_polylog)
 
     return parser

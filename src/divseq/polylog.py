@@ -8,35 +8,73 @@ w = q/p, so no digits are lost to forming 1 - q/p as q/p -> 0.
 
 - Orders 0 and 1 use their closed forms z/w and -log w (-log1p(-z) for
   |z| <= 1/2).
-- Inside |z| <= 0.95 the defining power series Sum_{j>=1} z^j / j^k is
-  summed for all coordinates together, each stopped by the same rule.
-- Outside, where the series diverges or crawls, the integral
-  representation
+- For |z| <= 1/2 the defining power series Sum_{j>=1} z^j / j^k is summed
+  for all coordinates together, each stopped by the same rule.
+- For 1/2 < z < 1, that is 0 < w < 1/2, the expansion in mu = log z =
+  log1p(-w), which converges for |mu| < 2 pi,
 
-      Li_k(z) = z / (k-1)! * Integral_0^inf x^(k-1) e^(-x) / (-expm1(-x) + w e^(-x)) dx
+      Li_k(e^mu) = Sum_{j != k-1} zeta(k-j) mu^j / j!
+                   + mu^(k-1) / (k-1)! * (H_{k-1} - log(-mu)),
 
-  is integrated in log x for all coordinates in one adaptive run on
-  shared panels. Its denominator 1 - z e^(-x) is written without
-  cancellation, so w -> 0 (z -> 1) keeps every digit.
+  with H the harmonic numbers. Its log(-mu) term carries every digit of w
+  as w -> 0.
+- For -1 <= z < -1/2, duplication,
+  Li_k(z) = 2^(1-k) Li_k(z^2) - Li_k(-z), takes both terms to the two
+  routes above; -z = w - 1 and 1 + z are exact there.
+- For z < -1, inversion, with L = log(-z) = log(w - 1),
+
+      Li_k(z) = (-1)^(k+1) Li_k(1/z) - L^k / k!
+                - 2 Sum_{1 <= r <= k/2} eta(2r) L^(k-2r) / (k-2r)!,
+
+  takes 1/z, in (-1, 0), to the series or duplication. The polynomial in
+  L is -(2 pi i)^k / k! B_k(1/2 + L / (2 pi i)), B_k the Bernoulli
+  polynomial, and eta(s) = (1 - 2^(1-s)) zeta(s).
+
+So no route integrates, and every seam lies at |z| = 1/2 or z = -1 (w in
+{1/2, 3/2, 2}). The coefficients are built once per order from exact
+rationals: zeta at nonpositive integers from Bernoulli numbers, and eta,
+hence zeta, at s >= 2 from Borwein's alternating series ("An efficient
+algorithm for the Riemann zeta function", 2000). See Lewin,
+*Polylogarithms and Associated Functions* (1981), for the expansions.
+
+``polylog_integral`` integrates the Bose-Einstein representation
+
+    Li_k(z) = z / (k-1)! * Integral_0^inf x^(k-1) e^(-x) / (-expm1(-x) + w e^(-x)) dx
+
+in log x for all coordinates in one adaptive run on shared panels. Its
+denominator 1 - z e^(-x) is written without cancellation, so w -> 0
+(z -> 1) keeps every digit. It shares nothing with the routes above and
+is kept as their cross-check.
 
 The module contract is 1e-12 relative accuracy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, ToleranceError, require_index
 from .quadrature import QuadratureConfig, cumulative_integral
 
-_SERIES_RADIUS = 0.95
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+_SERIES_RADIUS = 0.5
 _SERIES_REL_STOP = 1e-15
 _SERIES_MAX_TERMS = 10_000
 _SERIES_BLOCK_CELLS = 1 << 13
 _SERIES_MIN_BLOCK = 8
 _SERIES_MAX_BLOCK = 64
+# Terms of the mu expansion, or k if more. At |mu| <= log 2 the first term
+# left out is below 1e-19 for every order.
+_MU_TERMS = 20
+# Borwein's series for eta(s) with n terms errs by under 3 / (3 + sqrt 8)^n
+# for real s >= 2: 1.3e-18 at n = 24.
+_ETA_TERMS = 24
 _TAIL_BOUND = 1e-14
 _LOG_TAIL = 40.0
 _INTEGRAL_PIECES = 8
@@ -115,6 +153,126 @@ def _series(k: int, z: np.ndarray, linear: bool = True) -> np.ndarray:
     return out
 
 
+# The coefficient builders import fractions on first use, not with the
+# module: it imports decimal, which takes about 3 ms.
+
+
+@functools.lru_cache(maxsize=1)
+def _eta_weights() -> tuple[Fraction, ...]:
+    # Borwein's algorithm 2: eta(s) ~ Sum_{j<n} (-1)^j (1 - d_j / d_n) / (j+1)^s
+    # with d_j = n Sum_{i<=j} (n+i-1)! 4^i / ((n-i)! (2i)!).
+    from fractions import Fraction
+
+    n, d, partial = _ETA_TERMS, [], Fraction(0)
+    for i in range(n + 1):
+        partial += Fraction(
+            n * math.factorial(n + i - 1) * 4**i,
+            math.factorial(n - i) * math.factorial(2 * i),
+        )
+        d.append(partial)
+    return tuple((-1) ** j * (1 - d[j] / d[n]) for j in range(n))
+
+
+def _eta(s: int) -> Fraction:
+    """Dirichlet eta(s) for s >= 2, to 1.3e-18 relative."""
+    return sum(c / (j + 1) ** s for j, c in enumerate(_eta_weights()))
+
+
+def _bernoulli(m: int) -> list[Fraction]:
+    """B_0..B_m, with B_1 = -1/2, from Sum_{j<=n} C(n+1, j) B_j = 0."""
+    from fractions import Fraction
+
+    b = [Fraction(1)]
+    for n in range(1, m + 1):
+        b.append(-sum(math.comb(n + 1, j) * b[j] for j in range(n)) / (n + 1))
+    return b
+
+
+@functools.lru_cache(maxsize=64)
+def _coefficients(k: int) -> tuple[tuple[float, ...], float, tuple[float, ...]]:
+    """The mu expansion's coefficients, the factor 1/(k-1)! of its log(-mu)
+    term, and the inversion polynomial's coefficients times m! for L^m,
+    lowest power first; each rounded once from an exact rational."""
+    from fractions import Fraction
+
+    terms = max(_MU_TERMS, k)
+    bernoulli = _bernoulli(max(terms - k, 1))
+
+    def zeta(s: int) -> Fraction:
+        if s >= 2:
+            return _eta(s) / (1 - Fraction(1, 2 ** (s - 1)))
+        n = -s  # zeta(-n) = (-1)^n B_{n+1} / (n+1)
+        return (-1) ** n * bernoulli[n + 1] / (n + 1)
+
+    harmonic = sum(Fraction(1, j) for j in range(1, k))
+    mu = [
+        (harmonic if j == k - 1 else zeta(k - j)) / math.factorial(j)
+        for j in range(terms)
+    ]
+    inversion = [Fraction(0)] * (k + 1)
+    inversion[k] = Fraction(-1)
+    for r in range(1, k // 2 + 1):
+        inversion[k - 2 * r] = -2 * _eta(2 * r)
+    mu, inversion = (tuple(float(c) for c in cs) for cs in (mu, inversion))
+    return mu, float(Fraction(1, math.factorial(k - 1))), inversion
+
+
+def _mu_series(k: int, mu: np.ndarray) -> np.ndarray:
+    """Li_k(e^mu) for log(1/2) <= mu <= 0."""
+    coeffs, log_factor, _ = _coefficients(k)
+    out = np.full_like(mu, coeffs[-1])
+    for c in coeffs[-2::-1]:  # Horner, in place
+        out *= mu
+        out += c
+    # mu^(k-1) log(-mu) -> 0 as mu -> 0, so the term is dropped at mu = 0.
+    log_term = np.log(np.where(mu < 0.0, -mu, 1.0))
+    log_term *= mu ** (k - 1) * log_factor
+    return out - log_term
+
+
+def _expansions(k: int, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Li_k(z) for k >= 2, every coordinate from one series call and one
+    mu-expansion call."""
+    # Inversion takes z < -1 to v = 1/z in (-1, 0), and duplication then
+    # takes v < -1/2 to Li_k(x^2) and Li_k(x), x = -v in (1/2, 1].
+    far = z < -1.0
+    v = z.copy()
+    v[far] = 1.0 / z[far]
+    doubled = v < -_SERIES_RADIUS
+    rest = ~doubled
+    x = -v[doubled]
+    mu_x = np.log1p(x - 1.0)  # x - 1 is exact for 1/2 <= x <= 1
+    mu = np.zeros_like(v)
+    high = v > _SERIES_RADIUS
+    mu[high] = np.log1p(-w[high])
+    # Every argument now lies in [-1/2, 1], with its log where above 1/2.
+    args = np.concatenate([v[rest], x, x * x])
+    logs = np.concatenate([mu[rest], mu_x, 2.0 * mu_x])
+    li = np.empty_like(args)
+    near = args <= _SERIES_RADIUS
+    li[near] = polylog_series(k, args[near])
+    li[~near] = _mu_series(k, logs[~near])
+    n, m = np.count_nonzero(rest), x.size
+    out = np.empty_like(z)
+    out[rest] = li[:n]
+    out[doubled] = 2.0 ** (1 - k) * li[n + m :] - li[n : n + m]
+    if far.any():
+        polynomial = _inversion_polynomial(k, np.log(-z[far]))
+        out[far] = (-1) ** (k + 1) * out[far] + polynomial
+    return out
+
+
+def _inversion_polynomial(k: int, big_l: np.ndarray) -> np.ndarray:
+    # Sum_m c_m L^m / m! as c_0 + L/1 (c_1 + L/2 (c_2 + ... + L/k c_k)), so
+    # no 1/m! is formed: those underflow past k = 170 while L^k / k! need not.
+    _, _, c = _coefficients(k)
+    out = np.full_like(big_l, c[k])
+    for m in range(k, 0, -1):
+        out *= big_l / m
+        out += c[m - 1]
+    return out
+
+
 def _tail_cutoff(k: int, z: float) -> float:
     # Truncation point X for the integral representation. For integer k the
     # remainder past X is exactly |z| * A * e^(-X) * Sum_{j<k} X^j/j! with
@@ -178,8 +336,8 @@ def polylog_integral(k, z=None, *, w=None):
     """Quadrature of the integral representation; valid for any z < 1.
 
     Takes z or, like ``polylog``, w = 1 - z. All coordinates share one
-    adaptive run. This is the mandatory route for z <= -0.95 and the
-    cross-validation oracle elsewhere.
+    adaptive run. No other route uses it: it is the independent
+    cross-check of the series and the closed expansions.
     """
     k = require_index(k, minimum=1)
     z, w, shape = _arguments(z, w)
@@ -202,9 +360,5 @@ def polylog(k, z=None, *, w=None):
     elif k == 1:
         out = np.where(np.abs(z) <= 0.5, -np.log1p(-z), -np.log(w))
     else:
-        out = np.empty_like(z)
-        near = np.abs(z) <= _SERIES_RADIUS
-        out[near] = polylog_series(k, z[near])
-        if not near.all():
-            out[~near] = polylog_integral(k, w=w[~near])
+        out = _expansions(k, z, w)
     return _shaped(out, shape)

@@ -82,6 +82,13 @@ class QuadratureConfig:
         require_index(self.max_subdivisions, "max_subdivisions", minimum=10)
 
 
+def _weighted_rows(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # vals @ weights, row by row in one fixed order. A BLAS matrix-vector
+    # product picks its summation order from the row count, so a row's sum
+    # would change in the last bit with the rows that share the call.
+    return np.einsum("ij,j->i", vals, weights)
+
+
 def _apply_panels(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     a: np.ndarray,
@@ -111,13 +118,13 @@ def _apply_panels(
     vals = raw.reshape(-1, 15)
     if not np.isfinite(vals).all():
         raise NonFiniteError("integrand returned a non-finite value")
-    kron = (vals @ _WK).reshape(shape) * half
-    gauss = (vals @ _WG).reshape(shape) * half
+    kron = _weighted_rows(vals, _WK).reshape(shape) * half
+    gauss = _weighted_rows(vals, _WG).reshape(shape) * half
     work = np.abs(vals)
-    resabs = (work @ _WK).reshape(shape) * half
+    resabs = _weighted_rows(work, _WK).reshape(shape) * half
     mean = kron / (b - a)
     np.subtract(vals, mean.reshape(-1, 1), out=work)
-    resasc = (np.abs(work, out=work) @ _WK).reshape(shape) * half
+    resasc = _weighted_rows(np.abs(work, out=work), _WK).reshape(shape) * half
     delta = np.abs(kron - gauss)
     # QUADPACK-style scaled estimate, floored at the roundoff level of the
     # panel so that impossible tolerances surface as non-convergence.

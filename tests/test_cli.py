@@ -309,6 +309,11 @@ class TestPolylog:
         assert code == 0
         assert float(out) == pytest.approx(np.log(2.0), rel=1e-15)
 
+    def test_exponent_notation_negative_argument(self, capsys):
+        code, out, _ = run_cli(capsys, ["polylog", "--k", "3", "--z", "-1e6"])
+        assert code == 0
+        assert float(out) == pytest.approx(-462.2161809030875, rel=1e-14)
+
     def test_argument_at_one_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, ["polylog", "--k", "2", "--z", "1.0"])
         assert code == 2

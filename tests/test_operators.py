@@ -645,3 +645,50 @@ def test_quadrature_config_reexported():
     cfg = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-10, max_subdivisions=50)
     res = psi(named_divergence("chi2"), PATH, 1.0, cfg)
     assert res.value == pytest.approx(KL_PQ, abs=1e-7)
+
+
+class TestOperatorsOnGenerators:
+    NAMED = ("kl", "reverse_kl", "chi2", "jeffreys", "hellinger2")
+
+    @staticmethod
+    def _midpoint_gap(op):
+        # op(Q_0.4) - (op(Q_0.2) + op(Q_0.6)) / 2 for Q_a = (0.2, a, 0.8 - a)
+        # and P = (0.9, 0.05, 0.05) at t = 1; convexity in the end point
+        # makes it <= 0.
+        start = new_distribution(np.array([0.9, 0.05, 0.05]))
+        v = [
+            op(MixturePath(start, new_distribution(np.array([0.2, a, 0.8 - a]))))
+            for a in (0.2, 0.4, 0.6)
+        ]
+        return v[1] - 0.5 * (v[0] + v[2])
+
+    def test_psi_inverse_does_not_preserve_convexity(self):
+        # psi_inverse maps the generator phi to (w - 1) phi'(w); for chi2
+        # that has second derivative (6 - 2w) / w^4, negative past w = 3.
+        chi2 = named_divergence("chi2")
+        gap = self._midpoint_gap(lambda path: psi_inverse(chi2, path, 1.0))
+        assert gap == pytest.approx(2.2569e-3, rel=1e-4)
+
+    @pytest.mark.parametrize("identifier", NAMED)
+    def test_psi_and_other_inverses_stay_convex_there(self, identifier):
+        D = named_divergence(identifier)
+        assert self._midpoint_gap(lambda path: psi(D, path, 1.0).value) < 0.0
+        if identifier != "chi2":
+            assert self._midpoint_gap(lambda path: psi_inverse(D, path, 1.0)) < 0.0
+
+    # phi''(1) of each generator, D = Sum p phi(q/p).
+    CURVATURE = {"kl": 1.0, "reverse_kl": 1.0, "chi2": 2.0, "jeffreys": 2.0,
+                 "hellinger2": 0.25}
+
+    @pytest.mark.parametrize("identifier", NAMED)
+    def test_iterates_collapse_to_chi2(self, identifier):
+        # psi maps t^m to t^m / m, so 2^k psi^k keeps only the t^2 term of
+        # D(P, R(t)): (phi''(1) / 2) t^2 Sum (p - q)^2 / p.
+        rng = np.random.default_rng(3)
+        p, q = rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(6))
+        path = MixturePath(new_distribution(p), new_distribution(q))
+        limit = 0.5 * self.CURVATURE[identifier] * np.sum((p - q) ** 2 / p)
+        levels = psi_iter(named_divergence(identifier), 12, path, np.array([1.0]))[:, 0]
+        ratio = 2.0 ** np.arange(13) * levels / limit
+        assert np.all(np.diff(ratio[4:]) > 0.0)
+        assert 0.9 <= ratio[12] <= 1.0

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -126,10 +128,13 @@ class TestValidation:
 
 
 class TestArrays:
-    # Both sides of the series radius |z| = 0.95, the z -> 1 edge and a far
-    # negative argument, in one array.
+    # Both sides of each seam between routes (|z| = 1/2 and z = -1), the
+    # z -> 1 edge, a far negative argument and the old series radius
+    # |z| = 0.95, in one array.
     Z = np.array(
-        [-1e6, -3.0, -0.951, -0.949, -0.3, 0.0, 0.4, 0.949, 0.951, 0.999, 1.0 - 1e-12]
+        [-1e6, -3.0, -1.0000000000000002, -1.0, -0.9999999999999999, -0.951,
+         -0.949, -0.5000000000000001, -0.5, -0.3, 0.0, 0.4, 0.5,
+         0.5000000000000001, 0.949, 0.951, 0.999, 1.0 - 1e-12]
     )
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
@@ -137,12 +142,9 @@ class TestArrays:
         values = polylog(k, self.Z)
         assert isinstance(values, np.ndarray) and values.shape == self.Z.shape
         scalars = np.array([polylog(k, z) for z in self.Z])
-        series_side = np.abs(self.Z) <= 0.95
-        # The series stops each coordinate on its own, so those agree
-        # exactly; the integral route shares panels across coordinates,
-        # so those agree to the 1e-12 contract.
-        np.testing.assert_array_equal(values[series_side], scalars[series_side])
-        np.testing.assert_allclose(values, scalars, rtol=1e-12, atol=0.0)
+        # Every route works coordinate by coordinate: the series stops each
+        # on its own, and the expansions are polynomials.
+        np.testing.assert_array_equal(values, scalars)
 
     def test_array_matches_mpmath(self):
         mp = pytest.importorskip("mpmath")
@@ -202,3 +204,60 @@ class TestArrays:
     def test_one_stalled_series_raises(self):
         with pytest.raises(ToleranceError):
             polylog_series(2, np.array([0.1, 0.9999, -0.5]))
+
+
+def _mpmath_li(mp, k, w):
+    with mp.workdps(40):
+        return np.array([float(mp.polylog(k, 1 - mp.mpf(float(x)))) for x in w])
+
+
+class TestClosedExpansions:
+    # Seams between routes: w = 1/2 (z = 1/2), w = 3/2 (z = -1/2) and w = 2
+    # (z = -1), each with its neighbours one ulp either side.
+    SEAMS = np.array([0.5, 1.5, 2.0])
+    SEAM_W = np.concatenate(
+        [SEAMS, np.nextafter(SEAMS, 0.0), np.nextafter(SEAMS, np.inf)]
+    )
+    WIDE_W = np.logspace(-12.0, 12.0, 97)
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_contract_against_mpmath_over_w(self, k):
+        mp = pytest.importorskip("mpmath")
+        w = np.concatenate([self.WIDE_W, self.SEAM_W])
+        ref = _mpmath_li(mp, k, w)
+        values = polylog(k, w=w)
+        np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0.0)
+        # The same coordinates one call each, and given as z where 1 - w is
+        # exact (all of them below w = 2).
+        scalars = np.array([polylog(k, w=x) for x in w])
+        np.testing.assert_array_equal(values, scalars)
+        exact_z = w <= 2.0
+        np.testing.assert_allclose(
+            polylog(k, 1.0 - w[exact_z]), ref[exact_z], rtol=1e-12, atol=0.0
+        )
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_empty_array(self, k):
+        for values in (polylog(k, np.array([])), polylog(k, w=np.zeros((0, 3)))):
+            assert isinstance(values, np.ndarray) and values.size == 0
+        assert polylog(k, w=np.zeros((0, 3))).shape == (0, 3)
+
+    def test_makes_no_quadrature_call(self, monkeypatch):
+        # The package exports the function polylog under the module's name.
+        module = importlib.import_module("divseq.polylog")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("polylog called the quadrature")
+
+        monkeypatch.setattr(module, "cumulative_integral", refuse)
+        w = np.concatenate([self.WIDE_W, self.SEAM_W])
+        for k in range(13):
+            assert np.isfinite(polylog(k, w=w)).all()
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    def test_closed_values(self, k):
+        # Li_k(1) = zeta(k) and Li_k(-1) = -(1 - 2^(1-k)) zeta(k).
+        mp = pytest.importorskip("mpmath")
+        zeta = float(mp.zeta(k))
+        assert polylog(k, w=1e-300) == pytest.approx(zeta, rel=1e-15)
+        assert polylog(k, -1.0) == pytest.approx(-(1.0 - 2.0 ** (1 - k)) * zeta, rel=1e-15)

@@ -138,18 +138,22 @@ def test_defaults():
 
 def _scalar_reference(f, a, b, config):
     """The adaptive loop for scalar integrands as it stood before vector
-    integrands: one panel split per round, chosen by its raw error."""
+    integrands: one panel split per round, chosen by its raw error. Panel
+    sums take the library's fixed order per row."""
     pa, pb = np.array([a]), np.array([b])
+
+    def rule(vals, weights):
+        return np.einsum("ij,j->i", vals, weights)
 
     def panels(a, b):
         half = 0.5 * (b - a)
         pts = (0.5 * (a + b))[:, None] + half[:, None] * _XK[None, :]
         vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-        kron = (vals @ _WK) * half
-        gauss = (vals @ _WG) * half
-        resabs = (np.abs(vals) @ _WK) * half
+        kron = rule(vals, _WK) * half
+        gauss = rule(vals, _WG) * half
+        resabs = rule(np.abs(vals), _WK) * half
         mean = kron / (b - a)
-        resasc = (np.abs(vals - mean[:, None]) @ _WK) * half
+        resasc = rule(np.abs(vals - mean[:, None]), _WK) * half
         delta = np.abs(kron - gauss)
         err = delta.copy()
         scale = np.ones_like(delta)
@@ -258,6 +262,37 @@ def test_rows_of_edges_are_refined_as_alone_within_their_own_budget():
         np.testing.assert_allclose(values[i], truth, rtol=1e-10, atol=1e-12)
     assert splits > cfg.max_subdivisions
     assert neval == total
+
+
+def test_each_row_of_a_batch_equals_its_single_row_call_bitwise():
+    # Every panel sum takes one fixed order per row, whatever the number of
+    # rows that share the call.
+    edges = np.array([[0.0, 0.01, 0.5, 1.0]] * len(_RATES))
+    values, errs, _ = cumulative_integral(_decays, edges, CFG)
+    for i in range(len(_RATES)):
+        alone, err, _ = cumulative_integral(
+            lambda x, rows, i=i: _decays(x, np.full_like(rows, i)), edges[i : i + 1], CFG
+        )
+        assert values[i].tobytes() == alone[0].tobytes() and errs[i] == err[0]
+    # Scaling by powers of two is exact, so components on shared panels are
+    # refined exactly as each would be alone.
+    scales = 2.0 ** np.arange(-3.0, 4.0)
+
+    def family(x):
+        return scales[:, None] * (np.exp(-3.0 * x) * np.cos(7.0 * x))
+
+    cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300)
+    batch, batch_err, _ = integrate(family, 0.0, 2.0, cfg)
+    cumulative, _, _ = cumulative_integral(family, [0.0, 0.5, 2.0], cfg)
+    for i, scale in enumerate(scales):
+
+        def one(x, scale=scale):
+            return scale * (np.exp(-3.0 * x) * np.cos(7.0 * x))
+
+        value, err, _ = integrate(one, 0.0, 2.0, cfg)
+        assert batch[i] == value and batch_err[i] == err
+        alone, _, _ = cumulative_integral(one, [0.0, 0.5, 2.0], cfg)
+        assert cumulative[i].tobytes() == alone.tobytes()
 
 
 def test_a_row_past_its_budget_fails_the_call():
