@@ -41,10 +41,11 @@ algorithm for the Riemann zeta function", 2000). See Lewin,
 
     Li_k(z) = z / (k-1)! * Integral_0^inf x^(k-1) e^(-x) / (-expm1(-x) + w e^(-x)) dx
 
-in log x for all coordinates in one adaptive run on shared panels. Its
-denominator 1 - z e^(-x) is written without cancellation, so w -> 0
-(z -> 1) keeps every digit. It shares nothing with the routes above and
-is kept as their cross-check.
+in log x, each coordinate one row of edges refined on its own panels, all
+in one adaptive run. Its denominator 1 - z e^(-x) is written without
+cancellation, so w -> 0 (z -> 1) keeps every digit, and 1/(k-1)! enters
+the exponent, so every order stays finite. It shares nothing with the
+routes above and is kept as their cross-check.
 
 The module contract is 1e-12 relative accuracy.
 """
@@ -139,7 +140,10 @@ def _series(k: int, z: np.ndarray, linear: bool = True) -> np.ndarray:
         block[:, 1:] = z[pending, None]
         np.cumprod(block, axis=1, out=block)
         power = block[:, -1].copy()
-        block[:, 1:] /= np.arange(first, first + width, dtype=float) ** k
+        # Past k ~ 170 the power overflows to inf, and its term is then
+        # exactly the 0.0 it rounds to.
+        with np.errstate(over="ignore"):
+            block[:, 1:] /= np.arange(first, first + width, dtype=float) ** k
         block[:, 0] = total
         # partial[:, c] is the sum before term c + 1 of the block is added.
         partial = np.cumsum(block, axis=1)
@@ -278,12 +282,14 @@ def _tail_cutoff(k: int, z: float) -> float:
     # remainder past X is exactly |z| * A * e^(-X) * Sum_{j<k} X^j/j! with
     # A = 1/(1 - max(z,0) e^(-X)); grow X until that is below both the
     # absolute budget and a relative one, so small and huge z both stay
-    # within contract.
+    # within contract. The sum is formed in logs: X^j and j! each overflow
+    # a float long before their ratio does.
+    log_factorials = np.array([math.lgamma(j + 1.0) for j in range(k)])
     x = 35.0
     while True:
-        partial = sum(x**j / math.factorial(j) for j in range(k))
-        amp = 1.0 / (1.0 - max(z, 0.0) * math.exp(-x))
-        bound = amp * math.exp(-x) * partial
+        terms = np.arange(k) * math.log(x) - log_factorials
+        bound = math.exp(np.logaddexp.reduce(terms) - x)
+        bound /= 1.0 - max(z, 0.0) * math.exp(-x)
         if bound < _SERIES_REL_STOP and abs(z) * bound < _TAIL_BOUND:
             return x
         x += 5.0
@@ -302,23 +308,24 @@ def _integral(k: int, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     # under e^(2 - _LOG_TAIL) of the integral, which is at least 1 for
     # z >= 0.95 and at least 0.6 / w for z <= -0.95.
     lower = math.log(min(float(w.min()), 1.0)) - _LOG_TAIL / k
+    log_factorial = math.lgamma(k)
 
-    def integrand(u):
-        # x^k e^(-x) / (1 - z e^(-x)) with x = e^u; the exp(-x) form stays
-        # finite however large the cutoff gets.
+    def integrand(u, rows):
+        # x^k e^(-x) / ((k-1)! (1 - z e^(-x))) with x = e^u; the exp(-x)
+        # form stays finite however large the cutoff gets, and 1/(k-1)!
+        # in the exponent keeps x^k finite at every order.
         x = np.exp(u)
-        out = w[:, None] * np.exp(-x)
+        out = w[rows, None] * np.exp(-x)
         out -= np.expm1(-x)
-        return np.divide(np.exp(k * u - x), out, out=out)
+        return np.divide(np.exp(k * u - x - log_factorial), out, out=out)
 
     # The integrand is positive, so holding each piece to the relative
     # tolerance holds the whole integral to it; starting from several
     # pieces, each refined in every round, takes fewer rounds than one.
     edges = np.linspace(lower, math.log(cutoff), _INTEGRAL_PIECES + 1)
-    # All coordinates stay on shared panels, not rows of their own: the
-    # common abscissae let exp and expm1 be computed once for all of them.
+    edges = np.broadcast_to(edges, (z.size, edges.size))
     values, _, _ = cumulative_integral(integrand, edges, _INTEGRAL_CFG)
-    return z * values[:, -1] / float(math.factorial(k - 1))
+    return z * values[:, -1]
 
 
 def polylog_series(k, z):
@@ -336,8 +343,9 @@ def polylog_integral(k, z=None, *, w=None):
     """Quadrature of the integral representation; valid for any z < 1.
 
     Takes z or, like ``polylog``, w = 1 - z. All coordinates share one
-    adaptive run. No other route uses it: it is the independent
-    cross-check of the series and the closed expansions.
+    adaptive run, each refined on its own panels. No other route uses it:
+    it is the independent cross-check of the series and the closed
+    expansions.
     """
     k = require_index(k, minimum=1)
     z, w, shape = _arguments(z, w)

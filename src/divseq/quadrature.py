@@ -1,10 +1,9 @@
 """Adaptive Gauss-Kronrod quadrature with batched integrand evaluation.
 
-The work list holds segments, each owned by one row of edges. On one row
-the integrand gets a 1-d array of n abscissae and returns (n,) or, for m
-integrands sharing one set of panels, (m, n), each component held to its
-own tolerance. On 2-d edges, one running integral per row, it is called
-as f(x, rows) and evaluates each panel for its own row only, so a row's
+The work list holds segments, each owned by one row of edges. On 1-d
+edges, one row, the integrand gets a 1-d array of n abscissae and returns
+n values. On 2-d edges, one running integral per row, it is called as
+f(x, rows) and evaluates each panel for its own row only, so a row's
 panels, splits and budget are its own. Each refinement round gathers the
 worst panel of every unconverged segment and evaluates all of their
 children in one call, which keeps the number of Python-level round trips
@@ -94,37 +93,31 @@ def _apply_panels(
     a: np.ndarray,
     b: np.ndarray,
     rows: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int, tuple]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Evaluate the K15 rule on each [a_i, b_i] with one integrand call.
 
-    f(x (panels, 15), rows) gives (n,) or (m, n) for x's n abscissae. Returns
-    Kronrod estimates and per-panel error estimates, both (panels, m), the
-    abscissa count and f's leading shape (() or (m,)). Beyond f's output,
-    one more array of its size is held.
+    f(x (panels, 15), rows) gives one value per abscissa. Returns the
+    Kronrod estimate and the error estimate of each panel and the abscissa
+    count. Beyond f's output, one more array of its size is held.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     pts = mid[:, None] + half[:, None] * _XK[None, :]
-    raw = np.asarray(f(pts, rows), dtype=float)
-    if raw.ndim not in (1, 2) or raw.shape[-1] != pts.size:
+    vals = np.asarray(f(pts, rows), dtype=float)
+    if vals.shape != (pts.size,):
         raise DomainError(
-            f"integrand returned shape {raw.shape} for {pts.size} abscissae"
+            f"integrand returned shape {vals.shape} for {pts.size} abscissae"
         )
-    lead = raw.shape[:-1]
-    shape = (lead[0] if lead else 1, len(a))
-    # One row of 15 values per (component, panel), without a copy: with
-    # m = 1 this is the (panels, 15) array of a scalar integrand, so the
-    # arithmetic is unchanged.
-    vals = raw.reshape(-1, 15)
+    vals = vals.reshape(pts.shape)
     if not np.isfinite(vals).all():
         raise NonFiniteError("integrand returned a non-finite value")
-    kron = _weighted_rows(vals, _WK).reshape(shape) * half
-    gauss = _weighted_rows(vals, _WG).reshape(shape) * half
+    kron = _weighted_rows(vals, _WK) * half
+    gauss = _weighted_rows(vals, _WG) * half
     work = np.abs(vals)
-    resabs = _weighted_rows(work, _WK).reshape(shape) * half
+    resabs = _weighted_rows(work, _WK) * half
     mean = kron / (b - a)
-    np.subtract(vals, mean.reshape(-1, 1), out=work)
-    resasc = _weighted_rows(np.abs(work, out=work), _WK).reshape(shape) * half
+    np.subtract(vals, mean[:, None], out=work)
+    resasc = _weighted_rows(np.abs(work, out=work), _WK) * half
     delta = np.abs(kron - gauss)
     # QUADPACK-style scaled estimate, floored at the roundoff level of the
     # panel so that impossible tolerances surface as non-convergence.
@@ -132,7 +125,7 @@ def _apply_panels(
     scale = np.minimum(1.0, (200.0 * delta / np.where(pos, resasc, 1.0)) ** 1.5)
     err = np.where(pos, resasc * scale, delta)
     err = np.maximum(err, 50.0 * _EPS * resabs)
-    return kron.T, err.T, pts.size, lead
+    return kron, err, pts.size
 
 
 def _integrate_segments(
@@ -142,14 +135,12 @@ def _integrate_segments(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Integrate f over each [edges[..., j], edges[..., j+1]] to tolerance.
 
-    On 1-d edges f may return (m, n) for n abscissae: m integrands on
-    shared panels, each held to its own max(abs_tol, rel_tol * |I_i|). On
-    2-d edges f(x, rows) returns x's shape. A segment is refined while any
-    component misses its target, by splitting the panel with the worst
-    error-to-target ratio over those components. Each row of edges has its
-    own subdivision budget; an empty segment is 0.0, not evaluated. Returns
-    values and error estimates shaped lead + edges[..., 1:].shape, lead ()
-    or (m,), and the evaluation count (abscissae, whatever m is).
+    On 1-d edges f(x) returns x.size values; on 2-d edges f(x, rows)
+    returns x's shape. A segment is refined while its error estimate
+    exceeds max(abs_tol, rel_tol * |I|), by splitting its panel of largest
+    error. Each row of edges has its own subdivision budget; an empty
+    segment is 0.0, not evaluated. Returns values and error estimates
+    shaped edges[..., 1:].shape and the evaluation count.
     """
     grid = np.atleast_2d(edges)
     live = grid[:, 1:] > grid[:, :-1]
@@ -160,30 +151,20 @@ def _integrate_segments(
 
     n_seg = owner.size
     pa, pb, pseg = grid[:, :-1][live], grid[:, 1:][live], np.arange(n_seg)
-    pi, pe, neval, lead = _apply_panels(g, pa, pb, owner)
-    m = pi.shape[1]
+    pi, pe, neval = _apply_panels(g, pa, pb, owner)
     while True:
-        # Panels are added in panel order for each (segment, component), the
-        # order a 1-d bincount adds them in.
-        index = pseg if m == 1 else (pseg[:, None] * m + np.arange(m)).ravel()
-        seg_val = np.bincount(index, weights=pi.ravel(), minlength=n_seg * m)
-        seg_err = np.bincount(index, weights=pe.ravel(), minlength=n_seg * m)
-        seg_val, seg_err = seg_val.reshape(n_seg, m), seg_err.reshape(n_seg, m)
+        # Panels are added in panel order for each segment.
+        seg_val = np.bincount(pseg, weights=pi, minlength=n_seg)
+        seg_err = np.bincount(pseg, weights=pe, minlength=n_seg)
         target = np.maximum(config.abs_tol, config.rel_tol * np.abs(seg_val))
-        missed = seg_err > target
-        bad = np.flatnonzero(missed.any(axis=1))
+        bad = np.flatnonzero(seg_err > target)
         if bad.size == 0:
-            out = np.zeros((2, m) + live.shape)
-            out[0][:, live], out[1][:, live] = seg_val.T, seg_err.T
-            return *out.reshape((2,) + lead + edges[..., 1:].shape), neval
+            out = np.zeros((2,) + live.shape)
+            out[0][live], out[1][live] = seg_val, seg_err
+            return *out.reshape((2,) + edges[..., 1:].shape), neval
         # One split per unconverged segment per round: its worst panel, the
-        # first of the panels tied for it. A single component has one target
-        # per segment, so its raw error ranks the panels the same way.
-        if m == 1:
-            score = pe[:, 0]
-        else:
-            score = (pe * (missed / target)[pseg]).max(axis=1)
-        order = np.lexsort((-score, pseg))
+        # first of the panels tied for it.
+        order = np.lexsort((-pe, pseg))
         split_idx = order[np.searchsorted(pseg[order], bad)]
         if len(pa) - n_seg + bad.size > config.max_subdivisions:
             # The rows' splits together may pass one row's budget, so count
@@ -213,7 +194,7 @@ def _integrate_segments(
         child_a = np.concatenate([lo, mids])
         child_b = np.concatenate([mids, hi])
         child_seg = np.concatenate([pseg[split_idx], pseg[split_idx]])
-        ci, ce, ne, _ = _apply_panels(g, child_a, child_b, owner[child_seg])
+        ci, ce, ne = _apply_panels(g, child_a, child_b, owner[child_seg])
         neval += ne
         keep = np.ones(len(pa), dtype=bool)
         keep[split_idx] = False
@@ -230,22 +211,10 @@ def integrate(
     b: float,
     config: QuadratureConfig,
 ) -> tuple[float, float, int]:
-    """Return (value, error_estimate, evaluations) for the integral over [a, b].
-
-    For an integrand returning shape (m, n) the value and error estimate
-    are arrays of length m, computed on shared panels (an empty interval
-    gives scalar zeros); otherwise they are floats.
-    """
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise DomainError(f"integration limits must be finite, got [{a}, {b}]")
-    if a > b:
-        raise DomainError(f"integration limits must satisfy a <= b, got [{a}, {b}]")
-    if a == b:
-        return 0.0, 0.0, 0
-    vals, errs, neval = _integrate_segments(f, np.array([a, b]), config)
-    if vals.ndim == 2:
-        return vals[:, 0], errs[:, 0], neval
-    return float(vals[0]), float(errs[0]), neval
+    """Return (value, error_estimate, evaluations) for the integral over [a, b]:
+    the last value of ``cumulative_integral(f, [a, b], config)``."""
+    values, err, neval = cumulative_integral(f, [a, b], config)
+    return float(values[-1]), err, neval
 
 
 def cumulative_integral(
@@ -255,13 +224,13 @@ def cumulative_integral(
 ) -> tuple[np.ndarray, float | np.ndarray, int]:
     """Integrals from edges[..., 0] to every edge, row by row.
 
-    On 1-d edges f(x) is as for ``integrate``. On (rows, k) edges f(x, rows)
-    gets abscissae x (panels, 15) and each panel's row and returns x's
-    shape; each row is refined as it would be alone. Edges are
-    nondecreasing, and an empty segment adds exactly 0.0. Returns an array
-    aligned with ``edges`` (first entries exactly 0.0), or (m, len(edges))
-    for an integrand returning (m, n), the summed error estimate (one per
-    row or component, else a float) and the evaluation count.
+    On 1-d edges f(x) gets a 1-d array of abscissae and returns one value
+    for each. On (rows, k) edges f(x, rows) gets abscissae x (panels, 15)
+    and each panel's row and returns x's shape; each row is refined as it
+    would be alone. Edges are nondecreasing, and an empty segment adds
+    exactly 0.0. Returns an array aligned with ``edges`` (first entries
+    exactly 0.0), the summed error estimate (one per row on 2-d edges,
+    else a float) and the evaluation count.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim not in (1, 2) or edges.shape[-1] < 2:

@@ -75,6 +75,19 @@ class TestStrategyAgreement:
         assert polylog_integral(1, 0.5) == pytest.approx(np.log(2.0), abs=1e-10)
 
 
+class TestHighOrders:
+    def test_series_terms_past_overflow_are_zero(self):
+        # j^k overflows to inf from k ~ 170, and z^j / inf is the 0.0 that
+        # z^j / j^k rounds to; the sum is the argument itself.
+        assert polylog(200, -0.7) == -0.7
+        assert polylog_series(175, 0.4) == 0.4
+
+    @pytest.mark.parametrize("k", [131, 172, 200, 300])
+    def test_integral_matches_closed_expansions(self, k):
+        z = np.array([-1e6, -3.0, -0.5, 0.3, 0.97])
+        np.testing.assert_allclose(polylog_integral(k, z), polylog(k, z), rtol=1e-12, atol=0.0)
+
+
 class TestRecurrence:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("z", [-3.0, -1.0, -0.5, 0.5, 0.9])

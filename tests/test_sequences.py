@@ -128,6 +128,11 @@ class TestPolylogSequence:
             expected = mpmath_pl(k, A.masses, B.masses)
             assert abs(pl(k, A, B) - expected) <= 1e-12 * abs(expected)
 
+    def test_high_order_keeps_its_second_order_part(self):
+        # Li_k(z) - z = z^2 / 2^k + O(z^3 / 3^k), and P, Q give z = +-1/2,
+        # so pl(200) is 2^-200 / 4 to far below 1e-12; 1/j^200 overflows.
+        assert pl(200, P, Q) == pytest.approx(0.25 * 2.0**-200, rel=1e-12, abs=0.0)
+
     def test_accepts_raw_arrays(self):
         assert pl(2, P.masses, Q.masses) == pl(2, P, Q)
         with pytest.raises(DomainError):
