@@ -82,15 +82,20 @@ def _values(coefficients: np.ndarray) -> np.ndarray:
     return 0.5 * _dct1(c)[..., ::-1]
 
 
-def _fresh_values(values: np.ndarray) -> np.ndarray:
-    """The interpolant of values at lobatto_nodes(n), evaluated at the
-    fresh nodes lobatto_nodes(2n)[1::2]: its coefficients zero-padded to
-    degree 2n, one inverse DCT, the odd entries. O(n log n) per row.
-    """
+def _resampled(values: np.ndarray, n: int) -> np.ndarray:
+    """The interpolant of values at lobatto_nodes(m) at lobatto_nodes(n >= m):
+    coefficients zero-padded to degree n, one inverse DCT; n = m returns values."""
+    if values.shape[-1] == n + 1:
+        return values
     a = _coefficients(values)
-    padded = np.zeros(a.shape[:-1] + (2 * a.shape[-1] - 1,))
+    padded = np.zeros(a.shape[:-1] + (n + 1,))
     padded[..., : a.shape[-1]] = a
-    return _values(padded)[..., 1::2]
+    return _values(padded)
+
+
+def _fresh_values(values: np.ndarray) -> np.ndarray:
+    """The interpolant of values at lobatto_nodes(n) at lobatto_nodes(2n)[1::2]."""
+    return _resampled(values, 2 * (values.shape[-1] - 1))[..., 1::2]
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import re
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -76,9 +78,13 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _sequence_levels(family, start, path, t: float, depth: int) -> list[float]:
+def _sequence_levels(seq: str, start, path, t: float, depth: int) -> list[float]:
     probe = mixture(path, t)
-    return [family(k, start, probe) for k in range(depth + 1)]
+    if seq == "pl":
+        return [pl(k, start, probe) for k in range(depth + 1)]
+    # sl(k) is sl(k - 1) - pl(k) bit for bit: one pl pass a level.
+    terms = (pl(k, start, probe) for k in range(1, depth + 1))
+    return list(accumulate(terms, operator.sub, initial=sl(0, start, probe)))
 
 
 def _cmd_eval(args) -> int:
@@ -109,9 +115,8 @@ def _cmd_sweep(args) -> int:
     if args.div is not None:
         columns = _operator_levels(args, path, grid).T
     else:
-        family = pl if args.seq == "pl" else sl
         columns = [
-            _sequence_levels(family, start, path, float(t), args.depth) for t in grid
+            _sequence_levels(args.seq, start, path, float(t), args.depth) for t in grid
         ]
     if args.format == "csv":
         print("t,k,value")

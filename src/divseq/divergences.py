@@ -39,7 +39,9 @@ class DivergenceFunctional:
 
     ``evaluator`` maps two mass arrays to a value and broadcasts: the
     arguments are arrays (..., n) that broadcast against each other, and
-    the reduction is over the last axis, so every row reduces on its own.
+    the value is a sum of per-coordinate terms over the last axis (every
+    named divergence, swap and factory product is), so every row reduces on
+    its own and a split of the columns sums to the whole, as psi_iter needs.
     It takes mass arrays, real or complex (path_derivative differentiates
     it by a complex step); ``evaluate`` is the entry point that also
     accepts Distribution objects.

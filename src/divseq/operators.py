@@ -12,20 +12,21 @@ Since ds/s is scale-free, psi integrates each path once, cumulatively,
 in u = s / T for its largest position T, every (path, segment) cell on
 Gauss-Kronrod panels of its own. Iterated application of the integral
 operator fits D(P | R(s)) once by a Chebyshev polynomial, over the whole
-stack, to a residual target tol, and integrates that polynomial exactly,
-level after level, in its Chebyshev coefficients, so each level above
-the fit costs two FFTs on the fit's nodes and one evaluation on the
-grid. Every operator requires a right-convex D and rejects any other
-before it checks anything else.
+stack, by groups of coordinates whose residuals sum to at most tol, and
+integrates that polynomial exactly, level after level, in its Chebyshev
+coefficients, so each level above the fit costs two FFTs on the fit's
+nodes and one evaluation on the grid. Every operator requires a
+right-convex D and rejects any other before it checks anything else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .chebyshev import _BLOCK_CELLS, ChebyshevInterpolant
+from .chebyshev import _BLOCK_CELLS, ChebyshevInterpolant, _resampled
 from .distributions import MixturePath, _caller_form, _lift_path, _mix
 from .divergences import DivergenceFunctional, Orientation, path_derivative
 from .errors import DomainError, require_index, require_position, require_positive
@@ -77,6 +78,42 @@ def _along(
             mixed = _mix(pb, qb, s[block], None if rest is None else rest[block])
             out[block] = D.evaluator(pb[:, None], mixed)
     return out
+
+
+# A group of coordinates is fitted apart from the next harder one only if
+# that saves more mass cells than this (see _column_groups).
+_SPLIT_CELLS = 64 * _BLOCK_CELLS
+
+
+def _column_groups(p: np.ndarray, q: np.ndarray) -> list[np.ndarray | slice]:
+    """Column groups of endpoint rows p, q (m, n) to fit level 0 by, easiest
+    first: index arrays, or [slice(None)] where no split can pay.
+
+    r_i = p_i (1 - s z_i), z_i = 1 - q_i/p_i, vanishes at x = 2/z_i - 1 in
+    x = 2s - 1, on the Bernstein ellipse rho = exp(2 artanh(a)), a the
+    smaller of sqrt(q_i/p_i) and its inverse; Chebyshev coefficients decay
+    like rho^-N (Trefethen, Approximation Theory and Approximation
+    Practice, ch. 8). A column's difficulty d, 1/log(rho) at its hardest
+    row, is binned by octave j, about 64 * 2^j <= 128 d nodes, and a bin
+    joins the next harder one unless a fit apart saves more than
+    _SPLIT_CELLS cells. This sets only the cost: every fit is adaptive.
+    """
+    ratio = q / p
+    with np.errstate(divide="ignore"):  # artanh(1) is infinite: z_i = 0
+        hardest = 0.5 / np.arctanh(np.sqrt(min(ratio.min(), 1.0 / ratio.max())))
+        if ratio.size * 128 * hardest <= _SPLIT_CELLS:  # no split saves more
+            return [slice(None)]
+        a = np.sqrt(np.minimum(ratio.min(axis=0), 1.0 / ratio.max(axis=0)))
+        octave = np.maximum(np.frexp(0.5 / np.arctanh(a))[1], 0)
+    counts = np.bincount(octave)
+    bins = np.flatnonzero(counts).tolist()
+    label, size = np.zeros(len(counts), dtype=int), 0
+    for j, harder in zip(bins, bins[1:]):
+        size += int(counts[j])
+        if len(p) * size * 64 * (2**harder - 2**j) > _SPLIT_CELLS:
+            label[j + 1 :] += 1
+            size = 0
+    return [np.flatnonzero(label[octave] == g) for g in range(label[-1] + 1)]
 
 
 def psi(
@@ -150,20 +187,21 @@ def psi_iter(
     On a single path t_grid is a 1-d grid and the result is (k + 1, len);
     on a stack of m paths it has shape (m,) or (m, k') and the result
     (k + 1, m) or (k + 1, m, k'). Level 0 is D itself evaluated along the
-    path. Above it, one Chebyshev interpolant is fitted to level 0 of every
-    path on shared nodes (node count doubling until the residual at fresh
-    nodes drops below tol on every path), and each further level
-    integrates the previous level's polynomial over s exactly, in its
-    Chebyshev coefficients, on the same nodes. The fit samples level 0 at
-    the exact Chebyshev points, each node's weight 1 - s on the start
-    taken from the mirrored node. Rows are nonincreasing in the level at
-    every grid point, and a constant path gives zeros.
+    path. Above it, one Chebyshev interpolant of level 0 of every path is
+    integrated over s exactly, level after level, in its coefficients. D
+    sums per-coordinate terms, so level 0 is fitted by groups of them
+    (_column_groups), each on shared nodes doubled until its residual at
+    fresh nodes meets its share of tol on every path; the groups'
+    interpolants, resampled to the largest node set, are added. The fit
+    samples level 0 at the exact Chebyshev points, each node's weight
+    1 - s on the start taken from the mirrored node. Rows are
+    nonincreasing in the level at every grid point; a constant path gives zeros.
 
     No level is refitted or integrated numerically, so every level's error
-    is the level-0 residual r carried through psi: at most about
-    |r| log(1/s_1) at level 1, where s_1 ~ (pi / 2n)^2 is the first node
-    above 0 for n intervals, that is, about log(n) times the residual, and
-    about that factor again at each further level.
+    is the level-0 residual r (summed over groups) carried through psi: at
+    most about |r| log(1/s_1) at level 1, where s_1 ~ (pi / 2n)^2 is the
+    first node above 0 for n intervals, that is, about log(n) times the
+    residual, and about that factor again at each further level.
     """
     _require_right_convex(D)
     tol = require_positive(tol, "tol")
@@ -173,18 +211,28 @@ def psi_iter(
     p, q, t, shape = _lift_path(path, t_grid)
     every = np.arange(len(p))
 
-    def level_zero(s: np.ndarray) -> np.ndarray:
+    def level_zero(s: np.ndarray, cols) -> np.ndarray:
         # s is symmetric about 1/2 (fit_adaptive), so s[::-1] is 1 - s;
         # near s = 1 the rounded 1.0 - s would put a floor of about
         # |f'| * 1e-16 under the fit's DCT residual.
         rows = (len(p), s.size)
         rest = np.broadcast_to(s[::-1], rows)
-        return _along(D, p, q, np.broadcast_to(s, rows), every, rest)
+        return _along(D, p[:, cols], q[:, cols], np.broadcast_to(s, rows), every, rest)
 
     levels = np.empty((k + 1,) + t.shape)
     levels[0] = _along(D, p, q, t, every)
     if k > 0:
-        interp, _, _ = ChebyshevInterpolant.fit_adaptive(level_zero, tol)
+        # Easiest first; the easier groups share tol / 16, the hardest the rest.
+        groups, fits, spent = _column_groups(p, q), [], 0.0
+        for left, cols in zip(range(len(groups) - 1, -1, -1), groups):  # groups after it
+            target = (tol / 16 - spent) / left if left else tol - spent
+            fit, residual, _ = ChebyshevInterpolant.fit_adaptive(
+                lambda s: level_zero(s, cols), target
+            )
+            fits.append(fit.values)
+            spent += residual
+        n = max(values.shape[-1] for values in fits) - 1
+        interp = ChebyshevInterpolant(reduce(np.add, (_resampled(v, n) for v in fits)))
         for level in range(1, k + 1):
             interp = interp.lifted()
             levels[level] = interp(t)

@@ -8,6 +8,7 @@ from divseq.chebyshev import (
     ChebyshevInterpolant,
     _coefficients,
     _fresh_values,
+    _resampled,
     _values,
     lobatto_nodes,
 )
@@ -205,6 +206,16 @@ def test_fresh_values_match_barycentric_evaluation(n, m):
     fresh = lobatto_nodes(2 * n)[1::2]
     gap = np.abs(_fresh_values(values) - ChebyshevInterpolant(values)(fresh))
     assert gap.max() <= 1e-13
+
+
+@pytest.mark.parametrize("n, m", [(16, 32), (16, 1024), (256, 8192), (64, 96)])
+def test_resampled_values_are_the_interpolant_on_more_nodes(n, m):
+    s = lobatto_nodes(n)
+    values = np.stack([np.cos(7.0 * s), _runge(s)])
+    out = _resampled(values, m)
+    gap = np.abs(out - ChebyshevInterpolant(values)(lobatto_nodes(m)))
+    assert out.shape == (2, m + 1) and gap.max() <= 1e-13
+    assert _resampled(values, n) is values
 
 
 def test_fit_never_evaluates_barycentrically(monkeypatch):

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from divseq.cli import main
-from divseq.distributions import new_distribution
+from divseq.distributions import MixturePath, mixture, new_distribution
 from divseq.divergences import evaluate, named_divergence
+from divseq.sequences import sl
 
 PAIR = '{"p":[0.5,0.5],"q":[0.25,0.75]}'
 
@@ -223,6 +224,26 @@ class TestSweep:
             assert float(left["value"]) == pytest.approx(
                 float(right["value"]), abs=1e-8
             )
+
+    def test_sl_sweep_is_bitwise_the_direct_sl_calls(self, capsys):
+        # The sweep builds sl(k) as sl(k - 1) - pl(k); the table must be
+        # byte for byte the one printed from sl(k) called at every order.
+        rng = np.random.default_rng(11)
+        p, q = (1e-4 + d / d.sum() for d in rng.exponential(size=(2, 40)))
+        p[:2] = [3e-11, 7e-10]
+        start, end = new_distribution(p / p.sum()), new_distribution(q / q.sum())
+        pair = json.dumps({"p": start.masses.tolist(), "q": end.masses.tolist()})
+        code, out, _ = run_cli(
+            capsys, ["sweep", "--seq", "sl", "--depth", "3", "--t", "0:1:11", "--pair", pair]
+        )
+        assert code == 0
+        path = MixturePath(start, end)
+        expected = ["t,k,value"] + [
+            f"{'%.15g' % t},{k},{'%.15g' % sl(k, start, mixture(path, t))}"
+            for t in np.linspace(0.0, 1.0, 11)
+            for k in range(4)
+        ]
+        assert out.splitlines() == expected
 
     def test_json_format_round_trips(self, capsys):
         code, out, _ = run_cli(

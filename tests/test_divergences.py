@@ -26,6 +26,7 @@ from divseq.divergences import (
 from divseq.errors import DomainError, SpecError
 from divseq.operators import psi_inverse
 from divseq.sequences import pl, sl
+from divseq.verify import _suite_divergences
 
 P = new_distribution(np.array([0.5, 0.5]))
 Q = new_distribution(np.array([0.25, 0.75]))
@@ -370,6 +371,27 @@ class TestSwap:
             assert path_derivative(swapped, path, t) == pytest.approx(
                 _kl_deriv_moving_left(path, t), rel=1e-15, abs=1e-16
             )
+
+
+def _split_roster():
+    named = [named_divergence(name) for name in NAMED_IDENTIFIERS]
+    f_div = make_f_divergence(FDivergenceSpec(f=lambda u: u * np.log(u)))
+    bregman = make_bregman(BregmanSpec(F=lambda x: x * np.log(x), F_prime=lambda x: np.log(x) + 1.0))
+    roster = named + [swap_orientation(D) for D in named] + [f_div, bregman]
+    return roster + [swap_orientation(f_div), swap_orientation(bregman)] + list(_suite_divergences())
+
+
+@pytest.mark.parametrize("D", _split_roster(), ids=lambda D: D.identifier)
+def test_evaluator_sums_its_terms_over_the_last_axis(D):
+    # psi_iter fits level 0 by groups of columns and adds the groups' fits,
+    # which relies on every evaluator being a sum of per-coordinate terms.
+    rng = np.random.default_rng(4)
+    p, q = (d / d.sum(axis=-1, keepdims=True) for d in rng.exponential(size=(2, 6, 30)))
+    cols = np.array_split(rng.permutation(30), 3)
+    whole = D.evaluator(p, q)
+    parts = sum(D.evaluator(p[:, c], q[:, c]) for c in cols)
+    assert whole.shape == (6,)
+    np.testing.assert_allclose(parts, whole, rtol=1e-13, atol=1e-15)
 
 
 class TestPathDerivative:
