@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import re
 import sys
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +22,7 @@ from .errors import DomainError, SpecError, ToleranceError
 from .errors import require_index, require_position
 from .operators import psi_iter
 from .polylog import polylog
-from .sequences import pl, sl
+from .sequences import _chain, pl, sl
 from .verify import run_suite
 
 _VALUE_FORMAT = "%.15g"
@@ -54,6 +52,16 @@ def _load_pair(args) -> tuple[Distribution, Distribution]:
     return start, end
 
 
+def _check_mode(args) -> None:
+    """Exactly one of --div and --seq, and no flag that mode would ignore."""
+    if (args.div is None) == (args.seq is None):
+        raise DomainError("exactly one of --div and --seq is required")
+    if args.seq is not None and args.tol is not None:
+        raise DomainError("--tol applies to --div only")
+    if args.div is not None and getattr(args, "k", None) is not None:
+        raise DomainError("--k applies to --seq only")
+
+
 def _operator_levels(args, path: MixturePath, grid: np.ndarray) -> np.ndarray:
     """psi_iter levels 0..depth of --div on the grid, at --tol if given."""
     tol = () if args.tol is None else (args.tol,)
@@ -78,19 +86,9 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _sequence_levels(seq: str, start, path, t: float, depth: int) -> list[float]:
-    probe = mixture(path, t)
-    if seq == "pl":
-        return [pl(k, start, probe) for k in range(depth + 1)]
-    # sl(k) is sl(k - 1) - pl(k) bit for bit: one pl pass a level.
-    terms = (pl(k, start, probe) for k in range(1, depth + 1))
-    return list(accumulate(terms, operator.sub, initial=sl(0, start, probe)))
-
-
 def _cmd_eval(args) -> int:
     start, end = _load_pair(args)
-    if (args.div is None) == (args.seq is None):
-        raise DomainError("exactly one of --div and --seq is required")
+    _check_mode(args)
     require_index(args.depth, "depth")
     t = require_position(args.t)
     path = MixturePath(start, end)
@@ -107,8 +105,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     start, end = _load_pair(args)
-    if (args.div is None) == (args.seq is None):
-        raise DomainError("exactly one of --div and --seq is required")
+    _check_mode(args)
     require_index(args.depth, "depth")
     grid = _parse_grid(args.t)
     path = MixturePath(start, end)
@@ -116,7 +113,7 @@ def _cmd_sweep(args) -> int:
         columns = _operator_levels(args, path, grid).T
     else:
         columns = [
-            _sequence_levels(args.seq, start, path, float(t), args.depth) for t in grid
+            _chain(args.seq, 0, args.depth, start, mixture(path, float(t))) for t in grid
         ]
     if args.format == "csv":
         print("t,k,value")

@@ -83,9 +83,7 @@ _INTEGRAL_PIECES = 8
 # The integrand is positive, so every integral is nonzero and a relative
 # target alone is well defined. An absolute floor would loosen the contract
 # for large |z|, where the integral is about (k-1)! Li_k(z) / z.
-_INTEGRAL_CFG = QuadratureConfig(
-    rel_tol=1e-12, abs_tol=np.finfo(float).tiny, max_subdivisions=2000
-)
+_INTEGRAL_CFG = QuadratureConfig(rel_tol=1e-12, abs_tol=np.finfo(float).tiny)
 
 
 def _arguments(z, w) -> tuple[np.ndarray, np.ndarray, tuple]:

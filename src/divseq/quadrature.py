@@ -1,14 +1,13 @@
 """Adaptive Gauss-Kronrod quadrature with batched integrand evaluation.
 
-The work list holds segments, each owned by one row of edges. On 1-d
-edges, one row, the integrand gets a 1-d array of n abscissae and returns
-n values. On 2-d edges, one running integral per row, it is called as
-f(x, rows) and evaluates each panel for its own row only, so a row's
-panels, splits and budget are its own. Each refinement round gathers the
-worst panel of every unconverged segment and evaluates all of their
-children in one call, which keeps the number of Python-level round trips
-small even when the integrand itself is expensive (for example a
-divergence evaluated along a mixture path).
+Edges come in rows, one running integral per row, and the work list holds
+segments, each owned by one row. The integrand is called as f(x, rows)
+and evaluates each panel for its own row only, so a row's panels, splits
+and budget are its own; ``integrate`` is the one-row case. Each refinement
+round gathers the worst panel of every unconverged segment and evaluates
+all of their children in one call, which keeps the number of Python-level
+round trips small even when the integrand itself is expensive (for
+example a divergence evaluated along a mixture path).
 """
 
 from __future__ import annotations
@@ -18,15 +17,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NonFiniteError,
-    ToleranceError,
-    require_index,
-    require_positive,
-)
+from .errors import DomainError, NonFiniteError, ToleranceError, require_positive
 
 _EPS = np.finfo(float).eps
+# Panel splits each row of edges may make before the call fails.
+_MAX_SUBDIVISIONS = 2000
 
 # 15-point Kronrod extension of 7-point Gauss, abscissae in (0, 1).
 _XK_HALF = np.array(
@@ -73,12 +68,10 @@ _WG[9:15:2] = _WG_HALF[::-1]
 class QuadratureConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
 
     def __post_init__(self) -> None:
         require_positive(self.rel_tol, "rel_tol")
         require_positive(self.abs_tol, "abs_tol")
-        require_index(self.max_subdivisions, "max_subdivisions", minimum=10)
 
 
 def _weighted_rows(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -104,11 +97,8 @@ def _apply_panels(
     mid = 0.5 * (a + b)
     pts = mid[:, None] + half[:, None] * _XK[None, :]
     vals = np.asarray(f(pts, rows), dtype=float)
-    if vals.shape != (pts.size,):
-        raise DomainError(
-            f"integrand returned shape {vals.shape} for {pts.size} abscissae"
-        )
-    vals = vals.reshape(pts.shape)
+    if vals.shape != pts.shape:
+        raise DomainError(f"integrand gave shape {vals.shape}, not {pts.shape}")
     if not np.isfinite(vals).all():
         raise NonFiniteError("integrand returned a non-finite value")
     kron = _weighted_rows(vals, _WK) * half
@@ -129,29 +119,23 @@ def _apply_panels(
 
 
 def _integrate_segments(
-    f: Callable,
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     edges: np.ndarray,
     config: QuadratureConfig,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Integrate f over each [edges[..., j], edges[..., j+1]] to tolerance.
+    """Integrate f over each [edges[i, j], edges[i, j+1]] to tolerance.
 
-    On 1-d edges f(x) returns x.size values; on 2-d edges f(x, rows)
-    returns x's shape. A segment is refined while its error estimate
-    exceeds max(abs_tol, rel_tol * |I|), by splitting its panel of largest
-    error. Each row of edges has its own subdivision budget; an empty
-    segment is 0.0, not evaluated. Returns values and error estimates
-    shaped edges[..., 1:].shape and the evaluation count.
+    A segment is refined while its error estimate exceeds
+    max(abs_tol, rel_tol * |I|), by splitting its panel of largest error.
+    Each row of edges has its own budget of _MAX_SUBDIVISIONS splits; an
+    empty segment is 0.0, not evaluated. Returns values and error estimates
+    shaped edges[:, 1:].shape and the evaluation count.
     """
-    grid = np.atleast_2d(edges)
-    live = grid[:, 1:] > grid[:, :-1]
+    live = edges[:, 1:] > edges[:, :-1]
     owner = np.nonzero(live)[0]
-
-    def g(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return f(x.ravel()) if edges.ndim == 1 else np.reshape(f(x, rows), -1)
-
-    n_seg = owner.size
-    pa, pb, pseg = grid[:, :-1][live], grid[:, 1:][live], np.arange(n_seg)
-    pi, pe, neval = _apply_panels(g, pa, pb, owner)
+    n_seg, used = owner.size, np.zeros(len(edges), dtype=int)  # splits per row
+    pa, pb, pseg = edges[:, :-1][live], edges[:, 1:][live], np.arange(n_seg)
+    pi, pe, neval = _apply_panels(f, pa, pb, owner)
     while True:
         # Panels are added in panel order for each segment.
         seg_val = np.bincount(pseg, weights=pi, minlength=n_seg)
@@ -161,27 +145,22 @@ def _integrate_segments(
         if bad.size == 0:
             out = np.zeros((2,) + live.shape)
             out[0][live], out[1][live] = seg_val, seg_err
-            return *out.reshape((2,) + edges[..., 1:].shape), neval
+            return out[0], out[1], neval
         # One split per unconverged segment per round: its worst panel, the
         # first of the panels tied for it.
         order = np.lexsort((-pe, pseg))
         split_idx = order[np.searchsorted(pseg[order], bad)]
-        if len(pa) - n_seg + bad.size > config.max_subdivisions:
-            # The rows' splits together may pass one row's budget, so count
-            # each row's own: every split added one panel to its row.
-            bad_rows, rows = owner[bad], len(grid)
-            used = np.bincount(owner[pseg], minlength=rows)
-            used -= np.bincount(owner, minlength=rows)
-            room = config.max_subdivisions - used[bad_rows]
-            if (room <= 0).any():
-                raise ToleranceError(
-                    "quadrature failed to converge within "
-                    f"{config.max_subdivisions} subdivisions "
-                    f"(worst segment error {seg_err.max():.3e})"
-                )
-            # Each row splits its first unconverged segments, up to its room.
-            rank = np.arange(bad.size) - np.searchsorted(bad_rows, bad_rows)
-            split_idx = split_idx[rank < room]
+        bad_rows = owner[bad]
+        room = _MAX_SUBDIVISIONS - used[bad_rows]
+        if (room <= 0).any():
+            raise ToleranceError(
+                f"quadrature failed to converge within {_MAX_SUBDIVISIONS} "
+                f"subdivisions (worst segment error {seg_err.max():.3e})"
+            )
+        # Each row splits its first unconverged segments, up to its room.
+        rank = np.arange(bad.size) - np.searchsorted(bad_rows, bad_rows)
+        split_idx = split_idx[rank < room]
+        used += np.bincount(owner[pseg[split_idx]], minlength=len(used))
         lo, hi = pa[split_idx], pb[split_idx]
         # max(|lo|, |hi|, 1e-300), as lo < hi.
         reach = np.maximum(np.maximum(hi, -lo), 1e-300)
@@ -194,7 +173,7 @@ def _integrate_segments(
         child_a = np.concatenate([lo, mids])
         child_b = np.concatenate([mids, hi])
         child_seg = np.concatenate([pseg[split_idx], pseg[split_idx]])
-        ci, ce, ne = _apply_panels(g, child_a, child_b, owner[child_seg])
+        ci, ce, ne = _apply_panels(f, child_a, child_b, owner[child_seg])
         neval += ne
         keep = np.ones(len(pa), dtype=bool)
         keep[split_idx] = False
@@ -211,37 +190,43 @@ def integrate(
     b: float,
     config: QuadratureConfig,
 ) -> tuple[float, float, int]:
-    """Return (value, error_estimate, evaluations) for the integral over [a, b]:
-    the last value of ``cumulative_integral(f, [a, b], config)``."""
-    values, err, neval = cumulative_integral(f, [a, b], config)
-    return float(values[-1]), err, neval
+    """Return (value, error_estimate, evaluations) for the integral over [a, b].
+
+    f gets a 1-d array of abscissae and returns one value for each. This is
+    ``cumulative_integral`` on the one row of edges [[a, b]].
+    """
+
+    def one_row(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        vals = np.asarray(f(x.ravel()), dtype=float)
+        if vals.shape != (x.size,):
+            raise DomainError(f"integrand gave shape {vals.shape}, not ({x.size},)")
+        return vals.reshape(x.shape)
+
+    values, err, neval = cumulative_integral(one_row, [[a, b]], config)
+    return float(values[0, -1]), float(err[0]), neval
 
 
 def cumulative_integral(
-    f: Callable,
-    edges: Sequence[float] | np.ndarray,
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    edges: Sequence[Sequence[float]] | np.ndarray,
     config: QuadratureConfig,
-) -> tuple[np.ndarray, float | np.ndarray, int]:
-    """Integrals from edges[..., 0] to every edge, row by row.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Integrals from edges[:, 0] to every edge, one running integral per row.
 
-    On 1-d edges f(x) gets a 1-d array of abscissae and returns one value
-    for each. On (rows, k) edges f(x, rows) gets abscissae x (panels, 15)
-    and each panel's row and returns x's shape; each row is refined as it
-    would be alone. Edges are nondecreasing, and an empty segment adds
-    exactly 0.0. Returns an array aligned with ``edges`` (first entries
-    exactly 0.0), the summed error estimate (one per row on 2-d edges,
-    else a float) and the evaluation count.
+    Edges have shape (rows, k), k >= 2, nondecreasing along each row.
+    f(x, rows) gets abscissae x (panels, 15) and each panel's row and
+    returns x's shape; each row is refined as it would be alone, and an
+    empty segment adds exactly 0.0. Returns an array shaped like ``edges``
+    (first column exactly 0.0), each row's summed error estimate and the
+    evaluation count.
     """
     edges = np.asarray(edges, dtype=float)
-    if edges.ndim not in (1, 2) or edges.shape[-1] < 2:
-        raise DomainError("cumulative_integral needs at least two edges per row")
+    if edges.ndim != 2 or edges.shape[1] < 2:
+        raise DomainError("cumulative_integral needs edges of shape (rows, k), k >= 2")
     if not np.all(np.isfinite(edges)):
         raise DomainError("integration edges must be finite")
     if np.any(np.diff(edges) < 0.0):
         raise DomainError("integration edges must be nondecreasing")
     seg_vals, seg_errs, neval = _integrate_segments(f, edges, config)
-    start = np.zeros(seg_vals.shape[:-1] + (1,))
-    out = np.concatenate([start, np.cumsum(seg_vals, axis=-1)], axis=-1)
-    if seg_vals.ndim == 2:
-        return out, seg_errs.sum(axis=-1), neval
-    return out, float(seg_errs.sum()), neval
+    running = np.concatenate([np.zeros((len(edges), 1)), np.cumsum(seg_vals, axis=1)], 1)
+    return running, seg_errs.sum(axis=1), neval

@@ -98,6 +98,21 @@ def sl(k, P, Q):
     return _caller_form(total, shape)
 
 
+def _chain(name: str, first: int, depth: int, P, R) -> list:
+    """name(first + k, P, R) for k = 0..depth, where name is "pl" or "sl".
+
+    sl(k) is sl(k - 1) - pl(k) bit for bit: one pl pass a level. pl and sl
+    are resolved when this runs, so a rebound pl or sl (a tracing or
+    counting wrapper) is the one called.
+    """
+    if name == "pl":
+        return [pl(first + k, P, R) for k in range(depth + 1)]
+    chain = [sl(first, P, R)]
+    for k in range(first + 1, first + depth + 1):
+        chain.append(chain[-1] - pl(k, P, R))
+    return chain
+
+
 def _mixture_rows(P, Q, t) -> tuple[np.ndarray, np.ndarray, tuple]:
     p, q, shape = _lift_pair(P, Q)
     t = require_position(t)

@@ -37,7 +37,7 @@ from .divergences import (
 )
 from .errors import NonFiniteError, ToleranceError, require_index
 from .operators import psi, psi_inverse, psi_iter
-from .sequences import pl, sl
+from .sequences import _chain
 
 __all__ = [
     "PropertyCheck",
@@ -66,9 +66,7 @@ _FIXED_GRID = np.linspace(0.0, 1.0, 11)
 # Divergences whose iterated chains have closed forms to compare against:
 # level k is sequence(k + shift). psi[chi2] = kl and psi[jeffreys] =
 # reverse kl, so the kl and reverse-kl (swap(kl)) chains are the chi2 and
-# jeffreys chains one level on. The sequences are named and resolved when
-# a check runs, so a rebound pl or sl (a tracing or counting wrapper) is
-# the one called.
+# jeffreys chains one level on.
 _CLOSED_FORMS = {
     "chi2": ("pl", 0),
     "jeffreys": ("sl", 0),
@@ -246,14 +244,9 @@ def check_iterated_chain(
             *(_strict_increase_violation(row, separated) for row in levels),
         )
         if closed_form is not None:
-            name, shift = closed_form
             at = np.arange(len(ts))
             probe = mixture(path, ts[at, probe_index])
-            expected = [sl(shift, path.start, probe)] if name == "sl" else []
-            for k in range(len(expected), depth + 1):
-                term = pl(k + shift, path.start, probe)
-                # sl(j) is sl(j - 1) - pl(j) bit for bit: one pl pass a level.
-                expected.append(expected[-1] - term if name == "sl" else term)
+            expected = _chain(*closed_form, depth, path.start, probe)
             worst = _worst(worst, np.max(np.abs(levels[:, at, probe_index] - expected), axis=0))
         return worst
 

@@ -120,6 +120,13 @@ class TestEval:
         code, _, _ = run_cli(capsys, ["eval", "--seq", "pl", "--pair", PAIR])
         assert code == 2
 
+    def test_k_with_div_exits_2(self, capsys):
+        # --k orders a sequence; an operator call would drop it.
+        argv = ["eval", "--div", "kl", "--k", "5", "--pair", PAIR]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == "" and "--k" in err
+
     def test_unknown_divergence_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, ["eval", "--div", "nope", "--pair", PAIR])
         assert code == 2
@@ -150,6 +157,18 @@ class TestEval:
         code, out, err = run_cli(capsys, argv + ["--pair", PAIR])
         assert code == 2
         assert out == "" and "tol" in err
+
+    @pytest.mark.parametrize("tol", ["1e-3", "-1"])
+    @pytest.mark.parametrize(
+        "command", [["eval", "--k", "2"], ["sweep", "--t", "0:1:5", "--depth", "2"]]
+    )
+    @pytest.mark.parametrize("seq", ["pl", "sl"])
+    def test_tolerance_with_seq_exits_2(self, capsys, command, seq, tol):
+        # --tol is the operator fit's target; a closed form would ignore it.
+        argv = command + ["--seq", seq, "--tol", tol, "--pair", PAIR]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == "" and "--tol" in err
 
     @pytest.mark.parametrize("command", [["eval"], ["sweep", "--t", "0:1:5"]])
     def test_unattainable_tolerance_at_depth_two_exits_3(self, capsys, command):

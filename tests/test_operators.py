@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from divseq import quadrature
 from divseq.chebyshev import ChebyshevInterpolant
 from divseq.distributions import (
     Distribution,
@@ -609,21 +610,21 @@ def _stacked(starts, ends):
 class TestPsiRowByRow:
     # Each path of a stack is refined on its own panels within its own
     # subdivision budget, so it costs and converges as it would alone.
-    def test_each_path_has_its_own_subdivision_budget(self):
+    def test_each_path_has_its_own_subdivision_budget(self, monkeypatch):
         chi2, seen = _counting(named_divergence("chi2"))
-        cfg = QuadratureConfig(max_subdivisions=10)
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 10)
         starts = [random_distribution(5, 2 * i, 1e-3).masses for i in range(30)]
         ends = [random_distribution(5, 2 * i + 1, 1e-3).masses for i in range(30)]
         stack, paths = _stacked(starts, ends)
         grids = np.tile(np.linspace(0.0, 1.0, 11), (30, 1))
         splits = 0
-        for path, grid, row in zip(paths, grids, psi(chi2, stack, grids, cfg)):
+        for path, grid, row in zip(paths, grids, psi(chi2, stack, grids)):
             seen[0] = 0
-            alone = psi(chi2, path, grid, cfg)
+            alone = psi(chi2, path, grid)
             # Ten segments of 15 abscissae, and two panels of 15 per split.
             splits += (seen[0] // 15 - 10) // 2
             np.testing.assert_allclose(row, alone, rtol=1e-14, atol=0.0)
-        assert splits > cfg.max_subdivisions
+        assert splits > quadrature._MAX_SUBDIVISIONS
 
     def test_a_hard_path_costs_the_stack_its_own_evaluations_only(self):
         chi2, seen = _counting(named_divergence("chi2"))
@@ -749,7 +750,7 @@ class TestOrderingProperties:
 
 
 def test_quadrature_config_reexported():
-    cfg = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-10, max_subdivisions=50)
+    cfg = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-10)
     res = psi(named_divergence("chi2"), PATH, 1.0, cfg)
     assert res.value == pytest.approx(KL_PQ, abs=1e-7)
 

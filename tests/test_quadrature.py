@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
 
-from divseq import MixturePath, named_divergence, random_distribution
+from divseq import MixturePath, named_divergence, quadrature, random_distribution
 from divseq.errors import DomainError, ToleranceError
 from divseq.quadrature import (
     _EPS,
@@ -92,10 +92,10 @@ def _inverse_sqrt_cusp(x):
     return 1.0 / np.sqrt(np.abs(x - 0.31) + 1e-300)
 
 
-def test_singular_integrand_exhausts_small_budget():
-    cfg = QuadratureConfig(max_subdivisions=10)
+def test_singular_integrand_exhausts_small_budget(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 10)
     with pytest.raises(ToleranceError):
-        integrate(_inverse_sqrt_cusp, 0.0, 1.0, cfg)
+        integrate(_inverse_sqrt_cusp, 0.0, 1.0, CFG)
 
 
 def test_sqrt_cusp_converges_with_default_budget():
@@ -111,19 +111,32 @@ def test_unbounded_singularity_reports_failure_not_garbage():
         integrate(_inverse_sqrt_cusp, 0.0, 1.0, CFG)
 
 
+def _exp_rows(x, rows):
+    return np.exp(x)
+
+
 def test_cumulative_matches_single_segments():
-    edges = np.array([0.0, 0.1, 0.35, 0.6, 1.0])
-    vals, err, _ = cumulative_integral(np.exp, edges, CFG)
-    assert vals[0] == 0.0
-    for j, e in enumerate(edges):
+    edges = np.array([[0.0, 0.1, 0.35, 0.6, 1.0]])
+    vals, err, _ = cumulative_integral(_exp_rows, edges, CFG)
+    assert vals[0, 0] == 0.0
+    for j, e in enumerate(edges[0]):
         direct = np.exp(e) - 1.0
-        assert vals[j] == pytest.approx(direct, abs=1e-12), f"edge {e}"
-    assert err >= 0.0
+        assert vals[0, j] == pytest.approx(direct, abs=1e-12), f"edge {e}"
+    assert err[0] >= 0.0
 
 
 def test_cumulative_requires_increasing_edges():
     with pytest.raises(DomainError):
-        cumulative_integral(np.exp, np.array([0.0, 0.5, 0.4]), CFG)
+        cumulative_integral(_exp_rows, np.array([[0.0, 0.5, 0.4]]), CFG)
+
+
+@pytest.mark.parametrize(
+    "edges", [[0.0, 0.5, 1.0], [0.3, 0.3], [[0.5]], np.zeros((1, 2, 2))]
+)
+def test_edges_must_be_rows_of_at_least_two(edges):
+    # A single interval goes through integrate, the one-row case.
+    with pytest.raises(DomainError):
+        cumulative_integral(_exp_rows, edges, CFG)
 
 
 def test_config_validation():
@@ -131,15 +144,13 @@ def test_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureConfig(abs_tol=-1e-10)
-    with pytest.raises(DomainError):
-        QuadratureConfig(max_subdivisions=5)
 
 
 def test_defaults():
     cfg = QuadratureConfig()
     assert cfg.rel_tol == 1e-10
     assert cfg.abs_tol == 1e-12
-    assert cfg.max_subdivisions == 2000
+    assert quadrature._MAX_SUBDIVISIONS == 2000
 
 
 def _scalar_reference(f, a, b, config):
@@ -243,26 +254,26 @@ def _decays(x, rows):
     return np.exp(-_RATES[rows][:, None] * x)
 
 
-def test_rows_of_edges_are_refined_as_alone_within_their_own_budget():
+def test_rows_of_edges_are_refined_as_alone_within_their_own_budget(monkeypatch):
     # Each row converges alone within 10 splits, but the rows need more
     # than 10 between them.
-    cfg = QuadratureConfig(max_subdivisions=10)
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 10)
     edges = np.array([[0.0, 0.01, 0.01, 0.5, 1.0]] * len(_RATES))
-    values, errs, neval = cumulative_integral(_decays, edges, cfg)
+    values, errs, neval = cumulative_integral(_decays, edges, CFG)
     assert values.shape == edges.shape and errs.shape == (len(_RATES),)
     splits, total = 0, 0
     for i, rate in enumerate(_RATES):
         alone, err, n = cumulative_integral(
-            lambda x, rate=rate: np.exp(-rate * x), edges[i], cfg
+            lambda x, rows, rate=rate: np.exp(-rate * x), edges[i : i + 1], CFG
         )
-        np.testing.assert_allclose(values[i], alone, rtol=1e-15, atol=0.0)
-        assert errs[i] == pytest.approx(err, rel=1e-12)
+        np.testing.assert_allclose(values[i], alone[0], rtol=1e-15, atol=0.0)
+        assert errs[i] == pytest.approx(err[0], rel=1e-12)
         # The empty segment adds exactly 0.0 and is not evaluated.
         assert values[i, 2] == values[i, 1]
         splits, total = splits + (n // 15 - 3) // 2, total + n
         truth = -np.expm1(-rate * edges[i]) / rate
         np.testing.assert_allclose(values[i], truth, rtol=1e-10, atol=1e-12)
-    assert splits > cfg.max_subdivisions
+    assert splits > quadrature._MAX_SUBDIVISIONS
     assert neval == total
 
 
@@ -278,21 +289,21 @@ def test_each_row_of_a_batch_equals_its_single_row_call_bitwise():
         assert values[i].tobytes() == alone[0].tobytes() and errs[i] == err[0]
 
 
-def test_a_row_past_its_budget_fails_the_call():
-    cfg = QuadratureConfig(max_subdivisions=10)
+def test_a_row_past_its_budget_fails_the_call(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 10)
     # Row 1 is the cusp that exhausts this budget alone; row 0 converges.
 
     def rows_f(x, rows):
         return np.where(rows[:, None] == 1, _inverse_sqrt_cusp(x), np.exp(x))
 
     with pytest.raises(ToleranceError):
-        cumulative_integral(rows_f, np.array([[0.0, 1.0], [0.0, 1.0]]), cfg)
-    values, _, _ = cumulative_integral(rows_f, np.array([[0.0, 1.0], [0.0, 0.0]]), cfg)
+        cumulative_integral(rows_f, np.array([[0.0, 1.0], [0.0, 1.0]]), CFG)
+    values, _, _ = cumulative_integral(rows_f, np.array([[0.0, 1.0], [0.0, 0.0]]), CFG)
     assert values[0, 1] == pytest.approx(np.e - 1.0, rel=1e-12)
 
 
 def test_edges_without_a_nonempty_segment_give_zeros():
-    values, err, neval = cumulative_integral(np.exp, [0.3, 0.3], CFG)
-    assert values.tolist() == [0.0, 0.0] and err == 0.0 and neval == 0
+    values, err, neval = cumulative_integral(_exp_rows, [[0.3, 0.3]], CFG)
+    assert values.tolist() == [[0.0, 0.0]] and err.tolist() == [0.0] and neval == 0
     values, errs, neval = cumulative_integral(_decays, np.zeros((2, 3)), CFG)
     assert values.tolist() == [[0.0] * 3] * 2 and errs.tolist() == [0.0, 0.0] and neval == 0

@@ -6,7 +6,7 @@ row and within the stated tolerance where rows share an adaptive scheme."""
 import numpy as np
 import pytest
 
-from divseq import chebyshev, operators
+from divseq import chebyshev, operators, sequences
 from divseq.chebyshev import ChebyshevInterpolant, lobatto_nodes
 from divseq.distributions import (
     Distribution,
@@ -142,6 +142,34 @@ def test_closed_form_fallback_is_decided_row_by_row():
             values = family(k, P, Q)
             assert values[0] == family(k, p, near)
             assert abs(values[1] - family(k, p, far)) <= 1e-12 * abs(family(k, p, far))
+
+
+@pytest.mark.parametrize("n", [2, 7, 300])
+def test_closed_form_rows_equal_single_calls_bitwise(n, monkeypatch):
+    # Even rows end within 1e-7 relative of their start, so their plain sums
+    # cancel and take the split sum; odd rows do not. Each term is formed
+    # elementwise and each row summed in one fixed order, so every row is
+    # its single call, whichever rows share the stack.
+    stacked, _ = _stack(n, seed=13 * n, min_mass=1e-5)
+    p = stacked.start.masses
+    near = p * (1.0 + 1e-7 * np.random.default_rng(n).uniform(-1.0, 1.0, p.shape))
+    near /= near.sum(axis=1, keepdims=True)
+    q = np.where(np.arange(M)[:, None] % 2 == 0, near, stacked.end.masses)
+    split, taken = sequences._split_sum, set()
+
+    def spy(k, row, *rest):
+        taken.add(int(np.flatnonzero((p == row).all(axis=1))[0]))
+        return split(k, row, *rest)
+
+    monkeypatch.setattr(sequences, "_split_sum", spy)
+    for k in range(4):
+        for family in (pl, sl):
+            taken.clear()
+            values = family(k, p, q)
+            # sl(0) is the Jeffreys divergence alone, with no pl term.
+            assert taken == ({0, 2, 4} if family is pl or k > 0 else set())
+            for i in range(M):
+                assert values[i] == family(k, p[i], q[i]), (family.__name__, k, i)
 
 
 @pytest.mark.parametrize("D", SUITE, ids=IDS)

@@ -12,7 +12,7 @@ from divseq.divergences import (
     named_divergence,
     swap_orientation,
 )
-from divseq import verify
+from divseq import sequences, verify
 from divseq.cli import main
 from divseq.divergences import evaluate
 from divseq.errors import DomainError, NonFiniteError
@@ -202,8 +202,8 @@ class TestClosedFormOracles:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(verify, "pl", counting("pl", verify.pl))
-        monkeypatch.setattr(verify, "sl", counting("sl", verify.sl))
+        monkeypatch.setattr(sequences, "pl", counting("pl", sequences.pl))
+        monkeypatch.setattr(sequences, "sl", counting("sl", sequences.sl))
         check_iterated_chain(named_divergence("chi2"), 2, 5, seed=3)
         assert calls["pl"] > 0 and calls["sl"] == 0
         check_iterated_chain(named_divergence("jeffreys"), 2, 5, seed=3)
