@@ -2,7 +2,9 @@
 
 Exit codes are a stable contract: 0 for success, 1 when the verification
 suite reports a failing check, 2 for argument or domain errors, 3 when a
-numerical tolerance could not be met.
+numerical tolerance could not be met. The parser is built once per
+process, at import, and every main call parses with it; sweep formats its
+whole table first and writes it to stdout in one write.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .chebyshev import _BLOCK_CELLS
 from .distributions import Distribution, MixturePath, mixture
 from .distributions import new_distribution
 from .divergences import NAMED_IDENTIFIERS, named_divergence
@@ -60,12 +63,15 @@ def _check_mode(args) -> None:
         raise DomainError("--tol applies to --div only")
     if args.div is not None and getattr(args, "k", None) is not None:
         raise DomainError("--k applies to --seq only")
+    # sweep --seq prints pl/sl orders 0..depth; eval --seq takes its one order from --k.
+    if args.seq is not None and args.command == "eval" and args.depth is not None:
+        raise DomainError("--depth applies to --div only; --k orders a sequence")
 
 
-def _operator_levels(args, path: MixturePath, grid: np.ndarray) -> np.ndarray:
+def _operator_levels(args, depth: int, path: MixturePath, grid: np.ndarray) -> np.ndarray:
     """psi_iter levels 0..depth of --div on the grid, at --tol if given."""
     tol = () if args.tol is None else (args.tol,)
-    return psi_iter(named_divergence(args.div), args.depth, path, grid, *tol)
+    return psi_iter(named_divergence(args.div), depth, path, grid, *tol)
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -89,11 +95,11 @@ def _parse_grid(text: str) -> np.ndarray:
 def _cmd_eval(args) -> int:
     start, end = _load_pair(args)
     _check_mode(args)
-    require_index(args.depth, "depth")
+    depth = require_index(0 if args.depth is None else args.depth, "depth")
     t = require_position(args.t)
     path = MixturePath(start, end)
     if args.div is not None:
-        value = float(_operator_levels(args, path, np.array([t]))[-1, 0])
+        value = float(_operator_levels(args, depth, path, np.array([t]))[-1, 0])
     else:
         if args.k is None:
             raise DomainError("--k is required with --seq")
@@ -110,20 +116,30 @@ def _cmd_sweep(args) -> int:
     grid = _parse_grid(args.t)
     path = MixturePath(start, end)
     if args.div is not None:
-        columns = _operator_levels(args, path, grid).T
+        columns = _operator_levels(args, args.depth, path, grid).T
     else:
-        columns = [
-            _chain(args.seq, 0, args.depth, start, mixture(path, float(t))) for t in grid
-        ]
+        # Stacked rows equal single calls bitwise; a block of grid rows holds
+        # at most _BLOCK_CELLS mass cells, which bounds its temporaries.
+        rows = max(1, _BLOCK_CELLS // start.support_size)
+        columns = []
+        for i in range(0, len(grid), rows):
+            R = Distribution(path.masses_at(grid[i : i + rows]))
+            P = np.broadcast_to(start.masses, R.masses.shape)
+            columns += np.transpose(_chain(args.seq, 0, args.depth, P, R)).tolist()
     if args.format == "csv":
-        print("t,k,value")
+        lines = ["t,k,value"]
         for t, column in zip(grid, columns):
-            for k, value in enumerate(column):
-                print(f"{_VALUE_FORMAT % t},{k},{_VALUE_FORMAT % value}")
+            head = _VALUE_FORMAT % t
+            lines += [f"{head},{k},{_VALUE_FORMAT % v}" for k, v in enumerate(column)]
     else:
+        lines = []
         for t, column in zip(grid, columns):
-            for k, value in enumerate(column):
-                print(json.dumps({"t": float(t), "k": k, "value": float(value)}))
+            t = float(t)
+            lines += [
+                json.dumps({"t": t, "k": k, "value": float(value)})
+                for k, value in enumerate(column)
+            ]
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -159,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--k", type=int, help="sequence order (with --seq)")
     ev.add_argument("--t", type=float, default=1.0, help="path position in [0, 1]")
     ev.add_argument(
-        "--depth", type=int, default=0, help="operator applications (with --div)"
+        "--depth", type=int, help="operator applications (with --div, default 0)"
     )
     ev.add_argument("--tol", type=float, help="level-0 fit residual target")
     ev.set_defaults(handler=_cmd_eval)
@@ -193,10 +209,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -149,7 +149,9 @@ def psi(
         d = _along(D, p, q, top[rows] * u, rows)
         return np.divide(d, u, out=np.zeros_like(d), where=u > 0.0)
 
-    edges = np.pad(np.take_along_axis(t, order, axis=-1) / top, ((0, 0), (1, 0)))
+    edges = np.concatenate(
+        [np.zeros((len(t), 1)), np.take_along_axis(t, order, axis=-1) / top], axis=1
+    )
     running, err, evals = cumulative_integral(f, edges, cfg)
     values = np.empty(t.shape)
     np.put_along_axis(values, order, running[:, 1:], axis=-1)

@@ -7,10 +7,13 @@ import sys
 import numpy as np
 import pytest
 
+from divseq import cli
+from divseq.chebyshev import _BLOCK_CELLS
 from divseq.cli import main
 from divseq.distributions import MixturePath, mixture, new_distribution
 from divseq.divergences import evaluate, named_divergence
-from divseq.sequences import sl
+from divseq.operators import psi_iter
+from divseq.sequences import pl, sl
 
 PAIR = '{"p":[0.5,0.5],"q":[0.25,0.75]}'
 
@@ -19,6 +22,17 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _random_pair(n, seed, floor):
+    """A pair on n outcomes whose smallest masses lie just above floor."""
+    rng = np.random.default_rng(seed)
+    p, q = (floor + d / d.sum() for d in rng.exponential(size=(2, n)))
+    return new_distribution(p / p.sum()), new_distribution(q / q.sum())
+
+
+def _pair_json(start, end):
+    return json.dumps({"p": start.masses.tolist(), "q": end.masses.tolist()})
 
 
 class TestEval:
@@ -170,6 +184,15 @@ class TestEval:
         assert code == 2
         assert out == "" and "--tol" in err
 
+    @pytest.mark.parametrize("depth", ["0", "3"])
+    @pytest.mark.parametrize("seq", ["pl", "sl"])
+    def test_depth_with_seq_on_eval_exits_2(self, capsys, seq, depth):
+        # eval --seq prints the one order --k names; a depth would be dropped.
+        argv = ["eval", "--seq", seq, "--k", "2", "--depth", depth, "--pair", PAIR]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == "" and "--depth" in err
+
     @pytest.mark.parametrize("command", [["eval"], ["sweep", "--t", "0:1:5"]])
     def test_unattainable_tolerance_at_depth_two_exits_3(self, capsys, command):
         argv = command + ["--div", "chi2", "--depth", "2", "--tol", "1e-30"]
@@ -244,25 +267,87 @@ class TestSweep:
                 float(right["value"]), abs=1e-8
             )
 
-    def test_sl_sweep_is_bitwise_the_direct_sl_calls(self, capsys):
-        # The sweep builds sl(k) as sl(k - 1) - pl(k); the table must be
-        # byte for byte the one printed from sl(k) called at every order.
+    @pytest.mark.parametrize("n, count", [(40, 11), (2000, 101)], ids=["n40", "n2000"])
+    @pytest.mark.parametrize("family", ["pl", "sl"])
+    def test_sl_sweep_is_bitwise_the_direct_sl_calls(self, capsys, monkeypatch, family, n, count):
+        # The sweep builds sl(k) as sl(k - 1) - pl(k), on blocks of grid rows
+        # stacked into one call; the table must be byte for byte the one
+        # printed from pl(k) or sl(k) called at every t and order. The t = 0
+        # rows take the split-sum fallback. At n = 2000 the grid spans
+        # several blocks.
         rng = np.random.default_rng(11)
-        p, q = (1e-4 + d / d.sum() for d in rng.exponential(size=(2, 40)))
+        p, q = (1e-4 + d / d.sum() for d in rng.exponential(size=(2, n)))
         p[:2] = [3e-11, 7e-10]
         start, end = new_distribution(p / p.sum()), new_distribution(q / q.sum())
-        pair = json.dumps({"p": start.masses.tolist(), "q": end.masses.tolist()})
-        code, out, _ = run_cli(
-            capsys, ["sweep", "--seq", "sl", "--depth", "3", "--t", "0:1:11", "--pair", pair]
-        )
+        blocks = []
+        chain = cli._chain
+
+        def spy(name, first, depth, P, R):
+            blocks.append(R.masses.shape)
+            return chain(name, first, depth, P, R)
+
+        monkeypatch.setattr(cli, "_chain", spy)
+        argv = ["sweep", "--seq", family, "--depth", "3", "--t", f"0:1:{count}"]
+        code, out, _ = run_cli(capsys, argv + ["--pair", _pair_json(start, end)])
         assert code == 0
+        rows = max(1, _BLOCK_CELLS // n)
+        assert blocks == [
+            (min(rows, count - i), n) for i in range(0, count, rows)
+        ]
+        assert (len(blocks) > 1) == (n == 2000)
+        direct = pl if family == "pl" else sl
         path = MixturePath(start, end)
         expected = ["t,k,value"] + [
-            f"{'%.15g' % t},{k},{'%.15g' % sl(k, start, mixture(path, t))}"
-            for t in np.linspace(0.0, 1.0, 11)
+            f"{'%.15g' % t},{k},{'%.15g' % direct(k, start, mixture(path, t))}"
+            for t in np.linspace(0.0, 1.0, count)
             for k in range(4)
         ]
         assert out.splitlines() == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", ["readme", "n300"])
+    def test_table_is_the_psi_iter_levels_line_by_line(self, capsys, case, fmt):
+        if case == "readme":
+            start, end = new_distribution([0.5, 0.5]), new_distribution([0.25, 0.75])
+            div, depth, count = "chi2", 2, 11
+        else:
+            start, end = _random_pair(300, 3, 1e-5)
+            assert start.masses.min() < 2e-5 and end.masses.min() < 2e-5
+            div, depth, count = "kl", 3, 101
+        argv = ["sweep", "--div", div, "--depth", str(depth), "--t", f"0:1:{count}",
+                "--format", fmt, "--pair", _pair_json(start, end)]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        grid = np.linspace(0.0, 1.0, count)
+        levels = psi_iter(named_divergence(div), depth, MixturePath(start, end), grid)
+        if fmt == "csv":
+            expected = ["t,k,value"] + [
+                f"{'%.15g' % t},{k},{'%.15g' % levels[k, j]}"
+                for j, t in enumerate(grid)
+                for k in range(depth + 1)
+            ]
+        else:
+            expected = [
+                json.dumps({"t": float(t), "k": k, "value": float(levels[k, j])})
+                for j, t in enumerate(grid)
+                for k in range(depth + 1)
+            ]
+        assert out == "\n".join(expected) + "\n"
+
+    def test_table_is_one_write(self, monkeypatch):
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        stream = Recorder()
+        monkeypatch.setattr(sys, "stdout", stream)
+        argv = ["sweep", "--div", "kl", "--depth", "3", "--t", "0:1:101", "--pair", PAIR]
+        assert main(argv) == 0
+        assert len(writes) == 1
+        assert stream.getvalue().count("\n") == 1 + 101 * 4
 
     def test_json_format_round_trips(self, capsys):
         code, out, _ = run_cli(
@@ -364,6 +449,21 @@ class TestPolylog:
 
 
 class TestParser:
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys, monkeypatch):
+        def rebuild():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(cli, "_build_parser", rebuild)
+        sweep = ["sweep", "--div", "kl", "--depth", "2", "--t", "0:1:5", "--pair", PAIR]
+        assert main(["sweep", "--div", "kl", "--pair", PAIR]) == 2  # no --t
+        seq_tol = ["sweep", "--seq", "pl", "--tol", "1e-3", "--t", "0:1:5", "--pair", PAIR]
+        assert main(seq_tol) == 2
+        capsys.readouterr()
+        first = run_cli(capsys, sweep)
+        second = run_cli(capsys, sweep)
+        assert first[0] == 0 and first[1].count("\n") == 16
+        assert second == first
+
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == 2
 
