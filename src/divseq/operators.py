@@ -11,11 +11,12 @@ and positions (m, L) only, and reshapes the result to the caller's form.
 Since ds/s is scale-free, psi integrates each path once, cumulatively,
 in u = s / T for its largest position T, every (path, segment) cell on
 Gauss-Kronrod panels of its own. Iterated application of the integral
-operator fits D(P | R(s)) once by a Chebyshev polynomial, over the whole
-stack, by groups of coordinates whose residuals sum to at most tol, and
-integrates that polynomial exactly, level after level, in its Chebyshev
-coefficients, so each level above the fit costs two FFTs on the fit's
-nodes and one evaluation on the grid. Every operator requires a
+operator fits D(P | R(T u)) once by a Chebyshev polynomial in u = s / T,
+T again each path's largest position, over the whole stack, by groups of
+coordinates whose residuals sum to at most tol, and integrates that
+polynomial exactly, level after level, in its Chebyshev coefficients, so
+each level above the fit costs two FFTs on the fit's nodes and one
+evaluation on the grid. Every operator requires a
 right-convex D and rejects any other before it checks anything else.
 """
 
@@ -87,10 +88,11 @@ _SPLIT_CELLS = 64 * _BLOCK_CELLS
 
 def _column_groups(p: np.ndarray, q: np.ndarray) -> list[np.ndarray | slice]:
     """Column groups of endpoint rows p, q (m, n) to fit level 0 by, easiest
-    first: index arrays, or [slice(None)] where no split can pay.
+    first: index arrays, or [slice(None)] where no split can pay. psi_iter
+    passes the truncated path's end R(T) as q and fits in u = s / T.
 
-    r_i = p_i (1 - s z_i), z_i = 1 - q_i/p_i, vanishes at x = 2/z_i - 1 in
-    x = 2s - 1, on the Bernstein ellipse rho = exp(2 artanh(a)), a the
+    r_i = p_i (1 - u z_i), z_i = 1 - q_i/p_i, vanishes at x = 2/z_i - 1 in
+    x = 2u - 1, on the Bernstein ellipse rho = exp(2 artanh(a)), a the
     smaller of sqrt(q_i/p_i) and its inverse; Chebyshev coefficients decay
     like rho^-N (Trefethen, Approximation Theory and Approximation
     Practice, ch. 8). A column's difficulty d, 1/log(rho) at its hardest
@@ -189,19 +191,23 @@ def psi_iter(
     On a single path t_grid is a 1-d grid and the result is (k + 1, len);
     on a stack of m paths it has shape (m,) or (m, k') and the result
     (k + 1, m) or (k + 1, m, k'). Level 0 is D itself evaluated along the
-    path. Above it, one Chebyshev interpolant of level 0 of every path is
-    integrated over s exactly, level after level, in its coefficients. D
+    path. Above it, since ds/s is scale-free, the levels at t on P -> Q are
+    those at u = t / T on P -> R(T), T the path's largest grid position
+    (R(1) = Q bitwise), so level 0 is fitted only where the grid reaches:
+    one Chebyshev interpolant of it on P -> R(T) of every path is
+    integrated over u exactly, level after level, in its coefficients. D
     sums per-coordinate terms, so level 0 is fitted by groups of them
-    (_column_groups), each on shared nodes doubled until its residual at
-    fresh nodes meets its share of tol on every path; the groups'
-    interpolants, resampled to the largest node set, are added. The fit
-    samples level 0 at the exact Chebyshev points, each node's weight
-    1 - s on the start taken from the mirrored node. Rows are
-    nonincreasing in the level at every grid point; a constant path gives zeros.
+    (_column_groups on P and R(T)), each on shared nodes doubled until its
+    residual at fresh nodes meets its share of tol on every path; the
+    groups' interpolants, resampled to the largest node set, are added.
+    The fit samples level 0 at the exact Chebyshev points, each node's
+    weight 1 - u on the start taken from the mirrored node. Rows are
+    nonincreasing in the level at every grid point; a constant path gives
+    zeros, and so does a constant truncation (R(T) = P) above level 0.
 
     No level is refitted or integrated numerically, so every level's error
     is the level-0 residual r (summed over groups) carried through psi: at
-    most about |r| log(1/s_1) at level 1, where s_1 ~ (pi / 2n)^2 is the
+    most about |r| log(1/u_1) at level 1, where u_1 ~ (pi / 2n)^2 is the
     first node above 0 for n intervals, that is, about log(n) times the
     residual, and about that factor again at each further level.
     """
@@ -223,7 +229,11 @@ def psi_iter(
 
     levels = np.empty((k + 1,) + t.shape)
     levels[0] = _along(D, p, q, t, every)
+    constant = np.all(p == q, axis=-1)
     if k > 0:
+        # ds/s is scale-free: above level 0, P -> Q at t is P -> R(T) at t / T.
+        top = np.maximum(t.max(axis=-1, keepdims=True), 5e-324)
+        q = _mix(p, q, top[:, 0])
         # Easiest first; the easier groups share tol / 16, the hardest the rest.
         groups, fits, spent = _column_groups(p, q), [], 0.0
         for left, cols in zip(range(len(groups) - 1, -1, -1), groups):  # groups after it
@@ -237,8 +247,9 @@ def psi_iter(
         interp = ChebyshevInterpolant(reduce(np.add, (_resampled(v, n) for v in fits)))
         for level in range(1, k + 1):
             interp = interp.lifted()
-            levels[level] = interp(t)
-    levels[:, np.all(p == q, axis=-1)] = 0.0
+            levels[level] = interp(t / top)
+        levels[1:, np.all(p == q, axis=-1)] = 0.0
+    levels[:, constant] = 0.0
     return levels.reshape((k + 1,) + shape)
 
 

@@ -38,7 +38,7 @@ from divseq.operators import (
     psi_roundtrip,
 )
 from divseq.sequences import pl, sl
-from divseq.verify import _suite_divergences
+from divseq.verify import _CLOSED_FORMS, _suite_divergences
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -463,6 +463,98 @@ class TestGroupedLevelZero:
             interp = interp.lifted()
             expected.append(interp(grid)[0])
         assert psi_iter(D, 3, path, grid).tobytes() == np.array(expected).tobytes()
+
+
+def _regular_10k():
+    return tuple(random_distribution(10_000, s, 1e-6) for s in (5, 6))
+
+
+class TestTruncatedLevelZero:
+    # Since ds/s is scale-free, psi_iter's levels above 0 at t on P -> Q are
+    # those at t / T on P -> R(T), T the largest grid position; level 0 is
+    # fitted on the truncated path only.
+    _WITH_CLOSED_FORMS = [D for D in _suite_divergences() if D.identifier in _CLOSED_FORMS]
+
+    @pytest.mark.parametrize("T", [1.0, 0.3, 1e-3])
+    @pytest.mark.parametrize("D", _suite_divergences(), ids=lambda D: D.identifier)
+    def test_levels_equal_the_truncated_paths_bitwise(self, D, T):
+        A, B = _random_pair(3, 40)
+        path = MixturePath(A, B)
+        grid = np.linspace(0.0, T, 11)
+        levels = psi_iter(D, 3, path, grid)
+        truncated = psi_iter(D, 3, MixturePath(A, mixture(path, T)), grid / T)
+        assert levels[1:].tobytes() == truncated[1:].tobytes()
+        if T == 1.0:
+            direct = [evaluate(D, A, mixture(path, t)) for t in grid]
+            assert levels[0].tobytes() == np.array(direct).tobytes()
+
+    @pytest.mark.parametrize("identifier", ["chi2", "kl", "hellinger2"])
+    def test_a_short_grid_fits_on_few_nodes(self, identifier):
+        # On a grid that reaches t = 1 this pair takes 2.69M to 3.21M cells.
+        A, B = _regular_10k()
+        D, seen = _mass_cells(named_divergence(identifier))
+        psi_iter(D, 3, MixturePath(A, B), np.linspace(0.0, 1e-2, 101))
+        assert seen[0] <= (101 + 65) * 10_000
+
+    def test_a_short_grid_forms_one_group(self):
+        A, B = _regular_10k()
+        end = mixture(MixturePath(A, B), 1e-2).masses
+        assert len(_column_groups(A.masses[None], end[None])) == 1
+
+    @pytest.mark.parametrize("T", [1e-3, 1e-2, 0.3])
+    @pytest.mark.parametrize("n", [7, 877])
+    def test_short_grids_match_the_closed_forms(self, n, T):
+        A, B = (random_distribution(n, s, 0.01 / n) for s in (2 * n, 2 * n + 1))
+        path = MixturePath(A, B)
+        grid = np.array([0.3 * T, 0.7 * T, T])
+        for D in self._WITH_CLOSED_FORMS:
+            levels = psi_iter(D, 3, path, grid)
+            name, shift = _CLOSED_FORMS[D.identifier]
+            family = pl if name == "pl" else sl
+            for j, t in enumerate(grid):
+                R = mixture(path, t)
+                for k in range(1, 4):
+                    ref = family(k + shift, A, R)
+                    bound = 1e-10 * max(1.0, abs(ref))
+                    assert abs(levels[k, j] - ref) <= bound, (D.identifier, t, k)
+
+    def test_every_tiny_mass_call_answers_near_zero(self):
+        # 72 calls, most of which raise ToleranceError on grids that reach
+        # t = 1: near 0 the tiny masses are far from a zero of r_i.
+        grid = np.linspace(0.0, 1e-3, 5)
+        for seed in range(6):
+            for n in (10, 100, 877):
+                A, B = _tiny_p_pair(seed, n)
+                for start, end in ((A, B), (B, A)):
+                    path = MixturePath(start, end)
+                    for identifier, shift in (("chi2", 0), ("kl", 1)):
+                        levels = psi_iter(named_divergence(identifier), 3, path, grid)
+                        for j, t in enumerate(grid):
+                            R = mixture(path, t)
+                            for k in range(1, 4):
+                                ref = pl(k + shift, start, R)
+                                bound = 1e-9 * max(1.0, abs(ref))
+                                assert abs(levels[k, j] - ref) <= bound, (seed, n, t, k)
+
+    @pytest.mark.parametrize("grid", [np.zeros(4), np.linspace(0.0, 1e-300, 5)])
+    @pytest.mark.parametrize("D", _suite_divergences(), ids=lambda D: D.identifier)
+    def test_grids_next_to_zero_give_zeros_above_level_zero(self, D, grid):
+        # There R(T) = P bitwise: the truncated path is constant.
+        levels = psi_iter(D, 3, PATH, grid)
+        assert levels[1:].tobytes() == np.zeros((3, grid.size)).tobytes()
+
+    def test_a_zero_row_in_a_stack_gives_zeros(self):
+        A, B = _random_pair(4, 9)
+        D = named_divergence("kl")
+        grids = np.array([np.zeros(6), np.linspace(0.0, 0.3, 6)])
+        stacked = MixturePath(
+            Distribution(np.array([A.masses, A.masses])),
+            Distribution(np.array([B.masses, B.masses])),
+        )
+        levels = psi_iter(D, 3, stacked, grids)
+        alone = psi_iter(D, 3, MixturePath(A, B), grids[1])
+        assert levels[1:, 0].tobytes() == np.zeros((3, 6)).tobytes()
+        assert np.max(np.abs(levels[:, 1] - alone)) <= 1e-12
 
 
 class TestPsiRoundtrip:
