@@ -2,13 +2,16 @@
 
 An interpolant is its values at the Lobatto nodes: n + 1 values fix the
 nodes lobatto_nodes(n) and the barycentric weights. Values of shape
-(m, n + 1) are a stack of m interpolants on the same nodes; every
-operation works along the last axis, so row i of a stack behaves exactly
-as the interpolant of its own values. fit_adaptive doubles the node count
-from _INITIAL_INTERVALS up to _MAX_INTERVALS, until every row meets the
-target at the fresh nodes, tested by one inverse DCT per doubling, and
-lifted() integrates each row over s exactly in its Chebyshev
-coefficients.
+(..., n + 1) are a stack of interpolants on the same nodes, such as
+(m, n + 1) for m paths or (k, m, n + 1) for k levels of them; every
+operation works along the last axis, so each interpolant of a stack
+behaves exactly as the interpolant of its own values. A call evaluates
+the whole stack at once and forms the barycentric weights of its points
+only once. fit_adaptive doubles the node count from _INITIAL_INTERVALS up
+to _MAX_INTERVALS, until every row meets the target at the fresh nodes,
+tested by one inverse DCT per doubling. lifts(k) integrates over s
+exactly in Chebyshev coefficients, k times in a row, and takes every
+level's values from one inverse DCT; lifted() is its one-level case.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ import numpy as np
 from .errors import DomainError, NonFiniteError, ToleranceError, require_positive
 
 
-# Cells per block of an evaluation over many points: rows x points x nodes
-# for barycentric evaluation here, positions x support for a divergence
-# along paths (operators). At 2^14 cells (128 KiB per temporary) the
-# blocks stay in cache: barycentric evaluation of 8192 points against
+# Cells per block of an evaluation over many points: interpolants x points
+# x nodes for barycentric evaluation here, positions x support for a
+# divergence along paths (operators). At 2^14 cells (128 KiB per temporary)
+# the blocks stay in cache: barycentric evaluation of 8192 points against
 # 8193 nodes took half the time it took at 2^20 cells.
 _BLOCK_CELLS = 1 << 14
 # fit_adaptive starts at this many intervals and doubles up to the cap.
@@ -101,8 +104,8 @@ def _fresh_values(values: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ChebyshevInterpolant:
     """Barycentric interpolant through n + 1 values at lobatto_nodes(n), or
-    a stack of m of them through (m, n + 1) values; the nodes and weights
-    are derived from the values."""
+    a stack of them through (..., n + 1) values; the nodes and weights are
+    derived from the values."""
 
     values: np.ndarray
     nodes: np.ndarray = field(init=False, repr=False)
@@ -110,10 +113,10 @@ class ChebyshevInterpolant:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
-        if values.ndim not in (1, 2) or values.shape[-1] < 2 or values.size == 0:
+        if values.ndim < 1 or values.shape[-1] < 2 or values.size == 0:
             raise DomainError(
                 "values must be a 1-d array of at least 2 entries, or an "
-                "(m, n + 1) stack of them"
+                "(..., n + 1) stack of them"
             )
         n = values.shape[-1] - 1
         object.__setattr__(self, "values", values)
@@ -123,25 +126,27 @@ class ChebyshevInterpolant:
     def __call__(self, x: float | np.ndarray) -> float | np.ndarray:
         """The interpolant at x: a float for a scalar x, else x's shape.
 
-        A stack of m interpolants evaluates every row at a scalar or an
-        array x, giving (m,) + x.shape, or row i at x[i] for x of shape
-        (m, k), giving (m, k).
+        A stack of interpolants (..., m, n + 1) evaluates every one at a
+        scalar or an array x, giving (..., m) + x.shape, or the ones in row
+        i at x[i] for x of shape (m, L), giving (..., m, L). Raises
+        DomainError for a non-finite point.
         """
         x_arr = np.asarray(x, dtype=float)
+        if not np.isfinite(x_arr).all():
+            raise DomainError("interpolation points must be finite")
         stack = self.values.shape[:-1]
         if stack and x_arr.ndim == 2:
-            if x_arr.shape[0] != stack[0]:
+            if x_arr.shape[0] != stack[-1]:
                 raise DomainError(
-                    f"a stack of {stack[0]} interpolants takes points of shape "
-                    f"({stack[0]}, k), got {x_arr.shape}"
+                    f"a stack of {stack[-1]} rows of interpolants takes points "
+                    f"of shape ({stack[-1]}, L), got {x_arr.shape}"
                 )
-            pts, shape = x_arr, x_arr.shape
+            pts, shape = x_arr, stack + x_arr.shape[1:]
         else:
-            pts = np.broadcast_to(x_arr.reshape(-1), stack + (x_arr.size,))
-            shape = stack + x_arr.shape
-        out = np.empty(pts.shape)
+            pts, shape = x_arr.reshape(-1), stack + x_arr.shape
+        out = np.empty(stack + pts.shape[-1:])
         # Blocks of at most _BLOCK_CELLS cells bound the temporaries; each
-        # row reduces on its own, so blocking changes no value.
+        # point reduces on its own, so blocking changes no value.
         step = max(1, _BLOCK_CELLS // self.values.size)
         for lo in range(0, pts.shape[-1], step):
             out[..., lo : lo + step] = self._evaluate(pts[..., lo : lo + step])
@@ -150,7 +155,8 @@ class ChebyshevInterpolant:
         return out.reshape(shape)
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        # x is (k,) for one interpolant and (m, k) for a stack of m.
+        # x is (L,), shared by every interpolant, or (m, L), row i for the
+        # interpolants in row i; the weights over x serve every level.
         diff = x[..., None] - self.nodes
         with np.errstate(all="ignore"):
             inv = self.weights / diff
@@ -160,41 +166,55 @@ class ChebyshevInterpolant:
         # A point on a node divides by zero, and a point within about 1e-308
         # of one overflows: both leave a non-finite value, and there the
         # nearest node's value is the interpolant's value.
-        bad = np.nonzero(~np.isfinite(out) & np.isfinite(x))
+        bad = np.nonzero(~np.isfinite(out))
         if bad[0].size:
-            nearest = np.abs(x[bad][:, None] - self.nodes).argmin(axis=-1)
+            at = np.broadcast_to(x, out.shape)[bad]
+            nearest = np.abs(at[:, None] - self.nodes).argmin(axis=-1)
             out[bad] = self.values[bad[:-1] + (nearest,)]
         return out
 
-    def lifted(self) -> "ChebyshevInterpolant":
-        """The interpolant of s -> Integral_0^s self(u) / u du on the same nodes.
+    def lifts(self, k: int) -> "ChebyshevInterpolant":
+        """Levels 1..k on the same nodes, stacked along a new leading axis of
+        the values: level j is s -> Integral_0^s L(u) / u du for L the level
+        below it, level 0 being self.
 
-        The integral is exact for the interpolating polynomial less its
+        Each integral is exact for the interpolating polynomial less its
         value at s = 0, which a divergence along a path from P has as
-        D(P, P) = 0. In x = 2s - 1 the integrand is self / (1 + x),
-        integrated from x = -1.
+        D(P, P) = 0. In x = 2s - 1 the integrand is L / (1 + x), integrated
+        from x = -1. self's coefficients are taken once, each level is
+        lifted from the coefficients of the level below, and every level's
+        values come from one inverse DCT; each value at s = 0 is 0.
         """
         a = _coefficients(self.values)
         n = a.shape[-1] - 1
         # alt[i] = (-1)^i, which is (-1)^(k-1) for coefficient k = i + 1.
         alt = np.ones(n)
         alt[1::2] = -1.0
-        # Divide by 1 + x: the quotient's coefficients follow
-        # b_{k-1} = 2(a_k - b_k) - b_{k+1} down from b_n = b_{n+1} = 0, with
-        # b_0 left doubled, the form the integration below takes. The
-        # remainder, self at s = 0, is dropped. With d_k = (-1)^k b_k the
-        # recurrence reads d_{k-1} - d_k = d_k - d_{k+1} + 2(-1)^(k-1) a_k,
-        # so d is two sums over the tail.
+        steps = 2.0 * np.arange(1, n + 1)
+        levels = np.empty((k,) + a.shape)
         b = np.zeros(a.shape[:-1] + (n + 2,))
-        b[..., :n] = alt * _tail_sums(_tail_sums(2.0 * alt * a[..., 1:]))
-        # Integrate: c_k = (b_{k-1} - b_{k+1}) / (2k), and c_0 makes the
-        # value at x = -1 zero.
-        c = np.empty(a.shape)
-        c[..., 1:] = (b[..., :n] - b[..., 2:]) / (2.0 * np.arange(1, n + 1))
-        c[..., 0] = np.sum(alt * c[..., 1:], axis=-1)
-        values = _values(c)
+        for c in levels:
+            # Divide by 1 + x: the quotient's coefficients follow
+            # b_{k-1} = 2(a_k - b_k) - b_{k+1} down from b_n = b_{n+1} = 0,
+            # with b_0 left doubled, the form the integration below takes.
+            # The remainder, the value at s = 0, is dropped. With
+            # d_k = (-1)^k b_k the recurrence reads
+            # d_{k-1} - d_k = d_k - d_{k+1} + 2(-1)^(k-1) a_k, so d is two
+            # sums over the tail.
+            b[..., :n] = alt * _tail_sums(_tail_sums(2.0 * alt * a[..., 1:]))
+            # Integrate: c_k = (b_{k-1} - b_{k+1}) / (2k), and c_0 makes the
+            # value at x = -1 zero.
+            c[..., 1:] = (b[..., :n] - b[..., 2:]) / steps
+            c[..., 0] = np.sum(alt * c[..., 1:], axis=-1)
+            a = c
+        values = _values(levels)
         values[..., 0] = 0.0
         return ChebyshevInterpolant(values)
+
+    def lifted(self) -> "ChebyshevInterpolant":
+        """The interpolant of s -> Integral_0^s self(u) / u du on the same
+        nodes: the one-level case of lifts."""
+        return ChebyshevInterpolant(self.lifts(1).values[0])
 
     @classmethod
     def fit_adaptive(

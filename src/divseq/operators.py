@@ -15,9 +15,9 @@ operator fits D(P | R(T u)) once by a Chebyshev polynomial in u = s / T,
 T again each path's largest position, over the whole stack, by groups of
 coordinates whose residuals sum to at most tol, and integrates that
 polynomial exactly, level after level, in its Chebyshev coefficients, so
-each level above the fit costs two FFTs on the fit's nodes and one
-evaluation on the grid. Every operator requires a
-right-convex D and rejects any other before it checks anything else.
+all levels above the fit together cost two FFTs on the fit's nodes and one
+evaluation on the grid. Every operator requires a right-convex D and
+rejects any other before it checks anything else.
 """
 
 from __future__ import annotations
@@ -195,7 +195,8 @@ def psi_iter(
     those at u = t / T on P -> R(T), T the path's largest grid position
     (R(1) = Q bitwise), so level 0 is fitted only where the grid reaches:
     one Chebyshev interpolant of it on P -> R(T) of every path is
-    integrated over u exactly, level after level, in its coefficients. D
+    integrated over u exactly, level after level, in its coefficients, and
+    all levels are evaluated on the grid in one call. D
     sums per-coordinate terms, so level 0 is fitted by groups of them
     (_column_groups on P and R(T)), each on shared nodes doubled until its
     residual at fresh nodes meets its share of tol on every path; the
@@ -245,9 +246,7 @@ def psi_iter(
             spent += residual
         n = max(values.shape[-1] for values in fits) - 1
         interp = ChebyshevInterpolant(reduce(np.add, (_resampled(v, n) for v in fits)))
-        for level in range(1, k + 1):
-            interp = interp.lifted()
-            levels[level] = interp(t / top)
+        levels[1:] = interp.lifts(k)(t / top)
         levels[1:, np.all(p == q, axis=-1)] = 0.0
     levels[:, constant] = 0.0
     return levels.reshape((k + 1,) + shape)

@@ -11,7 +11,8 @@ q_i/p_i -> 0. When the sum cancels, as it does near P, the coordinates
 near P are summed as p_i (Li_k(z_i) - z_i) and p_i - q_i instead. Every
 function here also takes two (m, n) stacks and gives the m rows' values:
 a single pair is a stack of one. pl and sl make one polylogarithm call
-per order over all rows and decide the cancellation fallback row by row.
+per order over all rows, and one more over the coordinates near P of all
+rows whose sums cancel; each row's value is its single call's, bitwise.
 """
 
 from __future__ import annotations
@@ -49,27 +50,36 @@ def _li_minus_z(k: int, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _series(k, z, linear=False)
 
 
-def _split_sum(k: int, p, q, w, terms) -> float:
+def _split_sums(k: int, p, q, w, terms) -> np.ndarray:
     # Near P the plain sum cancels its first-order part
     # Sum_i p_i z_i = Sum_i (p_i - q_i) ~ 0. Where |z_i| <= 1/2 the terms
     # are split into p_i (Li_k(z_i) - z_i) and p_i - q_i, which is exact
     # there, as q_i lies within a factor 2 of p_i, and is summed exactly.
+    # One pass over all rows forms the split terms; each row then sums its
+    # own, far terms and near terms apart, so a row's value does not depend
+    # on the rows beside it.
     d = p - q
     z = d / p
     near = np.abs(z) <= _NEAR_RADIUS
-    split = np.sum(terms[~near]) + np.sum(p[near] * _li_minus_z(k, z[near], w[near]))
-    return float(split) + math.fsum(d[near].tolist())
+    split = terms.copy()
+    split[near] = p[near] * _li_minus_z(k, z[near], w[near])
+    return np.array([
+        float(np.sum(row[~mask]) + np.sum(row[mask])) + math.fsum(gap[mask].tolist())
+        for row, mask, gap in zip(split, near, d)
+    ])
 
 
 def _pl(k: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """pl for the rows (m, n) of two stacks, an array of m values; every
-    row's polylogarithm terms come from one array call."""
+    row's polylogarithm terms come from one array call, and every
+    cancelling row's split terms from one more (_split_sums)."""
     w = q / p
     terms = p * polylog(k, w=w)
     total = np.sum(terms, axis=-1)
     plain = np.sum(np.abs(terms), axis=-1) <= _MAX_CANCELLATION * np.abs(total)
-    for i in (~plain).nonzero()[0]:
-        total[i] = _split_sum(k, p[i], q[i], w[i], terms[i])
+    rows = np.flatnonzero(~plain)
+    if rows.size:
+        total[rows] = _split_sums(k, p[rows], q[rows], w[rows], terms[rows])
     return total
 
 

@@ -39,8 +39,7 @@ def test_interpolates_node_values_exactly():
 
 def test_node_hits_and_overflow_take_the_node_value():
     # Points on a node, or so close to one that 1/(x - node) overflows,
-    # take that node's value bitwise, for one interpolant and for a stack;
-    # a NaN point stays NaN.
+    # take that node's value bitwise, for one interpolant and for a stack.
     nodes = lobatto_nodes(32)
     values = np.stack([np.cos(3.0 * nodes) + 1.0, np.sin(5.0 * nodes)])
     x = np.concatenate([nodes, [1e-310, 5e-324, 1.0 - 1e-17]])
@@ -49,7 +48,22 @@ def test_node_hits_and_overflow_take_the_node_value():
     assert stack(x).tobytes() == expected.tobytes()
     for row, want in zip(values, expected):
         assert ChebyshevInterpolant(row)(x).tobytes() == want.tobytes()
-    assert np.isnan(stack(np.array([np.nan, 0.5]))[:, 0]).all()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_points_raise(bad):
+    # A non-finite point has no nearest node; it is rejected like every
+    # other invalid input, for one interpolant, a stack and levels of stacks.
+    values = np.arange(5.0)
+    for interp in (
+        ChebyshevInterpolant(values),
+        ChebyshevInterpolant(np.stack([values, -values])),
+        ChebyshevInterpolant(np.ones((3, 2, 5))),
+    ):
+        with pytest.raises(DomainError):
+            interp(bad)
+        with pytest.raises(DomainError):
+            interp(np.array([[0.5, bad], [0.25, 0.75]]))
 
 
 def test_values_fix_the_nodes():
@@ -66,11 +80,12 @@ def test_values_fix_the_nodes():
 
 @pytest.mark.parametrize(
     "values",
-    [np.ones((2, 3, 3)), np.ones(1), [], np.ones((3, 1)), np.ones((0, 3))],
-    ids=["3d", "one", "empty", "one_value_rows", "empty_stack"],
+    [1.0, np.ones(1), [], np.ones((3, 1)), np.ones((0, 3)), np.ones((2, 0, 3))],
+    ids=["scalar", "one", "empty", "one_value_rows", "empty_stack", "empty_levels"],
 )
 def test_rejects_bad_values(values):
-    # 2-d values are a stack of interpolants; see test_stacked_interpolants.
+    # Values of more than one axis are a stack of interpolants; see
+    # test_stacks.TestStackedInterpolants and TestLevelKernel.
     with pytest.raises(DomainError):
         ChebyshevInterpolant(values)
 
@@ -279,3 +294,46 @@ def test_lift_matches_the_recurrences_run_as_loops(n):
     values = np.expm1(s) * np.exp(-3.0 * s) + np.sin(40.0 * s) ** 2
     lifted = ChebyshevInterpolant(values).lifted()
     assert np.max(np.abs(lifted.values - _lifted_by_loops(values))) <= 1e-14
+
+
+class TestLevelKernel:
+    # lifts(k) lifts k times in coefficient space and evaluates all levels
+    # in one call; lifted() is its one-level case.
+    @staticmethod
+    def _stack(n):
+        s = lobatto_nodes(n)
+        return np.stack([
+            np.expm1(s) * np.exp(-3.0 * s) + np.sin(40.0 * s) ** 2,
+            np.log1p(-0.9 * s) ** 2,
+            s**3,
+        ])
+
+    @pytest.mark.parametrize("n", [16, 256, 4096, 16384])
+    def test_levels_agree_with_chained_single_lifts(self, n):
+        # A chained lift goes back to node values between levels; the kernel
+        # keeps every level's coefficients, so the two differ by rounding.
+        interp = ChebyshevInterpolant(self._stack(n))
+        levels = interp.lifts(3)
+        assert levels.values.shape == (3, 3, n + 1)
+        chained = interp
+        for level in levels.values:
+            chained = chained.lifted()
+            assert level[:, 0].tobytes() == np.zeros(3).tobytes()
+            scale = np.max(np.abs(chained.values))
+            assert np.max(np.abs(level - chained.values)) <= 1e-14 * scale
+
+    def test_stacked_levels_evaluate_as_each_level_alone(self):
+        # Points include t = 0 and nodes, where the node fallback applies.
+        interp = ChebyshevInterpolant(self._stack(64))
+        levels = interp.lifts(3)
+        x = np.concatenate([[0.0], np.linspace(0.0, 1.0, 23), interp.nodes[::7]])
+        per_row = np.stack([x, x[::-1], np.sort(x)])
+        shared, own = levels(x), levels(per_row)
+        assert shared.shape == own.shape == (3, 3, x.size)
+        assert levels(0.0).tobytes() == np.zeros((3, 3)).tobytes()
+        for j, values in enumerate(levels.values):
+            alone = ChebyshevInterpolant(values)
+            assert shared[j].tobytes() == alone(x).tobytes()
+            assert own[j].tobytes() == alone(per_row).tobytes()
+            for i, row in enumerate(values):
+                assert own[j, i].tobytes() == ChebyshevInterpolant(row)(per_row[i]).tobytes()

@@ -458,10 +458,7 @@ class TestGroupedLevelZero:
         assert len(_column_groups(A.masses[None], B.masses[None])) == 1
         grid = np.linspace(0.0, 1.0, 11)
         interp, _, _ = ChebyshevInterpolant.fit_adaptive(_joint_level_zero(D, path), 1e-12)
-        expected = [psi_iter(D, 0, path, grid)[0]]
-        for _ in range(3):
-            interp = interp.lifted()
-            expected.append(interp(grid)[0])
+        expected = [psi_iter(D, 0, path, grid)[0], *interp.lifts(3)(grid)[:, 0]]
         assert psi_iter(D, 3, path, grid).tobytes() == np.array(expected).tobytes()
 
 
@@ -517,6 +514,30 @@ class TestTruncatedLevelZero:
                     ref = family(k + shift, A, R)
                     bound = 1e-10 * max(1.0, abs(ref))
                     assert abs(levels[k, j] - ref) <= bound, (D.identifier, t, k)
+
+    # The worst |level - closed form| / max(1, |closed form|) over levels
+    # 1-3, the closed-form divergences and an 11-point grid on [0, 1], with
+    # every level lifted from the previous level's node values and
+    # evaluated on its own. Lifting in coefficient space gives 1.02e-14
+    # and 6.91e-14.
+    _CHAINED_LIFT_ERROR = {7: 1.3586354263850353e-14, 877: 7.924216838262055e-14}
+
+    @pytest.mark.parametrize("n", [7, 877])
+    def test_levels_no_further_from_the_closed_forms_than_chained_lifts(self, n):
+        A, B = (random_distribution(n, s, 0.01 / n) for s in (2 * n, 2 * n + 1))
+        path = MixturePath(A, B)
+        grid = np.linspace(0.0, 1.0, 11)
+        worst = 0.0
+        for D in self._WITH_CLOSED_FORMS:
+            levels = psi_iter(D, 3, path, grid)
+            name, shift = _CLOSED_FORMS[D.identifier]
+            family = pl if name == "pl" else sl
+            for j, t in enumerate(grid):
+                R = mixture(path, t)
+                for k in range(1, 4):
+                    ref = family(k + shift, A, R)
+                    worst = max(worst, abs(levels[k, j] - ref) / max(1.0, abs(ref)))
+        assert worst <= self._CHAINED_LIFT_ERROR[n], worst
 
     def test_every_tiny_mass_call_answers_near_zero(self):
         # 72 calls, most of which raise ToleranceError on grids that reach

@@ -147,25 +147,30 @@ def test_closed_form_fallback_is_decided_row_by_row():
 @pytest.mark.parametrize("n", [2, 7, 300])
 def test_closed_form_rows_equal_single_calls_bitwise(n, monkeypatch):
     # Even rows end within 1e-7 relative of their start, so their plain sums
-    # cancel and take the split sum; odd rows do not. Each term is formed
-    # elementwise and each row summed in one fixed order, so every row is
-    # its single call, whichever rows share the stack.
+    # cancel and take the split sum, all of them in one pass; odd rows do
+    # not. Each term is formed elementwise and each row summed in one fixed
+    # order, so every row is its single call, whichever rows share the stack.
     stacked, _ = _stack(n, seed=13 * n, min_mass=1e-5)
     p = stacked.start.masses
     near = p * (1.0 + 1e-7 * np.random.default_rng(n).uniform(-1.0, 1.0, p.shape))
     near /= near.sum(axis=1, keepdims=True)
     q = np.where(np.arange(M)[:, None] % 2 == 0, near, stacked.end.masses)
-    split, taken = sequences._split_sum, set()
+    split, taken, passes = sequences._split_sums, set(), [0]
 
-    def spy(k, row, *rest):
-        taken.add(int(np.flatnonzero((p == row).all(axis=1))[0]))
-        return split(k, row, *rest)
+    def spy(k, rows, *rest):
+        passes[0] += 1
+        for row in rows:
+            taken.add(int(np.flatnonzero((p == row).all(axis=1))[0]))
+        return split(k, rows, *rest)
 
-    monkeypatch.setattr(sequences, "_split_sum", spy)
+    monkeypatch.setattr(sequences, "_split_sums", spy)
     for k in range(4):
         for family in (pl, sl):
             taken.clear()
+            passes[0] = 0
             values = family(k, p, q)
+            # One pass per pl term: sl(k) takes k of them.
+            assert passes[0] == (1 if family is pl else k)
             # sl(0) is the Jeffreys divergence alone, with no pl term.
             assert taken == ({0, 2, 4} if family is pl or k > 0 else set())
             for i in range(M):
@@ -339,6 +344,9 @@ class TestStackedInterpolants:
             assert lifted.values[i].tobytes() == alone.lifted().values.tobytes()
 
     def test_per_row_points_need_one_row_per_interpolant(self):
+        # Levels of a stack pair their rows with the points' rows too.
         stack = ChebyshevInterpolant(np.ones((3, 17)))
-        with pytest.raises(DomainError):
-            stack(np.ones((2, 4)))
+        for interp in (stack, stack.lifts(2)):
+            with pytest.raises(DomainError):
+                interp(np.ones((2, 4)))
+        assert stack.lifts(2)(np.full((3, 4), 0.5)).shape == (2, 3, 4)
