@@ -9,14 +9,19 @@ behaves exactly as the interpolant of its own values. A call evaluates
 the whole stack at once and forms the barycentric weights of its points
 only once. fit_adaptive doubles the node count from _INITIAL_INTERVALS up
 to _MAX_INTERVALS, until every row meets the target at the fresh nodes,
-tested by one inverse DCT per doubling. lifts(k) integrates over s
-exactly in Chebyshev coefficients, k times in a row, and takes every
-level's values from one inverse DCT; lifted() is its one-level case.
+tested by one inverse DCT per doubling. It can fit a sum of functions by
+groups in that one loop: each group stops being sampled once its own
+residual meets its share of the target, and the groups' interpolants are
+added in Chebyshev coefficients, zero-padded to the largest node count.
+lifts(k) integrates over s exactly in Chebyshev coefficients, k times in a
+row, and takes every level's values from one inverse DCT; lifted() is its
+one-level case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -85,15 +90,19 @@ def _values(coefficients: np.ndarray) -> np.ndarray:
     return 0.5 * _dct1(c)[..., ::-1]
 
 
+def _padded(a: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients a of degree at most n, zero-padded to degree n."""
+    padded = np.zeros(a.shape[:-1] + (n + 1,))
+    padded[..., : a.shape[-1]] = a
+    return padded
+
+
 def _resampled(values: np.ndarray, n: int) -> np.ndarray:
     """The interpolant of values at lobatto_nodes(m) at lobatto_nodes(n >= m):
     coefficients zero-padded to degree n, one inverse DCT; n = m returns values."""
     if values.shape[-1] == n + 1:
         return values
-    a = _coefficients(values)
-    padded = np.zeros(a.shape[:-1] + (n + 1,))
-    padded[..., : a.shape[-1]] = a
-    return _values(padded)
+    return _values(_padded(_coefficients(values), n))
 
 
 def _fresh_values(values: np.ndarray) -> np.ndarray:
@@ -122,6 +131,21 @@ class ChebyshevInterpolant:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "nodes", lobatto_nodes(n))
         object.__setattr__(self, "weights", _bary_weights(n))
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """Chebyshev coefficients in x = 2s - 1, along the last axis."""
+        return _coefficients(self.values)
+
+    @classmethod
+    def _of_coefficients(cls, a: np.ndarray) -> "ChebyshevInterpolant":
+        """The interpolant with Chebyshev coefficients a. It keeps a, so lifts
+        takes no round trip through values: one would add rounding of about
+        eps * max|values| to every coefficient, where the exact node values
+        are small near s = 0, and each lift's division by s amplifies it."""
+        interp = cls(_values(a))
+        interp.__dict__["coefficients"] = a
+        return interp
 
     def __call__(self, x: float | np.ndarray) -> float | np.ndarray:
         """The interpolant at x: a float for a scalar x, else x's shape.
@@ -185,7 +209,7 @@ class ChebyshevInterpolant:
         lifted from the coefficients of the level below, and every level's
         values come from one inverse DCT; each value at s = 0 is 0.
         """
-        a = _coefficients(self.values)
+        a = self.coefficients
         n = a.shape[-1] - 1
         # alt[i] = (-1)^i, which is (-1)^(k-1) for coefficient k = i + 1.
         alt = np.ones(n)
@@ -218,7 +242,10 @@ class ChebyshevInterpolant:
 
     @classmethod
     def fit_adaptive(
-        cls, f: Callable[[np.ndarray], np.ndarray], target: float
+        cls,
+        f: Callable[[np.ndarray], np.ndarray | list[np.ndarray]],
+        target: float,
+        running: np.ndarray | None = None,
     ) -> tuple["ChebyshevInterpolant", float, int]:
         """Fit f on [0, 1], doubling the node count from _INITIAL_INTERVALS
         until the residual at the newly introduced nodes drops to ``target``.
@@ -232,37 +259,88 @@ class ChebyshevInterpolant:
         DCT of its coefficients, exact only for values at the exact
         Chebyshev points: an f mixing along s takes 1 - s from s[::-1].
 
+        With ``running``, a boolean array of one True per group, easiest
+        first, f fits the sum of the groups: it returns a list of values,
+        one per group g with running[g] still set, in order, and the fit
+        clears running[g] once group g stops, so f samples only the groups
+        still running. Row by row (one row per path), the residuals of all
+        groups sum to at most ``target``: the running groups stop together
+        once their summed error at the fresh nodes meets the target less
+        what the stopped groups spent, and a group stops alone once its own
+        residual meets its share, the groups but the last sharing equally
+        what is left of target / 16 and the last one taking the rest. The
+        groups' interpolants are added in Chebyshev coefficients, each
+        zero-padded to the largest node count. One group runs the same
+        arithmetic as no groups.
+
         Returns (interpolant, achieved_residual, function_evaluations),
-        the residual being the worst over the rows and the evaluations
-        counting nodes. The returned interpolant is the fine one, so its
-        own nodes carry exact function values. Raises NonFiniteError as
-        soon as f returns NaN or infinity, and ToleranceError if the
-        residual still exceeds the target at _MAX_INTERVALS intervals.
+        the residual being the worst over the rows (summed over groups) and
+        the evaluations counting nodes. Without groups, or with one, the
+        returned interpolant is the fine one, so its own nodes carry exact
+        function values. Raises NonFiniteError as soon as f returns NaN or
+        infinity, and ToleranceError if the residual still exceeds the
+        target at _MAX_INTERVALS intervals.
         """
         require_positive(target, "residual target")
+        parts = f if running is not None else lambda nodes: [f(nodes)]
+        running = np.ones(1, dtype=bool) if running is None else running
+        count = len(running)
 
+        # The running groups share their node count, so their values stack
+        # along a leading axis and each doubling takes one DCT for them all.
         def sample(nodes: np.ndarray) -> np.ndarray:
-            values = np.asarray(f(nodes), dtype=float)
+            values = np.stack([np.asarray(v, dtype=float) for v in parts(nodes)])
             if not np.isfinite(values).all():
                 raise NonFiniteError("function returned a non-finite value")
             return values
 
         n = _INITIAL_INTERVALS
-        values = sample(lobatto_nodes(n))
+        live, values = list(range(count)), sample(lobatto_nodes(n))
         neval = n + 1
-        while True:
-            new_vals = sample(lobatto_nodes(2 * n)[1::2])
+        fits = [None] * count
+        # Per row: what stopped groups spent, and the easier groups' part of it.
+        spent = easy_spent = 0.0
+        easy_pool, easy_left = target / 16, count - 1
+        while live:
+            fresh = sample(lobatto_nodes(2 * n)[1::2])
             neval += n
-            residual = float(np.max(np.abs(_fresh_values(values) - new_vals)))
+            errors = _fresh_values(values) - fresh
             merged = np.empty(values.shape[:-1] + (2 * n + 1,))
             merged[..., ::2] = values
-            merged[..., 1::2] = new_vals
+            merged[..., 1::2] = fresh
             n *= 2
-            if residual <= target:
-                return cls(merged), residual, neval
+            error = errors[0] if len(live) == 1 else errors.sum(axis=0)
+            joint = np.max(np.abs(error), axis=-1)
+            if np.all(joint <= target - spent):
+                for g, m in zip(live, merged):
+                    fits[g] = m
+                running[live] = False
+                spent = spent + joint
+                break
             if n >= _MAX_INTERVALS:
                 raise ToleranceError(
-                    f"interpolation residual {residual:.3e} still above "
-                    f"{target:.3e} at {n} intervals"
+                    f"interpolation residual {float(np.max(joint)):.3e} still "
+                    f"above {float(np.min(target - spent)):.3e} at {n} intervals"
                 )
+            if len(live) > 1:  # one group's own residual is the joint one
+                keep = np.ones(len(live), dtype=bool)
+                residuals = np.max(np.abs(errors), axis=-1)
+                for i, (g, residual) in enumerate(zip(live, residuals)):
+                    easy = g < count - 1
+                    if easy:
+                        share = (easy_pool - easy_spent) / easy_left
+                    else:
+                        share = target - easy_pool
+                    if np.all(residual <= share):
+                        fits[g], spent, keep[i] = merged[i], spent + residual, False
+                        running[g] = False
+                        if easy:
+                            easy_spent, easy_left = easy_spent + residual, easy_left - 1
+                live, merged = [g for g, k in zip(live, keep) if k], merged[keep]
             values = merged
+        residual = float(np.max(spent))
+        if count == 1:
+            return cls(fits[0]), residual, neval
+        size = max(v.shape[-1] for v in fits) - 1
+        summed = reduce(np.add, (_padded(_coefficients(v), size) for v in fits))
+        return cls._of_coefficients(summed), residual, neval

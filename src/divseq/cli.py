@@ -4,7 +4,8 @@ Exit codes are a stable contract: 0 for success, 1 when the verification
 suite reports a failing check, 2 for argument or domain errors, 3 when a
 numerical tolerance could not be met. The parser is built once per
 process, at import, and every main call parses with it; sweep formats its
-whole table first and writes it to stdout in one write.
+whole table first, a CSV table with one % over a row template repeated
+for each grid row, and writes it to stdout in one write.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def _cmd_sweep(args) -> int:
     grid = _parse_grid(args.t)
     path = MixturePath(start, end)
     if args.div is not None:
-        columns = _operator_levels(args, args.depth, path, grid).T
+        columns = _operator_levels(args, args.depth, path, grid).T.tolist()
     else:
         # Stacked rows equal single calls bitwise; a block of grid rows holds
         # at most _BLOCK_CELLS mass cells, which bounds its temporaries.
@@ -127,19 +128,23 @@ def _cmd_sweep(args) -> int:
             P = np.broadcast_to(start.masses, R.masses.shape)
             columns += np.transpose(_chain(args.seq, 0, args.depth, P, R)).tolist()
     if args.format == "csv":
-        lines = ["t,k,value"]
-        for t, column in zip(grid, columns):
+        # One row template per grid row, t formatted once per row, and one
+        # % over the whole table.
+        row = "".join(f"%s,{k},{_VALUE_FORMAT}\n" for k in range(args.depth + 1))
+        cells = []
+        for t, column in zip(grid.tolist(), columns):
             head = _VALUE_FORMAT % t
-            lines += [f"{head},{k},{_VALUE_FORMAT % v}" for k, v in enumerate(column)]
+            for value in column:
+                cells += (head, value)
+        text = "t,k,value\n" + row * len(grid) % tuple(cells)
     else:
-        lines = []
-        for t, column in zip(grid, columns):
-            t = float(t)
-            lines += [
-                json.dumps({"t": t, "k": k, "value": float(value)})
-                for k, value in enumerate(column)
-            ]
-    sys.stdout.write("\n".join(lines) + "\n")
+        lines = [
+            json.dumps({"t": t, "k": k, "value": value})
+            for t, column in zip(grid.tolist(), columns)
+            for k, value in enumerate(column)
+        ]
+        text = "\n".join(lines) + "\n"
+    sys.stdout.write(text)
     return 0
 
 

@@ -13,21 +13,22 @@ in u = s / T for its largest position T, every (path, segment) cell on
 Gauss-Kronrod panels of its own. Iterated application of the integral
 operator fits D(P | R(T u)) once by a Chebyshev polynomial in u = s / T,
 T again each path's largest position, over the whole stack, by groups of
-coordinates whose residuals sum to at most tol, and integrates that
-polynomial exactly, level after level, in its Chebyshev coefficients, so
-all levels above the fit together cost two FFTs on the fit's nodes and one
-evaluation on the grid. Every operator requires a right-convex D and
-rejects any other before it checks anything else.
+coordinates in one doubling loop, each group sampled until its own
+residual meets its share of tol, and integrates that polynomial exactly,
+level after level, in its Chebyshev coefficients: the groups'
+coefficients, zero-padded to the largest node count, are summed and
+lifted, so all levels above the fit together cost two FFTs on the fit's
+nodes and one evaluation on the grid. Every operator requires a
+right-convex D and rejects any other before it checks anything else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .chebyshev import _BLOCK_CELLS, ChebyshevInterpolant, _resampled
+from .chebyshev import _BLOCK_CELLS, _MAX_INTERVALS, ChebyshevInterpolant
 from .distributions import MixturePath, _caller_form, _lift_path, _mix
 from .divergences import DivergenceFunctional, Orientation, path_derivative
 from .errors import DomainError, require_index, require_position, require_positive
@@ -81,9 +82,11 @@ def _along(
     return out
 
 
-# A group of coordinates is fitted apart from the next harder one only if
-# that saves more mass cells than this (see _column_groups).
-_SPLIT_CELLS = 64 * _BLOCK_CELLS
+# A bin of columns fitted apart pays its own residual DCT at each doubling,
+# 8 to 23 mass cells' time per row and node (1 to 20 rows, 33 to 4097
+# nodes; 2 cores, Python 3.11). Over the doublings up to a final count of N
+# nodes that is about this many cells per row times N (see _column_groups).
+_DCT_CELLS = 40
 
 
 def _column_groups(p: np.ndarray, q: np.ndarray) -> list[np.ndarray | slice]:
@@ -96,25 +99,39 @@ def _column_groups(p: np.ndarray, q: np.ndarray) -> list[np.ndarray | slice]:
     smaller of sqrt(q_i/p_i) and its inverse; Chebyshev coefficients decay
     like rho^-N (Trefethen, Approximation Theory and Approximation
     Practice, ch. 8). A column's difficulty d, 1/log(rho) at its hardest
-    row, is binned by octave j, about 64 * 2^j <= 128 d nodes, and a bin
-    joins the next harder one unless a fit apart saves more than
-    _SPLIT_CELLS cells. This sets only the cost: every fit is adaptive.
+    row, is binned by octave j, about N_j = 64 * 2^j <= 128 d nodes up to
+    the node cap. The groups are fitted in one doubling loop, each stopping
+    at its own node count, so a group apart costs its own calls and
+    residual DCTs per doubling, not a fit: a bin joins the next harder one
+    unless the cells it saves per row, its columns (with any joined to it)
+    times N_harder - N_j, exceed _DCT_CELLS * N_j. The fixed cost of the
+    calls is not counted, as octave groups also carry less rounding into
+    the lifts: each group's coefficients come from a float64 DCT whose
+    error, about eps * max|values|, is amplified by every division by s,
+    and a group of easy columns adds its error to its few low-order
+    coefficients only. On 40 regular 877-point pairs the worst level 1-3
+    error against pl/sl had a median of 1.1e-13 from one group and
+    5.9e-14 from octave groups. The bins at the cap form one group, which
+    no bin below the cap joins: that group mostly raises ToleranceError
+    at the cap, and a column joined to it would be sampled on all its
+    nodes for nothing. This sets only the cost: every fit is adaptive.
     """
     ratio = q / p
     with np.errstate(divide="ignore"):  # artanh(1) is infinite: z_i = 0
-        hardest = 0.5 / np.arctanh(np.sqrt(min(ratio.min(), 1.0 / ratio.max())))
-        if ratio.size * 128 * hardest <= _SPLIT_CELLS:  # no split saves more
-            return [slice(None)]
         a = np.sqrt(np.minimum(ratio.min(axis=0), 1.0 / ratio.max(axis=0)))
         octave = np.maximum(np.frexp(0.5 / np.arctanh(a))[1], 0)
     counts = np.bincount(octave)
+    nodes = np.minimum(64 * 2 ** np.arange(len(counts)), _MAX_INTERVALS).tolist()
     bins = np.flatnonzero(counts).tolist()
     label, size = np.zeros(len(counts), dtype=int), 0
     for j, harder in zip(bins, bins[1:]):
         size += int(counts[j])
-        if len(p) * size * 64 * (2**harder - 2**j) > _SPLIT_CELLS:
+        capped = nodes[harder] == _MAX_INTERVALS > nodes[j]
+        if capped or size * (nodes[harder] - nodes[j]) > _DCT_CELLS * nodes[j]:
             label[j + 1 :] += 1
             size = 0
+    if label[-1] == 0:
+        return [slice(None)]
     return [np.flatnonzero(label[octave] == g) for g in range(label[-1] + 1)]
 
 
@@ -198,9 +215,11 @@ def psi_iter(
     integrated over u exactly, level after level, in its coefficients, and
     all levels are evaluated on the grid in one call. D
     sums per-coordinate terms, so level 0 is fitted by groups of them
-    (_column_groups on P and R(T)), each on shared nodes doubled until its
-    residual at fresh nodes meets its share of tol on every path; the
-    groups' interpolants, resampled to the largest node set, are added.
+    (_column_groups on P and R(T)) in one doubling loop, each group
+    sampled until its residual at fresh nodes meets its share of tol on
+    every path (fit_adaptive with running groups); the groups'
+    interpolants are added in Chebyshev coefficients and lifted from the
+    sum.
     The fit samples level 0 at the exact Chebyshev points, each node's
     weight 1 - u on the start taken from the mirrored node. Rows are
     nonincreasing in the level at every grid point; a constant path gives
@@ -220,13 +239,13 @@ def psi_iter(
     p, q, t, shape = _lift_path(path, t_grid)
     every = np.arange(len(p))
 
-    def level_zero(s: np.ndarray, cols) -> np.ndarray:
+    def level_zero(s: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
         # s is symmetric about 1/2 (fit_adaptive), so s[::-1] is 1 - s;
         # near s = 1 the rounded 1.0 - s would put a floor of about
         # |f'| * 1e-16 under the fit's DCT residual.
         rows = (len(p), s.size)
         rest = np.broadcast_to(s[::-1], rows)
-        return _along(D, p[:, cols], q[:, cols], np.broadcast_to(s, rows), every, rest)
+        return _along(D, start, end, np.broadcast_to(s, rows), every, rest)
 
     levels = np.empty((k + 1,) + t.shape)
     levels[0] = _along(D, p, q, t, every)
@@ -235,18 +254,16 @@ def psi_iter(
         # ds/s is scale-free: above level 0, P -> Q at t is P -> R(T) at t / T.
         top = np.maximum(t.max(axis=-1, keepdims=True), 5e-324)
         q = _mix(p, q, top[:, 0])
-        # Easiest first; the easier groups share tol / 16, the hardest the rest.
-        groups, fits, spent = _column_groups(p, q), [], 0.0
-        for left, cols in zip(range(len(groups) - 1, -1, -1), groups):  # groups after it
-            target = (tol / 16 - spent) / left if left else tol - spent
-            fit, residual, _ = ChebyshevInterpolant.fit_adaptive(
-                lambda s: level_zero(s, cols), target
-            )
-            fits.append(fit.values)
-            spent += residual
-        n = max(values.shape[-1] for values in fits) - 1
-        interp = ChebyshevInterpolant(reduce(np.add, (_resampled(v, n) for v in fits)))
-        levels[1:] = interp.lifts(k)(t / top)
+        # One doubling loop fits every group; it clears a group's entry of
+        # running once the group stops, and the group is then not sampled.
+        groups = [(p[:, cols], q[:, cols]) for cols in _column_groups(p, q)]
+        running = np.ones(len(groups), dtype=bool)
+        fit, _, _ = ChebyshevInterpolant.fit_adaptive(
+            lambda s: [level_zero(s, *ends) for ends, on in zip(groups, running) if on],
+            tol,
+            running,
+        )
+        levels[1:] = fit.lifts(k)(t / top)
         levels[1:, np.all(p == q, axis=-1)] = 0.0
     levels[:, constant] = 0.0
     return levels.reshape((k + 1,) + shape)

@@ -10,7 +10,12 @@ import pytest
 from divseq import cli
 from divseq.chebyshev import _BLOCK_CELLS
 from divseq.cli import main
-from divseq.distributions import MixturePath, mixture, new_distribution
+from divseq.distributions import (
+    MixturePath,
+    mixture,
+    new_distribution,
+    random_distribution,
+)
 from divseq.divergences import evaluate, named_divergence
 from divseq.operators import psi_iter
 from divseq.sequences import pl, sl
@@ -247,14 +252,23 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert all(float(row["value"]) == 0.0 for row in rows)
 
-    def test_seq_sweep_matches_operator_sweep(self, capsys):
+    @pytest.mark.parametrize(
+        "pair, depth, grid",
+        [
+            (PAIR, "2", "0.2:1:3"),
+            # A regular 2962-point pair with masses floored at 0.01/n: its
+            # level-0 fit splits into groups of coordinates.
+            (_pair_json(*(random_distribution(2962, s, 0.01 / 2962) for s in (7, 8))),
+             "3", "0:1:101"),
+        ],
+        ids=["two_points", "grouped_2962"],
+    )
+    def test_seq_sweep_matches_operator_sweep(self, capsys, pair, depth, grid):
         code_seq, out_seq, _ = run_cli(
-            capsys,
-            ["sweep", "--seq", "pl", "--depth", "2", "--t", "0.2:1:3", "--pair", PAIR],
+            capsys, ["sweep", "--seq", "pl", "--depth", depth, "--t", grid, "--pair", pair]
         )
         code_op, out_op, _ = run_cli(
-            capsys,
-            ["sweep", "--div", "chi2", "--depth", "2", "--t", "0.2:1:3", "--pair", PAIR],
+            capsys, ["sweep", "--div", "chi2", "--depth", depth, "--t", grid, "--pair", pair]
         )
         assert code_seq == 0 and code_op == 0
         seq_rows = list(csv.DictReader(io.StringIO(out_seq)))
@@ -263,9 +277,9 @@ class TestSweep:
             (r["t"], r["k"]) for r in op_rows
         ]
         for left, right in zip(seq_rows, op_rows):
-            assert float(left["value"]) == pytest.approx(
-                float(right["value"]), abs=1e-8
-            )
+            expected = float(left["value"])
+            gap = abs(float(right["value"]) - expected)
+            assert gap <= 1e-10 * max(1.0, abs(expected)), (left, right)
 
     @pytest.mark.parametrize("n, count", [(40, 11), (2000, 101)], ids=["n40", "n2000"])
     @pytest.mark.parametrize("family", ["pl", "sl"])

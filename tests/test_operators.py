@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from divseq import quadrature
-from divseq.chebyshev import ChebyshevInterpolant
+from divseq.chebyshev import _MAX_INTERVALS, ChebyshevInterpolant
 from divseq.distributions import (
     Distribution,
     MixturePath,
@@ -286,8 +286,8 @@ class TestPsiIter:
         counts = []
         fit = ChebyshevInterpolant.fit_adaptive.__func__
 
-        def counted(cls, f, target):
-            interp, residual, evaluations = fit(cls, f, target)
+        def counted(cls, f, *rest):
+            interp, residual, evaluations = fit(cls, f, *rest)
             counts.append(len(interp.nodes))
             return interp, residual, evaluations
 
@@ -460,6 +460,109 @@ class TestGroupedLevelZero:
         interp, _, _ = ChebyshevInterpolant.fit_adaptive(_joint_level_zero(D, path), 1e-12)
         expected = [psi_iter(D, 0, path, grid)[0], *interp.lifts(3)(grid)[:, 0]]
         assert psi_iter(D, 3, path, grid).tobytes() == np.array(expected).tobytes()
+
+
+class TestOneLoopLevelZero:
+    # psi_iter fits every column group of level 0 in one doubling loop, each
+    # group stopping at its own node count, and adds the groups'
+    # interpolants in Chebyshev coefficients.
+    _ORACLES = TestGroupedLevelZero._ORACLES
+
+    # The roster calls (seed, n, orientation, divergence) that answer; the
+    # other 139 raise ToleranceError at the node cap, as they did when each
+    # group was a fit of its own.
+    _ANSWERED = {
+        (3, 877, 0, "chi2"), (3, 877, 0, "kl"), (3, 877, 0, "jeffreys"),
+        (3, 877, 0, "reverse_kl"), (3, 877, 1, "reverse_kl"),
+    }
+
+    @staticmethod
+    def _fits(monkeypatch):
+        """Per fit_adaptive call: [calls of f, nodes f was given]. Each call
+        hands f the nodes alone, as the benchmark's tracer does."""
+        fits = []
+        fit = ChebyshevInterpolant.fit_adaptive.__func__
+
+        def counted(cls, f, *rest):
+            record = [0, 0]
+            fits.append(record)
+
+            def f_counted(x):
+                record[0] += 1
+                record[1] += x.size
+                return f(x)
+
+            return fit(cls, f_counted, *rest)
+
+        monkeypatch.setattr(ChebyshevInterpolant, "fit_adaptive", classmethod(counted))
+        return fits
+
+    def test_tiny_mass_roster_fails_where_it_did_and_at_no_more_cost(self, monkeypatch):
+        fits = self._fits(monkeypatch)
+        grid = np.linspace(0.0, 1.0, 11)
+        answered = set()
+        for seed in range(6):
+            for n in (10, 100, 877):
+                A, B = _tiny_p_pair(seed, n)
+                for orientation, (start, end) in enumerate(((A, B), (B, A))):
+                    path = MixturePath(start, end)
+                    for identifier, (family, shift) in self._ORACLES.items():
+                        fits.clear()
+                        try:
+                            levels = psi_iter(named_divergence(identifier), 3, path, grid)
+                        except ToleranceError:
+                            # One loop to the cap: 17 nodes and 10 doublings,
+                            # 16385 nodes in all, what the failing group alone
+                            # took when each group was a fit of its own.
+                            assert fits == [[11, _MAX_INTERVALS + 1]]
+                            continue
+                        answered.add((seed, n, orientation, identifier))
+                        for j, t in enumerate(grid):
+                            R = mixture(path, t)
+                            for k in range(1, 4):
+                                ref = family(k + shift, start, R)
+                                bound = 1e-10 * max(1.0, abs(ref))
+                                assert abs(levels[k, j] - ref) <= bound, (seed, n, t, k)
+        assert answered == self._ANSWERED
+
+    @pytest.mark.parametrize("n", [877, 2962, 10_000])
+    def test_grouped_fit_takes_at_most_half_the_one_group_cells(self, n):
+        # Regular pairs with masses floored at 0.01/n, as in the benchmark's
+        # sweep; a one-group fit samples every column at the hardest one's
+        # node count.
+        A, B = (random_distribution(n, s, 0.01 / n) for s in (2 * n, 2 * n + 1))
+        path = MixturePath(A, B)
+        grid = np.linspace(0.0, 1.0, 11)
+        for identifier, (family, shift) in self._ORACLES.items():
+            D, seen = _mass_cells(named_divergence(identifier))
+            _, _, joint_nodes = ChebyshevInterpolant.fit_adaptive(
+                _joint_level_zero(D, path), 1e-12
+            )
+            seen[0] = 0
+            levels = psi_iter(D, 3, path, grid)
+            grouped = seen[0] - grid.size * n  # less level 0 on the grid
+            assert grouped <= 0.5 * joint_nodes * n, (identifier, grouped, joint_nodes * n)
+            for j in (3, 7, 10):
+                R = mixture(path, grid[j])
+                for k in range(1, 4):
+                    ref = family(k + shift, A, R)
+                    bound = 1e-10 * max(1.0, abs(ref))
+                    assert abs(levels[k, j] - ref) <= bound, (identifier, grid[j], k)
+
+    def test_column_groups_keep_octaves_apart_and_the_cap_alone(self):
+        # The pair of TestTruncatedLevelZero's 877-point bound: its octave
+        # bins, 580, 221, 66 and 10 columns, each save more than their own
+        # residual DCTs cost. Tiny masses sit past the node cap, in a group
+        # that no column below the cap joins.
+        A, B = (random_distribution(877, s, 0.01 / 877) for s in (1754, 1755))
+        groups = _column_groups(A.masses[None], B.masses[None])
+        assert [len(g) for g in groups] == [580, 221, 66, 10]
+        for seed in range(6):
+            for n in (10, 100, 877):
+                A, B = _tiny_p_pair(seed, n)
+                groups = _column_groups(A.masses[None], B.masses[None])
+                tiny = np.flatnonzero(A.masses < 1e-8)
+                assert np.array_equal(groups[-1], tiny), (seed, n)
 
 
 def _regular_10k():
