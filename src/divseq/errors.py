@@ -38,6 +38,11 @@ def require_index(k, name: str = "order", minimum: int = 0) -> int:
     return k
 
 
+def require_orders(k) -> tuple[int, ...]:
+    """One order as (k,), or a tuple of orders, each checked as an index."""
+    return tuple(map(require_index, k)) if isinstance(k, tuple) else (require_index(k),)
+
+
 def require_position(t) -> float:
     """A path position as a float in [0, 1]; NaN is rejected."""
     t = float(t)

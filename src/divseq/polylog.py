@@ -8,8 +8,8 @@ w = q/p, so no digits are lost to forming 1 - q/p as q/p -> 0.
 
 - Orders 0 and 1 use their closed forms z/w and -log w (-log1p(-z) for
   |z| <= 1/2).
-- For |z| <= 1/2 the defining power series Sum_{j>=1} z^j / j^k is summed
-  for all coordinates together, each stopped by the same rule.
+- For |z| <= 1/2 the defining power series Sum_{j>=1} z^j / j^k: 64 terms
+  in one table of powers, contracted with the weights j^-k.
 - For 1/2 < z < 1, that is 0 < w < 1/2, the expansion in mu = log z =
   log1p(-w), which converges for |mu| < 2 pi,
 
@@ -31,11 +31,13 @@ w = q/p, so no digits are lost to forming 1 - q/p as q/p -> 0.
   polynomial, and eta(s) = (1 - 2^(1-s)) zeta(s).
 
 So no route integrates, and every seam lies at |z| = 1/2 or z = -1 (w in
-{1/2, 3/2, 2}). The coefficients are built once per order from exact
-rationals: zeta at nonpositive integers from Bernoulli numbers, and eta,
-hence zeta, at s >= 2 from Borwein's alternating series ("An efficient
-algorithm for the Riemann zeta function", 2000). See Lewin,
-*Polylogarithms and Associated Functions* (1981), for the expansions.
+{1/2, 3/2, 2}). A tuple of orders shares the routing and the tables of z^j
+and mu^j, and each order adds its own contractions. The coefficients are
+built once per order from exact rationals: zeta at nonpositive integers
+from Bernoulli numbers, and eta, hence zeta, at s >= 2 from Borwein's
+alternating series ("An efficient algorithm for the Riemann zeta
+function", 2000). See Lewin, *Polylogarithms and Associated Functions*
+(1981), for the expansions.
 
 ``polylog_integral`` integrates the Bose-Einstein representation
 
@@ -58,18 +60,20 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, ToleranceError, require_index
+from .chebyshev import _BLOCK_CELLS
+from .distributions import _caller_form
+from .errors import DomainError, ToleranceError, require_index, require_orders
 from .quadrature import QuadratureConfig, cumulative_integral
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 _SERIES_RADIUS = 0.5
-_SERIES_REL_STOP = 1e-15
+# Terms per block of the power series. At |z| <= 1/2 the tail past one block
+# is under 2^-64 of the sum, so one block is the whole series.
+_SERIES_WIDTH = 64
 _SERIES_MAX_TERMS = 10_000
-_SERIES_BLOCK_CELLS = 1 << 13
-_SERIES_MIN_BLOCK = 8
-_SERIES_MAX_BLOCK = 64
+_EPS = 2.0**-53
 # Terms of the mu expansion, or k if more. At |mu| <= log 2 the first term
 # left out is below 1e-19 for every order.
 _MU_TERMS = 20
@@ -77,6 +81,7 @@ _MU_TERMS = 20
 # for real s >= 2: 1.3e-18 at n = 24.
 _ETA_TERMS = 24
 _TAIL_BOUND = 1e-14
+_TAIL_REL_BOUND = 1e-15
 _LOG_TAIL = 40.0
 _INTEGRAL_PIECES = 8
 
@@ -105,53 +110,70 @@ def _arguments(z, w) -> tuple[np.ndarray, np.ndarray, tuple]:
     return 1.0 - flat, flat, given.shape
 
 
-def _shaped(values: np.ndarray, shape: tuple):
-    return float(values[0]) if shape == () else values.reshape(shape)
+def _by_order(values: np.ndarray, k, shape: tuple):
+    """Rows (orders, ...) in the caller's form: one row for one order k."""
+    if isinstance(k, tuple):
+        return values.reshape(values.shape[:1] + shape)
+    return _caller_form(values[0], shape)
 
 
-def _series(k: int, z: np.ndarray, linear: bool = True) -> np.ndarray:
-    # Sum_{j>=1} z^j / j^k, or Sum_{j>=2} = Li_k(z) - z with linear=False,
-    # which keeps the digits of the difference for small z.
-    # Each coordinate adds terms until the next one falls below 1e-15 of its
-    # partial sum, exactly as a term-by-term loop would. The terms come in
-    # blocks, so the loop runs once per block and not once per term; a block
-    # holds at most _SERIES_BLOCK_CELLS terms over all pending coordinates,
-    # which bounds the memory a large support takes.
-    out = np.zeros_like(z)
-    pending = np.flatnonzero(z != 0.0)
-    power = z[pending]
-    total = power if linear else np.zeros_like(power)
-    first = 2
+def _power_table(head: np.ndarray, x: np.ndarray, width: int) -> np.ndarray:
+    """table[width - 1 - j, i] = head_i x_i^j for j < width, by doubling. A
+    lone coordinate gets a zero column beside it, so that every contraction
+    of a table runs one loop order, whatever its size."""
+    table, power = np.zeros((width, max(x.size, 2))), np.zeros(max(x.size, 2))
+    table[-1, : x.size], power[: x.size] = head, x
+    done = 1
+    while done < width:
+        n = min(done, width - done)
+        np.multiply(table[-n:], power, out=table[width - done - n : width - done])
+        power *= power
+        done *= 2
+    return table
+
+
+def _power_sums(head: np.ndarray, x: np.ndarray, weights) -> tuple:
+    """Sum_j c_j head x^j for each coefficient vector c (highest power
+    first), one row each, and the top power head x^(width - 1). A table has
+    at most _BLOCK_CELLS cells, which bounds the memory a large support
+    takes; a contraction adds the terms smallest first."""
+    width = max(c.size for c in weights)
+    out, top = np.empty((len(weights), x.size)), np.empty(x.size)
+    step = max(1, _BLOCK_CELLS // width)
+    for lo in range(0, x.size, step):
+        chunk = slice(lo, lo + step)
+        count = x[chunk].size
+        table = _power_table(head[chunk], x[chunk], width)
+        for row, c in zip(out, weights):
+            row[chunk] = np.einsum("ji,j->i", table[width - c.size :], c)[:count]
+        top[chunk] = table[0, :count]
+    return out, top
+
+
+def _series(orders: tuple[int, ...], z: np.ndarray, linear: bool = True) -> np.ndarray:
+    """Sum_{j>=1} z^j / j^k for each k in orders, one row each; with
+    linear=False Sum_{j>=2} = Li_k(z) - z, which keeps the digits of the
+    difference for small z. A coordinate stops after the first block of
+    terms whose tail bound |last term| |z| / (1 - |z|) is within 2^-53 of
+    every order's sum: for every |z| <= 1/2, the first."""
+    out = np.zeros((len(orders), z.size))
+    pending, head, first = np.arange(z.size), z, 1
     while pending.size:
         if first > _SERIES_MAX_TERMS:
-            raise ToleranceError(
-                f"series for Li_{k}({float(z[pending[0]])}) still moving after "
-                f"{_SERIES_MAX_TERMS} terms"
-            )
-        width = min(
-            max(_SERIES_BLOCK_CELLS // pending.size, _SERIES_MIN_BLOCK),
-            _SERIES_MAX_BLOCK,
-            _SERIES_MAX_TERMS + 1 - first,
-        )
-        block = np.empty((pending.size, width + 1))
-        block[:, 0] = power
-        block[:, 1:] = z[pending, None]
-        np.cumprod(block, axis=1, out=block)
-        power = block[:, -1].copy()
-        # Past k ~ 170 the power overflows to inf, and its term is then
-        # exactly the 0.0 it rounds to.
-        with np.errstate(over="ignore"):
-            block[:, 1:] /= np.arange(first, first + width, dtype=float) ** k
-        block[:, 0] = total
-        # partial[:, c] is the sum before term c + 1 of the block is added.
-        partial = np.cumsum(block, axis=1)
-        stops = np.abs(block[:, 1:]) < _SERIES_REL_STOP * np.abs(partial[:, :-1])
-        done = stops.any(axis=1)
-        out[pending[done]] = partial[done, np.argmax(stops[done], axis=1)]
-        pending = pending[~done]
-        total = partial[~done, -1]
-        power = power[~done]
-        first += width
+            raise ToleranceError(f"series for Li_{max(orders)}({float(z[pending[0]])}) "
+                                 f"still moving after {_SERIES_MAX_TERMS} terms")
+        j = np.arange(first + _SERIES_WIDTH - 1, first - 1, -1.0)
+        weights = j ** -np.array(orders)[:, None]
+        if first == 1 and not linear:
+            weights[:, -1] = 0.0
+        x = z[pending]
+        sums, last = _power_sums(head, x, weights)
+        out[:, pending] = sums = sums + out[:, pending]
+        head, size = last * x, np.abs(x)
+        bound = np.abs(head) * weights[:, :1] <= _EPS * np.abs(sums) * (1.0 - size)
+        done = (size < 1.0) & bound.all(axis=0)
+        pending, head = pending[~done], head[~done]
+        first += _SERIES_WIDTH
     return out
 
 
@@ -192,9 +214,10 @@ def _bernoulli(m: int) -> list[Fraction]:
 
 @functools.lru_cache(maxsize=64)
 def _coefficients(k: int) -> tuple[tuple[float, ...], float, tuple[float, ...]]:
-    """The mu expansion's coefficients, the factor 1/(k-1)! of its log(-mu)
-    term, and the inversion polynomial's coefficients times m! for L^m,
-    lowest power first; each rounded once from an exact rational."""
+    """The mu expansion's coefficients, highest power first, the factor
+    1/(k-1)! of its log(-mu) term, and the inversion polynomial's
+    coefficients times m! for L^m, lowest power first; each rounded once
+    from an exact rational."""
     from fractions import Fraction
 
     terms = max(_MU_TERMS, k)
@@ -215,26 +238,12 @@ def _coefficients(k: int) -> tuple[tuple[float, ...], float, tuple[float, ...]]:
     inversion[k] = Fraction(-1)
     for r in range(1, k // 2 + 1):
         inversion[k - 2 * r] = -2 * _eta(2 * r)
-    mu, inversion = (tuple(float(c) for c in cs) for cs in (mu, inversion))
+    mu, inversion = (tuple(float(c) for c in cs) for cs in (mu[::-1], inversion))
     return mu, float(Fraction(1, math.factorial(k - 1))), inversion
 
 
-def _mu_series(k: int, mu: np.ndarray) -> np.ndarray:
-    """Li_k(e^mu) for log(1/2) <= mu <= 0."""
-    coeffs, log_factor, _ = _coefficients(k)
-    out = np.full_like(mu, coeffs[-1])
-    for c in coeffs[-2::-1]:  # Horner, in place
-        out *= mu
-        out += c
-    # mu^(k-1) log(-mu) -> 0 as mu -> 0, so the term is dropped at mu = 0.
-    log_term = np.log(np.where(mu < 0.0, -mu, 1.0))
-    log_term *= mu ** (k - 1) * log_factor
-    return out - log_term
-
-
-def _expansions(k: int, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Li_k(z) for k >= 2, every coordinate from one series call and one
-    mu-expansion call."""
+def _expansions(orders: tuple[int, ...], z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Li_k(z) for each k >= 2 in orders, one row each."""
     # Inversion takes z < -1 to v = 1/z in (-1, 0), and duplication then
     # takes v < -1/2 to Li_k(x^2) and Li_k(x), x = -v in (1/2, 1].
     far = z < -1.0
@@ -250,17 +259,23 @@ def _expansions(k: int, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     # Every argument now lies in [-1/2, 1], with its log where above 1/2.
     args = np.concatenate([v[rest], x, x * x])
     logs = np.concatenate([mu[rest], mu_x, 2.0 * mu_x])
-    li = np.empty_like(args)
+    li = np.empty((len(orders), args.size))
     near = args <= _SERIES_RADIUS
-    li[near] = polylog_series(k, args[near])
-    li[~near] = _mu_series(k, logs[~near])
+    li[:, near] = _series(orders, args[near])
+    # Li_k(e^mu) for log(1/2) <= mu <= 0 from the mu expansion; its term
+    # mu^(k-1) log(-mu) -> 0 as mu -> 0, so it is dropped at mu = 0.
+    logs, coefficients = logs[~near], [_coefficients(k) for k in orders]
+    powers = [np.array(c) for c, _, _ in coefficients]
+    li[:, ~near], _ = _power_sums(np.ones_like(logs), logs, powers)
+    log_mu = np.log(np.where(logs < 0.0, -logs, 1.0))
     n, m = np.count_nonzero(rest), x.size
-    out = np.empty_like(z)
-    out[rest] = li[:n]
-    out[doubled] = 2.0 ** (1 - k) * li[n + m :] - li[n : n + m]
-    if far.any():
-        polynomial = _inversion_polynomial(k, np.log(-z[far]))
-        out[far] = (-1) ** (k + 1) * out[far] + polynomial
+    out = np.empty((len(orders), z.size))
+    for row, li_k, k, (_, log_factor, _) in zip(out, li, orders, coefficients):
+        li_k[~near] -= log_mu * (logs ** (k - 1) * log_factor)
+        row[rest] = li_k[:n]
+        row[doubled] = 2.0 ** (1 - k) * li_k[n + m :] - li_k[n : n + m]
+        if far.any():
+            row[far] = (-1) ** (k + 1) * row[far] + _inversion_polynomial(k, np.log(-z[far]))
     return out
 
 
@@ -288,7 +303,7 @@ def _tail_cutoff(k: int, z: float) -> float:
         terms = np.arange(k) * math.log(x) - log_factorials
         bound = math.exp(np.logaddexp.reduce(terms) - x)
         bound /= 1.0 - max(z, 0.0) * math.exp(-x)
-        if bound < _SERIES_REL_STOP and abs(z) * bound < _TAIL_BOUND:
+        if bound < _TAIL_REL_BOUND and abs(z) * bound < _TAIL_BOUND:
             return x
         x += 5.0
 
@@ -329,12 +344,13 @@ def _integral(k: int, z: np.ndarray, w: np.ndarray) -> np.ndarray:
 def polylog_series(k, z):
     """Direct power-series summation, for |z| comfortably below 1.
 
-    Each coordinate adds terms until the next one falls below 1e-15 of its
-    partial sum; ToleranceError if any has not stopped after 10000 terms.
+    Terms come in blocks of 64. Each coordinate stops after the first block
+    whose geometric tail bound falls within 2^-53 of its sum; ToleranceError
+    if any has not stopped after 10000 terms.
     """
     k = require_index(k)
     z, _, shape = _arguments(z, None)
-    return _shaped(_series(k, z), shape)
+    return _caller_form(_series((k,), z)[0], shape)
 
 
 def polylog_integral(k, z=None, *, w=None):
@@ -348,8 +364,8 @@ def polylog_integral(k, z=None, *, w=None):
     k = require_index(k, minimum=1)
     z, w, shape = _arguments(z, w)
     if z.size == 0:
-        return _shaped(z, shape)
-    return _shaped(_integral(k, z, w), shape)
+        return _caller_form(z, shape)
+    return _caller_form(_integral(k, z, w), shape)
 
 
 def polylog(k, z=None, *, w=None):
@@ -357,14 +373,13 @@ def polylog(k, z=None, *, w=None):
 
     Give either z or w = 1 - z. Pass w when the caller holds it exactly,
     as the pl sequence holds q/p: as w -> 0 every digit of w then reaches
-    the result, where forming 1 - w would have lost them.
+    the result, where forming 1 - w would have lost them. For a tuple of
+    orders k, one row per order on a leading axis, all from one pass.
     """
-    k = require_index(k)
+    orders = require_orders(k)
     z, w, shape = _arguments(z, w)
-    if k == 0:
-        out = z / w
-    elif k == 1:
-        out = np.where(np.abs(z) <= 0.5, -np.log1p(-z), -np.log(w))
-    else:
-        out = _expansions(k, z, w)
-    return _shaped(out, shape)
+    high = tuple(j for j in orders if j > 1)
+    rows = iter(_expansions(high, z, w) if high else ())
+    log = np.where(np.abs(z) <= 0.5, -np.log1p(-z), -np.log(w)) if 1 in orders else None
+    out = [z / w if j == 0 else log if j == 1 else next(rows) for j in orders]
+    return _by_order(np.array(out), k, shape)

@@ -274,3 +274,57 @@ class TestClosedExpansions:
         zeta = float(mp.zeta(k))
         assert polylog(k, w=1e-300) == pytest.approx(zeta, rel=1e-15)
         assert polylog(k, -1.0) == pytest.approx(-(1.0 - 2.0 ** (1 - k)) * zeta, rel=1e-15)
+
+
+class TestOrderTuples:
+    # The series route's arguments: |z| <= 1/2, both edges, tiny ones of
+    # either sign and the neighbours of +-1/2 (0 is tested apart).
+    SERIES_Z = np.concatenate([
+        np.delete(np.linspace(-0.5, 0.5, 201), 100),
+        [-1e-8, 1e-8, -1e-3, 1e-3, -0.4999, 0.4999],
+        np.nextafter([-0.5, 0.5], 0.0),
+    ])
+
+    @pytest.mark.parametrize("linear", [True, False])
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_series_route_against_mpmath(self, k, linear):
+        # Li_k(z), or Li_k(z) - z, to 1e-15 relative: one block of 64
+        # terms, each coordinate's terms added smallest first.
+        mp = pytest.importorskip("mpmath")
+        module = importlib.import_module("divseq.polylog")
+        z = self.SERIES_Z
+        with mp.workdps(40):
+            ref = np.array([
+                float(mp.polylog(k, mp.mpf(x)) - (0 if linear else mp.mpf(x))) for x in z
+            ])
+        values = module._series((k,), z, linear)[0]
+        np.testing.assert_allclose(values, ref, rtol=1e-15, atol=0.0)
+        assert module._series((k,), np.zeros(3), linear)[0].tolist() == [0.0] * 3
+
+    ORDERS = (0, 1, 2, 3, 5, 12)
+
+    @pytest.mark.parametrize("given", ["z", "seam_w", "stack_w"])
+    def test_each_order_is_its_own_call_bitwise(self, given):
+        rng = np.random.default_rng(24)
+        arguments = {
+            "z": {"z": TestArrays.Z},
+            "seam_w": {"w": TestClosedExpansions.SEAM_W},
+            "stack_w": {"w": np.exp(rng.uniform(-28.0, 5.0, (3, 1000)))},
+        }[given]
+        values = polylog(self.ORDERS, **arguments)
+        shape = next(iter(arguments.values())).shape
+        assert values.shape == (len(self.ORDERS),) + shape
+        for row, k in zip(values, self.ORDERS):
+            assert row.tobytes() == polylog(k, **arguments).tobytes(), k
+        # Any subset or order of the orders gives the same rows.
+        assert polylog((12, 2), **arguments).tobytes() == values[[5, 2]].tobytes()
+
+    def test_scalar_argument_gives_one_value_per_order(self):
+        values = polylog((0, 2, 3), 0.5)
+        assert values.shape == (3,)
+        assert values.tolist() == [polylog(k, 0.5) for k in (0, 2, 3)]
+
+    def test_bad_order_in_a_tuple_raises(self):
+        for bad in ((2, -1), (2, 2.5)):
+            with pytest.raises(DomainError):
+                polylog(bad, 0.5)

@@ -1,8 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divseq.chebyshev import _BLOCK_CELLS
 from divseq.distributions import MixturePath, mixture, new_distribution, random_distribution
 from divseq.divergences import evaluate, named_divergence
 from divseq.errors import DomainError
@@ -329,3 +332,54 @@ def test_chains_never_increase_on_arbitrary_pairs(pair):
         assert chain[-1] >= -slack, f"{family.__name__} tail {chain[-1]}"
         for k in range(3):
             assert chain[k + 1] <= chain[k] + slack, f"{family.__name__} {chain}"
+
+
+class TestOrderTuples:
+    @staticmethod
+    def _stack(n=1000):
+        # Three rows of 1000 coordinates: one with tiny masses, one that ends
+        # within 1e-7 of its start, so its sums cancel at every order, and a
+        # regular one.
+        rng = np.random.default_rng(24)
+        p = rng.exponential(size=(3, n)) + 1e-3
+        p[0, :4] = [1e-12, 3e-12, 1e-10, 1e-9]
+        p /= p.sum(axis=1, keepdims=True)
+        q = rng.exponential(size=(3, n)) + 1e-3
+        q[1] = p[1] * (1.0 + 1e-7 * rng.uniform(-1.0, 1.0, n))
+        return p, q / q.sum(axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("family", [pl, sl])
+    def test_each_order_is_its_own_call_bitwise(self, family):
+        p, q = self._stack()
+        orders = (0, 1, 2, 3, 4)
+        values = family(orders, p, q)
+        assert values.shape == (5, 3)
+        for row, k in zip(values, orders):
+            assert row.tobytes() == family(k, p, q).tobytes(), k
+            for i in range(3):
+                assert row[i] == family(k, p[i], q[i]), (k, i)
+        single = family((3, 1), p[2], q[2])
+        assert single.shape == (2,) and single.tolist() == [values[3, 2], values[1, 2]]
+
+    def test_tuple_of_orders_checks_each(self):
+        with pytest.raises(DomainError):
+            pl((1, -1), P, Q)
+        with pytest.raises(DomainError):
+            sl((0.5,), P, Q)
+
+    def test_power_tables_stay_within_block_cells(self, monkeypatch):
+        # sl(3) on 10^4 coordinates: every table of powers, for the series
+        # and the mu expansion, holds at most _BLOCK_CELLS cells.
+        module = importlib.import_module("divseq.polylog")
+        build, sizes = module._power_table, []
+
+        def spy(head, x, width):
+            table = build(head, x, width)
+            sizes.append(table.size)
+            return table
+
+        monkeypatch.setattr(module, "_power_table", spy)
+        rng = np.random.default_rng(10_000)
+        p, q = rng.exponential(size=(2, 10_000))
+        sl(3, p / p.sum(), q / q.sum())
+        assert len(sizes) > 2 and max(sizes) <= _BLOCK_CELLS

@@ -169,8 +169,9 @@ def test_closed_form_rows_equal_single_calls_bitwise(n, monkeypatch):
             taken.clear()
             passes[0] = 0
             values = family(k, p, q)
-            # One pass per pl term: sl(k) takes k of them.
-            assert passes[0] == (1 if family is pl else k)
+            # One pass for every order: sl(k) takes one for its k pl terms
+            # together, and sl(0) none.
+            assert passes[0] == (1 if family is pl or k > 0 else 0)
             # sl(0) is the Jeffreys divergence alone, with no pl term.
             assert taken == ({0, 2, 4} if family is pl or k > 0 else set())
             for i in range(M):
