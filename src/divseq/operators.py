@@ -18,7 +18,8 @@ residual meets its share of tol, and integrates that polynomial exactly,
 level after level, in its Chebyshev coefficients: the groups'
 coefficients, zero-padded to the largest node count, are summed and
 lifted, so all levels above the fit together cost two FFTs on the fit's
-nodes and one evaluation on the grid. Every operator requires a
+nodes and one evaluation on the grid; the fit samples D's generator on
+w = r/p, affine in s, where D has one. Every operator requires a
 right-convex D and rejects any other before it checks anything else.
 """
 
@@ -80,6 +81,33 @@ def _along(
             mixed = _mix(pb, qb, s[block], None if rest is None else rest[block])
             out[block] = D.evaluator(pb[:, None], mixed)
     return out
+
+
+def _level_zero(D: DivergenceFunctional, p: np.ndarray, r: np.ndarray):
+    """Level 0 on the paths p -> r, rows (m, n), at the fit's nodes s (L,),
+    symmetric about 1/2, so s[::-1] is 1 - s (1.0 - s would floor the fit's
+    residual near s = 1): Sum p phi(w), w = s[::-1] + s r/p, for a generator
+    phi (w is 1 at s = 0 and r/p at s = 1 exactly), else _along's values.
+    """
+    (m, n), phi, ratio = p.shape, D.generator, (r / p)[:, None]
+    if phi is None:
+        ones = np.ones((m, 1))  # the nodes, one row per path
+        return lambda s: _along(D, p, r, ones * s, np.arange(m), ones * s[::-1])
+
+    def at(s: np.ndarray) -> np.ndarray:
+        out, rest = np.empty((m, s.size)), s[::-1, None]
+        cells = max(1, _BLOCK_CELLS // n)
+        rows, step = max(1, cells // s.size), min(s.size, cells)
+        for i in range(0, m, rows):
+            for j in range(0, s.size, step):
+                w = s[j : j + step, None] * ratio[i : i + rows]
+                w += rest[j : j + step]
+                terms = phi(w)
+                terms *= p[i : i + rows, None]
+                out[i : i + rows, j : j + step] = terms.sum(axis=-1)
+        return out
+
+    return at
 
 
 # A bin of columns fitted apart pays its own residual DCT at each doubling,
@@ -221,7 +249,8 @@ def psi_iter(
     interpolants are added in Chebyshev coefficients and lifted from the
     sum.
     The fit samples level 0 at the exact Chebyshev points, each node's
-    weight 1 - u on the start taken from the mirrored node. Rows are
+    weight 1 - u on the start taken from the mirrored node, through D's
+    generator on w = (1 - u) + u R(T)/P where it has one. Rows are
     nonincreasing in the level at every grid point; a constant path gives
     zeros, and so does a constant truncation (R(T) = P) above level 0.
 
@@ -237,18 +266,8 @@ def psi_iter(
     if np.ndim(t_grid) == 0:
         raise DomainError("t_grid must be a nonempty 1-d array, not a scalar")
     p, q, t, shape = _lift_path(path, t_grid)
-    every = np.arange(len(p))
-
-    def level_zero(s: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-        # s is symmetric about 1/2 (fit_adaptive), so s[::-1] is 1 - s;
-        # near s = 1 the rounded 1.0 - s would put a floor of about
-        # |f'| * 1e-16 under the fit's DCT residual.
-        rows = (len(p), s.size)
-        rest = np.broadcast_to(s[::-1], rows)
-        return _along(D, start, end, np.broadcast_to(s, rows), every, rest)
-
     levels = np.empty((k + 1,) + t.shape)
-    levels[0] = _along(D, p, q, t, every)
+    levels[0] = _along(D, p, q, t, np.arange(len(p)))
     constant = np.all(p == q, axis=-1)
     if k > 0:
         # ds/s is scale-free: above level 0, P -> Q at t is P -> R(T) at t / T.
@@ -256,10 +275,10 @@ def psi_iter(
         q = _mix(p, q, top[:, 0])
         # One doubling loop fits every group; it clears a group's entry of
         # running once the group stops, and the group is then not sampled.
-        groups = [(p[:, cols], q[:, cols]) for cols in _column_groups(p, q)]
+        groups = [_level_zero(D, p[:, cols], q[:, cols]) for cols in _column_groups(p, q)]
         running = np.ones(len(groups), dtype=bool)
         fit, _, _ = ChebyshevInterpolant.fit_adaptive(
-            lambda s: [level_zero(s, *ends) for ends, on in zip(groups, running) if on],
+            lambda s: [group(s) for group, on in zip(groups, running) if on],
             tol,
             running,
         )

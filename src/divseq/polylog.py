@@ -346,10 +346,12 @@ def polylog_series(k, z):
 
     Terms come in blocks of 64. Each coordinate stops after the first block
     whose geometric tail bound falls within 2^-53 of its sum; ToleranceError
-    if any has not stopped after 10000 terms.
+    if any has not stopped after 10000 terms, DomainError for |z| > 1.
     """
     k = require_index(k)
     z, _, shape = _arguments(z, None)
+    if np.any(z < -1.0):  # _arguments has rejected z >= 1
+        raise DomainError(f"the series diverges for |z| > 1, got {float(z[z < -1.0][0])!r}")
     return _caller_form(_series((k,), z)[0], shape)
 
 

@@ -24,7 +24,8 @@ from divseq.divergences import (
     swap_orientation,
 )
 from divseq.errors import DomainError, SpecError
-from divseq.operators import psi_inverse
+from divseq.chebyshev import lobatto_nodes
+from divseq.operators import _along, _level_zero, psi_inverse, psi_iter
 from divseq.sequences import pl, sl
 from divseq.verify import _suite_divergences
 
@@ -392,6 +393,101 @@ def test_evaluator_sums_its_terms_over_the_last_axis(D):
     parts = sum(D.evaluator(p[:, c], q[:, c]) for c in cols)
     assert whole.shape == (6,)
     np.testing.assert_allclose(parts, whole, rtol=1e-13, atol=1e-15)
+
+
+# Each generator phi (D(P, R) = Sum_i p_i phi(r_i / p_i)) in 40-digit
+# mpmath: the named ones, swap(kl)'s w phi_kl(1 / w), which is reverse_kl's,
+# and the triangular discrimination's w f(1 / w) = (w - 1)^2 / (w + 1).
+_MP_GENERATORS = {
+    "kl": lambda w: -mpmath.log(w),
+    "reverse_kl": lambda w: w * mpmath.log(w),
+    "chi2": lambda w: (w - 1) ** 2 / w,
+    "jeffreys": lambda w: (w - 1) * mpmath.log(w),
+    "hellinger2": lambda w: (mpmath.sqrt(w) - 1) ** 2 / 2,
+    "swap(kl)": lambda w: w * mpmath.log(w),
+    "f_divergence": lambda w: (w - 1) ** 2 / (w + 1),
+}
+
+
+def _with_generators():
+    named = [named_divergence(name) for name in NAMED_IDENTIFIERS]
+    suite = [D for D in _suite_divergences() if D.identifier == "f_divergence"]
+    return named + [swap_orientation(named_divergence("kl"))] + suite
+
+
+def _condition_scale(phi, w):
+    """|phi(w)| + |w phi'(w)|, phi' by a complex step: phi's change, in
+    units of eps, when w or a rounding inside phi moves by a relative eps."""
+    step = 2.0**-300
+    return np.abs(phi(w)) + np.abs(w * np.imag(phi(w + step * 1j)) / step)
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("D", _with_generators(), ids=lambda D: D.identifier)
+    def test_generator_matches_mpmath(self, D):
+        w = np.logspace(-12, 6, 181)
+        exact_phi = _MP_GENERATORS[D.identifier]
+        with mpmath.workdps(40):
+            exact = np.array([float(exact_phi(mpmath.mpf(float(x)))) for x in w])
+        bound = 8 * np.finfo(float).eps * _condition_scale(D.generator, w)
+        assert np.all(np.abs(D.generator(w) - exact) <= bound)
+        assert D.generator(np.ones(3)).tolist() == [0.0, 0.0, 0.0]
+
+    def test_swap_records_the_conjugate_generator(self):
+        w = np.logspace(-12, 6, 37)
+        squared = BregmanSpec(F=lambda x: x * x, F_prime=lambda x: 2.0 * x)
+        assert swap_orientation(make_bregman(squared)).generator is None
+        kl, rev = named_divergence("kl"), named_divergence("reverse_kl")
+        np.testing.assert_allclose(
+            swap_orientation(kl).generator(w), rev.generator(w), rtol=1e-15, atol=0.0
+        )
+        twice = swap_orientation(swap_orientation(kl))
+        np.testing.assert_allclose(twice.generator(w), kl.generator(w), rtol=0.0, atol=1e-14)
+
+    @staticmethod
+    def _pairs():
+        rng = np.random.default_rng(11)
+        regular = [tuple(random_distribution(50, s, 0.01 / 50).masses for s in (1, 2))]
+        tiny = [(A.masses, B.masses) for A, B in _tiny_mass_pairs(4, seed=77, floor=1e-12)]
+        near = []
+        for _ in range(2):
+            p = random_distribution(40, int(rng.integers(1 << 30)), 1e-4).masses
+            q = p * (1.0 + 1e-8 * rng.uniform(-1.0, 1.0, size=p.size))
+            near.append((p, q / q.sum()))
+        return regular + tiny + near
+
+    @pytest.mark.parametrize("D", _with_generators(), ids=lambda D: D.identifier)
+    def test_fit_kernel_matches_the_evaluator_on_the_float_mixture(self, D):
+        # psi_iter samples level 0 at the fit's nodes through the generator,
+        # on w = (1 - s) + s r/p, where the evaluator sees the rounded
+        # mixture: the two differ by how w is rounded, a few ulps of the
+        # condition scale. At s = 0 both are exactly 0.
+        for n_intervals in (16, 2**14):
+            s = lobatto_nodes(n_intervals)
+            ends = [0, 1, 2, -3, -2, -1]
+            for p, q in self._pairs():
+                kernel = _level_zero(D, p[None], q[None])(s)[0, ends]
+                mixed = _along(
+                    D, p[None], q[None], s[None, ends], np.arange(1), s[::-1][None, ends]
+                )[0]
+                w = s[::-1][ends, None] + s[ends, None] * (q / p)
+                rounded = (s[::-1][ends, None] * p + s[ends, None] * q) / p
+                cond = np.maximum(*(_condition_scale(D.generator, x) for x in (w, rounded)))
+                scale = np.sum(p * cond, axis=-1)
+                assert kernel[0] == mixed[0] == 0.0
+                assert np.all(np.abs(kernel - mixed) <= 16 * np.finfo(float).eps * scale)
+
+    def test_evaluator_alone_takes_the_mixture_route_to_the_same_levels(self):
+        kl = named_divergence("kl")
+        bare = DivergenceFunctional("kl_evaluator", Orientation.RIGHT_CONVEX, kl.evaluator)
+        assert bare.generator is None
+        grid = np.linspace(0.0, 1.0, 11)
+        for n in (7, 877):
+            path = MixturePath(*(random_distribution(n, s, 0.01 / n) for s in (2 * n, 2 * n + 1)))
+            levels, reference = psi_iter(bare, 3, path, grid), psi_iter(kl, 3, path, grid)
+            np.testing.assert_array_equal(levels[0], reference[0])
+            bound = 1e-13 * np.maximum(1.0, np.abs(reference[1:]))
+            assert np.all(np.abs(levels[1:] - reference[1:]) <= bound)
 
 
 class TestPathDerivative:

@@ -30,8 +30,8 @@ from divseq.errors import DomainError, ToleranceError
 from divseq.operators import (
     OperatorResult,
     QuadratureConfig,
-    _along,
     _column_groups,
+    _level_zero,
     psi,
     psi_inverse,
     psi_iter,
@@ -374,27 +374,25 @@ def _tiny_p_pair(seed, n):
 
 
 def _mass_cells(D):
-    """D with an evaluator that counts the mass cells it is given."""
+    """D with an evaluator and a generator that count the mass cells they
+    are given: psi_iter samples its fit through the generator."""
     seen = [0]
 
     def evaluator(p, r):
         seen[0] += r.size
         return D.evaluator(p, r)
 
-    return dataclasses.replace(D, evaluator=evaluator), seen
+    def generator(w):
+        seen[0] += w.size
+        return D.generator(w)
+
+    return dataclasses.replace(D, evaluator=evaluator, generator=generator), seen
 
 
 def _joint_level_zero(D, path):
     """Level 0 of psi_iter on one path as one function of s over the whole
     support, sampled as psi_iter samples it."""
-    p, q = path.start.masses[None], path.end.masses[None]
-
-    def level_zero(s):
-        rows = (1, s.size)
-        rest = np.broadcast_to(s[::-1], rows)
-        return _along(D, p, q, np.broadcast_to(s, rows), np.arange(1), rest)
-
-    return level_zero
+    return _level_zero(D, path.start.masses[None], path.end.masses[None])
 
 
 class TestGroupedLevelZero:

@@ -1,4 +1,5 @@
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,18 @@ class TestValidation:
     def test_series_stalls_near_one(self):
         with pytest.raises(ToleranceError):
             polylog_series(2, 0.9999)
+
+    @pytest.mark.parametrize("z", [-1.5, -2.0])
+    def test_series_rejects_divergent_arguments_up_front(self, z):
+        # Summed, the terms overflow long before the 10000-term limit.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="diverges"):
+                polylog_series(2, z)
+
+    def test_series_stalls_on_the_unit_circle(self):
+        with pytest.raises(ToleranceError):
+            polylog_series(2, -1.0)
 
 
 class TestArrays:

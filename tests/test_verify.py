@@ -80,7 +80,8 @@ class TestIteratedChain:
 
 
 def _nan_above(identifier, level):
-    """A named divergence whose evaluator gives NaN wherever it exceeds level."""
+    """A named divergence whose evaluator gives NaN wherever it exceeds level,
+    with no generator, so that psi_iter's level-0 fit samples it too."""
     base = named_divergence(identifier)
 
     def evaluator(p, q):
@@ -88,7 +89,7 @@ def _nan_above(identifier, level):
         values = np.asarray(base.evaluator(p, q))
         return np.where(values.real > level, np.nan * values, values)
 
-    return replace(base, evaluator=evaluator)
+    return replace(base, evaluator=evaluator, generator=None)
 
 
 class TestNanViolations:
