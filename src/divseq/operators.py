@@ -10,12 +10,14 @@ of one, see distributions._lift_path), computes on endpoint rows (m, n)
 and positions (m, L) only, and reshapes the result to the caller's form.
 Since ds/s is scale-free, psi integrates each path once, cumulatively,
 in u = s / T for its largest position T, every (path, segment) cell on
-Gauss-Kronrod panels of its own. Iterated application of the integral
-operator fits D(P | R(T u)) once by a Chebyshev polynomial in u = s / T,
-T again each path's largest position, over the whole stack, by groups of
-coordinates in one doubling loop, each group sampled until its own
-residual meets its share of tol, and integrates that polynomial exactly,
-level after level, in its Chebyshev coefficients: the groups'
+Gauss-Kronrod panels of its own; where D has a generator, the first
+panels are graded toward the zeros of the mixture's masses nearest
+[0, 1], where the generator is singular. Iterated application of the
+integral operator fits D(P | R(T u)) once by a Chebyshev polynomial in
+u = s / T, T again each path's largest position, over the whole stack,
+by groups of coordinates in one doubling loop, each group sampled until
+its own residual meets its share of tol, and integrates that polynomial
+exactly, level after level, in its Chebyshev coefficients: the groups'
 coefficients, zero-padded to the largest node count, are summed and
 lifted, so all levels above the fit together cost two FFTs on the fit's
 nodes and one evaluation on the grid; the fit samples D's generator on
@@ -25,6 +27,7 @@ right-convex D and rejects any other before it checks anything else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +166,31 @@ def _column_groups(p: np.ndarray, q: np.ndarray) -> list[np.ndarray | slice]:
     return [np.flatnonzero(label[octave] == g) for g in range(label[-1] + 1)]
 
 
+def _graded_cuts(p: np.ndarray, q: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """psi's first-panel boundaries in u = s / T on the paths p -> q, rows
+    (m, n), T = top (m, 1): one row of cuts per path, graded toward the
+    nearest zero of r_i(u) = p_i (1 - T u z_i), z_i = 1 - q_i/p_i, on each
+    side of [0, 1], where a generator phi(r/p) is singular.
+
+    The zero beyond u = 1 lies d = 1/(T max z) - 1 past it, the one below
+    u = 0 d = -1/(T min z) below it; the cuts are 1 - d (2^j - 1) and
+    d (2^j - 1), j = 1, 2, ..., so each panel between them is as wide as
+    its distance to the zero. Cuts outside (0, 1) are left in the rows
+    (cumulative_integral ignores them), as are those of a subnormal T or a
+    constant path, whose distances overflow to inf (or give NaN).
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = 1.0 - q / p
+        above = 1.0 / (top * z.max(axis=-1, keepdims=True)) - 1.0
+        below = -1.0 / (top * z.min(axis=-1, keepdims=True))
+        d = np.concatenate([above, below])
+        near = d[(d > 0.0) & (d < np.inf)]
+        # 2^j - 1 < 1/d for j up to the exponent of 1 + 1/d, less one.
+        count = math.frexp(1.0 + 1.0 / near.min())[1] - 1 if near.size else 0
+        steps = 2.0 ** np.arange(1, count + 1) - 1.0
+        return np.concatenate([1.0 - above * steps, below * steps], axis=1)
+
+
 def psi(
     D: DivergenceFunctional,
     path: MixturePath,
@@ -178,8 +206,15 @@ def psi(
     sorted positions over T, each refined on its own panels to its own
     tolerance. So a grid value agrees with the call at its position alone
     to within that tolerance, no path's refinement depends on the rest of
-    the stack, and one position is the single segment [0, 1]. t = 0 and a
-    constant path give exact zeros and take no evaluations.
+    the stack, and one position is the single segment [0, 1]. Where D has
+    a generator phi, D(start | R(T u)) is singular where a mass r_i(u)
+    vanishes, just outside [0, 1] for a tiny mass of either end; each
+    segment then starts on the panels between the cuts of _graded_cuts,
+    each about as wide as its distance to the nearer such zero, and
+    mostly converges on them. The cuts are not splits: the segments,
+    their targets and the split budget stay as without them. A D without
+    a generator starts each segment as one panel. t = 0 and a constant
+    path give exact zeros and take no evaluations.
     """
     _require_right_convex(D)
     cfg = QuadratureConfig() if cfg is None else cfg
@@ -199,7 +234,8 @@ def psi(
     edges = np.concatenate(
         [np.zeros((len(t), 1)), np.take_along_axis(t, order, axis=-1) / top], axis=1
     )
-    running, err, evals = cumulative_integral(f, edges, cfg)
+    cuts = None if D.generator is None else _graded_cuts(p, q, top)
+    running, err, evals = cumulative_integral(f, edges, cfg, cuts)
     values = np.empty(t.shape)
     np.put_along_axis(values, order, running[:, 1:], axis=-1)
     if shape == ():

@@ -3,11 +3,15 @@
 Edges come in rows, one running integral per row, and the work list holds
 segments, each owned by one row. The integrand is called as f(x, rows)
 and evaluates each panel for its own row only, so a row's panels, splits
-and budget are its own; ``integrate`` is the one-row case. Each refinement
-round gathers the worst panel of every unconverged segment and evaluates
-all of their children in one call, which keeps the number of Python-level
-round trips small even when the integrand itself is expensive (for
-example a divergence evaluated along a mixture path).
+and budget are its own; ``integrate`` is the one-row case. A segment
+starts as one panel, or, where the caller passes cuts, as the panels
+between the cuts that fall inside it: breakpoints placed in advance
+toward a known singularity (as QUADPACK's qagp takes them), which keep
+the segment's one target and spend none of its row's split budget. Each
+refinement round gathers the worst panel of every unconverged segment and
+evaluates all of their children in one call, which keeps the number of
+Python-level round trips small even when the integrand itself is
+expensive (for example a divergence evaluated along a mixture path).
 """
 
 from __future__ import annotations
@@ -118,14 +122,43 @@ def _apply_panels(
     return kron, err, pts.size
 
 
+def _first_panels(
+    edges: np.ndarray, live: np.ndarray, cuts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first panels' ends and segments, in segment order and, within a
+    segment, in position order: each live segment cut at the cuts of its
+    row that lie strictly inside it.
+
+    Each row's edges and cuts are merged and sorted, edges first among
+    equal points; a panel lies between two neighbouring points, and its
+    segment is the count of edges up to its left end, less one. Panels of
+    no width, and those before the first edge or past the last, are
+    dropped, so a cut outside the row's range or on an empty segment is
+    ignored.
+    """
+    rows, k = edges.shape
+    points = np.concatenate([edges, cuts], axis=1)
+    order = np.argsort(points, axis=1, kind="stable")
+    points = np.take_along_axis(points, order, axis=1)
+    seg = np.cumsum(order < k, axis=1)[:, :-1] - 1
+    keep = (points[:, 1:] > points[:, :-1]) & (seg >= 0) & (seg < k - 1)
+    seg_id = np.cumsum(live).reshape(live.shape) - 1
+    row_of = np.broadcast_to(np.arange(rows)[:, None], seg.shape)
+    return points[:, :-1][keep], points[:, 1:][keep], seg_id[row_of[keep], seg[keep]]
+
+
 def _integrate_segments(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     edges: np.ndarray,
     config: QuadratureConfig,
+    cuts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Integrate f over each [edges[i, j], edges[i, j+1]] to tolerance.
 
-    A segment is refined while its error estimate exceeds
+    A segment starts as one panel, or as the panels between the cuts of
+    its row (cuts[i], any count) that lie strictly inside it; cuts
+    anywhere else are ignored and none counts as a split. It is refined
+    while its error estimate, summed over its panels, exceeds
     max(abs_tol, rel_tol * |I|), by splitting its panel of largest error.
     Each row of edges has its own budget of _MAX_SUBDIVISIONS splits; an
     empty segment is 0.0, not evaluated. Returns values and error estimates
@@ -134,8 +167,11 @@ def _integrate_segments(
     live = edges[:, 1:] > edges[:, :-1]
     owner = np.nonzero(live)[0]
     n_seg, used = owner.size, np.zeros(len(edges), dtype=int)  # splits per row
-    pa, pb, pseg = edges[:, :-1][live], edges[:, 1:][live], np.arange(n_seg)
-    pi, pe, neval = _apply_panels(f, pa, pb, owner)
+    if cuts is None:
+        pa, pb, pseg = edges[:, :-1][live], edges[:, 1:][live], np.arange(n_seg)
+    else:
+        pa, pb, pseg = _first_panels(edges, live, cuts)
+    pi, pe, neval = _apply_panels(f, pa, pb, owner[pseg])
     while True:
         # Panels are added in panel order for each segment.
         seg_val = np.bincount(pseg, weights=pi, minlength=n_seg)
@@ -143,6 +179,8 @@ def _integrate_segments(
         target = np.maximum(config.abs_tol, config.rel_tol * np.abs(seg_val))
         bad = np.flatnonzero(seg_err > target)
         if bad.size == 0:
+            if n_seg == live.size:
+                return seg_val.reshape(live.shape), seg_err.reshape(live.shape), neval
             out = np.zeros((2,) + live.shape)
             out[0][live], out[1][live] = seg_val, seg_err
             return out[0], out[1], neval
@@ -210,15 +248,21 @@ def cumulative_integral(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     edges: Sequence[Sequence[float]] | np.ndarray,
     config: QuadratureConfig,
+    cuts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Integrals from edges[:, 0] to every edge, one running integral per row.
 
     Edges have shape (rows, k), k >= 2, nondecreasing along each row.
     f(x, rows) gets abscissae x (panels, 15) and each panel's row and
     returns x's shape; each row is refined as it would be alone, and an
-    empty segment adds exactly 0.0. Returns an array shaped like ``edges``
-    (first column exactly 0.0), each row's summed error estimate and the
-    evaluation count.
+    empty segment adds exactly 0.0. Cuts, shape (rows, c), are first-panel
+    boundaries: each segment starts on the panels between the cuts of its
+    row strictly inside it, as if split there in advance, but keeps its
+    own target and spends none of the row's split budget; cuts outside
+    every live segment (beyond the row's range, on an empty segment, or
+    NaN) are ignored. Returns an array shaped like ``edges`` (first column
+    exactly 0.0), each row's summed error estimate and the evaluation
+    count.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 2 or edges.shape[1] < 2:
@@ -227,6 +271,10 @@ def cumulative_integral(
         raise DomainError("integration edges must be finite")
     if np.any(np.diff(edges) < 0.0):
         raise DomainError("integration edges must be nondecreasing")
-    seg_vals, seg_errs, neval = _integrate_segments(f, edges, config)
+    if cuts is not None:
+        cuts = np.asarray(cuts, dtype=float)
+        if cuts.ndim != 2 or len(cuts) != len(edges):
+            raise DomainError("cuts need shape (rows, c), one row per row of edges")
+    seg_vals, seg_errs, neval = _integrate_segments(f, edges, config, cuts)
     running = np.concatenate([np.zeros((len(edges), 1)), np.cumsum(seg_vals, axis=1)], 1)
     return running, seg_errs.sum(axis=1), neval

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from divseq import quadrature
+from divseq import operators, quadrature
 from divseq.chebyshev import _MAX_INTERVALS, ChebyshevInterpolant
 from divseq.distributions import (
     Distribution,
@@ -31,6 +31,7 @@ from divseq.operators import (
     OperatorResult,
     QuadratureConfig,
     _column_groups,
+    _graded_cuts,
     _level_zero,
     psi,
     psi_inverse,
@@ -816,6 +817,19 @@ def _counting(D):
     return dataclasses.replace(D, evaluator=evaluator), seen
 
 
+def _panel_rounds(monkeypatch):
+    """A list that gets the panel count of each round of quadrature: the
+    first panels, then two panels per split."""
+    rounds, apply = [], quadrature._apply_panels
+
+    def counted(f, a, b, rows):
+        rounds.append(len(a))
+        return apply(f, a, b, rows)
+
+    monkeypatch.setattr(quadrature, "_apply_panels", counted)
+    return rounds
+
+
 def _stacked(starts, ends):
     paths = [MixturePath(Distribution(a), Distribution(b)) for a, b in zip(starts, ends)]
     return MixturePath(Distribution(np.array(starts)), Distribution(np.array(ends))), paths
@@ -825,18 +839,23 @@ class TestPsiRowByRow:
     # Each path of a stack is refined on its own panels within its own
     # subdivision budget, so it costs and converges as it would alone.
     def test_each_path_has_its_own_subdivision_budget(self, monkeypatch):
-        chi2, seen = _counting(named_divergence("chi2"))
+        # At this tolerance each path converges alone within 10 splits (its
+        # graded first panels are not splits), but the paths need more
+        # than 10 between them.
+        chi2 = named_divergence("chi2")
+        cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)
         monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 10)
+        rounds = _panel_rounds(monkeypatch)
         starts = [random_distribution(5, 2 * i, 1e-3).masses for i in range(30)]
         ends = [random_distribution(5, 2 * i + 1, 1e-3).masses for i in range(30)]
         stack, paths = _stacked(starts, ends)
         grids = np.tile(np.linspace(0.0, 1.0, 11), (30, 1))
         splits = 0
-        for path, grid, row in zip(paths, grids, psi(chi2, stack, grids)):
-            seen[0] = 0
-            alone = psi(chi2, path, grid)
-            # Ten segments of 15 abscissae, and two panels of 15 per split.
-            splits += (seen[0] // 15 - 10) // 2
+        for path, grid, row in zip(paths, grids, psi(chi2, stack, grids, cfg)):
+            rounds.clear()
+            alone = psi(chi2, path, grid, cfg)
+            # After the first panels, two panels per split.
+            splits += sum(rounds[1:]) // 2
             np.testing.assert_allclose(row, alone, rtol=1e-14, atol=0.0)
         assert splits > quadrature._MAX_SUBDIVISIONS
 
@@ -961,6 +980,79 @@ class TestOrderingProperties:
             lhs += (1.0 - lam) * psi(D, MixturePath(A, B2), 1.0).value
             rhs = psi(D, MixturePath(A, Bmix), 1.0).value
             assert lhs >= rhs - 1e-9, f"instance {j}"
+
+
+class TestGradedCuts:
+    # psi starts each path's quadrature on panels graded toward the zeros
+    # of r_i(s) just outside the path's positions, where a generator is
+    # singular; a functional without a generator keeps one panel per
+    # segment.
+    @staticmethod
+    def _tiny_calls():
+        for seed in range(6):
+            for n in (10, 100, 877):
+                A, B = _tiny_p_pair(seed, n)
+                for path in (MixturePath(A, B), MixturePath(B, A)):
+                    yield path, 1.0
+                    yield path, np.linspace(0.0, 1.0, 11)
+
+    @pytest.mark.parametrize("identifier", ["kl", "jeffreys", "reverse_kl", "hellinger2"])
+    def test_tiny_mass_calls_converge_on_their_first_panels(self, monkeypatch, identifier):
+        D, rounds = named_divergence(identifier), _panel_rounds(monkeypatch)
+        for path, t in self._tiny_calls():
+            rounds.clear()
+            psi(D, path, t)
+            assert len(rounds) == 1
+
+    def test_tiny_mass_chi2_calls_all_answer(self):
+        chi2 = named_divergence("chi2")
+        for path, t in self._tiny_calls():
+            res = psi(chi2, path, t)
+            values = np.atleast_1d(res.value if isinstance(res, OperatorResult) else res)
+            assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+
+    def test_first_panels_are_as_wide_as_their_distance_to_the_zero(self):
+        # A tiny mass of P puts a zero of r just below s = 0; the reversed
+        # pair puts one just beyond s = 1.
+        A, B = _tiny_p_pair(1, 10)
+        for p, q, near in ((A.masses, B.masses, 0), (B.masses, A.masses, 1)):
+            z = 1.0 - q / p
+            below, above = -1.0 / z.min(), 1.0 / z.max() - 1.0
+            assert min(below, above) < 1e-9
+            cuts = _graded_cuts(p, q, np.array([[1.0]]))[0]
+            ends = np.concatenate([[0.0], np.sort(cuts[(cuts > 0.0) & (cuts < 1.0)]), [1.0]])
+            width = np.diff(ends)
+            gap = np.minimum(1.0 + above - ends[1:], ends[:-1] + below)
+            assert np.all(width <= gap * (1.0 + 1e-9))
+            # Within the quarter next to the near zero the grading is exact.
+            graded = ends[1:] <= 0.25 if near == 0 else ends[:-1] >= 0.75
+            assert graded.sum() > 25
+            np.testing.assert_allclose(width[graded], gap[graded], rtol=1e-6)
+
+    @pytest.mark.parametrize("top", [5e-324, 1e-310])
+    def test_a_subnormal_top_cuts_nothing(self, top):
+        A, B = random_distribution(6, seed=1), random_distribution(6, seed=2)
+        cuts = _graded_cuts(A.masses[None], B.masses[None], np.array([[top]]))
+        assert not np.any((cuts > 0.0) & (cuts < 1.0))
+
+    def test_without_a_generator_psi_takes_the_uncut_evaluations(self, monkeypatch):
+        seen = []
+
+        def recorded(f, edges, cfg, cuts=None):
+            out = quadrature.cumulative_integral(f, edges, cfg, cuts)
+            seen.append((f, edges, cfg, cuts, out))
+            return out
+
+        monkeypatch.setattr(operators, "cumulative_integral", recorded)
+        bregman = make_bregman(BregmanSpec(F=lambda x: x**2, F_prime=lambda x: 2.0 * x))
+        A, B = _tiny_p_pair(2, 100)
+        for D in (swap_orientation(bregman), dataclasses.replace(named_divergence("kl"), generator=None)):
+            seen.clear()
+            psi(D, MixturePath(A, B), GRID)
+            f, edges, cfg, cuts, (values, err, evals) = seen[0]
+            plain, plain_err, plain_evals = quadrature.cumulative_integral(f, edges, cfg)
+            assert cuts is None and evals == plain_evals
+            assert values.tobytes() == plain.tobytes() and err.tobytes() == plain_err.tobytes()
 
 
 def test_quadrature_config_reexported():

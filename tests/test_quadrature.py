@@ -307,3 +307,81 @@ def test_edges_without_a_nonempty_segment_give_zeros():
     assert values.tolist() == [[0.0, 0.0]] and err.tolist() == [0.0] and neval == 0
     values, errs, neval = cumulative_integral(_decays, np.zeros((2, 3)), CFG)
     assert values.tolist() == [[0.0] * 3] * 2 and errs.tolist() == [0.0, 0.0] and neval == 0
+
+
+# Cuts are first-panel boundaries: a segment starts on the panels between
+# its row's cuts but keeps its own target and split budget.
+
+
+def _family(x, rows):
+    rates = np.array([0.5, 3.0, 20.0])
+    return np.exp(-rates[rows][:, None] * x) * np.cos(2.0 * x)
+
+
+def test_cuts_give_a_smooth_integrand_the_same_values_to_tolerance():
+    edges = np.array([[0.0, 0.4, 0.4, 1.0, 2.0]] * 3)
+    cuts = np.random.default_rng(0).uniform(-0.5, 2.5, size=(3, 9))
+    plain, plain_err, _ = cumulative_integral(_family, edges, CFG)
+    cut, cut_err, _ = cumulative_integral(_family, edges, CFG, cuts)
+    assert np.all(cut[:, 0] == 0.0) and np.all(cut[:, 2] == cut[:, 1])
+    np.testing.assert_allclose(cut, plain, rtol=2e-10, atol=2e-12)
+    for i in range(3):
+        segs = np.diff(cut[i])
+        assert cut_err[i] <= np.maximum(CFG.abs_tol, CFG.rel_tol * np.abs(segs)).sum()
+
+
+def _two_scales(x, rows):
+    # Almost all of the integral over [0, 1] lies left of 0.5.
+    return np.exp(-40.0 * x) + 1e-7 * np.cos(30.0 * x)
+
+
+def test_a_cut_segment_keeps_its_own_target():
+    # Split at 0.5 by a cut, [0, 1] is still one segment with one target;
+    # split there by an edge, [0.5, 1] would need its own, much tighter one.
+    cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-300)
+    cut, err, n_cut = cumulative_integral(_two_scales, [[0.0, 1.0]], cfg, [[0.5]])
+    split, _, n_edge = cumulative_integral(_two_scales, [[0.0, 0.5, 1.0]], cfg)
+    truth = -np.expm1(-40.0) / 40.0 + 1e-7 * np.sin(30.0) / 30.0
+    assert abs(cut[0, -1] - truth) <= cfg.rel_tol * truth and err[0] <= cfg.rel_tol * truth
+    assert split[0, -1] == pytest.approx(cut[0, -1], rel=2e-10)
+    assert n_cut < n_edge
+
+
+def test_cuts_off_every_live_segment_are_ignored():
+    edges = np.array([[0.0, 0.3, 0.3, 1.0], [0.2, 0.2, 0.2, 0.2], [0.5, 0.5, 0.9, 0.9]])
+    # Outside each row's range, on an edge, on an empty segment, or not finite.
+    cuts = np.array(
+        [
+            [-1.0, 0.0, 0.3, 1.0, 1.5, np.nan, np.inf],
+            [0.1, 0.2, 0.2, 0.3, -np.inf, np.nan, 0.2],
+            [0.5, 0.9, 0.4, 1.0, 0.0, np.nan, np.inf],
+        ]
+    )
+    plain = cumulative_integral(_exp_rows, edges, CFG)
+    cut = cumulative_integral(_exp_rows, edges, CFG, cuts)
+    assert cut[0].tobytes() == plain[0].tobytes() and cut[1].tobytes() == plain[1].tobytes()
+    assert cut[2] == plain[2]
+    # A row without a live segment is not evaluated, whatever its cuts.
+    values, errs, neval = cumulative_integral(_exp_rows, edges[1:2], CFG, cuts[:1])
+    assert values.tolist() == [[0.0] * 4] and errs.tolist() == [0.0] and neval == 0
+
+
+def test_cuts_are_not_splits(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 10)
+    cuts = np.linspace(0.0, 1.0, 52)[None, 1:-1]
+    values, _, neval = cumulative_integral(_exp_rows, [[0.0, 1.0]], CFG, cuts)
+    assert values[0, -1] == pytest.approx(np.e - 1.0, rel=1e-12)
+    assert neval == 51 * 15
+
+
+def test_a_cut_row_past_its_budget_still_fails():
+    with pytest.raises(ToleranceError):
+        cumulative_integral(
+            lambda x, rows: _inverse_sqrt_cusp(x), [[0.0, 1.0]], CFG, [[0.1, 0.5, 0.9]]
+        )
+
+
+@pytest.mark.parametrize("cuts", [[0.5], [[0.5]] * 2, np.zeros((1, 1, 1))])
+def test_cuts_need_one_row_per_row_of_edges(cuts):
+    with pytest.raises(DomainError):
+        cumulative_integral(_exp_rows, [[0.0, 1.0]], CFG, cuts)
