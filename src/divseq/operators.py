@@ -12,7 +12,8 @@ Since ds/s is scale-free, psi integrates each path once, cumulatively,
 in u = s / T for its largest position T, every (path, segment) cell on
 Gauss-Kronrod panels of its own; where D has a generator, the first
 panels are graded toward the zeros of the mixture's masses nearest
-[0, 1], where the generator is singular. Iterated application of the
+[0, 1], where the generator is singular, and each mixture takes 1 - u
+to its own precision from the quadrature. Iterated application of the
 integral operator fits D(P | R(T u)) once by a Chebyshev polynomial in
 u = s / T, T again each path's largest position, over the whole stack,
 by groups of coordinates in one doubling loop, each group sampled until
@@ -27,7 +28,6 @@ right-convex D and rejects any other before it checks anything else.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,21 +174,26 @@ def _graded_cuts(p: np.ndarray, q: np.ndarray, top: np.ndarray) -> np.ndarray:
 
     The zero beyond u = 1 lies d = 1/(T max z) - 1 past it, the one below
     u = 0 d = -1/(T min z) below it; the cuts are 1 - d (2^j - 1) and
-    d (2^j - 1), j = 1, 2, ..., so each panel between them is as wide as
-    its distance to the zero. Cuts outside (0, 1) are left in the rows
-    (cumulative_integral ignores them), as are those of a subnormal T or a
-    constant path, whose distances overflow to inf (or give NaN).
+    d (2^j - 1), so each panel between them is as wide as its distance to
+    the zero. j runs from 1, or, where d < 2^-53, from the first j whose
+    cut lies at least 2^-53 (the float spacing below 1) from the end, so a
+    side has at most 54 cuts in (0, 1) however near its zero: the panel
+    next to the end is then left to refinement. Cuts outside (0, 1) are
+    left in the rows (cumulative_integral ignores them), as are those of a
+    subnormal T or a constant path, whose distances overflow to inf (or
+    give NaN).
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z = 1.0 - q / p
         above = 1.0 / (top * z.max(axis=-1, keepdims=True)) - 1.0
         below = -1.0 / (top * z.min(axis=-1, keepdims=True))
         d = np.concatenate([above, below])
-        near = d[(d > 0.0) & (d < np.inf)]
-        # 2^j - 1 < 1/d for j up to the exponent of 1 + 1/d, less one.
-        count = math.frexp(1.0 + 1.0 / near.min())[1] - 1 if near.size else 0
-        steps = 2.0 ** np.arange(1, count + 1) - 1.0
-        return np.concatenate([1.0 - above * steps, below * steps], axis=1)
+        d = np.where(d > 0.0, d, np.inf)  # no zero on that side, or NaN
+        # 2^-53 / d < 2^first, and 2^last - 1 < 1/d.
+        first = np.maximum(np.frexp(2.0**-53 / d)[1], 1)
+        last = np.frexp(1.0 + 1.0 / d)[1] - 1
+        steps = np.ldexp(d, first + np.arange((last - first).max() + 1)) - d
+        return np.concatenate([1.0 - steps[: len(above)], steps[len(above) :]], axis=1)
 
 
 def psi(
@@ -213,8 +218,10 @@ def psi(
     each about as wide as its distance to the nearer such zero, and
     mostly converges on them. The cuts are not splits: the segments,
     their targets and the split budget stay as without them. A D without
-    a generator starts each segment as one panel. t = 0 and a constant
-    path give exact zeros and take no evaluations.
+    a generator starts each segment as one panel. Each mixture is formed
+    from 1 - T u kept to its own precision, which 1.0 - T u loses near a
+    zero just past u = 1. t = 0 and a constant path give exact zeros and
+    take no evaluations.
     """
     _require_right_convex(D)
     cfg = QuadratureConfig() if cfg is None else cfg
@@ -225,17 +232,20 @@ def psi(
     order = np.argsort(t, axis=-1)
     top = np.maximum(t.max(axis=-1, keepdims=True), 5e-324)
 
-    def f(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def f(u: np.ndarray, rows: np.ndarray, rest: np.ndarray) -> np.ndarray:
+        # (1 - T) + T rest is 1 - T u to the precision of rest = 1 - u,
+        # which 1.0 - T u rounds away near a mass zero just past u = 1.
+        T = top[rows]
+        d = _along(D, p, q, T * u, rows, (1.0 - T) + T * rest)
         # D(start | R(0)) / 0 has the limit 0: u = 0 is only reached on
         # segments of subnormal width.
-        d = _along(D, p, q, top[rows] * u, rows)
         return np.divide(d, u, out=np.zeros_like(d), where=u > 0.0)
 
     edges = np.concatenate(
         [np.zeros((len(t), 1)), np.take_along_axis(t, order, axis=-1) / top], axis=1
     )
     cuts = None if D.generator is None else _graded_cuts(p, q, top)
-    running, err, evals = cumulative_integral(f, edges, cfg, cuts)
+    running, err, evals = cumulative_integral(f, edges, cfg, cuts, complement=True)
     values = np.empty(t.shape)
     np.put_along_axis(values, order, running[:, 1:], axis=-1)
     if shape == ():

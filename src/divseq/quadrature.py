@@ -1,17 +1,19 @@
 """Adaptive Gauss-Kronrod quadrature with batched integrand evaluation.
 
 Edges come in rows, one running integral per row, and the work list holds
-segments, each owned by one row. The integrand is called as f(x, rows)
-and evaluates each panel for its own row only, so a row's panels, splits
-and budget are its own; ``integrate`` is the one-row case. A segment
-starts as one panel, or, where the caller passes cuts, as the panels
-between the cuts that fall inside it: breakpoints placed in advance
-toward a known singularity (as QUADPACK's qagp takes them), which keep
-the segment's one target and spend none of its row's split budget. Each
-refinement round gathers the worst panel of every unconverged segment and
-evaluates all of their children in one call, which keeps the number of
-Python-level round trips small even when the integrand itself is
-expensive (for example a divergence evaluated along a mixture path).
+segments, each owned by one row. The integrand is called as f(x, rows),
+or f(x, rows, rest) with rest = 1 - x kept to its relative precision
+near x = 1, and evaluates each panel for its own row only, so a row's
+panels, splits and budget are its own; ``integrate`` is the one-row
+case. A segment starts as one panel, or, where the caller passes cuts,
+as the panels between the cuts that fall inside it: breakpoints placed
+in advance toward a known singularity (as QUADPACK's qagp takes them),
+which keep the segment's one target and spend none of its row's split
+budget. Each refinement round gathers the worst panel of every
+unconverged segment and evaluates all of their children in one call,
+which keeps the number of Python-level round trips small even when the
+integrand itself is expensive (for example a divergence evaluated along
+a mixture path).
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ _WG = np.zeros(15)
 _WG[1:7:2] = _WG_HALF
 _WG[7] = _WG_CENTER
 _WG[9:15:2] = _WG_HALF[::-1]
+# Each abscissa's offset from its panel's right end, in half-widths.
+_XK_TO_B = 1.0 - _XK
 
 
 @dataclass(frozen=True)
@@ -86,21 +90,24 @@ def _weighted_rows(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _apply_panels(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     a: np.ndarray,
     b: np.ndarray,
     rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Evaluate the K15 rule on each [a_i, b_i] with one integrand call.
 
-    f(x (panels, 15), rows) gives one value per abscissa. Returns the
+    f(x (panels, 15), rows, rest) gives one value per abscissa; rest is
+    1 - x formed from each abscissa's offset from its panel's right end,
+    so it keeps its relative precision where x rounds near 1. Returns the
     Kronrod estimate and the error estimate of each panel and the abscissa
     count. Beyond f's output, one more array of its size is held.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     pts = mid[:, None] + half[:, None] * _XK[None, :]
-    vals = np.asarray(f(pts, rows), dtype=float)
+    rest = (1.0 - b)[:, None] + half[:, None] * _XK_TO_B
+    vals = np.asarray(f(pts, rows, rest), dtype=float)
     if vals.shape != pts.shape:
         raise DomainError(f"integrand gave shape {vals.shape}, not {pts.shape}")
     if not np.isfinite(vals).all():
@@ -148,18 +155,19 @@ def _first_panels(
 
 
 def _integrate_segments(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     edges: np.ndarray,
     config: QuadratureConfig,
-    cuts: np.ndarray | None = None,
+    cuts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Integrate f over each [edges[i, j], edges[i, j+1]] to tolerance.
 
-    A segment starts as one panel, or as the panels between the cuts of
-    its row (cuts[i], any count) that lie strictly inside it; cuts
-    anywhere else are ignored and none counts as a split. It is refined
-    while its error estimate, summed over its panels, exceeds
-    max(abs_tol, rel_tol * |I|), by splitting its panel of largest error.
+    f is called as _apply_panels calls it. A segment starts on the panels
+    between the cuts of its row (cuts[i], any count; none leaves it one
+    panel) that lie strictly inside it; cuts anywhere else are ignored and
+    none counts as a split. It is refined while its error estimate, summed
+    over its panels, exceeds max(abs_tol, rel_tol * |I|), by splitting its
+    panel of largest error.
     Each row of edges has its own budget of _MAX_SUBDIVISIONS splits; an
     empty segment is 0.0, not evaluated. Returns values and error estimates
     shaped edges[:, 1:].shape and the evaluation count.
@@ -167,10 +175,7 @@ def _integrate_segments(
     live = edges[:, 1:] > edges[:, :-1]
     owner = np.nonzero(live)[0]
     n_seg, used = owner.size, np.zeros(len(edges), dtype=int)  # splits per row
-    if cuts is None:
-        pa, pb, pseg = edges[:, :-1][live], edges[:, 1:][live], np.arange(n_seg)
-    else:
-        pa, pb, pseg = _first_panels(edges, live, cuts)
+    pa, pb, pseg = _first_panels(edges, live, cuts)
     pi, pe, neval = _apply_panels(f, pa, pb, owner[pseg])
     while True:
         # Panels are added in panel order for each segment.
@@ -245,17 +250,20 @@ def integrate(
 
 
 def cumulative_integral(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    f: Callable[..., np.ndarray],
     edges: Sequence[Sequence[float]] | np.ndarray,
     config: QuadratureConfig,
     cuts: np.ndarray | None = None,
+    complement: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Integrals from edges[:, 0] to every edge, one running integral per row.
 
     Edges have shape (rows, k), k >= 2, nondecreasing along each row.
     f(x, rows) gets abscissae x (panels, 15) and each panel's row and
-    returns x's shape; each row is refined as it would be alone, and an
-    empty segment adds exactly 0.0. Cuts, shape (rows, c), are first-panel
+    returns x's shape; with complement, f(x, rows, rest) also gets rest,
+    1 - x to its own relative precision, which 1.0 - x loses where x
+    rounds near 1. Each row is refined as it would be alone, and an empty
+    segment adds exactly 0.0. Cuts, shape (rows, c), are first-panel
     boundaries: each segment starts on the panels between the cuts of its
     row strictly inside it, as if split there in advance, but keeps its
     own target and spends none of the row's split budget; cuts outside
@@ -271,10 +279,10 @@ def cumulative_integral(
         raise DomainError("integration edges must be finite")
     if np.any(np.diff(edges) < 0.0):
         raise DomainError("integration edges must be nondecreasing")
-    if cuts is not None:
-        cuts = np.asarray(cuts, dtype=float)
-        if cuts.ndim != 2 or len(cuts) != len(edges):
-            raise DomainError("cuts need shape (rows, c), one row per row of edges")
-    seg_vals, seg_errs, neval = _integrate_segments(f, edges, config, cuts)
+    cuts = np.empty((len(edges), 0)) if cuts is None else np.asarray(cuts, dtype=float)
+    if cuts.ndim != 2 or len(cuts) != len(edges):
+        raise DomainError("cuts need shape (rows, c), one row per row of edges")
+    g = f if complement else lambda x, rows, rest: f(x, rows)
+    seg_vals, seg_errs, neval = _integrate_segments(g, edges, config, cuts)
     running = np.concatenate([np.zeros((len(edges), 1)), np.cumsum(seg_vals, axis=1)], 1)
     return running, seg_errs.sum(axis=1), neval

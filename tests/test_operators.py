@@ -996,7 +996,7 @@ class TestGradedCuts:
                     yield path, 1.0
                     yield path, np.linspace(0.0, 1.0, 11)
 
-    @pytest.mark.parametrize("identifier", ["kl", "jeffreys", "reverse_kl", "hellinger2"])
+    @pytest.mark.parametrize("identifier", ["kl", "jeffreys", "reverse_kl", "hellinger2", "chi2"])
     def test_tiny_mass_calls_converge_on_their_first_panels(self, monkeypatch, identifier):
         D, rounds = named_divergence(identifier), _panel_rounds(monkeypatch)
         for path, t in self._tiny_calls():
@@ -1004,12 +1004,18 @@ class TestGradedCuts:
             psi(D, path, t)
             assert len(rounds) == 1
 
-    def test_tiny_mass_chi2_calls_all_answer(self):
-        chi2 = named_divergence("chi2")
+    def test_tiny_mass_chi2_calls_match_pl1(self):
+        # On the reversed pairs chi2 has a pole as little as 9e-12 past
+        # u = 1, where rounding an abscissa to the float spacing moves it by
+        # about 1e-5 of its distance to the pole.
+        chi2, cfg = named_divergence("chi2"), QuadratureConfig()
         for path, t in self._tiny_calls():
             res = psi(chi2, path, t)
-            values = np.atleast_1d(res.value if isinstance(res, OperatorResult) else res)
-            assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+            ref = [pl(1, path.start, mixture(path, s)) for s in np.atleast_1d(t)]
+            if isinstance(res, OperatorResult):
+                assert abs(res.value - ref[0]) <= min(res.estimated_error, cfg.rel_tol * ref[0])
+            else:
+                np.testing.assert_allclose(res, ref, rtol=cfg.rel_tol, atol=cfg.abs_tol * len(t))
 
     def test_first_panels_are_as_wide_as_their_distance_to_the_zero(self):
         # A tiny mass of P puts a zero of r just below s = 0; the reversed
@@ -1035,11 +1041,34 @@ class TestGradedCuts:
         cuts = _graded_cuts(A.masses[None], B.masses[None], np.array([[top]]))
         assert not np.any((cuts > 0.0) & (cuts < 1.0))
 
+    def test_a_side_has_at_most_54_cuts_however_near_its_zero(self, monkeypatch):
+        # A mass of 1e-300 puts a zero about 1e-299 from an end. Cuts closer
+        # to it than 2^-53 are left out, so the stack's cut rows stay short
+        # and every other row keeps the cuts it has alone.
+        A, B = _random_pair(3, 10)
+        p = A.masses.copy()
+        p[0], p[1:] = 1e-300, p[1:] * (1.0 - 1e-300) / p[1:].sum()
+        tiny = new_distribution(p)
+        starts = np.stack([tiny.masses, B.masses, A.masses])
+        ends = np.stack([B.masses, tiny.masses, B.masses])
+        cuts = _graded_cuts(starts, ends, np.ones((3, 1)))
+        assert cuts.shape[1] <= 108
+        inside = (cuts > 0.0) & (cuts < 1.0)
+        assert np.all(np.minimum(cuts, 1.0 - cuts)[inside] >= 2.0**-53)
+        alone = _graded_cuts(starts[2:], ends[2:], np.ones((1, 1)))[0]
+        kept = np.sort(alone[(alone > 0.0) & (alone < 1.0)])
+        assert np.sort(cuts[2][inside[2]]).tolist() == kept.tolist()
+        # The panel [0, ~2^-53] next to the zero below s = 0 needs no split.
+        rounds = _panel_rounds(monkeypatch)
+        res = psi(named_divergence("kl"), MixturePath(tiny, B), 1.0)
+        assert len(rounds) == 1 and res.evaluations < 1000
+        assert res.value == pytest.approx(pl(2, tiny, B), rel=1e-13)
+
     def test_without_a_generator_psi_takes_the_uncut_evaluations(self, monkeypatch):
         seen = []
 
-        def recorded(f, edges, cfg, cuts=None):
-            out = quadrature.cumulative_integral(f, edges, cfg, cuts)
+        def recorded(f, edges, cfg, cuts=None, complement=False):
+            out = quadrature.cumulative_integral(f, edges, cfg, cuts, complement)
             seen.append((f, edges, cfg, cuts, out))
             return out
 
@@ -1050,7 +1079,9 @@ class TestGradedCuts:
             seen.clear()
             psi(D, MixturePath(A, B), GRID)
             f, edges, cfg, cuts, (values, err, evals) = seen[0]
-            plain, plain_err, plain_evals = quadrature.cumulative_integral(f, edges, cfg)
+            plain, plain_err, plain_evals = quadrature.cumulative_integral(
+                f, edges, cfg, complement=True
+            )
             assert cuts is None and evals == plain_evals
             assert values.tobytes() == plain.tobytes() and err.tobytes() == plain_err.tobytes()
 

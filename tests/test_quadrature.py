@@ -381,6 +381,21 @@ def test_a_cut_row_past_its_budget_still_fails():
         )
 
 
+def test_the_complement_resolves_a_pole_just_past_one():
+    # 1 / (1 - x + d) with its pole d = 1e-13 past x = 1: 1.0 - x rounds
+    # each abscissa's distance to the pole by up to 1e-16, and refinement
+    # runs into roundoff; rest keeps it to its relative precision.
+    d = 1e-13
+    for a in (0.0, 0.5, 1.0 - 1e-9):
+        truth = np.log1p((1.0 - a) / d)
+        values, err, _ = cumulative_integral(
+            lambda x, rows, rest: 1.0 / (rest + d), [[a, 1.0]], CFG, complement=True
+        )
+        assert abs(values[0, -1] - truth) <= CFG.rel_tol * truth and err[0] <= CFG.rel_tol * truth
+        with pytest.raises(ToleranceError):
+            cumulative_integral(lambda x, rows: 1.0 / ((1.0 - x) + d), [[a, 1.0]], CFG)
+
+
 @pytest.mark.parametrize("cuts", [[0.5], [[0.5]] * 2, np.zeros((1, 1, 1))])
 def test_cuts_need_one_row_per_row_of_edges(cuts):
     with pytest.raises(DomainError):
