@@ -43,7 +43,10 @@ def _load_pair(args) -> tuple[Distribution, Distribution]:
         path = Path(args.file)
         if not path.is_file():
             raise DomainError(f"no such file: {args.file}")
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"pair file is not UTF-8 text: {exc}") from None
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

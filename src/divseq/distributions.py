@@ -89,12 +89,13 @@ def new_distribution(masses: Sequence[float] | np.ndarray) -> Distribution:
 
     Sums within ``RENORMALIZATION_WINDOW`` of 1 are renormalized (benign
     floating point drift), row by row for a stack; larger deviations raise
-    DomainError, and so do masses that are not numbers or not a regular
-    array; the Distribution constructor rejects any other malformed input.
+    DomainError, and so do masses that are not numbers, integers beyond
+    float range and ragged arrays; the Distribution constructor rejects
+    any other malformed input.
     """
     try:
         arr = np.asarray(masses, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"masses must be an array of numbers: {exc}") from None
     _require_shape(arr)
     totals = arr.sum(axis=-1, keepdims=True)

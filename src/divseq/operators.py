@@ -8,21 +8,20 @@ position per path, or (m, k), one grid per path; each result has t's
 shape. Every operator lifts its path to a stack (a single path is a stack
 of one, see distributions._lift_path), computes on endpoint rows (m, n)
 and positions (m, L) only, and reshapes the result to the caller's form.
-Since ds/s is scale-free, psi integrates each path once, cumulatively,
-in u = s / T for its largest position T, every (path, segment) cell on
-Gauss-Kronrod panels of its own; where D has a generator, the first
-panels are graded toward the zeros of the mixture's masses nearest
-[0, 1], where the generator is singular, and each mixture takes 1 - u
-to its own precision from the quadrature. Iterated application of the
-integral operator fits D(P | R(T u)) once by a Chebyshev polynomial in
-u = s / T, T again each path's largest position, over the whole stack,
-by groups of coordinates in one doubling loop, each group sampled until
-its own residual meets its share of tol, and integrates that polynomial
+Since ds/s is scale-free, psi and psi_iter both work on each path's
+truncation P -> R(T), T its largest position, in u = s / T, and sample D
+there through one sampler, _level_zero (D's generator on w = r/p, affine
+in u, where D has one, else the mixtures); they differ only in their
+integrator. psi integrates each path once, cumulatively, every (path,
+segment) cell on Gauss-Kronrod panels of its own, the first ones graded
+toward the masses' zeros nearest [0, 1] where D has a generator. psi_iter
+fits level 0 once by a Chebyshev polynomial over the whole stack, by
+groups of coordinates in one doubling loop, each group sampled until its
+own residual meets its share of tol, and integrates that polynomial
 exactly, level after level, in its Chebyshev coefficients: the groups'
 coefficients, zero-padded to the largest node count, are summed and
 lifted, so all levels above the fit together cost two FFTs on the fit's
-nodes and one evaluation on the grid; the fit samples D's generator on
-w = r/p, affine in s, where D has one. Every operator requires a
+nodes and one evaluation on the grid. Every operator requires a
 right-convex D and rejects any other before it checks anything else.
 """
 
@@ -62,55 +61,58 @@ def _require_right_convex(D: DivergenceFunctional) -> None:
         )
 
 
+def _blocks(shape: tuple, n: int):
+    """Row slices of positions (m, L) on n coordinates, each with its column
+    slices, into blocks of at most _BLOCK_CELLS mass cells (whole rows where
+    one fits); each position reduces alone, so blocking changes no value."""
+    cells = max(1, _BLOCK_CELLS // n)
+    rows, step = max(1, cells // shape[1]), min(shape[1], cells)
+    for i in range(0, shape[0], rows):
+        yield slice(i, i + rows), [slice(j, j + step) for j in range(0, shape[1], step)]
+
+
 def _along(
     D: DivergenceFunctional, p: np.ndarray, q: np.ndarray, s: np.ndarray,
     paths: np.ndarray, rest: np.ndarray | None = None,
 ) -> np.ndarray:
     """D(p | (1-s) p + s q) at positions s (m, L), row i along the path
-    with endpoint rows p[paths[i]] and q[paths[i]]: an (m, L) array. An
-    exact complement rest of s's shape stands for 1 - s, as in _mix.
-
-    The mixtures are formed and reduced in blocks of at most _BLOCK_CELLS
-    mass cells: whole rows of s where one fits, else pieces of a row. Each
-    position reduces on its own, so blocking changes no value.
+    with endpoint rows p[paths[i]] and q[paths[i]]: an (m, L) array, the
+    mixtures formed and reduced by _blocks. An exact complement rest of
+    s's shape stands for 1 - s, as in _mix.
     """
     out = np.empty(s.shape)
-    cells = max(1, _BLOCK_CELLS // p.shape[-1])
-    rows, step = max(1, cells // s.shape[1]), min(s.shape[1], cells)
-    for i in range(0, len(s), rows):
-        pb, qb = p[paths[i : i + rows]], q[paths[i : i + rows]]
-        for j in range(0, s.shape[1], step):
-            block = np.s_[i : i + rows, j : j + step]
-            mixed = _mix(pb, qb, s[block], None if rest is None else rest[block])
-            out[block] = D.evaluator(pb[:, None], mixed)
+    for i, cols in _blocks(s.shape, p.shape[-1]):
+        pb, qb = p[paths[i]], q[paths[i]]
+        for j in cols:
+            mixed = _mix(pb, qb, s[i, j], None if rest is None else rest[i, j])
+            out[i, j] = D.evaluator(pb[:, None], mixed)
     return out
 
 
 def _level_zero(D: DivergenceFunctional, p: np.ndarray, r: np.ndarray):
-    """Level 0 on the paths p -> r, rows (m, n), at the fit's nodes s (L,),
-    symmetric about 1/2, so s[::-1] is 1 - s (1.0 - s would floor the fit's
-    residual near s = 1): Sum p phi(w), w = s[::-1] + s r/p, for a generator
-    phi (w is 1 at s = 0 and r/p at s = 1 exactly), else _along's values.
+    """D on the paths p -> r, rows (m, n): a sampler of positions s (R, L),
+    the path of each row (R,) and rest (R, L), the exact complement 1 - s
+    (1.0 - s would lose it near s = 1). With a generator phi it gives
+    Sum p phi(w), w = rest + s r/p (1 at s = 0, r/p at s = 1 exactly),
+    else _along's values on the mixture.
     """
-    (m, n), phi, ratio = p.shape, D.generator, (r / p)[:, None]
+    phi, ratio = D.generator, r / p
     if phi is None:
-        ones = np.ones((m, 1))  # the nodes, one row per path
-        return lambda s: _along(D, p, r, ones * s, np.arange(m), ones * s[::-1])
+        return lambda s, rows, rest: _along(D, p, r, s, rows, rest)
 
-    def at(s: np.ndarray) -> np.ndarray:
-        out, rest = np.empty((m, s.size)), s[::-1, None]
-        cells = max(1, _BLOCK_CELLS // n)
-        rows, step = max(1, cells // s.size), min(s.size, cells)
-        for i in range(0, m, rows):
-            for j in range(0, s.size, step):
-                w = s[j : j + step, None] * ratio[i : i + rows]
-                w += rest[j : j + step]
+    def sample(s: np.ndarray, rows: np.ndarray, rest: np.ndarray) -> np.ndarray:
+        out, s, rest = np.empty(s.shape), s[..., None], rest[..., None]
+        for i, cols in _blocks(out.shape, p.shape[-1]):
+            pb, rb = p[rows[i], None], ratio[rows[i], None]
+            for j in cols:
+                w = s[i, j] * rb
+                w += rest[i, j]
                 terms = phi(w)
-                terms *= p[i : i + rows, None]
-                out[i : i + rows, j : j + step] = terms.sum(axis=-1)
+                terms *= pb
+                out[i, j] = terms.sum(axis=-1)
         return out
 
-    return at
+    return sample
 
 
 # A bin of columns fitted apart pays its own residual DCT at each doubling,
@@ -166,29 +168,28 @@ def _column_groups(p: np.ndarray, q: np.ndarray) -> list[np.ndarray | slice]:
     return [np.flatnonzero(label[octave] == g) for g in range(label[-1] + 1)]
 
 
-def _graded_cuts(p: np.ndarray, q: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """psi's first-panel boundaries in u = s / T on the paths p -> q, rows
-    (m, n), T = top (m, 1): one row of cuts per path, graded toward the
-    nearest zero of r_i(u) = p_i (1 - T u z_i), z_i = 1 - q_i/p_i, on each
-    side of [0, 1], where a generator phi(r/p) is singular.
+def _graded_cuts(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """psi's first-panel boundaries in s on the paths p -> r, rows (m, n):
+    one row of cuts per path, graded toward the nearest zero of
+    r_i(s) = p_i (1 - s z_i), z_i = 1 - r_i/p_i, on each side of [0, 1],
+    where a generator phi(r/p) is singular.
 
-    The zero beyond u = 1 lies d = 1/(T max z) - 1 past it, the one below
-    u = 0 d = -1/(T min z) below it; the cuts are 1 - d (2^j - 1) and
+    The zero beyond s = 1 lies d = 1/max z - 1 past it, the one below
+    s = 0 d = -1/min z below it; the cuts are 1 - d (2^j - 1) and
     d (2^j - 1), so each panel between them is as wide as its distance to
     the zero. j runs from 1, or, where d < 2^-53, from the first j whose
     cut lies at least 2^-53 (the float spacing below 1) from the end, so a
     side has at most 54 cuts in (0, 1) however near its zero: the panel
     next to the end is then left to refinement. Cuts outside (0, 1) are
-    left in the rows (cumulative_integral ignores them), as are those of a
-    subnormal T or a constant path, whose distances overflow to inf (or
-    give NaN).
+    left in the rows (cumulative_integral ignores them), as are the NaN
+    cuts of a constant path, whose distances are inf.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        z = 1.0 - q / p
-        above = 1.0 / (top * z.max(axis=-1, keepdims=True)) - 1.0
-        below = -1.0 / (top * z.min(axis=-1, keepdims=True))
+        z = 1.0 - r / p
+        above = 1.0 / z.max(axis=-1, keepdims=True) - 1.0
+        below = -1.0 / z.min(axis=-1, keepdims=True)
         d = np.concatenate([above, below])
-        d = np.where(d > 0.0, d, np.inf)  # no zero on that side, or NaN
+        d = np.where(d > 0.0, d, np.inf)  # no zero on that side
         # 2^-53 / d < 2^first, and 2^last - 1 < 1/d.
         first = np.maximum(np.frexp(2.0**-53 / d)[1], 1)
         last = np.frexp(1.0 + 1.0 / d)[1] - 1
@@ -206,37 +207,37 @@ def psi(
 
     A position t on a single path gives an OperatorResult; a 1-d grid, or
     t of shape (m,) or (m, k) on a stack of m paths, gives an array of t's
-    shape. Each path is one cumulative quadrature of D(start | R(T u)) / u
-    in u = s / T, T its largest position, over the segments between its
-    sorted positions over T, each refined on its own panels to its own
-    tolerance. So a grid value agrees with the call at its position alone
-    to within that tolerance, no path's refinement depends on the rest of
-    the stack, and one position is the single segment [0, 1]. Where D has
-    a generator phi, D(start | R(T u)) is singular where a mass r_i(u)
-    vanishes, just outside [0, 1] for a tiny mass of either end; each
-    segment then starts on the panels between the cuts of _graded_cuts,
-    each about as wide as its distance to the nearer such zero, and
-    mostly converges on them. The cuts are not splits: the segments,
-    their targets and the split budget stay as without them. A D without
-    a generator starts each segment as one panel. Each mixture is formed
-    from 1 - T u kept to its own precision, which 1.0 - T u loses near a
-    zero just past u = 1. t = 0 and a constant path give exact zeros and
-    take no evaluations.
+    shape. Each path is one cumulative quadrature on its truncation
+    P -> R(T), T its largest position, of D(P | R(T u)) / u in u = s / T,
+    sampled by _level_zero as psi_iter's fit samples it, over the segments
+    between its sorted positions over T, each refined on its own panels
+    to its own tolerance. So a grid value agrees with the call at its
+    position alone to within that tolerance, no path's refinement depends
+    on the rest of the stack, one position is the single segment [0, 1],
+    and psi at t on P -> Q is psi at 1 on P -> R(t) bitwise. Where D has
+    a generator phi, D(P | R(T u)) is singular where a mass vanishes, just
+    outside [0, 1] for a tiny mass of either end; each segment then starts
+    on the panels between the cuts of _graded_cuts, each about as wide as
+    its distance to the nearer such zero, and mostly converges on them.
+    The cuts are not splits: the segments, their targets and the split
+    budget stay as without them. A D without a generator starts each
+    segment as one panel. t = 0, a constant path and a truncation
+    R(T) = P give exact zeros and take no evaluations.
     """
     _require_right_convex(D)
     cfg = QuadratureConfig() if cfg is None else cfg
     p, q, t, shape = _lift_path(path, t)
-    t = np.where(np.all(p == q, axis=-1)[:, None], 0.0, t)
+    top = np.maximum(t.max(axis=-1, keepdims=True), 5e-324)
+    r = _mix(p, q, top[:, 0])
+    same = np.all(p == q, axis=-1) | np.all(p == r, axis=-1)
+    t = np.where(same[:, None], 0.0, t)
     # Sorted, so neither the order of t nor its duplicates (empty segments)
     # change a value; a path with no position above 0 has only empty ones.
     order = np.argsort(t, axis=-1)
-    top = np.maximum(t.max(axis=-1, keepdims=True), 5e-324)
+    sample = _level_zero(D, p, r)
 
     def f(u: np.ndarray, rows: np.ndarray, rest: np.ndarray) -> np.ndarray:
-        # (1 - T) + T rest is 1 - T u to the precision of rest = 1 - u,
-        # which 1.0 - T u rounds away near a mass zero just past u = 1.
-        T = top[rows]
-        d = _along(D, p, q, T * u, rows, (1.0 - T) + T * rest)
+        d = sample(u, rows, rest)
         # D(start | R(0)) / 0 has the limit 0: u = 0 is only reached on
         # segments of subnormal width.
         return np.divide(d, u, out=np.zeros_like(d), where=u > 0.0)
@@ -244,7 +245,7 @@ def psi(
     edges = np.concatenate(
         [np.zeros((len(t), 1)), np.take_along_axis(t, order, axis=-1) / top], axis=1
     )
-    cuts = None if D.generator is None else _graded_cuts(p, q, top)
+    cuts = None if D.generator is None else _graded_cuts(p, r)
     running, err, evals = cumulative_integral(f, edges, cfg, cuts, complement=True)
     values = np.empty(t.shape)
     np.put_along_axis(values, order, running[:, 1:], axis=-1)
@@ -287,18 +288,16 @@ def psi_iter(
     (R(1) = Q bitwise), so level 0 is fitted only where the grid reaches:
     one Chebyshev interpolant of it on P -> R(T) of every path is
     integrated over u exactly, level after level, in its coefficients, and
-    all levels are evaluated on the grid in one call. D
-    sums per-coordinate terms, so level 0 is fitted by groups of them
+    all levels are evaluated on the grid in one call. D sums
+    per-coordinate terms, so level 0 is fitted by groups of them
     (_column_groups on P and R(T)) in one doubling loop, each group
-    sampled until its residual at fresh nodes meets its share of tol on
-    every path (fit_adaptive with running groups); the groups'
-    interpolants are added in Chebyshev coefficients and lifted from the
-    sum.
-    The fit samples level 0 at the exact Chebyshev points, each node's
-    weight 1 - u on the start taken from the mirrored node, through D's
-    generator on w = (1 - u) + u R(T)/P where it has one. Rows are
-    nonincreasing in the level at every grid point; a constant path gives
-    zeros, and so does a constant truncation (R(T) = P) above level 0.
+    sampled by _level_zero until its residual at fresh nodes meets its
+    share of tol on every path (fit_adaptive with running groups); the
+    groups' interpolants are added in Chebyshev coefficients and lifted
+    from the sum. The fit's nodes are the exact Chebyshev points, 1 - u
+    taken from the mirrored node. Rows are nonincreasing in the level at
+    every grid point; a constant path gives zeros, and so does a constant
+    truncation (R(T) = P) above level 0.
 
     No level is refitted or integrated numerically, so every level's error
     is the level-0 residual r (summed over groups) carried through psi: at
@@ -322,12 +321,13 @@ def psi_iter(
         # One doubling loop fits every group; it clears a group's entry of
         # running once the group stops, and the group is then not sampled.
         groups = [_level_zero(D, p[:, cols], q[:, cols]) for cols in _column_groups(p, q)]
-        running = np.ones(len(groups), dtype=bool)
-        fit, _, _ = ChebyshevInterpolant.fit_adaptive(
-            lambda s: [group(s) for group, on in zip(groups, running) if on],
-            tol,
-            running,
-        )
+        running, rows = np.ones(len(groups), dtype=bool), np.arange(len(p))
+
+        def sample(s: np.ndarray) -> list[np.ndarray]:
+            at, rest = (np.broadcast_to(x, (len(p), s.size)) for x in (s, s[::-1]))
+            return [group(at, rows, rest) for group, on in zip(groups, running) if on]
+
+        fit, _, _ = ChebyshevInterpolant.fit_adaptive(sample, tol, running)
         levels[1:] = fit.lifts(k)(t / top)
         levels[1:, np.all(p == q, axis=-1)] = 0.0
     levels[:, constant] = 0.0

@@ -82,6 +82,19 @@ class TestEval:
         assert code == 0
         assert out.strip() == "0.14384103622589"
 
+    def test_integer_mass_beyond_float_range_exits_2(self, capsys):
+        huge = '{"p": [1%s, 1], "q": [0.5, 0.5]}' % ("0" * 400)
+        code, out, err = run_cli(capsys, ["eval", "--div", "kl", "--pair", huge])
+        assert (code, out) == (2, "")
+        assert "too large" in err
+
+    def test_pair_file_not_utf8_exits_2(self, capsys, tmp_path):
+        pair_file = tmp_path / "pair.json"
+        pair_file.write_bytes(PAIR.encode("utf-8") + b"\xff")
+        code, out, err = run_cli(capsys, ["eval", "--div", "kl", "--file", str(pair_file)])
+        assert (code, out) == (2, "")
+        assert "UTF-8" in err
+
     def test_support_mismatch_exits_2(self, capsys):
         bad = '{"p":[0.5,0.5],"q":[0.25,0.35,0.4]}'
         code, out, err = run_cli(capsys, ["eval", "--div", "kl", "--pair", bad])

@@ -71,6 +71,13 @@ def test_non_finite_mass_rejected():
         new_distribution([0.5, float("inf")])
 
 
+def test_integer_mass_beyond_float_range_rejected():
+    # A JSON integer like 1 followed by 400 zeros reaches the array as a
+    # Python int, which no float64 holds.
+    with pytest.raises(DomainError, match="too large"):
+        new_distribution([10**400, 1])
+
+
 def test_masses_are_read_only():
     d = new_distribution([0.5, 0.5])
     with pytest.raises(ValueError):

@@ -466,7 +466,8 @@ class TestGenerators:
             s = lobatto_nodes(n_intervals)
             ends = [0, 1, 2, -3, -2, -1]
             for p, q in self._pairs():
-                kernel = _level_zero(D, p[None], q[None])(s)[0, ends]
+                kernel = _level_zero(D, p[None], q[None])(s[None], np.arange(1), s[::-1][None])
+                kernel = kernel[0, ends]
                 mixed = _along(
                     D, p[None], q[None], s[None, ends], np.arange(1), s[::-1][None, ends]
                 )[0]

@@ -98,6 +98,36 @@ class TestPsi:
         restricted = psi(named_divergence("chi2"), MixturePath(P, M), 1.0)
         assert full.value == pytest.approx(restricted.value, abs=1e-8)
 
+    @pytest.mark.parametrize("generator", [True, False], ids=["generator", "mixture"])
+    def test_psi_at_t_is_psi_at_one_on_the_truncated_path_bitwise(self, generator):
+        # psi integrates every path on its truncation P -> R(T), T its
+        # largest position, and R(1) is the end bitwise.
+        kl = named_divergence("kl")
+        D = kl if generator else dataclasses.replace(kl, generator=None)
+        for A, B in (_random_pair(4, 7), _tiny_p_pair(1, 10), _tiny_p_pair(1, 10)[::-1]):
+            path = MixturePath(A, B)
+            for t in (0.6, 0.05, 1.0):
+                truncated = MixturePath(A, mixture(path, t))
+                alone, restricted = psi(D, path, t), psi(D, truncated, 1.0)
+                assert alone.value.hex() == restricted.value.hex()
+                assert alone.estimated_error.hex() == restricted.estimated_error.hex()
+                assert alone.evaluations == restricted.evaluations
+
+    def test_without_a_generator_psi_samples_the_mixtures(self, monkeypatch):
+        calls, along = [], operators._along
+
+        def recorded(D, p, q, s, paths, rest=None):
+            calls.append(s.size)
+            return along(D, p, q, s, paths, rest)
+
+        monkeypatch.setattr(operators, "_along", recorded)
+        kl = named_divergence("kl")
+        with_generator = psi(kl, PATH, 0.6)
+        assert calls == []
+        res = psi(dataclasses.replace(kl, generator=None), PATH, 0.6)
+        assert sum(calls) == res.evaluations > 0
+        assert res.value == pytest.approx(with_generator.value, rel=1e-10)
+
     def test_rejects_left_convex(self):
         breg = make_bregman(BregmanSpec(F=lambda x: x**2, F_prime=lambda x: 2.0 * x))
         with pytest.raises(DomainError):
@@ -393,7 +423,8 @@ def _mass_cells(D):
 def _joint_level_zero(D, path):
     """Level 0 of psi_iter on one path as one function of s over the whole
     support, sampled as psi_iter samples it."""
-    return _level_zero(D, path.start.masses[None], path.end.masses[None])
+    sample = _level_zero(D, path.start.masses[None], path.end.masses[None])
+    return lambda s: sample(s[None], np.arange(1), s[::-1][None])
 
 
 class TestGroupedLevelZero:
@@ -882,9 +913,10 @@ class TestPsiRowByRow:
 @pytest.mark.parametrize("D", SUITE, ids=[D.identifier for D in SUITE])
 @pytest.mark.parametrize("t", [5e-324, 1e-310])
 def test_psi_at_a_subnormal_position_is_zero(D, t):
-    # u = s / T keeps a subnormal T finite: the integrand never divides by
-    # a position, and an abscissa u = 0 on a segment of subnormal width
-    # takes the integrand's limit 0.
+    # A subnormal T truncates the path to R(T) = P bitwise, which psi
+    # integrates to an exact zero; on a longer path the integrand never
+    # divides by a position, and an abscissa u = 0 on a segment of
+    # subnormal width takes the integrand's limit 0.
     def positive_zero(x):
         return x == 0.0 and not math.copysign(1.0, x) < 0.0
 
@@ -1025,7 +1057,7 @@ class TestGradedCuts:
             z = 1.0 - q / p
             below, above = -1.0 / z.min(), 1.0 / z.max() - 1.0
             assert min(below, above) < 1e-9
-            cuts = _graded_cuts(p, q, np.array([[1.0]]))[0]
+            cuts = _graded_cuts(p[None], q[None])[0]
             ends = np.concatenate([[0.0], np.sort(cuts[(cuts > 0.0) & (cuts < 1.0)]), [1.0]])
             width = np.diff(ends)
             gap = np.minimum(1.0 + above - ends[1:], ends[:-1] + below)
@@ -1038,8 +1070,13 @@ class TestGradedCuts:
     @pytest.mark.parametrize("top", [5e-324, 1e-310])
     def test_a_subnormal_top_cuts_nothing(self, top):
         A, B = random_distribution(6, seed=1), random_distribution(6, seed=2)
-        cuts = _graded_cuts(A.masses[None], B.masses[None], np.array([[top]]))
+        path = MixturePath(A, B)
+        truncated = mixture(path, top).masses  # R(T) = P bitwise
+        assert truncated.tobytes() == A.masses.tobytes()
+        cuts = _graded_cuts(A.masses[None], truncated[None])
         assert not np.any((cuts > 0.0) & (cuts < 1.0))
+        res = psi(named_divergence("kl"), path, top)
+        assert res.value == 0.0 and res.evaluations == 0
 
     def test_a_side_has_at_most_54_cuts_however_near_its_zero(self, monkeypatch):
         # A mass of 1e-300 puts a zero about 1e-299 from an end. Cuts closer
@@ -1051,11 +1088,11 @@ class TestGradedCuts:
         tiny = new_distribution(p)
         starts = np.stack([tiny.masses, B.masses, A.masses])
         ends = np.stack([B.masses, tiny.masses, B.masses])
-        cuts = _graded_cuts(starts, ends, np.ones((3, 1)))
+        cuts = _graded_cuts(starts, ends)
         assert cuts.shape[1] <= 108
         inside = (cuts > 0.0) & (cuts < 1.0)
         assert np.all(np.minimum(cuts, 1.0 - cuts)[inside] >= 2.0**-53)
-        alone = _graded_cuts(starts[2:], ends[2:], np.ones((1, 1)))[0]
+        alone = _graded_cuts(starts[2:], ends[2:])[0]
         kept = np.sort(alone[(alone > 0.0) & (alone < 1.0)])
         assert np.sort(cuts[2][inside[2]]).tolist() == kept.tolist()
         # The panel [0, ~2^-53] next to the zero below s = 0 needs no split.

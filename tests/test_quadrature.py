@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
@@ -28,6 +31,54 @@ def test_high_degree_polynomial():
     # K15 integrates degree <= 22 exactly; a single panel should do it.
     value, _, _ = integrate(lambda x: 7.0 * x**13 - x**5 + 2.0, 0.0, 1.0, CFG)
     assert value == pytest.approx(0.5 - 1.0 / 6.0 + 2.0, abs=1e-14)
+
+
+def _gauss_kronrod_15():
+    """K15's positive nodes, ascending, and the weights of K15 and G7, the
+    center's first, from their definitions in 40-digit arithmetic: the
+    Gauss nodes are the roots of P7, the Kronrod ones those of the
+    Stieltjes polynomial E8 (even, monic, orthogonal to x^j P7 for j < 8),
+    and each rule's weights make it exact on x^(2j) over [-1, 1] for as
+    many j as it has nonnegative nodes."""
+    legendre = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    for n in range(1, 7):  # (n + 1) P_{n+1} = (2n + 1) x P_n - n P_{n-1}
+        x_pn = [Fraction(0)] + legendre[n]
+        prev = legendre[n - 1] + [Fraction(0)] * 2
+        legendre.append([((2 * n + 1) * a - n * b) / (n + 1) for a, b in zip(x_pn, prev)])
+    p7 = legendre[7]
+
+    def moment(k):
+        return Fraction(2, k + 1) if k % 2 == 0 else Fraction(0)
+
+    def mpf(c):
+        return mpmath.mpf(c.numerator) / c.denominator
+
+    def weights(nodes):
+        # The center weight and one per node pair.
+        a = [[int(j == 0)] + [2 * x ** (2 * j) for x in nodes] for j in range(len(nodes) + 1)]
+        return mpmath.lu_solve(a, [mpf(moment(2 * j)) for j in range(len(nodes) + 1)])
+
+    with mpmath.workdps(40):
+        # E8 = y^4 + c3 y^3 + ... + c0 in y = x^2: x^j P7 E8 integrates to 0 for odd j < 8.
+        rows = [[mpf(sum(c * moment(i + 2 * e + j) for i, c in enumerate(p7))) for e in range(5)]
+                for j in (1, 3, 5, 7)]
+        coeffs = mpmath.lu_solve([r[:4] for r in rows], [-r[4] for r in rows])
+        roots = [mpmath.polyroots(c, maxsteps=200, extraprec=200)
+                 for c in ([mpf(c) for c in p7[::-2]], [1] + list(coeffs)[::-1])]
+        gauss, nodes = ([mpmath.sqrt(y) for y in sorted(ys)]
+                        for ys in (roots[0], roots[0] + roots[1]))
+        return nodes, weights(nodes), weights(gauss)
+
+
+def test_rule_constants_are_the_correctly_rounded_gauss_kronrod_pair():
+    # The rules' 15-digit constants biased every panel by about -3e-15
+    # relative (Sum w_K was 2 - 6e-15); each is now the float nearest its
+    # exact value, and each rule's weights sum to exactly 2.
+    nodes, wk, wg = _gauss_kronrod_15()
+    assert _XK[8:].tolist() == [float(x) for x in nodes]
+    assert _WK[7:].tolist() == [float(w) for w in wk]
+    assert _WG[7::2].tolist() == [float(w) for w in wg]
+    assert _WK.sum() == _WG.sum() == 2.0
 
 
 def test_sine_over_half_period():
