@@ -8,21 +8,15 @@ position per path, or (m, k), one grid per path; each result has t's
 shape. Every operator lifts its path to a stack (a single path is a stack
 of one, see distributions._lift_path), computes on endpoint rows (m, n)
 and positions (m, L) only, and reshapes the result to the caller's form.
-Since ds/s is scale-free, psi and psi_iter both work on each path's
-truncation P -> R(T), T its largest position, in u = s / T, and sample D
-there through one sampler, _level_zero (D's generator on w = r/p, affine
-in u, where D has one, else the mixtures); they differ only in their
-integrator. psi integrates each path once, cumulatively, every (path,
-segment) cell on Gauss-Kronrod panels of its own, the first ones graded
-toward the masses' zeros nearest [0, 1] where D has a generator. psi_iter
-fits level 0 once by a Chebyshev polynomial over the whole stack, by
-groups of coordinates in one doubling loop, each group sampled until its
-own residual meets its share of tol, and integrates that polynomial
-exactly, level after level, in its Chebyshev coefficients: the groups'
-coefficients, zero-padded to the largest node count, are summed and
-lifted, so all levels above the fit together cost two FFTs on the fit's
-nodes and one evaluation on the grid. Every operator requires a
-right-convex D and rejects any other before it checks anything else.
+Since ds/s is scale-free, the value at t is the value at the end of the
+truncation P -> R(t). With a generator, psi is Sum p Phi(log w),
+w = R(t)/P, Phi from chebyshev.level_kernel; without one it is a
+cumulative Gauss-Kronrod quadrature per path. psi_iter samples level 0 on
+P -> R(T), T the largest position, through _level_zero, fits it by one
+Chebyshev polynomial per group of coordinates in one doubling loop, and
+integrates the summed polynomial exactly, level after level, in its
+Chebyshev coefficients. Every operator requires a right-convex D and
+rejects any other before it checks anything else.
 """
 
 from __future__ import annotations
@@ -31,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import _BLOCK_CELLS, _MAX_INTERVALS, ChebyshevInterpolant
+from .chebyshev import _BLOCK_CELLS, _EPS, _MAX_INTERVALS, ChebyshevInterpolant, level_kernel
 from .distributions import MixturePath, _caller_form, _lift_path, _mix
 from .divergences import DivergenceFunctional, Orientation, path_derivative
 from .errors import DomainError, require_index, require_position, require_positive
@@ -168,35 +162,6 @@ def _column_groups(p: np.ndarray, q: np.ndarray) -> list[np.ndarray | slice]:
     return [np.flatnonzero(label[octave] == g) for g in range(label[-1] + 1)]
 
 
-def _graded_cuts(p: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """psi's first-panel boundaries in s on the paths p -> r, rows (m, n):
-    one row of cuts per path, graded toward the nearest zero of
-    r_i(s) = p_i (1 - s z_i), z_i = 1 - r_i/p_i, on each side of [0, 1],
-    where a generator phi(r/p) is singular.
-
-    The zero beyond s = 1 lies d = 1/max z - 1 past it, the one below
-    s = 0 d = -1/min z below it; the cuts are 1 - d (2^j - 1) and
-    d (2^j - 1), so each panel between them is as wide as its distance to
-    the zero. j runs from 1, or, where d < 2^-53, from the first j whose
-    cut lies at least 2^-53 (the float spacing below 1) from the end, so a
-    side has at most 54 cuts in (0, 1) however near its zero: the panel
-    next to the end is then left to refinement. Cuts outside (0, 1) are
-    left in the rows (cumulative_integral ignores them), as are the NaN
-    cuts of a constant path, whose distances are inf.
-    """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        z = 1.0 - r / p
-        above = 1.0 / z.max(axis=-1, keepdims=True) - 1.0
-        below = -1.0 / z.min(axis=-1, keepdims=True)
-        d = np.concatenate([above, below])
-        d = np.where(d > 0.0, d, np.inf)  # no zero on that side
-        # 2^-53 / d < 2^first, and 2^last - 1 < 1/d.
-        first = np.maximum(np.frexp(2.0**-53 / d)[1], 1)
-        last = np.frexp(1.0 + 1.0 / d)[1] - 1
-        steps = np.ldexp(d, first + np.arange((last - first).max() + 1)) - d
-        return np.concatenate([1.0 - steps[: len(above)], steps[len(above) :]], axis=1)
-
-
 def psi(
     D: DivergenceFunctional,
     path: MixturePath,
@@ -207,26 +172,47 @@ def psi(
 
     A position t on a single path gives an OperatorResult; a 1-d grid, or
     t of shape (m,) or (m, k) on a stack of m paths, gives an array of t's
-    shape. Each path is one cumulative quadrature on its truncation
-    P -> R(T), T its largest position, of D(P | R(T u)) / u in u = s / T,
-    sampled by _level_zero as psi_iter's fit samples it, over the segments
-    between its sorted positions over T, each refined on its own panels
-    to its own tolerance. So a grid value agrees with the call at its
-    position alone to within that tolerance, no path's refinement depends
-    on the rest of the stack, one position is the single segment [0, 1],
-    and psi at t on P -> Q is psi at 1 on P -> R(t) bitwise. Where D has
-    a generator phi, D(P | R(T u)) is singular where a mass vanishes, just
-    outside [0, 1] for a tiny mass of either end; each segment then starts
-    on the panels between the cuts of _graded_cuts, each about as wide as
-    its distance to the nearer such zero, and mostly converges on them.
-    The cuts are not splits: the segments, their targets and the split
-    budget stay as without them. A D without a generator starts each
-    segment as one panel. t = 0, a constant path and a truncation
-    R(T) = P give exact zeros and take no evaluations.
+    shape. Where D has a generator, each value is Sum p Phi(log w) at its
+    own position alone (_psi_kernel), so a grid or stack value is the
+    single call's bitwise, and the estimate is the p-weighted sum of the
+    kernel's bounds. A D without one is one cumulative quadrature per path
+    (_psi_quadrature), whose grid values agree with the single calls to
+    within cfg. Either way psi at t on P -> Q is psi at 1 on P -> R(t)
+    bitwise, and t = 0 and a constant path give exact zeros at no cost.
     """
     _require_right_convex(D)
     cfg = QuadratureConfig() if cfg is None else cfg
     p, q, t, shape = _lift_path(path, t)
+    route = _psi_quadrature if D.generator is None else _psi_kernel
+    values, err, evals = route(D, p, q, t, cfg)
+    if shape == ():
+        return OperatorResult(float(values[0, 0]), float(err[0]), evals)
+    return values.reshape(shape)
+
+
+def _psi_kernel(D: DivergenceFunctional, p: np.ndarray, q: np.ndarray, t: np.ndarray, cfg):
+    """Sum p Phi(log w), w = R(t)/P, on endpoint rows (m, n) at positions
+    (m, L): values (m, L), each row's estimate and the evaluation count.
+    w is _level_zero's (1 - u) + u R(t)/P at u = 1, R(t)/P bitwise; a
+    coordinate with q_i = p_i has w = 1 all along and adds +0.0."""
+    v = np.log(_mix(p, q, t) / p[:, None])
+    moving = (v != 0.0) & (p != q)[:, None]
+    terms, bounds, evals = np.zeros(v.shape), np.zeros(v.shape), 0
+    if moving.any():
+        terms[moving], bounds[moving], evals = level_kernel(
+            D.generator, v[moving], cfg.rel_tol, cfg.abs_tol
+        )
+    terms *= p[:, None]
+    # A rounding floor: a few ulps of each term, in the kernel and the sum.
+    bounds = bounds * p[:, None] + 4.0 * _EPS * np.abs(terms)
+    return terms.sum(axis=-1), bounds.sum(axis=(1, 2)), evals
+
+
+def _psi_quadrature(D: DivergenceFunctional, p: np.ndarray, q: np.ndarray, t: np.ndarray, cfg):
+    """psi of a D without a generator, as _psi_kernel returns it:
+    D(P | R(T u)) / u on each path's truncation P -> R(T), u = s / T,
+    integrated over the segments between its sorted positions, each on
+    panels of its own."""
     top = np.maximum(t.max(axis=-1, keepdims=True), 5e-324)
     r = _mix(p, q, top[:, 0])
     same = np.all(p == q, axis=-1) | np.all(p == r, axis=-1)
@@ -245,13 +231,10 @@ def psi(
     edges = np.concatenate(
         [np.zeros((len(t), 1)), np.take_along_axis(t, order, axis=-1) / top], axis=1
     )
-    cuts = None if D.generator is None else _graded_cuts(p, r)
-    running, err, evals = cumulative_integral(f, edges, cfg, cuts, complement=True)
+    running, err, evals = cumulative_integral(f, edges, cfg, complement=True)
     values = np.empty(t.shape)
     np.put_along_axis(values, order, running[:, 1:], axis=-1)
-    if shape == ():
-        return OperatorResult(float(values[0, 0]), float(err[0]), evals)
-    return values.reshape(shape)
+    return values, err, evals
 
 
 def psi_inverse(D: DivergenceFunctional, path: MixturePath, t):

@@ -382,6 +382,8 @@ def polylog(k, z=None, *, w=None):
     z, w, shape = _arguments(z, w)
     high = tuple(j for j in orders if j > 1)
     rows = iter(_expansions(high, z, w) if high else ())
-    log = np.where(np.abs(z) <= 0.5, -np.log1p(-z), -np.log(w)) if 1 in orders else None
+    log = None
+    if 1 in orders:  # z is clipped in log1p's branch, not taken at z = 1 (w < 2^-53)
+        log = np.where(np.abs(z) <= 0.5, -np.log1p(-np.minimum(z, 0.5)), -np.log(w))
     out = [z / w if j == 0 else log if j == 1 else next(rows) for j in orders]
     return _by_order(np.array(out), k, shape)

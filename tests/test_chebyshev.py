@@ -11,8 +11,10 @@ from divseq.chebyshev import (
     _padded,
     _resampled,
     _values,
+    level_kernel,
     lobatto_nodes,
 )
+from divseq.divergences import named_divergence
 from divseq.errors import DomainError, NonFiniteError, ToleranceError
 
 
@@ -430,3 +432,83 @@ class TestLevelKernel:
             assert own[j].tobytes() == alone(per_row).tobytes()
             for i, row in enumerate(values):
                 assert own[j, i].tobytes() == ChebyshevInterpolant(row)(per_row[i]).tobytes()
+
+
+_MP_GENERATORS = {
+    "kl": lambda w: -mpmath.log(w),
+    "reverse_kl": lambda w: w * mpmath.log(w),
+    "chi2": lambda w: (w - 1) ** 2 / w,
+    "jeffreys": lambda w: (w - 1) * mpmath.log(w),
+    "hellinger2": lambda w: (mpmath.sqrt(w) - 1) ** 2 / 2,
+}
+_KERNEL_V = np.array([-12.0, -7.3, -4.0, -2.0, -1.0, -0.3, -1e-3, 2e-6, 0.6, 1.0, 2.5, 7.0, 12.0])
+
+
+def _mp_level(phi, v):
+    """Phi(v) = Integral_0^v phi(e^u) / (1 - e^-u) du at 40 digits."""
+    with mpmath.workdps(40):
+        slope = mpmath.diff(phi, 1)  # the integrand's limit at u = 0
+
+        def integrand(u):
+            return phi(mpmath.exp(u)) / -mpmath.expm1(-u) if u != 0 else slope
+
+        return float(mpmath.quad(integrand, [0, mpmath.mpf(v) / 2, mpmath.mpf(v)]))
+
+
+def _kinked(w):
+    return np.maximum(w - 2.0, 0.0)
+
+
+class TestGeneratorKernel:
+    # level_kernel, psi's Phi(v) for a generator phi, built on pieces of v.
+    @pytest.mark.parametrize("identifier", list(_MP_GENERATORS))
+    def test_matches_40_digits(self, identifier):
+        values, bounds, evaluations = level_kernel(
+            named_divergence(identifier).generator, _KERNEL_V, 1e-10, 1e-12
+        )
+        refs = np.array([_mp_level(_MP_GENERATORS[identifier], v) for v in _KERNEL_V])
+        error, scale = np.abs(values - refs), np.maximum(1.0, np.abs(refs))
+        assert np.all(error <= 1e-14 * scale)
+        assert np.all(error <= bounds) and np.all(bounds <= 1e-12 * scale)
+        assert evaluations % chebyshev._KERNEL_NODES == 0
+
+    def test_keeps_its_relative_precision_near_zero(self):
+        # kl's integrand is -1 at u = 0, so Phi(v) ~ -v with no cancellation.
+        v = np.array([-0.4, -3e-4, -1e-6, 1e-9, 5e-7, 0.01])
+        values, _, _ = level_kernel(named_divergence("kl").generator, v, 1e-10, 1e-12)
+        refs = np.array([_mp_level(_MP_GENERATORS["kl"], x) for x in v])
+        np.testing.assert_allclose(values, refs, rtol=1e-14, atol=0.0)
+
+    def test_values_depend_on_v_alone(self):
+        # Whatever else a call holds: a piece's edge, far pieces, pieces near 0.
+        rng = np.random.default_rng(5)
+        v = np.concatenate([rng.uniform(-30.0, 30.0, 40), rng.uniform(-1.0, 1.0, 40)])
+        v = np.append(v, [1e-12, -2.0])
+        for identifier in _MP_GENERATORS:
+            phi = named_divergence(identifier).generator
+            values, bounds, _ = level_kernel(phi, v, 1e-10, 1e-12)
+            for part in (np.arange(3), np.arange(40, 45), [81], np.arange(0, 82, 7)):
+                alone, alone_bounds, _ = level_kernel(phi, v[part], 1e-10, 1e-12)
+                assert alone.tobytes() == values[part].tobytes(), identifier
+                assert alone_bounds.tobytes() == bounds[part].tobytes(), identifier
+
+    def test_a_kinked_generator_halves_its_pieces_to_the_target(self):
+        # Phi(v) = e^v - log(e^v - 1) - 2 past the kink at v = log 2.
+        v = np.array([0.3, 1.5, 4.0])
+        values, bounds, evaluations = level_kernel(_kinked, v, 1e-10, 1e-12)
+        exact = np.where(v > np.log(2.0), np.exp(v) - np.log(np.expm1(v)) - 2.0, 0.0)
+        assert np.all(np.abs(values - exact) <= np.maximum(1e-12, 1e-10 * np.abs(exact)))
+        assert np.all(np.abs(values - exact) <= bounds)
+        assert evaluations > 10 * chebyshev._KERNEL_NODES  # the kink's piece was halved
+
+    def test_fails_past_its_halving_budget(self, monkeypatch):
+        monkeypatch.setattr(chebyshev, "_MAX_HALVINGS", 5)
+        with pytest.raises(ToleranceError):
+            level_kernel(_kinked, np.array([1.5]), 1e-10, 1e-12)
+
+    def test_rejects_a_non_finite_generator_or_point(self):
+        with pytest.raises(NonFiniteError):
+            nan_past_3 = lambda w: np.where(w > 3.0, np.nan, w - 1.0)  # noqa: E731
+            level_kernel(nan_past_3, np.array([2.0]), 1e-10, 1e-12)
+        with pytest.raises(NonFiniteError):
+            level_kernel(_kinked, np.array([1.0, np.inf]), 1e-10, 1e-12)

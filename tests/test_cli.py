@@ -508,3 +508,14 @@ class TestParser:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0.14384103622589"
+
+    def test_pl1_on_a_ratio_below_2_to_the_minus_53_warns_of_nothing(self):
+        pair = '{"p":[0.5,0.5],"q":[1e-17,1]}'
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "divseq.cli",
+             "eval", "--seq", "pl", "--k", "1", "--pair", pair],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "" and proc.stdout.strip() == "18.8788261098894"

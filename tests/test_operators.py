@@ -31,7 +31,6 @@ from divseq.operators import (
     OperatorResult,
     QuadratureConfig,
     _column_groups,
-    _graded_cuts,
     _level_zero,
     psi,
     psi_inverse,
@@ -809,10 +808,13 @@ class TestGridDerivatives:
 
 
 class TestGridPsi:
-    # The distinct positions of a grid share one cumulative quadrature, so
-    # a grid value is a sum of segment integrals and agrees with the scalar
-    # call to within the quadrature target, not bitwise; a one-position grid
-    # is the scalar call's single segment, bitwise.
+    # Where D has a generator, every position is its own truncation of the
+    # path, summed through the level kernel, so a grid value is the scalar
+    # call's bitwise. Without one, the distinct positions of a grid share
+    # one cumulative quadrature, so a grid value is a sum of segment
+    # integrals and agrees with the scalar call to within the quadrature
+    # target; a one-position grid is the scalar call's single segment,
+    # bitwise.
     @pytest.mark.parametrize("D", SUITE, ids=[D.identifier for D in SUITE])
     @pytest.mark.parametrize("n", [2, 7, 10, 64, 500])
     def test_grid_agrees_with_scalar_calls(self, D, n):
@@ -823,6 +825,8 @@ class TestGridPsi:
         pointwise = np.array([psi(D, path, float(t)).value for t in GRID])
         singles = np.array([psi(D, path, np.array([t]))[0] for t in GRID])
         assert singles.tobytes() == pointwise.tobytes()
+        if D.generator is not None:
+            assert on_grid.tobytes() == pointwise.tobytes()
         cfg = QuadratureConfig()
         target = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(pointwise))
         assert np.all(np.abs(on_grid - pointwise) <= target)
@@ -867,13 +871,14 @@ def _stacked(starts, ends):
 
 
 class TestPsiRowByRow:
-    # Each path of a stack is refined on its own panels within its own
-    # subdivision budget, so it costs and converges as it would alone.
+    # Without a generator, each path of a stack is refined on its own
+    # panels within its own subdivision budget, so it costs and converges
+    # as it would alone.
+    CHI2 = dataclasses.replace(named_divergence("chi2"), generator=None)
+
     def test_each_path_has_its_own_subdivision_budget(self, monkeypatch):
-        # At this tolerance each path converges alone within 10 splits (its
-        # graded first panels are not splits), but the paths need more
-        # than 10 between them.
-        chi2 = named_divergence("chi2")
+        # At this tolerance each path converges alone within 10 splits, but
+        # the paths need more than 10 between them.
         cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)
         monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 10)
         rounds = _panel_rounds(monkeypatch)
@@ -882,16 +887,16 @@ class TestPsiRowByRow:
         stack, paths = _stacked(starts, ends)
         grids = np.tile(np.linspace(0.0, 1.0, 11), (30, 1))
         splits = 0
-        for path, grid, row in zip(paths, grids, psi(chi2, stack, grids, cfg)):
+        for path, grid, row in zip(paths, grids, psi(self.CHI2, stack, grids, cfg)):
             rounds.clear()
-            alone = psi(chi2, path, grid, cfg)
+            alone = psi(self.CHI2, path, grid, cfg)
             # After the first panels, two panels per split.
             splits += sum(rounds[1:]) // 2
             np.testing.assert_allclose(row, alone, rtol=1e-14, atol=0.0)
         assert splits > quadrature._MAX_SUBDIVISIONS
 
     def test_a_hard_path_costs_the_stack_its_own_evaluations_only(self):
-        chi2, seen = _counting(named_divergence("chi2"))
+        chi2, seen = _counting(self.CHI2)
         hard = np.array([1e-6, 0.25, 0.25, 0.25, 0.25 - 1e-6])
         starts = [random_distribution(5, i).masses for i in range(21)]
         ends = [hard] + [random_distribution(5, 100 + i).masses for i in range(20)]
@@ -907,6 +912,7 @@ class TestPsiRowByRow:
             seen[0] = 0
             np.testing.assert_allclose(row, psi(chi2, path, grid), rtol=1e-14, atol=0.0)
             alone_cost += seen[0]
+        assert stacked_cost > 0
         assert abs(stacked_cost - alone_cost) <= 0.02 * alone_cost
 
 
@@ -1014,11 +1020,24 @@ class TestOrderingProperties:
             assert lhs >= rhs - 1e-9, f"instance {j}"
 
 
-class TestGradedCuts:
-    # psi starts each path's quadrature on panels graded toward the zeros
-    # of r_i(s) just outside the path's positions, where a generator is
-    # singular; a functional without a generator keeps one panel per
-    # segment.
+def _roster():
+    """psi's roster: tiny-mass pairs (n = 10, 100, 877) and regular 7-point
+    pairs, both orientations, each at t = 0.3 and 1."""
+    pairs = [_tiny_p_pair(s, n) for s in range(6) for n in (10, 100, 877)]
+    pairs += [_random_pair(s, 7) for s in range(20)]
+    for A, B in pairs:
+        for path in (MixturePath(A, B), MixturePath(B, A)):
+            for t in (0.3, 1.0):
+                yield path, t
+
+
+# Each named divergence's psi as a closed-form chain and its order.
+_PSI_ORACLES = {"chi2": (pl, 1), "kl": (pl, 2), "jeffreys": (sl, 1), "reverse_kl": (sl, 2)}
+
+
+class TestPsiKernel:
+    # Where D has a generator phi, psi is Sum p Phi(log w), w = R(t)/P, with
+    # Phi from the level kernel; there is no path quadrature.
     @staticmethod
     def _tiny_calls():
         for seed in range(6):
@@ -1028,18 +1047,9 @@ class TestGradedCuts:
                     yield path, 1.0
                     yield path, np.linspace(0.0, 1.0, 11)
 
-    @pytest.mark.parametrize("identifier", ["kl", "jeffreys", "reverse_kl", "hellinger2", "chi2"])
-    def test_tiny_mass_calls_converge_on_their_first_panels(self, monkeypatch, identifier):
-        D, rounds = named_divergence(identifier), _panel_rounds(monkeypatch)
-        for path, t in self._tiny_calls():
-            rounds.clear()
-            psi(D, path, t)
-            assert len(rounds) == 1
-
     def test_tiny_mass_chi2_calls_match_pl1(self):
-        # On the reversed pairs chi2 has a pole as little as 9e-12 past
-        # u = 1, where rounding an abscissa to the float spacing moves it by
-        # about 1e-5 of its distance to the pole.
+        # On the reversed pairs w = R(t)/P falls to 9e-12 at t = 1, where
+        # chi2's generator is near 1/w.
         chi2, cfg = named_divergence("chi2"), QuadratureConfig()
         for path, t in self._tiny_calls():
             res = psi(chi2, path, t)
@@ -1049,78 +1059,50 @@ class TestGradedCuts:
             else:
                 np.testing.assert_allclose(res, ref, rtol=cfg.rel_tol, atol=cfg.abs_tol * len(t))
 
-    def test_first_panels_are_as_wide_as_their_distance_to_the_zero(self):
-        # A tiny mass of P puts a zero of r just below s = 0; the reversed
-        # pair puts one just beyond s = 1.
-        A, B = _tiny_p_pair(1, 10)
-        for p, q, near in ((A.masses, B.masses, 0), (B.masses, A.masses, 1)):
-            z = 1.0 - q / p
-            below, above = -1.0 / z.min(), 1.0 / z.max() - 1.0
-            assert min(below, above) < 1e-9
-            cuts = _graded_cuts(p[None], q[None])[0]
-            ends = np.concatenate([[0.0], np.sort(cuts[(cuts > 0.0) & (cuts < 1.0)]), [1.0]])
-            width = np.diff(ends)
-            gap = np.minimum(1.0 + above - ends[1:], ends[:-1] + below)
-            assert np.all(width <= gap * (1.0 + 1e-9))
-            # Within the quarter next to the near zero the grading is exact.
-            graded = ends[1:] <= 0.25 if near == 0 else ends[:-1] >= 0.75
-            assert graded.sum() > 25
-            np.testing.assert_allclose(width[graded], gap[graded], rtol=1e-6)
+    @pytest.mark.parametrize("identifier", list(_PSI_ORACLES))
+    def test_the_estimate_bounds_the_error_and_is_not_vacuous(self, identifier):
+        D, (chain, order) = named_divergence(identifier), _PSI_ORACLES[identifier]
+        for path, t in _roster():
+            res = psi(D, path, t)
+            ref = chain(order, path.start, mixture(path, t))
+            scale = max(1.0, abs(ref))
+            assert abs(res.value - ref) <= res.estimated_error <= 1e-12 * scale, (path, t)
+            if identifier in ("chi2", "jeffreys"):
+                assert abs(res.value - ref) <= 1e-14 * scale
 
     @pytest.mark.parametrize("top", [5e-324, 1e-310])
-    def test_a_subnormal_top_cuts_nothing(self, top):
+    def test_a_subnormal_top_gives_zero_at_no_cost(self, top):
         A, B = random_distribution(6, seed=1), random_distribution(6, seed=2)
         path = MixturePath(A, B)
-        truncated = mixture(path, top).masses  # R(T) = P bitwise
-        assert truncated.tobytes() == A.masses.tobytes()
-        cuts = _graded_cuts(A.masses[None], truncated[None])
-        assert not np.any((cuts > 0.0) & (cuts < 1.0))
-        res = psi(named_divergence("kl"), path, top)
-        assert res.value == 0.0 and res.evaluations == 0
+        assert mixture(path, top).masses.tobytes() == A.masses.tobytes()  # R(T) = P
+        assert psi(named_divergence("kl"), path, top) == OperatorResult(0.0, 0.0, 0)
 
-    def test_a_side_has_at_most_54_cuts_however_near_its_zero(self, monkeypatch):
-        # A mass of 1e-300 puts a zero about 1e-299 from an end. Cuts closer
-        # to it than 2^-53 are left out, so the stack's cut rows stay short
-        # and every other row keeps the cuts it has alone.
+    def test_an_end_mass_of_1e_300(self):
+        # Toward the tiny mass chi2's integrand has a pole about 1e-299 past
+        # the path's end, and w = 1e-300 / p_0 there takes the kernel's
+        # pieces out to v = log w near -690; from it w reaches 1e299.
         A, B = _random_pair(3, 10)
         p = A.masses.copy()
         p[0], p[1:] = 1e-300, p[1:] * (1.0 - 1e-300) / p[1:].sum()
         tiny = new_distribution(p)
-        starts = np.stack([tiny.masses, B.masses, A.masses])
-        ends = np.stack([B.masses, tiny.masses, B.masses])
-        cuts = _graded_cuts(starts, ends)
-        assert cuts.shape[1] <= 108
-        inside = (cuts > 0.0) & (cuts < 1.0)
-        assert np.all(np.minimum(cuts, 1.0 - cuts)[inside] >= 2.0**-53)
-        alone = _graded_cuts(starts[2:], ends[2:])[0]
-        kept = np.sort(alone[(alone > 0.0) & (alone < 1.0)])
-        assert np.sort(cuts[2][inside[2]]).tolist() == kept.tolist()
-        # The panel [0, ~2^-53] next to the zero below s = 0 needs no split.
-        rounds = _panel_rounds(monkeypatch)
-        res = psi(named_divergence("kl"), MixturePath(tiny, B), 1.0)
-        assert len(rounds) == 1 and res.evaluations < 1000
-        assert res.value == pytest.approx(pl(2, tiny, B), rel=1e-13)
+        for identifier, (chain, order) in _PSI_ORACLES.items():
+            for start, end in ((B, tiny), (tiny, B)):
+                res = psi(named_divergence(identifier), MixturePath(start, end), 1.0)
+                ref = chain(order, start, end)
+                assert res.value == pytest.approx(ref, rel=1e-13), identifier
 
-    def test_without_a_generator_psi_takes_the_uncut_evaluations(self, monkeypatch):
-        seen = []
-
-        def recorded(f, edges, cfg, cuts=None, complement=False):
-            out = quadrature.cumulative_integral(f, edges, cfg, cuts, complement)
-            seen.append((f, edges, cfg, cuts, out))
-            return out
-
-        monkeypatch.setattr(operators, "cumulative_integral", recorded)
-        bregman = make_bregman(BregmanSpec(F=lambda x: x**2, F_prime=lambda x: 2.0 * x))
-        A, B = _tiny_p_pair(2, 100)
-        for D in (swap_orientation(bregman), dataclasses.replace(named_divergence("kl"), generator=None)):
-            seen.clear()
-            psi(D, MixturePath(A, B), GRID)
-            f, edges, cfg, cuts, (values, err, evals) = seen[0]
-            plain, plain_err, plain_evals = quadrature.cumulative_integral(
-                f, edges, cfg, complement=True
-            )
-            assert cuts is None and evals == plain_evals
-            assert values.tobytes() == plain.tobytes() and err.tobytes() == plain_err.tobytes()
+    def test_coordinates_that_stay_put_cost_nothing(self):
+        # q_i = p_i holds w_i = 1 along the path: Phi(0) = 0 exactly.
+        chi2 = named_divergence("chi2")
+        A, B = _random_pair(2, 6)
+        ends = A.masses.copy()
+        ends[3:] = B.masses[3:] * ends[3:].sum() / B.masses[3:].sum()
+        partial = MixturePath(A, Distribution(ends))
+        assert psi(chi2, MixturePath(A, A), 0.6) == OperatorResult(0.0, 0.0, 0)
+        for t in (0.3, 1.0):
+            res = psi(chi2, partial, t)
+            assert res.evaluations > 0
+            assert res.value == pytest.approx(pl(1, A, mixture(partial, t)), rel=1e-14)
 
 
 def test_quadrature_config_reexported():

@@ -29,6 +29,16 @@ class TestClosedForms:
     def test_zero_argument(self, k):
         assert polylog(k, 0.0) == 0.0
 
+    def test_order_one_below_2_to_the_minus_53_warns_of_nothing(self):
+        # z = 1 - w rounds to 1 there; log1p(-z), the branch not taken,
+        # must not divide by zero on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = polylog(1, w=np.array([1e-20, 0.3]))
+            alone = polylog(1, w=1e-300)
+        assert values.tolist() == [-np.log(1e-20), -np.log(0.3)]
+        assert alone == -np.log(1e-300)
+
 
 class TestReferenceValues:
     @pytest.mark.parametrize(
