@@ -27,15 +27,14 @@ from .divergences import (
     path_derivative,
     swap_orientation,
 )
-from .quadrature import QuadratureConfig, cumulative_integral, integrate
+from .quadrature import QuadratureConfig, cumulative_integral
 from .chebyshev import ChebyshevInterpolant, lobatto_nodes
-from .polylog import polylog, polylog_integral, polylog_series
+from .polylog import polylog, polylog_series
 from .operators import (
     OperatorResult,
     psi,
     psi_inverse,
     psi_iter,
-    psi_roundtrip,
 )
 from .sequences import hellinger_psi, hellinger_psi_inverse, pl, sl
 from .verify import (
@@ -73,17 +72,14 @@ __all__ = [
     "swap_orientation",
     "QuadratureConfig",
     "cumulative_integral",
-    "integrate",
     "ChebyshevInterpolant",
     "lobatto_nodes",
     "polylog",
-    "polylog_integral",
     "polylog_series",
     "OperatorResult",
     "psi",
     "psi_inverse",
     "psi_iter",
-    "psi_roundtrip",
     "hellinger_psi",
     "hellinger_psi_inverse",
     "pl",

@@ -2,8 +2,10 @@
 
 Everything downstream works with full-support distributions over a finite
 set of outcomes, so all masses are strictly positive and every divergence
-formula is singularity free. The mixture path R(t) = (1-t) P + t Q is the
-central object: operators integrate and differentiate along it.
+formula is singularity free. A mass is at least the smallest normal float,
+so every ratio of two masses is finite. The mixture path
+R(t) = (1-t) P + t Q is the central object: operators integrate and
+differentiate along it.
 
 Masses of shape (m, n) are a stack of m distributions on one support of
 size n, each row validated on its own, and two stacks of equal shape make
@@ -29,6 +31,10 @@ RENORMALIZATION_WINDOW = 1e-9
 # Post-construction guarantee on the mass sum.
 SUM_TOLERANCE = 1e-12
 
+# The smallest mass, the smallest normal float: a mass of at most 1 over it
+# is at most 4.5e307, so every ratio q/p is finite. Below it q/p overflows.
+_MIN_MASS = float(np.finfo(float).tiny)
+
 
 def _require_shape(arr: np.ndarray) -> None:
     if arr.ndim not in (1, 2) or arr.shape[-1] < 2 or arr.shape[0] == 0:
@@ -40,8 +46,9 @@ def _require_shape(arr: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """Immutable probability vector with strictly positive masses, or a
-    stack of them: (m, n) masses are m distributions on n outcomes.
+    """Immutable probability vector with masses of at least the smallest
+    normal float, or a stack of them: (m, n) masses are m distributions on
+    n outcomes.
 
     Construct through :func:`new_distribution`, which applies the
     renormalization window. Direct construction demands already
@@ -53,8 +60,11 @@ class Distribution:
     def __post_init__(self) -> None:
         arr = np.asarray(self.masses, dtype=np.float64)
         _require_shape(arr)
-        if not (np.isfinite(arr).all() and (arr > 0.0).all()):
-            raise DomainError("masses must be finite and strictly positive")
+        if not (np.isfinite(arr).all() and (arr >= _MIN_MASS).all()):
+            raise DomainError(
+                f"masses must be finite and at least {_MIN_MASS!r}, the smallest "
+                "normal float"
+            )
         totals = arr.sum(axis=-1, keepdims=True)
         off = np.abs(totals - 1.0) > SUM_TOLERANCE
         if off.any():

@@ -11,12 +11,14 @@ and positions (m, L) only, and reshapes the result to the caller's form.
 Since ds/s is scale-free, the value at t is the value at the end of the
 truncation P -> R(t). With a generator, psi is Sum p Phi(log w),
 w = R(t)/P, Phi from chebyshev.level_kernel; without one it is a
-cumulative Gauss-Kronrod quadrature per path. psi_iter samples level 0 on
-P -> R(T), T the largest position, through _level_zero, fits it by one
-Chebyshev polynomial per group of coordinates in one doubling loop, and
-integrates the summed polynomial exactly, level after level, in its
-Chebyshev coefficients. Every operator requires a right-convex D and
-rejects any other before it checks anything else.
+cumulative Gauss-Kronrod quadrature per path, the package's one use of
+the quadrature. psi_iter samples level 0 on P -> R(T), T the largest
+position, through _level_zero, fits it by one Chebyshev polynomial per
+group of coordinates in one doubling loop, and integrates the summed
+polynomial exactly, level after level, in its Chebyshev coefficients.
+Every operator requires a right-convex D and rejects any other before it
+checks anything else. The check that applies psi and psi_inverse in both
+orders and recovers D lives with the tests (tests/operator_oracles.py).
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import numpy as np
 from .chebyshev import _BLOCK_CELLS, _EPS, _MAX_INTERVALS, ChebyshevInterpolant, level_kernel
 from .distributions import MixturePath, _caller_form, _lift_path, _mix
 from .divergences import DivergenceFunctional, Orientation, path_derivative
-from .errors import DomainError, require_index, require_position, require_positive
-from .quadrature import QuadratureConfig, cumulative_integral, integrate
+from .errors import DomainError, require_index, require_positive
+from .quadrature import QuadratureConfig, cumulative_integral
 
 __all__ = [
     "OperatorResult",
@@ -37,7 +39,6 @@ __all__ = [
     "psi",
     "psi_inverse",
     "psi_iter",
-    "psi_roundtrip",
 ]
 
 @dataclass(frozen=True)
@@ -231,7 +232,7 @@ def _psi_quadrature(D: DivergenceFunctional, p: np.ndarray, q: np.ndarray, t: np
     edges = np.concatenate(
         [np.zeros((len(t), 1)), np.take_along_axis(t, order, axis=-1) / top], axis=1
     )
-    running, err, evals = cumulative_integral(f, edges, cfg, complement=True)
+    running, err, evals = cumulative_integral(f, edges, cfg)
     values = np.empty(t.shape)
     np.put_along_axis(values, order, running[:, 1:], axis=-1)
     return values, err, evals
@@ -315,53 +316,3 @@ def psi_iter(
         levels[1:, np.all(p == q, axis=-1)] = 0.0
     levels[:, constant] = 0.0
     return levels.reshape((k + 1,) + shape)
-
-
-# Fourth-order first-derivative stencils, rows (steps, weights): the
-# derivative is Sum weights * f(t + h * steps) / (12 h). The one-sided
-# stencil serves near t = 0, and negated (mirrored) near t = 1.
-_CENTRAL_STENCIL = np.array([[-2.0, -1.0, 1.0, 2.0], [1.0, -8.0, 8.0, -1.0]])
-_ONE_SIDED_STENCIL = np.array(
-    [[0.0, 1.0, 2.0, 3.0, 4.0], [-25.0, 48.0, -36.0, 16.0, -3.0]]
-)
-
-
-# Internally tightened quadrature, so that the stencil division does not
-# amplify integration noise past the 1e-6 scale.
-_ROUNDTRIP_CFG = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-14)
-
-
-def psi_roundtrip(
-    D: DivergenceFunctional, path: MixturePath, t: float
-) -> tuple[float, float]:
-    """Apply the two operators in both orders at t; each should give back
-    D(start | R(t)).
-
-    The first component differentiates the numerically integrated operator
-    with a fourth-order stencil; the second integrates the differential
-    operator. Both use the tightened _ROUNDTRIP_CFG. t must lie in (0, 1],
-    and the path must be a single one.
-    """
-    _require_right_convex(D)
-    if path.stack_size is not None:
-        raise DomainError("psi_roundtrip takes a single path, not a stack")
-    t = require_position(t)
-    if t == 0.0:
-        raise DomainError("roundtrip position must be positive, got 0.0")
-    if path.is_constant:
-        return (0.0, 0.0)
-
-    h = 4e-6 * max(t, 0.1)
-    stencil = _CENTRAL_STENCIL
-    if t - 2.0 * h < 0.0:
-        stencil = _ONE_SIDED_STENCIL
-    elif t + 2.0 * h > 1.0:
-        stencil = -_ONE_SIDED_STENCIL
-    steps, weights = stencil
-    values = psi(D, path, t + h * steps, _ROUNDTRIP_CFG)
-    differentiated_integral = t * np.dot(weights, values) / (12.0 * h)
-
-    integrated_derivative, _, _ = integrate(
-        lambda s: psi_inverse(D, path, s) / s, 0.0, t, _ROUNDTRIP_CFG
-    )
-    return (float(differentiated_integral), float(integrated_derivative))

@@ -3,8 +3,8 @@
 Every entry point takes a scalar, which gives a float, or an array, which
 gives an array of the same shape. The kernel works on the pair z and
 w = 1 - z and takes each from the form the caller holds exactly:
-``polylog`` and ``polylog_integral`` take either. The pl sequence passes
-w = q/p, so no digits are lost to forming 1 - q/p as q/p -> 0.
+``polylog`` takes either. The pl sequence passes w = q/p, so no digits
+are lost to forming 1 - q/p as q/p -> 0.
 
 - Orders 0 and 1 use their closed forms z/w and -log w (-log1p(-z) for
   |z| <= 1/2).
@@ -39,15 +39,8 @@ alternating series ("An efficient algorithm for the Riemann zeta
 function", 2000). See Lewin, *Polylogarithms and Associated Functions*
 (1981), for the expansions.
 
-``polylog_integral`` integrates the Bose-Einstein representation
-
-    Li_k(z) = z / (k-1)! * Integral_0^inf x^(k-1) e^(-x) / (-expm1(-x) + w e^(-x)) dx
-
-in log x, each coordinate one row of edges refined on its own panels, all
-in one adaptive run. Its denominator 1 - z e^(-x) is written without
-cancellation, so w -> 0 (z -> 1) keeps every digit, and 1/(k-1)! enters
-the exponent, so every order stays finite. It shares nothing with the
-routes above and is kept as their cross-check.
+The tests check both routes against a quadrature of the Bose-Einstein
+representation, which shares nothing with them (tests/polylog_oracles.py).
 
 The module contract is 1e-12 relative accuracy.
 """
@@ -63,7 +56,6 @@ import numpy as np
 from .chebyshev import _BLOCK_CELLS
 from .distributions import _caller_form
 from .errors import DomainError, ToleranceError, require_index, require_orders
-from .quadrature import QuadratureConfig, cumulative_integral
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -80,15 +72,6 @@ _MU_TERMS = 20
 # Borwein's series for eta(s) with n terms errs by under 3 / (3 + sqrt 8)^n
 # for real s >= 2: 1.3e-18 at n = 24.
 _ETA_TERMS = 24
-_TAIL_BOUND = 1e-14
-_TAIL_REL_BOUND = 1e-15
-_LOG_TAIL = 40.0
-_INTEGRAL_PIECES = 8
-
-# The integrand is positive, so every integral is nonzero and a relative
-# target alone is well defined. An absolute floor would loosen the contract
-# for large |z|, where the integral is about (k-1)! Li_k(z) / z.
-_INTEGRAL_CFG = QuadratureConfig(rel_tol=1e-12, abs_tol=np.finfo(float).tiny)
 
 
 def _arguments(z, w) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -290,57 +273,6 @@ def _inversion_polynomial(k: int, big_l: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tail_cutoff(k: int, z: float) -> float:
-    # Truncation point X for the integral representation. For integer k the
-    # remainder past X is exactly |z| * A * e^(-X) * Sum_{j<k} X^j/j! with
-    # A = 1/(1 - max(z,0) e^(-X)); grow X until that is below both the
-    # absolute budget and a relative one, so small and huge z both stay
-    # within contract. The sum is formed in logs: X^j and j! each overflow
-    # a float long before their ratio does.
-    log_factorials = np.array([math.lgamma(j + 1.0) for j in range(k)])
-    x = 35.0
-    while True:
-        terms = np.arange(k) * math.log(x) - log_factorials
-        bound = math.exp(np.logaddexp.reduce(terms) - x)
-        bound /= 1.0 - max(z, 0.0) * math.exp(-x)
-        if bound < _TAIL_REL_BOUND and abs(z) * bound < _TAIL_BOUND:
-            return x
-        x += 5.0
-
-
-def _integral(k: int, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # The bound grows with |z| on either side of 0, so the extreme
-    # arguments set the cutoff every coordinate shares.
-    cutoff = max(_tail_cutoff(k, float(z.min())), _tail_cutoff(k, float(z.max())))
-    # Integrate in u = log x. Near z = 1 the integrand turns over at x ~ w,
-    # which a panel starting at x = 0 cannot see below its first node; in u
-    # that turn sits at log w and is resolved like any other feature. The
-    # denominator is a convex combination of w and 1, and at least w/e for
-    # x <= 1, so below the lower limit L the integrand is under
-    # e^(k u) / min(w, 1) and e^(k u + 1) / w. The part left out is then
-    # under e^(2 - _LOG_TAIL) of the integral, which is at least 1 for
-    # z >= 0.95 and at least 0.6 / w for z <= -0.95.
-    lower = math.log(min(float(w.min()), 1.0)) - _LOG_TAIL / k
-    log_factorial = math.lgamma(k)
-
-    def integrand(u, rows):
-        # x^k e^(-x) / ((k-1)! (1 - z e^(-x))) with x = e^u; the exp(-x)
-        # form stays finite however large the cutoff gets, and 1/(k-1)!
-        # in the exponent keeps x^k finite at every order.
-        x = np.exp(u)
-        out = w[rows, None] * np.exp(-x)
-        out -= np.expm1(-x)
-        return np.divide(np.exp(k * u - x - log_factorial), out, out=out)
-
-    # The integrand is positive, so holding each piece to the relative
-    # tolerance holds the whole integral to it; starting from several
-    # pieces, each refined in every round, takes fewer rounds than one.
-    edges = np.linspace(lower, math.log(cutoff), _INTEGRAL_PIECES + 1)
-    edges = np.broadcast_to(edges, (z.size, edges.size))
-    values, _, _ = cumulative_integral(integrand, edges, _INTEGRAL_CFG)
-    return z * values[:, -1]
-
-
 def polylog_series(k, z):
     """Direct power-series summation, for |z| comfortably below 1.
 
@@ -353,21 +285,6 @@ def polylog_series(k, z):
     if np.any(z < -1.0):  # _arguments has rejected z >= 1
         raise DomainError(f"the series diverges for |z| > 1, got {float(z[z < -1.0][0])!r}")
     return _caller_form(_series((k,), z)[0], shape)
-
-
-def polylog_integral(k, z=None, *, w=None):
-    """Quadrature of the integral representation; valid for any z < 1.
-
-    Takes z or, like ``polylog``, w = 1 - z. All coordinates share one
-    adaptive run, each refined on its own panels. No other route uses it:
-    it is the independent cross-check of the series and the closed
-    expansions.
-    """
-    k = require_index(k, minimum=1)
-    z, w, shape = _arguments(z, w)
-    if z.size == 0:
-        return _caller_form(z, shape)
-    return _caller_form(_integral(k, z, w), shape)
 
 
 def polylog(k, z=None, *, w=None):

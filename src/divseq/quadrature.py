@@ -1,15 +1,15 @@
 """Adaptive Gauss-Kronrod quadrature with batched integrand evaluation.
 
 Edges come in rows, one running integral per row, and the work list holds
-segments, each owned by one row. The integrand is called as f(x, rows),
-or f(x, rows, rest) with rest = 1 - x kept to its relative precision
-near x = 1, and evaluates each panel for its own row only, so a row's
-panels, splits and budget are its own; ``integrate`` is the one-row
-case. A segment starts as one panel. Each refinement round gathers the
-worst panel of every unconverged segment and evaluates all of their
-children in one call, which keeps the number of Python-level round trips
-small even when the integrand itself is expensive (for example a
-divergence evaluated along a mixture path).
+segments, each owned by one row. The integrand is called as
+f(x, rows, rest), with rest = 1 - x kept to its relative precision near
+x = 1, and evaluates each panel for its own row only, so a row's panels,
+splits and budget are its own. Its one caller in the package is psi's
+route for a divergence without a generator. A segment starts as one
+panel. Each refinement round gathers the worst panel of every unconverged
+segment and evaluates all of their children in one call, which keeps the
+number of Python-level round trips small even when the integrand itself
+is expensive (for example a divergence evaluated along a mixture path).
 """
 
 from __future__ import annotations
@@ -196,44 +196,20 @@ def _integrate_segments(
         pe = np.concatenate([pe[keep], ce])
 
 
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    config: QuadratureConfig,
-) -> tuple[float, float, int]:
-    """Return (value, error_estimate, evaluations) for the integral over [a, b].
-
-    f gets a 1-d array of abscissae and returns one value for each. This is
-    ``cumulative_integral`` on the one row of edges [[a, b]].
-    """
-
-    def one_row(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        vals = np.asarray(f(x.ravel()), dtype=float)
-        if vals.shape != (x.size,):
-            raise DomainError(f"integrand gave shape {vals.shape}, not ({x.size},)")
-        return vals.reshape(x.shape)
-
-    values, err, neval = cumulative_integral(one_row, [[a, b]], config)
-    return float(values[0, -1]), float(err[0]), neval
-
-
 def cumulative_integral(
-    f: Callable[..., np.ndarray],
+    f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     edges: Sequence[Sequence[float]] | np.ndarray,
     config: QuadratureConfig,
-    complement: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Integrals from edges[:, 0] to every edge, one running integral per row.
 
     Edges have shape (rows, k), k >= 2, nondecreasing along each row.
-    f(x, rows) gets abscissae x (panels, 15) and each panel's row and
-    returns x's shape; with complement, f(x, rows, rest) also gets rest,
-    1 - x to its own relative precision, which 1.0 - x loses where x
-    rounds near 1. Each row is refined as it would be alone, and an empty
-    segment adds exactly 0.0. Returns an array shaped like ``edges``
-    (first column exactly 0.0), each row's summed error estimate and the
-    evaluation count.
+    f(x, rows, rest) gets abscissae x (panels, 15), each panel's row and
+    rest, 1 - x to its own relative precision, which 1.0 - x loses where
+    x rounds near 1, and returns x's shape. Each row is refined as it
+    would be alone, and an empty segment adds exactly 0.0. Returns an
+    array shaped like ``edges`` (first column exactly 0.0), each row's
+    summed error estimate and the evaluation count.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 2 or edges.shape[1] < 2:
@@ -242,7 +218,6 @@ def cumulative_integral(
         raise DomainError("integration edges must be finite")
     if np.any(np.diff(edges) < 0.0):
         raise DomainError("integration edges must be nondecreasing")
-    g = f if complement else lambda x, rows, rest: f(x, rows)
-    seg_vals, seg_errs, neval = _integrate_segments(g, edges, config)
+    seg_vals, seg_errs, neval = _integrate_segments(f, edges, config)
     running = np.concatenate([np.zeros((len(edges), 1)), np.cumsum(seg_vals, axis=1)], 1)
     return running, seg_errs.sum(axis=1), neval

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .distributions import _caller_form, _lift_pair
+from .distributions import _caller_form, _lift_pair, _mix
 from .divergences import named_divergence
 from .errors import require_orders, require_position
 from .polylog import _by_order, _series, polylog
@@ -106,8 +106,7 @@ def _chain(name: str, first: int, depth: int, P, R) -> np.ndarray:
 
 def _mixture_rows(P, Q, t) -> tuple[np.ndarray, np.ndarray, tuple]:
     p, q, shape = _lift_pair(P, Q)
-    t = require_position(t)
-    return p, (1.0 - t) * p + t * q, shape
+    return p, _mix(p, q, np.full(len(p), require_position(t))), shape
 
 
 def _root_gap(p: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -15,10 +15,11 @@ import numpy as np
 
 from divseq.distributions import MixturePath, mixture, new_distribution, random_distribution
 from divseq.divergences import evaluate, named_divergence
-from divseq.operators import psi, psi_inverse, psi_iter, psi_roundtrip
-from divseq.polylog import polylog, polylog_integral, polylog_series
+from divseq.operators import psi, psi_inverse, psi_iter
+from divseq.polylog import polylog, polylog_series
 from divseq.sequences import hellinger_psi, hellinger_psi_inverse, pl, sl
-from polylog_oracles import polylog_recurrence_check
+from operator_oracles import psi_roundtrip
+from polylog_oracles import polylog_integral, polylog_recurrence_check
 
 
 def _report(number: int, ok: bool, detail: str) -> str:

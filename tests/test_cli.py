@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,17 @@ class TestEval:
         code, _, err = run_cli(capsys, ["eval", "--div", "kl", "--pair", bad])
         assert code == 2
         assert err != ""
+
+    def test_subnormal_mass_exits_2(self, capsys):
+        # Rejected before any ratio q/p can overflow, so no RuntimeWarning.
+        bad = '{"p":[1e-310,1],"q":[0.5,0.5]}'
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(
+                capsys, ["eval", "--div", "chi2", "--depth", "1", "--pair", bad]
+            )
+        assert (code, out) == (2, "")
+        assert "smallest normal" in err
 
     @pytest.mark.parametrize("command", ["eval", "sweep"])
     @pytest.mark.parametrize(

@@ -52,6 +52,19 @@ def test_zero_mass_rejected():
         new_distribution([0.5, 0.0, 0.5])
 
 
+def test_subnormal_mass_rejected():
+    # Below the smallest normal float a ratio q/p of masses can overflow;
+    # at it, every ratio is finite.
+    tiny = np.finfo(float).tiny
+    with pytest.raises(DomainError, match="smallest normal"):
+        new_distribution([1e-310, 1.0])
+    with pytest.raises(DomainError):
+        Distribution(np.array([[0.5, 0.5], [np.nextafter(tiny, 0.0), 1.0]]))
+    d = new_distribution([tiny, 1.0])
+    with np.errstate(over="raise"):
+        assert np.isfinite(0.5 / d.masses).all()
+
+
 def test_negative_mass_rejected():
     with pytest.raises(DomainError):
         new_distribution([1.2, -0.2])

