@@ -15,8 +15,8 @@ residual meets its share of the target, and the groups' interpolants are
 added in Chebyshev coefficients, zero-padded to the largest node count.
 lifts(k) integrates over s exactly in Chebyshev coefficients, k times in a
 row, and takes every level's values from one inverse DCT; lifted() is its
-one-level case. level_kernel is psi's integral in v = log w of a
-generator, built on pieces of v anchored at 0 (first-kind points).
+one-level case. level_kernel gives psi's iterates 1..k in v = log w of a
+generator, on one set of pieces of v anchored at 0 (first-kind points).
 """
 
 from __future__ import annotations
@@ -40,10 +40,13 @@ _BLOCK_CELLS = 1 << 14
 _INITIAL_INTERVALS = 16
 _MAX_INTERVALS = 2**14
 # level_kernel samples each piece at this many first-kind Chebyshev points and
-# halves pieces at most this many times a call; its finest cut is 2^-30.
+# halves pieces at most this many times a call. Its finest cut is 2^-30, or
+# 2^-12 with levels above 1, which carry a generator's rounding at w = 1
+# (swap(kl)'s w log(1/w) rounds 1/w) on about log(1/cut) times each.
 _KERNEL_NODES = 24
 _MAX_HALVINGS = 1000
 _FINEST_CUT = -30
+_ITERATED_CUT = -12
 _EPS = np.finfo(float).eps
 
 
@@ -354,14 +357,15 @@ class ChebyshevInterpolant:
 
 
 @cache
-def _kernel_matrices() -> tuple[np.ndarray, np.ndarray]:
-    """The first-kind points x_j = cos(pi (j + 1/2) / N), and a map from
-    values there to the coefficients of the interpolant's antiderivative
-    from x = -1 (rows 0..N), its constant term from x = 1 (row N + 1), the
-    interpolant's last two coefficients and its integral over [-1, 1]."""
+def _kernel_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first-kind points x_j = cos(pi (j + 1/2) / N); a map from values
+    there to the interpolant's antiderivative from x = -1 (rows 0..N), its
+    constant term from x = 1 (row N + 1), the interpolant's last two
+    coefficients and its integral over [-1, 1]; and T_k(x_j), k <= N."""
     n = _KERNEL_NODES
     x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
-    c = 2.0 / n * np.cos(np.outer(np.arange(n + 2), np.arccos(x)))  # c_0 not halved
+    chebyshev = np.cos(np.outer(np.arange(n + 2), np.arccos(x)))
+    c = 2.0 / n * chebyshev  # c_0 not halved
     c[n:] = 0.0
     # Integral of Sum' c_k T_k: C_k = (c_{k-1} - c_{k+1}) / (2k), then C_0.
     maps, k = np.zeros((n + 5, n)), np.arange(1, n + 1)[:, None]
@@ -369,80 +373,101 @@ def _kernel_matrices() -> tuple[np.ndarray, np.ndarray]:
     maps[0] = -np.sum((-1.0) ** k * maps[1 : n + 1], axis=0)
     maps[n + 1] = -np.sum(maps[1 : n + 1], axis=0)
     maps[n + 2 : n + 4], maps[n + 4] = c[n - 2 : n], maps[0] - maps[n + 1]
-    return x, maps
+    return x, maps, chebyshev[: n + 1]
 
 
-def level_kernel(phi: Callable, v: np.ndarray, rel_tol: float, abs_tol: float):
-    """Phi(v) = Integral_0^v phi(e^u) / (1 - e^-u) du at nonzero v (1-d). For
-    D = Sum p phi(r/p), psi[D] is Sum p Phi(log w), w = r/p at its end.
+def level_kernel(phi: Callable, v: np.ndarray, rel_tol: float, abs_tol: float, k: int = 1):
+    """Phi_1..Phi_k at nonzero v (1-d), Phi_j(v) = Integral_0^v Phi_{j-1}(u)
+    / (1 - e^-u) du from Phi_0(v) = phi(e^v). For D = Sum p phi(r/p),
+    psi^j[D] is Sum p Phi_j(log w), w = r/p at its end.
 
-    Phi is built on the pieces [2j, 2j + 2] out to v, those next to 0 cut
-    at +-4^e down to 2^_FINEST_CUT, so that Phi keeps its relative
-    precision there. Each piece is sampled at the first-kind points (at
-    u = log e^u, so that phi and w / (w - 1) see one w), integrated
-    exactly in its Chebyshev coefficients from its end nearer 0, and its
-    outer end's value carried outward from 0 by a cumulative sum. A piece
-    whose tail bound 2h (|c_N-2| + |c_N-1|), h its half-width, exceeds
-    max(abs_tol, rel_tol h max|values|) is halved, _MAX_HALVINGS times in
-    all before ToleranceError. So Phi(v) depends on phi, v and the
-    tolerances alone. Returns Phi, bounds on its error (the tail bounds
-    carried out to v, and v's rounding) and phi's evaluation count.
+    The levels share the pieces [2j, 2j + 2] out to v, those next to 0 cut
+    at +-4^e down to 2^_FINEST_CUT (2^_ITERATED_CUT for k > 1), so that
+    they keep their relative precision there. On each piece level j's
+    integrand is sampled at the first-kind points: phi(w) w / (w - 1) at
+    w = e^u for level 1 (so that phi and w / (w - 1) see one w), and above
+    it level j - 1's series plus its carried constant, over 1 - e^-u. It
+    is integrated exactly in its Chebyshev coefficients from the piece's
+    end nearer 0, and its outer end's value carried outward from 0 by a
+    cumulative sum. A piece whose tail bound 2h (|c_N-2| + |c_N-1|) at any
+    level, h its half-width, exceeds max(abs_tol, rel_tol h max|values|) is
+    halved, _MAX_HALVINGS times in all before ToleranceError. So the
+    levels at v depend on phi, v, k and the tolerances alone. Returns the
+    levels (k, len(v)), bounds on their errors (tail bounds and the level
+    below's bound through the integral, carried out to v, and v's
+    rounding) and phi's evaluation count.
     """
     if not np.isfinite(v).all():  # w = r/p overflowed or underflowed
         raise NonFiniteError("level kernel points must be finite")
-    (x, maps), n, counted = _kernel_matrices(), _KERNEL_NODES, [0]
+    (x, maps, chebyshev), n, counted = _kernel_matrices(), _KERNEL_NODES, [0]
 
-    def sample(a: np.ndarray, b: np.ndarray) -> tuple[list, np.ndarray]:
-        half = 0.5 * (b - a)
-        w = np.exp(0.5 * (a + b)[:, None] + half[:, None] * x)
+    def sample(a: np.ndarray, b: np.ndarray) -> list:
+        u = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x
+        w = np.exp(u)
         g = phi(w) * (w / (w - 1.0))
         counted[0] += g.size
         if not np.isfinite(g).all():
             raise NonFiniteError("generator returned a non-finite value")
-        # einsum sums each row in one order, where a BLAS product's order
-        # would change with the count of rows, and a value with the call.
-        c = half[:, None] * np.einsum("pj,kj->pk", g, maps)
-        # The series from the end nearer 0, and the value at the other end.
-        below = b <= 0.0
-        c[:, 0], c[:, n + 1] = np.where(below, c[:, n + 1], c[:, 0]), (1 - 2 * below) * c[:, -1]
-        bound, scale = 2.0 * np.abs(c[:, n + 2 : n + 4]).sum(axis=1), np.abs(g).max(axis=1)
-        return [a, b, c, bound, scale], bound <= np.maximum(abs_tol, rel_tol * half * scale)
+        return [a, b, u, g]
 
     lefts = np.arange(2.0 * np.floor(min(v.min(), 0.0) / 2.0), max(v.max(), 0.0), 2.0)
-    near = np.ldexp(1.0, np.arange(_FINEST_CUT, 1, 2))
+    near = np.ldexp(1.0, np.arange(_FINEST_CUT if k == 1 else _ITERATED_CUT, 1, 2))
     # Even integers and +-4^e are distinct (np.unique would import numpy.ma).
     edges = np.sort(np.concatenate([lefts, [lefts[-1] + 2.0], -near, near]))
     edges = edges[(edges >= lefts[0]) & (edges <= lefts[-1] + 2.0)]
-    parts, fits = sample(edges[:-1], edges[1:])
-    kept, halvings = [[part[fits] for part in parts]], 0
-    while not fits.all():
+    parts, halvings = sample(edges[:-1], edges[1:]), 0
+    while True:
+        # Every level on every piece, sorted, as each carries the ones inside.
+        order = np.argsort(parts[0])
+        a, b, u, g = parts = [part[order] for part in parts]
+        half, below = 0.5 * (b - a), b <= 0.0
+        inner, shift = np.count_nonzero(below), np.arange(len(b)) + below
+
+        def carried(x: np.ndarray) -> np.ndarray:
+            """Sums of x over the pieces between 0 and each piece."""
+            sums = [np.cumsum(x[:inner][::-1])[::-1], [0.0], np.cumsum(x[inner:])]
+            return np.concatenate(sums)[shift]
+
+        spread, bound, fits = 0.0, 0.0, True
+        if k > 1:
+            # Level j - 1's error reaches level j times |Integral of du /
+            # (1 - e^-u)| over each piece; 2 on a piece at 0, as it grows like u.
+            with np.errstate(divide="ignore"):
+                spread = np.abs(np.log(np.abs(np.expm1(b) / np.expm1(a))))
+            spread[np.isinf(spread)] = 2.0
+        columns, (bounds, scales) = np.empty((n + 1, k, len(b))), np.empty((2, k, len(b)))
+        for level in range(k):
+            if level:
+                g = np.einsum("pk,kj->pj", c[:, : n + 1], chebyshev) / -np.expm1(-u)
+            # einsum sums each row in one order, where a BLAS product's order
+            # would change with the count of rows, and a value with the call.
+            c = half[:, None] * np.einsum("pj,kj->pk", g, maps)
+            # The series from the end nearer 0, and the value at the other end.
+            c[:, 0], c[:, n + 1] = np.where(below, c[:, n + 1], c[:, 0]), (1 - 2 * below) * c[:, -1]
+            own, scale = 2.0 * np.abs(c[:, n + 2 : n + 4]).sum(axis=1), np.abs(g).max(axis=1)
+            fits = fits & (own <= np.maximum(abs_tol, rel_tol * half * scale))
+            bound = own + spread * bound
+            c[:, 0] += carried(c[:, n + 1])
+            bound = bound + carried(bound)
+            columns[:, level], bounds[level], scales[level] = c[:, : n + 1].T, bound, scale
+        if fits.all():
+            break
         halvings += np.count_nonzero(~fits)
         if halvings > _MAX_HALVINGS:
             raise ToleranceError(f"level kernel missed its target after {halvings} halvings")
-        a, b = parts[0][~fits], parts[1][~fits]
-        mid = 0.5 * (a + b)
-        parts, fits = sample(np.concatenate([a, mid]), np.concatenate([mid, b]))
-        kept.append([part[fits] for part in parts])
-    order = np.argsort(np.concatenate([part[0] for part in kept]))
-    a, b, c, bound, scale = (np.concatenate(part)[order] for part in zip(*kept))
-    below = b <= 0.0
-    inner, shift = np.count_nonzero(below), np.arange(len(b)) + below
-
-    def carried(x: np.ndarray) -> np.ndarray:
-        """Sums of x over the pieces between 0 and each piece."""
-        sums = [np.cumsum(x[:inner][::-1])[::-1], [0.0], np.cumsum(x[inner:])]
-        return np.concatenate(sums)[shift]
-
-    c[:, 0] += carried(c[:, n + 1])
-    bound += carried(bound)
+        mid = 0.5 * (a + b)[~fits]
+        halves = sample(np.concatenate([a[~fits], mid]), np.concatenate([mid, b[~fits]]))
+        parts = [np.concatenate([part[fits], more]) for part, more in zip(parts, halves)]
     # A piece holds v on its closed outer end: (a, b] above 0, [a, b) below.
     edges = np.append(a, b[-1])
     j = np.where(v > 0.0, np.searchsorted(edges, v), np.searchsorted(edges, v, "right")) - 1
-    t, columns = (v - 0.5 * (a + b)[j]) / (0.5 * (b - a))[j], c[:, : n + 1].T.copy()
-    # Clenshaw's recurrence, one coefficient column gathered at a time.
+    t = np.concatenate([(v - 0.5 * (a + b)[j]) / (0.5 * (b - a))[j]] * k)
+    # Clenshaw's recurrence for all levels in one flat run, one coefficient
+    # column gathered at a time: level i's piece j is entry i * pieces + j.
+    at = np.concatenate([j + i * len(a) for i in range(k)])
     b1, b2, twice = np.zeros_like(t), np.zeros_like(t), 2.0 * t
     for column in columns[:0:-1]:
-        b1, b2 = column[j] + twice * b1 - b2, b1
+        b1, b2 = column.take(at) + twice * b1 - b2, b1
     # v is rounded by eps |v| in t, and by about 2 eps in the w it came from.
-    rounding = scale[j] * (np.abs(v) + 2.0) * _EPS
-    return columns[0][j] + t * b1 - b2, bound[j] + rounding, counted[0]
+    bounds = bounds.take(at) + scales.take(at) * np.concatenate([np.abs(v) + 2.0] * k) * _EPS
+    return (columns[0].take(at) + t * b1 - b2).reshape(k, -1), bounds.reshape(k, -1), counted[0]

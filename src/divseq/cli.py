@@ -175,6 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Evaluate divergences, operator sweeps, and property checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tol_help = "target of psi_iter's level-0 fit residual, or of each level-kernel piece"
 
     ev = sub.add_parser("eval", help="print a single value")
     _add_pair_flags(ev)
@@ -185,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument(
         "--depth", type=int, help="operator applications (with --div, default 0)"
     )
-    ev.add_argument("--tol", type=float, help="level-0 fit residual target")
+    ev.add_argument("--tol", type=float, help=tol_help)
     ev.set_defaults(handler=_cmd_eval)
 
     sw = sub.add_parser("sweep", help="print a (t, k, value) table")
@@ -196,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--t", required=True, help="inclusive grid start:stop:count, count >= 2"
     )
     sw.add_argument("--depth", type=int, default=0, help="levels 0..depth per t")
-    sw.add_argument("--tol", type=float, help="level-0 fit residual target")
+    sw.add_argument("--tol", type=float, help=tol_help)
     sw.add_argument("--format", choices=("csv", "json"), default="csv")
     sw.set_defaults(handler=_cmd_sweep)
 

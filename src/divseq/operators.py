@@ -12,10 +12,11 @@ Since ds/s is scale-free, the value at t is the value at the end of the
 truncation P -> R(t). With a generator, psi is Sum p Phi(log w),
 w = R(t)/P, Phi from chebyshev.level_kernel; without one it is a
 cumulative Gauss-Kronrod quadrature per path, the package's one use of
-the quadrature. psi_iter samples level 0 on P -> R(T), T the largest
-position, through _level_zero, fits it by one Chebyshev polynomial per
-group of coordinates in one doubling loop, and integrates the summed
-polynomial exactly, level after level, in its Chebyshev coefficients.
+the quadrature. psi_iter takes Sum p Phi_j(log w) from the same kernel
+where that is predicted to cost less, or samples level 0 on P -> R(T),
+T the largest position, fits it by one Chebyshev polynomial per group of
+coordinates in one doubling loop, and integrates the summed polynomial
+exactly, level after level, in its Chebyshev coefficients.
 Every operator requires a right-convex D and rejects any other before it
 checks anything else. The check that applies psi and psi_inverse in both
 orders and recovers D lives with the tests (tests/operator_oracles.py).
@@ -27,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import _BLOCK_CELLS, _EPS, _MAX_INTERVALS, ChebyshevInterpolant, level_kernel
+from .chebyshev import (
+    _BLOCK_CELLS, _EPS, _KERNEL_NODES, _MAX_INTERVALS, ChebyshevInterpolant, level_kernel,
+)
 from .distributions import MixturePath, _caller_form, _lift_path, _mix
 from .divergences import DivergenceFunctional, Orientation, path_derivative
 from .errors import DomainError, require_index, require_positive
@@ -115,11 +118,20 @@ def _level_zero(D: DivergenceFunctional, p: np.ndarray, r: np.ndarray):
 # nodes; 2 cores, Python 3.11). Over the doublings up to a final count of N
 # nodes that is about this many cells per row times N (see _column_groups).
 _DCT_CELLS = 40
+# psi_iter predicts the level kernel's cost as k m L n (_KERNEL_NODES + 1)
+# cells, each worth about this many of the fit's predicted cells (sampling,
+# residual DCTs and (k + 1) m L N evaluation, from _column_groups). So it took
+# the kernel on all 108 generator chain calls of run_suite at seeds 101 and
+# 202 and on 8 of the 80 sweep inputs of those seeds, none of which ran slower
+# on it than on the fit (2 cores, Python 3.11; BENCH_33.json).
+_KERNEL_CELL_COST = 2.0
 
 
-def _column_groups(p: np.ndarray, q: np.ndarray) -> list[np.ndarray | slice]:
+def _column_groups(p: np.ndarray, q: np.ndarray) -> tuple[list[np.ndarray | slice], int, int]:
     """Column groups of endpoint rows p, q (m, n) to fit level 0 by, easiest
-    first: index arrays, or [slice(None)] where no split can pay. psi_iter
+    first: index arrays, or [slice(None)] where no split can pay; then the
+    fit's predicted cells per row (each group's columns plus _DCT_CELLS,
+    times its nodes, summed) and its largest predicted node count. psi_iter
     passes the truncated path's end R(T) as q and fits in u = s / T.
 
     r_i = p_i (1 - u z_i), z_i = 1 - q_i/p_i, vanishes at x = 2/z_i - 1 in
@@ -158,9 +170,12 @@ def _column_groups(p: np.ndarray, q: np.ndarray) -> list[np.ndarray | slice]:
         if capped or size * (nodes[harder] - nodes[j]) > _DCT_CELLS * nodes[j]:
             label[j + 1 :] += 1
             size = 0
+    # Each group's predicted node count is its hardest bin's.
+    hardest, columns = {label[j]: nodes[j] for j in bins}, np.bincount(label, counts)
+    cells = sum((int(c) + _DCT_CELLS) * hardest[g] for g, c in enumerate(columns))
     if label[-1] == 0:
-        return [slice(None)]
-    return [np.flatnonzero(label[octave] == g) for g in range(label[-1] + 1)]
+        return [slice(None)], cells, nodes[-1]
+    return [np.flatnonzero(label[octave] == g) for g in range(label[-1] + 1)], cells, nodes[-1]
 
 
 def psi(
@@ -184,29 +199,31 @@ def psi(
     _require_right_convex(D)
     cfg = QuadratureConfig() if cfg is None else cfg
     p, q, t, shape = _lift_path(path, t)
-    route = _psi_quadrature if D.generator is None else _psi_kernel
-    values, err, evals = route(D, p, q, t, cfg)
+    if D.generator is None:
+        values, err, evals = _psi_quadrature(D, p, q, t, cfg)
+    else:
+        (values,), (err,), evals = _psi_kernel(D, p, q, t, 1, cfg.rel_tol, cfg.abs_tol)
     if shape == ():
         return OperatorResult(float(values[0, 0]), float(err[0]), evals)
     return values.reshape(shape)
 
 
-def _psi_kernel(D: DivergenceFunctional, p: np.ndarray, q: np.ndarray, t: np.ndarray, cfg):
-    """Sum p Phi(log w), w = R(t)/P, on endpoint rows (m, n) at positions
-    (m, L): values (m, L), each row's estimate and the evaluation count.
-    w is _level_zero's (1 - u) + u R(t)/P at u = 1, R(t)/P bitwise; a
-    coordinate with q_i = p_i has w = 1 all along and adds +0.0."""
+def _psi_kernel(D: DivergenceFunctional, p, q, t, k: int, rel_tol: float, abs_tol: float):
+    """Sum p Phi_j(log w), w = R(t)/P, j = 1..k, on endpoint rows (m, n) at
+    positions (m, L): values (k, m, L), estimates (k, m) and the evaluation
+    count. w is _level_zero's (1 - u) + u R(t)/P at u = 1, R(t)/P bitwise;
+    a coordinate with q_i = p_i has w = 1 all along and adds +0.0."""
     v = np.log(_mix(p, q, t) / p[:, None])
     moving = (v != 0.0) & (p != q)[:, None]
-    terms, bounds, evals = np.zeros(v.shape), np.zeros(v.shape), 0
+    terms, bounds, evals = np.zeros((k,) + v.shape), np.zeros((k,) + v.shape), 0
     if moving.any():
-        terms[moving], bounds[moving], evals = level_kernel(
-            D.generator, v[moving], cfg.rel_tol, cfg.abs_tol
-        )
+        values, errors, evals = level_kernel(D.generator, v[moving], rel_tol, abs_tol, k)
+        for j in range(k):  # a boolean mask alone indexes ten times faster than [:, mask]
+            terms[j][moving], bounds[j][moving] = values[j], errors[j]
     terms *= p[:, None]
     # A rounding floor: a few ulps of each term, in the kernel and the sum.
     bounds = bounds * p[:, None] + 4.0 * _EPS * np.abs(terms)
-    return terms.sum(axis=-1), bounds.sum(axis=(1, 2)), evals
+    return terms.sum(axis=-1), bounds.sum(axis=(-2, -1)), evals
 
 
 def _psi_quadrature(D: DivergenceFunctional, p: np.ndarray, q: np.ndarray, t: np.ndarray, cfg):
@@ -267,27 +284,37 @@ def psi_iter(
     On a single path t_grid is a 1-d grid and the result is (k + 1, len);
     on a stack of m paths it has shape (m,) or (m, k') and the result
     (k + 1, m) or (k + 1, m, k'). Level 0 is D itself evaluated along the
-    path. Above it, since ds/s is scale-free, the levels at t on P -> Q are
-    those at u = t / T on P -> R(T), T the path's largest grid position
-    (R(1) = Q bitwise), so level 0 is fitted only where the grid reaches:
-    one Chebyshev interpolant of it on P -> R(T) of every path is
-    integrated over u exactly, level after level, in its coefficients, and
-    all levels are evaluated on the grid in one call. D sums
-    per-coordinate terms, so level 0 is fitted by groups of them
-    (_column_groups on P and R(T)) in one doubling loop, each group
-    sampled by _level_zero until its residual at fresh nodes meets its
-    share of tol on every path (fit_adaptive with running groups); the
-    groups' interpolants are added in Chebyshev coefficients and lifted
-    from the sum. The fit's nodes are the exact Chebyshev points, 1 - u
-    taken from the mirrored node. Rows are nonincreasing in the level at
-    every grid point; a constant path gives zeros, and so does a constant
-    truncation (R(T) = P) above level 0.
+    path. Above it one integrator serves the whole call, the one predicted
+    to cost less before any sampling (_KERNEL_CELL_COST); a D without a
+    generator, or with a column predicted at the node cap, takes the fit.
 
-    No level is refitted or integrated numerically, so every level's error
-    is the level-0 residual r (summed over groups) carried through psi: at
-    most about |r| log(1/u_1) at level 1, where u_1 ~ (pi / 2n)^2 is the
-    first node above 0 for n intervals, that is, about log(n) times the
-    residual, and about that factor again at each further level.
+    The kernel gives level j as Sum p Phi_j(log w), w = R(t)/P
+    (chebyshev.level_kernel), at each position alone. The fit uses that
+    ds/s is scale-free: the levels at t on P -> Q are those at u = t / T on
+    P -> R(T), T the path's largest grid position (R(1) = Q bitwise), so
+    level 0 is fitted only where the grid reaches: one Chebyshev
+    interpolant of it on P -> R(T) of every path is integrated over u
+    exactly, level after level, in its coefficients, and all levels are
+    evaluated on the grid in one call. D sums per-coordinate terms, so
+    level 0 is fitted by groups of them (_column_groups on P and R(T)) in
+    one doubling loop, each group sampled by _level_zero until its
+    residual at fresh nodes meets its share of tol on every path
+    (fit_adaptive with running groups); the groups' interpolants are added
+    in Chebyshev coefficients and lifted from the sum. The fit's nodes are
+    the exact Chebyshev points, 1 - u taken from the mirrored node. Rows
+    are nonincreasing in the level at every grid point; a constant path
+    gives zeros, and so does a constant truncation (R(T) = P) above level 0.
+
+    On the kernel route each piece of v = log w meets
+    max(tol, tol h max|integrand|) at every level, h its half-width, and a
+    level's error at v is at most those bounds summed from 0 to v, plus the
+    level below's through the integral. On the fit route no level is
+    refitted or integrated numerically, so every level's error is the
+    level-0 residual r (summed over groups) carried through psi: at most
+    about |r| log(1/u_1) at level 1, where u_1 ~ (pi / 2n)^2 is the first
+    node above 0 for n intervals, that is, about log(n) times the
+    residual, and about that factor again at each further level. Either
+    route raises ToleranceError if it misses tol.
     """
     _require_right_convex(D)
     tol = require_positive(tol, "tol")
@@ -301,18 +328,24 @@ def psi_iter(
     if k > 0:
         # ds/s is scale-free: above level 0, P -> Q at t is P -> R(T) at t / T.
         top = np.maximum(t.max(axis=-1, keepdims=True), 5e-324)
-        q = _mix(p, q, top[:, 0])
-        # One doubling loop fits every group; it clears a group's entry of
-        # running once the group stops, and the group is then not sampled.
-        groups = [_level_zero(D, p[:, cols], q[:, cols]) for cols in _column_groups(p, q)]
-        running, rows = np.ones(len(groups), dtype=bool), np.arange(len(p))
+        r = _mix(p, q, top[:, 0])
+        columns, cells, nodes = _column_groups(p, r)
+        kernel_cells = _KERNEL_CELL_COST * k * t.size * p.shape[-1] * (_KERNEL_NODES + 1)
+        fit_cells = len(p) * cells + (k + 1) * t.size * nodes
+        if D.generator is not None and nodes < _MAX_INTERVALS and kernel_cells < fit_cells:
+            levels[1:] = _psi_kernel(D, p, q, t, k, tol, tol)[0]
+        else:
+            # One doubling loop fits every group; it clears a group's entry
+            # of running once the group stops, and it is then not sampled.
+            groups = [_level_zero(D, p[:, cols], r[:, cols]) for cols in columns]
+            running, rows = np.ones(len(groups), dtype=bool), np.arange(len(p))
 
-        def sample(s: np.ndarray) -> list[np.ndarray]:
-            at, rest = (np.broadcast_to(x, (len(p), s.size)) for x in (s, s[::-1]))
-            return [group(at, rows, rest) for group, on in zip(groups, running) if on]
+            def sample(s: np.ndarray) -> list[np.ndarray]:
+                at, rest = (np.broadcast_to(x, (len(p), s.size)) for x in (s, s[::-1]))
+                return [group(at, rows, rest) for group, on in zip(groups, running) if on]
 
-        fit, _, _ = ChebyshevInterpolant.fit_adaptive(sample, tol, running)
-        levels[1:] = fit.lifts(k)(t / top)
-        levels[1:, np.all(p == q, axis=-1)] = 0.0
+            fit, _, _ = ChebyshevInterpolant.fit_adaptive(sample, tol, running)
+            levels[1:] = fit.lifts(k)(t / top)
+            levels[1:, np.all(p == r, axis=-1)] = 0.0
     levels[:, constant] = 0.0
     return levels.reshape((k + 1,) + shape)

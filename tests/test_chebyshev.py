@@ -15,6 +15,7 @@ from divseq.chebyshev import (
     lobatto_nodes,
 )
 from divseq.divergences import named_divergence
+from divseq.verify import _triangular_discrimination
 from divseq.errors import DomainError, NonFiniteError, ToleranceError
 
 
@@ -455,6 +456,33 @@ def _mp_level(phi, v):
         return float(mpmath.quad(integrand, [0, mpmath.mpf(v) / 2, mpmath.mpf(v)]))
 
 
+# Levels 1-3 for the five named generators, the triangular discrimination
+# and total variation, which is kinked at w = 1, that is at the cut v = 0.
+_MP_LEVEL_GENERATORS = dict(
+    _MP_GENERATORS,
+    triangular=lambda w: (w - 1) ** 2 / (w + 1),
+    total_variation=lambda w: abs(w - 1) / 2,
+)
+_LEVEL_GENERATORS = {
+    "triangular": _triangular_discrimination().generator,
+    "total_variation": lambda w: 0.5 * np.abs(w - 1.0),
+}
+_LEVEL_V = np.array([-12.0, -4.0, -1.0, -1e-3, 2e-6, 0.6, 2.5, 7.0, 12.0])
+
+
+def _mp_levels(phi, v, k):
+    """Phi_1..Phi_k(v) in the Cauchy form, Integral_0^1 phi(1 - s + s e^v)
+    log(1/s)^(j - 1) / (j - 1)! ds / s, at 40 digits."""
+    with mpmath.workdps(40):
+        step = mpmath.expm1(mpmath.mpf(v))
+
+        def level(j):
+            weight = lambda s: mpmath.log(1 / s) ** (j - 1) / mpmath.factorial(j - 1)  # noqa: E731
+            return float(mpmath.quad(lambda s: phi(1 + s * step) * weight(s) / s, [0, 1]))
+
+        return [level(j) for j in range(1, k + 1)]
+
+
 def _kinked(w):
     return np.maximum(w - 2.0, 0.0)
 
@@ -463,7 +491,7 @@ class TestGeneratorKernel:
     # level_kernel, psi's Phi(v) for a generator phi, built on pieces of v.
     @pytest.mark.parametrize("identifier", list(_MP_GENERATORS))
     def test_matches_40_digits(self, identifier):
-        values, bounds, evaluations = level_kernel(
+        (values,), (bounds,), evaluations = level_kernel(
             named_divergence(identifier).generator, _KERNEL_V, 1e-10, 1e-12
         )
         refs = np.array([_mp_level(_MP_GENERATORS[identifier], v) for v in _KERNEL_V])
@@ -475,27 +503,38 @@ class TestGeneratorKernel:
     def test_keeps_its_relative_precision_near_zero(self):
         # kl's integrand is -1 at u = 0, so Phi(v) ~ -v with no cancellation.
         v = np.array([-0.4, -3e-4, -1e-6, 1e-9, 5e-7, 0.01])
-        values, _, _ = level_kernel(named_divergence("kl").generator, v, 1e-10, 1e-12)
+        (values,), _, _ = level_kernel(named_divergence("kl").generator, v, 1e-10, 1e-12)
         refs = np.array([_mp_level(_MP_GENERATORS["kl"], x) for x in v])
         np.testing.assert_allclose(values, refs, rtol=1e-14, atol=0.0)
 
-    def test_values_depend_on_v_alone(self):
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_values_depend_on_v_alone(self, k):
         # Whatever else a call holds: a piece's edge, far pieces, pieces near 0.
         rng = np.random.default_rng(5)
         v = np.concatenate([rng.uniform(-30.0, 30.0, 40), rng.uniform(-1.0, 1.0, 40)])
         v = np.append(v, [1e-12, -2.0])
         for identifier in _MP_GENERATORS:
             phi = named_divergence(identifier).generator
-            values, bounds, _ = level_kernel(phi, v, 1e-10, 1e-12)
+            values, bounds, _ = level_kernel(phi, v, 1e-10, 1e-12, k)
+            assert values.shape == bounds.shape == (k, v.size)
             for part in (np.arange(3), np.arange(40, 45), [81], np.arange(0, 82, 7)):
-                alone, alone_bounds, _ = level_kernel(phi, v[part], 1e-10, 1e-12)
-                assert alone.tobytes() == values[part].tobytes(), identifier
-                assert alone_bounds.tobytes() == bounds[part].tobytes(), identifier
+                alone, alone_bounds, _ = level_kernel(phi, v[part], 1e-10, 1e-12, k)
+                assert alone.tobytes() == values[:, part].tobytes(), identifier
+                assert alone_bounds.tobytes() == bounds[:, part].tobytes(), identifier
+
+    @pytest.mark.parametrize("identifier", list(_MP_LEVEL_GENERATORS))
+    def test_levels_match_the_cauchy_form(self, identifier):
+        phi = _LEVEL_GENERATORS.get(identifier) or named_divergence(identifier).generator
+        values, bounds, _ = level_kernel(phi, _LEVEL_V, 1e-12, 1e-12, 3)
+        refs = np.array([_mp_levels(_MP_LEVEL_GENERATORS[identifier], v, 3) for v in _LEVEL_V]).T
+        error, scale = np.abs(values - refs), np.maximum(1.0, np.abs(refs))
+        assert np.all(error <= 1e-14 * scale)
+        assert np.all(error <= bounds) and np.all(bounds <= 1e-11 * scale)
 
     def test_a_kinked_generator_halves_its_pieces_to_the_target(self):
         # Phi(v) = e^v - log(e^v - 1) - 2 past the kink at v = log 2.
         v = np.array([0.3, 1.5, 4.0])
-        values, bounds, evaluations = level_kernel(_kinked, v, 1e-10, 1e-12)
+        (values,), (bounds,), evaluations = level_kernel(_kinked, v, 1e-10, 1e-12)
         exact = np.where(v > np.log(2.0), np.exp(v) - np.log(np.expm1(v)) - 2.0, 0.0)
         assert np.all(np.abs(values - exact) <= np.maximum(1e-12, 1e-10 * np.abs(exact)))
         assert np.all(np.abs(values - exact) <= bounds)

@@ -12,6 +12,7 @@ import pytest
 from divseq import operators, quadrature
 from divseq.chebyshev import _MAX_INTERVALS, ChebyshevInterpolant
 from divseq.distributions import (
+    _random_masses,
     Distribution,
     MixturePath,
     mixture,
@@ -36,8 +37,8 @@ from divseq.operators import (
     psi_inverse,
     psi_iter,
 )
-from divseq.sequences import pl, sl
-from divseq.verify import _CLOSED_FORMS, _suite_divergences
+from divseq.sequences import _chain, hellinger_psi, pl, sl
+from divseq.verify import _CLOSED_FORMS, _suite_divergences, _t_points
 from operator_oracles import psi_roundtrip
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -339,6 +340,9 @@ class TestPsiIter:
 
     @staticmethod
     def _fitted_nodes(monkeypatch, D, path):
+        # The fit's node counts, on shapes where psi_iter would take the
+        # level kernel too.
+        monkeypatch.setattr(operators, "_KERNEL_CELL_COST", math.inf)
         counts = []
         fit = ChebyshevInterpolant.fit_adaptive.__func__
 
@@ -481,7 +485,7 @@ class TestGroupedLevelZero:
 
     def test_tiny_masses_split_off_and_every_column_has_one_group(self):
         A, B = _tiny_p_pair(6, 877)
-        groups = _column_groups(A.masses[None], B.masses[None])
+        groups, _, _ = _column_groups(A.masses[None], B.masses[None])
         assert len(groups) >= 2
         assert set(groups[-1]) <= {0, 1}  # the tiny masses sit at 0 and 1
         assert np.array_equal(np.sort(np.concatenate(groups)), np.arange(877))
@@ -490,7 +494,7 @@ class TestGroupedLevelZero:
         A, B = _tiny_p_pair(0, 2962)
         q = B.masses.copy()
         q[100:200] = A.masses[100:200]
-        groups = _column_groups(A.masses[None], q[None])
+        groups, _, _ = _column_groups(A.masses[None], q[None])
         assert set(range(100, 200)) <= set(groups[0])
 
     def test_split_fit_takes_a_tenth_of_the_joint_fits_mass_cells(self):
@@ -510,7 +514,7 @@ class TestGroupedLevelZero:
     def test_one_group_gives_the_joint_fit_bitwise(self, D):
         A, B = _random_pair(3, 40)
         path = MixturePath(A, B)
-        assert len(_column_groups(A.masses[None], B.masses[None])) == 1
+        assert len(_column_groups(A.masses[None], B.masses[None])[0]) == 1
         grid = np.linspace(0.0, 1.0, 11)
         interp, _, _ = ChebyshevInterpolant.fit_adaptive(_joint_level_zero(D, path), 1e-12)
         expected = [psi_iter(D, 0, path, grid)[0], *interp.lifts(3)(grid)[:, 0]]
@@ -610,12 +614,12 @@ class TestOneLoopLevelZero:
         # residual DCTs cost. Tiny masses sit past the node cap, in a group
         # that no column below the cap joins.
         A, B = (random_distribution(877, s, 0.01 / 877) for s in (1754, 1755))
-        groups = _column_groups(A.masses[None], B.masses[None])
+        groups, _, _ = _column_groups(A.masses[None], B.masses[None])
         assert [len(g) for g in groups] == [580, 221, 66, 10]
         for seed in range(6):
             for n in (10, 100, 877):
                 A, B = _tiny_p_pair(seed, n)
-                groups = _column_groups(A.masses[None], B.masses[None])
+                groups, _, _ = _column_groups(A.masses[None], B.masses[None])
                 tiny = np.flatnonzero(A.masses < 1e-8)
                 assert np.array_equal(groups[-1], tiny), (seed, n)
 
@@ -654,7 +658,7 @@ class TestTruncatedLevelZero:
     def test_a_short_grid_forms_one_group(self):
         A, B = _regular_10k()
         end = mixture(MixturePath(A, B), 1e-2).masses
-        assert len(_column_groups(A.masses[None], end[None])) == 1
+        assert len(_column_groups(A.masses[None], end[None])[0]) == 1
 
     @pytest.mark.parametrize("T", [1e-3, 1e-2, 0.3])
     @pytest.mark.parametrize("n", [7, 877])
@@ -734,6 +738,94 @@ class TestTruncatedLevelZero:
         alone = psi_iter(D, 3, MixturePath(A, B), grids[1])
         assert levels[1:, 0].tobytes() == np.zeros((3, 6)).tobytes()
         assert np.max(np.abs(levels[:, 1] - alone)) <= 1e-12
+
+
+def _taken(monkeypatch):
+    """The integrators psi_iter calls above level 0, in call order."""
+    taken = []
+    kernel, fit = operators.level_kernel, ChebyshevInterpolant.fit_adaptive.__func__
+
+    def counted_kernel(*args):
+        taken.append("kernel")
+        return kernel(*args)
+
+    def counted_fit(cls, *args):
+        taken.append("fit")
+        return fit(cls, *args)
+
+    monkeypatch.setattr(operators, "level_kernel", counted_kernel)
+    monkeypatch.setattr(ChebyshevInterpolant, "fit_adaptive", classmethod(counted_fit))
+    return taken
+
+
+def _verify_stacks(seed, grid=None):
+    """Stacks shaped as verify's iterated-chain calls: 20 paths of each
+    support size 2..10, masses at least 0.01, 13 positions per path (the
+    grid given, or verify's), each stack in both orientations."""
+    rng = np.random.default_rng(seed)
+    for n in range(2, 11):
+        A, B = (_random_masses(rng, (20, n), 0.01) for _ in range(2))
+        ts = _t_points(rng, 20) if grid is None else np.tile(grid, (20, 1))
+        for start, end in ((A, B), (B, A)):
+            yield MixturePath(Distribution(start), Distribution(end)), ts
+
+
+class TestKernelRoute:
+    # psi_iter takes levels 1..k as Sum p Phi_j(log w) from the level kernel
+    # where that is predicted to cost less than the fit.
+    _WITH_CLOSED_FORMS = TestTruncatedLevelZero._WITH_CLOSED_FORMS
+
+    @pytest.mark.parametrize("D", _WITH_CLOSED_FORMS, ids=lambda D: D.identifier)
+    def test_levels_match_the_closed_forms_on_verify_stacks(self, monkeypatch, D):
+        taken = _taken(monkeypatch)
+        name, shift = _CLOSED_FORMS[D.identifier]
+        for path, ts in _verify_stacks(33):
+            levels = psi_iter(D, 3, path, ts)
+            for j in range(ts.shape[1]):
+                ref = _chain(name, shift, 3, path.start, mixture(path, ts[:, j]))[1:]
+                error = np.abs(levels[1:, :, j] - ref)
+                assert np.all(error <= 1e-12 * np.maximum(1.0, np.abs(ref))), (D.identifier, j)
+        assert set(taken) == {"kernel"}
+
+    def test_hellinger2_level_one_is_hellinger_psi(self, monkeypatch):
+        taken = _taken(monkeypatch)
+        grid = np.linspace(0.0, 1.0, 13)
+        for path, ts in _verify_stacks(34, grid):
+            levels = psi_iter(named_divergence("hellinger2"), 1, path, ts)
+            for j, t in enumerate(grid):
+                ref = hellinger_psi(path.start, path.end, t)
+                assert np.all(np.abs(levels[1, :, j] - ref) <= 1e-14), t
+        assert set(taken) == {"kernel"}
+
+    # (support size, pair seed, integrator) on 101 positions for chi2, kl,
+    # jeffreys and reverse_kl: 2- and 7-point pairs whose fit is predicted at 128
+    # and 512 nodes take the kernel, at 64 and 128 nodes the fit, and the
+    # 23- and 77-point pairs the fit (on the benchmark's sweep inputs of
+    # these sizes the kernel took up to 1.5x and 3.4x the fit's time).
+    _DECISIONS = [
+        (2, 4, "kernel"), (2, 0, "fit"), (7, 0, "kernel"), (7, 1, "fit"),
+        (23, 0, "fit"), (23, 1, "fit"), (77, 0, "fit"),
+    ]
+
+    @pytest.mark.parametrize("n, seed, route", _DECISIONS)
+    def test_the_cost_rule_routes_small_supports(self, monkeypatch, n, seed, route):
+        taken = _taken(monkeypatch)
+        A, B = (random_distribution(n, s, 0.01 / n) for s in (2 * seed, 2 * seed + 1))
+        for identifier in TestGroupedLevelZero._ORACLES:
+            taken.clear()
+            psi_iter(named_divergence(identifier), 3, MixturePath(A, B), np.linspace(0.0, 1.0, 101))
+            assert taken == [route], identifier
+
+    def test_a_column_at_the_node_cap_keeps_the_fit(self, monkeypatch):
+        # The 7-point pair of test_unresolvable_level_zero_raises_tolerance_error
+        # on 5 positions, where the kernel would cost a tenth of the fit.
+        taken = _taken(monkeypatch)
+        p = np.array([0.2, 0.1, 0.15, 0.05, 0.2, 0.1, 0.2])
+        q = np.array([0.3, 1e-11, 0.2, 0.1, 0.1, 3e-11, 0.3])
+        path = MixturePath(new_distribution(p), new_distribution(q / q.sum()))
+        with pytest.raises(ToleranceError):
+            psi_iter(named_divergence("chi2"), 3, path, np.linspace(0.0, 1.0, 5))
+        assert taken == ["fit"]
 
 
 class TestPsiRoundtrip:
