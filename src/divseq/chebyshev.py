@@ -16,7 +16,8 @@ added in Chebyshev coefficients, zero-padded to the largest node count.
 lifts(k) integrates over s exactly in Chebyshev coefficients, k times in a
 row, and takes every level's values from one inverse DCT; lifted() is its
 one-level case. level_kernel gives psi's iterates 1..k in v = log w of a
-generator, on one set of pieces of v anchored at 0 (first-kind points).
+generator, on one set of pieces of v anchored at 0 (first-kind points),
+built once (_level_pieces) and evaluated in blocks of _BLOCK_CELLS values.
 """
 
 from __future__ import annotations
@@ -381,9 +382,29 @@ def level_kernel(phi: Callable, v: np.ndarray, rel_tol: float, abs_tol: float, k
     / (1 - e^-u) du from Phi_0(v) = phi(e^v). For D = Sum p phi(r/p),
     psi^j[D] is Sum p Phi_j(log w), w = r/p at its end.
 
-    The levels share the pieces [2j, 2j + 2] out to v, those next to 0 cut
-    at +-4^e down to 2^_FINEST_CUT (2^_ITERATED_CUT for k > 1), so that
-    they keep their relative precision there. On each piece level j's
+    The levels are built once on pieces covering v (_level_pieces) and
+    evaluated in blocks of _BLOCK_CELLS level values, each point alone, so
+    the levels at v depend on phi, v, k and the tolerances alone. Returns
+    the levels (k, len(v)), bounds on their errors (tail bounds and the
+    level below's bound through the integral, carried out to v, and v's
+    rounding) and phi's evaluation count.
+    """
+    levels, evaluations = _level_pieces(phi, np.min(v), np.max(v), rel_tol, abs_tol, k)
+    values, bounds, step = np.empty((k, len(v))), np.empty((k, len(v))), max(1, _BLOCK_CELLS // k)
+    for lo in range(0, len(v), step):
+        values[:, lo : lo + step], bounds[:, lo : lo + step] = levels(v[lo : lo + step])
+    return values, bounds, evaluations
+
+
+def _level_pieces(phi: Callable, lo: float, hi: float, rel_tol: float, abs_tol: float, k: int):
+    """Levels 1..k of phi (see level_kernel) on pieces covering [lo, hi]:
+    a function of points v in that range giving the levels (k, len(v))
+    and, unless told not to, their error bounds, and phi's evaluation
+    count.
+
+    The levels share the pieces [2j, 2j + 2] over the range, those next to
+    0 cut at +-4^e down to 2^_FINEST_CUT (2^_ITERATED_CUT for k > 1), so
+    that they keep their relative precision there. On each piece level j's
     integrand is sampled at the first-kind points: phi(w) w / (w - 1) at
     w = e^u for level 1 (so that phi and w / (w - 1) see one w), and above
     it level j - 1's series plus its carried constant, over 1 - e^-u. It
@@ -391,13 +412,10 @@ def level_kernel(phi: Callable, v: np.ndarray, rel_tol: float, abs_tol: float, k
     end nearer 0, and its outer end's value carried outward from 0 by a
     cumulative sum. A piece whose tail bound 2h (|c_N-2| + |c_N-1|) at any
     level, h its half-width, exceeds max(abs_tol, rel_tol h max|values|) is
-    halved, _MAX_HALVINGS times in all before ToleranceError. So the
-    levels at v depend on phi, v, k and the tolerances alone. Returns the
-    levels (k, len(v)), bounds on their errors (tail bounds and the level
-    below's bound through the integral, carried out to v, and v's
-    rounding) and phi's evaluation count.
+    halved, _MAX_HALVINGS times in all before ToleranceError. A piece's
+    levels depend on it and the pieces inside it alone, never on the range.
     """
-    if not np.isfinite(v).all():  # w = r/p overflowed or underflowed
+    if not (np.isfinite(lo) and np.isfinite(hi)):  # w = r/p overflowed or underflowed
         raise NonFiniteError("level kernel points must be finite")
     (x, maps, chebyshev), n, counted = _kernel_matrices(), _KERNEL_NODES, [0]
 
@@ -410,7 +428,7 @@ def level_kernel(phi: Callable, v: np.ndarray, rel_tol: float, abs_tol: float, k
             raise NonFiniteError("generator returned a non-finite value")
         return [a, b, u, g]
 
-    lefts = np.arange(2.0 * np.floor(min(v.min(), 0.0) / 2.0), max(v.max(), 0.0), 2.0)
+    lefts = np.arange(2.0 * np.floor(min(lo, 0.0) / 2.0), max(hi, 0.0), 2.0)
     near = np.ldexp(1.0, np.arange(_FINEST_CUT if k == 1 else _ITERATED_CUT, 1, 2))
     # Even integers and +-4^e are distinct (np.unique would import numpy.ma).
     edges = np.sort(np.concatenate([lefts, [lefts[-1] + 2.0], -near, near]))
@@ -459,15 +477,29 @@ def level_kernel(phi: Callable, v: np.ndarray, rel_tol: float, abs_tol: float, k
         halves = sample(np.concatenate([a[~fits], mid]), np.concatenate([mid, b[~fits]]))
         parts = [np.concatenate([part[fits], more]) for part, more in zip(parts, halves)]
     # A piece holds v on its closed outer end: (a, b] above 0, [a, b) below.
-    edges = np.append(a, b[-1])
-    j = np.where(v > 0.0, np.searchsorted(edges, v), np.searchsorted(edges, v, "right")) - 1
-    t = np.concatenate([(v - 0.5 * (a + b)[j]) / (0.5 * (b - a))[j]] * k)
-    # Clenshaw's recurrence for all levels in one flat run, one coefficient
-    # column gathered at a time: level i's piece j is entry i * pieces + j.
-    at = np.concatenate([j + i * len(a) for i in range(k)])
-    b1, b2, twice = np.zeros_like(t), np.zeros_like(t), 2.0 * t
-    for column in columns[:0:-1]:
-        b1, b2 = column.take(at) + twice * b1 - b2, b1
-    # v is rounded by eps |v| in t, and by about 2 eps in the w it came from.
-    bounds = bounds.take(at) + scales.take(at) * np.concatenate([np.abs(v) + 2.0] * k) * _EPS
-    return (columns[0].take(at) + t * b1 - b2).reshape(k, -1), bounds.reshape(k, -1), counted[0]
+    edges, centres = np.append(a, b[-1]), 0.5 * (a + b)
+
+    def levels(v: np.ndarray, bounded: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+        j = np.searchsorted(edges, v, "right") - 1
+        j -= (v > 0.0) & (edges[j] == v)
+        t = (v - centres[j]) / half[j]
+        # Clenshaw's recurrence for all levels at once, one coefficient column
+        # (k, pieces) gathered at a time; each step's (c + 2t b1) - b2 is taken
+        # in place in four buffers, and t is doubled and halved back exactly.
+        b1, b2, c, product = (np.zeros((k, len(v))) for _ in range(4))
+        t *= 2.0
+        for i in range(n, -1, -1):
+            if i == 0:
+                t *= 0.5
+            columns[i].take(j, axis=1, out=c, mode="clip")
+            np.multiply(t, b1, out=product)
+            c += product
+            c -= b2
+            b1, b2, c = c, b1, b2
+        if not bounded:
+            return b1, None
+        # v is rounded by eps |v| in t, and by about 2 eps in the w it came from.
+        rounding = scales.take(j, axis=1) * (np.abs(v) + 2.0) * _EPS
+        return b1, bounds.take(j, axis=1) + rounding
+
+    return levels, counted[0]

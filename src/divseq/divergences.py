@@ -231,10 +231,15 @@ def path_derivative(D: DivergenceFunctional, path: MixturePath, t):
     the imaginary part of complex masses.
     """
     p, q, s, shape = _lift_path(path, t)
+    return _caller_form(_slope(D, p, q, s), shape)
+
+
+def _slope(D: DivergenceFunctional, p: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """path_derivative on endpoint rows p, q (m, n) at positions s (m, L)."""
     values = D.evaluator(p[:, None], _mix(p, q, s + _STEP * 1j))
     if not np.iscomplexobj(values):
         raise SpecError(
             f"divergence {D.identifier!r} dropped the imaginary part of complex "
             "masses; its evaluator must use numpy arithmetic and ufuncs only"
         )
-    return _caller_form(values.imag / _STEP, shape)
+    return values.imag / _STEP

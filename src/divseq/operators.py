@@ -10,7 +10,8 @@ of one, see distributions._lift_path), computes on endpoint rows (m, n)
 and positions (m, L) only, and reshapes the result to the caller's form.
 Since ds/s is scale-free, the value at t is the value at the end of the
 truncation P -> R(t). With a generator, psi is Sum p Phi(log w),
-w = R(t)/P, Phi from chebyshev.level_kernel; without one it is a
+w = R(t)/P, Phi from chebyshev's level kernel, built once per call and
+evaluated in blocks of positions; without one it is a
 cumulative Gauss-Kronrod quadrature per path, the package's one use of
 the quadrature. psi_iter takes Sum p Phi_j(log w) from the same kernel
 where that is predicted to cost less, or samples level 0 on P -> R(T),
@@ -29,10 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import (
-    _BLOCK_CELLS, _EPS, _KERNEL_NODES, _MAX_INTERVALS, ChebyshevInterpolant, level_kernel,
+    _BLOCK_CELLS, _EPS, _KERNEL_NODES, _MAX_INTERVALS, ChebyshevInterpolant, _level_pieces,
 )
 from .distributions import MixturePath, _caller_form, _lift_path, _mix
-from .divergences import DivergenceFunctional, Orientation, path_derivative
+from .divergences import DivergenceFunctional, Orientation, _slope
 from .errors import DomainError, require_index, require_positive
 from .quadrature import QuadratureConfig, cumulative_integral
 
@@ -202,28 +203,60 @@ def psi(
     if D.generator is None:
         values, err, evals = _psi_quadrature(D, p, q, t, cfg)
     else:
-        (values,), (err,), evals = _psi_kernel(D, p, q, t, 1, cfg.rel_tol, cfg.abs_tol)
+        (values,), err, evals = _psi_kernel(D, p, q, t, 1, cfg.rel_tol, cfg.abs_tol, shape == ())
     if shape == ():
-        return OperatorResult(float(values[0, 0]), float(err[0]), evals)
+        return OperatorResult(float(values[0, 0]), float(err.flat[0]), evals)
     return values.reshape(shape)
 
 
-def _psi_kernel(D: DivergenceFunctional, p, q, t, k: int, rel_tol: float, abs_tol: float):
+def _psi_kernel(
+    D: DivergenceFunctional, p, q, t, k: int, rel_tol: float, abs_tol: float, bounded=False,
+):
     """Sum p Phi_j(log w), w = R(t)/P, j = 1..k, on endpoint rows (m, n) at
-    positions (m, L): values (k, m, L), estimates (k, m) and the evaluation
-    count. w is _level_zero's (1 - u) + u R(t)/P at u = 1, R(t)/P bitwise;
-    a coordinate with q_i = p_i has w = 1 all along and adds +0.0."""
-    v = np.log(_mix(p, q, t) / p[:, None])
-    moving = (v != 0.0) & (p != q)[:, None]
-    terms, bounds, evals = np.zeros((k,) + v.shape), np.zeros((k,) + v.shape), 0
-    if moving.any():
-        values, errors, evals = level_kernel(D.generator, v[moving], rel_tol, abs_tol, k)
-        for j in range(k):  # a boolean mask alone indexes ten times faster than [:, mask]
-            terms[j][moving], bounds[j][moving] = values[j], errors[j]
-    terms *= p[:, None]
-    # A rounding floor: a few ulps of each term, in the kernel and the sum.
-    bounds = bounds * p[:, None] + 4.0 * _EPS * np.abs(terms)
-    return terms.sum(axis=-1), bounds.sum(axis=(-2, -1)), evals
+    positions (m, L): values (k, m, L), estimates (k, m) if bounded (else
+    None) and the evaluation count. w is _level_zero's (1 - u) + u R(t)/P
+    at u = 1, R(t)/P bitwise; a coordinate with q_i = p_i has w = 1 all
+    along and adds +0.0. The positions are taken in _blocks of k n cells,
+    twice: once for the range of v = log w the kernel's pieces must cover,
+    once to evaluate them there and sum each position's terms, so no
+    temporary outgrows a block.
+    """
+    blocks = []
+    for i, cols in _blocks(t.shape, k * p.shape[-1]):
+        for j in cols:
+            v = np.log(_mix(p[i], q[i], t[i, j]) / p[i, None])
+            moving = (v != 0.0) & (p[i] != q[i])[:, None]
+            blocks.append((i, j, moving, v[moving]))
+    values = np.zeros((k,) + t.shape)
+    estimates = np.zeros((k, len(p))) if bounded else None
+    points = [v for *_, v in blocks if v.size]
+    if not points:
+        return values, estimates, 0
+    lo, hi = min(v.min() for v in points), max(v.max() for v in points)
+    levels, evals = _level_pieces(D.generator, lo, hi, rel_tol, abs_tol, k)
+
+    def add(i, j, moving, v):  # a function, so no block's arrays outlive it
+        at, errors = levels(v, bounded)
+        terms = _scattered(moving, at)
+        terms *= p[i, None]
+        values[:, i, j] = terms.sum(axis=-1)
+        if bounded:
+            # A rounding floor: a few ulps of each term, in the kernel and the sum.
+            bounds = _scattered(moving, errors) * p[i, None] + 4.0 * _EPS * np.abs(terms)
+            estimates[:, i] += bounds.sum(axis=(-2, -1))
+
+    for block in blocks:
+        add(*block)
+    return values, estimates, evals
+
+
+def _scattered(moving: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """Rows parts (k, count) placed where moving is set, zeros elsewhere:
+    (k,) + moving.shape."""
+    out = np.zeros(parts.shape[:1] + moving.shape)
+    for level, part in zip(out, parts):  # a mask alone indexes ten times faster than [:, mask]
+        level[moving] = part
+    return out
 
 
 def _psi_quadrature(D: DivergenceFunctional, p: np.ndarray, q: np.ndarray, t: np.ndarray, cfg):
@@ -259,16 +292,20 @@ def psi_inverse(D: DivergenceFunctional, path: MixturePath, t):
     """Differential operator: t * d/dt D(start | R(t)) at a position t or
     along a 1-d grid (a float or an array of the grid's length), or on a
     stack of m paths at t of shape (m,) or (m, k) (an array of t's shape,
-    row i equal to the call on path i).
+    row i equal to the call on path i). The complex steps are taken in
+    _blocks, each position alone, so a value is path_derivative's times t.
 
     Exactly 0.0 at t = 0 and on a constant path, never -0.0: there t or the
     path direction is 0, and adding +0.0 turns a signed zero into 0.0
     without changing any other value.
     """
     _require_right_convex(D)
-    _, _, s, shape = _lift_path(path, t)
-    t = _caller_form(s, shape)
-    return t * path_derivative(D, path, t) + 0.0
+    p, q, s, shape = _lift_path(path, t)
+    slope = np.empty(s.shape)
+    for i, cols in _blocks(s.shape, 2 * p.shape[-1]):  # a complex cell is two floats
+        for j in cols:
+            slope[i, j] = _slope(D, p[i], q[i], s[i, j])
+    return _caller_form(s * slope + 0.0, shape)
 
 
 def psi_iter(

@@ -7,9 +7,10 @@ x = 1, and evaluates each panel for its own row only, so a row's panels,
 splits and budget are its own. Its one caller in the package is psi's
 route for a divergence without a generator. A segment starts as one
 panel. Each refinement round gathers the worst panel of every unconverged
-segment and evaluates all of their children in one call, which keeps the
-number of Python-level round trips small even when the integrand itself
-is expensive (for example a divergence evaluated along a mixture path).
+segment and evaluates all of their children in one call per block of
+_BLOCK_CELLS abscissae, which keeps the number of Python-level round trips
+small even when the integrand itself is expensive (for example a
+divergence evaluated along a mixture path), and its temporaries bounded.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .chebyshev import _BLOCK_CELLS
 from .errors import DomainError, NonFiniteError, ToleranceError, require_positive
 
 _EPS = np.finfo(float).eps
@@ -92,14 +94,31 @@ def _apply_panels(
     b: np.ndarray,
     rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Evaluate the K15 rule on each [a_i, b_i] with one integrand call.
+    """Evaluate the K15 rule on each [a_i, b_i], one integrand call per
+    block of at most _BLOCK_CELLS abscissae, which bounds the temporaries;
+    each panel reduces alone, so blocking changes no value.
 
     f(x (panels, 15), rows, rest) gives one value per abscissa; rest is
     1 - x formed from each abscissa's offset from its panel's right end,
     so it keeps its relative precision where x rounds near 1. Returns the
     Kronrod estimate and the error estimate of each panel and the abscissa
-    count. Beyond f's output, one more array of its size is held.
+    count.
     """
+    step = max(1, _BLOCK_CELLS // len(_XK))
+    blocks = [
+        _kronrod(f, a[i : i + step], b[i : i + step], rows[i : i + step])
+        for i in range(0, len(a), step)
+    ]
+    if not blocks:
+        return np.zeros(0), np.zeros(0), 0
+    kron, err = (np.concatenate(parts) for parts in zip(*blocks))
+    return kron, err, len(a) * len(_XK)
+
+
+def _kronrod(f, a: np.ndarray, b: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The K15 estimates and error estimates of the panels [a_i, b_i]
+    from one integrand call; beyond f's output, one more array of its
+    size is held."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     pts = mid[:, None] + half[:, None] * _XK[None, :]
@@ -123,7 +142,7 @@ def _apply_panels(
     scale = np.minimum(1.0, (200.0 * delta / np.where(pos, resasc, 1.0)) ** 1.5)
     err = np.where(pos, resasc * scale, delta)
     err = np.maximum(err, 50.0 * _EPS * resabs)
-    return kron, err, pts.size
+    return kron, err
 
 
 def _integrate_segments(

@@ -42,16 +42,17 @@ def _split_sums(orders: tuple[int, ...], p, q, terms) -> np.ndarray:
     # Sum_i p_i z_i = Sum_i (p_i - q_i) ~ 0. Where |z_i| <= 1/2 the terms
     # are split into p_i (Li_k(z_i) - z_i), one series call for all orders,
     # and p_i - q_i, exact there as q_i lies within a factor 2 of p_i, and
-    # summed exactly once a row. Each row sums its own far and near terms
-    # apart, so a row's value does not depend on the rows beside it.
+    # summed exactly once a row. The far and the near terms are each one
+    # masked sum along the rows, so a row's value does not depend on the
+    # rows beside it.
     d = p - q
     z = d / p
     near = np.abs(z) <= _NEAR_RADIUS
     split = terms.copy()
     split[:, near] = p[near] * _series(orders, z[near], linear=False)
-    gaps = [math.fsum(gap[mask].tolist()) for mask, gap in zip(near, d)]
-    return np.array([[float(np.sum(row[~mask]) + np.sum(row[mask])) + gap
-                      for row, mask, gap in zip(rows, near, gaps)] for rows in split])
+    gaps = np.array([math.fsum(gap[mask].tolist()) for mask, gap in zip(near, d)])
+    far_sum, near_sum = (np.where(mask, split, 0.0).sum(axis=-1) for mask in (~near, near))
+    return far_sum + near_sum + gaps
 
 
 def _pl(orders: tuple[int, ...], p: np.ndarray, q: np.ndarray) -> np.ndarray:

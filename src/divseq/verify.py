@@ -7,11 +7,16 @@ path derivative, invariance under path reparametrization), and reports the
 worst violation seen. Every check is a body run by one shared runner,
 ``_check``. The runner draws every instance's support size, then, one
 support size at a time, the masses and the body's draws of all its
-instances as arrays with a leading instance axis; the body makes one call
-per operator for each such stack, so the checked numbers are the public
-operators' values on stacked paths. A ToleranceError, a NonFiniteError or
-a NaN becomes an infinite violation. ``run_suite`` bundles the checks over
-a fixed roster of divergences into a single deterministic report.
+instances as arrays with a leading instance axis. It pads every mass row
+to the largest drawn size with null outcomes, one tiny mass on both
+endpoints, and stacks all sizes into one stack, so the body makes one call
+per operator for the whole check. Each roster functional is a sum of
+per-outcome terms that vanish where the two masses agree, so a null
+outcome adds nothing, and the checked numbers are the public operators'
+values on stacked paths, up to the order of their sums. A ToleranceError,
+a NonFiniteError or a NaN becomes an infinite violation. ``run_suite``
+bundles the checks over a fixed roster of divergences into a single
+deterministic report.
 """
 
 from __future__ import annotations
@@ -61,6 +66,16 @@ _STRICT_MARGIN = 1e-12
 _SEPARATION_TV = 0.01
 
 _MIN_MASS = 0.01
+# A null outcome's mass, on both endpoints of a padded path. An f-divergence
+# term p phi(q/p) vanishes where q = p (phi(1) = 0), and so does a Bregman
+# term F(q) - F(p) - F'(p)(q - p); psi's kernel skips such outcomes, and
+# psi_iter's fit bins them as easy. So padding changes no value but the
+# order of its sums, and elsewhere (a mixed end point that rounds, a
+# complex step) a null outcome adds about _NULL_MASS * eps. A power of two
+# scales exactly; the up to 8 null outcomes of a row sum to far below half
+# an ulp of 1, so every row still sums to 1, and every mixture of it is a
+# normal float.
+_NULL_MASS = 2.0**-1000
 _FIXED_GRID = np.linspace(0.0, 1.0, 11)
 
 # Divergences whose iterated chains have closed forms to compare against:
@@ -111,6 +126,7 @@ def _check(
     seed: int,
     draw: Callable[[np.random.Generator, int, int], tuple],
     violations: Callable[..., np.ndarray],
+    mass_rows: int = 0,
 ) -> PropertyCheck:
     """Run a check body on seeded random pairs and report its worst value.
 
@@ -118,28 +134,45 @@ def _check(
     Then, for each support size n in ascending order, it draws the start
     and the end masses of that size's count instances as two (count, n)
     arrays, and draw(rng, count, n) makes the body's own draws for all of
-    them: a tuple of arrays with a leading axis of length count.
-    violations(path, separated, *draws) takes that stack: the stacked
-    paths, a flag per path saying whether its endpoints are far enough
-    apart in total variation for strict inequalities, and the body's
-    draws. It returns each instance's worst violation. A ToleranceError or
-    a NonFiniteError anywhere, or a NaN violation, makes the check's
-    violation infinite.
+    them: a tuple of arrays with a leading axis of length count, the first
+    ``mass_rows`` of them mass rows (count, n). So every instance is drawn
+    as it would be in a stack of its own size. The sizes then make one
+    stack: the endpoints and the body's mass rows are padded to the
+    largest drawn size with null outcomes (_NULL_MASS on both endpoints,
+    which adds a zero term to every roster functional), and the sizes'
+    rows are concatenated in ascending order. violations(path, separated,
+    *draws) takes that stack: the stacked paths, a flag per path (taken
+    before padding) saying whether its endpoints are far enough apart in
+    total variation for strict inequalities, and the body's draws. It
+    returns each instance's worst violation, so a check calls each
+    operator once. A ToleranceError or a NonFiniteError anywhere, or a NaN
+    violation, makes the check's violation infinite.
     """
     rng = np.random.default_rng(seed)
     sizes = rng.integers(2, 11, size=instances)
-    worst = 0.0
+    width = int(sizes.max())
+    stacks = []
+    for n, count in zip(*np.unique(sizes, return_counts=True)):
+        start, end = (_random_masses(rng, (count, n), _MIN_MASS) for _ in range(2))
+        extras = draw(rng, count, n)
+        separated = 0.5 * np.sum(np.abs(end - start), axis=-1) > _SEPARATION_TV
+        rows = (start, end) + extras[:mass_rows]
+        stacks.append((separated,) + tuple(_padded(x, width) for x in rows) + extras[mass_rows:])
+    separated, start, end, *extras = (np.concatenate(parts) for parts in zip(*stacks))
     try:
-        for n, count in zip(*np.unique(sizes, return_counts=True)):
-            start, end = (_random_masses(rng, (count, n), _MIN_MASS) for _ in range(2))
-            extras = draw(rng, count, n)
-            path = MixturePath(Distribution(start), Distribution(end))
-            separated = 0.5 * np.sum(np.abs(end - start), axis=-1) > _SEPARATION_TV
-            worst = max(worst, float(np.max(_worst(violations(path, separated, *extras)))))
+        path = MixturePath(Distribution(start), Distribution(end))
+        worst = float(np.max(_worst(violations(path, separated, *extras))))
     except (ToleranceError, NonFiniteError):
         worst = math.inf
     name = f"{kind}[{D.identifier}]"
     return PropertyCheck(name, anchor, instances, worst, tolerance, worst <= tolerance)
+
+
+def _padded(masses: np.ndarray, width: int) -> np.ndarray:
+    """Mass rows (count, n) with width - n null outcomes appended."""
+    out = np.full((len(masses), width), _NULL_MASS)
+    out[:, : masses.shape[1]] = masses
+    return out
 
 
 def _worst(*violations) -> np.ndarray:
@@ -180,13 +213,11 @@ def check_integral_contraction(
     """
 
     def draw(rng, count, n):
-        return (
-            _t_points(rng, count),
-            _random_masses(rng, (count, n), _MIN_MASS),
-            rng.uniform(0.05, 0.95, size=count),
-        )
+        ts = _t_points(rng, count)
+        other = _random_masses(rng, (count, n), _MIN_MASS)
+        return other, ts, rng.uniform(0.05, 0.95, size=count)
 
-    def violations(path, separated, ts, other, lam):
+    def violations(path, separated, other, ts, lam):
         start, end = path.start.masses, path.end.masses
         mix = lam[:, None]
         mixed = new_distribution(mix * end + (1.0 - mix) * other).masses
@@ -213,7 +244,7 @@ def check_integral_contraction(
         "integral_contraction",
         "0 <= psi[D](t) <= D(start, mix(t)) along mixture paths, strictly "
         "increasing in t for separated endpoints, and convex in the end point",
-        _CONTRACTION_TOL, D, instances, seed, draw, violations,
+        _CONTRACTION_TOL, D, instances, seed, draw, violations, mass_rows=1,
     )
 
 

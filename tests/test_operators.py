@@ -743,7 +743,7 @@ class TestTruncatedLevelZero:
 def _taken(monkeypatch):
     """The integrators psi_iter calls above level 0, in call order."""
     taken = []
-    kernel, fit = operators.level_kernel, ChebyshevInterpolant.fit_adaptive.__func__
+    kernel, fit = operators._level_pieces, ChebyshevInterpolant.fit_adaptive.__func__
 
     def counted_kernel(*args):
         taken.append("kernel")
@@ -753,7 +753,7 @@ def _taken(monkeypatch):
         taken.append("fit")
         return fit(cls, *args)
 
-    monkeypatch.setattr(operators, "level_kernel", counted_kernel)
+    monkeypatch.setattr(operators, "_level_pieces", counted_kernel)
     monkeypatch.setattr(ChebyshevInterpolant, "fit_adaptive", classmethod(counted_fit))
     return taken
 

@@ -1,4 +1,5 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from divseq.chebyshev import _BLOCK_CELLS
 from divseq.distributions import MixturePath, mixture, new_distribution, random_distribution
 from divseq.divergences import evaluate, named_divergence
 from divseq.errors import DomainError
+from divseq import sequences
 from divseq.operators import psi, psi_inverse, psi_iter
+from divseq.polylog import _series, polylog
 from divseq.sequences import hellinger_psi, hellinger_psi_inverse, pl, sl
 from polylog_oracles import mpmath_jeffreys, mpmath_pl
 
@@ -383,3 +386,38 @@ class TestOrderTuples:
         p, q = rng.exponential(size=(2, 10_000))
         sl(3, p / p.sum(), q / q.sum())
         assert len(sizes) > 2 and max(sizes) <= _BLOCK_CELLS
+
+
+def _split_sums_by_rows(orders, p, q, terms):
+    """sequences._split_sums as a loop over rows and orders, each part a
+    sum of the boolean-selected terms: the reference for its masked sums."""
+    d = p - q
+    z = d / p
+    near = np.abs(z) <= sequences._NEAR_RADIUS
+    split = terms.copy()
+    split[:, near] = p[near] * _series(orders, z[near], linear=False)
+    gaps = [math.fsum(gap[mask].tolist()) for mask, gap in zip(near, d)]
+    return np.array([[float(np.sum(row[~mask]) + np.sum(row[mask])) + gap
+                      for row, mask, gap in zip(rows, near, gaps)] for rows in split]), split
+
+
+@pytest.mark.parametrize("n", [3, 7, 8, 40, 300])
+def test_split_sums_match_the_row_loop(n):
+    # Rows near P, with a few coordinates far from it, so both parts are
+    # summed. Below 8 terms numpy adds them in order, zeros or not, so the
+    # masked sums are the loop's bitwise; from 8 on its pairwise order
+    # moves, and each part is within the summation bound 2 n eps Sum |terms|.
+    rng = np.random.default_rng(n)
+    p = 0.01 / n + 0.99 * rng.dirichlet(np.ones(n), size=6)
+    q = p * (1.0 + 1e-6 * rng.standard_normal(p.shape))
+    q[:, : max(1, n // 5)] *= 3.0
+    q /= q.sum(axis=1, keepdims=True)
+    orders = (0, 1, 2, 3)
+    terms = p * polylog(orders, w=q / p)
+    ref, split = _split_sums_by_rows(orders, p, q, terms)
+    value = sequences._split_sums(orders, p, q, terms)
+    if n < 8:
+        assert value.tobytes() == ref.tobytes()
+    eps = np.finfo(float).eps
+    bound = 2.0 * n * eps * np.abs(split).sum(axis=-1) + 2.0 * eps * np.abs(ref)
+    assert np.all(np.abs(value - ref) <= bound)

@@ -12,16 +12,20 @@ from divseq.divergences import (
     named_divergence,
     swap_orientation,
 )
-from divseq import sequences, verify
+from divseq import operators, sequences, verify
 from divseq.cli import main
+from divseq.distributions import Distribution, MixturePath, _random_masses, mixture
 from divseq.divergences import evaluate
 from divseq.errors import DomainError, NonFiniteError
+from divseq.operators import psi, psi_inverse, psi_iter
+from divseq.sequences import pl, sl
 from divseq.verify import (
     _CLOSED_FORMS,
     PropertyCheck,
     VerificationReport,
     _check,
     _suite_divergences,
+    _t_points,
     check_derivative_dominates,
     check_integral_contraction,
     check_iterated_chain,
@@ -119,28 +123,89 @@ class TestNanViolations:
 
 class TestRunner:
     def test_stacks_hold_every_instance_once(self):
-        # The runner draws one stack per support size, in ascending order,
-        # and every row is a floored, normalized mass vector.
+        # One stack per check: the runner draws as it would stack by support
+        # size (the sizes, then for each size in ascending order the start
+        # and end masses and the body's draws), pads every mass row to the
+        # largest size with null outcomes and calls the body once.
         stacks = []
 
         def draw(rng, count, n):
-            return (np.full(count, n),)
+            return _random_masses(rng, (count, n), 0.01), np.full(count, n)
 
-        def violations(path, separated, n):
-            stacks.append((path.start.masses, path.end.masses, n))
-            assert separated.shape == n.shape
+        def violations(path, separated, other, n):
+            stacks.append((path.start.masses, path.end.masses, other, n, separated))
             return np.zeros(len(n))
 
-        check = _check("stacks", "anchor", 1.0, named_divergence("kl"), 200, 5, draw, violations)
+        check = _check(
+            "stacks", "anchor", 1.0, named_divergence("kl"), 200, 5, draw, violations, mass_rows=1
+        )
         assert check.passed and check.worst_violation == 0.0
-        sizes = [start.shape[1] for start, _, _ in stacks]
-        assert sizes == sorted(set(sizes)) and set(sizes) <= set(range(2, 11))
-        assert sum(start.shape[0] for start, _, _ in stacks) == 200
-        for start, end, n in stacks:
-            assert start.shape == end.shape and np.all(n == start.shape[1])
-            for masses in (start, end):
-                assert masses.min() >= 0.01
-                assert np.all(np.abs(masses.sum(axis=-1) - 1.0) <= 1e-12)
+        ((start, end, other, n, separated),) = stacks
+        rng = np.random.default_rng(5)
+        sizes = rng.integers(2, 11, size=200)
+        assert start.shape == end.shape == other.shape == (200, sizes.max())
+        first = 0
+        for size, count in zip(*np.unique(sizes, return_counts=True)):
+            rows = slice(first, first + count)
+            drawn = [_random_masses(rng, (count, size), 0.01) for _ in range(3)]
+            for masses, expected in zip((start, end, other), drawn):
+                assert masses[rows, :size].tobytes() == expected.tobytes()
+                assert np.all(masses[rows, size:] == start[rows, size:])
+            assert np.all(start[rows, size:] == verify._NULL_MASS)
+            assert np.all(n[rows] == size)
+            tv = 0.5 * np.sum(np.abs(drawn[1] - drawn[0]), axis=-1)
+            assert np.array_equal(separated[rows], tv > 0.01)
+            first += count
+        assert first == 200
+        for masses in (start, end, other):
+            assert np.all(np.abs(masses.sum(axis=-1) - 1.0) <= 1e-12)
+
+
+def _assert_agree(value, ref, factor=1.0):
+    bound = factor * 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref))
+    assert np.all(np.abs(np.asarray(value) - ref) <= bound)
+
+
+class TestNullOutcomes:
+    # A stack padded with the runner's null outcomes gives its unpadded
+    # values up to the order of their sums: within 4 eps max(1, |ref|).
+    @staticmethod
+    def _stacks(n, seed):
+        rng = np.random.default_rng(seed)
+        starts, ends = (_random_masses(rng, (20, n), 0.01) for _ in range(2))
+        plain = MixturePath(Distribution(starts), Distribution(ends))
+        padded = MixturePath(*(Distribution(verify._padded(x, 10)) for x in (starts, ends)))
+        return plain, padded, _t_points(rng, 20)
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    @pytest.mark.parametrize("D", _suite_divergences(), ids=lambda D: D.identifier)
+    def test_operators_agree(self, monkeypatch, D, n):
+        # psi_iter takes the level kernel wherever D has a generator, and
+        # swap(bregman), which has none, its fit; psi takes the kernel or,
+        # for swap(bregman), the quadrature.
+        monkeypatch.setattr(operators, "_KERNEL_CELL_COST", 0.0)
+        plain, padded, ts = self._stacks(n, seed=n)
+        for op in (
+            lambda path: psi(D, path, ts),
+            lambda path: psi_inverse(D, path, ts),
+            lambda path: evaluate(D, path.start, path.end),
+        ):
+            _assert_agree(op(padded), op(plain))
+        # The fit's lifts carry level 0's rounding on, about 3 times larger
+        # at each level (at most 31 eps at level 3 over sizes 2..9 and 15
+        # seeds), so there level j is held to 4^j times the bound.
+        growth = 1.0 if D.generator else 4.0
+        levels = zip(psi_iter(D, 3, padded, ts), psi_iter(D, 3, plain, ts))
+        for j, (value, ref) in enumerate(levels):
+            _assert_agree(value, ref, growth**j)
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_closed_forms_agree(self, n):
+        plain, padded, ts = self._stacks(n, seed=n)
+        for family in (pl, sl):
+            for t in ts.T:
+                ref = family((0, 1, 2, 3), plain.start, mixture(plain, t))
+                _assert_agree(family((0, 1, 2, 3), padded.start, mixture(padded, t)), ref)
 
 
 class TestNonFiniteValues:
