@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -254,9 +254,9 @@ class ChebyshevInterpolant:
     @classmethod
     def fit_adaptive(
         cls,
-        f: Callable[[np.ndarray], np.ndarray | list[np.ndarray]],
+        f: Callable[[np.ndarray], np.ndarray],
         target: float,
-        running: np.ndarray | None = None,
+        easier: Sequence[Callable[[np.ndarray], np.ndarray]] = (),
     ) -> tuple["ChebyshevInterpolant", float, int]:
         """Fit f on [0, 1], doubling the node count from _INITIAL_INTERVALS
         until the residual at the newly introduced nodes drops to ``target``.
@@ -270,50 +270,47 @@ class ChebyshevInterpolant:
         DCT of its coefficients, exact only for values at the exact
         Chebyshev points: an f mixing along s takes 1 - s from s[::-1].
 
-        With ``running``, a boolean array of one True per group, easiest
-        first, f fits the sum of the groups: it returns a list of values,
-        one per group g with running[g] still set, in order, and the fit
-        clears running[g] once group g stops, so f samples only the groups
-        still running. Row by row (one row per path), the residuals of all
-        groups sum to at most ``target``: the running groups stop together
-        once their summed error at the fresh nodes meets the target less
-        what the stopped groups spent, and a group stops alone once its own
-        residual meets its share, the groups but the last sharing equally
-        what is left of target / 16 and the last one taking the rest. The
-        groups' interpolants are added in Chebyshev coefficients, each
-        zero-padded to the largest node count. One group runs the same
-        arithmetic as no groups.
+        ``easier`` lists samplers like f, easiest first, of terms to fit
+        with it: the groups are those and then f, and the fit is of their
+        sum, in one doubling loop that calls only the groups still live.
+        Row by row (one row per path), the residuals of all groups sum to
+        at most ``target``: the live groups stop together once their
+        summed error at the fresh nodes meets the target less what the
+        stopped groups spent, and a group stops alone once its own residual
+        meets its share, the easier groups sharing equally what is left of
+        target / 16 and f the rest. The groups' interpolants are added in
+        Chebyshev coefficients, each zero-padded to the largest node count.
 
         Returns (interpolant, achieved_residual, function_evaluations),
         the residual being the worst over the rows (summed over groups) and
-        the evaluations counting nodes. Without groups, or with one, the
-        returned interpolant is the fine one, so its own nodes carry exact
-        function values. Raises NonFiniteError as soon as f returns NaN or
+        the evaluations counting nodes. With f alone the returned
+        interpolant is the fine one, so its own nodes carry exact function
+        values. Raises NonFiniteError as soon as a group returns NaN or
         infinity, and ToleranceError if the residual still exceeds the
         target at _MAX_INTERVALS intervals.
         """
         require_positive(target, "residual target")
-        parts = f if running is not None else lambda nodes: [f(nodes)]
-        running = np.ones(1, dtype=bool) if running is None else running
-        count = len(running)
+        groups = [*easier, f]
+        count = len(groups)
 
-        # The running groups share their node count, so their values stack
+        # The live groups share their node count, so their values stack
         # along a leading axis and each doubling takes one DCT for them all.
-        def sample(nodes: np.ndarray) -> np.ndarray:
-            values = np.stack([np.asarray(v, dtype=float) for v in parts(nodes)])
+        def sample(live: list[int], nodes: np.ndarray) -> np.ndarray:
+            values = np.stack([np.asarray(groups[g](nodes), dtype=float) for g in live])
             if not np.isfinite(values).all():
                 raise NonFiniteError("function returned a non-finite value")
             return values
 
         n = _INITIAL_INTERVALS
-        live, values = list(range(count)), sample(lobatto_nodes(n))
+        live = list(range(count))
+        values = sample(live, lobatto_nodes(n))
         neval = n + 1
         fits = [None] * count
         # Per row: what stopped groups spent, and the easier groups' part of it.
         spent = easy_spent = 0.0
         easy_pool, easy_left = target / 16, count - 1
         while live:
-            fresh = sample(lobatto_nodes(2 * n)[1::2])
+            fresh = sample(live, lobatto_nodes(2 * n)[1::2])
             neval += n
             errors = _fresh_values(values) - fresh
             merged = np.empty(values.shape[:-1] + (2 * n + 1,))
@@ -325,7 +322,6 @@ class ChebyshevInterpolant:
             if np.all(joint <= target - spent):
                 for g, m in zip(live, merged):
                     fits[g] = m
-                running[live] = False
                 spent = spent + joint
                 break
             if n >= _MAX_INTERVALS:
@@ -344,7 +340,6 @@ class ChebyshevInterpolant:
                         share = target - easy_pool
                     if np.all(residual <= share):
                         fits[g], spent, keep[i] = merged[i], spent + residual, False
-                        running[g] = False
                         if easy:
                             easy_spent, easy_left = easy_spent + residual, easy_left - 1
                 live, merged = [g for g, k in zip(live, keep) if k], merged[keep]
@@ -482,7 +477,9 @@ def _level_pieces(phi: Callable, lo: float, hi: float, rel_tol: float, abs_tol: 
     def levels(v: np.ndarray, bounded: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         j = np.searchsorted(edges, v, "right") - 1
         j -= (v > 0.0) & (edges[j] == v)
-        t = (v - centres[j]) / half[j]
+        # Every gather clips j: a point rounded just past the range takes the
+        # piece at its end.
+        t = (v - centres.take(j, mode="clip")) / half.take(j, mode="clip")
         # Clenshaw's recurrence for all levels at once, one coefficient column
         # (k, pieces) gathered at a time; each step's (c + 2t b1) - b2 is taken
         # in place in four buffers, and t is doubled and halved back exactly.
@@ -499,7 +496,7 @@ def _level_pieces(phi: Callable, lo: float, hi: float, rel_tol: float, abs_tol: 
         if not bounded:
             return b1, None
         # v is rounded by eps |v| in t, and by about 2 eps in the w it came from.
-        rounding = scales.take(j, axis=1) * (np.abs(v) + 2.0) * _EPS
-        return b1, bounds.take(j, axis=1) + rounding
+        rounding = scales.take(j, axis=1, mode="clip") * (np.abs(v) + 2.0) * _EPS
+        return b1, bounds.take(j, axis=1, mode="clip") + rounding
 
     return levels, counted[0]

@@ -10,14 +10,15 @@ of one, see distributions._lift_path), computes on endpoint rows (m, n)
 and positions (m, L) only, and reshapes the result to the caller's form.
 Since ds/s is scale-free, the value at t is the value at the end of the
 truncation P -> R(t). With a generator, psi is Sum p Phi(log w),
-w = R(t)/P, Phi from chebyshev's level kernel, built once per call and
-evaluated in blocks of positions; without one it is a
-cumulative Gauss-Kronrod quadrature per path, the package's one use of
-the quadrature. psi_iter takes Sum p Phi_j(log w) from the same kernel
-where that is predicted to cost less, or samples level 0 on P -> R(T),
-T the largest position, fits it by one Chebyshev polynomial per group of
-coordinates in one doubling loop, and integrates the summed polynomial
-exactly, level after level, in its Chebyshev coefficients.
+w = R(t)/P, Phi from chebyshev's level kernel, built once per call on the
+range of log w at each path's end and evaluated in one pass over blocks
+of positions; without one it is a cumulative Gauss-Kronrod quadrature
+per path, the package's one use of the quadrature. psi_iter takes
+Sum p Phi_j(log w) from the same kernel where that is predicted to cost
+less, or samples level 0 on P -> R(T), T the largest position, fits it
+by one Chebyshev polynomial per group of the coordinates that move in
+one doubling loop, and integrates the summed polynomial exactly, level
+after level, in its Chebyshev coefficients.
 Every operator requires a right-convex D and rejects any other before it
 checks anything else. The check that applies psi and psi_inverse in both
 orders and recovers D lives with the tests (tests/operator_oracles.py).
@@ -216,27 +217,23 @@ def _psi_kernel(
     positions (m, L): values (k, m, L), estimates (k, m) if bounded (else
     None) and the evaluation count. w is _level_zero's (1 - u) + u R(t)/P
     at u = 1, R(t)/P bitwise; a coordinate with q_i = p_i has w = 1 all
-    along and adds +0.0. The positions are taken in _blocks of k n cells,
-    twice: once for the range of v = log w the kernel's pieces must cover,
-    once to evaluate them there and sum each position's terms, so no
-    temporary outgrows a block.
+    along and adds +0.0. R(t)/P is linear in t, so every v = log w of a
+    path lies between 0 and its value at the path's largest position: the
+    kernel's pieces cover the range of those. The positions are taken in
+    _blocks of k n cells, each formed, evaluated and summed in its turn, so
+    no temporary outgrows a block.
     """
-    blocks = []
-    for i, cols in _blocks(t.shape, k * p.shape[-1]):
-        for j in cols:
-            v = np.log(_mix(p[i], q[i], t[i, j]) / p[i, None])
-            moving = (v != 0.0) & (p[i] != q[i])[:, None]
-            blocks.append((i, j, moving, v[moving]))
     values = np.zeros((k,) + t.shape)
     estimates = np.zeros((k, len(p))) if bounded else None
-    points = [v for *_, v in blocks if v.size]
-    if not points:
+    ends = np.log(_mix(p, q, t.max(axis=-1)) / p)[p != q]
+    if not ends.any():
         return values, estimates, 0
-    lo, hi = min(v.min() for v in points), max(v.max() for v in points)
-    levels, evals = _level_pieces(D.generator, lo, hi, rel_tol, abs_tol, k)
+    levels, evals = _level_pieces(D.generator, ends.min(), ends.max(), rel_tol, abs_tol, k)
 
-    def add(i, j, moving, v):  # a function, so no block's arrays outlive it
-        at, errors = levels(v, bounded)
+    def add(i, j):  # a function, so no block's arrays outlive its turn
+        v = np.log(_mix(p[i], q[i], t[i, j]) / p[i, None])
+        moving = (v != 0.0) & (p[i] != q[i])[:, None]
+        at, errors = levels(v[moving], bounded)
         terms = _scattered(moving, at)
         terms *= p[i, None]
         values[:, i, j] = terms.sum(axis=-1)
@@ -245,8 +242,9 @@ def _psi_kernel(
             bounds = _scattered(moving, errors) * p[i, None] + 4.0 * _EPS * np.abs(terms)
             estimates[:, i] += bounds.sum(axis=(-2, -1))
 
-    for block in blocks:
-        add(*block)
+    for i, cols in _blocks(t.shape, k * p.shape[-1]):
+        for j in cols:
+            add(i, j)
     return values, estimates, evals
 
 
@@ -326,7 +324,7 @@ def psi_iter(
     generator, or with a column predicted at the node cap, takes the fit.
 
     The kernel gives level j as Sum p Phi_j(log w), w = R(t)/P
-    (chebyshev.level_kernel), at each position alone. The fit uses that
+    (_psi_kernel), at each position alone. The fit uses that
     ds/s is scale-free: the levels at t on P -> Q are those at u = t / T on
     P -> R(T), T the path's largest grid position (R(1) = Q bitwise), so
     level 0 is fitted only where the grid reaches: one Chebyshev
@@ -336,11 +334,13 @@ def psi_iter(
     level 0 is fitted by groups of them (_column_groups on P and R(T)) in
     one doubling loop, each group sampled by _level_zero until its
     residual at fresh nodes meets its share of tol on every path
-    (fit_adaptive with running groups); the groups' interpolants are added
-    in Chebyshev coefficients and lifted from the sum. The fit's nodes are
-    the exact Chebyshev points, 1 - u taken from the mirrored node. Rows
-    are nonincreasing in the level at every grid point; a constant path
-    gives zeros, and so does a constant truncation (R(T) = P) above level 0.
+    (fit_adaptive with the easier groups); the groups' interpolants are
+    added in Chebyshev coefficients and lifted from the sum. With a
+    generator, a column with R(T) = P on every path adds phi(1) = 0 and
+    joins no group and no cost. The fit's nodes are the exact Chebyshev
+    points, 1 - u taken from the mirrored node. Rows are nonincreasing in
+    the level at every grid point; a constant path gives zeros, and so
+    does a constant truncation (R(T) = P) above level 0.
 
     On the kernel route each piece of v = log w meets
     max(tol, tol h max|integrand|) at every level, h its half-width, and a
@@ -359,29 +359,30 @@ def psi_iter(
     if np.ndim(t_grid) == 0:
         raise DomainError("t_grid must be a nonempty 1-d array, not a scalar")
     p, q, t, shape = _lift_path(path, t_grid)
-    levels = np.empty((k + 1,) + t.shape)
+    levels = np.zeros((k + 1,) + t.shape)
     levels[0] = _along(D, p, q, t, np.arange(len(p)))
     constant = np.all(p == q, axis=-1)
-    if k > 0:
-        # ds/s is scale-free: above level 0, P -> Q at t is P -> R(T) at t / T.
-        top = np.maximum(t.max(axis=-1, keepdims=True), 5e-324)
-        r = _mix(p, q, top[:, 0])
-        columns, cells, nodes = _column_groups(p, r)
-        kernel_cells = _KERNEL_CELL_COST * k * t.size * p.shape[-1] * (_KERNEL_NODES + 1)
+    # ds/s is scale-free: above level 0, P -> Q at t is P -> R(T) at t / T.
+    top = np.maximum(t.max(axis=-1, keepdims=True), 5e-324)
+    r = _mix(p, q, top[:, 0])
+    # phi(1) = 0: with a generator, a column with R(T) = P on every row adds
+    # +0.0, so the costs and the fit leave it out.
+    moved = np.any(p != r, axis=0) | (D.generator is None)
+    if k > 0 and moved.any():
+        p_fit, r_fit = (p, r) if moved.all() else (p[:, moved], r[:, moved])
+        columns, cells, nodes = _column_groups(p_fit, r_fit)
+        kernel_cells = _KERNEL_CELL_COST * k * t.size * p_fit.shape[-1] * (_KERNEL_NODES + 1)
         fit_cells = len(p) * cells + (k + 1) * t.size * nodes
         if D.generator is not None and nodes < _MAX_INTERVALS and kernel_cells < fit_cells:
             levels[1:] = _psi_kernel(D, p, q, t, k, tol, tol)[0]
         else:
-            # One doubling loop fits every group; it clears a group's entry
-            # of running once the group stops, and it is then not sampled.
-            groups = [_level_zero(D, p[:, cols], r[:, cols]) for cols in columns]
-            running, rows = np.ones(len(groups), dtype=bool), np.arange(len(p))
+            def group(cols):  # the group's level 0, every path at the nodes s and 1 - s
+                sample, rows = _level_zero(D, p_fit[:, cols], r_fit[:, cols]), np.arange(len(p))
+                grid = lambda s: np.broadcast_to(s, (len(p), s.size))
+                return lambda s: sample(at := grid(s), rows, at[:, ::-1])
 
-            def sample(s: np.ndarray) -> list[np.ndarray]:
-                at, rest = (np.broadcast_to(x, (len(p), s.size)) for x in (s, s[::-1]))
-                return [group(at, rows, rest) for group, on in zip(groups, running) if on]
-
-            fit, _, _ = ChebyshevInterpolant.fit_adaptive(sample, tol, running)
+            *easier, hardest = (group(cols) for cols in columns)
+            fit, _, _ = ChebyshevInterpolant.fit_adaptive(hardest, tol, easier)
             levels[1:] = fit.lifts(k)(t / top)
             levels[1:, np.all(p == r, axis=-1)] = 0.0
     levels[:, constant] = 0.0

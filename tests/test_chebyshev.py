@@ -187,95 +187,93 @@ def test_fit_rejects_a_non_finite_batch_as_it_arrives(bad, batch):
 
 
 class TestGroupedFit:
-    # fit_adaptive fits a sum of groups in one doubling loop: f returns the
-    # values of the groups still running, each group stops at its own node
-    # count, and the interpolants add in Chebyshev coefficients.
+    # fit_adaptive fits a sum of groups in one doubling loop: it calls each
+    # group's sampler until the group stops, each group stops at its own
+    # node count, and the interpolants add in Chebyshev coefficients.
     @staticmethod
     def _parts():
         return [np.exp, lambda x: np.cos(7.0 * x), _runge]
 
     @staticmethod
-    def _sampler(parts, running, calls):
-        def f(x):
-            calls.append(running.copy())
-            live = [part for part, on in zip(parts, running) if on]
-            return [np.stack([part(x), 2.0 * part(x)]) for part in live]
+    def _samplers(parts, calls):
+        """One sampler per part, easiest first, each recording the node
+        counts it was called with in its own list of calls."""
 
-        return f
+        def sampler(part, seen):
+            def f(x):
+                seen.append(x.size)
+                return np.stack([part(x), 2.0 * part(x)])
+
+            return f
+
+        calls[:] = [[] for _ in parts]
+        return [sampler(part, seen) for part, seen in zip(parts, calls)]
+
+    def _fit(self, target, calls):
+        *easier, hardest = self._samplers(self._parts(), calls)
+        return ChebyshevInterpolant.fit_adaptive(hardest, target, easier)
 
     def test_groups_stop_at_their_own_node_counts(self):
-        parts, calls = self._parts(), []
-        running = np.ones(3, dtype=bool)
-        interp, residual, neval = ChebyshevInterpolant.fit_adaptive(
-            self._sampler(parts, running, calls), 1e-12, running
-        )
-        assert not running.any() and residual <= 1e-12
+        calls = []
+        interp, residual, neval = self._fit(1e-12, calls)
+        assert residual <= 1e-12
         assert neval == len(interp.nodes) == 257
-        # f saw each group until it stopped, and never one after it.
-        sampled = np.sum(calls, axis=0)
-        assert sampled[0] < sampled[1] < sampled[2] == len(calls)
-        assert all(np.array_equal(a, a & b) for a, b in zip(calls[1:], calls))
+        # Each group saw the loop's nodes until it stopped, and none after.
+        assert calls == [[17, 16], [17, 16, 32], [17, 16, 32, 64, 128]]
         x = np.linspace(0.0, 1.0, 301)
-        total = sum(part(x) for part in parts)
+        total = sum(part(x) for part in self._parts())
         assert np.max(np.abs(interp(x) - np.stack([total, 2.0 * total]))) <= 1e-11
 
     def test_the_sum_is_taken_in_coefficients(self):
-        parts, calls = self._parts(), []
-        running = np.ones(3, dtype=bool)
-        interp, _, _ = ChebyshevInterpolant.fit_adaptive(
-            self._sampler(parts, running, calls), 1e-12, running
-        )
+        calls = []
+        interp, _, _ = self._fit(1e-12, calls)
         n = len(interp.nodes) - 1
-        counts = np.sum(calls, axis=0)  # a group's node count is 2^(calls - 1) * 16
         expected = 0.0
-        for part, c in zip(parts, counts):
-            s = lobatto_nodes(16 * 2 ** (c - 1))
+        for part, seen in zip(self._parts(), calls):
+            s = lobatto_nodes(sum(seen) - 1)  # one interval fewer than the nodes it saw
             values = np.stack([part(s), 2.0 * part(s)])
             expected = expected + _padded(_coefficients(values), n)
         # Kept as summed: lifting takes no round trip through node values.
         assert interp.coefficients.tobytes() == expected.tobytes()
         assert np.max(np.abs(interp.values - _values(expected))) == 0.0
 
-    def test_one_group_is_the_fit_without_groups_bitwise(self):
-        stack = lambda x: np.stack([np.cos(7.0 * x), _runge(x)])
-        alone = ChebyshevInterpolant.fit_adaptive(stack, 1e-12)
-        running = np.ones(1, dtype=bool)
-        grouped = ChebyshevInterpolant.fit_adaptive(lambda x: [stack(x)], 1e-12, running)
-        assert not running[0]
-        assert grouped[0].values.tobytes() == alone[0].values.tobytes()
-        assert grouped[1:] == alone[1:]
-
-    @pytest.mark.parametrize("target", [1e-6, 1e-9, 1e-12])
-    def test_the_residuals_of_a_row_sum_to_at_most_the_target(self, target):
+    @pytest.mark.parametrize(
+        "target, seen",
+        [
+            (1e-6, [[17, 16], [17, 16], [17, 16, 32, 64]]),
+            (1e-9, [[17, 16], [17, 16, 32], [17, 16, 32, 64]]),
+            (1e-12, [[17, 16], [17, 16, 32], [17, 16, 32, 64, 128]]),
+        ],
+    )
+    def test_the_residuals_of_a_row_sum_to_at_most_the_target(self, target, seen):
         # Rows are paths; the second row's errors are twice the first's, and
         # a group stops once its share is met on every row.
-        parts, calls = self._parts(), []
-        running = np.ones(3, dtype=bool)
-        interp, residual, _ = ChebyshevInterpolant.fit_adaptive(
-            self._sampler(parts, running, calls), target, running
-        )
+        calls = []
+        interp, residual, _ = self._fit(target, calls)
+        assert calls == seen
         x = np.linspace(0.0, 1.0, 1001)
-        total = sum(part(x) for part in parts)
+        total = sum(part(x) for part in self._parts())
         assert residual <= target
         assert np.max(np.abs(interp(x) - np.stack([total, 2.0 * total]))) <= target
 
     def test_a_group_at_the_cap_raises(self, monkeypatch):
         rng = np.random.default_rng(7)
-        running = np.ones(2, dtype=bool)
-        calls = []
+        calls = [[], []]
 
-        def f(x):
-            calls.append((x.size, running.copy()))
-            out = [np.exp(x), rng.standard_normal(x.shape)]
-            return [v for v, on in zip(out, running) if on]
+        def smooth(x):
+            calls[0].append(x.size)
+            return np.exp(x)
+
+        def noise(x):
+            calls[1].append(x.size)
+            return rng.standard_normal(x.shape)
 
         monkeypatch.setattr(chebyshev, "_MAX_INTERVALS", 256)
         with pytest.raises(ToleranceError, match="at 256 intervals"):
-            ChebyshevInterpolant.fit_adaptive(f, 1e-12, running)
+            ChebyshevInterpolant.fit_adaptive(noise, 1e-12, [smooth])
         # One loop: 17 initial nodes, then 16, 32, 64 and 128 fresh ones,
         # the exponential stopping on its own before the noise fails.
-        assert [size for size, _ in calls] == [17, 16, 32, 64, 128]
-        assert not calls[-1][1][0] and running[1]
+        assert calls == [[17, 16], [17, 16, 32, 64, 128]]
 
 
 @pytest.mark.parametrize("n", [2**e for e in range(4, 15)])
@@ -530,6 +528,19 @@ class TestGeneratorKernel:
         error, scale = np.abs(values - refs), np.maximum(1.0, np.abs(refs))
         assert np.all(error <= 1e-14 * scale)
         assert np.all(error <= bounds) and np.all(bounds <= 1e-11 * scale)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_a_point_just_past_the_range_takes_the_edge_piece(self, k):
+        # kl's pieces on [-4, 4] end at -4 and 4. A point one ulp past either
+        # end, as rounding can leave a range taken from each path's end,
+        # takes the piece at that end, as close to its value there as at 4.
+        levels, _ = chebyshev._level_pieces(
+            named_divergence("kl").generator, -4.0, 4.0, 1e-10, 1e-12, k
+        )
+        ends = np.array([-4.0, 4.0])
+        past, _ = levels(np.nextafter(ends, 2.0 * ends))
+        at, _ = levels(ends)
+        np.testing.assert_allclose(past, at, rtol=1e-14, atol=0.0)
 
     def test_a_kinked_generator_halves_its_pieces_to_the_target(self):
         # Phi(v) = e^v - log(e^v - 1) - 2 past the kink at v = log 2.

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,21 @@ class TestPsi:
                     ref = 0.5 * t * t * gap
                     value = psi(squared, path, t).value
                     assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref)), (t, value, ref)
+
+    def test_kernel_keeps_one_block_at_a_time(self):
+        # 1000 positions on a 10^4-point pair: each block of positions is
+        # formed, evaluated and summed in its turn, so the call's peak is a
+        # few blocks' temporaries, not all positions'.
+        n = 10_000
+        A, B = (random_distribution(n, s, 0.01 / n) for s in (3, 4))
+        grid = np.linspace(0.0, 1.0, 1000)
+        tracemalloc.start()
+        try:
+            values = psi(named_divergence("kl"), MixturePath(A, B), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(values)) and peak <= 8e6, peak
 
     def test_rejects_left_convex(self):
         breg = make_bregman(BregmanSpec(F=lambda x: x**2, F_prime=lambda x: 2.0 * x))

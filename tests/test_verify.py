@@ -199,6 +199,19 @@ class TestNullOutcomes:
         for j, (value, ref) in enumerate(levels):
             _assert_agree(value, ref, growth**j)
 
+    @pytest.mark.parametrize("identifier", ["chi2", "kl", "jeffreys"])
+    def test_the_fit_leaves_null_outcomes_out(self, monkeypatch, identifier):
+        # phi(1) = 0, so a column with R(T) = P on every row adds +0.0 to
+        # level 0: psi_iter's fit leaves it out of its column groups and
+        # costs, and padding moves no level above 0 by a single bit.
+        monkeypatch.setattr(operators, "_KERNEL_CELL_COST", math.inf)
+        D = named_divergence(identifier)
+        for seed in range(6):
+            for n in (2, 5, 8, 9):
+                plain, padded, ts = self._stacks(n, seed)
+                levels, ref = psi_iter(D, 3, padded, ts), psi_iter(D, 3, plain, ts)
+                assert levels[1:].tobytes() == ref[1:].tobytes(), (seed, n)
+
     @pytest.mark.parametrize("n", [2, 5, 9])
     def test_closed_forms_agree(self, n):
         plain, padded, ts = self._stacks(n, seed=n)
