@@ -16,8 +16,10 @@ added in Chebyshev coefficients, zero-padded to the largest node count.
 lifts(k) integrates over s exactly in Chebyshev coefficients, k times in a
 row, and takes every level's values from one inverse DCT; lifted() is its
 one-level case. level_kernel gives psi's iterates 1..k in v = log w of a
-generator, on one set of pieces of v anchored at 0 (first-kind points),
-built once (_level_pieces) and evaluated in blocks of _BLOCK_CELLS values.
+generator, on one set of short pieces of v at fixed places (cells of width
+_CELL, and +-4^e pieces next to 0; first-kind points), built once
+(_level_pieces) and evaluated in blocks of _BLOCK_CELLS values, each point
+finding its piece by arithmetic (_piece_places).
 """
 
 from __future__ import annotations
@@ -43,11 +45,15 @@ _MAX_INTERVALS = 2**14
 # level_kernel samples each piece at this many first-kind Chebyshev points and
 # halves pieces at most this many times a call. Its finest cut is 2^-30, or
 # 2^-12 with levels above 1, which carry a generator's rounding at w = 1
-# (swap(kl)'s w log(1/w) rounds 1/w) on about log(1/cut) times each.
-_KERNEL_NODES = 24
+# (swap(kl)'s w log(1/w) rounds 1/w) on about log(1/cut) times each. Past
+# 2^_CELL_EXPONENT from 0 its pieces are cells of that width, on which 8
+# points meet a relative 1e-12 for the named generators without a halving.
+_KERNEL_NODES = 8
 _MAX_HALVINGS = 1000
 _FINEST_CUT = -30
 _ITERATED_CUT = -12
+_CELL_EXPONENT = -4
+_CELL = 2.0**_CELL_EXPONENT
 _EPS = np.finfo(float).eps
 
 
@@ -391,60 +397,94 @@ def level_kernel(phi: Callable, v: np.ndarray, rel_tol: float, abs_tol: float, k
     return values, bounds, evaluations
 
 
+def _piece_places(v: np.ndarray, cut: int) -> np.ndarray:
+    """The place of the level kernel's piece holding each v, counted from
+    0: the i-th piece outward from 0 (i = 0, 1, ...) is at i above 0 and at
+    -1 - i below it, as floats. Outward the pieces are (0, 2^cut], then
+    (4^e, 4^(e+1)] up to _CELL, then the cells (m _CELL, (m + 1) _CELL],
+    m >= 1, and below 0 their mirror images; each holds its outer end. A
+    +-4^e piece is found from the binary exponent e' of |v| (1 - 2^-53),
+    2^(e'-1) < |v| <= 2^e', a cell from floor(|v| (1 - 2^-53) / _CELL) =
+    ceil(|v| / _CELL) - 1, so that a point on an edge takes the piece the
+    edge closes.
+    """
+    shrink = 1.0 - _EPS / 2.0
+    cells = np.abs(v) * shrink
+    _, exponent = np.frexp(np.maximum(cells, 2.0**cut * shrink))
+    cells *= 1.0 / _CELL
+    np.floor(cells, out=cells)
+    near = (_CELL_EXPONENT - cut) // 2 + 1  # pieces up to _CELL
+    outward = np.where(cells > 0.0, cells + (near - 1), (exponent - (cut + 1)) // 2 + 1)
+    place = np.copysign(outward + 0.5, v)
+    place -= 0.5
+    return place
+
+
 def _level_pieces(phi: Callable, lo: float, hi: float, rel_tol: float, abs_tol: float, k: int):
     """Levels 1..k of phi (see level_kernel) on pieces covering [lo, hi]:
     a function of points v in that range giving the levels (k, len(v))
     and, unless told not to, their error bounds, and phi's evaluation
     count.
 
-    The levels share the pieces [2j, 2j + 2] over the range, those next to
-    0 cut at +-4^e down to 2^_FINEST_CUT (2^_ITERATED_CUT for k > 1), so
-    that they keep their relative precision there. On each piece level j's
-    integrand is sampled at the first-kind points: phi(w) w / (w - 1) at
-    w = e^u for level 1 (so that phi and w / (w - 1) see one w), and above
-    it level j - 1's series plus its carried constant, over 1 - e^-u. It
-    is integrated exactly in its Chebyshev coefficients from the piece's
-    end nearer 0, and its outer end's value carried outward from 0 by a
-    cumulative sum. A piece whose tail bound 2h (|c_N-2| + |c_N-1|) at any
-    level, h its half-width, exceeds max(abs_tol, rel_tol h max|values|) is
-    halved, _MAX_HALVINGS times in all before ToleranceError. A piece's
-    levels depend on it and the pieces inside it alone, never on the range.
+    The pieces lie at fixed places (_piece_places): next to 0 the +-4^e
+    pieces down to 2^cut, so that the levels keep their relative precision
+    there (cut is _FINEST_CUT, or _ITERATED_CUT for k > 1), and past _CELL
+    the cells of that width over the range; a point finds its piece by
+    arithmetic. On each piece level j's integrand is sampled at the
+    first-kind points: phi(w) w / (w - 1) at w = e^u for level 1 (so that
+    phi and w / (w - 1) see one w), and above it level j - 1's series plus
+    its carried constant, over 1 - e^-u. It is integrated exactly in its
+    Chebyshev coefficients from the piece's end nearer 0, and its outer
+    end's value carried outward from 0 by a cumulative sum. A piece whose
+    tail bound 2h (|c_N-2| + |c_N-1|) at any level, h its half-width,
+    exceeds max(abs_tol, rel_tol h max|values|) is halved where it misses,
+    _MAX_HALVINGS times in all before ToleranceError. A point in a piece
+    halved into equal parts finds its part by one more division; one in a
+    piece halved unevenly (about a kink) searches the parts' edges. A
+    piece's levels depend on it and the pieces inside it alone, never on
+    the range.
     """
     if not (np.isfinite(lo) and np.isfinite(hi)):  # w = r/p overflowed or underflowed
         raise NonFiniteError("level kernel points must be finite")
     (x, maps, chebyshev), n, counted = _kernel_matrices(), _KERNEL_NODES, [0]
+    cut = _FINEST_CUT if k == 1 else _ITERATED_CUT
+    near = np.ldexp(1.0, np.arange(cut, _CELL_EXPONENT + 1, 2))
 
-    def sample(a: np.ndarray, b: np.ndarray) -> list:
+    def outer_ends(bound: float) -> np.ndarray:
+        """The outer ends of one side's pieces, outward, up to bound >= 0."""
+        return np.concatenate([near, np.arange(2.0, np.ceil(bound / _CELL) + 1.0) * _CELL])
+
+    # The pieces in the order of their places, those below 0 first.
+    below_ends = outer_ends(max(-lo, 0.0))
+    edges = np.concatenate([-below_ends[::-1], [0.0], outer_ends(max(hi, 0.0))])
+    zero, pieces = len(below_ends), len(edges) - 1
+
+    def sample(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x
         w = np.exp(u)
         g = phi(w) * (w / (w - 1.0))
         counted[0] += g.size
         if not np.isfinite(g).all():
             raise NonFiniteError("generator returned a non-finite value")
-        return [a, b, u, g]
+        return u, g
 
-    lefts = np.arange(2.0 * np.floor(min(lo, 0.0) / 2.0), max(hi, 0.0), 2.0)
-    near = np.ldexp(1.0, np.arange(_FINEST_CUT if k == 1 else _ITERATED_CUT, 1, 2))
-    # Even integers and +-4^e are distinct (np.unique would import numpy.ma).
-    edges = np.sort(np.concatenate([lefts, [lefts[-1] + 2.0], -near, near]))
-    edges = edges[(edges >= lefts[0]) & (edges <= lefts[-1] + 2.0)]
-    parts, halvings = sample(edges[:-1], edges[1:]), 0
+    # The parts of the pieces, in the order of their places, and each
+    # part's piece; every piece is one part until it is halved.
+    a, b, owner = edges[:-1], edges[1:], np.arange(pieces)
+    (u, g1), halvings = sample(a, b), 0
     while True:
-        # Every level on every piece, sorted, as each carries the ones inside.
-        order = np.argsort(parts[0])
-        a, b, u, g = parts = [part[order] for part in parts]
         half, below = 0.5 * (b - a), b <= 0.0
         inner, shift = np.count_nonzero(below), np.arange(len(b)) + below
 
         def carried(x: np.ndarray) -> np.ndarray:
-            """Sums of x over the pieces between 0 and each piece."""
+            """Sums of x over the parts between 0 and each part."""
             sums = [np.cumsum(x[:inner][::-1])[::-1], [0.0], np.cumsum(x[inner:])]
             return np.concatenate(sums)[shift]
 
-        spread, bound, fits = 0.0, 0.0, True
+        spread, bound, fits, g = 0.0, 0.0, True, g1
         if k > 1:
             # Level j - 1's error reaches level j times |Integral of du /
-            # (1 - e^-u)| over each piece; 2 on a piece at 0, as it grows like u.
+            # (1 - e^-u)| over each part; 2 on a part at 0, as it grows like u.
             with np.errstate(divide="ignore"):
                 spread = np.abs(np.log(np.abs(np.expm1(b) / np.expm1(a))))
             spread[np.isinf(spread)] = 2.0
@@ -465,25 +505,54 @@ def _level_pieces(phi: Callable, lo: float, hi: float, rel_tol: float, abs_tol: 
             columns[:, level], bounds[level], scales[level] = c[:, : n + 1].T, bound, scale
         if fits.all():
             break
-        halvings += np.count_nonzero(~fits)
+        missed = ~fits
+        halvings += np.count_nonzero(missed)
         if halvings > _MAX_HALVINGS:
             raise ToleranceError(f"level kernel missed its target after {halvings} halvings")
-        mid = 0.5 * (a + b)[~fits]
-        halves = sample(np.concatenate([a[~fits], mid]), np.concatenate([mid, b[~fits]]))
-        parts = [np.concatenate([part[fits], more]) for part, more in zip(parts, halves)]
-    # A piece holds v on its closed outer end: (a, b] above 0, [a, b) below.
-    edges, centres = np.append(a, b[-1]), 0.5 * (a + b)
+        # Each missed part becomes its two halves in its place.
+        times = 1 + missed
+        ends, mid = np.cumsum(times)[missed], 0.5 * (a + b)[missed]
+        at = np.repeat(np.arange(len(b)), times)
+        a, b, owner, fresh = a[at], b[at], owner[at], missed[at]
+        a[ends - 1], b[ends - 2] = mid, mid
+        u, g1 = u[at], g1[at]
+        u[fresh], g1[fresh] = sample(a[fresh], b[fresh])
+    centres, whole = 0.5 * (a + b), len(b) == pieces
+    if not whole:
+        # A piece of equal parts finds a point's part by one more division;
+        # one halved unevenly (about a kink) searches its parts' edges.
+        parts = np.bincount(owner, minlength=pieces)
+        first, width = np.cumsum(parts) - parts, b - a
+        uneven = np.minimum.reduceat(width, first) < np.maximum.reduceat(width, first)
+        start, span = np.abs(edges[:-1]), np.abs(np.diff(edges))
+        start[:zero], edges = np.abs(edges[1 : zero + 1]), np.append(a, b[-1])
+        searching = bool(uneven.any())
 
     def levels(v: np.ndarray, bounded: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-        j = np.searchsorted(edges, v, "right") - 1
-        j -= (v > 0.0) & (edges[j] == v)
-        # Every gather clips j: a point rounded just past the range takes the
-        # piece at its end.
+        size = np.abs(v)
+        # A point rounded just past the range takes the piece at its end.
+        j = np.clip(_piece_places(v, cut) + zero, 0, pieces - 1).astype(np.intp)
+        if not whole:
+            # |v| is in the i-th part outward, (start + (i - 1) span / c,
+            # start + i span / c], the (c + 1 - i)-th in place below 0.
+            count = parts[j]
+            within = size - start[j]
+            within *= count / span[j]
+            np.ceil(within, out=within)
+            within = np.where(v < 0.0, count - within, within - 1.0)
+            j = first[j] + np.clip(within, 0, count - 1).astype(np.intp)
+            if searching:
+                searched = uneven[owner[j]]
+                at = v[searched]
+                found = np.searchsorted(edges, at, "right") - 1
+                found -= (at > 0.0) & (edges[found] == at)
+                j[searched] = found
         t = (v - centres.take(j, mode="clip")) / half.take(j, mode="clip")
         # Clenshaw's recurrence for all levels at once, one coefficient column
-        # (k, pieces) gathered at a time; each step's (c + 2t b1) - b2 is taken
+        # (k, parts) gathered at a time; each step's (c + 2t b1) - b2 is taken
         # in place in four buffers, and t is doubled and halved back exactly.
-        b1, b2, c, product = (np.zeros((k, len(v))) for _ in range(4))
+        b1, b2 = np.zeros((2, k, len(v)))
+        c, product = np.empty((2, k, len(v)))
         t *= 2.0
         for i in range(n, -1, -1):
             if i == 0:
@@ -496,7 +565,7 @@ def _level_pieces(phi: Callable, lo: float, hi: float, rel_tol: float, abs_tol: 
         if not bounded:
             return b1, None
         # v is rounded by eps |v| in t, and by about 2 eps in the w it came from.
-        rounding = scales.take(j, axis=1, mode="clip") * (np.abs(v) + 2.0) * _EPS
+        rounding = scales.take(j, axis=1, mode="clip") * (size + 2.0) * _EPS
         return b1, bounds.take(j, axis=1, mode="clip") + rounding
 
     return levels, counted[0]

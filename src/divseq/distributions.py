@@ -185,12 +185,6 @@ class MixturePath:
         """The number of stacked paths, None for a single one."""
         return self.start.stack_size
 
-    @property
-    def is_constant(self) -> bool | np.ndarray:
-        """Whether start and end coincide: a bool, or one per stacked path."""
-        same = np.all(self.start.masses == self.end.masses, axis=-1)
-        return bool(same) if same.ndim == 0 else same
-
     def masses_at(self, t: np.ndarray) -> np.ndarray:
         """Mixture mass rows at path positions t, of shape t.shape + (n,).
 

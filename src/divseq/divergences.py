@@ -44,14 +44,17 @@ class DivergenceFunctional:
     its own and a split of the columns sums to the whole, as psi_iter needs.
     It takes mass arrays, real or complex (path_derivative differentiates
     it by a complex step); ``evaluate`` is the entry point that also
-    accepts Distribution objects. ``generator`` is phi, D(P, R) = Sum_i p_i
-    phi(r_i / p_i), or None (Bregman, or built from an evaluator alone).
+    accepts Distribution objects. ``generator`` is phi and ``degree`` is
+    alpha, D(P, R) = Sum_i p_i^alpha phi(r_i / p_i), or the generator is
+    None (a Bregman functional given no degree, or one built from an
+    evaluator alone). Every f-divergence has degree 1.
     """
 
     identifier: str
     orientation: Orientation
     evaluator: Callable[..., np.ndarray]
     generator: Callable[[np.ndarray], np.ndarray] | None = None
+    degree: float = 1.0
 
 
 def evaluate(D: DivergenceFunctional, P, Q):
@@ -124,13 +127,18 @@ class FDivergenceSpec:
 class BregmanSpec:
     """Differentiable strictly convex generator for the Bregman form
     Sum_i F(p_i) - F(q_i) - F'(q_i)(p_i - q_i). F and F_prime must act
-    elementwise on real and complex ndarrays alike."""
+    elementwise on real and complex ndarrays alike. ``degree`` alpha, if
+    given, says the form is homogeneous, B(lx, ly) = l^alpha B(x, y), as
+    for F = x^alpha, x log x (alpha = 1) or -log x (alpha = 0)."""
 
     F: Callable[[np.ndarray], np.ndarray]
     F_prime: Callable[[np.ndarray], np.ndarray]
+    degree: float | None = None
 
 
 _CONVEXITY_GRID = np.logspace(np.log10(0.011), np.log10(95.0), 21)
+# make_bregman checks a stated degree at these scales of _CONVEXITY_GRID.
+_DEGREE_SCALES = (0.25, 3.0)
 
 
 def _require_complex_step(g, name: str) -> None:
@@ -185,6 +193,12 @@ def make_bregman(spec: BregmanSpec) -> DivergenceFunctional:
     F(x) >= F(y) + F'(y)(x - y) on a sampled grid, and F and F' must each
     carry a complex step; violations raise SpecError. The operators take
     it only once wrapped with swap_orientation.
+
+    With a degree alpha, B(lx, ly) = l^alpha B(x, y) is checked on the grid
+    at _DEGREE_SCALES (SpecError on a miss). Then B(P, Q) = Sum q^alpha
+    beta(p/q), beta(w) = F(w) - F(1) - F'(1)(w - 1), so the functional gets
+    the generator w^alpha beta(1/w) and the degree, and its swap, whose
+    generator is beta, takes psi's level kernel.
     """
     F, Fp = spec.F, spec.F_prime
     x, y = np.meshgrid(_CONVEXITY_GRID, _CONVEXITY_GRID)
@@ -199,23 +213,56 @@ def make_bregman(spec: BregmanSpec) -> DivergenceFunctional:
     _require_complex_step(F, "F")
     _require_complex_step(Fp, "F_prime")
 
-    def mass_fn(p, q):
-        return np.sum(F(p) - F(q) - Fp(q) * (p - q), axis=-1)
+    def terms(p, q):
+        return F(p) - F(q) - Fp(q) * (p - q)
 
-    return DivergenceFunctional("bregman", Orientation.LEFT_CONVEX, mass_fn)
+    def mass_fn(p, q):
+        return np.sum(terms(p, q), axis=-1)
+
+    alpha = spec.degree
+    if alpha is None:
+        return DivergenceFunctional("bregman", Orientation.LEFT_CONVEX, mass_fn)
+    alpha = float(alpha)
+
+    def size(p, q):  # the magnitude of the terms B sums, for a relative slack
+        return np.abs(F(p)) + np.abs(F(q)) + np.abs(Fp(q) * (p - q))
+
+    for scale in _DEGREE_SCALES:
+        power = scale**alpha
+        miss = np.abs(terms(scale * x, scale * y) - power * terms(x, y))
+        if np.any(miss > 1e-9 * (1.0 + size(scale * x, scale * y) + power * size(x, y))):
+            raise SpecError(
+                f"the Bregman form is not homogeneous of degree {alpha!r}: at scale "
+                f"{scale} it misses by {float(miss.max()):.3e}"
+            )
+    slope = Fp(np.asarray(1.0))
+
+    def beta(w):
+        return F(w) - F(1.0) - slope * (w - 1.0)
+
+    return DivergenceFunctional(
+        "bregman", Orientation.LEFT_CONVEX, mass_fn, lambda w: w**alpha * beta(1.0 / w), alpha
+    )
 
 
 def swap_orientation(D: DivergenceFunctional) -> DivergenceFunctional:
-    """(P, Q) -> D(Q, P), the orientation flipped, a generator phi to w phi(1/w)."""
+    """(P, Q) -> D(Q, P), the orientation flipped, a generator phi of degree
+    alpha to w^alpha phi(1/w) of the same degree (w phi(1/w) at alpha = 1)."""
     flipped = (
         Orientation.LEFT_CONVEX
         if D.orientation is Orientation.RIGHT_CONVEX
         else Orientation.RIGHT_CONVEX
     )
-    base, phi = D.evaluator, D.generator
-    conjugate = None if phi is None else (lambda w: w * phi(1.0 / w))
+    base, phi, alpha = D.evaluator, D.generator, D.degree
+    if phi is None:
+        conjugate = None
+    elif alpha == 1.0:
+        conjugate = lambda w: w * phi(1.0 / w)  # noqa: E731
+    else:
+        conjugate = lambda w: w**alpha * phi(1.0 / w)  # noqa: E731
     return DivergenceFunctional(
-        f"swap({D.identifier})", flipped, lambda first, second: base(second, first), conjugate
+        f"swap({D.identifier})", flipped, lambda first, second: base(second, first),
+        conjugate, alpha,
     )
 
 

@@ -9,13 +9,16 @@ shape. Every operator lifts its path to a stack (a single path is a stack
 of one, see distributions._lift_path), computes on endpoint rows (m, n)
 and positions (m, L) only, and reshapes the result to the caller's form.
 Since ds/s is scale-free, the value at t is the value at the end of the
-truncation P -> R(t). With a generator, psi is Sum p Phi(log w),
-w = R(t)/P, Phi from chebyshev's level kernel, built once per call on the
-range of log w at each path's end and evaluated in one pass over blocks
-of positions; without one it is a cumulative Gauss-Kronrod quadrature
-per path, the package's one use of the quadrature. psi_iter takes
-Sum p Phi_j(log w) from the same kernel where that is predicted to cost
-less, or samples level 0 on P -> R(T), T the largest position, fits it
+truncation P -> R(t). With a generator phi of degree alpha, D = Sum
+p^alpha phi(r/p) (every f-divergence, alpha = 1, and a swapped Bregman
+functional given its degree), psi is Sum p^alpha Phi(log w), w = R(t)/P,
+Phi from chebyshev's level kernel, built once per call on the range of
+log w at each path's end and evaluated in one pass over blocks of
+positions, positions at t = 0 left out; without one it is a cumulative
+Gauss-Kronrod quadrature per path, the package's one use of the
+quadrature. psi_iter takes Sum p^alpha Phi_j(log w) from the same kernel
+where that is predicted to cost less, or samples level 0 on P -> R(T), T
+the largest position, fits it
 by one Chebyshev polynomial per group of the coordinates that move in
 one doubling loop, and integrates the summed polynomial exactly, level
 after level, in its Chebyshev coefficients.
@@ -89,21 +92,27 @@ def _along(
     return out
 
 
+def _weights(D: DivergenceFunctional, p: np.ndarray) -> np.ndarray:
+    """The weights p^alpha of D = Sum p^alpha phi(r/p): p itself at alpha = 1."""
+    return p if D.degree == 1.0 else p**D.degree
+
+
 def _level_zero(D: DivergenceFunctional, p: np.ndarray, r: np.ndarray):
     """D on the paths p -> r, rows (m, n): a sampler of positions s (R, L),
     the path of each row (R,) and rest (R, L), the exact complement 1 - s
-    (1.0 - s would lose it near s = 1). With a generator phi it gives
-    Sum p phi(w), w = rest + s r/p (1 at s = 0, r/p at s = 1 exactly),
-    else _along's values on the mixture.
+    (1.0 - s would lose it near s = 1). With a generator phi of degree
+    alpha it gives Sum p^alpha phi(w), w = rest + s r/p (1 at s = 0, r/p at
+    s = 1 exactly), else _along's values on the mixture.
     """
     phi, ratio = D.generator, r / p
     if phi is None:
         return lambda s, rows, rest: _along(D, p, r, s, rows, rest)
+    weights = _weights(D, p)
 
     def sample(s: np.ndarray, rows: np.ndarray, rest: np.ndarray) -> np.ndarray:
         out, s, rest = np.empty(s.shape), s[..., None], rest[..., None]
         for i, cols in _blocks(out.shape, p.shape[-1]):
-            pb, rb = p[rows[i], None], ratio[rows[i], None]
+            pb, rb = weights[rows[i], None], ratio[rows[i], None]
             for j in cols:
                 w = s[i, j] * rb
                 w += rest[i, j]
@@ -122,11 +131,14 @@ def _level_zero(D: DivergenceFunctional, p: np.ndarray, r: np.ndarray):
 _DCT_CELLS = 40
 # psi_iter predicts the level kernel's cost as k m L n (_KERNEL_NODES + 1)
 # cells, each worth about this many of the fit's predicted cells (sampling,
-# residual DCTs and (k + 1) m L N evaluation, from _column_groups). So it took
-# the kernel on all 108 generator chain calls of run_suite at seeds 101 and
-# 202 and on 8 of the 80 sweep inputs of those seeds, none of which ran slower
-# on it than on the fit (2 cores, Python 3.11; BENCH_33.json).
-_KERNEL_CELL_COST = 2.0
+# residual DCTs and (k + 1) m L N evaluation, from _column_groups). On the 80
+# sweep inputs of the benchmark's seeds 101 and 202 (depth 3, 101 positions)
+# the kernel ran faster than the fit on every input whose fit was predicted
+# at 1.9 or more kernel cells, but for ties within 2% at n = 2, and slower on
+# those at 1.18 or fewer; on the near-identical 7-point stress pair, predicted
+# at 1.51, it ran 5-8% slower. Every generator chain call of run_suite there
+# is predicted at 7.4 (2 cores, Python 3.11).
+_KERNEL_CELL_COST = 1.75
 
 
 def _column_groups(p: np.ndarray, q: np.ndarray) -> tuple[list[np.ndarray | slice], int, int]:
@@ -190,12 +202,12 @@ def psi(
 
     A position t on a single path gives an OperatorResult; a 1-d grid, or
     t of shape (m,) or (m, k) on a stack of m paths, gives an array of t's
-    shape. Where D has a generator, each value is Sum p Phi(log w) at its
-    own position alone (_psi_kernel), so a grid or stack value is the
-    single call's bitwise, and the estimate is the p-weighted sum of the
-    kernel's bounds. A D without one is one cumulative quadrature per path
-    (_psi_quadrature), whose grid values agree with the single calls to
-    within cfg. Either way psi at t on P -> Q is psi at 1 on P -> R(t)
+    shape. Where D has a generator, each value is Sum p^alpha Phi(log w),
+    alpha D's degree, at its own position alone (_psi_kernel), so a grid
+    or stack value is the single call's bitwise, and the estimate is the
+    p^alpha-weighted sum of the kernel's bounds. A D without one is one
+    cumulative quadrature per path (_psi_quadrature), whose grid values
+    agree with the single calls to within cfg. Either way psi at t on P -> Q is psi at 1 on P -> R(t)
     bitwise, and t = 0 and a constant path give exact zeros at no cost.
     """
     _require_right_convex(D)
@@ -213,15 +225,16 @@ def psi(
 def _psi_kernel(
     D: DivergenceFunctional, p, q, t, k: int, rel_tol: float, abs_tol: float, bounded=False,
 ):
-    """Sum p Phi_j(log w), w = R(t)/P, j = 1..k, on endpoint rows (m, n) at
-    positions (m, L): values (k, m, L), estimates (k, m) if bounded (else
-    None) and the evaluation count. w is _level_zero's (1 - u) + u R(t)/P
-    at u = 1, R(t)/P bitwise; a coordinate with q_i = p_i has w = 1 all
-    along and adds +0.0. R(t)/P is linear in t, so every v = log w of a
-    path lies between 0 and its value at the path's largest position: the
-    kernel's pieces cover the range of those. The positions are taken in
-    _blocks of k n cells, each formed, evaluated and summed in its turn, so
-    no temporary outgrows a block.
+    """Sum p^alpha Phi_j(log w), w = R(t)/P, j = 1..k, alpha D's degree, on
+    endpoint rows (m, n) at positions (m, L): values (k, m, L), estimates
+    (k, m) if bounded (else None) and the evaluation count. w is
+    _level_zero's (1 - u) + u R(t)/P at u = 1, R(t)/P bitwise; a coordinate
+    with q_i = p_i has w = 1 all along and adds +0.0, and so does every
+    coordinate at t = 0, which is never formed. R(t)/P is linear in t, so
+    every v = log w of a path lies between 0 and its value at the path's
+    largest position: the kernel's pieces cover the range of those. The
+    positions are taken in _blocks of k n cells, each formed, evaluated and
+    summed in its turn, so no temporary outgrows a block.
     """
     values = np.zeros((k,) + t.shape)
     estimates = np.zeros((k, len(p))) if bounded else None
@@ -229,18 +242,22 @@ def _psi_kernel(
     if not ends.any():
         return values, estimates, 0
     levels, evals = _level_pieces(D.generator, ends.min(), ends.max(), rel_tol, abs_tol, k)
+    weights = _weights(D, p)
 
     def add(i, j):  # a function, so no block's arrays outlive its turn
-        v = np.log(_mix(p[i], q[i], t[i, j]) / p[i, None])
-        moving = (v != 0.0) & (p[i] != q[i])[:, None]
+        live = t[i, j] > 0.0
+        rows = np.nonzero(live)[0]
+        pl, ql = p[i][rows], q[i][rows]
+        v = np.log(_mix(pl, ql, t[i, j][live]) / pl)
+        moving = (v != 0.0) & (pl != ql)
         at, errors = levels(v[moving], bounded)
         terms = _scattered(moving, at)
-        terms *= p[i, None]
-        values[:, i, j] = terms.sum(axis=-1)
+        terms *= weights[i][rows]
+        values[:, i, j][:, live] = terms.sum(axis=-1)
         if bounded:
             # A rounding floor: a few ulps of each term, in the kernel and the sum.
-            bounds = _scattered(moving, errors) * p[i, None] + 4.0 * _EPS * np.abs(terms)
-            estimates[:, i] += bounds.sum(axis=(-2, -1))
+            bounds = _scattered(moving, errors) * weights[i][rows] + 4.0 * _EPS * np.abs(terms)
+            np.add.at(estimates[:, i], (slice(None), rows), bounds.sum(axis=-1))
 
     for i, cols in _blocks(t.shape, k * p.shape[-1]):
         for j in cols:
@@ -323,8 +340,8 @@ def psi_iter(
     to cost less before any sampling (_KERNEL_CELL_COST); a D without a
     generator, or with a column predicted at the node cap, takes the fit.
 
-    The kernel gives level j as Sum p Phi_j(log w), w = R(t)/P
-    (_psi_kernel), at each position alone. The fit uses that
+    The kernel gives level j as Sum p^alpha Phi_j(log w), w = R(t)/P,
+    alpha D's degree (_psi_kernel), at each position alone. The fit uses that
     ds/s is scale-free: the levels at t on P -> Q are those at u = t / T on
     P -> R(T), T the path's largest grid position (R(1) = Q bitwise), so
     level 0 is fitted only where the grid reaches: one Chebyshev

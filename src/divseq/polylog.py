@@ -180,19 +180,23 @@ def _eta_weights() -> tuple[Fraction, ...]:
     return tuple((-1) ** j * (1 - d[j] / d[n]) for j in range(n))
 
 
+@functools.lru_cache(maxsize=64)
 def _eta(s: int) -> Fraction:
-    """Dirichlet eta(s) for s >= 2, to 1.3e-18 relative."""
+    """Dirichlet eta(s) for s >= 2, to 1.3e-18 relative; orders share it."""
     return sum(c / (j + 1) ** s for j, c in enumerate(_eta_weights()))
 
 
-def _bernoulli(m: int) -> list[Fraction]:
-    """B_0..B_m, with B_1 = -1/2, from Sum_{j<=n} C(n+1, j) B_j = 0."""
+@functools.cache
+def _bernoulli() -> tuple[Fraction, ...]:
+    """B_0.._MU_TERMS, with B_1 = -1/2, from Sum_{j<=n} C(n+1, j) B_j = 0:
+    once per process, as every order's coefficients take them. The odd
+    ones past B_1 are 0 and add nothing."""
     from fractions import Fraction
 
     b = [Fraction(1)]
-    for n in range(1, m + 1):
-        b.append(-sum(math.comb(n + 1, j) * b[j] for j in range(n)) / (n + 1))
-    return b
+    for n in range(1, _MU_TERMS + 1):
+        b.append(-sum(math.comb(n + 1, j) * b[j] for j in range(n) if b[j]) / (n + 1))
+    return tuple(b)
 
 
 @functools.lru_cache(maxsize=64)
@@ -204,7 +208,7 @@ def _coefficients(k: int) -> tuple[tuple[float, ...], float, tuple[float, ...]]:
     from fractions import Fraction
 
     terms = max(_MU_TERMS, k)
-    bernoulli = _bernoulli(max(terms - k, 1))
+    bernoulli = _bernoulli()  # zeta(k - j) for j < terms needs B_(terms - k) at most
 
     def zeta(s: int) -> Fraction:
         if s >= 2:

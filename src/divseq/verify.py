@@ -101,9 +101,6 @@ class PropertyCheck:
     tolerance: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -223,7 +220,7 @@ def check_integral_contraction(
         mixed = new_distribution(mix * end + (1.0 - mix) * other).masses
         # One psi call: the profile along each path, and psi at 1 toward the
         # other and the mixed end point, whose positions are 0 (an exact
-        # zero that costs nothing) but for the last.
+        # zero, never formed) but for the last.
         at_one = np.zeros_like(ts)
         at_one[:, -1] = 1.0
         values = psi(
@@ -352,7 +349,7 @@ def _triangular_discrimination() -> DivergenceFunctional:
 
 def _suite_divergences() -> tuple[DivergenceFunctional, ...]:
     left_kl = replace(named_divergence("kl"), orientation=Orientation.LEFT_CONVEX)
-    squared_norm = BregmanSpec(F=lambda x: x * x, F_prime=lambda x: 2.0 * x)
+    squared_norm = BregmanSpec(F=lambda x: x * x, F_prime=lambda x: 2.0 * x, degree=2.0)
     return (
         named_divergence("chi2"),
         named_divergence("kl"),

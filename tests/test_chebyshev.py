@@ -520,6 +520,89 @@ class TestGeneratorKernel:
                 assert alone.tobytes() == values[:, part].tobytes(), identifier
                 assert alone_bounds.tobytes() == bounds[:, part].tobytes(), identifier
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_values_in_halved_cells_depend_on_v_alone(self, k):
+        # _kinked's cell (11/16, 12/16] holds the kink at log 2 and is halved
+        # unevenly, down to the kink. At a target of 1e-12 every cell past
+        # |v| = 1.2 is halved into equal parts for (w - 1)^2, whose levels are
+        # (e^v - 1)^2 / 2^j, above 0, and for (w - 1)^2 / w^3, whose level 1
+        # is (1 - e^-v)^2 / 2, below it. Each point keeps its value bitwise
+        # whatever else a call holds.
+        rng = np.random.default_rng(6)
+        inside = np.append(rng.uniform(0.6875, 0.75, 30), [np.log(2.0), 0.75, 0.6875 + 2**-40])
+        cases = {
+            "kinked": (_kinked, np.concatenate([inside, rng.uniform(-3.0, 8.0, 30)]), 1e-10),
+            "square": (
+                lambda w: (w - 1.0) ** 2,
+                np.concatenate([rng.uniform(1.2, 4.6, 40), rng.uniform(-4.0, 1.2, 20)]), 1e-12,
+            ),
+            "mirrored": (
+                lambda w: (w - 1.0) ** 2 / w**3,
+                np.concatenate([rng.uniform(-4.6, -1.2, 40), rng.uniform(-1.2, 4.0, 20)]), 1e-12,
+            ),
+        }
+        exact = {
+            "kinked": lambda v: np.exp(np.maximum(v, np.log(2.0)))
+            - np.log(np.expm1(np.maximum(v, np.log(2.0)))) - 2.0,
+            "square": lambda v: np.expm1(v) ** 2 / 2.0,
+            "mirrored": lambda v: np.expm1(-v) ** 2 / 2.0,
+        }
+        for name, (phi, v, tol) in cases.items():
+            values, bounds, evaluations = level_kernel(phi, v, tol, 1e-12, k)
+            _, _, unhalved = level_kernel(phi, v, 1e-3, 1e-3, k)
+            assert evaluations > unhalved, name
+            for part in (np.arange(30), np.arange(30, 33), [0], np.arange(0, v.size, 5)):
+                alone, alone_bounds, _ = level_kernel(phi, v[part], tol, 1e-12, k)
+                assert alone.tobytes() == values[:, part].tobytes(), name
+                assert alone_bounds.tobytes() == bounds[:, part].tobytes(), name
+            ref = exact[name](v)
+            error = np.abs(values[0] - ref)
+            assert np.all(error <= np.maximum(1e-12, tol * np.abs(ref))), name
+            if name != "kinked":
+                assert np.all(error <= 1e-14 * np.maximum(1.0, ref)) and np.all(error <= bounds[0])
+        levels = np.expm1(cases["square"][1]) ** 2 / 2.0 ** np.arange(1, k + 1)[:, None]
+        values, bounds, _ = level_kernel(cases["square"][0], cases["square"][1], 1e-12, 1e-12, k)
+        error = np.abs(values - levels)
+        assert np.all(error <= 1e-14 * np.maximum(1.0, levels)) and np.all(error <= bounds)
+
+    # One side's pieces, outward: (0, 2^cut], the +-4^e pieces up to 1/16,
+    # then cells of width 1/16; each holds its outer end.
+    @staticmethod
+    def _outer_ends(cut, last_cell):
+        return np.concatenate([2.0 ** np.arange(cut, -3, 2), np.arange(2, last_cell + 1) / 16.0])
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_an_edge_belongs_to_the_piece_it_closes(self, k):
+        # Every interior edge out to 3, of both signs: on the edge, and one ulp
+        # inward, a point takes the piece the edge closes; one ulp outward, the
+        # next piece out.
+        cut = chebyshev._FINEST_CUT if k == 1 else chebyshev._ITERATED_CUT
+        edges = self._outer_ends(cut, 48)[:-1]
+        outward = np.arange(edges.size, dtype=float)
+        for sign in (1.0, -1.0):
+            v = sign * edges
+            place = outward if sign > 0 else -1.0 - outward
+            beyond = place + sign
+            assert chebyshev._piece_places(v, cut).tolist() == place.tolist()
+            assert chebyshev._piece_places(np.nextafter(v, 0.0), cut).tolist() == place.tolist()
+            assert chebyshev._piece_places(np.nextafter(v, 2.0 * v), cut).tolist() == beyond.tolist()
+        # Below 2^cut every point takes the piece at 0.
+        tiny = np.array([2.0**cut, 1e-300, 5e-324])
+        assert chebyshev._piece_places(tiny, cut).tolist() == [0.0] * 3
+        assert chebyshev._piece_places(-tiny, cut).tolist() == [-1.0] * 3
+
+    def test_points_on_and_next_to_edges_match_40_digits(self):
+        edges = self._outer_ends(chebyshev._FINEST_CUT, 48)[[0, 5, 12, 13, 14, 15, 30, 60]]
+        v = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        v = np.concatenate([v, -v])
+        for identifier in ("kl", "chi2"):
+            phi = named_divergence(identifier).generator
+            (values,), (bounds,), _ = level_kernel(phi, v, 1e-10, 1e-12)
+            refs = np.array([_mp_level(_MP_GENERATORS[identifier], x) for x in v])
+            error = np.abs(values - refs)
+            assert np.all(error <= 1e-14 * np.maximum(1.0, np.abs(refs))), identifier
+            assert np.all(error <= bounds), identifier
+
     @pytest.mark.parametrize("identifier", list(_MP_LEVEL_GENERATORS))
     def test_levels_match_the_cauchy_form(self, identifier):
         phi = _LEVEL_GENERATORS.get(identifier) or named_divergence(identifier).generator

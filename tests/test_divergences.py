@@ -28,6 +28,7 @@ from divseq.chebyshev import lobatto_nodes
 from divseq.operators import _along, _level_zero, psi_inverse, psi_iter
 from divseq.sequences import pl, sl
 from divseq.verify import _suite_divergences
+from operator_oracles import BREGMAN_DEGREES
 
 P = new_distribution(np.array([0.5, 0.5]))
 Q = new_distribution(np.array([0.25, 0.75]))
@@ -331,6 +332,47 @@ class TestBregmanFactory:
         # 2|x| is F' on the positive grid, so the gradient inequality holds.
         with pytest.raises(SpecError, match="F_prime"):
             make_bregman(BregmanSpec(F=lambda x: x**2, F_prime=lambda x: 2.0 * np.abs(x)))
+
+
+class TestBregmanDegree:
+    @pytest.mark.parametrize("name", list(BREGMAN_DEGREES))
+    def test_the_swap_of_a_homogeneous_form_has_generator_beta(self, name):
+        F, F_prime, degree, terms = BREGMAN_DEGREES[name]
+        beta = lambda w: terms(w, w - 1.0, np.log(w))  # noqa: E731
+        D = make_bregman(BregmanSpec(F, F_prime, degree))
+        swapped = swap_orientation(D)
+        assert D.degree == swapped.degree == degree
+        assert swapped.orientation is Orientation.RIGHT_CONVEX
+        w = np.logspace(-12, 6, 181)
+        exact = beta(w)
+        scale = np.abs(F(w)) + np.abs(F(1.0)) + np.abs(F_prime(1.0) * (w - 1.0))
+        assert np.all(np.abs(swapped.generator(w) - exact) <= 16 * np.finfo(float).eps * scale)
+        # D(P, R) = Sum p^alpha beta(r/p) for the swap, Sum q^alpha beta(p/q) unswapped.
+        for seed in range(5):
+            p, q = (random_distribution(6, seed=2 * seed + i).masses for i in (1, 2))
+            want = np.sum(p**degree * beta(q / p))
+            assert evaluate(swapped, p, q) == pytest.approx(want, rel=1e-12, abs=1e-15)
+            assert evaluate(D, q, p) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("name, wrong", [("x^2", 1.0), ("x^1.5", 2.0), ("x log x", 0.0),
+                                             ("-log x", 1.0)])
+    def test_a_wrong_degree_is_a_spec_error(self, name, wrong):
+        F, F_prime, _, _ = BREGMAN_DEGREES[name]
+        with pytest.raises(SpecError, match="homogeneous"):
+            make_bregman(BregmanSpec(F, F_prime, wrong))
+
+    def test_a_form_of_no_degree_is_a_spec_error(self):
+        # F = x^2 + x^3 is convex on the grid but scales by no single power.
+        spec = BregmanSpec(lambda x: x * x + x**3, lambda x: 2.0 * x + 3.0 * x * x, 2.0)
+        with pytest.raises(SpecError, match="homogeneous"):
+            make_bregman(spec)
+
+    def test_degree_one_swaps_as_before_bitwise(self):
+        # f-divergences have degree 1, and their swap takes no power.
+        kl = named_divergence("kl")
+        assert kl.degree == 1.0
+        w = np.logspace(-12, 6, 37)
+        assert swap_orientation(kl).generator(w).tobytes() == (w * kl.generator(1.0 / w)).tobytes()
 
 
 class TestSwap:

@@ -1,11 +1,14 @@
 """Smoke runs of the study scripts and of the README's examples, so an API
 change that breaks one fails here."""
 
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,3 +50,65 @@ def test_readme_python_blocks_run(capsys):
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i}", "exec"), {})
     assert capsys.readouterr().out
+
+
+# A stand-in for perfbench/run.py: it logs which checkout ran it and prints
+# a result line whose op_p90_ms is the checkout's SPEED file, plus the run's
+# index in that checkout, so the sides and the runs can be told apart.
+_STUB = """
+import json, pathlib, sys
+here = pathlib.Path.cwd()
+log = here.parent / "calls.log"
+with log.open("a") as f:
+    f.write(here.name + " " + " ".join(sys.argv[1:]) + "\\n")
+count = sum(1 for line in log.read_text().splitlines() if line.startswith(here.name + " "))
+speed = float((here / "SPEED").read_text())
+metrics = {"op_p90_ms": {"value": speed + count, "unit": "ms"},
+           "ok_ops_per_s": {"value": 1000.0 / (speed + count), "unit": "1/s"},
+           "trace.untraced_s": {"value": 1.0, "unit": "s"}}
+print("# a human-readable line")
+print(json.dumps({"correct": True, "attempted": 5, "failed": 0, "metrics": metrics}))
+"""
+
+
+def test_bench_pairs_alternates_sides_and_summarizes_each_metric(tmp_path):
+    trees = {}
+    for side, speed in (("parent", 20.0), ("change", 10.0)):
+        tree = tmp_path / side
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text("# untouched\n")
+        (tree / "SPEED").write_text(str(speed))
+        (tree / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+        trees[side] = tree
+    stub = tmp_path / "stub.py"
+    stub.write_text(_STUB)
+    out = tmp_path / "BENCH_x.json"
+    args = [
+        sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
+        "--parent", str(trees["parent"]), "--change", str(trees["change"]), "--pr", "x",
+        "--workload", "verify", "--workload", "sweep", "--seed", "7", "--pairs", "4",
+        "--seconds", "3", "--runner", f"{sys.executable} {stub}", "--out", str(out),
+    ]
+    done = subprocess.run(args, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    calls = (tmp_path / "calls.log").read_text().splitlines()
+    sides = [line.split()[0] for line in calls]
+    assert sides == ["parent", "change", "change", "parent"] * 4
+    for i, line in enumerate(calls):
+        workload = "verify" if i < 8 else "sweep"
+        assert line.split(" ", 1)[1] == f"--workload {workload} --seed 7 --seconds 3 --trace 0"
+    report = json.loads(out.read_text())
+    assert set(report["workloads"]) == {"verify/7", "sweep/7"}
+    verify = report["workloads"]["verify/7"]
+    assert verify["pairs"] == 4 and verify["correct"]["change"] == [True] * 4
+    # Only BENCHMARK.json's end-to-end metrics, each in its own direction.
+    assert set(verify["metrics"]) == {"op_p90_ms", "ok_ops_per_s"}
+    p90 = verify["metrics"]["op_p90_ms"]
+    assert p90["parent"] == [21.0, 22.0, 23.0, 24.0] and p90["change"] == [11.0, 12.0, 13.0, 14.0]
+    assert p90["parent_q1_med_q3"] == [21.75, 22.5, 23.25]
+    assert p90["relative_change_of_median"] == pytest.approx(-10.0 / 22.5)
+    assert p90["change_better_in"] == "4/4" and p90["better"] == "lower"
+    assert verify["metrics"]["ok_ops_per_s"]["change_better_in"] == "4/4"
+    for tree in trees.values():  # the benchmark's own files are left alone
+        assert [p.name for p in (tree / "perfbench").iterdir()] == ["run.py"]
+        assert (tree / "perfbench" / "run.py").read_text() == "# untouched\n"

@@ -352,3 +352,13 @@ class TestSuite:
     def test_rejects_nonpositive_instances(self):
         with pytest.raises(DomainError):
             run_suite(seed=1, instances=0)
+
+    def test_no_check_calls_the_quadrature(self, monkeypatch):
+        # Every roster functional has a generator, swap(bregman x^2) with
+        # degree 2, so psi takes the level kernel throughout.
+        def refused(*args, **kwargs):
+            raise AssertionError("run_suite called cumulative_integral")
+
+        monkeypatch.setattr(operators, "cumulative_integral", refused)
+        assert all(D.generator is not None for D in _suite_divergences())
+        assert run_suite(seed=42, instances=40).all_passed
