@@ -43,7 +43,9 @@ _BLOCK_CELLS = 1 << 14
 _INITIAL_INTERVALS = 16
 _MAX_INTERVALS = 2**14
 # level_kernel samples each piece at this many first-kind Chebyshev points and
-# halves pieces at most this many times a call. Its finest cut is 2^-30, or
+# halves pieces at most this many times a call past each piece's first
+# halving, which a generator growing like w^2 takes on every cell at a target
+# of 1e-12, however far its range reaches. Its finest cut is 2^-30, or
 # 2^-12 with levels above 1, which carry a generator's rounding at w = 1
 # (swap(kl)'s w log(1/w) rounds 1/w) on about log(1/cut) times each. Past
 # 2^_CELL_EXPONENT from 0 its pieces are cells of that width, on which 8
@@ -438,11 +440,10 @@ def _level_pieces(phi: Callable, lo: float, hi: float, rel_tol: float, abs_tol: 
     end's value carried outward from 0 by a cumulative sum. A piece whose
     tail bound 2h (|c_N-2| + |c_N-1|) at any level, h its half-width,
     exceeds max(abs_tol, rel_tol h max|values|) is halved where it misses,
-    _MAX_HALVINGS times in all before ToleranceError. A point in a piece
-    halved into equal parts finds its part by one more division; one in a
-    piece halved unevenly (about a kink) searches the parts' edges. A
-    piece's levels depend on it and the pieces inside it alone, never on
-    the range.
+    each piece once and _MAX_HALVINGS times more in all before
+    ToleranceError, so the budget grows with the pieces. A point in a
+    halved piece searches the parts' edges. A piece's levels depend on it
+    and the pieces inside it alone, never on the range.
     """
     if not (np.isfinite(lo) and np.isfinite(hi)):  # w = r/p overflowed or underflowed
         raise NonFiniteError("level kernel points must be finite")
@@ -506,7 +507,9 @@ def _level_pieces(phi: Callable, lo: float, hi: float, rel_tol: float, abs_tol: 
         if fits.all():
             break
         missed = ~fits
-        halvings += np.count_nonzero(missed)
+        # A piece's first halving is free: a part that is a whole piece costs nothing.
+        halved = np.bincount(owner, minlength=pieces) > 1
+        halvings += np.count_nonzero(missed & halved[owner])
         if halvings > _MAX_HALVINGS:
             raise ToleranceError(f"level kernel missed its target after {halvings} halvings")
         # Each missed part becomes its two halves in its place.
@@ -519,34 +522,21 @@ def _level_pieces(phi: Callable, lo: float, hi: float, rel_tol: float, abs_tol: 
         u[fresh], g1[fresh] = sample(a[fresh], b[fresh])
     centres, whole = 0.5 * (a + b), len(b) == pieces
     if not whole:
-        # A piece of equal parts finds a point's part by one more division;
-        # one halved unevenly (about a kink) searches its parts' edges.
         parts = np.bincount(owner, minlength=pieces)
-        first, width = np.cumsum(parts) - parts, b - a
-        uneven = np.minimum.reduceat(width, first) < np.maximum.reduceat(width, first)
-        start, span = np.abs(edges[:-1]), np.abs(np.diff(edges))
-        start[:zero], edges = np.abs(edges[1 : zero + 1]), np.append(a, b[-1])
-        searching = bool(uneven.any())
+        first, halved, edges = np.cumsum(parts) - parts, parts > 1, np.append(a, b[-1])
 
     def levels(v: np.ndarray, bounded: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-        size = np.abs(v)
         # A point rounded just past the range takes the piece at its end.
         j = np.clip(_piece_places(v, cut) + zero, 0, pieces - 1).astype(np.intp)
         if not whole:
-            # |v| is in the i-th part outward, (start + (i - 1) span / c,
-            # start + i span / c], the (c + 1 - i)-th in place below 0.
-            count = parts[j]
-            within = size - start[j]
-            within *= count / span[j]
-            np.ceil(within, out=within)
-            within = np.where(v < 0.0, count - within, within - 1.0)
-            j = first[j] + np.clip(within, 0, count - 1).astype(np.intp)
-            if searching:
-                searched = uneven[owner[j]]
-                at = v[searched]
-                found = np.searchsorted(edges, at, "right") - 1
-                found -= (at > 0.0) & (edges[found] == at)
-                j[searched] = found
+            # A point in a halved piece searches its parts' edges for the
+            # part holding it, each part holding its outer end.
+            searched = halved[j]
+            j = first[j]
+            at = v[searched]
+            found = np.searchsorted(edges, at, "right") - 1
+            found -= (at > 0.0) & (edges[found] == at)
+            j[searched] = found
         t = (v - centres.take(j, mode="clip")) / half.take(j, mode="clip")
         # Clenshaw's recurrence for all levels at once, one coefficient column
         # (k, parts) gathered at a time; each step's (c + 2t b1) - b2 is taken
@@ -565,7 +555,7 @@ def _level_pieces(phi: Callable, lo: float, hi: float, rel_tol: float, abs_tol: 
         if not bounded:
             return b1, None
         # v is rounded by eps |v| in t, and by about 2 eps in the w it came from.
-        rounding = scales.take(j, axis=1, mode="clip") * (size + 2.0) * _EPS
+        rounding = scales.take(j, axis=1, mode="clip") * (np.abs(v) + 2.0) * _EPS
         return b1, bounds.take(j, axis=1, mode="clip") + rounding
 
     return levels, counted[0]

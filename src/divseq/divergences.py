@@ -46,7 +46,7 @@ class DivergenceFunctional:
     it by a complex step); ``evaluate`` is the entry point that also
     accepts Distribution objects. ``generator`` is phi and ``degree`` is
     alpha, D(P, R) = Sum_i p_i^alpha phi(r_i / p_i), or the generator is
-    None (a Bregman functional given no degree, or one built from an
+    None (a Bregman form of no degree, or a functional built from an
     evaluator alone). Every f-divergence has degree 1.
     """
 
@@ -127,17 +127,15 @@ class FDivergenceSpec:
 class BregmanSpec:
     """Differentiable strictly convex generator for the Bregman form
     Sum_i F(p_i) - F(q_i) - F'(q_i)(p_i - q_i). F and F_prime must act
-    elementwise on real and complex ndarrays alike. ``degree`` alpha, if
-    given, says the form is homogeneous, B(lx, ly) = l^alpha B(x, y), as
-    for F = x^alpha, x log x (alpha = 1) or -log x (alpha = 0)."""
+    elementwise on real and complex ndarrays alike."""
 
     F: Callable[[np.ndarray], np.ndarray]
     F_prime: Callable[[np.ndarray], np.ndarray]
-    degree: float | None = None
 
 
 _CONVEXITY_GRID = np.logspace(np.log10(0.011), np.log10(95.0), 21)
-# make_bregman checks a stated degree at these scales of _CONVEXITY_GRID.
+# make_bregman reads a form's degree at the last of these scales of
+# _CONVEXITY_GRID and checks it at all of them.
 _DEGREE_SCALES = (0.25, 3.0)
 
 
@@ -194,11 +192,15 @@ def make_bregman(spec: BregmanSpec) -> DivergenceFunctional:
     carry a complex step; violations raise SpecError. The operators take
     it only once wrapped with swap_orientation.
 
-    With a degree alpha, B(lx, ly) = l^alpha B(x, y) is checked on the grid
-    at _DEGREE_SCALES (SpecError on a miss). Then B(P, Q) = Sum q^alpha
-    beta(p/q), beta(w) = F(w) - F(1) - F'(1)(w - 1), so the functional gets
-    the generator w^alpha beta(1/w) and the degree, and its swap, whose
-    generator is beta, takes psi's level kernel.
+    A form homogeneous of a degree alpha, B(lx, ly) = l^alpha B(x, y), as
+    for F = x^alpha, x log x (alpha = 1) or -log x (alpha = 0), is
+    recognized: alpha is read off the median of log(B(lx, ly) / B(x, y)) /
+    log l over the grid at the last of _DEGREE_SCALES, rounded to a
+    sixteenth (so that 1 stays exact), and checked at every scale. Then
+    B(P, Q) = Sum q^alpha beta(p/q), beta(w) = F(w) - F(1) - F'(1)(w - 1),
+    so the functional gets the generator w^alpha beta(1/w) and the degree,
+    and its swap, whose generator is beta, takes psi's level kernel. A form
+    that misses the check gets no generator.
     """
     F, Fp = spec.F, spec.F_prime
     x, y = np.meshgrid(_CONVEXITY_GRID, _CONVEXITY_GRID)
@@ -219,22 +221,19 @@ def make_bregman(spec: BregmanSpec) -> DivergenceFunctional:
     def mass_fn(p, q):
         return np.sum(terms(p, q), axis=-1)
 
-    alpha = spec.degree
-    if alpha is None:
-        return DivergenceFunctional("bregman", Orientation.LEFT_CONVEX, mass_fn)
-    alpha = float(alpha)
-
     def size(p, q):  # the magnitude of the terms B sums, for a relative slack
         return np.abs(F(p)) + np.abs(F(q)) + np.abs(Fp(q) * (p - q))
 
-    for scale in _DEGREE_SCALES:
-        power = scale**alpha
-        miss = np.abs(terms(scale * x, scale * y) - power * terms(x, y))
-        if np.any(miss > 1e-9 * (1.0 + size(scale * x, scale * y) + power * size(x, y))):
-            raise SpecError(
-                f"the Bregman form is not homogeneous of degree {alpha!r}: at scale "
-                f"{scale} it misses by {float(miss.max()):.3e}"
-            )
+    with np.errstate(all="ignore"):  # B = 0 on the diagonal
+        scale = _DEGREE_SCALES[-1]
+        ratio = np.log(terms(scale * x, scale * y) / terms(x, y)) / np.log(scale)
+        ratio = ratio[np.isfinite(ratio)]
+        alpha = float(np.round(16.0 * np.median(ratio)) / 16.0) if ratio.size else 1.0
+        for scale in _DEGREE_SCALES:
+            power = scale**alpha
+            miss = np.abs(terms(scale * x, scale * y) - power * terms(x, y))
+            if not np.all(miss <= 1e-9 * (1.0 + size(scale * x, scale * y) + power * size(x, y))):
+                return DivergenceFunctional("bregman", Orientation.LEFT_CONVEX, mass_fn)
     slope = Fp(np.asarray(1.0))
 
     def beta(w):
@@ -247,19 +246,14 @@ def make_bregman(spec: BregmanSpec) -> DivergenceFunctional:
 
 def swap_orientation(D: DivergenceFunctional) -> DivergenceFunctional:
     """(P, Q) -> D(Q, P), the orientation flipped, a generator phi of degree
-    alpha to w^alpha phi(1/w) of the same degree (w phi(1/w) at alpha = 1)."""
+    alpha to w^alpha phi(1/w) of the same degree."""
     flipped = (
         Orientation.LEFT_CONVEX
         if D.orientation is Orientation.RIGHT_CONVEX
         else Orientation.RIGHT_CONVEX
     )
     base, phi, alpha = D.evaluator, D.generator, D.degree
-    if phi is None:
-        conjugate = None
-    elif alpha == 1.0:
-        conjugate = lambda w: w * phi(1.0 / w)  # noqa: E731
-    else:
-        conjugate = lambda w: w**alpha * phi(1.0 / w)  # noqa: E731
+    conjugate = None if phi is None else lambda w: w**alpha * phi(1.0 / w)
     return DivergenceFunctional(
         f"swap({D.identifier})", flipped, lambda first, second: base(second, first),
         conjugate, alpha,

@@ -92,11 +92,6 @@ def _along(
     return out
 
 
-def _weights(D: DivergenceFunctional, p: np.ndarray) -> np.ndarray:
-    """The weights p^alpha of D = Sum p^alpha phi(r/p): p itself at alpha = 1."""
-    return p if D.degree == 1.0 else p**D.degree
-
-
 def _level_zero(D: DivergenceFunctional, p: np.ndarray, r: np.ndarray):
     """D on the paths p -> r, rows (m, n): a sampler of positions s (R, L),
     the path of each row (R,) and rest (R, L), the exact complement 1 - s
@@ -107,7 +102,7 @@ def _level_zero(D: DivergenceFunctional, p: np.ndarray, r: np.ndarray):
     phi, ratio = D.generator, r / p
     if phi is None:
         return lambda s, rows, rest: _along(D, p, r, s, rows, rest)
-    weights = _weights(D, p)
+    weights = p**D.degree
 
     def sample(s: np.ndarray, rows: np.ndarray, rest: np.ndarray) -> np.ndarray:
         out, s, rest = np.empty(s.shape), s[..., None], rest[..., None]
@@ -133,11 +128,15 @@ _DCT_CELLS = 40
 # cells, each worth about this many of the fit's predicted cells (sampling,
 # residual DCTs and (k + 1) m L N evaluation, from _column_groups). On the 80
 # sweep inputs of the benchmark's seeds 101 and 202 (depth 3, 101 positions)
-# the kernel ran faster than the fit on every input whose fit was predicted
-# at 1.9 or more kernel cells, but for ties within 2% at n = 2, and slower on
-# those at 1.18 or fewer; on the near-identical 7-point stress pair, predicted
-# at 1.51, it ran 5-8% slower. Every generator chain call of run_suite there
-# is predicted at 7.4 (2 cores, Python 3.11).
+# the kernel ran slower than the fit on those predicted at 1.18 or fewer
+# kernel cells, and on the near-identical 7-point stress pair, predicted at
+# 1.51, 5-8% slower. Of the 22 predicted between 1.9 and 5.3, which this
+# factor moves to the kernel, 19 ran 1-38% faster there and 3 within 4%
+# slower (two 2-point pairs at 5.23 and a 77-point one at 2.31), so not every
+# input that moved got faster; no factor keeps the 2-point pairs on the fit
+# without keeping the 7-point ones at 3.02, 25% faster on the kernel. Every
+# generator chain call of run_suite there is predicted at 7.4 (2 cores,
+# Python 3.11).
 _KERNEL_CELL_COST = 1.75
 
 
@@ -242,7 +241,7 @@ def _psi_kernel(
     if not ends.any():
         return values, estimates, 0
     levels, evals = _level_pieces(D.generator, ends.min(), ends.max(), rel_tol, abs_tol, k)
-    weights = _weights(D, p)
+    weights = p**D.degree
 
     def add(i, j):  # a function, so no block's arrays outlive its turn
         live = t[i, j] > 0.0

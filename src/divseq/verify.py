@@ -349,7 +349,7 @@ def _triangular_discrimination() -> DivergenceFunctional:
 
 def _suite_divergences() -> tuple[DivergenceFunctional, ...]:
     left_kl = replace(named_divergence("kl"), orientation=Orientation.LEFT_CONVEX)
-    squared_norm = BregmanSpec(F=lambda x: x * x, F_prime=lambda x: 2.0 * x, degree=2.0)
+    squared_norm = BregmanSpec(F=lambda x: x * x, F_prime=lambda x: 2.0 * x)
     return (
         named_divergence("chi2"),
         named_divergence("kl"),

@@ -339,7 +339,7 @@ class TestBregmanDegree:
     def test_the_swap_of_a_homogeneous_form_has_generator_beta(self, name):
         F, F_prime, degree, terms = BREGMAN_DEGREES[name]
         beta = lambda w: terms(w, w - 1.0, np.log(w))  # noqa: E731
-        D = make_bregman(BregmanSpec(F, F_prime, degree))
+        D = make_bregman(BregmanSpec(F, F_prime))
         swapped = swap_orientation(D)
         assert D.degree == swapped.degree == degree
         assert swapped.orientation is Orientation.RIGHT_CONVEX
@@ -354,18 +354,24 @@ class TestBregmanDegree:
             assert evaluate(swapped, p, q) == pytest.approx(want, rel=1e-12, abs=1e-15)
             assert evaluate(D, q, p) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
-    @pytest.mark.parametrize("name, wrong", [("x^2", 1.0), ("x^1.5", 2.0), ("x log x", 0.0),
-                                             ("-log x", 1.0)])
-    def test_a_wrong_degree_is_a_spec_error(self, name, wrong):
-        F, F_prime, _, _ = BREGMAN_DEGREES[name]
-        with pytest.raises(SpecError, match="homogeneous"):
-            make_bregman(BregmanSpec(F, F_prime, wrong))
+    def test_an_affine_term_keeps_the_degree(self):
+        # F and F + affine give the same form.
+        D = make_bregman(BregmanSpec(lambda x: x * x + 3.0 * x - 2.0, lambda x: 2.0 * x + 3.0))
+        assert D.degree == 2.0
+        w = np.logspace(-6, 6, 25)
+        assert np.allclose(D.generator(w), w * w * (1.0 / w - 1.0) ** 2, rtol=1e-12, atol=0.0)
 
-    def test_a_form_of_no_degree_is_a_spec_error(self):
-        # F = x^2 + x^3 is convex on the grid but scales by no single power.
-        spec = BregmanSpec(lambda x: x * x + x**3, lambda x: 2.0 * x + 3.0 * x * x, 2.0)
-        with pytest.raises(SpecError, match="homogeneous"):
-            make_bregman(spec)
+    @pytest.mark.parametrize("F, F_prime", [
+        # Convex on the grid, but scaling by no single power.
+        (lambda x: x * x + x**3, lambda x: 2.0 * x + 3.0 * x * x),
+        (lambda x: np.exp(x / 10.0), lambda x: np.exp(x / 10.0) / 10.0),
+        # Homogeneous near degree 1.7, off every sixteenth.
+        (lambda x: x**1.7, lambda x: 1.7 * x**0.7),
+    ], ids=["x^2 + x^3", "exp", "x^1.7"])
+    def test_a_form_of_no_degree_gets_no_generator(self, F, F_prime):
+        D = make_bregman(BregmanSpec(F, F_prime))
+        assert D.generator is None and swap_orientation(D).generator is None
+        assert evaluate(D, Q, Q) == 0.0
 
     def test_degree_one_swaps_as_before_bitwise(self):
         # f-divergences have degree 1, and their swap takes no power.
@@ -477,8 +483,9 @@ class TestGenerators:
 
     def test_swap_records_the_conjugate_generator(self):
         w = np.logspace(-12, 6, 37)
-        squared = BregmanSpec(F=lambda x: x * x, F_prime=lambda x: 2.0 * x)
-        assert swap_orientation(make_bregman(squared)).generator is None
+        # A Bregman form of no degree has no generator, and neither has its swap.
+        cubic = BregmanSpec(F=lambda x: x * x + x**3, F_prime=lambda x: 2.0 * x + 3.0 * x * x)
+        assert swap_orientation(make_bregman(cubic)).generator is None
         kl, rev = named_divergence("kl"), named_divergence("reverse_kl")
         np.testing.assert_allclose(
             swap_orientation(kl).generator(w), rev.generator(w), rtol=1e-15, atol=0.0

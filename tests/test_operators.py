@@ -24,8 +24,10 @@ from divseq.distributions import (
 )
 from divseq.divergences import (
     BregmanSpec,
+    FDivergenceSpec,
     evaluate,
     make_bregman,
+    make_f_divergence,
     named_divergence,
     path_derivative,
     swap_orientation,
@@ -132,12 +134,15 @@ class TestPsi:
         assert res.value == pytest.approx(with_generator.value, rel=1e-10)
 
     def test_bregman_without_a_generator_meets_closed_forms_on_tiny_masses(self):
-        # Bregman functionals carry no generator, so psi integrates them by
-        # quadrature. Swapped, x log x is reverse KL less Sum (r - p) = 0,
-        # whose psi is sl(2, P, R(t)), and x^2 is t^2 Sum (q - p)^2, whose
-        # psi is t^2 / 2 Sum (q - p)^2. 152 calls each.
+        # Without their generators (make_bregman reads these forms' degrees
+        # and gives them one) psi integrates them by quadrature. Swapped,
+        # x log x is reverse KL less Sum (r - p) = 0, whose psi is
+        # sl(2, P, R(t)), and x^2 is t^2 Sum (q - p)^2, whose psi is
+        # t^2 / 2 Sum (q - p)^2. 152 calls each.
         x_log_x, squared = (
-            swap_orientation(make_bregman(BregmanSpec(F=F, F_prime=F_prime)))
+            dataclasses.replace(
+                swap_orientation(make_bregman(BregmanSpec(F=F, F_prime=F_prime))), generator=None
+            )
             for F, F_prime in (
                 (lambda x: x * np.log(x), lambda x: np.log(x) + 1.0),
                 (lambda x: x * x, lambda x: 2.0 * x),
@@ -1282,6 +1287,24 @@ def _tiny_q_pair(seed, n, mass):
     return new_distribution(p), new_distribution(q)
 
 
+def test_psi_of_a_generator_growing_like_w_squared_reaches_a_tiny_mass():
+    # phi(w) = (w - 1)^2 grows like e^2v, so at a target of 1e-12 the level
+    # kernel halves every cell past |v| = 1.2 once: out to |v| = 68 for a
+    # mass of 1e-30, over a thousand halvings, each a piece's first and so
+    # outside the budget. D(P, R(s)) = s^2 Sum (q - p)^2 / p, whose psi
+    # is t^2 / 2 Sum (q - p)^2 / p.
+    D = make_f_divergence(FDivergenceSpec(f=lambda x: (1.0 - x) ** 2 / x))
+    cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-12)
+    A = new_distribution(np.array([1e-30, 0.4, 0.6]))
+    B = new_distribution(np.array([0.5, 0.25, 0.25]))
+    for start, end in ((A, B), (B, A)):
+        gap = np.sum((end.masses - start.masses) ** 2 / start.masses)
+        for t in (0.3, 1.0):
+            ref = 0.5 * t * t * gap
+            value = psi(D, MixturePath(start, end), t, cfg).value
+            assert abs(value - ref) <= 1e-12 * max(1.0, ref), (t, value, ref)
+
+
 class TestBregmanDegree:
     # A swapped Bregman functional of degree alpha is Sum p^alpha beta(r/p),
     # so psi and psi_iter take it from the level kernel with weights p^alpha.
@@ -1338,7 +1361,7 @@ class TestBregmanDegree:
         # the node cap, so psi_iter keeps the fit, and its kernel route
         # (_psi_kernel) is checked alone.
         F, F_prime, alpha, _ = BREGMAN_DEGREES[name]
-        D = swap_orientation(make_bregman(BregmanSpec(F, F_prime, alpha)))
+        D = swap_orientation(make_bregman(BregmanSpec(F, F_prime)))
         taken = _taken(monkeypatch)
         for path, tiny in self._paths():
             refs = self._references(name, path)

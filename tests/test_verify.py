@@ -354,8 +354,8 @@ class TestSuite:
             run_suite(seed=1, instances=0)
 
     def test_no_check_calls_the_quadrature(self, monkeypatch):
-        # Every roster functional has a generator, swap(bregman x^2) with
-        # degree 2, so psi takes the level kernel throughout.
+        # Every roster functional has a generator, swap(bregman x^2) one of
+        # degree 2 read off its form, so psi takes the level kernel throughout.
         def refused(*args, **kwargs):
             raise AssertionError("run_suite called cumulative_integral")
 
