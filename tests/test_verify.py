@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -362,3 +364,11 @@ class TestSuite:
         monkeypatch.setattr(operators, "cumulative_integral", refused)
         assert all(D.generator is not None for D in _suite_divergences())
         assert run_suite(seed=42, instances=40).all_passed
+
+    def test_building_the_roster_imports_no_numpy_ma(self):
+        # Reading the Bregman degree takes the middle ratio by sorting, as
+        # np.median would import numpy.ma: 1 MB and 3 ms on every verify run.
+        code = "import sys; from divseq import verify; verify._suite_divergences(); " \
+            "sys.exit('numpy.ma' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
