@@ -134,7 +134,7 @@ _DCT_CELLS = 40
 # factor moves to the kernel, 19 ran 1-38% faster there and 3 within 4%
 # slower (two 2-point pairs at 5.23 and a 77-point one at 2.31), so not every
 # input that moved got faster; no factor keeps the 2-point pairs on the fit
-# without keeping the 7-point ones at 3.02, 25% faster on the kernel. Every
+# without keeping the 7-point ones at 3.02, 9-26% faster on the kernel. Every
 # generator chain call of run_suite there is predicted at 7.4 (2 cores,
 # Python 3.11).
 _KERNEL_CELL_COST = 1.75
