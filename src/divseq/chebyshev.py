@@ -14,12 +14,13 @@ groups in that one loop: each group stops being sampled once its own
 residual meets its share of the target, and the groups' interpolants are
 added in Chebyshev coefficients, zero-padded to the largest node count.
 lifts(k) integrates over s exactly in Chebyshev coefficients, k times in a
-row, and takes every level's values from one inverse DCT; lifted() is its
-one-level case. level_kernel gives psi's iterates 1..k in v = log w of a
-generator, on one set of short pieces of v at fixed places (cells of width
-_CELL, and +-4^e pieces next to 0; first-kind points), built once
-(_level_pieces) and evaluated in blocks of _BLOCK_CELLS values, each point
-finding its piece by arithmetic (_piece_places).
+row, and takes every level's values from one inverse DCT. The level kernel
+(_level_pieces) gives psi's iterates 1..k in v = log w of a generator, on
+one set of short pieces of v at fixed places (cells of width _CELL, and
++-4^e pieces next to 0), each point finding its piece by arithmetic
+(_piece_places). Its panel rule, the interpolant at first-kind points
+integrated exactly with a tail bound from its last two coefficients
+(_kernel_matrices), is also the quadrature's.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ _BLOCK_CELLS = 1 << 14
 # fit_adaptive starts at this many intervals and doubles up to the cap.
 _INITIAL_INTERVALS = 16
 _MAX_INTERVALS = 2**14
-# level_kernel samples each piece at this many first-kind Chebyshev points and
+# The level kernel samples each piece at this many first-kind points and
 # halves pieces at most this many times a call past each piece's first
 # halving, which a generator growing like w^2 takes on every cell at a target
 # of 1e-12, however far its range reaches. Its finest cut is 2^-30, or
@@ -254,11 +255,6 @@ class ChebyshevInterpolant:
         values[..., 0] = 0.0
         return ChebyshevInterpolant(values)
 
-    def lifted(self) -> "ChebyshevInterpolant":
-        """The interpolant of s -> Integral_0^s self(u) / u du on the same
-        nodes: the one-level case of lifts."""
-        return ChebyshevInterpolant(self.lifts(1).values[0])
-
     @classmethod
     def fit_adaptive(
         cls,
@@ -361,12 +357,12 @@ class ChebyshevInterpolant:
 
 
 @cache
-def _kernel_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first-kind points x_j = cos(pi (j + 1/2) / N); a map from values
-    there to the interpolant's antiderivative from x = -1 (rows 0..N), its
-    constant term from x = 1 (row N + 1), the interpolant's last two
-    coefficients and its integral over [-1, 1]; and T_k(x_j), k <= N."""
-    n = _KERNEL_NODES
+def _kernel_matrices(n: int = _KERNEL_NODES) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first-kind points x_j = cos(pi (j + 1/2) / N), N = n; a map from
+    values there to the interpolant's antiderivative from x = -1 (rows
+    0..N), its constant term from x = 1 (row N + 1), the interpolant's last
+    two coefficients and its integral over [-1, 1] (Fejer's first rule);
+    and T_k(x_j), k <= N."""
     x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
     chebyshev = np.cos(np.outer(np.arange(n + 2), np.arccos(x)))
     c = 2.0 / n * chebyshev  # c_0 not halved
@@ -378,25 +374,6 @@ def _kernel_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     maps[n + 1] = -np.sum(maps[1 : n + 1], axis=0)
     maps[n + 2 : n + 4], maps[n + 4] = c[n - 2 : n], maps[0] - maps[n + 1]
     return x, maps, chebyshev[: n + 1]
-
-
-def level_kernel(phi: Callable, v: np.ndarray, rel_tol: float, abs_tol: float, k: int = 1):
-    """Phi_1..Phi_k at nonzero v (1-d), Phi_j(v) = Integral_0^v Phi_{j-1}(u)
-    / (1 - e^-u) du from Phi_0(v) = phi(e^v). For D = Sum p phi(r/p),
-    psi^j[D] is Sum p Phi_j(log w), w = r/p at its end.
-
-    The levels are built once on pieces covering v (_level_pieces) and
-    evaluated in blocks of _BLOCK_CELLS level values, each point alone, so
-    the levels at v depend on phi, v, k and the tolerances alone. Returns
-    the levels (k, len(v)), bounds on their errors (tail bounds and the
-    level below's bound through the integral, carried out to v, and v's
-    rounding) and phi's evaluation count.
-    """
-    levels, evaluations = _level_pieces(phi, np.min(v), np.max(v), rel_tol, abs_tol, k)
-    values, bounds, step = np.empty((k, len(v))), np.empty((k, len(v))), max(1, _BLOCK_CELLS // k)
-    for lo in range(0, len(v), step):
-        values[:, lo : lo + step], bounds[:, lo : lo + step] = levels(v[lo : lo + step])
-    return values, bounds, evaluations
 
 
 def _piece_places(v: np.ndarray, cut: int) -> np.ndarray:
@@ -423,10 +400,13 @@ def _piece_places(v: np.ndarray, cut: int) -> np.ndarray:
 
 
 def _level_pieces(phi: Callable, lo: float, hi: float, rel_tol: float, abs_tol: float, k: int):
-    """Levels 1..k of phi (see level_kernel) on pieces covering [lo, hi]:
-    a function of points v in that range giving the levels (k, len(v))
-    and, unless told not to, their error bounds, and phi's evaluation
-    count.
+    """Levels 1..k of phi on pieces covering [lo, hi]: Phi_j(v) =
+    Integral_0^v Phi_{j-1}(u) / (1 - e^-u) du from Phi_0(v) = phi(e^v), so
+    that for D = Sum p phi(r/p), psi^j[D] is Sum p Phi_j(log w), w = r/p at
+    its end. Returns a function of points v in that range giving the levels
+    (k, len(v)) and, unless told not to, bounds on their errors (tail
+    bounds and the level below's bound through the integral, carried out
+    to v, and v's rounding), and phi's evaluation count.
 
     The pieces lie at fixed places (_piece_places): next to 0 the +-4^e
     pieces down to 2^cut, so that the levels keep their relative precision
@@ -463,7 +443,8 @@ def _level_pieces(phi: Callable, lo: float, hi: float, rel_tol: float, abs_tol: 
     def sample(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x
         w = np.exp(u)
-        g = phi(w) * (w / (w - 1.0))
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            g = phi(w) * (w / (w - 1.0))
         counted[0] += g.size
         if not np.isfinite(g).all():
             raise NonFiniteError("generator returned a non-finite value")
@@ -555,7 +536,7 @@ def _level_pieces(phi: Callable, lo: float, hi: float, rel_tol: float, abs_tol: 
         if not bounded:
             return b1, None
         # v is rounded by eps |v| in t, and by about 2 eps in the w it came from.
-        rounding = scales.take(j, axis=1, mode="clip") * (np.abs(v) + 2.0) * _EPS
+        rounding = scales.take(j, axis=1, mode="clip") * ((np.abs(v) + 2.0) * _EPS)
         return b1, bounds.take(j, axis=1, mode="clip") + rounding
 
     return levels, counted[0]

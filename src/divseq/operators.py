@@ -106,14 +106,16 @@ def _level_zero(D: DivergenceFunctional, p: np.ndarray, r: np.ndarray):
 
     def sample(s: np.ndarray, rows: np.ndarray, rest: np.ndarray) -> np.ndarray:
         out, s, rest = np.empty(s.shape), s[..., None], rest[..., None]
-        for i, cols in _blocks(out.shape, p.shape[-1]):
-            pb, rb = weights[rows[i], None], ratio[rows[i], None]
-            for j in cols:
-                w = s[i, j] * rb
-                w += rest[i, j]
-                terms = phi(w)
-                terms *= pb
-                out[i, j] = terms.sum(axis=-1)
+        # phi may overflow at a huge w; its caller rejects what is not finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, cols in _blocks(out.shape, p.shape[-1]):
+                pb, rb = weights[rows[i], None], ratio[rows[i], None]
+                for j in cols:
+                    w = s[i, j] * rb
+                    w += rest[i, j]
+                    terms = phi(w)
+                    terms *= pb
+                    out[i, j] = terms.sum(axis=-1)
         return out
 
     return sample

@@ -250,15 +250,20 @@ def _expansions(orders: tuple[int, ...], z: np.ndarray, w: np.ndarray) -> np.nda
     near = args <= _SERIES_RADIUS
     li[:, near] = _series(orders, args[near])
     # Li_k(e^mu) for log(1/2) <= mu <= 0 from the mu expansion; its term
-    # mu^(k-1) log(-mu) -> 0 as mu -> 0, so it is dropped at mu = 0.
-    logs, coefficients = logs[~near], [_coefficients(k) for k in orders]
-    powers = [np.array(c) for c, _, _ in coefficients]
-    li[:, ~near], _ = _power_sums(np.ones_like(logs), logs, powers)
-    log_mu = np.log(np.where(logs < 0.0, -logs, 1.0))
+    # mu^(k-1) log(-mu) -> 0 as mu -> 0, so it is dropped at mu = 0. Its
+    # coefficients cost about k^2.7 to build, so only an argument that takes
+    # it builds them.
+    logs = logs[~near]
+    if logs.size:
+        coefficients = [_coefficients(k) for k in orders]
+        powers = [np.array(c) for c, _, _ in coefficients]
+        li[:, ~near], _ = _power_sums(np.ones_like(logs), logs, powers)
+        log_mu = np.log(np.where(logs < 0.0, -logs, 1.0))
+        for li_k, k, (_, log_factor, _) in zip(li, orders, coefficients):
+            li_k[~near] -= log_mu * (logs ** (k - 1) * log_factor)
     n, m = np.count_nonzero(rest), x.size
     out = np.empty((len(orders), z.size))
-    for row, li_k, k, (_, log_factor, _) in zip(out, li, orders, coefficients):
-        li_k[~near] -= log_mu * (logs ** (k - 1) * log_factor)
+    for row, li_k, k in zip(out, li, orders):
         row[rest] = li_k[:n]
         row[doubled] = 2.0 ** (1 - k) * li_k[n + m :] - li_k[n : n + m]
         if far.any():

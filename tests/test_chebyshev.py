@@ -10,13 +10,32 @@ from divseq.chebyshev import (
     _fresh_values,
     _padded,
     _resampled,
+    _level_pieces,
     _values,
-    level_kernel,
     lobatto_nodes,
 )
 from divseq.divergences import named_divergence
 from divseq.verify import _triangular_discrimination
 from divseq.errors import DomainError, NonFiniteError, ToleranceError
+
+
+def _lifted(interp):
+    """The interpolant of s -> Integral_0^s interp(u) / u du on the same
+    nodes: level 1 of lifts(1)."""
+    return ChebyshevInterpolant(interp.lifts(1).values[0])
+
+
+def level_kernel(phi, v, rel_tol, abs_tol, k=1):
+    """Phi_1..Phi_k at nonzero v (1-d), as psi takes them: the levels built
+    once on pieces covering v and evaluated in blocks of _BLOCK_CELLS level
+    values, each point alone, so the levels at v depend on phi, v, k and
+    the tolerances alone. Returns the levels (k, len(v)), their error
+    bounds and phi's evaluation count."""
+    levels, evaluations = _level_pieces(phi, np.min(v), np.max(v), rel_tol, abs_tol, k)
+    values, bounds, step = np.empty((k, len(v))), np.empty((k, len(v))), max(1, _BLOCK_CELLS // k)
+    for lo in range(0, len(v), step):
+        values[:, lo : lo + step], bounds[:, lo : lo + step] = levels(v[lo : lo + step])
+    return values, bounds, evaluations
 
 
 def test_nodes_span_unit_interval():
@@ -77,7 +96,7 @@ def test_values_fix_the_nodes():
     with pytest.raises(TypeError):
         ChebyshevInterpolant(x, np.exp(x))
     s = lobatto_nodes(16)
-    lifted = ChebyshevInterpolant(np.expm1(s)).lifted()
+    lifted = _lifted(ChebyshevInterpolant(np.expm1(s)))
     # Integral_0^1 (e^u - 1) / u du = Ein(1).
     assert abs(lifted(1.0) - 1.3179021514544038) <= 1e-14
 
@@ -352,7 +371,7 @@ def test_coefficients_round_trip(n):
 def test_lift_of_a_monomial_is_exact(n, j):
     # Integral_0^s u^j / u du = s^j / j.
     s = lobatto_nodes(n)
-    lifted = ChebyshevInterpolant(s**j).lifted()
+    lifted = _lifted(ChebyshevInterpolant(s**j))
     assert np.array_equal(lifted.nodes, s)
     assert lifted.values[0] == 0.0
     assert np.max(np.abs(lifted.values - s**j / j)) <= 1e-14
@@ -386,13 +405,13 @@ def _lifted_by_loops(values):
 def test_lift_matches_the_recurrences_run_as_loops(n):
     s = lobatto_nodes(n)
     values = np.expm1(s) * np.exp(-3.0 * s) + np.sin(40.0 * s) ** 2
-    lifted = ChebyshevInterpolant(values).lifted()
+    lifted = _lifted(ChebyshevInterpolant(values))
     assert np.max(np.abs(lifted.values - _lifted_by_loops(values))) <= 1e-14
 
 
 class TestLevelKernel:
     # lifts(k) lifts k times in coefficient space and evaluates all levels
-    # in one call; lifted() is its one-level case.
+    # in one call; _lifted is its one-level case.
     @staticmethod
     def _stack(n):
         s = lobatto_nodes(n)
@@ -411,7 +430,7 @@ class TestLevelKernel:
         assert levels.values.shape == (3, 3, n + 1)
         chained = interp
         for level in levels.values:
-            chained = chained.lifted()
+            chained = _lifted(chained)
             assert level[:, 0].tobytes() == np.zeros(3).tobytes()
             scale = np.max(np.abs(chained.values))
             assert np.max(np.abs(level - chained.values)) <= 1e-14 * scale
@@ -486,7 +505,7 @@ def _kinked(w):
 
 
 class TestGeneratorKernel:
-    # level_kernel, psi's Phi(v) for a generator phi, built on pieces of v.
+    # The level kernel, psi's Phi(v) for a generator phi, built on pieces of v.
     @pytest.mark.parametrize("identifier", list(_MP_GENERATORS))
     def test_matches_40_digits(self, identifier):
         (values,), (bounds,), evaluations = level_kernel(

@@ -22,6 +22,8 @@ from divseq.operators import psi_iter
 from divseq.sequences import pl, sl
 
 PAIR = '{"p":[0.5,0.5],"q":[0.25,0.75]}'
+# The smallest normal mass on each side, against the pair's other mass.
+TINIEST_NORMAL = '{"p":[2.2250738585072014e-308,1],"q":[1,2.2250738585072014e-308]}'
 
 
 def run_cli(capsys, argv):
@@ -119,6 +121,19 @@ class TestEval:
             )
         assert (code, out) == (2, "")
         assert "smallest normal" in err
+
+    @pytest.mark.parametrize("div", ["kl", "reverse_kl", "chi2", "jeffreys", "hellinger2"])
+    @pytest.mark.parametrize("depth", ["1", "3"])
+    def test_smallest_normal_mass_warns_of_nothing(self, capsys, div, depth):
+        # The generators overflow at w = 1/2^-1022 = 4.5e307: a value or a
+        # typed error, never a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(
+                capsys, ["eval", "--div", div, "--depth", depth, "--pair", TINIEST_NORMAL]
+            )
+        assert code in (0, 2, 3), err
+        assert code == 0 or err.startswith("error:")
 
     @pytest.mark.parametrize("command", ["eval", "sweep"])
     @pytest.mark.parametrize(

@@ -4,8 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from divseq.distributions import new_distribution
 from divseq.errors import DomainError, ToleranceError
 from divseq.polylog import polylog, polylog_series
+from divseq.sequences import pl
 from polylog_oracles import polylog_integral, polylog_recurrence_check
 
 # Reference values from 50-digit arbitrary-precision evaluation.
@@ -92,6 +94,23 @@ class TestHighOrders:
         # z^j / j^k rounds to; the sum is the argument itself.
         assert polylog(200, -0.7) == -0.7
         assert polylog_series(175, 0.4) == 0.4
+
+    def test_series_arguments_build_no_expansion_coefficients(self, monkeypatch):
+        # The mu expansion's and inversion's coefficients cost about k^2.7 to
+        # build; arguments in the series region alone build none, so a high
+        # order there costs what a low one does.
+        module = importlib.import_module("divseq.polylog")
+        built, build = [], module._coefficients
+        monkeypatch.setattr(module, "_coefficients", lambda k: built.append(k) or build(k))
+        z = np.array([0.5, -0.5, 0.25, -1e-3, 0.0])
+        for k in (2, 50, 2000):
+            assert polylog(k, z).tobytes() == polylog_series(k, z).tobytes()
+        # On P = (1/2, 1/2), Q = (1/4, 3/4), z = 1 - q/p is 1/2 and -1/2;
+        # Sum p z = 0, so pl is Sum p (Li_k(z) - z), all of it below 2^-2000.
+        P, Q = new_distribution([0.5, 0.5]), new_distribution([0.25, 0.75])
+        direct = 0.5 * (polylog_series(2000, 0.5) - 0.5) + 0.5 * (polylog_series(2000, -0.5) + 0.5)
+        assert pl(2000, P, Q) == direct
+        assert built == []
 
     @pytest.mark.parametrize("k", [131, 172, 200, 300])
     def test_integral_matches_closed_expansions(self, k):

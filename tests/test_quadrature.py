@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import mpmath
 import numpy as np
 import pytest
@@ -7,14 +5,8 @@ from scipy import integrate as sci_integrate
 
 from divseq import MixturePath, named_divergence, quadrature, random_distribution
 from divseq.errors import DomainError, ToleranceError
-from divseq.quadrature import (
-    _EPS,
-    _WG,
-    _WK,
-    _XK,
-    QuadratureConfig,
-    cumulative_integral,
-)
+from divseq.chebyshev import _KERNEL_NODES, _kernel_matrices
+from divseq.quadrature import _EPS, _PANEL_NODES, QuadratureConfig, cumulative_integral
 from polylog_oracles import integrate
 
 CFG = QuadratureConfig()
@@ -24,61 +16,45 @@ def test_polynomial_is_exact_to_roundoff():
     value, err, neval = integrate(lambda x: x**2, 0.0, 1.0, CFG)
     assert value == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert err >= 0.0
-    assert neval >= 15
+    assert neval >= _PANEL_NODES
 
 
 def test_high_degree_polynomial():
-    # K15 integrates degree <= 22 exactly; a single panel should do it.
+    # The 12-point panel rule is exact to degree 11 only, so x^13 takes
+    # refinement, which must still end within roundoff of the integral.
     value, _, _ = integrate(lambda x: 7.0 * x**13 - x**5 + 2.0, 0.0, 1.0, CFG)
     assert value == pytest.approx(0.5 - 1.0 / 6.0 + 2.0, abs=1e-14)
 
 
-def _gauss_kronrod_15():
-    """K15's positive nodes, ascending, and the weights of K15 and G7, the
-    center's first, from their definitions in 40-digit arithmetic: the
-    Gauss nodes are the roots of P7, the Kronrod ones those of the
-    Stieltjes polynomial E8 (even, monic, orthogonal to x^j P7 for j < 8),
-    and each rule's weights make it exact on x^(2j) over [-1, 1] for as
-    many j as it has nonnegative nodes."""
-    legendre = [[Fraction(1)], [Fraction(0), Fraction(1)]]
-    for n in range(1, 7):  # (n + 1) P_{n+1} = (2n + 1) x P_n - n P_{n-1}
-        x_pn = [Fraction(0)] + legendre[n]
-        prev = legendre[n - 1] + [Fraction(0)] * 2
-        legendre.append([((2 * n + 1) * a - n * b) / (n + 1) for a, b in zip(x_pn, prev)])
-    p7 = legendre[7]
-
-    def moment(k):
-        return Fraction(2, k + 1) if k % 2 == 0 else Fraction(0)
-
-    def mpf(c):
-        return mpmath.mpf(c.numerator) / c.denominator
-
-    def weights(nodes):
-        # The center weight and one per node pair.
-        a = [[int(j == 0)] + [2 * x ** (2 * j) for x in nodes] for j in range(len(nodes) + 1)]
-        return mpmath.lu_solve(a, [mpf(moment(2 * j)) for j in range(len(nodes) + 1)])
-
+def _fejer_first_rule(n):
+    """Fejer's first rule on [-1, 1] at the n first-kind points
+    cos(theta_j), theta_j = pi (j + 1/2) / n, in 40-digit arithmetic:
+    w_j = (2/n) (1 - 2 Sum_{k=1}^{n/2} cos(2 k theta_j) / (4k^2 - 1))."""
     with mpmath.workdps(40):
-        # E8 = y^4 + c3 y^3 + ... + c0 in y = x^2: x^j P7 E8 integrates to 0 for odd j < 8.
-        rows = [[mpf(sum(c * moment(i + 2 * e + j) for i, c in enumerate(p7))) for e in range(5)]
-                for j in (1, 3, 5, 7)]
-        coeffs = mpmath.lu_solve([r[:4] for r in rows], [-r[4] for r in rows])
-        roots = [mpmath.polyroots(c, maxsteps=200, extraprec=200)
-                 for c in ([mpf(c) for c in p7[::-2]], [1] + list(coeffs)[::-1])]
-        gauss, nodes = ([mpmath.sqrt(y) for y in sorted(ys)]
-                        for ys in (roots[0], roots[0] + roots[1]))
-        return nodes, weights(nodes), weights(gauss)
+        theta = [mpmath.pi * (j + mpmath.mpf(1) / 2) / n for j in range(n)]
+        weights = [
+            2 * (1 - 2 * mpmath.fsum(mpmath.cos(2 * k * t) / (4 * k * k - 1)
+                                     for k in range(1, n // 2 + 1))) / n
+            for t in theta
+        ]
+        return [mpmath.cos(t) for t in theta], weights
 
 
-def test_rule_constants_are_the_correctly_rounded_gauss_kronrod_pair():
-    # The rules' 15-digit constants biased every panel by about -3e-15
-    # relative (Sum w_K was 2 - 6e-15); each is now the float nearest its
-    # exact value, and each rule's weights sum to exactly 2.
-    nodes, wk, wg = _gauss_kronrod_15()
-    assert _XK[8:].tolist() == [float(x) for x in nodes]
-    assert _WK[7:].tolist() == [float(w) for w in wk]
-    assert _WG[7::2].tolist() == [float(w) for w in wg]
-    assert _WK.sum() == _WG.sum() == 2.0
+@pytest.mark.parametrize("n", [_KERNEL_NODES, _PANEL_NODES])
+def test_the_level_kernel_and_the_quadrature_share_one_panel_rule(n):
+    # The kernel's integral row is Fejer's first rule on its points, which
+    # integrates x^j over [-1, 1] exactly for j < n, and the quadrature
+    # takes its panels from the same matrices at its own point count.
+    x, maps, _ = _kernel_matrices(n)
+    nodes, weights = _fejer_first_rule(n)
+    np.testing.assert_allclose(x, [float(t) for t in nodes], rtol=0.0, atol=2 * _EPS)
+    # Each weight to within eps, half an ulp of the largest: the row is
+    # formed in floats from the Chebyshev coefficient maps.
+    np.testing.assert_allclose(maps[n + 4], [float(w) for w in weights], rtol=0.0, atol=_EPS)
+    for j in range(n):
+        exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+        assert abs(maps[n + 4] @ x**j - exact) <= 8 * _EPS, j
+    assert (maps[n + 4] > 0.0).all()
 
 
 def test_sine_over_half_period():
@@ -206,28 +182,25 @@ def test_defaults():
 
 def _scalar_reference(f, a, b, config):
     """The adaptive loop on one interval, one panel split per round, chosen
-    by its raw error. Panel sums take the library's fixed order per row."""
+    by its raw error, on the panel rule written out from the kernel's maps
+    one row at a time. Panel sums take the library's fixed order per row."""
     pa, pb = np.array([a]), np.array([b])
+    x, maps, _ = _kernel_matrices(_PANEL_NODES)
+    n = _PANEL_NODES
 
     def rule(vals, weights):
         return np.einsum("ij,j->i", vals, weights)
 
     def panels(a, b):
+        # The interpolant's integral and its last two Chebyshev
+        # coefficients, each its own row of the maps.
         half = 0.5 * (b - a)
-        pts = (0.5 * (a + b))[:, None] + half[:, None] * _XK[None, :]
+        pts = (0.5 * (a + b))[:, None] + half[:, None] * x[None, :]
         vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-        kron = rule(vals, _WK) * half
-        gauss = rule(vals, _WG) * half
-        resabs = rule(np.abs(vals), _WK) * half
-        mean = kron / (b - a)
-        resasc = rule(np.abs(vals - mean[:, None]), _WK) * half
-        delta = np.abs(kron - gauss)
-        err = delta.copy()
-        scale = np.ones_like(delta)
-        pos = resasc > 0.0
-        scale[pos] = np.minimum(1.0, (200.0 * delta[pos] / resasc[pos]) ** 1.5)
-        err[pos] = resasc[pos] * scale[pos]
-        return kron, np.maximum(err, 50.0 * _EPS * resabs), pts.size
+        value = half * rule(vals, maps[n + 4])
+        tail = 2.0 * (np.abs(half * rule(vals, maps[n + 2])) + np.abs(half * rule(vals, maps[n + 3])))
+        resabs = half * rule(np.abs(vals), maps[n + 4])
+        return value, np.maximum(tail, 50.0 * _EPS * resabs), pts.size
 
     pi, pe, neval = panels(pa, pb)
     while True:
@@ -303,14 +276,14 @@ _RATES = np.array([30.0, 100.0, 300.0, 1000.0, 3000.0])
 
 
 def _decays(x, rows, rest):
-    # Row i integrates e^(-rate_i x); x is (panels, 15), rows (panels,).
+    # Row i integrates e^(-rate_i x); x is (panels, _PANEL_NODES), rows (panels,).
     return np.exp(-_RATES[rows][:, None] * x)
 
 
 def test_rows_of_edges_are_refined_as_alone_within_their_own_budget(monkeypatch):
-    # Each row converges alone within 10 splits, but the rows need more
-    # than 10 between them.
-    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 10)
+    # Each row converges alone within 12 splits, but the rows need more
+    # than 12 between them.
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 12)
     edges = np.array([[0.0, 0.01, 0.01, 0.5, 1.0]] * len(_RATES))
     values, errs, neval = cumulative_integral(_decays, edges, CFG)
     assert values.shape == edges.shape and errs.shape == (len(_RATES),)
@@ -323,7 +296,7 @@ def test_rows_of_edges_are_refined_as_alone_within_their_own_budget(monkeypatch)
         assert errs[i] == pytest.approx(err[0], rel=1e-12)
         # The empty segment adds exactly 0.0 and is not evaluated.
         assert values[i, 2] == values[i, 1]
-        splits, total = splits + (n // 15 - 3) // 2, total + n
+        splits, total = splits + (n // _PANEL_NODES - 3) // 2, total + n
         truth = -np.expm1(-rate * edges[i]) / rate
         np.testing.assert_allclose(values[i], truth, rtol=1e-10, atol=1e-12)
     assert splits > quadrature._MAX_SUBDIVISIONS

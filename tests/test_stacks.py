@@ -338,14 +338,14 @@ class TestStackedInterpolants:
         stack = ChebyshevInterpolant(values)
         x = np.concatenate([np.linspace(0.0, 1.0, 37), nodes[::5]])
         per_row = np.stack([x, x[::-1], np.sort(x)])
-        shared, own, lifted = stack(x), stack(per_row), stack.lifted()
+        shared, own, lifted = stack(x), stack(per_row), stack.lifts(1).values[0]
         assert shared.shape == (3, x.size) and own.shape == (3, x.size)
         assert stack(0.25).shape == (3,)
         for i in range(3):
             alone = ChebyshevInterpolant(values[i])
             assert shared[i].tobytes() == alone(x).tobytes()
             assert own[i].tobytes() == alone(per_row[i]).tobytes()
-            assert lifted.values[i].tobytes() == alone.lifted().values.tobytes()
+            assert lifted[i].tobytes() == alone.lifts(1).values[0].tobytes()
 
     def test_per_row_points_need_one_row_per_interpolant(self):
         # Levels of a stack pair their rows with the points' rows too.
