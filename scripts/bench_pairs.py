@@ -6,9 +6,10 @@ perfbench/, alternating which side runs first: the parent first in even
 pairs, the change first in odd ones. The results go to a BENCH_<pr>.json
 file: every run's end-to-end metrics, each side's median and quartiles,
 the relative change of the median, and in how many pairs the change read
-better, in the direction BENCHMARK.json gives each metric. A workload and
-seed already in the file is replaced, the others kept, so one file can
-gather several invocations. Nothing under perfbench/ is written.
+better, in the direction BENCHMARK.json gives each metric, and each side's
+line count of src/divseq/*.py. A workload and seed already in the file is
+replaced, the others kept, so one file can gather several invocations.
+Nothing under perfbench/ is written.
 
 Usage, from the root of a checkout, with the parent exported beside it:
 
@@ -48,6 +49,12 @@ def run_once(runner: list[str], tree: Path, workload: str, seed: int, seconds: i
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"benchmark run in {tree} failed ({done.returncode}): {done.stderr[-500:]}")
     return json.loads(lines[-1])
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of the package's modules, src/divseq/*.py, in tree."""
+    paths = sorted((tree / "src" / "divseq").glob("*.py"))
+    return sum(len(path.read_text(encoding="utf-8").splitlines()) for path in paths)
 
 
 def summary(parent: list[float], change: list[float], better: str) -> dict:
@@ -114,6 +121,7 @@ def main() -> int:
         "on the parent and the change in alternating pairs (scripts/bench_pairs.py)"
     ))
     report.setdefault("host", f"{platform.machine()}, Python {platform.python_version()}")
+    report["src_lines"] = {side: src_lines(trees[side]) for side in SIDES}
     workloads = report.setdefault("workloads", {})
     runner = shlex.split(args.runner)
     for workload in args.workload:

@@ -15,8 +15,8 @@ functional given its degree), psi is Sum p^alpha Phi(log w), w = R(t)/P,
 Phi from chebyshev's level kernel, built once per call on the range of
 log w at each path's end and evaluated in one pass over blocks of
 positions, positions at t = 0 left out; without one it is a cumulative
-Gauss-Kronrod quadrature per path, the package's one use of the
-quadrature. psi_iter takes Sum p^alpha Phi_j(log w) from the same kernel
+quadrature per path on the kernel's panel rule, the package's one use of
+the quadrature. psi_iter takes Sum p^alpha Phi_j(log w) from the same kernel
 where that is predicted to cost less, or samples level 0 on P -> R(T), T
 the largest position, fits it
 by one Chebyshev polynomial per group of the coordinates that move in

@@ -11,8 +11,9 @@ Bose-Einstein representation
 in log x, each coordinate one row of edges refined on its own panels, all
 in one adaptive run. Its denominator 1 - z e^(-x) is written without
 cancellation, so w -> 0 (z -> 1) keeps every digit, and 1/(k-1)! enters
-the exponent, so every order stays finite. It shares nothing with the
-library's routes. ``mpmath_pl`` and ``mpmath_jeffreys`` give 50-digit
+the exponent, so every order stays finite. Its panels use the same rule
+as psi's level kernel (chebyshev._kernel_matrices), but it shares nothing
+with the polylogarithm's routes. ``mpmath_pl`` and ``mpmath_jeffreys`` give 50-digit
 values of the closed forms from the float masses as stored.
 """
 

@@ -73,11 +73,17 @@ print(json.dumps({"correct": True, "attempted": 5, "failed": 0, "metrics": metri
 
 def test_bench_pairs_alternates_sides_and_summarizes_each_metric(tmp_path):
     trees = {}
-    for side, speed in (("parent", 20.0), ("change", 10.0)):
+    for side, speed, lines in (("parent", 20.0, 5), ("change", 10.0, 3)):
         tree = tmp_path / side
         (tree / "perfbench").mkdir(parents=True)
         (tree / "perfbench" / "run.py").write_text("# untouched\n")
         (tree / "SPEED").write_text(str(speed))
+        # lines - 1 lines in one module and 1 in another; other files do not count.
+        package = tree / "src" / "divseq"
+        package.mkdir(parents=True)
+        (package / "a.py").write_text("x = 1\n" * (lines - 1))
+        (package / "b.py").write_text("y = 2\n")
+        (package / "notes.txt").write_text("not a module\n" * 7)
         (tree / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
         trees[side] = tree
     stub = tmp_path / "stub.py"
@@ -99,6 +105,7 @@ def test_bench_pairs_alternates_sides_and_summarizes_each_metric(tmp_path):
         assert line.split(" ", 1)[1] == f"--workload {workload} --seed 7 --seconds 3 --trace 0"
     report = json.loads(out.read_text())
     assert set(report["workloads"]) == {"verify/7", "sweep/7"}
+    assert report["src_lines"] == {"parent": 5, "change": 3}
     verify = report["workloads"]["verify/7"]
     assert verify["pairs"] == 4 and verify["correct"]["change"] == [True] * 4
     # Only BENCHMARK.json's end-to-end metrics, each in its own direction.
