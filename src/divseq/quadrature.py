@@ -80,7 +80,7 @@ def _panels(f, a: np.ndarray, b: np.ndarray, rows: np.ndarray) -> tuple[np.ndarr
     exactly, and its tail bound 2h (|c_N-2| + |c_N-1|), h the half-width,
     floored at the roundoff level of the panel so that impossible
     tolerances surface as non-convergence."""
-    x, maps, _ = _kernel_matrices(_PANEL_NODES)
+    (x, maps, _), n = _kernel_matrices(_PANEL_NODES), _PANEL_NODES
     half = 0.5 * (b - a)
     pts = (0.5 * (a + b))[:, None] + half[:, None] * x
     rest = (1.0 - b)[:, None] + half[:, None] * (1.0 - x)
@@ -89,13 +89,14 @@ def _panels(f, a: np.ndarray, b: np.ndarray, rows: np.ndarray) -> tuple[np.ndarr
         raise DomainError(f"integrand gave shape {vals.shape}, not {pts.shape}")
     if not np.isfinite(vals).all():
         raise NonFiniteError("integrand returned a non-finite value")
-    # einsum sums each row in one order, where a BLAS product's order would
-    # change with the count of rows, and a panel's sums with the call.
-    tail_and_integral = half[:, None] * np.einsum("pj,kj->pk", vals, maps[-3:])
+    # The last two coefficients and the integral, rows n + 2 to n + 4. einsum
+    # sums each row in one order, where a BLAS product's order would change
+    # with the count of rows, and a panel's sums with the call.
+    c = half[:, None] * np.einsum("pj,kj->pk", vals, maps[n + 2 :])
     # The integral's weights are positive: this is the integral of |f|.
-    resabs = half * np.einsum("pj,j->p", np.abs(vals), maps[-1])
-    tail = 2.0 * np.abs(tail_and_integral[:, :2]).sum(axis=1)
-    return tail_and_integral[:, 2], np.maximum(tail, 50.0 * _EPS * resabs)
+    resabs = half * np.einsum("pj,j->p", np.abs(vals), maps[n + 4])
+    tail = 2.0 * np.abs(c[:, :2]).sum(axis=1)
+    return c[:, 2], np.maximum(tail, 50.0 * _EPS * resabs)
 
 
 def _integrate_segments(
@@ -176,12 +177,12 @@ def cumulative_integral(
     """Integrals from edges[:, 0] to every edge, one running integral per row.
 
     Edges have shape (rows, k), k >= 2, nondecreasing along each row.
-    f(x, rows, rest) gets abscissae x (panels, _PANEL_NODES), each panel's row and
-    rest, 1 - x to its own relative precision, which 1.0 - x loses where
-    x rounds near 1, and returns x's shape. Each row is refined as it
-    would be alone, and an empty segment adds exactly 0.0. Returns an
-    array shaped like ``edges`` (first column exactly 0.0), each row's
-    summed error estimate and the evaluation count.
+    f(x, rows, rest) gets abscissae x (panels, _PANEL_NODES), each
+    panel's row and rest, 1 - x to its own relative precision, which
+    1.0 - x loses where x rounds near 1, and returns x's shape. Each row
+    is refined as it would be alone, and an empty segment adds exactly
+    0.0. Returns an array shaped like ``edges`` (first column exactly
+    0.0), each row's summed error estimate and the evaluation count.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 2 or edges.shape[1] < 2:
