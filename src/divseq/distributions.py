@@ -234,7 +234,7 @@ def _lift_path(path: MixturePath, t) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def _caller_form(values: np.ndarray, shape: tuple):
     """values reshaped to the caller's shape: a float where that is ()."""
-    values = np.reshape(values, shape)
+    values = np.asarray(values).reshape(shape)
     return float(values) if values.ndim == 0 else values
 
 

@@ -8,9 +8,19 @@ are lost to forming 1 - q/p as q/p -> 0.
 
 - Orders 0 and 1 use their closed forms z/w and -log w (-log1p(-z) for
   |z| <= 1/2).
-- For |z| <= 1/2 the defining power series Sum_{j>=1} z^j / j^k: 64 terms
-  in one table of powers, contracted with the weights j^-k.
-- For 1/2 < z < 1, that is 0 < w < 1/2, the expansion in mu = log z =
+- For 1/2 <= w <= 2, that is -1 <= z <= 1/2, the Bernoulli-transformed
+  series in u = -log(1 - z) = -log1p(-z) (Vollinga and Weinzierl,
+  Comput. Phys. Commun. 167, 2005),
+
+      Li_k(z) = Sum_{n>=1} c_n u^n,
+      c_n = Sum_{1<=j<=n} (-1)^(n-j) j! S(n, j) / (n! j^k),
+
+  with S the Stirling numbers of the second kind. It converges for
+  |u| < 2 pi, and here |u| <= log 2. The j = 1 terms sum to 1 - e^-u = z,
+  so it is summed as z + Sum_{n>=2} d_n u^n, d_n the c_n without them: z
+  is exact there (by Sterbenz's lemma where the caller gave w), and at a
+  large order, where d_n ~ 2^(n-k), the result is z itself.
+- For 0 < w < 1/2, that is 1/2 < z < 1, the expansion in mu = log z =
   log1p(-w), which converges for |mu| < 2 pi,
 
       Li_k(e^mu) = Sum_{j != k-1} zeta(k-j) mu^j / j!
@@ -18,28 +28,29 @@ are lost to forming 1 - q/p as q/p -> 0.
 
   with H the harmonic numbers. Its log(-mu) term carries every digit of w
   as w -> 0.
-- For -1 <= z < -1/2, duplication,
-  Li_k(z) = 2^(1-k) Li_k(z^2) - Li_k(-z), takes both terms to the two
-  routes above; -z = w - 1 and 1 + z are exact there.
-- For z < -1, inversion, with L = log(-z) = log(w - 1),
+- For w > 2, that is z < -1, inversion, with L = log(-z) = log(w - 1),
 
       Li_k(z) = (-1)^(k+1) Li_k(1/z) - L^k / k!
                 - 2 Sum_{1 <= r <= k/2} eta(2r) L^(k-2r) / (k-2r)!,
 
-  takes 1/z, in (-1, 0), to the series or duplication. The polynomial in
-  L is -(2 pi i)^k / k! B_k(1/2 + L / (2 pi i)), B_k the Bernoulli
-  polynomial, and eta(s) = (1 - 2^(1-s)) zeta(s).
+  takes 1/z, whose 1 - 1/z lies in (1, 2), to the u-series. The
+  polynomial in L is -(2 pi i)^k / k! B_k(1/2 + L / (2 pi i)), B_k the
+  Bernoulli polynomial, and eta(s) = (1 - 2^(1-s)) zeta(s).
 
-So no route integrates, and every seam lies at |z| = 1/2 or z = -1 (w in
-{1/2, 3/2, 2}). A tuple of orders shares the routing and the tables of z^j
-and mu^j, and each order adds its own contractions. The coefficients are
-built once per order from exact rationals: zeta at nonpositive integers
-from Bernoulli numbers, and eta, hence zeta, at s >= 2 from Borwein's
+So no route integrates, every coordinate takes one series of at most 20
+terms (the mu expansion k terms past k = 20), and the seams lie at w = 1/2
+and w = 2. A tuple of orders shares the routing and the tables of u^j and
+mu^j, and each order adds its own contractions. The u-series'
+coefficients are built once per order in integers, in O(20^2) steps for
+any k. The mu expansion's and inversion's are built once per order from
+exact rationals, at a cost of about k^2.7, and only for an order some
+argument with w < 1/2 or w > 2 takes: zeta at nonpositive integers from
+Bernoulli numbers, and eta, hence zeta, at s >= 2 from Borwein's
 alternating series ("An efficient algorithm for the Riemann zeta
 function", 2000). See Lewin, *Polylogarithms and Associated Functions*
 (1981), for the expansions.
 
-The tests check both routes against a quadrature of the Bose-Einstein
+The tests check every route against a quadrature of the Bose-Einstein
 representation, which shares nothing with them (tests/polylog_oracles.py).
 
 The module contract is 1e-12 relative accuracy.
@@ -60,15 +71,20 @@ from .errors import DomainError, ToleranceError, require_index, require_orders
 if TYPE_CHECKING:
     from fractions import Fraction
 
-_SERIES_RADIUS = 0.5
 # Terms per block of the power series. At |z| <= 1/2 the tail past one block
 # is under 2^-64 of the sum, so one block is the whole series.
 _SERIES_WIDTH = 64
 _SERIES_MAX_TERMS = 10_000
 _EPS = 2.0**-53
-# Terms of the mu expansion, or k if more. At |mu| <= log 2 the first term
-# left out is below 1e-19 for every order.
+# Terms of the u-series, and of the mu expansion, or k if more. At |u| and
+# |mu| <= log 2 the first term left out is below 1e-19 of the sum for every
+# order.
 _MU_TERMS = 20
+# Powers j^-k below 2^-_U_BITS are left out of the u-series' coefficients,
+# which happens only past k = 44 (20^44 < 2^192). What is left out moves
+# Li_k by under 2^-170 of its value: each term is under 2^-192 j! S(n, j)/n!,
+# Sum_j j! S(n, j) / n! < 1101 for n <= 20, and |Li_k| > |u| / 3 there.
+_U_BITS = 192
 # Borwein's series for eta(s) with n terms errs by under 3 / (3 + sqrt 8)^n
 # for real s >= 2: 1.3e-18 at n = 24.
 _ETA_TERMS = 24
@@ -93,11 +109,13 @@ def _arguments(z, w) -> tuple[np.ndarray, np.ndarray, tuple]:
     return 1.0 - flat, flat, given.shape
 
 
-def _by_order(values: np.ndarray, k, shape: tuple):
-    """Rows (orders, ...) in the caller's form: one row for one order k."""
+def _by_order(rows, k, shape: tuple):
+    """Rows, one per order (an array or a list of them), in the caller's
+    form: the one row alone for one order k."""
     if isinstance(k, tuple):
-        return values.reshape(values.shape[:1] + shape)
-    return _caller_form(values[0], shape)
+        rows = np.asarray(rows)
+        return rows.reshape(rows.shape[:1] + shape)
+    return _caller_form(rows[0], shape)
 
 
 def _power_table(head: np.ndarray, x: np.ndarray, width: int) -> np.ndarray:
@@ -229,45 +247,68 @@ def _coefficients(k: int) -> tuple[tuple[float, ...], float, tuple[float, ...]]:
     return mu, float(Fraction(1, math.factorial(k - 1))), inversion
 
 
+@functools.cache
+def _ordered_stirling() -> tuple[tuple[int, ...], ...]:
+    """a[n][j] = j! S(n, j) for j <= n <= _MU_TERMS, S the Stirling numbers
+    of the second kind, from a(n, j) = j (a(n-1, j) + a(n-1, j-1))."""
+    rows = [(1,)]
+    for n in range(1, _MU_TERMS + 1):
+        prev = rows[-1] + (0,)
+        rows.append((0,) + tuple(j * (prev[j] + prev[j - 1]) for j in range(1, n + 1)))
+    return tuple(rows)
+
+
+@functools.lru_cache(maxsize=64)
+def _u_coefficients(k: int) -> tuple[float, ...]:
+    """d_n for n = _MU_TERMS..2, highest power first, in
+    Li_k(1 - e^-u) - (1 - e^-u) = Sum_{n>=2} d_n u^n, where
+    d_n = Sum_{2<=j<=n} (-1)^(n-j) j! S(n, j) / (n! j^k); each is rounded
+    once from the exact sum of its terms with j^k <= 2^_U_BITS, over the
+    common denominator n! lcm(j)^k, in integers."""
+    a = _ordered_stirling()
+    kept = [j for j in range(2, _MU_TERMS + 1) if k * math.log2(j) <= _U_BITS]
+    lcm = math.lcm(1, *kept)
+    scale = {j: (lcm // j) ** k for j in kept}
+    den = lcm**k
+    return tuple(
+        sum((-1) ** (n - j) * a[n][j] * scale[j] for j in kept if j <= n) / (math.factorial(n) * den)
+        for n in range(_MU_TERMS, 1, -1)
+    )
+
+
 def _expansions(orders: tuple[int, ...], z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Li_k(z) for each k >= 2 in orders, one row each."""
-    # Inversion takes z < -1 to v = 1/z in (-1, 0), and duplication then
-    # takes v < -1/2 to Li_k(x^2) and Li_k(x), x = -v in (1/2, 1].
-    far = z < -1.0
-    v = z.copy()
-    v[far] = 1.0 / z[far]
-    doubled = v < -_SERIES_RADIUS
-    rest = ~doubled
-    x = -v[doubled]
-    mu_x = np.log1p(x - 1.0)  # x - 1 is exact for 1/2 <= x <= 1
-    mu = np.zeros_like(v)
-    high = v > _SERIES_RADIUS
-    mu[high] = np.log1p(-w[high])
-    # Every argument now lies in [-1/2, 1], with its log where above 1/2.
-    args = np.concatenate([v[rest], x, x * x])
-    logs = np.concatenate([mu[rest], mu_x, 2.0 * mu_x])
-    li = np.empty((len(orders), args.size))
-    near = args <= _SERIES_RADIUS
-    li[:, near] = _series(orders, args[near])
-    # Li_k(e^mu) for log(1/2) <= mu <= 0 from the mu expansion; its term
-    # mu^(k-1) log(-mu) -> 0 as mu -> 0, so it is dropped at mu = 0. Its
-    # coefficients cost about k^2.7 to build, so only an argument that takes
-    # it builds them.
-    logs = logs[~near]
-    if logs.size:
+    """Li_k(z) for each k >= 2 in orders, one row each. Every coordinate
+    takes one series: the u-series or the mu expansion."""
+    out = np.empty((len(orders), z.size))
+    # 1/2 <= w <= 2: the u-series at v = z, exact there. w > 2: inversion
+    # to v = 1/z, whose 1 - v lies in (1, 2). Either way u = -log(1 - v),
+    # and Li_k(v) = v + Sum_{n>=2} d_n u^n.
+    taken = w >= 0.5
+    v = z[taken]
+    far = v < -1.0
+    v[far] = 1.0 / v[far]
+    u = -np.log1p(-v)
+    if u.size:
+        powers = [np.array(_u_coefficients(k)) for k in orders]
+        sums, _ = _power_sums(u * u, u, powers)
+        out[:, taken] = v + sums
+    # 0 < w < 1/2: Li_k(e^mu) from the mu expansion, mu = log1p(-w) < 0.
+    # Its coefficients, and inversion's, cost about k^2.7 to build, so only
+    # an argument that takes either builds them.
+    rest = ~taken
+    mu = np.log1p(-w[rest])
+    if mu.size:
         coefficients = [_coefficients(k) for k in orders]
         powers = [np.array(c) for c, _, _ in coefficients]
-        li[:, ~near], _ = _power_sums(np.ones_like(logs), logs, powers)
-        log_mu = np.log(np.where(logs < 0.0, -logs, 1.0))
-        for li_k, k, (_, log_factor, _) in zip(li, orders, coefficients):
-            li_k[~near] -= log_mu * (logs ** (k - 1) * log_factor)
-    n, m = np.count_nonzero(rest), x.size
-    out = np.empty((len(orders), z.size))
-    for row, li_k, k in zip(out, li, orders):
-        row[rest] = li_k[:n]
-        row[doubled] = 2.0 ** (1 - k) * li_k[n + m :] - li_k[n : n + m]
-        if far.any():
-            row[far] = (-1) ** (k + 1) * row[far] + _inversion_polynomial(k, np.log(-z[far]))
+        sums, _ = _power_sums(np.ones_like(mu), mu, powers)
+        log_mu = np.log(-mu)
+        for row, li, k, (_, log_factor, _) in zip(out, sums, orders, coefficients):
+            row[rest] = li - log_mu * (mu ** (k - 1) * log_factor)
+    if far.any():
+        far = np.flatnonzero(taken)[far]
+        big_l = np.log(-z[far])
+        for row, k in zip(out, orders):
+            row[far] = (-1) ** (k + 1) * row[far] + _inversion_polynomial(k, big_l)
     return out
 
 
@@ -312,4 +353,4 @@ def polylog(k, z=None, *, w=None):
     if 1 in orders:  # z is clipped in log1p's branch, not taken at z = 1 (w < 2^-53)
         log = np.where(np.abs(z) <= 0.5, -np.log1p(-np.minimum(z, 0.5)), -np.log(w))
     out = [z / w if j == 0 else log if j == 1 else next(rows) for j in orders]
-    return _by_order(np.array(out), k, shape)
+    return _by_order(out, k, shape)

@@ -28,10 +28,10 @@ from .polylog import _by_order, _series, polylog
 
 _JEFFREYS = named_divergence("jeffreys")
 # The plain sum Sum_i p_i Li_k(z_i) stands when Sum_i |p_i Li_k(z_i)| is at
-# most this many times its value. Each term is good to 8.2e-15 relative (the
-# polylogarithm's worst) and the sum adds about 3e-15 more at 10^4
-# coordinates, so the plain sum is then within 4e-13 of the exact one,
-# relative.
+# most this many times its value. Each term is good to 1.6e-15 relative (the
+# polylogarithm's worst against 40-digit mpmath, k = 0..12, w = q/p from
+# 1e-16 to 1e12) and the sum adds about 3e-15 more at 10^4 coordinates, so
+# the plain sum is then within 1.5e-13 of the exact one, relative.
 _MAX_CANCELLATION = 32.0
 # Where |z_i| <= 1/2 a cancelling sum takes Li_k(z_i) - z_i directly.
 _NEAR_RADIUS = 0.5
@@ -59,10 +59,10 @@ def _pl(orders: tuple[int, ...], p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """pl at each order for the rows (m, n) of two stacks, (orders, m), from
     one polylogarithm call and one _split_sums pass for the cancelling rows."""
     terms = p * polylog(orders, w=q / p)
-    total = np.sum(terms, axis=-1)
-    plain = np.sum(np.abs(terms), axis=-1) <= _MAX_CANCELLATION * np.abs(total)
-    rows = np.flatnonzero(~plain.all(axis=0))
-    if rows.size:
+    total = terms.sum(axis=-1)
+    plain = np.abs(terms).sum(axis=-1) <= _MAX_CANCELLATION * np.abs(total)
+    if not plain.all():
+        rows = np.flatnonzero(~plain.all(axis=0))
         split = _split_sums(orders, p[rows], q[rows], terms[:, rows])
         total[:, rows] = np.where(plain[:, rows], total[:, rows], split)
     return total
@@ -93,7 +93,7 @@ def sl(k, P, Q):
     chain = [_JEFFREYS.evaluator(p, q)]
     for term in _pl(tuple(range(1, top + 1)), p, q) if top else ():
         chain.append(chain[-1] - term)
-    return _by_order(np.array([chain[j] for j in orders]), k, shape)
+    return _by_order([chain[j] for j in orders], k, shape)
 
 
 def _chain(name: str, first: int, depth: int, P, R) -> np.ndarray:

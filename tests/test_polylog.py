@@ -1,5 +1,9 @@
+import functools
 import importlib
+import math
+import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -91,20 +95,23 @@ class TestStrategyAgreement:
 class TestHighOrders:
     def test_series_terms_past_overflow_are_zero(self):
         # j^k overflows to inf from k ~ 170, and z^j / inf is the 0.0 that
-        # z^j / j^k rounds to; the sum is the argument itself.
+        # z^j / j^k rounds to; the power series' sum is the argument itself,
+        # and so is the u-series', z + Sum d_n u^n with every d_n 0 here.
         assert polylog(200, -0.7) == -0.7
         assert polylog_series(175, 0.4) == 0.4
 
     def test_series_arguments_build_no_expansion_coefficients(self, monkeypatch):
         # The mu expansion's and inversion's coefficients cost about k^2.7 to
-        # build; arguments in the series region alone build none, so a high
-        # order there costs what a low one does.
+        # build; arguments on the u-series alone (1/2 <= w <= 2) build none,
+        # so a high order there costs what a low one does. The u-series is
+        # not the power series, so the two agree to rounding, not bitwise.
         module = importlib.import_module("divseq.polylog")
         built, build = [], module._coefficients
         monkeypatch.setattr(module, "_coefficients", lambda k: built.append(k) or build(k))
         z = np.array([0.5, -0.5, 0.25, -1e-3, 0.0])
         for k in (2, 50, 2000):
-            assert polylog(k, z).tobytes() == polylog_series(k, z).tobytes()
+            value, series = polylog(k, z), polylog_series(k, z)
+            assert np.all(np.abs(value - series) <= 2.0 * np.finfo(float).eps * np.abs(value))
         # On P = (1/2, 1/2), Q = (1/4, 3/4), z = 1 - q/p is 1/2 and -1/2;
         # Sum p z = 0, so pl is Sum p (Li_k(z) - z), all of it below 2^-2000.
         P, Q = new_distribution([0.5, 0.5]), new_distribution([0.25, 0.75])
@@ -183,9 +190,9 @@ class TestValidation:
 
 
 class TestArrays:
-    # Both sides of each seam between routes (|z| = 1/2 and z = -1), the
-    # z -> 1 edge, a far negative argument and the old series radius
-    # |z| = 0.95, in one array.
+    # Both sides of each seam between routes (z = 1/2 and z = -1) and of
+    # z = -1/2, the z -> 1 edge, a far negative argument and the old series
+    # radius |z| = 0.95, in one array.
     Z = np.array(
         [-1e6, -3.0, -1.0000000000000002, -1.0, -0.9999999999999999, -0.951,
          -0.949, -0.5000000000000001, -0.5, -0.3, 0.0, 0.4, 0.5,
@@ -267,8 +274,10 @@ def _mpmath_li(mp, k, w):
 
 
 class TestClosedExpansions:
-    # Seams between routes: w = 1/2 (z = 1/2), w = 3/2 (z = -1/2) and w = 2
-    # (z = -1), each with its neighbours one ulp either side.
+    # Seams between routes: w = 1/2 (z = 1/2; mu expansion and u-series)
+    # and w = 2 (z = -1; u-series and inversion), each with its neighbours
+    # one ulp either side; and the same at w = 3/2 (z = -1/2), the edge of
+    # the power series that pl's cancelling sums take.
     SEAMS = np.array([0.5, 1.5, 2.0])
     SEAM_W = np.concatenate(
         [SEAMS, np.nextafter(SEAMS, 0.0), np.nextafter(SEAMS, np.inf)]
@@ -316,6 +325,63 @@ class TestClosedExpansions:
         zeta = float(mp.zeta(k))
         assert polylog(k, w=1e-300) == pytest.approx(zeta, rel=1e-15)
         assert polylog(k, -1.0) == pytest.approx(-(1.0 - 2.0 ** (1 - k)) * zeta, rel=1e-15)
+
+
+def _bernoulli(n: int) -> Fraction:
+    mp = pytest.importorskip("mpmath")
+    return Fraction(*map(int, mp.bernfrac(n)))  # B_1 = -1/2
+
+
+@functools.cache
+def _u_series(k: int) -> tuple[Fraction, ...]:
+    """Exact c_0..c_20 in Li_k(1 - e^-u) = Sum c_n u^n, from f_1 = u and
+    f_k' = (f_(k-1) / u) * u / (e^u - 1), whose second factor is
+    Sum_m B_m u^m / m!: c_n = (1/n) Sum_{i+m=n-1} c_(i+1) B_m / m!."""
+    if k == 1:
+        return (Fraction(0), Fraction(1)) + (Fraction(0),) * 19
+    last = _u_series(k - 1)
+    weights = [_bernoulli(m) / math.factorial(m) for m in range(20)]
+    return (Fraction(0),) + tuple(
+        sum(last[i + 1] * weights[n - 1 - i] for i in range(n)) / n for n in range(1, 21)
+    )
+
+
+def _kept(c) -> tuple[float, ...]:
+    # The module keeps d_n = c_n - (-1)^(n-1) / n!, n = 20..2, each rounded
+    # once from its exact value.
+    return tuple(float(c[n] - Fraction((-1) ** (n - 1), math.factorial(n))) for n in range(20, 1, -1))
+
+
+class TestUSeries:
+    def test_order_two_is_bernoulli_numbers(self):
+        module = importlib.import_module("divseq.polylog")
+        c = [Fraction(0)] + [_bernoulli(n - 1) / math.factorial(n) for n in range(1, 21)]
+        assert module._u_coefficients(2) == _kept(c)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 45, 60])
+    def test_each_order_integrates_the_one_below(self, k):
+        # 45 and 60 lie past k = 44, where powers j^-k below 2^-192 are left
+        # out of the build; the rounded coefficients do not move.
+        module = importlib.import_module("divseq.polylog")
+        assert module._u_coefficients(k) == _kept(_u_series(k))
+
+    def test_high_orders_build_in_little_time(self):
+        build = importlib.import_module("divseq.polylog")._u_coefficients.__wrapped__
+        for k in (44, 1000, 20_000, 100_000):
+            start = time.perf_counter()
+            coefficients = build(k)
+            assert time.perf_counter() - start < 0.05, k
+        assert coefficients == (0.0,) * 19
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_small_z_given_as_z(self, k):
+        # 1 - z rounds away the digits of a small z, so the u-series must
+        # take them from z itself.
+        mp = pytest.importorskip("mpmath")
+        z = np.array([1e-10, -1e-10, 1e-5, -3e-4, 0.3, -0.45])
+        with mp.workdps(40):
+            ref = np.array([float(mp.polylog(k, mp.mpf(x))) for x in z])
+        np.testing.assert_allclose(polylog(k, z), ref, rtol=1e-15, atol=0.0)
 
 
 class TestOrderTuples:
