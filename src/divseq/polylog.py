@@ -271,7 +271,8 @@ def _u_coefficients(k: int) -> tuple[float, ...]:
     scale = {j: (lcm // j) ** k for j in kept}
     den = lcm**k
     return tuple(
-        sum((-1) ** (n - j) * a[n][j] * scale[j] for j in kept if j <= n) / (math.factorial(n) * den)
+        sum((-1) ** (n - j) * a[n][j] * scale[j] for j in kept if j <= n)
+        / (math.factorial(n) * den)
         for n in range(_MU_TERMS, 1, -1)
     )
 

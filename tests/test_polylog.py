@@ -349,7 +349,9 @@ def _u_series(k: int) -> tuple[Fraction, ...]:
 def _kept(c) -> tuple[float, ...]:
     # The module keeps d_n = c_n - (-1)^(n-1) / n!, n = 20..2, each rounded
     # once from its exact value.
-    return tuple(float(c[n] - Fraction((-1) ** (n - 1), math.factorial(n))) for n in range(20, 1, -1))
+    return tuple(
+        float(c[n] - Fraction((-1) ** (n - 1), math.factorial(n))) for n in range(20, 1, -1)
+    )
 
 
 class TestUSeries:
