@@ -44,6 +44,25 @@ def _require_shape(arr: np.ndarray) -> None:
         )
 
 
+def _require_masses(arr: np.ndarray) -> None:
+    # One minimum and one sum a row carry every check: a NaN or -inf mass
+    # fails the minimum, and a +inf one puts its row's sum off 1, where a
+    # finiteness check tells it from a sum that drifts.
+    if arr.min() >= _MIN_MASS:
+        totals = arr.sum(axis=-1, keepdims=True)
+        drift = np.abs(totals - 1.0)
+        if drift.max() <= SUM_TOLERANCE:
+            return
+        if np.isfinite(arr).all():
+            raise DomainError(
+                f"masses sum to {float(totals[drift > SUM_TOLERANCE][0])!r}, outside the "
+                f"{SUM_TOLERANCE} tolerance"
+            )
+    raise DomainError(
+        f"masses must be finite and at least {_MIN_MASS!r}, the smallest normal float"
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """Immutable probability vector with masses of at least the smallest
@@ -58,21 +77,9 @@ class Distribution:
     masses: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.masses, dtype=np.float64)
+        arr = np.array(self.masses, dtype=np.float64)
         _require_shape(arr)
-        if not (np.isfinite(arr).all() and (arr >= _MIN_MASS).all()):
-            raise DomainError(
-                f"masses must be finite and at least {_MIN_MASS!r}, the smallest "
-                "normal float"
-            )
-        totals = arr.sum(axis=-1, keepdims=True)
-        off = np.abs(totals - 1.0) > SUM_TOLERANCE
-        if off.any():
-            raise DomainError(
-                f"masses sum to {float(totals[off][0])!r}, outside the "
-                f"{SUM_TOLERANCE} tolerance"
-            )
-        arr = arr.copy()
+        _require_masses(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "masses", arr)
 

@@ -39,19 +39,23 @@ are lost to forming 1 - q/p as q/p -> 0.
 
 So no route integrates, every coordinate takes one series of at most 20
 terms (the mu expansion k terms past k = 20), and the seams lie at w = 1/2
-and w = 2. A tuple of orders shares the routing and the tables of u^j and
-mu^j, and each order adds its own contractions. The u-series'
-coefficients are built once per order in integers, in O(20^2) steps for
-any k. The mu expansion's and inversion's are built once per order from
-exact rationals, at a cost of about k^2.7, and only for an order some
-argument with w < 1/2 or w > 2 takes: zeta at nonpositive integers from
-Bernoulli numbers, and eta, hence zeta, at s >= 2 from Borwein's
-alternating series ("An efficient algorithm for the Riemann zeta
-function", 2000). See Lewin, *Polylogarithms and Associated Functions*
-(1981), for the expansions.
+and w = 2. A call partitions its coordinates once between the two series
+and builds one table of powers, u^j beside mu^j; each route contracts its
+own columns against all orders' coefficients at once. Every coefficient
+is an exact rational formed in Python integers and rounded once, and none
+imports fractions. The u-series' are built once per order in O(20^2)
+steps for any k. The mu expansion's are built once per order, and only
+for an order some argument with w < 1/2 takes; inversion's likewise for
+w > 2, and they take eta at even s alone. Both cost O(k^2) big-integer
+steps, a few ms at k = 400: zeta at nonpositive integers from Bernoulli
+numbers, and eta, hence zeta, at s >= 2 from Borwein's alternating series
+("An efficient algorithm for the Riemann zeta function", 2000). See
+Lewin, *Polylogarithms and Associated Functions* (1981), for the
+expansions.
 
 The tests check every route against a quadrature of the Bose-Einstein
-representation, which shares nothing with them (tests/polylog_oracles.py).
+representation, which shares nothing with them, and every coefficient
+against a build in exact fractions (tests/polylog_oracles.py).
 
 The module contract is 1e-12 relative accuracy.
 """
@@ -60,16 +64,13 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING
+import operator
 
 import numpy as np
 
 from .chebyshev import _BLOCK_CELLS
 from .distributions import _caller_form
 from .errors import DomainError, ToleranceError, require_index, require_orders
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # Terms per block of the power series. At |z| <= 1/2 the tail past one block
 # is under 2^-64 of the sum, so one block is the whole series.
@@ -133,22 +134,36 @@ def _power_table(head: np.ndarray, x: np.ndarray, width: int) -> np.ndarray:
     return table
 
 
-def _power_sums(head: np.ndarray, x: np.ndarray, weights) -> tuple:
-    """Sum_j c_j head x^j for each coefficient vector c (highest power
-    first), one row each, and the top power head x^(width - 1). A table has
-    at most _BLOCK_CELLS cells, which bounds the memory a large support
-    takes; a contraction adds the terms smallest first."""
-    width = max(c.size for c in weights)
-    out, top = np.empty((len(weights), x.size)), np.empty(x.size)
+def _power_sums(head: np.ndarray, x: np.ndarray, routes) -> tuple[list, np.ndarray]:
+    """Sum_j c_j head x^j, and the top power head x^(width - 1).
+
+    routes are (weights, count) pairs that take the coordinates in turn:
+    each route's rows of coefficients c (highest power first) are
+    contracted on its own count columns, one result row per row of c; a
+    route of no columns needs no weights. The routes share one table of
+    powers, side by side, as wide as the widest weights. A table has at
+    most _BLOCK_CELLS cells, which bounds the memory a large support takes;
+    a contraction adds the terms smallest first. Each coordinate's sums
+    are its own: they do not depend on the columns beside it.
+    """
+    width = max((c.shape[1] for c, count in routes if count), default=1)
+    sums, spans, first = [], [], 0
+    for c, count in routes:
+        sums.append(np.empty((len(c) if count else 0, count)))
+        spans.append((first, first + count))
+        first += count
+    top = np.empty(x.size)
     step = max(1, _BLOCK_CELLS // width)
     for lo in range(0, x.size, step):
-        chunk = slice(lo, lo + step)
-        count = x[chunk].size
-        table = _power_table(head[chunk], x[chunk], width)
-        for row, c in zip(out, weights):
-            row[chunk] = np.einsum("ji,j->i", table[width - c.size :], c)[:count]
-        top[chunk] = table[0, :count]
-    return out, top
+        hi = min(lo + step, x.size)
+        table = _power_table(head[lo:hi], x[lo:hi], width)
+        for (c, _), out, (first, last) in zip(routes, sums, spans):
+            a, b = max(first, lo), min(last, hi)  # the route's part of the chunk
+            if a < b:
+                part = table[width - c.shape[1] :, a - lo : b - lo]
+                out[:, a - first : b - first] = np.einsum("ji,oj->oi", part, c)
+        top[lo:hi] = table[0, : hi - lo]
+    return sums, top
 
 
 def _series(orders: tuple[int, ...], z: np.ndarray, linear: bool = True) -> np.ndarray:
@@ -168,7 +183,7 @@ def _series(orders: tuple[int, ...], z: np.ndarray, linear: bool = True) -> np.n
         if first == 1 and not linear:
             weights[:, -1] = 0.0
         x = z[pending]
-        sums, last = _power_sums(head, x, weights)
+        (sums,), last = _power_sums(head, x, [(weights, x.size)])
         out[:, pending] = sums = sums + out[:, pending]
         head, size = last * x, np.abs(x)
         bound = np.abs(head) * weights[:, :1] <= _EPS * np.abs(sums) * (1.0 - size)
@@ -178,83 +193,105 @@ def _series(orders: tuple[int, ...], z: np.ndarray, linear: bool = True) -> np.n
     return out
 
 
-# The coefficient builders import fractions on first use, not with the
-# module: it imports decimal, which takes about 3 ms.
-
-
-@functools.lru_cache(maxsize=1)
-def _eta_weights() -> tuple[Fraction, ...]:
-    # Borwein's algorithm 2: eta(s) ~ Sum_{j<n} (-1)^j (1 - d_j / d_n) / (j+1)^s
-    # with d_j = n Sum_{i<=j} (n+i-1)! 4^i / ((n-i)! (2i)!).
-    from fractions import Fraction
-
-    n, d, partial = _ETA_TERMS, [], Fraction(0)
-    for i in range(n + 1):
-        partial += Fraction(
-            n * math.factorial(n + i - 1) * 4**i,
-            math.factorial(n - i) * math.factorial(2 * i),
-        )
-        d.append(partial)
-    return tuple((-1) ** j * (1 - d[j] / d[n]) for j in range(n))
-
-
-@functools.lru_cache(maxsize=64)
-def _eta(s: int) -> Fraction:
-    """Dirichlet eta(s) for s >= 2, to 1.3e-18 relative; orders share it."""
-    return sum(c / (j + 1) ** s for j, c in enumerate(_eta_weights()))
+# Every coefficient is an exact rational formed in integers and rounded once,
+# by one int / int true division, which is correctly rounded, so it is the
+# float of that rational. The builders never import fractions: it imports
+# decimal, which takes about 2 ms.
 
 
 @functools.cache
-def _bernoulli() -> tuple[Fraction, ...]:
-    """B_0.._MU_TERMS, with B_1 = -1/2, from Sum_{j<=n} C(n+1, j) B_j = 0:
-    once per process, as every order's coefficients take them. The odd
-    ones past B_1 are 0 and add nothing."""
-    from fractions import Fraction
+def _eta_weights() -> tuple[tuple[int, ...], int]:
+    """Integers e_j and D with eta(s) ~ Sum_{j<n} e_j / (D (j+1)^s).
 
-    b = [Fraction(1)]
+    Borwein's algorithm 2: eta(s) ~ Sum_{j<n} (-1)^j (1 - d_j / d_n) / (j+1)^s
+    with d_j = n Sum_{i<=j} (n+i-1)! 4^i / ((n-i)! (2i)!). Over the common
+    denominator n! (2n)!, d_j is an integer D_j, so e_j = (-1)^j (D_n - D_j)
+    and D = D_n.
+    """
+    n = _ETA_TERMS
+    f = [math.factorial(i) for i in range(2 * n + 1)]
+    d, partial = [], 0
+    for i in range(n + 1):
+        partial += n * f[n + i - 1] * 4**i * (f[n] // f[n - i]) * (f[2 * n] // f[2 * i])
+        d.append(partial)
+    return tuple((-1) ** j * (d[n] - d[j]) for j in range(n)), d[n]
+
+
+def _etas(top: int, step: int):
+    """(s, a, b) with eta(s) = a / b exactly in Borwein's series, for
+    s = 2, 2 + step, ... <= top: each term's power from the one before, so
+    the pass costs O(top^2) digit steps."""
+    weights, den = _eta_weights()
+    lcm = math.lcm(*range(1, _ETA_TERMS + 1))
+    ratios = [(lcm // (j + 1)) ** step for j in range(_ETA_TERMS)]
+    terms = [e * (lcm // (j + 1)) ** 2 for j, e in enumerate(weights)]
+    den *= lcm**2
+    for s in range(2, top + 1, step):
+        yield s, sum(terms), den
+        terms = [t * r for t, r in zip(terms, ratios)]
+        den *= lcm**step
+
+
+@functools.cache
+def _bernoulli() -> tuple[tuple[int, ...], int]:
+    """S B_n for n = 0.._MU_TERMS, with B_1 = -1/2, and S = lcm(1.._MU_TERMS + 1),
+    from Sum_{j<=n} C(n+1, j) B_j = 0. By von Staudt and Clausen the
+    denominator of B_n has no prime above n + 1, so S B_n is an integer and
+    each division by n + 1 is exact."""
+    scale = math.lcm(*range(1, _MU_TERMS + 2))
+    b = [scale]
     for n in range(1, _MU_TERMS + 1):
-        b.append(-sum(math.comb(n + 1, j) * b[j] for j in range(n) if b[j]) / (n + 1))
-    return tuple(b)
+        b.append(-sum(math.comb(n + 1, j) * b[j] for j in range(n) if b[j]) // (n + 1))
+    return tuple(b), scale
 
 
 @functools.lru_cache(maxsize=64)
-def _coefficients(k: int) -> tuple[tuple[float, ...], float, tuple[float, ...]]:
-    """The mu expansion's coefficients, highest power first, the factor
-    1/(k-1)! of its log(-mu) term, and the inversion polynomial's
-    coefficients times m! for L^m, lowest power first; each rounded once
-    from an exact rational."""
-    from fractions import Fraction
-
+def _mu_coefficients(k: int) -> tuple[tuple[float, ...], float]:
+    """The mu expansion's coefficients zeta(k-j)/j!, with H_{k-1}/(k-1)! at
+    j = k-1, highest power first, and the factor 1/(k-1)! of its log(-mu)
+    term."""
     terms = max(_MU_TERMS, k)
-    bernoulli = _bernoulli()  # zeta(k - j) for j < terms needs B_(terms - k) at most
+    mu = [0.0] * terms
+    # zeta(s) = eta(s) 2^(s-1) / (2^(s-1) - 1) at s = k - j >= 2, with j!
+    # from (k-2)! down.
+    factorial = math.factorial(k - 2)
+    for s, a, b in _etas(k, 1):
+        j = k - s
+        mu[j] = (a << (s - 1)) / (b * ((1 << (s - 1)) - 1) * factorial)
+        factorial //= max(j, 1)
+    factorial = math.factorial(k - 1)
+    mu[k - 1] = sum(factorial // j for j in range(1, k)) / factorial**2
+    log_factor = 1 / factorial
+    # zeta(-n) = (-1)^n B_{n+1} / (n+1) at n = j - k >= 0, only for k < _MU_TERMS.
+    bernoulli, scale = _bernoulli()
+    factorial *= k
+    for j in range(k, terms):
+        n = j - k
+        mu[j] = (-1) ** n * bernoulli[n + 1] / (scale * (n + 1) * factorial)
+        factorial *= j + 1
+    return tuple(mu[::-1]), log_factor
 
-    def zeta(s: int) -> Fraction:
-        if s >= 2:
-            return _eta(s) / (1 - Fraction(1, 2 ** (s - 1)))
-        n = -s  # zeta(-n) = (-1)^n B_{n+1} / (n+1)
-        return (-1) ** n * bernoulli[n + 1] / (n + 1)
 
-    harmonic = sum(Fraction(1, j) for j in range(1, k))
-    mu = [
-        (harmonic if j == k - 1 else zeta(k - j)) / math.factorial(j)
-        for j in range(terms)
-    ]
-    inversion = [Fraction(0)] * (k + 1)
-    inversion[k] = Fraction(-1)
-    for r in range(1, k // 2 + 1):
-        inversion[k - 2 * r] = -2 * _eta(2 * r)
-    mu, inversion = (tuple(float(c) for c in cs) for cs in (mu[::-1], inversion))
-    return mu, float(Fraction(1, math.factorial(k - 1))), inversion
+@functools.lru_cache(maxsize=64)
+def _inversion_coefficients(k: int) -> tuple[float, ...]:
+    """The inversion polynomial's coefficients times m! for L^m, lowest
+    power first: -1 at m = k and -2 eta(2r) at m = k - 2r."""
+    c = [0.0] * (k + 1)
+    c[k] = -1.0
+    for s, a, b in _etas(k, 2):
+        c[k - s] = -2 * a / b
+    return tuple(c)
 
 
 @functools.cache
 def _ordered_stirling() -> tuple[tuple[int, ...], ...]:
-    """a[n][j] = j! S(n, j) for j <= n <= _MU_TERMS, S the Stirling numbers
-    of the second kind, from a(n, j) = j (a(n-1, j) + a(n-1, j-1))."""
+    """a[n][j] = (-1)^(n-j) j! S(n, j) for j <= n <= _MU_TERMS, S the
+    Stirling numbers of the second kind, from a(n, j) = j (a(n-1, j-1) -
+    a(n-1, j))."""
     rows = [(1,)]
     for n in range(1, _MU_TERMS + 1):
         prev = rows[-1] + (0,)
-        rows.append((0,) + tuple(j * (prev[j] + prev[j - 1]) for j in range(1, n + 1)))
+        rows.append((0,) + tuple(j * (prev[j - 1] - prev[j]) for j in range(1, n + 1)))
     return tuple(rows)
 
 
@@ -268,55 +305,68 @@ def _u_coefficients(k: int) -> tuple[float, ...]:
     a = _ordered_stirling()
     kept = [j for j in range(2, _MU_TERMS + 1) if k * math.log2(j) <= _U_BITS]
     lcm = math.lcm(1, *kept)
-    scale = {j: (lcm // j) ** k for j in kept}
+    # kept is 2, 3, ..., so scale lines up with a[n][2:].
+    scale = [(lcm // j) ** k for j in kept]
     den = lcm**k
     return tuple(
-        sum((-1) ** (n - j) * a[n][j] * scale[j] for j in kept if j <= n)
-        / (math.factorial(n) * den)
+        sum(map(operator.mul, a[n][2:], scale)) / (math.factorial(n) * den)
         for n in range(_MU_TERMS, 1, -1)
     )
 
 
 def _expansions(orders: tuple[int, ...], z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Li_k(z) for each k >= 2 in orders, one row each. Every coordinate
-    takes one series: the u-series or the mu expansion."""
+    takes one series, the u-series or the mu expansion, and the two share
+    one table of powers."""
     out = np.empty((len(orders), z.size))
     # 1/2 <= w <= 2: the u-series at v = z, exact there. w > 2: inversion
     # to v = 1/z, whose 1 - v lies in (1, 2). Either way u = -log(1 - v),
     # and Li_k(v) = v + Sum_{n>=2} d_n u^n.
-    taken = w >= 0.5
-    v = z[taken]
-    far = v < -1.0
+    series = (w >= 0.5).nonzero()[0]
+    v = z[series]
+    far = (v < -1.0).nonzero()[0]
     v[far] = 1.0 / v[far]
     u = -np.log1p(-v)
-    if u.size:
-        powers = [np.array(_u_coefficients(k)) for k in orders]
-        sums, _ = _power_sums(u * u, u, powers)
-        out[:, taken] = v + sums
     # 0 < w < 1/2: Li_k(e^mu) from the mu expansion, mu = log1p(-w) < 0.
-    # Its coefficients, and inversion's, cost about k^2.7 to build, so only
-    # an argument that takes either builds them.
-    rest = ~taken
-    mu = np.log1p(-w[rest])
+    # Only an argument that takes it builds its coefficients, and only one
+    # with w > 2 inversion's: those cost O(k^2) big-integer steps.
+    near = (w < 0.5).nonzero()[0]
+    mu = np.log1p(-w[near])
+    routes = [(_weights(orders, near=False) if u.size else None, u.size),
+              (_weights(orders, near=True) if mu.size else None, mu.size)]
+    head = np.concatenate([u * u, np.ones_like(mu)])
+    (u_sums, mu_sums), _ = _power_sums(head, np.concatenate([u, mu]), routes)
+    if u.size:
+        li = v + u_sums
+        if far.size:
+            big_l = np.log(-z[series[far]])
+            for row, k in zip(li, orders):
+                row[far] = (-1) ** (k + 1) * row[far] + _inversion_polynomial(k, big_l)
+        out[:, series] = li
     if mu.size:
-        coefficients = [_coefficients(k) for k in orders]
-        powers = [np.array(c) for c, _, _ in coefficients]
-        sums, _ = _power_sums(np.ones_like(mu), mu, powers)
         log_mu = np.log(-mu)
-        for row, li, k, (_, log_factor, _) in zip(out, sums, orders, coefficients):
-            row[rest] = li - log_mu * (mu ** (k - 1) * log_factor)
-    if far.any():
-        far = np.flatnonzero(taken)[far]
-        big_l = np.log(-z[far])
-        for row, k in zip(out, orders):
-            row[far] = (-1) ** (k + 1) * row[far] + _inversion_polynomial(k, big_l)
+        for row, sums, k in zip(out, mu_sums, orders):
+            row[near] = sums - log_mu * (mu ** (k - 1) * _mu_coefficients(k)[1])
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _weights(orders: tuple[int, ...], near: bool) -> np.ndarray:
+    """One row per order of the u-series' coefficients or, for near, the
+    mu expansion's, highest power first; a shorter row is led by zeros,
+    which add nothing to its sums."""
+    rows = [_mu_coefficients(k)[0] if near else _u_coefficients(k) for k in orders]
+    out = np.zeros((len(rows), max(map(len, rows))))
+    for row, c in zip(out, rows):
+        row[out.shape[1] - len(c) :] = c
+    out.flags.writeable = False
     return out
 
 
 def _inversion_polynomial(k: int, big_l: np.ndarray) -> np.ndarray:
     # Sum_m c_m L^m / m! as c_0 + L/1 (c_1 + L/2 (c_2 + ... + L/k c_k)), so
     # no 1/m! is formed: those underflow past k = 170 while L^k / k! need not.
-    _, _, c = _coefficients(k)
+    c = _inversion_coefficients(k)
     out = np.full_like(big_l, c[k])
     for m in range(k, 0, -1):
         out *= big_l / m

@@ -15,9 +15,16 @@ the exponent, so every order stays finite. Its panels use the same rule
 as psi's level kernel (chebyshev._kernel_matrices), but it shares nothing
 with the polylogarithm's routes. ``mpmath_pl`` and ``mpmath_jeffreys`` give 50-digit
 values of the closed forms from the float masses as stored.
+
+``fraction_coefficients`` builds the mu expansion's and inversion's
+coefficients in exact rationals with ``fractions``, each rounded once by
+``float``: the oracle for the library's integer builds, whose floats must
+be these bitwise.
 """
 
+import functools
 import math
+from fractions import Fraction
 from typing import Callable
 
 import mpmath
@@ -167,3 +174,64 @@ def mpmath_jeffreys(p, q) -> float:
             for pi, qi in zip(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
         )
         return float(total)
+
+
+_ETA_TERMS = 24
+_MU_TERMS = 20
+
+
+@functools.cache
+def _eta_weights() -> tuple[Fraction, ...]:
+    # Borwein's algorithm 2: eta(s) ~ Sum_{j<n} (-1)^j (1 - d_j / d_n) / (j+1)^s
+    # with d_j = n Sum_{i<=j} (n+i-1)! 4^i / ((n-i)! (2i)!).
+    n, d, partial = _ETA_TERMS, [], Fraction(0)
+    for i in range(n + 1):
+        partial += Fraction(
+            n * math.factorial(n + i - 1) * 4**i,
+            math.factorial(n - i) * math.factorial(2 * i),
+        )
+        d.append(partial)
+    return tuple((-1) ** j * (1 - d[j] / d[n]) for j in range(n))
+
+
+@functools.cache
+def _eta(s: int) -> Fraction:
+    """Borwein's 24-term Dirichlet eta(s) for s >= 2, exactly."""
+    return sum(c / (j + 1) ** s for j, c in enumerate(_eta_weights()))
+
+
+@functools.cache
+def _bernoulli() -> tuple[Fraction, ...]:
+    """B_0..B_20, with B_1 = -1/2, from Sum_{j<=n} C(n+1, j) B_j = 0."""
+    b = [Fraction(1)]
+    for n in range(1, _MU_TERMS + 1):
+        b.append(-sum(math.comb(n + 1, j) * b[j] for j in range(n) if b[j]) / (n + 1))
+    return tuple(b)
+
+
+def fraction_coefficients(k: int) -> tuple[tuple[float, ...], float, tuple[float, ...]]:
+    """For order k >= 2: the mu expansion's coefficients zeta(k-j)/j!, with
+    H_{k-1}/(k-1)! at j = k-1, highest power first; the factor 1/(k-1)! of
+    its log(-mu) term; and the inversion polynomial's coefficients times m!
+    for L^m, -1 at m = k and -2 eta(2r) at m = k - 2r, lowest power first.
+    Each is float() of its exact Fraction."""
+    terms = max(_MU_TERMS, k)
+    bernoulli = _bernoulli()
+
+    def zeta(s: int) -> Fraction:
+        if s >= 2:
+            return _eta(s) / (1 - Fraction(1, 2 ** (s - 1)))
+        n = -s  # zeta(-n) = (-1)^n B_{n+1} / (n+1)
+        return (-1) ** n * bernoulli[n + 1] / (n + 1)
+
+    harmonic = sum(Fraction(1, j) for j in range(1, k))
+    mu = [
+        (harmonic if j == k - 1 else zeta(k - j)) / math.factorial(j)
+        for j in range(terms)
+    ]
+    inversion = [Fraction(0)] * (k + 1)
+    inversion[k] = Fraction(-1)
+    for r in range(1, k // 2 + 1):
+        inversion[k - 2 * r] = -2 * _eta(2 * r)
+    mu, inversion = (tuple(float(c) for c in cs) for cs in (mu[::-1], inversion))
+    return mu, float(Fraction(1, math.factorial(k - 1))), inversion

@@ -84,6 +84,17 @@ def test_non_finite_mass_rejected():
         new_distribution([0.5, float("inf")])
 
 
+def test_direct_construction_names_each_fault():
+    # The checks come from one minimum and one sum a row, and each fault
+    # keeps its message, also in a row of a stack that is not the first.
+    good = [0.5, 0.5]
+    for bad in ([0.5, np.nan], [0.5, -np.inf], [np.inf, 0.5], [1e-310, 1.0]):
+        with pytest.raises(DomainError, match="must be finite and at least"):
+            Distribution(np.array([good, bad]))
+    with pytest.raises(DomainError, match=r"sum to 0\.9, outside"):
+        Distribution(np.array([good, [0.5, 0.4]]))
+
+
 def test_integer_mass_beyond_float_range_rejected():
     # A JSON integer like 1 followed by 400 zeros reaches the array as a
     # Python int, which no float64 holds.

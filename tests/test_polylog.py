@@ -1,6 +1,8 @@
 import functools
 import importlib
 import math
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -12,7 +14,7 @@ from divseq.distributions import new_distribution
 from divseq.errors import DomainError, ToleranceError
 from divseq.polylog import polylog, polylog_series
 from divseq.sequences import pl
-from polylog_oracles import polylog_integral, polylog_recurrence_check
+from polylog_oracles import fraction_coefficients, polylog_integral, polylog_recurrence_check
 
 # Reference values from 50-digit arbitrary-precision evaluation.
 LI2_HALF = 0.5822405264650125  # = pi^2/12 - (log 2)^2/2
@@ -101,13 +103,16 @@ class TestHighOrders:
         assert polylog_series(175, 0.4) == 0.4
 
     def test_series_arguments_build_no_expansion_coefficients(self, monkeypatch):
-        # The mu expansion's and inversion's coefficients cost about k^2.7 to
-        # build; arguments on the u-series alone (1/2 <= w <= 2) build none,
-        # so a high order there costs what a low one does. The u-series is
-        # not the power series, so the two agree to rounding, not bitwise.
+        # The mu expansion's and inversion's coefficients cost O(k^2)
+        # big-integer steps to build; arguments on the u-series alone
+        # (1/2 <= w <= 2) build none, so a high order there costs what a low
+        # one does. The u-series is not the power series, so the two agree
+        # to rounding, not bitwise.
         module = importlib.import_module("divseq.polylog")
-        built, build = [], module._coefficients
-        monkeypatch.setattr(module, "_coefficients", lambda k: built.append(k) or build(k))
+        built = []
+        for name in ("_mu_coefficients", "_inversion_coefficients"):
+            build = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda k, build=build: built.append(k) or build(k))
         z = np.array([0.5, -0.5, 0.25, -1e-3, 0.0])
         for k in (2, 50, 2000):
             value, series = polylog(k, z), polylog_series(k, z)
@@ -118,6 +123,22 @@ class TestHighOrders:
         direct = 0.5 * (polylog_series(2000, 0.5) - 0.5) + 0.5 * (polylog_series(2000, -0.5) + 0.5)
         assert pl(2000, P, Q) == direct
         assert built == []
+
+    def test_inversion_arguments_build_no_mu_expansion(self, monkeypatch):
+        # w > 2 takes inversion to the u-series, whose polynomial needs
+        # eta(2r) alone: the mu expansion's max(20, k) zeta values are not
+        # built. Orders no other test takes, so no cache holds them.
+        module = importlib.import_module("divseq.polylog")
+        built = {"_mu_coefficients": [], "_inversion_coefficients": []}
+        for name, calls in built.items():
+            build = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda k, build=build, calls=calls: calls.append(k) or build(k))
+        w = np.array([2.5, 3.0, 1e6])
+        for k in (401, 1001):
+            # Li_k(z) -> z as k grows, and 1 - w is exact at these w.
+            np.testing.assert_allclose(polylog(k, w=w), 1.0 - w, rtol=1e-12, atol=0.0)
+        assert built == {"_mu_coefficients": [], "_inversion_coefficients": [401, 1001]}
 
     @pytest.mark.parametrize("k", [131, 172, 200, 300])
     def test_integral_matches_closed_expansions(self, k):
@@ -438,3 +459,34 @@ class TestOrderTuples:
         for bad in ((2, -1), (2, 2.5)):
             with pytest.raises(DomainError):
                 polylog(bad, 0.5)
+
+
+class TestIntegerBuilds:
+    # Each coefficient is one int / int true division of the exact rational
+    # the Fraction oracle forms, so the two round it alike, bitwise.
+    @pytest.mark.parametrize("k", [*range(2, 61), 128, 129, 200, 400])
+    def test_coefficients_equal_the_fraction_oracle(self, k):
+        module = importlib.import_module("divseq.polylog")
+        mu, log_factor, inversion = fraction_coefficients(k)
+        got_mu, got_log_factor = module._mu_coefficients(k)
+        assert [c.hex() for c in got_mu] == [c.hex() for c in mu]
+        assert got_log_factor.hex() == log_factor.hex()
+        got = module._inversion_coefficients(k)
+        assert [c.hex() for c in got] == [c.hex() for c in inversion]
+
+    def test_no_route_imports_fractions_or_decimal(self):
+        # fractions imports decimal, about 2 ms of a cold first call. The
+        # pair's w = q/p are 0.1, 7/6 and 3: the mu expansion, the u-series
+        # and inversion.
+        code = (
+            "import sys\n"
+            "from divseq.polylog import polylog\n"
+            "from divseq.sequences import pl, sl\n"
+            "p, q = [0.5, 0.3, 0.2], [0.05, 0.35, 0.6]\n"
+            "for k in range(6):\n"
+            "    pl(k, p, q), sl(k, p, q)\n"
+            "polylog(200, w=3.0)\n"
+            "sys.exit(' '.join(m for m in ('fractions', 'decimal') if m in sys.modules) or None)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

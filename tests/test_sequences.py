@@ -386,6 +386,19 @@ class TestOrderTuples:
         p, q = rng.exponential(size=(2, 10_000))
         sl(3, p / p.sum(), q / q.sum())
         assert len(sizes) > 2 and max(sizes) <= _BLOCK_CELLS
+        # Orders 2 and 40 on 10^4 w from 2e-9 to 4.5, so on all three routes:
+        # the table the routes share takes the mu expansion's 40 powers, and
+        # a chunk of _BLOCK_CELLS // 40 columns. Each coordinate's value is
+        # its own: pieces of a chunk's size, each its own call, give the
+        # same values bitwise.
+        sizes.clear()
+        w = np.exp(rng.uniform(-20.0, 1.5, 10_000))
+        orders, step = (2, 40), _BLOCK_CELLS // 40
+        assert (w < 0.5).any() and (w > 2.0).any() and ((w >= 0.5) & (w <= 2.0)).any()
+        values = polylog(orders, w=w)
+        assert len(sizes) == -(-w.size // step) and max(sizes) <= _BLOCK_CELLS
+        pieces = [polylog(orders, w=w[lo : lo + step]) for lo in range(0, w.size, step)]
+        assert values.tobytes() == np.concatenate(pieces, axis=1).tobytes()
 
 
 def _split_sums_by_rows(orders, p, q, terms):
