@@ -10,7 +10,8 @@ the whole stack at once and forms the barycentric weights of its points
 only once. fit_adaptive doubles the node count from _INITIAL_INTERVALS up
 to _MAX_INTERVALS, until every row meets the target at the fresh nodes,
 tested by one inverse DCT per doubling. It can fit a sum of functions by
-groups in that one loop: each group stops being sampled once its own
+groups in that one loop, one sampler call per doubling giving every live
+group's values: each group leaves the caller's live list once its own
 residual meets its share of the target, and the groups' interpolants are
 added in Chebyshev coefficients, zero-padded to the largest node count.
 lifts(k) integrates over s exactly in Chebyshev coefficients, k times in a
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -117,17 +118,16 @@ def _padded(a: np.ndarray, n: int) -> np.ndarray:
     return padded
 
 
-def _resampled(values: np.ndarray, n: int) -> np.ndarray:
-    """The interpolant of values at lobatto_nodes(m) at lobatto_nodes(n >= m):
-    coefficients zero-padded to degree n, one inverse DCT; n = m returns values."""
-    if values.shape[-1] == n + 1:
-        return values
-    return _values(_padded(_coefficients(values), n))
-
-
 def _fresh_values(values: np.ndarray) -> np.ndarray:
-    """The interpolant of values at lobatto_nodes(n) at lobatto_nodes(2n)[1::2]."""
-    return _resampled(values, 2 * (values.shape[-1] - 1))[..., 1::2]
+    """The interpolant of values at lobatto_nodes(n) at lobatto_nodes(2n)[1::2]:
+    its coefficients zero-padded to degree 2n and one inverse DCT, as
+    _values takes it, with only the fresh nodes scaled (the padding's last
+    coefficient is 0, which _values' doubling leaves as it is)."""
+    n = values.shape[-1] - 1
+    c = np.zeros(values.shape[:-1] + (2 * n + 1,))
+    c[..., : n + 1] = _coefficients(values)
+    c[..., 0] *= 2.0
+    return 0.5 * _dct1(c)[..., -2::-2]
 
 
 @dataclass(frozen=True)
@@ -260,7 +260,7 @@ class ChebyshevInterpolant:
         cls,
         f: Callable[[np.ndarray], np.ndarray],
         target: float,
-        easier: Sequence[Callable[[np.ndarray], np.ndarray]] = (),
+        live: list[int] | None = None,
     ) -> tuple["ChebyshevInterpolant", float, int]:
         """Fit f on [0, 1], doubling the node count from _INITIAL_INTERVALS
         until the residual at the newly introduced nodes drops to ``target``.
@@ -274,47 +274,50 @@ class ChebyshevInterpolant:
         DCT of its coefficients, exact only for values at the exact
         Chebyshev points: an f mixing along s takes 1 - s from s[::-1].
 
-        ``easier`` lists samplers like f, easiest first, of terms to fit
-        with it: the groups are those and then f, and the fit is of their
-        sum, in one doubling loop that calls only the groups still live.
-        Row by row (one row per path), the residuals of all groups sum to
-        at most ``target``: the live groups stop together once their
-        summed error at the fresh nodes meets the target less what the
+        With ``live``, f fits a sum of groups of terms: ``live`` lists the
+        groups, easiest first, f maps the nodes to a (len(live), m, N) stack
+        of the listed groups' values, and the fit is of their sum, in one
+        doubling loop. A group that stops is removed from ``live`` before f
+        is called again, so it is never sampled again, and f reads the list
+        at each call. Row by row (one row per path), the residuals of all
+        groups sum to at most ``target``: the live groups stop together once
+        their summed error at the fresh nodes meets the target less what the
         stopped groups spent, and a group stops alone once its own residual
-        meets its share, the easier groups sharing equally what is left of
-        target / 16 and f the rest. The groups' interpolants are added in
-        Chebyshev coefficients, each zero-padded to the largest node count.
+        meets its share, the groups before the last sharing equally what is
+        left of target / 16 and the last the rest. The groups' interpolants
+        are added in Chebyshev coefficients, each zero-padded to the largest
+        node count.
 
         Returns (interpolant, achieved_residual, function_evaluations),
         the residual being the worst over the rows (summed over groups) and
-        the evaluations counting nodes. With f alone the returned
+        the evaluations counting nodes. With one group the returned
         interpolant is the fine one, so its own nodes carry exact function
-        values. Raises NonFiniteError as soon as a group returns NaN or
+        values. Raises NonFiniteError as soon as f returns NaN or
         infinity, and ToleranceError if the residual still exceeds the
         target at _MAX_INTERVALS intervals.
         """
         require_positive(target, "residual target")
-        groups = [*easier, f]
-        count = len(groups)
+        grouped = live is not None
+        live = live if grouped else [0]
+        groups = list(live)
 
         # The live groups share their node count, so their values stack
         # along a leading axis and each doubling takes one DCT for them all.
-        def sample(live: list[int], nodes: np.ndarray) -> np.ndarray:
-            values = np.stack([np.asarray(groups[g](nodes), dtype=float) for g in live])
+        def sample(nodes: np.ndarray) -> np.ndarray:
+            values = np.asarray(f(nodes), dtype=float)
             if not np.isfinite(values).all():
                 raise NonFiniteError("function returned a non-finite value")
-            return values
+            return values if grouped else values[None]
 
         n = _INITIAL_INTERVALS
-        live = list(range(count))
-        values = sample(live, lobatto_nodes(n))
+        values = sample(lobatto_nodes(n))
         neval = n + 1
-        fits = [None] * count
+        fits = {}
         # Per row: what stopped groups spent, and the easier groups' part of it.
         spent = easy_spent = 0.0
-        easy_pool, easy_left = target / 16, count - 1
+        easy_pool, easy_left = target / 16, len(groups) - 1
         while live:
-            fresh = sample(live, lobatto_nodes(2 * n)[1::2])
+            fresh = sample(lobatto_nodes(2 * n)[1::2])
             neval += n
             errors = _fresh_values(values) - fresh
             merged = np.empty(values.shape[:-1] + (2 * n + 1,))
@@ -323,10 +326,10 @@ class ChebyshevInterpolant:
             n *= 2
             error = errors[0] if len(live) == 1 else errors.sum(axis=0)
             joint = np.max(np.abs(error), axis=-1)
-            if np.all(joint <= target - spent):
-                for g, m in zip(live, merged):
-                    fits[g] = m
+            if (joint <= target - spent).all():
+                fits.update(zip(live, merged))
                 spent = spent + joint
+                live.clear()
                 break
             if n >= _MAX_INTERVALS:
                 raise ToleranceError(
@@ -337,22 +340,23 @@ class ChebyshevInterpolant:
                 keep = np.ones(len(live), dtype=bool)
                 residuals = np.max(np.abs(errors), axis=-1)
                 for i, (g, residual) in enumerate(zip(live, residuals)):
-                    easy = g < count - 1
+                    easy = g != groups[-1]
                     if easy:
                         share = (easy_pool - easy_spent) / easy_left
                     else:
                         share = target - easy_pool
-                    if np.all(residual <= share):
+                    if (residual <= share).all():
                         fits[g], spent, keep[i] = merged[i], spent + residual, False
                         if easy:
                             easy_spent, easy_left = easy_spent + residual, easy_left - 1
-                live, merged = [g for g, k in zip(live, keep) if k], merged[keep]
+                if not keep.all():
+                    live[:], merged = [g for g, k in zip(live, keep) if k], merged[keep]
             values = merged
         residual = float(np.max(spent))
-        if count == 1:
-            return cls(fits[0]), residual, neval
-        size = max(v.shape[-1] for v in fits) - 1
-        summed = reduce(np.add, (_padded(_coefficients(v), size) for v in fits))
+        if len(groups) == 1:
+            return cls(fits[groups[0]]), residual, neval
+        size = max(v.shape[-1] for v in fits.values()) - 1
+        summed = reduce(np.add, (_padded(_coefficients(fits[g]), size) for g in groups))
         return cls._of_coefficients(summed), residual, neval
 
 

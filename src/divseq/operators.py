@@ -20,8 +20,9 @@ the quadrature. psi_iter takes Sum p^alpha Phi_j(log w) from the same kernel
 where that is predicted to cost less, or samples level 0 on P -> R(T), T
 the largest position, fits it
 by one Chebyshev polynomial per group of the coordinates that move in
-one doubling loop, and integrates the summed polynomial exactly, level
-after level, in its Chebyshev coefficients.
+one doubling loop, all live groups sampled in one pass per doubling, and
+integrates the summed polynomial exactly, level after level, in its
+Chebyshev coefficients.
 Every operator requires a right-convex D and rejects any other before it
 checks anything else. The check that applies psi and psi_inverse in both
 orders and recovers D lives with the tests (tests/operator_oracles.py).
@@ -30,6 +31,7 @@ orders and recovers D lives with the tests (tests/operator_oracles.py).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -99,23 +101,55 @@ def _level_zero(D: DivergenceFunctional, p: np.ndarray, r: np.ndarray):
     alpha it gives Sum p^alpha phi(w), w = rest + s r/p (1 at s = 0, r/p at
     s = 1 exactly), else _along's values on the mixture.
     """
-    phi, ratio = D.generator, r / p
-    if phi is None:
-        return lambda s, rows, rest: _along(D, p, r, s, rows, rest)
-    weights = p**D.degree
+    sample = _grouped_level_zero(D, p, r, [slice(None)])
+    return lambda s, rows, rest: sample(s, rows, rest, [0])[0]
 
-    def sample(s: np.ndarray, rows: np.ndarray, rest: np.ndarray) -> np.ndarray:
-        out, s, rest = np.empty(s.shape), s[..., None], rest[..., None]
+
+def _grouped_level_zero(D: DivergenceFunctional, p: np.ndarray, r: np.ndarray, groups: list):
+    """_level_zero by groups of columns, index arrays or [slice(None)] as
+    _column_groups gives them: a sampler that also takes the live groups,
+    ascending indices, and gives each one's values, (live, R, L). With a
+    generator the weights and ratios are laid out group after group, each
+    group one run in its own column order, and one blocked pass forms w,
+    phi(w) and the weighted terms on the live groups' columns and sums each
+    group's own slice, so a group's values are _level_zero's on its columns
+    alone, bitwise. Without one, _along takes each live group in turn.
+    """
+    phi = D.generator
+    if phi is None:
+        def along(s, rows, rest, live):
+            columns = [groups[g] for g in live]
+            return np.stack([_along(D, p[:, c], r[:, c], s, rows, rest) for c in columns])
+
+        return along
+    order = groups[0] if len(groups) == 1 else np.concatenate(groups)
+    weights, ratios = (p**D.degree)[:, order], (r / p)[:, order]
+    sizes = [weights.shape[-1]] if len(groups) == 1 else [len(g) for g in groups]
+    ends = [0, *accumulate(sizes)]
+
+    def columns(live: list[int]):
+        """The live groups' weights and ratios, and each group's slice of them."""
+        if all(a + 1 == b for a, b in zip(live, live[1:])):  # one run: views
+            take = slice(ends[live[0]], ends[live[-1] + 1])
+        else:
+            take = np.concatenate([np.arange(ends[g], ends[g + 1]) for g in live])
+        at = [0, *accumulate(sizes[g] for g in live)]
+        return weights[:, take], ratios[:, take], [slice(a, b) for a, b in zip(at, at[1:])]
+
+    def sample(s: np.ndarray, rows: np.ndarray, rest: np.ndarray, live: list[int]) -> np.ndarray:
+        weight, ratio, slices = columns(live)
+        out, s, rest = np.empty((len(live),) + s.shape), s[..., None], rest[..., None]
         # phi may overflow at a huge w; its caller rejects what is not finite.
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, cols in _blocks(out.shape, p.shape[-1]):
-                pb, rb = weights[rows[i], None], ratio[rows[i], None]
+            for i, cols in _blocks(out.shape[1:], weight.shape[-1]):
+                pb, rb = weight[rows[i], None], ratio[rows[i], None]
                 for j in cols:
                     w = s[i, j] * rb
                     w += rest[i, j]
                     terms = phi(w)
                     terms *= pb
-                    out[i, j] = terms.sum(axis=-1)
+                    for group, run in zip(out, slices):  # each slice's sum, as .sum() takes it
+                        np.add.reduce(terms[..., run], axis=-1, out=group[i, j])
         return out
 
     return sample
@@ -123,8 +157,11 @@ def _level_zero(D: DivergenceFunctional, p: np.ndarray, r: np.ndarray):
 
 # A bin of columns fitted apart pays its own residual DCT at each doubling,
 # 8 to 23 mass cells' time per row and node (1 to 20 rows, 33 to 4097
-# nodes; 2 cores, Python 3.11). Over the doublings up to a final count of N
-# nodes that is about this many cells per row times N (see _column_groups).
+# nodes; 2 cores, Python 3.11); it shares the live groups' one sampler pass
+# and pays no pass of its own, only its slice's row sum. Over the doublings
+# up to a final count of N nodes that is about this many cells per row
+# times N (see _column_groups). It was set when each group had a pass of
+# its own, and is kept: a new value would regroup columns and move bits.
 _DCT_CELLS = 40
 # psi_iter predicts the level kernel's cost as k m L n (_KERNEL_NODES + 1)
 # cells, each worth about this many of the fit's predicted cells (sampling,
@@ -156,17 +193,17 @@ def _column_groups(p: np.ndarray, q: np.ndarray) -> tuple[list[np.ndarray | slic
     Practice, ch. 8). A column's difficulty d, 1/log(rho) at its hardest
     row, is binned by octave j, about N_j = 64 * 2^j <= 128 d nodes up to
     the node cap. The groups are fitted in one doubling loop, each stopping
-    at its own node count, so a group apart costs its own calls and
-    residual DCTs per doubling, not a fit: a bin joins the next harder one
-    unless the cells it saves per row, its columns (with any joined to it)
-    times N_harder - N_j, exceed _DCT_CELLS * N_j. The fixed cost of the
-    calls is not counted, as octave groups also carry less rounding into
-    the lifts: each group's coefficients come from a float64 DCT whose
-    error, about eps * max|values|, is amplified by every division by s,
-    and a group of easy columns adds its error to its few low-order
-    coefficients only. On 40 regular 877-point pairs the worst level 1-3
-    error against pl/sl had a median of 1.1e-13 from one group and
-    5.9e-14 from octave groups. The bins at the cap form one group, which
+    at its own node count and all live ones sampled in one pass, so a group
+    apart costs its own residual DCTs and row sums per doubling, not a fit:
+    a bin joins the next harder one unless the cells it saves per row, its
+    columns (with any joined to it) times N_harder - N_j, exceed
+    _DCT_CELLS * N_j. No fixed cost per group is counted, as octave groups
+    also carry less rounding into the lifts: each group's coefficients
+    come from a float64 DCT whose error, about eps * max|values|, is
+    amplified by every division by s, and a group of easy columns adds its
+    error to its few low-order coefficients only. On 40 regular 877-point
+    pairs the worst level 1-3 error against pl/sl had a median of 1.1e-13
+    from one group and 5.9e-14 from octave groups. The bins at the cap form one group, which
     no bin below the cap joins: that group mostly raises ToleranceError
     at the cap, and a column joined to it would be sampled on all its
     nodes for nothing. This sets only the cost: every fit is adaptive.
@@ -350,15 +387,19 @@ def psi_iter(
     exactly, level after level, in its coefficients, and all levels are
     evaluated on the grid in one call. D sums per-coordinate terms, so
     level 0 is fitted by groups of them (_column_groups on P and R(T)) in
-    one doubling loop, each group sampled by _level_zero until its
-    residual at fresh nodes meets its share of tol on every path
-    (fit_adaptive with the easier groups); the groups' interpolants are
-    added in Chebyshev coefficients and lifted from the sum. With a
-    generator, a column with R(T) = P on every path adds phi(1) = 0 and
-    joins no group and no cost. The fit's nodes are the exact Chebyshev
-    points, 1 - u taken from the mirrored node. Rows are nonincreasing in
-    the level at every grid point; a constant path gives zeros, and so
-    does a constant truncation (R(T) = P) above level 0.
+    one doubling loop, each group sampled until its residual at fresh
+    nodes meets its share of tol on every path (fit_adaptive with the list
+    of live groups). One sampler (_grouped_level_zero) takes the live
+    groups in one blocked pass per doubling, its columns of P and R(T)
+    laid out group after group, and reads each group's row sums off its
+    own slice, so every group's values are _level_zero's on its columns
+    alone, bitwise; the groups' interpolants are added in Chebyshev
+    coefficients and lifted from the sum. With a generator, a column with
+    R(T) = P on every path adds phi(1) = 0 and joins no group and no cost.
+    The fit's nodes are the exact Chebyshev points, 1 - u taken from the
+    mirrored node. Rows are nonincreasing in the level at every grid point;
+    a constant path gives zeros, and so does a constant truncation
+    (R(T) = P) above level 0.
 
     On the kernel route each piece of v = log w meets
     max(tol, tol h max|integrand|) at every level, h its half-width, and a
@@ -394,13 +435,14 @@ def psi_iter(
         if D.generator is not None and nodes < _MAX_INTERVALS and kernel_cells < fit_cells:
             levels[1:] = _psi_kernel(D, p, q, t, k, tol, tol)[0]
         else:
-            def group(cols):  # the group's level 0, every path at the nodes s and 1 - s
-                sample, rows = _level_zero(D, p_fit[:, cols], r_fit[:, cols]), np.arange(len(p))
-                grid = lambda s: np.broadcast_to(s, (len(p), s.size))
-                return lambda s: sample(at := grid(s), rows, at[:, ::-1])
+            sample, rows = _grouped_level_zero(D, p_fit, r_fit, columns), np.arange(len(p))
+            live = list(range(len(columns)))
 
-            *easier, hardest = (group(cols) for cols in columns)
-            fit, _, _ = ChebyshevInterpolant.fit_adaptive(hardest, tol, easier)
+            def level_zero(s):  # the live groups' level 0, every path at the nodes s and 1 - s
+                at = np.broadcast_to(s, (len(p), s.size))
+                return sample(at, rows, at[:, ::-1], live)
+
+            fit, _, _ = ChebyshevInterpolant.fit_adaptive(level_zero, tol, live)
             levels[1:] = fit.lifts(k)(t / top)
             levels[1:, np.all(p == r, axis=-1)] = 0.0
     levels[:, constant] = 0.0

@@ -9,7 +9,6 @@ from divseq.chebyshev import (
     _coefficients,
     _fresh_values,
     _padded,
-    _resampled,
     _level_pieces,
     _values,
     lobatto_nodes,
@@ -206,31 +205,33 @@ def test_fit_rejects_a_non_finite_batch_as_it_arrives(bad, batch):
 
 
 class TestGroupedFit:
-    # fit_adaptive fits a sum of groups in one doubling loop: it calls each
-    # group's sampler until the group stops, each group stops at its own
-    # node count, and the interpolants add in Chebyshev coefficients.
+    # fit_adaptive fits a sum of groups in one doubling loop: one sampler
+    # gives the live groups' values, a group that stops leaves the live
+    # list and is never sampled again, each group stops at its own node
+    # count, and the interpolants add in Chebyshev coefficients.
     @staticmethod
     def _parts():
         return [np.exp, lambda x: np.cos(7.0 * x), _runge]
 
     @staticmethod
-    def _samplers(parts, calls):
-        """One sampler per part, easiest first, each recording the node
-        counts it was called with in its own list of calls."""
-
-        def sampler(part, seen):
-            def f(x):
-                seen.append(x.size)
-                return np.stack([part(x), 2.0 * part(x)])
-
-            return f
-
+    def _sampler(parts, live, calls):
+        """One sampler of the parts listed in live, easiest first, as a
+        (live, 2, N) stack; each part records the node counts it was
+        sampled at in its own list of calls."""
         calls[:] = [[] for _ in parts]
-        return [sampler(part, seen) for part, seen in zip(parts, calls)]
+
+        def f(x):
+            for g in live:
+                calls[g].append(x.size)
+            return np.stack([np.stack([parts[g](x), 2.0 * parts[g](x)]) for g in live])
+
+        return f
 
     def _fit(self, target, calls):
-        *easier, hardest = self._samplers(self._parts(), calls)
-        return ChebyshevInterpolant.fit_adaptive(hardest, target, easier)
+        parts, live = self._parts(), [0, 1, 2]
+        result = ChebyshevInterpolant.fit_adaptive(self._sampler(parts, live, calls), target, live)
+        assert live == []  # every group stopped, and left the list
+        return result
 
     def test_groups_stop_at_their_own_node_counts(self):
         calls = []
@@ -275,24 +276,30 @@ class TestGroupedFit:
         assert residual <= target
         assert np.max(np.abs(interp(x) - np.stack([total, 2.0 * total]))) <= target
 
+    def test_one_listed_group_is_the_fit_of_its_function(self):
+        # A list of one group returns the fine interpolant of its values,
+        # that of the function fitted alone, bitwise.
+        live, calls = [0], []
+        stacked = self._sampler([_runge], live, calls)
+        interp, residual, neval = ChebyshevInterpolant.fit_adaptive(stacked, 1e-12, live)
+        alone = ChebyshevInterpolant.fit_adaptive(
+            lambda x: np.stack([_runge(x), 2.0 * _runge(x)]), 1e-12
+        )
+        assert interp.values.tobytes() == alone[0].values.tobytes()
+        assert (residual, neval) == alone[1:] and live == []
+
     def test_a_group_at_the_cap_raises(self, monkeypatch):
         rng = np.random.default_rng(7)
-        calls = [[], []]
-
-        def smooth(x):
-            calls[0].append(x.size)
-            return np.exp(x)
-
-        def noise(x):
-            calls[1].append(x.size)
-            return rng.standard_normal(x.shape)
-
+        calls = []
+        parts = [np.exp, lambda x: rng.standard_normal(x.shape)]
+        live = [0, 1]
         monkeypatch.setattr(chebyshev, "_MAX_INTERVALS", 256)
         with pytest.raises(ToleranceError, match="at 256 intervals"):
-            ChebyshevInterpolant.fit_adaptive(noise, 1e-12, [smooth])
+            ChebyshevInterpolant.fit_adaptive(self._sampler(parts, live, calls), 1e-12, live)
         # One loop: 17 initial nodes, then 16, 32, 64 and 128 fresh ones,
         # the exponential stopping on its own before the noise fails.
         assert calls == [[17, 16], [17, 16, 32, 64, 128]]
+        assert live == [1]
 
 
 @pytest.mark.parametrize("n", [2**e for e in range(4, 15)])
@@ -324,6 +331,25 @@ def test_node_sets_mirror_to_their_exact_complements(n):
 
 def _runge(s):
     return 1.0 / (1.0 + 25.0 * (s - 0.5) ** 2)
+
+
+def _resampled(values, n):
+    """The interpolant of values at lobatto_nodes(m) at lobatto_nodes(n >= m):
+    coefficients zero-padded to degree n, one inverse DCT; n = m returns values."""
+    if values.shape[-1] == n + 1:
+        return values
+    return _values(_padded(_coefficients(values), n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 256, 8192])
+def test_fresh_values_are_the_resampled_interpolant_at_the_fresh_nodes(n):
+    # _fresh_values takes the full resampling's arithmetic on the fresh
+    # nodes alone: the same values, bitwise, on a stack of any shape.
+    rng = np.random.default_rng(n)
+    for shape in [(n + 1,), (3, n + 1), (2, 4, n + 1)]:
+        values = rng.standard_normal(shape)
+        expected = _resampled(values, 2 * n)[..., 1::2]
+        assert _fresh_values(values).tobytes() == expected.tobytes(), shape
 
 
 @pytest.mark.parametrize("n", [16, 256, 8192])

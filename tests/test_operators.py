@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from divseq import operators, quadrature
-from divseq.chebyshev import _MAX_INTERVALS, ChebyshevInterpolant
+from divseq.chebyshev import _MAX_INTERVALS, ChebyshevInterpolant, lobatto_nodes
 from divseq.distributions import (
     _lift_path,
     _random_masses,
@@ -38,6 +38,7 @@ from divseq.operators import (
     OperatorResult,
     QuadratureConfig,
     _column_groups,
+    _grouped_level_zero,
     _level_zero,
     psi,
     psi_inverse,
@@ -694,6 +695,94 @@ class TestOneLoopLevelZero:
                 groups, _, _ = _column_groups(A.masses[None], B.masses[None])
                 tiny = np.flatnonzero(A.masses < 1e-8)
                 assert np.array_equal(groups[-1], tiny), (seed, n)
+
+
+class TestOnePassSampler:
+    # psi_iter's fit samples every live column group in one blocked pass per
+    # doubling: one sampler forms the terms on the live groups' columns, laid
+    # out group after group, and reads each group's row sum off its slice.
+    @staticmethod
+    def _pair(n):
+        A, B = (random_distribution(n, s, 0.01 / n) for s in (2 * n, 2 * n + 1))
+        return A, B
+
+    @staticmethod
+    def _sampled(monkeypatch, seen=(0,)):
+        """Per fit_adaptive call: each sampler call's (live groups, nodes,
+        cells counted in seen), and the fitted node count."""
+        monkeypatch.setattr(operators, "_KERNEL_CELL_COST", math.inf)
+        fits = []
+        fit = ChebyshevInterpolant.fit_adaptive.__func__
+
+        def counted(cls, f, target, live):
+            calls = []
+
+            def f_counted(x):
+                before, values = seen[0], f(x)
+                calls.append((list(live), x.size, seen[0] - before))
+                return values
+
+            interp, residual, evaluations = fit(cls, f_counted, target, live)
+            fits.append((calls, len(interp.nodes)))
+            return interp, residual, evaluations
+
+        monkeypatch.setattr(ChebyshevInterpolant, "fit_adaptive", classmethod(counted))
+        return fits
+
+    # Support sizes whose pairs form 1, 2, 3 and 4 column groups.
+    _GROUPS = {40: 1, 77: 2, 260: 3, 877: 4}
+
+    @pytest.mark.parametrize("n", _GROUPS)
+    def test_one_sampler_call_per_doubling_whatever_the_group_count(self, monkeypatch, n):
+        A, B = self._pair(n)
+        assert len(_column_groups(A.masses[None], B.masses[None])[0]) == self._GROUPS[n]
+        fits = self._sampled(monkeypatch)
+        for identifier in TestGroupedLevelZero._ORACLES:
+            fits.clear()
+            psi_iter(named_divergence(identifier), 3, MixturePath(A, B), np.linspace(0.0, 1.0, 11))
+            ((calls, fitted),) = fits
+            # The first sample, 17 nodes, then one call per doubling.
+            doublings = int(np.log2((fitted - 1) // 16))
+            assert [size for _, size, _ in calls] == [17] + [16 * 2**d for d in range(doublings)]
+            assert calls[0][0] == list(range(self._GROUPS[n])), identifier
+
+    @pytest.mark.parametrize("D", _suite_divergences(), ids=lambda D: D.identifier)
+    def test_a_group_read_off_its_slice_is_its_level_zero_alone(self, D):
+        # Three paths of 877 points, positions in blocks of many rows and of
+        # part of one, and live groups that are one run or not.
+        pairs = [self._pair(877), _tiny_p_pair(3, 877), _tiny_p_pair(4, 877)]
+        p = np.array([A.masses for A, _ in pairs])
+        r = np.array([B.masses for _, B in pairs])
+        groups, _, _ = _column_groups(p, r)
+        assert len(groups) >= 3
+        sample, rows = _grouped_level_zero(D, p, r, groups), np.array([2, 0, 1, 1])
+        for n in (16, 1024):
+            s = np.broadcast_to(lobatto_nodes(n), (len(rows), n + 1))
+            alone = [_level_zero(D, p[:, g], r[:, g])(s, rows, s[:, ::-1]) for g in groups]
+            if D.generator is not None:
+                # The per-cell arithmetic, each position's terms summed at once.
+                for g, values in zip(groups, alone):
+                    ratio, weight = (x[rows][:, None] for x in (r[:, g] / p[:, g], p[:, g] ** D.degree))
+                    terms = D.generator(s[..., None] * ratio + s[:, ::-1, None]) * weight
+                    assert values.tobytes() == terms.sum(axis=-1).tobytes()
+            for live in (list(range(len(groups))), [1, 2], [0, 2], [len(groups) - 1]):
+                stack = sample(s, rows, s[:, ::-1], live)
+                assert stack.shape == (len(live), len(rows), n + 1)
+                for g, values in zip(live, stack):
+                    assert values.tobytes() == alone[g].tobytes(), (n, live, g)
+
+    @pytest.mark.parametrize("identifier", ["chi2", "kl", "jeffreys"])
+    def test_each_call_samples_the_live_groups_columns_at_its_nodes(self, monkeypatch, identifier):
+        A, B = self._pair(877)
+        groups, _, _ = _column_groups(A.masses[None], B.masses[None])
+        D, seen = _mass_cells(named_divergence(identifier))
+        fits = self._sampled(monkeypatch, seen)
+        psi_iter(D, 3, MixturePath(A, B), np.linspace(0.0, 1.0, 11))
+        ((calls, _),) = fits
+        for live, size, cells in calls:
+            assert cells == sum(len(groups[g]) for g in live) * size, (live, size)
+        # Some group stopped before the last call, and was not sampled again.
+        assert len(calls[-1][0]) < len(groups)
 
 
 def _regular_10k():

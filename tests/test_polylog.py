@@ -13,7 +13,7 @@ import pytest
 from divseq.distributions import new_distribution
 from divseq.errors import DomainError, ToleranceError
 from divseq.polylog import polylog, polylog_series
-from divseq.sequences import pl
+from divseq.sequences import pl, sl
 from polylog_oracles import fraction_coefficients, polylog_integral, polylog_recurrence_check
 
 # Reference values from 50-digit arbitrary-precision evaluation.
@@ -139,6 +139,23 @@ class TestHighOrders:
             # Li_k(z) -> z as k grows, and 1 - w is exact at these w.
             np.testing.assert_allclose(polylog(k, w=w), 1.0 - w, rtol=1e-12, atol=0.0)
         assert built == {"_mu_coefficients": [], "_inversion_coefficients": [401, 1001]}
+
+    def test_a_repeated_long_chain_builds_nothing(self):
+        # sl(200) takes orders 1..200 at w = 0.1, 7/6 and 3, one on each
+        # route: the chain's coefficients, log factors and inversion
+        # polynomials are kept with its tuple of orders, so a second call
+        # builds none of them; each order's row is its own call's, bitwise.
+        module = importlib.import_module("divseq.polylog")
+        builders = [module._u_coefficients, module._mu_coefficients, module._inversion_coefficients]
+        p, q = np.array([0.5, 0.3, 0.2]), np.array([0.05, 0.35, 0.6])
+        first = sl(200, p, q)
+        misses = [build.cache_info().misses for build in builders]
+        assert sl(200, p, q) == first
+        assert [build.cache_info().misses for build in builders] == misses
+        w = q / p
+        chain = polylog(tuple(range(1, 201)), w=w)
+        for k in (2, 3, 50, 100, 199, 200):
+            assert chain[k - 1].tobytes() == polylog(k, w=w).tobytes(), k
 
     @pytest.mark.parametrize("k", [131, 172, 200, 300])
     def test_integral_matches_closed_expansions(self, k):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divseq.chebyshev import _BLOCK_CELLS
 from divseq.distributions import MixturePath, mixture, new_distribution, random_distribution
 from divseq.divergences import evaluate, named_divergence
 from divseq.errors import DomainError
@@ -370,9 +369,9 @@ class TestOrderTuples:
         with pytest.raises(DomainError):
             sl((0.5,), P, Q)
 
-    def test_power_tables_stay_within_block_cells(self, monkeypatch):
+    def test_power_tables_stay_within_table_cells(self, monkeypatch):
         # sl(3) on 10^4 coordinates: every table of powers, for the series
-        # and the mu expansion, holds at most _BLOCK_CELLS cells.
+        # and the mu expansion, holds at most _TABLE_CELLS cells.
         module = importlib.import_module("divseq.polylog")
         build, sizes = module._power_table, []
 
@@ -385,20 +384,31 @@ class TestOrderTuples:
         rng = np.random.default_rng(10_000)
         p, q = rng.exponential(size=(2, 10_000))
         sl(3, p / p.sum(), q / q.sum())
-        assert len(sizes) > 2 and max(sizes) <= _BLOCK_CELLS
+        assert len(sizes) > 2 and max(sizes) <= module._TABLE_CELLS
         # Orders 2 and 40 on 10^4 w from 2e-9 to 4.5, so on all three routes:
         # the table the routes share takes the mu expansion's 40 powers, and
-        # a chunk of _BLOCK_CELLS // 40 columns. Each coordinate's value is
+        # a chunk of _TABLE_CELLS // 40 columns. Each coordinate's value is
         # its own: pieces of a chunk's size, each its own call, give the
         # same values bitwise.
         sizes.clear()
         w = np.exp(rng.uniform(-20.0, 1.5, 10_000))
-        orders, step = (2, 40), _BLOCK_CELLS // 40
+        orders, step = (2, 40), module._TABLE_CELLS // 40
         assert (w < 0.5).any() and (w > 2.0).any() and ((w >= 0.5) & (w <= 2.0)).any()
         values = polylog(orders, w=w)
-        assert len(sizes) == -(-w.size // step) and max(sizes) <= _BLOCK_CELLS
+        assert len(sizes) == -(-w.size // step) and max(sizes) <= module._TABLE_CELLS
         pieces = [polylog(orders, w=w[lo : lo + step]) for lo in range(0, w.size, step)]
         assert values.tobytes() == np.concatenate(pieces, axis=1).tobytes()
+
+    def test_a_thousand_coordinates_take_one_table(self, monkeypatch):
+        # sl(3) at 1000 points, 20 powers a table: one table, not two.
+        module = importlib.import_module("divseq.polylog")
+        build, sizes = module._power_table, []
+        monkeypatch.setattr(
+            module, "_power_table", lambda *args: sizes.append(args[1].size) or build(*args))
+        rng = np.random.default_rng(1000)
+        p, q = rng.exponential(size=(2, 1000))
+        sl(3, p / p.sum(), q / q.sum())
+        assert sizes == [1000]
 
 
 def _split_sums_by_rows(orders, p, q, terms):
