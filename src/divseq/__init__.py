@@ -27,11 +27,11 @@ from .divergences import (
     path_derivative,
     swap_orientation,
 )
-from .quadrature import QuadratureConfig, cumulative_integral
 from .chebyshev import ChebyshevInterpolant, lobatto_nodes
 from .polylog import polylog, polylog_series
 from .operators import (
     OperatorResult,
+    QuadratureConfig,
     psi,
     psi_inverse,
     psi_iter,
@@ -70,13 +70,12 @@ __all__ = [
     "named_divergence",
     "path_derivative",
     "swap_orientation",
-    "QuadratureConfig",
-    "cumulative_integral",
     "ChebyshevInterpolant",
     "lobatto_nodes",
     "polylog",
     "polylog_series",
     "OperatorResult",
+    "QuadratureConfig",
     "psi",
     "psi_inverse",
     "psi_iter",

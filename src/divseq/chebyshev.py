@@ -16,12 +16,14 @@ residual meets its share of the target, and the groups' interpolants are
 added in Chebyshev coefficients, zero-padded to the largest node count.
 lifts(k) integrates over s exactly in Chebyshev coefficients, k times in a
 row, and takes every level's values from one inverse DCT. The level kernel
-(_level_pieces) gives psi's iterates 1..k in v = log w of a generator, on
-one set of short pieces of v at fixed places (cells of width _CELL, and
-+-4^e pieces next to 0), each point finding its piece by arithmetic
-(_piece_places). Its panel rule, the interpolant at first-kind points
-integrated exactly with a tail bound from its last two coefficients
-(_kernel_matrices), is also the quadrature's.
+(_level_pieces) gives psi's iterates 1..k in v = log w, of a generator
+or of one path's level 0 in w = 1 + lambda u (how operators integrate a
+divergence without a generator), on one set of short pieces of v at fixed
+places (cells of width _CELL, and +-4^e pieces next to 0), each point
+finding its piece by arithmetic (_piece_places). Its panel rule, the
+interpolant at first-kind points integrated exactly with a tail bound
+from its last two coefficients (_kernel_matrices), is shared only with
+the tests' reference quadrature.
 """
 
 from __future__ import annotations
@@ -405,12 +407,15 @@ def _piece_places(v: np.ndarray, cut: int) -> np.ndarray:
 
 def _level_pieces(phi: Callable, lo: float, hi: float, rel_tol: float, abs_tol: float, k: int):
     """Levels 1..k of phi on pieces covering [lo, hi]: Phi_j(v) =
-    Integral_0^v Phi_{j-1}(u) / (1 - e^-u) du from Phi_0(v) = phi(e^v), so
-    that for D = Sum p phi(r/p), psi^j[D] is Sum p Phi_j(log w), w = r/p at
-    its end. Returns a function of points v in that range giving the levels
-    (k, len(v)) and, unless told not to, bounds on their errors (tail
-    bounds and the level below's bound through the integral, carried out
-    to v, and v's rounding), and phi's evaluation count.
+    Integral_0^v Phi_{j-1}(u) / (1 - e^-u) du from Phi_0(v) = phi(e^v), for
+    any phi with phi(1) = 0: a generator, so that for D = Sum p phi(r/p),
+    psi^j[D] is Sum p Phi_j(log w), w = r/p at its end, or one path's level
+    0 in w = 1 + lambda u (operators._path_kernel), which lives on w >= 1
+    alone; the pieces below 0 are built only where lo < 0. Returns a
+    function of points v in that range giving the levels (k, len(v)) and,
+    unless told not to, bounds on their errors (tail bounds and the level
+    below's bound through the integral, carried out to v, and v's
+    rounding), and phi's evaluation count.
 
     The pieces lie at fixed places (_piece_places): next to 0 the +-4^e
     pieces down to 2^cut, so that the levels keep their relative precision
@@ -439,8 +444,9 @@ def _level_pieces(phi: Callable, lo: float, hi: float, rel_tol: float, abs_tol: 
         """The outer ends of one side's pieces, outward, up to bound >= 0."""
         return np.concatenate([near, np.arange(2.0, np.ceil(bound / _CELL) + 1.0) * _CELL])
 
-    # The pieces in the order of their places, those below 0 first.
-    below_ends = outer_ends(max(-lo, 0.0))
+    # The pieces in the order of their places, those below 0 first, which
+    # only a range reaching below 0 has.
+    below_ends = outer_ends(-lo) if lo < 0.0 else np.empty(0)
     edges = np.concatenate([-below_ends[::-1], [0.0], outer_ends(max(hi, 0.0))])
     zero, pieces = len(below_ends), len(edges) - 1
 

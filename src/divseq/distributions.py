@@ -149,16 +149,13 @@ def random_distribution(n: int, seed: int, min_mass: float = 0.01) -> Distributi
     return Distribution(_random_masses(rng, (n,), min_mass))
 
 
-def _mix(
-    p: np.ndarray, q: np.ndarray, t: np.ndarray, rest: np.ndarray | None = None
-) -> np.ndarray:
+def _mix(p: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray:
     """(1-t) p + t q for masses p, q and positions t, of shape t.shape + (n,).
 
     p and q are masses (..., n) whose leading axes lead t's: row i of a
     stack (m, n) moves along t[i], and one distribution (n,) along all of
     t. The convex form recovers the endpoints bitwise at t = 0 and t = 1
-    and stays strictly positive in between. rest, if given, is 1 - t known
-    more accurately than 1.0 - t rounds it, and the mixture rest p + t q.
+    and stays strictly positive in between.
     """
     lead = p.shape[:-1]
     if t.shape[: len(lead)] != lead:
@@ -168,8 +165,7 @@ def _mix(
         )
     shape = lead + (1,) * (t.ndim - len(lead)) + p.shape[-1:]
     p, q = p.reshape(shape), q.reshape(shape)
-    rest = 1.0 - t if rest is None else rest
-    return rest[..., None] * p + t[..., None] * q
+    return (1.0 - t)[..., None] * p + t[..., None] * q
 
 
 @dataclass(frozen=True, eq=False)

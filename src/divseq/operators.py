@@ -14,15 +14,17 @@ p^alpha phi(r/p) (every f-divergence, alpha = 1, and a swapped Bregman
 functional given its degree), psi is Sum p^alpha Phi(log w), w = R(t)/P,
 Phi from chebyshev's level kernel, built once per call on the range of
 log w at each path's end and evaluated in one pass over blocks of
-positions, positions at t = 0 left out; without one it is a cumulative
-quadrature per path on the kernel's panel rule, the package's one use of
-the quadrature. psi_iter takes Sum p^alpha Phi_j(log w) from the same kernel
-where that is predicted to cost less, or samples level 0 on P -> R(T), T
-the largest position, fits it
-by one Chebyshev polynomial per group of the coordinates that move in
-one doubling loop, all live groups sampled in one pass per doubling, and
-integrates the summed polynomial exactly, level after level, in its
-Chebyshev coefficients.
+positions, positions at t = 0 left out. Without one the same kernel
+integrates each path's level 0 itself: f(u) = D(P | R(T u)) on the
+truncation P -> R(T), T the path's largest position, is the generator
+phi(w) = f((w - 1) / lambda) of one kernel per path (_path_kernel), read
+at v = log(1 + lambda t / T). psi_iter takes a D without a generator
+there too; with one it takes Sum p^alpha Phi_j(log w) from the kernel
+where that is predicted to cost less, or samples level 0 on P -> R(T),
+fits it by one Chebyshev polynomial per group of the coordinates that
+move in one doubling loop, all live groups sampled in one pass per
+doubling, and integrates the summed polynomial exactly, level after
+level, in its Chebyshev coefficients.
 Every operator requires a right-convex D and rejects any other before it
 checks anything else. The check that applies psi and psi_inverse in both
 orders and recovers D lives with the tests (tests/operator_oracles.py).
@@ -41,7 +43,6 @@ from .chebyshev import (
 from .distributions import MixturePath, _caller_form, _lift_path, _mix
 from .divergences import DivergenceFunctional, Orientation, _slope
 from .errors import DomainError, require_index, require_positive
-from .quadrature import QuadratureConfig, cumulative_integral
 
 __all__ = [
     "OperatorResult",
@@ -56,6 +57,19 @@ class OperatorResult:
     value: float
     estimated_error: float
     evaluations: int
+
+
+@dataclass(frozen=True)
+class QuadratureConfig:
+    """psi's targets: each level kernel piece's tail bound meets
+    max(abs_tol, rel_tol h max|integrand|), h its half-width."""
+
+    rel_tol: float = 1e-10
+    abs_tol: float = 1e-12
+
+    def __post_init__(self) -> None:
+        require_positive(self.rel_tol, "rel_tol")
+        require_positive(self.abs_tol, "abs_tol")
 
 
 def _require_right_convex(D: DivergenceFunctional) -> None:
@@ -77,51 +91,35 @@ def _blocks(shape: tuple, n: int):
 
 
 def _along(
-    D: DivergenceFunctional, p: np.ndarray, q: np.ndarray, s: np.ndarray,
-    paths: np.ndarray, rest: np.ndarray | None = None,
+    D: DivergenceFunctional, p: np.ndarray, q: np.ndarray, s: np.ndarray, paths: np.ndarray,
 ) -> np.ndarray:
     """D(p | (1-s) p + s q) at positions s (m, L), row i along the path
     with endpoint rows p[paths[i]] and q[paths[i]]: an (m, L) array, the
-    mixtures formed and reduced by _blocks. An exact complement rest of
-    s's shape stands for 1 - s, as in _mix.
+    mixtures formed and reduced by _blocks.
     """
     out = np.empty(s.shape)
     for i, cols in _blocks(s.shape, p.shape[-1]):
         pb, qb = p[paths[i]], q[paths[i]]
         for j in cols:
-            mixed = _mix(pb, qb, s[i, j], None if rest is None else rest[i, j])
-            out[i, j] = D.evaluator(pb[:, None], mixed)
+            out[i, j] = D.evaluator(pb[:, None], _mix(pb, qb, s[i, j]))
     return out
 
 
-def _level_zero(D: DivergenceFunctional, p: np.ndarray, r: np.ndarray):
-    """D on the paths p -> r, rows (m, n): a sampler of positions s (R, L),
-    the path of each row (R,) and rest (R, L), the exact complement 1 - s
-    (1.0 - s would lose it near s = 1). With a generator phi of degree
-    alpha it gives Sum p^alpha phi(w), w = rest + s r/p (1 at s = 0, r/p at
-    s = 1 exactly), else _along's values on the mixture.
-    """
-    sample = _grouped_level_zero(D, p, r, [slice(None)])
-    return lambda s, rows, rest: sample(s, rows, rest, [0])[0]
-
-
 def _grouped_level_zero(D: DivergenceFunctional, p: np.ndarray, r: np.ndarray, groups: list):
-    """_level_zero by groups of columns, index arrays or [slice(None)] as
-    _column_groups gives them: a sampler that also takes the live groups,
-    ascending indices, and gives each one's values, (live, R, L). With a
-    generator the weights and ratios are laid out group after group, each
-    group one run in its own column order, and one blocked pass forms w,
-    phi(w) and the weighted terms on the live groups' columns and sums each
-    group's own slice, so a group's values are _level_zero's on its columns
-    alone, bitwise. Without one, _along takes each live group in turn.
+    """D with a generator phi of degree alpha on the paths p -> r, rows
+    (m, n), by groups of columns, index arrays or [slice(None)] as
+    _column_groups gives them: a sampler of positions s (R, L), the path of
+    each row (R,), rest (R, L), the exact complement 1 - s (1.0 - s would
+    lose it near s = 1), and the live groups, ascending indices, giving
+    each live group's Sum p^alpha phi(w), w = rest + s r/p (1 at s = 0,
+    r/p at s = 1 exactly), on its columns: (live, R, L). The weights and
+    ratios are laid out group after group, each group one run in its own
+    column order, and one blocked pass forms w, phi(w) and the weighted
+    terms on the live groups' columns and sums each group's own slice, so
+    a group's values are those of [slice(None)] on its columns alone,
+    bitwise.
     """
     phi = D.generator
-    if phi is None:
-        def along(s, rows, rest, live):
-            columns = [groups[g] for g in live]
-            return np.stack([_along(D, p[:, c], r[:, c], s, rows, rest) for c in columns])
-
-        return along
     order = groups[0] if len(groups) == 1 else np.concatenate(groups)
     weights, ratios = (p**D.degree)[:, order], (r / p)[:, order]
     sizes = [weights.shape[-1]] if len(groups) == 1 else [len(g) for g in groups]
@@ -243,18 +241,18 @@ def psi(
     shape. Where D has a generator, each value is Sum p^alpha Phi(log w),
     alpha D's degree, at its own position alone (_psi_kernel), so a grid
     or stack value is the single call's bitwise, and the estimate is the
-    p^alpha-weighted sum of the kernel's bounds. A D without one is one
-    cumulative quadrature per path (_psi_quadrature), whose grid values
-    agree with the single calls to within cfg. Either way psi at t on P -> Q is psi at 1 on P -> R(t)
-    bitwise, and t = 0 and a constant path give exact zeros at no cost.
+    p^alpha-weighted sum of the kernel's bounds. A D without one takes one
+    kernel per path on its truncation at its largest position
+    (_path_kernel), whose grid values agree with the single calls to
+    within cfg, and the estimate is the kernel's bound. Either way psi at
+    t on P -> Q is psi at 1 on P -> R(t) bitwise, and t = 0 and a constant
+    path give exact zeros at no cost.
     """
     _require_right_convex(D)
     cfg = QuadratureConfig() if cfg is None else cfg
     p, q, t, shape = _lift_path(path, t)
-    if D.generator is None:
-        values, err, evals = _psi_quadrature(D, p, q, t, cfg)
-    else:
-        (values,), err, evals = _psi_kernel(D, p, q, t, 1, cfg.rel_tol, cfg.abs_tol, shape == ())
+    kernel = _psi_kernel if D.generator is not None else _path_kernel
+    (values,), err, evals = kernel(D, p, q, t, 1, cfg.rel_tol, cfg.abs_tol, shape == ())
     if shape == ():
         return OperatorResult(float(values[0, 0]), float(err.flat[0]), evals)
     return values.reshape(shape)
@@ -265,8 +263,8 @@ def _psi_kernel(
 ):
     """Sum p^alpha Phi_j(log w), w = R(t)/P, j = 1..k, alpha D's degree, on
     endpoint rows (m, n) at positions (m, L): values (k, m, L), estimates
-    (k, m) if bounded (else None) and the evaluation count. w is
-    _level_zero's (1 - u) + u R(t)/P at u = 1, R(t)/P bitwise; a coordinate
+    (k, m) if bounded (else None) and the evaluation count. w is the fit
+    sampler's (1 - u) + u R(t)/P at u = 1, R(t)/P bitwise; a coordinate
     with q_i = p_i has w = 1 all along and adds +0.0, and so does every
     coordinate at t = 0, which is never formed. R(t)/P is linear in t, so
     every v = log w of a path lies between 0 and its value at the path's
@@ -312,33 +310,46 @@ def _scattered(moving: np.ndarray, parts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _psi_quadrature(D: DivergenceFunctional, p: np.ndarray, q: np.ndarray, t: np.ndarray, cfg):
-    """psi of a D without a generator, as _psi_kernel returns it:
-    D(P | R(T u)) / u on each path's truncation P -> R(T), u = s / T,
-    integrated over the segments between its sorted positions, each on
-    panels of its own."""
-    top = np.maximum(t.max(axis=-1, keepdims=True), 5e-324)
-    r = _mix(p, q, top[:, 0])
-    same = np.all(p == q, axis=-1) | np.all(p == r, axis=-1)
-    t = np.where(same[:, None], 0.0, t)
-    # Sorted, so neither the order of t nor its duplicates (empty segments)
-    # change a value; a path with no position above 0 has only empty ones.
-    order = np.argsort(t, axis=-1)
-    sample = _level_zero(D, p, r)
+# _path_kernel's end in v = log w: a whole number of the level kernel's
+# cells, so that no piece reaches past the path's end at u = 1.
+_PATH_END = 0.5
 
-    def f(u: np.ndarray, rows: np.ndarray, rest: np.ndarray) -> np.ndarray:
-        d = sample(u, rows, rest)
-        # D(start | R(0)) / 0 has the limit 0: u = 0 is only reached on
-        # segments of subnormal width.
-        return np.divide(d, u, out=np.zeros_like(d), where=u > 0.0)
 
-    edges = np.concatenate(
-        [np.zeros((len(t), 1)), np.take_along_axis(t, order, axis=-1) / top], axis=1
-    )
-    running, err, evals = cumulative_integral(f, edges, cfg)
-    values = np.empty(t.shape)
-    np.put_along_axis(values, order, running[:, 1:], axis=-1)
-    return values, err, evals
+def _path_kernel(
+    D: DivergenceFunctional, p, q, t, k: int, rel_tol: float, abs_tol: float, bounded=False,
+):
+    """Levels 1..k of a D without a generator, as _psi_kernel returns them
+    but with estimates (k, m, L), one per position. ds/s is scale-free, so
+    each path's levels at t are those at u = t / T on its truncation
+    P -> R(T), T its largest position, and with w = 1 + lambda u, v = log w,
+    du / u = dv / (1 - e^-v): level 0 there, f(u) = D(P | R(T u)), is the
+    level kernel's generator phi(w) = f((w - 1) / lambda), sampled through
+    _along, and level j at t is Phi_j(log1p(lambda t / T)). lambda =
+    expm1(_PATH_END), so the kernel's pieces end on the path's end. Each
+    path builds its own kernel, with its own halving budget, and a path
+    with R(T) = P bitwise, or a position at 0, adds +0.0 at no cost.
+    """
+    values = np.zeros((k,) + t.shape)
+    estimates = np.zeros((k,) + t.shape) if bounded else None
+    top = t.max(axis=-1)
+    r, scale, evals = _mix(p, q, top), np.expm1(_PATH_END), 0
+    for i in np.flatnonzero(np.any(p != r, axis=-1)):
+        path = np.array([i])
+
+        def phi(w):
+            # The kernel samples v below _PATH_END, but w's rounding could
+            # carry u an ulp past the path's end.
+            u = np.minimum((w - 1.0) / scale, 1.0)
+            return _along(D, p, r, u.reshape(1, -1), path).reshape(w.shape)
+
+        levels, count = _level_pieces(phi, 0.0, _PATH_END, rel_tol, abs_tol, k)
+        live = t[i] > 0.0
+        at, errors = levels(np.log1p(scale * (t[i][live] / top[i])), bounded)
+        values[:, i, live] = at
+        evals += count
+        if bounded:
+            estimates[:, i, live] = errors
+    return values, estimates, evals
 
 
 def psi_inverse(D: DivergenceFunctional, path: MixturePath, t):
@@ -374,9 +385,11 @@ def psi_iter(
     On a single path t_grid is a 1-d grid and the result is (k + 1, len);
     on a stack of m paths it has shape (m,) or (m, k') and the result
     (k + 1, m) or (k + 1, m, k'). Level 0 is D itself evaluated along the
-    path. Above it one integrator serves the whole call, the one predicted
-    to cost less before any sampling (_KERNEL_CELL_COST); a D without a
-    generator, or with a column predicted at the node cap, takes the fit.
+    path. Above it a D without a generator takes one level kernel per path
+    on its truncation at its largest position (_path_kernel). With a
+    generator one integrator serves the whole call, the one predicted to
+    cost less before any sampling (_KERNEL_CELL_COST); a column predicted
+    at the node cap takes the fit.
 
     The kernel gives level j as Sum p^alpha Phi_j(log w), w = R(t)/P,
     alpha D's degree (_psi_kernel), at each position alone. The fit uses that
@@ -392,16 +405,16 @@ def psi_iter(
     of live groups). One sampler (_grouped_level_zero) takes the live
     groups in one blocked pass per doubling, its columns of P and R(T)
     laid out group after group, and reads each group's row sums off its
-    own slice, so every group's values are _level_zero's on its columns
-    alone, bitwise; the groups' interpolants are added in Chebyshev
-    coefficients and lifted from the sum. With a generator, a column with
-    R(T) = P on every path adds phi(1) = 0 and joins no group and no cost.
+    own slice, so every group's values are its columns' alone, bitwise;
+    the groups' interpolants are added in Chebyshev coefficients and
+    lifted from the sum. A column with R(T) = P on every path adds
+    phi(1) = 0 and joins no group and no cost.
     The fit's nodes are the exact Chebyshev points, 1 - u taken from the
     mirrored node. Rows are nonincreasing in the level at every grid point;
     a constant path gives zeros, and so does a constant truncation
     (R(T) = P) above level 0.
 
-    On the kernel route each piece of v = log w meets
+    On either kernel route each piece of v = log w meets
     max(tol, tol h max|integrand|) at every level, h its half-width, and a
     level's error at v is at most those bounds summed from 0 to v, plus the
     level below's through the integral. On the fit route no level is
@@ -424,15 +437,18 @@ def psi_iter(
     # ds/s is scale-free: above level 0, P -> Q at t is P -> R(T) at t / T.
     top = np.maximum(t.max(axis=-1, keepdims=True), 5e-324)
     r = _mix(p, q, top[:, 0])
-    # phi(1) = 0: with a generator, a column with R(T) = P on every row adds
-    # +0.0, so the costs and the fit leave it out.
-    moved = np.any(p != r, axis=0) | (D.generator is None)
-    if k > 0 and moved.any():
+    # phi(1) = 0: a column with R(T) = P on every row adds +0.0, so the
+    # costs and the fit leave it out; where no column moves, every level
+    # above 0 is 0.
+    moved = np.any(p != r, axis=0)
+    if k > 0 and moved.any() and D.generator is None:
+        levels[1:] = _path_kernel(D, p, q, t, k, tol, tol)[0]
+    elif k > 0 and moved.any():
         p_fit, r_fit = (p, r) if moved.all() else (p[:, moved], r[:, moved])
         columns, cells, nodes = _column_groups(p_fit, r_fit)
         kernel_cells = _KERNEL_CELL_COST * k * t.size * p_fit.shape[-1] * (_KERNEL_NODES + 1)
         fit_cells = len(p) * cells + (k + 1) * t.size * nodes
-        if D.generator is not None and nodes < _MAX_INTERVALS and kernel_cells < fit_cells:
+        if nodes < _MAX_INTERVALS and kernel_cells < fit_cells:
             levels[1:] = _psi_kernel(D, p, q, t, k, tol, tol)[0]
         else:
             sample, rows = _grouped_level_zero(D, p_fit, r_fit, columns), np.arange(len(p))

@@ -11,8 +11,7 @@ import numpy as np
 from divseq.divergences import DivergenceFunctional
 from divseq.distributions import MixturePath
 from divseq.errors import DomainError, require_position
-from divseq.operators import _require_right_convex, psi, psi_inverse
-from divseq.quadrature import QuadratureConfig
+from divseq.operators import QuadratureConfig, _require_right_convex, psi, psi_inverse
 from polylog_oracles import integrate
 
 # Fourth-order first-derivative stencils, rows (steps, weights): the

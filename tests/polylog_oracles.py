@@ -1,9 +1,10 @@
-"""Test-only oracles for the quadrature, the polylogarithm and the pl sequence.
+"""Test-only oracles for the polylogarithm and the pl sequence.
 
-``integrate`` is ``cumulative_integral`` on one interval. Li_{k+1}(z) is
-the integral of Li_k(x)/x over [0, z], so integrating the library's
-lower-order polylogarithm checks the next order independently of both of
-its evaluation routes, and ``polylog_integral`` integrates the
+``integrate`` is the reference quadrature (``quadrature_oracle``, which
+the library does not ship) on one interval. Li_{k+1}(z) is the integral
+of Li_k(x)/x over [0, z], so integrating the library's lower-order
+polylogarithm checks the next order independently of both of its
+evaluation routes, and ``polylog_integral`` integrates the
 Bose-Einstein representation
 
     Li_k(z) = z / (k-1)! * Integral_0^inf x^(k-1) e^(-x) / (-expm1(-x) + w e^(-x)) dx
@@ -33,7 +34,7 @@ import numpy as np
 from divseq.distributions import _caller_form
 from divseq.errors import DomainError, require_index
 from divseq.polylog import _arguments, polylog
-from divseq.quadrature import QuadratureConfig, cumulative_integral
+from quadrature_oracle import QuadratureConfig, cumulative_integral
 
 _TAIL_BOUND = 1e-14
 _TAIL_REL_BOUND = 1e-15

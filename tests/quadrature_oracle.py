@@ -1,5 +1,5 @@
-"""Adaptive quadrature on the level kernel's panel rule, with batched
-integrand evaluation.
+"""Test-only reference: adaptive quadrature on the level kernel's panel
+rule, with batched integrand evaluation.
 
 A panel is the interpolant at _PANEL_NODES first-kind Chebyshev points,
 integrated exactly, with the level kernel's tail bound as its error
@@ -7,24 +7,26 @@ integrated exactly, with the level kernel's tail bound as its error
 row, and the work list holds segments, each owned by one row. The
 integrand is called as f(x, rows, rest), with rest = 1 - x kept to its
 relative precision near x = 1, and evaluates each panel for its own row
-only, so a row's panels, splits and budget are its own. Its one caller in
-the package is psi's route for a divergence without a generator. A segment
-starts as one panel. Each refinement round gathers the worst panel of
-every unconverged segment and evaluates all of their children in one call
-per block of _BLOCK_CELLS abscissae, which keeps the Python-level round
-trips few even when the integrand is expensive (a divergence along a
-mixture path), and its temporaries bounded.
+only, so a row's panels, splits and budget are its own. The library makes
+no quadrature call: this is the reference that polylog_oracles and
+operator_oracles integrate with, independent of the level kernel's fixed
+pieces in v = log w. A segment starts as one panel. Each refinement round
+gathers the worst panel of every unconverged segment and evaluates all of
+their children in one call per block of _BLOCK_CELLS abscissae, which
+keeps the Python-level round trips few even when the integrand is
+expensive (a divergence along a mixture path), and its temporaries
+bounded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .chebyshev import _BLOCK_CELLS, _kernel_matrices
-from .errors import DomainError, NonFiniteError, ToleranceError, require_positive
+from divseq.chebyshev import _BLOCK_CELLS, _kernel_matrices
+from divseq.errors import DomainError, NonFiniteError, ToleranceError
+from divseq.operators import QuadratureConfig
 
 _EPS = np.finfo(float).eps
 # Panel splits each row of edges may make before the call fails.
@@ -35,16 +37,6 @@ _MAX_SUBDIVISIONS = 2000
 # evaluations than the 15-point Gauss-Kronrod rule they replaced, x log x
 # erring by 6.3e-13 against sl(2); 10 take 35% more, and at 14 it errs 1.8e-12.
 _PANEL_NODES = 12
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        require_positive(self.rel_tol, "rel_tol")
-        require_positive(self.abs_tol, "abs_tol")
 
 
 def _apply_panels(

@@ -551,6 +551,24 @@ class TestGeneratorKernel:
         np.testing.assert_allclose(values, refs, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("k", [1, 3])
+    def test_a_range_from_zero_builds_no_piece_below_it(self, k):
+        # One path's level 0 lives on w >= 1 alone: from lo = 0 the kernel
+        # samples no w below 1, and its levels above 0 are those of a range
+        # reaching below 0, bitwise.
+        chi2, seen = named_divergence("chi2").generator, []
+
+        def phi(w):
+            seen.append(w.min())
+            return chi2(w)
+
+        v = np.array([1e-9, 0.01, 0.3, 0.5])
+        one_sided, _ = _level_pieces(phi, 0.0, 0.5, 1e-12, 1e-12, k)
+        assert min(seen) > 1.0
+        both_sides, _ = _level_pieces(chi2, -0.5, 0.5, 1e-12, 1e-12, k)
+        for ours, theirs in zip(one_sided(v), both_sides(v)):
+            assert ours.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3])
     def test_values_depend_on_v_alone(self, k):
         # Whatever else a call holds: a piece's edge, far pieces, pieces near 0.
         rng = np.random.default_rng(5)

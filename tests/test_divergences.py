@@ -25,7 +25,7 @@ from divseq.divergences import (
 )
 from divseq.errors import DomainError, SpecError
 from divseq.chebyshev import lobatto_nodes
-from divseq.operators import _along, _level_zero, psi_inverse, psi_iter
+from divseq.operators import _grouped_level_zero, psi_inverse, psi_iter
 from divseq.sequences import pl, sl
 from divseq.verify import _suite_divergences
 from operator_oracles import BREGMAN_DEGREES
@@ -515,13 +515,13 @@ class TestGenerators:
             s = lobatto_nodes(n_intervals)
             ends = [0, 1, 2, -3, -2, -1]
             for p, q in self._pairs():
-                kernel = _level_zero(D, p[None], q[None])(s[None], np.arange(1), s[::-1][None])
-                kernel = kernel[0, ends]
-                mixed = _along(
-                    D, p[None], q[None], s[None, ends], np.arange(1), s[::-1][None, ends]
-                )[0]
+                sample = _grouped_level_zero(D, p[None], q[None], [slice(None)])
+                kernel = sample(s[None], np.arange(1), s[::-1][None], [0])[0, 0, ends]
+                # The mixture from the exact complement, as the fit's nodes give it.
+                masses = s[::-1][ends, None] * p + s[ends, None] * q
+                mixed = D.evaluator(p, masses)
                 w = s[::-1][ends, None] + s[ends, None] * (q / p)
-                rounded = (s[::-1][ends, None] * p + s[ends, None] * q) / p
+                rounded = masses / p
                 cond = np.maximum(*(_condition_scale(D.generator, x) for x in (w, rounded)))
                 scale = np.sum(p * cond, axis=-1)
                 assert kernel[0] == mixed[0] == 0.0

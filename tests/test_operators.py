@@ -12,8 +12,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from divseq import operators, quadrature
-from divseq.chebyshev import _MAX_INTERVALS, ChebyshevInterpolant, lobatto_nodes
+from divseq import chebyshev, operators
+from divseq.chebyshev import _KERNEL_NODES, _MAX_INTERVALS, ChebyshevInterpolant, lobatto_nodes
 from divseq.distributions import (
     _lift_path,
     _random_masses,
@@ -39,7 +39,6 @@ from divseq.operators import (
     QuadratureConfig,
     _column_groups,
     _grouped_level_zero,
-    _level_zero,
     psi,
     psi_inverse,
     psi_iter,
@@ -123,9 +122,9 @@ class TestPsi:
     def test_without_a_generator_psi_samples_the_mixtures(self, monkeypatch):
         calls, along = [], operators._along
 
-        def recorded(D, p, q, s, paths, rest=None):
+        def recorded(D, p, q, s, paths):
             calls.append(s.size)
-            return along(D, p, q, s, paths, rest)
+            return along(D, p, q, s, paths)
 
         monkeypatch.setattr(operators, "_along", recorded)
         kl = named_divergence("kl")
@@ -154,19 +153,20 @@ class TestPsi:
 
     def test_bregman_without_a_generator_meets_closed_forms_on_tiny_masses(self):
         # Without their generators (make_bregman reads these forms' degrees
-        # and gives them one) psi integrates them by quadrature. Swapped,
-        # x log x is reverse KL less Sum (r - p) = 0, whose psi is
-        # sl(2, P, R(t)), and x^2 is t^2 Sum (q - p)^2, whose psi is
-        # t^2 / 2 Sum (q - p)^2. 152 calls each.
-        x_log_x, squared = (
-            dataclasses.replace(
-                swap_orientation(make_bregman(BregmanSpec(F=F, F_prime=F_prime))), generator=None
-            )
-            for F, F_prime in (
-                (lambda x: x * np.log(x), lambda x: np.log(x) + 1.0),
-                (lambda x: x * x, lambda x: 2.0 * x),
-            )
-        )
+        # and gives them one, but none for their sum) psi and psi_iter take
+        # one level kernel per path on its truncation. Swapped, x log x is
+        # reverse KL less Sum (r - p) = 0, whose level k is sl(k + 1, P,
+        # R(t)), and x^2 is t^2 Sum (q - p)^2, whose level k is t^2 / 2^k
+        # Sum (q - p)^2. 152 calls of each form at each depth.
+        forms = [
+            (lambda x: x * np.log(x), lambda x: np.log(x) + 1.0, 1.0, 0.0, 1e-12),
+            (lambda x: x * x, lambda x: 2.0 * x, 0.0, 1.0, 1e-14),
+            (lambda x: x * np.log(x) + x * x, lambda x: np.log(x) + 1.0 + 2.0 * x, 1.0, 1.0, 1e-12),
+        ]
+        bare = [
+            dataclasses.replace(swap_orientation(make_bregman(BregmanSpec(F, F_prime))), generator=None)
+            for F, F_prime, *_ in forms
+        ]
         pairs = [_tiny_p_pair(seed, n) for seed in range(6) for n in (10, 100, 877)]
         pairs += [_random_pair(seed, 7) for seed in range(20)]
         for A, B in pairs:
@@ -174,12 +174,14 @@ class TestPsi:
                 path = MixturePath(start, end)
                 gap = np.sum((end.masses - start.masses) ** 2)
                 for t in (0.3, 1.0):
-                    ref = sl(2, start, mixture(path, t))
-                    value = psi(x_log_x, path, t).value
-                    assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (t, value, ref)
-                    ref = 0.5 * t * t * gap
-                    value = psi(squared, path, t).value
-                    assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref)), (t, value, ref)
+                    chain = sl((1, 2, 3, 4), start, mixture(path, t))
+                    for D, (*_, entropy, square, bound) in zip(bare, forms):
+                        refs = entropy * chain + square * t * t * gap / 2.0 ** np.arange(4)
+                        scale = np.maximum(1.0, np.abs(refs))
+                        value = psi(D, path, t).value
+                        assert abs(value - refs[1]) <= bound * scale[1], (t, value, refs[1])
+                        levels = psi_iter(D, 3, path, np.array([t]))[:, 0]
+                        assert np.all(np.abs(levels - refs)[1:] <= 1e-11 * scale[1:]), (t, levels)
 
     def test_positions_at_zero_form_no_mixture(self, monkeypatch):
         # Shaped as verify's contraction call: most rows sit at t = 0 but
@@ -188,8 +190,8 @@ class TestPsi:
         # 0 only; those at 0 stay +0.0, and every value is the single call's.
         cells, mix = [0], operators._mix
 
-        def counted(p, q, t, rest=None):
-            out = mix(p, q, t, rest)
+        def counted(p, q, t):
+            out = mix(p, q, t)
             cells[0] += out.size
             return out
 
@@ -525,8 +527,8 @@ def _mass_cells(D):
 def _joint_level_zero(D, path):
     """Level 0 of psi_iter on one path as one function of s over the whole
     support, sampled as psi_iter samples it."""
-    sample = _level_zero(D, path.start.masses[None], path.end.masses[None])
-    return lambda s: sample(s[None], np.arange(1), s[::-1][None])
+    sample = _grouped_level_zero(D, path.start.masses[None], path.end.masses[None], [slice(None)])
+    return lambda s: sample(s[None], np.arange(1), s[::-1][None], [0])[0]
 
 
 class TestGroupedLevelZero:
@@ -758,13 +760,15 @@ class TestOnePassSampler:
         sample, rows = _grouped_level_zero(D, p, r, groups), np.array([2, 0, 1, 1])
         for n in (16, 1024):
             s = np.broadcast_to(lobatto_nodes(n), (len(rows), n + 1))
-            alone = [_level_zero(D, p[:, g], r[:, g])(s, rows, s[:, ::-1]) for g in groups]
-            if D.generator is not None:
-                # The per-cell arithmetic, each position's terms summed at once.
-                for g, values in zip(groups, alone):
-                    ratio, weight = (x[rows][:, None] for x in (r[:, g] / p[:, g], p[:, g] ** D.degree))
-                    terms = D.generator(s[..., None] * ratio + s[:, ::-1, None]) * weight
-                    assert values.tobytes() == terms.sum(axis=-1).tobytes()
+            alone = [
+                _grouped_level_zero(D, p[:, g], r[:, g], [slice(None)])(s, rows, s[:, ::-1], [0])[0]
+                for g in groups
+            ]
+            # The per-cell arithmetic, each position's terms summed at once.
+            for g, values in zip(groups, alone):
+                ratio, weight = (x[rows][:, None] for x in (r[:, g] / p[:, g], p[:, g] ** D.degree))
+                terms = D.generator(s[..., None] * ratio + s[:, ::-1, None]) * weight
+                assert values.tobytes() == terms.sum(axis=-1).tobytes()
             for live in (list(range(len(groups))), [1, 2], [0, 2], [len(groups) - 1]):
                 stack = sample(s, rows, s[:, ::-1], live)
                 assert stack.shape == (len(live), len(rows), n + 1)
@@ -1090,11 +1094,10 @@ class TestGridDerivatives:
 class TestGridPsi:
     # Where D has a generator, every position is its own truncation of the
     # path, summed through the level kernel, so a grid value is the scalar
-    # call's bitwise. Without one, the distinct positions of a grid share
-    # one cumulative quadrature, so a grid value is a sum of segment
-    # integrals and agrees with the scalar call to within the quadrature
-    # target; a one-position grid is the scalar call's single segment,
-    # bitwise.
+    # call's bitwise. Without one, every position of a path is read off one
+    # level kernel built on its truncation at its largest position, so a
+    # grid value agrees with the scalar call to within the kernel's target;
+    # a one-position grid is the scalar call, bitwise.
     @pytest.mark.parametrize("D", SUITE, ids=[D.identifier for D in SUITE])
     @pytest.mark.parametrize("n", [2, 7, 10, 64, 500])
     def test_grid_agrees_with_scalar_calls(self, D, n):
@@ -1132,16 +1135,17 @@ def _counting(D):
     return dataclasses.replace(D, evaluator=evaluator), seen
 
 
-def _panel_rounds(monkeypatch):
-    """A list that gets the panel count of each round of quadrature: the
-    first panels, then two panels per split."""
-    rounds, apply = [], quadrature._apply_panels
+def _kernel_rounds(monkeypatch):
+    """A list that gets the part count of each round of a level kernel's
+    sampling of a path without a generator: its pieces, then two parts per
+    halving."""
+    rounds, along = [], operators._along
 
-    def counted(f, a, b, rows):
-        rounds.append(len(a))
-        return apply(f, a, b, rows)
+    def counted(D, p, q, s, paths):
+        rounds.append(s.size // _KERNEL_NODES)
+        return along(D, p, q, s, paths)
 
-    monkeypatch.setattr(quadrature, "_apply_panels", counted)
+    monkeypatch.setattr(operators, "_along", counted)
     return rounds
 
 
@@ -1151,29 +1155,30 @@ def _stacked(starts, ends):
 
 
 class TestPsiRowByRow:
-    # Without a generator, each path of a stack is refined on its own
-    # panels within its own subdivision budget, so it costs and converges
-    # as it would alone.
+    # Without a generator, each path of a stack builds its own level kernel
+    # within its own halving budget, so it costs and converges as it would
+    # alone.
     CHI2 = dataclasses.replace(named_divergence("chi2"), generator=None)
 
     def test_each_path_has_its_own_subdivision_budget(self, monkeypatch):
-        # At this tolerance each path converges alone within 40 splits, but
-        # the paths need more than 40 between them.
+        # At this tolerance each path converges alone within 400 halvings,
+        # but the paths need more than 400 between them.
         cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)
-        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 40)
-        rounds = _panel_rounds(monkeypatch)
+        monkeypatch.setattr(chebyshev, "_MAX_HALVINGS", 400)
+        rounds = _kernel_rounds(monkeypatch)
         starts = [random_distribution(5, 2 * i, 1e-3).masses for i in range(30)]
         ends = [random_distribution(5, 2 * i + 1, 1e-3).masses for i in range(30)]
         stack, paths = _stacked(starts, ends)
         grids = np.tile(np.linspace(0.0, 1.0, 11), (30, 1))
-        splits = 0
+        halvings = 0
         for path, grid, row in zip(paths, grids, psi(self.CHI2, stack, grids, cfg)):
             rounds.clear()
             alone = psi(self.CHI2, path, grid, cfg)
-            # After the first panels, two panels per split.
-            splits += sum(rounds[1:]) // 2
-            np.testing.assert_allclose(row, alone, rtol=1e-14, atol=0.0)
-        assert splits > quadrature._MAX_SUBDIVISIONS
+            # After the pieces, two parts per halving; a piece's first
+            # halving is outside the budget.
+            halvings += sum(rounds[1:]) // 2 - rounds[0]
+            assert row.tobytes() == alone.tobytes()
+        assert halvings > chebyshev._MAX_HALVINGS
 
     def test_a_hard_path_costs_the_stack_its_own_evaluations_only(self):
         chi2, seen = _counting(self.CHI2)
@@ -1317,7 +1322,7 @@ _PSI_ORACLES = {"chi2": (pl, 1), "kl": (pl, 2), "jeffreys": (sl, 1), "reverse_kl
 
 class TestPsiKernel:
     # Where D has a generator phi, psi is Sum p Phi(log w), w = R(t)/P, with
-    # Phi from the level kernel; there is no path quadrature.
+    # Phi from the level kernel.
     @staticmethod
     def _tiny_calls():
         for seed in range(6):

@@ -344,18 +344,6 @@ class TestClosedExpansions:
             assert isinstance(values, np.ndarray) and values.size == 0
         assert polylog(k, w=np.zeros((0, 3))).shape == (0, 3)
 
-    def test_makes_no_quadrature_call(self, monkeypatch):
-        # Every quadrature call, whoever imported it, runs _integrate_segments.
-        module = importlib.import_module("divseq.quadrature")
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("polylog called the quadrature")
-
-        monkeypatch.setattr(module, "_integrate_segments", refuse)
-        w = np.concatenate([self.WIDE_W, self.SEAM_W])
-        for k in range(13):
-            assert np.isfinite(polylog(k, w=w)).all()
-
     @pytest.mark.parametrize("k", [2, 3, 4, 7])
     def test_closed_values(self, k):
         # Li_k(1) = zeta(k) and Li_k(-1) = -(1 - 2^(1-k)) zeta(k).

