@@ -31,7 +31,6 @@ from .chebyshev import ChebyshevInterpolant, lobatto_nodes
 from .polylog import polylog, polylog_series
 from .operators import (
     OperatorResult,
-    QuadratureConfig,
     psi,
     psi_inverse,
     psi_iter,
@@ -75,7 +74,6 @@ __all__ = [
     "polylog",
     "polylog_series",
     "OperatorResult",
-    "QuadratureConfig",
     "psi",
     "psi_inverse",
     "psi_iter",

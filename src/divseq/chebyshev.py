@@ -149,6 +149,8 @@ class ChebyshevInterpolant:
                 "values must be a 1-d array of at least 2 entries, or an "
                 "(..., n + 1) stack of them"
             )
+        if not np.isfinite(values).all():
+            raise DomainError("interpolant values must be finite")
         n = values.shape[-1] - 1
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "nodes", lobatto_nodes(n))
@@ -405,7 +407,7 @@ def _piece_places(v: np.ndarray, cut: int) -> np.ndarray:
     return place
 
 
-def _level_pieces(phi: Callable, lo: float, hi: float, rel_tol: float, abs_tol: float, k: int):
+def _level_pieces(phi: Callable, lo: float, hi: float, tol: float, k: int):
     """Levels 1..k of phi on pieces covering [lo, hi]: Phi_j(v) =
     Integral_0^v Phi_{j-1}(u) / (1 - e^-u) du from Phi_0(v) = phi(e^v), for
     any phi with phi(1) = 0: a generator, so that for D = Sum p phi(r/p),
@@ -428,7 +430,7 @@ def _level_pieces(phi: Callable, lo: float, hi: float, rel_tol: float, abs_tol: 
     Chebyshev coefficients from the piece's end nearer 0, and its outer
     end's value carried outward from 0 by a cumulative sum. A piece whose
     tail bound 2h (|c_N-2| + |c_N-1|) at any level, h its half-width,
-    exceeds max(abs_tol, rel_tol h max|values|) is halved where it misses,
+    exceeds max(tol, tol h max|values|) is halved where it misses,
     each piece once and _MAX_HALVINGS times more in all before
     ToleranceError, so the budget grows with the pieces. A point in a
     halved piece searches the parts' edges. A piece's levels depend on it
@@ -490,7 +492,7 @@ def _level_pieces(phi: Callable, lo: float, hi: float, rel_tol: float, abs_tol: 
             # The series from the end nearer 0, and the value at the other end.
             c[:, 0], c[:, n + 1] = np.where(below, c[:, n + 1], c[:, 0]), (1 - 2 * below) * c[:, -1]
             own, scale = 2.0 * np.abs(c[:, n + 2 : n + 4]).sum(axis=1), np.abs(g).max(axis=1)
-            fits = fits & (own <= np.maximum(abs_tol, rel_tol * half * scale))
+            fits = fits & (own <= np.maximum(tol, tol * half * scale))
             bound = own + spread * bound
             c[:, 0] += carried(c[:, n + 1])
             bound = bound + carried(bound)

@@ -22,7 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .chebyshev import _BLOCK_CELLS
+from .errors import DomainError, require_index
 
 # Inputs whose mass sum drifts from 1 by less than this are renormalized;
 # anything further off is rejected as a bad input rather than silently fixed.
@@ -139,8 +140,7 @@ def _random_masses(rng: np.random.Generator, shape: tuple, min_mass: float) -> n
 
 def random_distribution(n: int, seed: int, min_mass: float = 0.01) -> Distribution:
     """Seeded random full-support distribution with a mass floor."""
-    if n < 2:
-        raise DomainError(f"support size must be at least 2, got {n}")
+    n, seed = require_index(n, "support size", minimum=2), require_index(seed, "seed")
     if not 0.0 < min_mass < 1.0 / n:
         raise DomainError(
             f"min_mass must lie in (0, 1/{n}) for support size {n}, got {min_mass}"
@@ -166,6 +166,16 @@ def _mix(p: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray:
     shape = lead + (1,) * (t.ndim - len(lead)) + p.shape[-1:]
     p, q = p.reshape(shape), q.reshape(shape)
     return (1.0 - t)[..., None] * p + t[..., None] * q
+
+
+def _blocks(shape: tuple, n: int):
+    """Row slices of positions (m, L) on n coordinates, each with its column
+    slices, into blocks of at most _BLOCK_CELLS mass cells (whole rows where
+    one fits); each position reduces alone, so blocking changes no value."""
+    cells = max(1, _BLOCK_CELLS // n)
+    rows, step = max(1, cells // shape[1]), min(shape[1], cells)
+    for i in range(0, shape[0], rows):
+        yield slice(i, i + rows), [slice(j, j + step) for j in range(0, shape[1], step)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,13 +208,13 @@ class MixturePath:
 
 
 def _lift_pair(P, Q) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Mass rows p, q (m, n) of two distributions (or raw mass arrays) on
-    the same support, or of two stacks of m, and the caller's shape: () for
-    a single pair, a stack of one, and (m,) for two stacks.
+    """Mass rows p, q (m, n) of two distributions (or raw mass arrays, each
+    checked as a Distribution) on the same support, or of two stacks of m,
+    and the caller's shape: () for a single pair, a stack of one, and (m,)
+    for two stacks.
     """
-    p = np.asarray(getattr(P, "masses", P), dtype=np.float64)
-    q = np.asarray(getattr(Q, "masses", Q), dtype=np.float64)
-    if p.shape != q.shape or p.ndim == 0:
+    p, q = (X.masses if isinstance(X, Distribution) else Distribution(X).masses for X in (P, Q))
+    if p.shape != q.shape:
         raise DomainError(f"need mass arrays of one shape, got {p.shape} and {q.shape}")
     return p.reshape(-1, p.shape[-1]), q.reshape(-1, q.shape[-1]), p.shape[:-1]
 

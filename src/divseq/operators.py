@@ -24,7 +24,10 @@ where that is predicted to cost less, or samples level 0 on P -> R(T),
 fits it by one Chebyshev polynomial per group of the coordinates that
 move in one doubling loop, all live groups sampled in one pass per
 doubling, and integrates the summed polynomial exactly, level after
-level, in its Chebyshev coefficients.
+level, in its Chebyshev coefficients. psi and psi_iter take one target,
+tol, which every kernel piece meets (chebyshev._level_pieces), and one
+kernel choice (_kernel), so psi is psi_iter's level 1 bitwise wherever
+psi_iter takes the kernel.
 Every operator requires a right-convex D and rejects any other before it
 checks anything else. The check that applies psi and psi_inverse in both
 orders and recovers D lives with the tests (tests/operator_oracles.py).
@@ -37,16 +40,13 @@ from itertools import accumulate
 
 import numpy as np
 
-from .chebyshev import (
-    _BLOCK_CELLS, _EPS, _KERNEL_NODES, _MAX_INTERVALS, ChebyshevInterpolant, _level_pieces,
-)
-from .distributions import MixturePath, _caller_form, _lift_path, _mix
+from .chebyshev import _EPS, _KERNEL_NODES, _MAX_INTERVALS, ChebyshevInterpolant, _level_pieces
+from .distributions import MixturePath, _blocks, _caller_form, _lift_path, _mix
 from .divergences import DivergenceFunctional, Orientation, _slope
 from .errors import DomainError, require_index, require_positive
 
 __all__ = [
     "OperatorResult",
-    "QuadratureConfig",
     "psi",
     "psi_inverse",
     "psi_iter",
@@ -59,35 +59,12 @@ class OperatorResult:
     evaluations: int
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """psi's targets: each level kernel piece's tail bound meets
-    max(abs_tol, rel_tol h max|integrand|), h its half-width."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        require_positive(self.rel_tol, "rel_tol")
-        require_positive(self.abs_tol, "abs_tol")
-
-
 def _require_right_convex(D: DivergenceFunctional) -> None:
     if D.orientation is not Orientation.RIGHT_CONVEX:
         raise DomainError(
             f"divergence {D.identifier!r} is not right-convex; wrap it with "
             "swap_orientation first"
         )
-
-
-def _blocks(shape: tuple, n: int):
-    """Row slices of positions (m, L) on n coordinates, each with its column
-    slices, into blocks of at most _BLOCK_CELLS mass cells (whole rows where
-    one fits); each position reduces alone, so blocking changes no value."""
-    cells = max(1, _BLOCK_CELLS // n)
-    rows, step = max(1, cells // shape[1]), min(shape[1], cells)
-    for i in range(0, shape[0], rows):
-        yield slice(i, i + rows), [slice(j, j + step) for j in range(0, shape[1], step)]
 
 
 def _along(
@@ -229,55 +206,58 @@ def _column_groups(p: np.ndarray, q: np.ndarray) -> tuple[list[np.ndarray | slic
 
 
 def psi(
-    D: DivergenceFunctional,
-    path: MixturePath,
-    t,
-    cfg: QuadratureConfig | None = None,
+    D: DivergenceFunctional, path: MixturePath, t, tol: float = 1e-12,
 ) -> OperatorResult | np.ndarray:
     """Integral operator: Integral_0^t D(start | R(s)) / s ds.
 
     A position t on a single path gives an OperatorResult; a 1-d grid, or
     t of shape (m,) or (m, k) on a stack of m paths, gives an array of t's
-    shape. Where D has a generator, each value is Sum p^alpha Phi(log w),
-    alpha D's degree, at its own position alone (_psi_kernel), so a grid
-    or stack value is the single call's bitwise, and the estimate is the
-    p^alpha-weighted sum of the kernel's bounds. A D without one takes one
-    kernel per path on its truncation at its largest position
-    (_path_kernel), whose grid values agree with the single calls to
-    within cfg, and the estimate is the kernel's bound. Either way psi at
-    t on P -> Q is psi at 1 on P -> R(t) bitwise, and t = 0 and a constant
-    path give exact zeros at no cost.
+    shape. Every value is psi_iter's level 1 at the same tol wherever
+    psi_iter takes the level kernel, bitwise (_kernel): each of its pieces
+    meets max(tol, tol h max|integrand|), h its half-width. Where D has a
+    generator, each value is Sum p^alpha Phi(log w), alpha D's degree, at
+    its own position alone, so a grid or stack value is the single call's
+    bitwise. A D without one takes one kernel per path on its truncation
+    at its largest position, whose grid values agree with the single calls
+    to within the pieces' targets. The estimate is the kernel's bound at
+    the position. Either way psi at t on P -> Q is psi at 1 on P -> R(t)
+    bitwise, and t = 0 and a constant path give exact zeros at no cost.
     """
     _require_right_convex(D)
-    cfg = QuadratureConfig() if cfg is None else cfg
+    tol = require_positive(tol, "tol")
     p, q, t, shape = _lift_path(path, t)
-    kernel = _psi_kernel if D.generator is not None else _path_kernel
-    (values,), err, evals = kernel(D, p, q, t, 1, cfg.rel_tol, cfg.abs_tol, shape == ())
+    (values,), err, evals = _kernel(D, p, q, t, 1, tol, shape == ())
     if shape == ():
-        return OperatorResult(float(values[0, 0]), float(err.flat[0]), evals)
+        return OperatorResult(float(values[0, 0]), float(err[0, 0, 0]), evals)
     return values.reshape(shape)
 
 
-def _psi_kernel(
-    D: DivergenceFunctional, p, q, t, k: int, rel_tol: float, abs_tol: float, bounded=False,
-):
-    """Sum p^alpha Phi_j(log w), w = R(t)/P, j = 1..k, alpha D's degree, on
-    endpoint rows (m, n) at positions (m, L): values (k, m, L), estimates
-    (k, m) if bounded (else None) and the evaluation count. w is the fit
-    sampler's (1 - u) + u R(t)/P at u = 1, R(t)/P bitwise; a coordinate
-    with q_i = p_i has w = 1 all along and adds +0.0, and so does every
-    coordinate at t = 0, which is never formed. R(t)/P is linear in t, so
-    every v = log w of a path lies between 0 and its value at the path's
-    largest position: the kernel's pieces cover the range of those. The
-    positions are taken in _blocks of k n cells, each formed, evaluated and
-    summed in its turn, so no temporary outgrows a block.
+def _kernel(D: DivergenceFunctional, p, q, t, k: int, tol: float, bounded=False):
+    """Levels 1..k on endpoint rows (m, n) at positions (m, L), from
+    _psi_kernel where D has a generator and _path_kernel where it has none:
+    values (k, m, L), estimates (k, m, L) if bounded (else None) and the
+    evaluation count."""
+    return (_psi_kernel if D.generator is not None else _path_kernel)(D, p, q, t, k, tol, bounded)
+
+
+def _psi_kernel(D: DivergenceFunctional, p, q, t, k: int, tol: float, bounded=False):
+    """Sum p^alpha Phi_j(log w), w = R(t)/P, j = 1..k, alpha D's degree, as
+    _kernel returns them, a position's estimate the p^alpha-weighted sum of
+    the kernel's bounds. w is the fit sampler's (1 - u) + u R(t)/P at
+    u = 1, R(t)/P bitwise; a coordinate with q_i = p_i has w = 1 all along
+    and adds +0.0, and so does every coordinate at t = 0, which is never
+    formed. R(t)/P is linear in t, so every v = log w of a path lies
+    between 0 and its value at the path's largest position: the kernel's
+    pieces cover the range of those. The positions are taken in _blocks of
+    k n cells, each formed, evaluated and summed in its turn, so no
+    temporary outgrows a block.
     """
     values = np.zeros((k,) + t.shape)
-    estimates = np.zeros((k, len(p))) if bounded else None
+    estimates = np.zeros((k,) + t.shape) if bounded else None
     ends = np.log(_mix(p, q, t.max(axis=-1)) / p)[p != q]
     if not ends.any():
         return values, estimates, 0
-    levels, evals = _level_pieces(D.generator, ends.min(), ends.max(), rel_tol, abs_tol, k)
+    levels, evals = _level_pieces(D.generator, ends.min(), ends.max(), tol, k)
     weights = p**D.degree
 
     def add(i, j):  # a function, so no block's arrays outlive its turn
@@ -293,7 +273,7 @@ def _psi_kernel(
         if bounded:
             # A rounding floor: a few ulps of each term, in the kernel and the sum.
             bounds = _scattered(moving, errors) * weights[i][rows] + 4.0 * _EPS * np.abs(terms)
-            np.add.at(estimates[:, i], (slice(None), rows), bounds.sum(axis=-1))
+            estimates[:, i, j][:, live] = bounds.sum(axis=-1)
 
     for i, cols in _blocks(t.shape, k * p.shape[-1]):
         for j in cols:
@@ -315,11 +295,9 @@ def _scattered(moving: np.ndarray, parts: np.ndarray) -> np.ndarray:
 _PATH_END = 0.5
 
 
-def _path_kernel(
-    D: DivergenceFunctional, p, q, t, k: int, rel_tol: float, abs_tol: float, bounded=False,
-):
-    """Levels 1..k of a D without a generator, as _psi_kernel returns them
-    but with estimates (k, m, L), one per position. ds/s is scale-free, so
+def _path_kernel(D: DivergenceFunctional, p, q, t, k: int, tol: float, bounded=False):
+    """Levels 1..k of a D without a generator, as _kernel returns them,
+    a position's estimate the kernel's bound. ds/s is scale-free, so
     each path's levels at t are those at u = t / T on its truncation
     P -> R(T), T its largest position, and with w = 1 + lambda u, v = log w,
     du / u = dv / (1 - e^-v): level 0 there, f(u) = D(P | R(T u)), is the
@@ -342,7 +320,7 @@ def _path_kernel(
             u = np.minimum((w - 1.0) / scale, 1.0)
             return _along(D, p, r, u.reshape(1, -1), path).reshape(w.shape)
 
-        levels, count = _level_pieces(phi, 0.0, _PATH_END, rel_tol, abs_tol, k)
+        levels, count = _level_pieces(phi, 0.0, _PATH_END, tol, k)
         live = t[i] > 0.0
         at, errors = levels(np.log1p(scale * (t[i][live] / top[i])), bounded)
         values[:, i, live] = at
@@ -356,8 +334,7 @@ def psi_inverse(D: DivergenceFunctional, path: MixturePath, t):
     """Differential operator: t * d/dt D(start | R(t)) at a position t or
     along a 1-d grid (a float or an array of the grid's length), or on a
     stack of m paths at t of shape (m,) or (m, k) (an array of t's shape,
-    row i equal to the call on path i). The complex steps are taken in
-    _blocks, each position alone, so a value is path_derivative's times t.
+    row i equal to the call on path i): path_derivative's slope times t.
 
     Exactly 0.0 at t = 0 and on a constant path, never -0.0: there t or the
     path direction is 0, and adding +0.0 turns a signed zero into 0.0
@@ -365,11 +342,7 @@ def psi_inverse(D: DivergenceFunctional, path: MixturePath, t):
     """
     _require_right_convex(D)
     p, q, s, shape = _lift_path(path, t)
-    slope = np.empty(s.shape)
-    for i, cols in _blocks(s.shape, 2 * p.shape[-1]):  # a complex cell is two floats
-        for j in cols:
-            slope[i, j] = _slope(D, p[i], q[i], s[i, j])
-    return _caller_form(s * slope + 0.0, shape)
+    return _caller_form(s * _slope(D, p, q, s) + 0.0, shape)
 
 
 def psi_iter(
@@ -441,15 +414,16 @@ def psi_iter(
     # costs and the fit leave it out; where no column moves, every level
     # above 0 is 0.
     moved = np.any(p != r, axis=0)
-    if k > 0 and moved.any() and D.generator is None:
-        levels[1:] = _path_kernel(D, p, q, t, k, tol, tol)[0]
-    elif k > 0 and moved.any():
-        p_fit, r_fit = (p, r) if moved.all() else (p[:, moved], r[:, moved])
-        columns, cells, nodes = _column_groups(p_fit, r_fit)
-        kernel_cells = _KERNEL_CELL_COST * k * t.size * p_fit.shape[-1] * (_KERNEL_NODES + 1)
-        fit_cells = len(p) * cells + (k + 1) * t.size * nodes
-        if nodes < _MAX_INTERVALS and kernel_cells < fit_cells:
-            levels[1:] = _psi_kernel(D, p, q, t, k, tol, tol)[0]
+    if k > 0 and moved.any():
+        on_kernel = D.generator is None
+        if not on_kernel:
+            p_fit, r_fit = (p, r) if moved.all() else (p[:, moved], r[:, moved])
+            columns, cells, nodes = _column_groups(p_fit, r_fit)
+            kernel_cells = _KERNEL_CELL_COST * k * t.size * p_fit.shape[-1] * (_KERNEL_NODES + 1)
+            fit_cells = len(p) * cells + (k + 1) * t.size * nodes
+            on_kernel = nodes < _MAX_INTERVALS and kernel_cells < fit_cells
+        if on_kernel:
+            levels[1:] = _kernel(D, p, q, t, k, tol)[0]
         else:
             sample, rows = _grouped_level_zero(D, p_fit, r_fit, columns), np.arange(len(p))
             live = list(range(len(columns)))

@@ -368,6 +368,7 @@ def run_suite(seed: int, instances: int) -> VerificationReport:
     a generic f-divergence, and a swapped Bregman divergence.  Per-check seeds
     are derived from ``seed`` so the report is reproducible bit for bit.
     """
+    seed = require_index(seed, "seed")
     instances = require_index(instances, "instances", minimum=1)
     checks: list[PropertyCheck] = []
     for d_index, D in enumerate(_suite_divergences()):

@@ -11,8 +11,9 @@ import numpy as np
 from divseq.divergences import DivergenceFunctional
 from divseq.distributions import MixturePath
 from divseq.errors import DomainError, require_position
-from divseq.operators import QuadratureConfig, _require_right_convex, psi, psi_inverse
+from divseq.operators import _require_right_convex, psi, psi_inverse
 from polylog_oracles import integrate
+from quadrature_oracle import QuadratureConfig
 
 # Fourth-order first-derivative stencils, rows (steps, weights): the
 # derivative is Sum weights * f(t + h * steps) / (12 h). The one-sided
@@ -23,8 +24,10 @@ _ONE_SIDED_STENCIL = np.array(
 )
 
 
-# Internally tightened quadrature, so that the stencil division does not
-# amplify integration noise past the 1e-6 scale.
+# Internally tightened targets, for psi's kernel and the reference
+# quadrature, so that the stencil division does not amplify integration
+# noise past the 1e-6 scale.
+_ROUNDTRIP_TOL = 1e-14
 _ROUNDTRIP_CFG = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-14)
 
 
@@ -42,8 +45,8 @@ def psi_roundtrip(
 
     The first component differentiates the numerically integrated operator
     with a fourth-order stencil; the second integrates the differential
-    operator. Both use the tightened _ROUNDTRIP_CFG. t must lie in (0, 1],
-    and the path must be a single one.
+    operator. Both use tightened targets, _ROUNDTRIP_TOL and _ROUNDTRIP_CFG.
+    t must lie in (0, 1], and the path must be a single one.
     """
     _require_right_convex(D)
     if path.stack_size is not None:
@@ -61,7 +64,7 @@ def psi_roundtrip(
     elif t + 2.0 * h > 1.0:
         stencil = -_ONE_SIDED_STENCIL
     steps, weights = stencil
-    values = psi(D, path, t + h * steps, _ROUNDTRIP_CFG)
+    values = psi(D, path, t + h * steps, _ROUNDTRIP_TOL)
     differentiated_integral = t * np.dot(weights, values) / (12.0 * h)
 
     integrated_derivative, _, _ = integrate(

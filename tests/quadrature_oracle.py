@@ -20,13 +20,13 @@ bounded.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from divseq.chebyshev import _BLOCK_CELLS, _kernel_matrices
-from divseq.errors import DomainError, NonFiniteError, ToleranceError
-from divseq.operators import QuadratureConfig
+from divseq.errors import DomainError, NonFiniteError, ToleranceError, require_positive
 
 _EPS = np.finfo(float).eps
 # Panel splits each row of edges may make before the call fails.
@@ -37,6 +37,19 @@ _MAX_SUBDIVISIONS = 2000
 # evaluations than the 15-point Gauss-Kronrod rule they replaced, x log x
 # erring by 6.3e-13 against sl(2); 10 take 35% more, and at 14 it errs 1.8e-12.
 _PANEL_NODES = 12
+
+
+@dataclass(frozen=True)
+class QuadratureConfig:
+    """The reference's targets: each segment's error estimate meets
+    max(abs_tol, rel_tol |I|), I its integral."""
+
+    rel_tol: float = 1e-10
+    abs_tol: float = 1e-12
+
+    def __post_init__(self) -> None:
+        require_positive(self.rel_tol, "rel_tol")
+        require_positive(self.abs_tol, "abs_tol")
 
 
 def _apply_panels(

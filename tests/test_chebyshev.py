@@ -24,13 +24,13 @@ def _lifted(interp):
     return ChebyshevInterpolant(interp.lifts(1).values[0])
 
 
-def level_kernel(phi, v, rel_tol, abs_tol, k=1):
+def level_kernel(phi, v, tol, k=1):
     """Phi_1..Phi_k at nonzero v (1-d), as psi takes them: the levels built
     once on pieces covering v and evaluated in blocks of _BLOCK_CELLS level
     values, each point alone, so the levels at v depend on phi, v, k and
-    the tolerances alone. Returns the levels (k, len(v)), their error
+    tol alone. Returns the levels (k, len(v)), their error
     bounds and phi's evaluation count."""
-    levels, evaluations = _level_pieces(phi, np.min(v), np.max(v), rel_tol, abs_tol, k)
+    levels, evaluations = _level_pieces(phi, np.min(v), np.max(v), tol, k)
     values, bounds, step = np.empty((k, len(v))), np.empty((k, len(v))), max(1, _BLOCK_CELLS // k)
     for lo in range(0, len(v), step):
         values[:, lo : lo + step], bounds[:, lo : lo + step] = levels(v[lo : lo + step])
@@ -110,6 +110,15 @@ def test_rejects_bad_values(values):
     # test_stacks.TestStackedInterpolants and TestLevelKernel.
     with pytest.raises(DomainError):
         ChebyshevInterpolant(values)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_rejects_non_finite_values(bad):
+    # A non-finite value would be hidden: evaluation repairs a non-finite
+    # output from the nearest node, which is meant for points on a node.
+    for values in ([0.0, bad], [[1.0, 2.0, 3.0], [0.0, bad, 1.0]]):
+        with pytest.raises(DomainError, match="finite"):
+            ChebyshevInterpolant(np.array(values))
 
 
 def test_blocked_evaluation_matches_pointwise_calls():
@@ -535,7 +544,7 @@ class TestGeneratorKernel:
     @pytest.mark.parametrize("identifier", list(_MP_GENERATORS))
     def test_matches_40_digits(self, identifier):
         (values,), (bounds,), evaluations = level_kernel(
-            named_divergence(identifier).generator, _KERNEL_V, 1e-10, 1e-12
+            named_divergence(identifier).generator, _KERNEL_V, 1e-12
         )
         refs = np.array([_mp_level(_MP_GENERATORS[identifier], v) for v in _KERNEL_V])
         error, scale = np.abs(values - refs), np.maximum(1.0, np.abs(refs))
@@ -546,7 +555,7 @@ class TestGeneratorKernel:
     def test_keeps_its_relative_precision_near_zero(self):
         # kl's integrand is -1 at u = 0, so Phi(v) ~ -v with no cancellation.
         v = np.array([-0.4, -3e-4, -1e-6, 1e-9, 5e-7, 0.01])
-        (values,), _, _ = level_kernel(named_divergence("kl").generator, v, 1e-10, 1e-12)
+        (values,), _, _ = level_kernel(named_divergence("kl").generator, v, 1e-12)
         refs = np.array([_mp_level(_MP_GENERATORS["kl"], x) for x in v])
         np.testing.assert_allclose(values, refs, rtol=1e-14, atol=0.0)
 
@@ -562,9 +571,9 @@ class TestGeneratorKernel:
             return chi2(w)
 
         v = np.array([1e-9, 0.01, 0.3, 0.5])
-        one_sided, _ = _level_pieces(phi, 0.0, 0.5, 1e-12, 1e-12, k)
+        one_sided, _ = _level_pieces(phi, 0.0, 0.5, 1e-12, k)
         assert min(seen) > 1.0
-        both_sides, _ = _level_pieces(chi2, -0.5, 0.5, 1e-12, 1e-12, k)
+        both_sides, _ = _level_pieces(chi2, -0.5, 0.5, 1e-12, k)
         for ours, theirs in zip(one_sided(v), both_sides(v)):
             assert ours.tobytes() == theirs.tobytes()
 
@@ -576,10 +585,10 @@ class TestGeneratorKernel:
         v = np.append(v, [1e-12, -2.0])
         for identifier in _MP_GENERATORS:
             phi = named_divergence(identifier).generator
-            values, bounds, _ = level_kernel(phi, v, 1e-10, 1e-12, k)
+            values, bounds, _ = level_kernel(phi, v, 1e-12, k)
             assert values.shape == bounds.shape == (k, v.size)
             for part in (np.arange(3), np.arange(40, 45), [81], np.arange(0, 82, 7)):
-                alone, alone_bounds, _ = level_kernel(phi, v[part], 1e-10, 1e-12, k)
+                alone, alone_bounds, _ = level_kernel(phi, v[part], 1e-12, k)
                 assert alone.tobytes() == values[:, part].tobytes(), identifier
                 assert alone_bounds.tobytes() == bounds[:, part].tobytes(), identifier
 
@@ -611,11 +620,11 @@ class TestGeneratorKernel:
             "mirrored": lambda v: np.expm1(-v) ** 2 / 2.0,
         }
         for name, (phi, v, tol) in cases.items():
-            values, bounds, evaluations = level_kernel(phi, v, tol, 1e-12, k)
-            _, _, unhalved = level_kernel(phi, v, 1e-3, 1e-3, k)
+            values, bounds, evaluations = level_kernel(phi, v, tol, k)
+            _, _, unhalved = level_kernel(phi, v, 1e-3, k)
             assert evaluations > unhalved, name
             for part in (np.arange(30), np.arange(30, 33), [0], np.arange(0, v.size, 5)):
-                alone, alone_bounds, _ = level_kernel(phi, v[part], tol, 1e-12, k)
+                alone, alone_bounds, _ = level_kernel(phi, v[part], tol, k)
                 assert alone.tobytes() == values[:, part].tobytes(), name
                 assert alone_bounds.tobytes() == bounds[:, part].tobytes(), name
             ref = exact[name](v)
@@ -624,7 +633,7 @@ class TestGeneratorKernel:
             if name != "kinked":
                 assert np.all(error <= 1e-14 * np.maximum(1.0, ref)) and np.all(error <= bounds[0])
         levels = np.expm1(cases["square"][1]) ** 2 / 2.0 ** np.arange(1, k + 1)[:, None]
-        values, bounds, _ = level_kernel(cases["square"][0], cases["square"][1], 1e-12, 1e-12, k)
+        values, bounds, _ = level_kernel(cases["square"][0], cases["square"][1], 1e-12, k)
         error = np.abs(values - levels)
         assert np.all(error <= 1e-14 * np.maximum(1.0, levels)) and np.all(error <= bounds)
 
@@ -660,7 +669,7 @@ class TestGeneratorKernel:
         v = np.concatenate([v, -v])
         for identifier in ("kl", "chi2"):
             phi = named_divergence(identifier).generator
-            (values,), (bounds,), _ = level_kernel(phi, v, 1e-10, 1e-12)
+            (values,), (bounds,), _ = level_kernel(phi, v, 1e-12)
             refs = np.array([_mp_level(_MP_GENERATORS[identifier], x) for x in v])
             error = np.abs(values - refs)
             assert np.all(error <= 1e-14 * np.maximum(1.0, np.abs(refs))), identifier
@@ -669,7 +678,7 @@ class TestGeneratorKernel:
     @pytest.mark.parametrize("identifier", list(_MP_LEVEL_GENERATORS))
     def test_levels_match_the_cauchy_form(self, identifier):
         phi = _LEVEL_GENERATORS.get(identifier) or named_divergence(identifier).generator
-        values, bounds, _ = level_kernel(phi, _LEVEL_V, 1e-12, 1e-12, 3)
+        values, bounds, _ = level_kernel(phi, _LEVEL_V, 1e-12, 3)
         refs = np.array([_mp_levels(_MP_LEVEL_GENERATORS[identifier], v, 3) for v in _LEVEL_V]).T
         error, scale = np.abs(values - refs), np.maximum(1.0, np.abs(refs))
         assert np.all(error <= 1e-14 * scale)
@@ -681,7 +690,7 @@ class TestGeneratorKernel:
         # end, as rounding can leave a range taken from each path's end,
         # takes the piece at that end, as close to its value there as at 4.
         levels, _ = chebyshev._level_pieces(
-            named_divergence("kl").generator, -4.0, 4.0, 1e-10, 1e-12, k
+            named_divergence("kl").generator, -4.0, 4.0, 1e-12, k
         )
         ends = np.array([-4.0, 4.0])
         past, _ = levels(np.nextafter(ends, 2.0 * ends))
@@ -691,7 +700,7 @@ class TestGeneratorKernel:
     def test_a_kinked_generator_halves_its_pieces_to_the_target(self):
         # Phi(v) = e^v - log(e^v - 1) - 2 past the kink at v = log 2.
         v = np.array([0.3, 1.5, 4.0])
-        (values,), (bounds,), evaluations = level_kernel(_kinked, v, 1e-10, 1e-12)
+        (values,), (bounds,), evaluations = level_kernel(_kinked, v, 1e-12)
         exact = np.where(v > np.log(2.0), np.exp(v) - np.log(np.expm1(v)) - 2.0, 0.0)
         assert np.all(np.abs(values - exact) <= np.maximum(1e-12, 1e-10 * np.abs(exact)))
         assert np.all(np.abs(values - exact) <= bounds)
@@ -700,11 +709,11 @@ class TestGeneratorKernel:
     def test_fails_past_its_halving_budget(self, monkeypatch):
         monkeypatch.setattr(chebyshev, "_MAX_HALVINGS", 5)
         with pytest.raises(ToleranceError):
-            level_kernel(_kinked, np.array([1.5]), 1e-10, 1e-12)
+            level_kernel(_kinked, np.array([1.5]), 1e-12)
 
     def test_rejects_a_non_finite_generator_or_point(self):
         with pytest.raises(NonFiniteError):
             nan_past_3 = lambda w: np.where(w > 3.0, np.nan, w - 1.0)  # noqa: E731
-            level_kernel(nan_past_3, np.array([2.0]), 1e-10, 1e-12)
+            level_kernel(nan_past_3, np.array([2.0]), 1e-12)
         with pytest.raises(NonFiniteError):
-            level_kernel(_kinked, np.array([1.0, np.inf]), 1e-10, 1e-12)
+            level_kernel(_kinked, np.array([1.0, np.inf]), 1e-12)

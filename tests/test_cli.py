@@ -467,6 +467,13 @@ class TestVerify:
         assert out == ""
         assert err != ""
 
+    def test_negative_seed_exits_2(self, capsys):
+        # Exit 1 would say a check failed; a bad seed is a domain error.
+        code, out, err = run_cli(capsys, ["verify", "--seed", "-1", "--instances", "1"])
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
+
 
 class TestPolylog:
     def test_dilog_half(self, capsys):

@@ -197,6 +197,14 @@ class TestRandomDistribution:
         with pytest.raises(DomainError):
             random_distribution(1, seed=0, min_mass=0.1)
 
+    @pytest.mark.parametrize("n, seed", [(3, -1), (3.5, 1), (3, 1.0), ("3", 1)])
+    def test_support_size_and_seed_must_be_integers(self, n, seed):
+        with pytest.raises(DomainError):
+            random_distribution(n, seed)
+
+    def test_numpy_integers_are_accepted(self):
+        assert random_distribution(np.int64(4), np.int64(9)) == random_distribution(4, 9)
+
     @pytest.mark.parametrize(
         "n, seed, masses",
         [

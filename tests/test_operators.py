@@ -36,7 +36,6 @@ from divseq.divergences import (
 from divseq.errors import DomainError, ToleranceError
 from divseq.operators import (
     OperatorResult,
-    QuadratureConfig,
     _column_groups,
     _grouped_level_zero,
     psi,
@@ -118,6 +117,24 @@ class TestPsi:
                 assert alone.value.hex() == restricted.value.hex()
                 assert alone.estimated_error.hex() == restricted.estimated_error.hex()
                 assert alone.evaluations == restricted.evaluations
+
+    def test_psi_is_psi_iters_level_one_bitwise(self):
+        # psi and psi_iter share one target and one kernel choice, and
+        # psi_iter takes the kernel at a single position: on these 400 calls
+        # psi is psi_iter's level 1, with a generator and without one.
+        identifiers = ("kl", "reverse_kl", "chi2", "jeffreys", "hellinger2")
+        named = [named_divergence(i) for i in identifiers]
+        roster = named + [dataclasses.replace(D, generator=None) for D in named]
+        tol, calls = 1e-12, 0
+        for seed in range(20):
+            path = MixturePath(*_random_pair(seed, (3, 7, 10)[seed % 3]))
+            for D in roster:
+                for t in (0.3, 1.0):
+                    alone = psi(D, path, t, tol).value
+                    level_one = psi_iter(D, 1, path, np.array([t]), tol)[1, 0]
+                    assert alone.hex() == level_one.hex(), (seed, D.identifier, t)
+                    calls += 1
+        assert calls == 400
 
     def test_without_a_generator_psi_samples_the_mixtures(self, monkeypatch):
         calls, along = [], operators._along
@@ -1060,6 +1077,9 @@ class TestGridDerivatives:
             assert isinstance(op(D, path, 0.5), float)
             assert on_grid.shape == GRID.shape
             assert on_grid.tobytes() == pointwise.tobytes(), op.__name__
+        # One blocked slope serves both operators.
+        slope = GRID * path_derivative(D, path, GRID) + 0.0
+        assert psi_inverse(D, path, GRID).tobytes() == slope.tobytes()
 
     @pytest.mark.parametrize("D", SUITE, ids=[D.identifier for D in SUITE])
     def test_zero_at_origin_is_positive_zero(self, D):
@@ -1110,8 +1130,7 @@ class TestGridPsi:
         assert singles.tobytes() == pointwise.tobytes()
         if D.generator is not None:
             assert on_grid.tobytes() == pointwise.tobytes()
-        cfg = QuadratureConfig()
-        target = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(pointwise))
+        target = np.maximum(1e-12, 1e-12 * np.abs(pointwise))  # psi's default tol
         assert np.all(np.abs(on_grid - pointwise) <= target)
         # Order and duplicates change nothing; 0 gives +0.0.
         distinct = np.unique(GRID)
@@ -1163,7 +1182,7 @@ class TestPsiRowByRow:
     def test_each_path_has_its_own_subdivision_budget(self, monkeypatch):
         # At this tolerance each path converges alone within 400 halvings,
         # but the paths need more than 400 between them.
-        cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)
+        tol = 1e-15
         monkeypatch.setattr(chebyshev, "_MAX_HALVINGS", 400)
         rounds = _kernel_rounds(monkeypatch)
         starts = [random_distribution(5, 2 * i, 1e-3).masses for i in range(30)]
@@ -1171,9 +1190,9 @@ class TestPsiRowByRow:
         stack, paths = _stacked(starts, ends)
         grids = np.tile(np.linspace(0.0, 1.0, 11), (30, 1))
         halvings = 0
-        for path, grid, row in zip(paths, grids, psi(self.CHI2, stack, grids, cfg)):
+        for path, grid, row in zip(paths, grids, psi(self.CHI2, stack, grids, tol)):
             rounds.clear()
-            alone = psi(self.CHI2, path, grid, cfg)
+            alone = psi(self.CHI2, path, grid, tol)
             # After the pieces, two parts per halving; a piece's first
             # halving is outside the budget.
             halvings += sum(rounds[1:]) // 2 - rounds[0]
@@ -1335,14 +1354,14 @@ class TestPsiKernel:
     def test_tiny_mass_chi2_calls_match_pl1(self):
         # On the reversed pairs w = R(t)/P falls to 9e-12 at t = 1, where
         # chi2's generator is near 1/w.
-        chi2, cfg = named_divergence("chi2"), QuadratureConfig()
+        chi2, tol = named_divergence("chi2"), 1e-12  # psi's default
         for path, t in self._tiny_calls():
             res = psi(chi2, path, t)
             ref = [pl(1, path.start, mixture(path, s)) for s in np.atleast_1d(t)]
             if isinstance(res, OperatorResult):
-                assert abs(res.value - ref[0]) <= min(res.estimated_error, cfg.rel_tol * ref[0])
+                assert abs(res.value - ref[0]) <= min(res.estimated_error, tol * ref[0])
             else:
-                np.testing.assert_allclose(res, ref, rtol=cfg.rel_tol, atol=cfg.abs_tol * len(t))
+                np.testing.assert_allclose(res, ref, rtol=tol, atol=tol * len(t))
 
     @pytest.mark.parametrize("identifier", list(_PSI_ORACLES))
     def test_the_estimate_bounds_the_error_and_is_not_vacuous(self, identifier):
@@ -1406,14 +1425,13 @@ def test_psi_of_a_generator_growing_like_w_squared_reaches_a_tiny_mass():
     # outside the budget. D(P, R(s)) = s^2 Sum (q - p)^2 / p, whose psi
     # is t^2 / 2 Sum (q - p)^2 / p.
     D = make_f_divergence(FDivergenceSpec(f=lambda x: (1.0 - x) ** 2 / x))
-    cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-12)
     A = new_distribution(np.array([1e-30, 0.4, 0.6]))
     B = new_distribution(np.array([0.5, 0.25, 0.25]))
     for start, end in ((A, B), (B, A)):
         gap = np.sum((end.masses - start.masses) ** 2 / start.masses)
         for t in (0.3, 1.0):
             ref = 0.5 * t * t * gap
-            value = psi(D, MixturePath(start, end), t, cfg).value
+            value = psi(D, MixturePath(start, end), t, 1e-12).value
             assert abs(value - ref) <= 1e-12 * max(1.0, ref), (t, value, ref)
 
 
@@ -1482,17 +1500,19 @@ class TestBregmanDegree:
             assert np.all(np.abs(values - refs[1]) <= 1e-12 * scale[1]), (name, path)
             if tiny:
                 p, q, t, _ = _lift_path(path, self._GRID)
-                levels = operators._psi_kernel(D, p, q, t, 3, 1e-12, 1e-12)[0][:, 0]
+                levels = operators._psi_kernel(D, p, q, t, 3, 1e-12)[0][:, 0]
             else:
                 levels = psi_iter(D, 3, path, self._GRID)[1:]
             assert np.all(np.abs(levels - refs[1:]) <= 1e-12 * scale[1:]), (name, path)
         assert set(taken) == {"kernel"}
 
 
-def test_quadrature_config_reexported():
-    cfg = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-10)
-    res = psi(named_divergence("chi2"), PATH, 1.0, cfg)
+def test_psi_takes_a_tolerance():
+    res = psi(named_divergence("chi2"), PATH, 1.0, 1e-8)
     assert res.value == pytest.approx(KL_PQ, abs=1e-7)
+    for bad in (0.0, -1e-12, np.nan, np.inf):
+        with pytest.raises(DomainError, match="tol"):
+            psi(named_divergence("chi2"), PATH, 1.0, bad)
 
 
 class TestOperatorsOnGenerators:

@@ -1,9 +1,11 @@
+import inspect
+
 import mpmath
 import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
 
-from divseq import MixturePath, named_divergence, random_distribution
+from divseq import MixturePath, named_divergence, psi, psi_iter, random_distribution
 from divseq.errors import DomainError, ToleranceError
 from divseq.chebyshev import _KERNEL_NODES, _kernel_matrices
 import quadrature_oracle as quadrature
@@ -175,10 +177,13 @@ def test_config_validation():
 
 
 def test_defaults():
+    # The reference keeps its own two targets; psi and psi_iter share one.
     cfg = QuadratureConfig()
     assert cfg.rel_tol == 1e-10
     assert cfg.abs_tol == 1e-12
     assert quadrature._MAX_SUBDIVISIONS == 2000
+    for operator in (psi, psi_iter):
+        assert inspect.signature(operator).parameters["tol"].default == 1e-12
 
 
 def _scalar_reference(f, a, b, config):

@@ -3,10 +3,12 @@ every operator and closed form takes them. Row i of a stacked call must
 match the call on path i alone, bitwise where the computation is row by
 row and within the stated tolerance where rows share an adaptive scheme."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from divseq import chebyshev, operators, sequences
+from divseq import chebyshev, distributions, sequences
 from divseq.chebyshev import ChebyshevInterpolant, lobatto_nodes
 from divseq.distributions import (
     Distribution,
@@ -17,7 +19,7 @@ from divseq.distributions import (
 )
 from divseq.divergences import evaluate, named_divergence, path_derivative
 from divseq.errors import DomainError
-from divseq.operators import QuadratureConfig, psi, psi_inverse, psi_iter
+from divseq.operators import psi, psi_inverse, psi_iter
 from divseq.sequences import hellinger_psi, hellinger_psi_inverse, pl, sl
 from divseq.verify import _suite_divergences
 from operator_oracles import is_constant, psi_roundtrip
@@ -78,12 +80,11 @@ class TestRowsMatchSinglePaths:
         values = psi(D, stacked, grids)
         at_one = psi(D, stacked, np.ones(M))
         assert values.shape == grids.shape and at_one.shape == (M,)
-        cfg = QuadratureConfig()
         for i, path in enumerate(singles):
             alone = np.array([psi(D, path, float(t)).value for t in grids[i]])
             if D.generator is not None:  # each position is a level kernel sum
                 assert values[i].tobytes() == alone.tobytes() and at_one[i] == alone[0], i
-            target = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(alone))
+            target = np.maximum(1e-12, 1e-12 * np.abs(alone))  # psi's default tol
             assert np.all(np.abs(values[i] - alone) <= target), i
             assert abs(at_one[i] - alone[0]) <= target[0]
             # t = 0 is an exact +0.0; duplicates give equal values.
@@ -221,19 +222,20 @@ def test_blocking_changes_no_value(D, monkeypatch):
     single = MixturePath(
         Distribution(stacked.start.masses[0]), Distribution(stacked.end.masses[0])
     )
-    before = [
-        psi(D, stacked, grids), psi_iter(D, 2, stacked, grids),
-        psi(D, single, grids[0]), psi_iter(D, 2, single, grids[0]),
-    ]
+    def outputs():
+        return [
+            psi(D, stacked, grids), psi_iter(D, 2, stacked, grids),
+            psi(D, single, grids[0]), psi_iter(D, 2, single, grids[0]),
+            psi_inverse(D, stacked, grids), path_derivative(D, stacked, grids),
+        ]
+
+    before = outputs()
     # Several whole rows (but not all five) of 9 positions per block, below
     # one path's positions per block, and below one position's support.
     for cells in (300, 64, 4):
-        monkeypatch.setattr(operators, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(distributions, "_BLOCK_CELLS", cells)
         monkeypatch.setattr(chebyshev, "_BLOCK_CELLS", cells)
-        after = [
-            psi(D, stacked, grids), psi_iter(D, 2, stacked, grids),
-            psi(D, single, grids[0]), psi_iter(D, 2, single, grids[0]),
-        ]
+        after = outputs()
         for a, b in zip(before, after):
             assert a.tobytes() == b.tobytes(), cells
 
@@ -264,6 +266,33 @@ class TestStackedDistributions:
             new_distribution(rows)
         with pytest.raises(DomainError):
             Distribution(np.asarray(rows, dtype=float))
+        # Raw mass arrays are held to the same rule, on either side of a pair.
+        good = np.full(np.shape(rows), 1.0 / max(1, np.shape(rows)[-1]))
+        kl = named_divergence("kl")
+        for call in (
+            lambda P, Q: evaluate(kl, P, Q),
+            lambda P, Q: hellinger_psi(P, Q, 0.5),
+            lambda P, Q: pl(2, P, Q),
+            lambda P, Q: sl(2, P, Q),
+        ):
+            for P, Q in ((rows, good), (good, rows)):
+                with pytest.raises(DomainError):
+                    call(P, Q)
+
+    def test_raw_masses_are_checked_before_any_arithmetic(self):
+        # Each of these once returned a value, a NaN or a RuntimeWarning.
+        kl = named_divergence("kl")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="sum"):
+                evaluate(kl, [0.5, 0.6], [0.5, 0.5])
+            with pytest.raises(DomainError, match="finite"):
+                hellinger_psi([0.5, np.nan], [0.5, 0.5], 0.5)
+            with pytest.raises(DomainError, match="at least"):
+                evaluate(kl, [0.5, 0.5], [0.0, 1.0])
+        assert evaluate(kl, [0.5, 0.5], [0.25, 0.75]) == evaluate(
+            kl, Distribution(np.array([0.5, 0.5])), Distribution(np.array([0.25, 0.75]))
+        )
 
     def test_mismatched_stacks_are_rejected(self):
         three, _ = _stack(4, seed=41)

@@ -349,6 +349,16 @@ class TestSuite:
         with pytest.raises(DomainError):
             run_suite(seed=1, instances=0)
 
+    @pytest.mark.parametrize("seed", [-1, 42.0, "42", None])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            run_suite(seed=seed, instances=1)
+
+    def test_a_numpy_integer_seed_reports_as_json(self):
+        report = run_suite(seed=np.int64(5), instances=2)
+        assert report.seed == 5 and type(report.seed) is int
+        assert report.to_json() == run_suite(seed=5, instances=2).to_json()
+
     def test_no_check_calls_the_quadrature(self, monkeypatch):
         # Every roster functional has a generator, swap(bregman x^2) one of
         # degree 2 read off its form, so no operator integrates a path's
