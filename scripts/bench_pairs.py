@@ -5,9 +5,12 @@ once from the root of each checkout, each side on its own src/ and
 perfbench/, alternating which side runs first: the parent first in even
 pairs, the change first in odd ones. The results go to a BENCH_<pr>.json
 file: every run's end-to-end metrics, each side's median and quartiles,
-the relative change of the median, and in how many pairs the change read
-better, in the direction BENCHMARK.json gives each metric, and each side's
-line count of src/divseq/*.py. A workload and seed already in the file is
+the relative change of the median, in how many pairs the change read
+better, in the direction BENCHMARK.json gives each metric, and whether the
+claim rule holds; and each side's line count of src/divseq/*.py. The claim
+rule: at least ten pairs, the change better in at least nine tenths of
+them, and its median better than the parent's by more than the distance
+between the parent's quartiles. A workload and seed already in the file is
 replaced, the others kept, so one file can gather several invocations.
 Nothing under perfbench/ is written.
 
@@ -58,11 +61,13 @@ def src_lines(tree: Path) -> int:
 
 
 def summary(parent: list[float], change: list[float], better: str) -> dict:
-    """Quartiles of each side, the median's relative change and the pairs
-    in which the change read better (ties count for neither side)."""
+    """Quartiles of each side, the median's relative change, the pairs in
+    which the change read better (ties count for neither side) and whether
+    the claim rule holds."""
     wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
     q_parent, q_change = (np.percentile(side, [25, 50, 75]).tolist() for side in (parent, change))
-    base = q_parent[1]
+    base, spread = q_parent[1], q_parent[2] - q_parent[0]
+    gain = base - q_change[1] if better == "lower" else q_change[1] - base
     return {
         "better": better,
         "parent": parent,
@@ -71,6 +76,8 @@ def summary(parent: list[float], change: list[float], better: str) -> dict:
         "change_q1_med_q3": q_change,
         "relative_change_of_median": (q_change[1] - base) / base if base else None,
         "change_better_in": f"{wins}/{len(parent)}",
+        "parent_iqr": spread,
+        "claim_rule_holds": len(parent) >= 10 and 10 * wins >= 9 * len(parent) and gain > spread,
     }
 
 

@@ -34,15 +34,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ToleranceError, require_positive
+from .distributions import _blocks
+from .errors import DomainError, NonFiniteError, ToleranceError, require_floats, require_positive
 
 
-# Cells per block of an evaluation over many points: interpolants x points
-# x nodes for barycentric evaluation here, positions x support for a
-# divergence along paths (operators). At 2^14 cells (128 KiB per temporary)
-# the blocks stay in cache: barycentric evaluation of 8192 points against
-# 8193 nodes took half the time it took at 2^20 cells.
-_BLOCK_CELLS = 1 << 14
 # fit_adaptive starts at this many intervals and doubles up to the cap.
 _INITIAL_INTERVALS = 16
 _MAX_INTERVALS = 2**14
@@ -143,7 +138,7 @@ class ChebyshevInterpolant:
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        values = require_floats(self.values, "interpolant values")
         if values.ndim < 1 or values.shape[-1] < 2 or values.size == 0:
             raise DomainError(
                 "values must be a 1-d array of at least 2 entries, or an "
@@ -179,7 +174,7 @@ class ChebyshevInterpolant:
         i at x[i] for x of shape (m, L), giving (..., m, L). Raises
         DomainError for a non-finite point.
         """
-        x_arr = np.asarray(x, dtype=float)
+        x_arr = require_floats(x, "interpolation points")
         if not np.isfinite(x_arr).all():
             raise DomainError("interpolation points must be finite")
         stack = self.values.shape[:-1]
@@ -193,11 +188,10 @@ class ChebyshevInterpolant:
         else:
             pts, shape = x_arr.reshape(-1), stack + x_arr.shape
         out = np.empty(stack + pts.shape[-1:])
-        # Blocks of at most _BLOCK_CELLS cells bound the temporaries; each
-        # point reduces on its own, so blocking changes no value.
-        step = max(1, _BLOCK_CELLS // self.values.size)
-        for lo in range(0, pts.shape[-1], step):
-            out[..., lo : lo + step] = self._evaluate(pts[..., lo : lo + step])
+        # Each point, of the whole stack's cells, reduces on its own.
+        for _, cols in _blocks((1, pts.shape[-1]), self.values.size):
+            for j in cols:
+                out[..., j] = self._evaluate(pts[..., j])
         if shape == ():
             return float(out[0])
         return out.reshape(shape)

@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chebyshev import _BLOCK_CELLS
-from .distributions import Distribution, MixturePath, mixture
+from .distributions import Distribution, MixturePath, _blocks, mixture
 from .distributions import new_distribution
 from .divergences import NAMED_IDENTIFIERS, named_divergence
 from .errors import DomainError, SpecError, ToleranceError
@@ -122,14 +121,13 @@ def _cmd_sweep(args) -> int:
     if args.div is not None:
         columns = _operator_levels(args, args.depth, path, grid).T.tolist()
     else:
-        # Stacked rows equal single calls bitwise; a block of grid rows holds
-        # at most _BLOCK_CELLS mass cells, which bounds its temporaries.
-        rows = max(1, _BLOCK_CELLS // start.support_size)
+        # Stacked rows equal single calls bitwise, so blocks of grid rows change no value.
         columns = []
-        for i in range(0, len(grid), rows):
-            R = Distribution(path.masses_at(grid[i : i + rows]))
-            P = np.broadcast_to(start.masses, R.masses.shape)
-            columns += np.transpose(_chain(args.seq, 0, args.depth, P, R)).tolist()
+        for _, cols in _blocks((1, len(grid)), start.support_size):
+            for j in cols:
+                R = Distribution(path.masses_at(grid[j]))
+                P = np.broadcast_to(start.masses, R.masses.shape)
+                columns += np.transpose(_chain(args.seq, 0, args.depth, P, R)).tolist()
     if args.format == "csv":
         # One row template per grid row, t formatted once per row, and one
         # % over the whole table.

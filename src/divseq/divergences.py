@@ -8,8 +8,9 @@ means convex in the first (the Bregman family). The swap adapter exchanges
 arguments and flips the recorded orientation.
 
 A divergence is defined by its evaluator: path_derivative takes one
-complex step through it, so evaluators and generators must carry complex
-masses through numpy arithmetic and ufuncs (no math.fsum, np.abs or casts).
+complex step through it at each position, in distributions._along's
+blocks, so evaluators and generators must carry complex masses through
+numpy arithmetic and ufuncs (no math.fsum, np.abs or casts).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import MixturePath, _blocks, _caller_form, _lift_pair, _lift_path, _mix
+from .distributions import MixturePath, _along, _caller_form, _lift_pair, _lift_path
 from .errors import DomainError, SpecError
 
 # The complex step h: a power of two, so dividing by it is exact, and so
@@ -279,16 +280,14 @@ def path_derivative(D: DivergenceFunctional, path: MixturePath, t):
 
 def _slope(D: DivergenceFunctional, p: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
     """path_derivative on endpoint rows p, q (m, n) at positions s (m, L),
-    the complex steps taken in _blocks, each position alone."""
-    out = np.empty(s.shape)
-    for i, cols in _blocks(s.shape, 2 * p.shape[-1]):  # a complex cell is two floats
-        pb, qb = p[i], q[i]
-        for j in cols:
-            values = D.evaluator(pb[:, None], _mix(pb, qb, s[i, j] + _STEP * 1j))
-            if not np.iscomplexobj(values):
-                raise SpecError(
-                    f"divergence {D.identifier!r} dropped the imaginary part of complex "
-                    "masses; its evaluator must use numpy arithmetic and ufuncs only"
-                )
-            out[i, j] = values.imag / _STEP
-    return out
+    the complex steps taken by distributions._along, a complex cell two
+    floats, each position alone."""
+    values = _along(
+        lambda p, q, r: D.evaluator(p, r), p, q, s + _STEP * 1j, np.arange(len(p)), 2 * p.shape[-1]
+    )
+    if not np.iscomplexobj(values):
+        raise SpecError(
+            f"divergence {D.identifier!r} dropped the imaginary part of complex "
+            "masses; its evaluator must use numpy arithmetic and ufuncs only"
+        )
+    return values.imag / _STEP

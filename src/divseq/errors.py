@@ -26,6 +26,14 @@ class NonFiniteError(DomainError):
     """A function handed to a numerical scheme returned NaN or infinity."""
 
 
+def require_floats(x, name: str) -> np.ndarray:
+    """x as a float64 array; DomainError where numpy cannot convert it."""
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must be an array of numbers: {exc}") from None
+
+
 def require_index(k, name: str = "order", minimum: int = 0) -> int:
     """k as a Python int no smaller than minimum: an order, depth or count."""
     try:
@@ -45,7 +53,7 @@ def require_orders(k) -> tuple[int, ...]:
 
 def require_position(t) -> float:
     """A path position as a float in [0, 1]; NaN is rejected."""
-    t = float(t)
+    t = float(require_floats(t, "path position"))
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"path position must lie in [0, 1], got {t!r}")
     return t
@@ -53,7 +61,7 @@ def require_position(t) -> float:
 
 def require_positive(x, name: str) -> float:
     """x as a positive finite float: a tolerance or residual target."""
-    x = float(x)
+    x = float(require_floats(x, name))
     if not 0.0 < x < np.inf:
         raise DomainError(f"{name} must be positive and finite, got {x!r}")
     return x

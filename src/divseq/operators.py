@@ -13,8 +13,8 @@ truncation P -> R(t). With a generator phi of degree alpha, D = Sum
 p^alpha phi(r/p) (every f-divergence, alpha = 1, and a swapped Bregman
 functional given its degree), psi is Sum p^alpha Phi(log w), w = R(t)/P,
 Phi from chebyshev's level kernel, built once per call on the range of
-log w at each path's end and evaluated in one pass over blocks of
-positions, positions at t = 0 left out. Without one the same kernel
+log w at each path's end and read by distributions._along in one pass
+over blocks of positions, t = 0 left out. Without one the same kernel
 integrates each path's level 0 itself: f(u) = D(P | R(T u)) on the
 truncation P -> R(T), T the path's largest position, is the generator
 phi(w) = f((w - 1) / lambda) of one kernel per path (_path_kernel), read
@@ -41,7 +41,7 @@ from itertools import accumulate
 import numpy as np
 
 from .chebyshev import _EPS, _KERNEL_NODES, _MAX_INTERVALS, ChebyshevInterpolant, _level_pieces
-from .distributions import MixturePath, _blocks, _caller_form, _lift_path, _mix
+from .distributions import MixturePath, _along, _blocks, _caller_form, _lift_path, _mix
 from .divergences import DivergenceFunctional, Orientation, _slope
 from .errors import DomainError, require_index, require_positive
 
@@ -65,21 +65,6 @@ def _require_right_convex(D: DivergenceFunctional) -> None:
             f"divergence {D.identifier!r} is not right-convex; wrap it with "
             "swap_orientation first"
         )
-
-
-def _along(
-    D: DivergenceFunctional, p: np.ndarray, q: np.ndarray, s: np.ndarray, paths: np.ndarray,
-) -> np.ndarray:
-    """D(p | (1-s) p + s q) at positions s (m, L), row i along the path
-    with endpoint rows p[paths[i]] and q[paths[i]]: an (m, L) array, the
-    mixtures formed and reduced by _blocks.
-    """
-    out = np.empty(s.shape)
-    for i, cols in _blocks(s.shape, p.shape[-1]):
-        pb, qb = p[paths[i]], q[paths[i]]
-        for j in cols:
-            out[i, j] = D.evaluator(pb[:, None], _mix(pb, qb, s[i, j]))
-    return out
 
 
 def _grouped_level_zero(D: DivergenceFunctional, p: np.ndarray, r: np.ndarray, groups: list):
@@ -248,37 +233,32 @@ def _psi_kernel(D: DivergenceFunctional, p, q, t, k: int, tol: float, bounded=Fa
     and adds +0.0, and so does every coordinate at t = 0, which is never
     formed. R(t)/P is linear in t, so every v = log w of a path lies
     between 0 and its value at the path's largest position: the kernel's
-    pieces cover the range of those. The positions are taken in _blocks of
-    k n cells, each formed, evaluated and summed in its turn, so no
-    temporary outgrows a block.
+    pieces cover the range of those. The positions above 0 are read one a
+    row by distributions._along, in blocks of k n cells, each formed, read
+    and summed in its turn, so no temporary outgrows a block.
     """
-    values = np.zeros((k,) + t.shape)
-    estimates = np.zeros((k,) + t.shape) if bounded else None
+    out, evals = np.zeros((1 + bounded, k) + t.shape), 0
     ends = np.log(_mix(p, q, t.max(axis=-1)) / p)[p != q]
-    if not ends.any():
-        return values, estimates, 0
-    levels, evals = _level_pieces(D.generator, ends.min(), ends.max(), tol, k)
-    weights = p**D.degree
+    if ends.any():
+        levels, evals = _level_pieces(D.generator, ends.min(), ends.max(), tol, k)
 
-    def add(i, j):  # a function, so no block's arrays outlive its turn
-        live = t[i, j] > 0.0
-        rows = np.nonzero(live)[0]
-        pl, ql = p[i][rows], q[i][rows]
-        v = np.log(_mix(pl, ql, t[i, j][live]) / pl)
-        moving = (v != 0.0) & (pl != ql)
-        at, errors = levels(v[moving], bounded)
-        terms = _scattered(moving, at)
-        terms *= weights[i][rows]
-        values[:, i, j][:, live] = terms.sum(axis=-1)
-        if bounded:
-            # A rounding floor: a few ulps of each term, in the kernel and the sum.
-            bounds = _scattered(moving, errors) * weights[i][rows] + 4.0 * _EPS * np.abs(terms)
-            estimates[:, i, j][:, live] = bounds.sum(axis=-1)
+        def read(p, q, r):  # the levels, and their bounds if asked, of each position
+            v = np.log(r / p)
+            moving = (v != 0.0) & (p != q)
+            at, errors = levels(v[moving], bounded)
+            weights = p**D.degree
+            terms = _scattered(moving, at) * weights
+            sums = [terms.sum(axis=-1)]
+            if bounded:
+                # A rounding floor: a few ulps of each term, in the kernel and the sum.
+                bounds = _scattered(moving, errors) * weights + 4.0 * _EPS * np.abs(terms)
+                sums.append(bounds.sum(axis=-1))
+            return np.stack(sums)
 
-    for i, cols in _blocks(t.shape, k * p.shape[-1]):
-        for j in cols:
-            add(i, j)
-    return values, estimates, evals
+        rows, cols = np.nonzero(t)  # the positions above 0
+        found = _along(read, p, q, t[rows, cols, None], rows, k * p.shape[-1])
+        out[:, :, rows, cols] = found[..., 0]
+    return out[0], (out[1] if bounded else None), evals
 
 
 def _scattered(moving: np.ndarray, parts: np.ndarray) -> np.ndarray:
@@ -301,33 +281,28 @@ def _path_kernel(D: DivergenceFunctional, p, q, t, k: int, tol: float, bounded=F
     each path's levels at t are those at u = t / T on its truncation
     P -> R(T), T its largest position, and with w = 1 + lambda u, v = log w,
     du / u = dv / (1 - e^-v): level 0 there, f(u) = D(P | R(T u)), is the
-    level kernel's generator phi(w) = f((w - 1) / lambda), sampled through
-    _along, and level j at t is Phi_j(log1p(lambda t / T)). lambda =
-    expm1(_PATH_END), so the kernel's pieces end on the path's end. Each
-    path builds its own kernel, with its own halving budget, and a path
-    with R(T) = P bitwise, or a position at 0, adds +0.0 at no cost.
+    level kernel's generator phi(w) = f((w - 1) / lambda), sampled by
+    distributions._along, and level j at t is Phi_j(log1p(lambda t / T)).
+    lambda = expm1(_PATH_END), so the kernel's pieces end on the path's
+    end. Each path builds its own kernel, with its own halving budget, and
+    a path with R(T) = P bitwise, or a position at 0, adds +0.0 at no cost.
     """
-    values = np.zeros((k,) + t.shape)
-    estimates = np.zeros((k,) + t.shape) if bounded else None
-    top = t.max(axis=-1)
+    out, top = np.zeros((1 + bounded, k) + t.shape), t.max(axis=-1)
     r, scale, evals = _mix(p, q, top), np.expm1(_PATH_END), 0
     for i in np.flatnonzero(np.any(p != r, axis=-1)):
-        path = np.array([i])
-
         def phi(w):
             # The kernel samples v below _PATH_END, but w's rounding could
             # carry u an ulp past the path's end.
             u = np.minimum((w - 1.0) / scale, 1.0)
-            return _along(D, p, r, u.reshape(1, -1), path).reshape(w.shape)
+            f = _along(lambda p, q, r: D.evaluator(p, r), p, r, u.reshape(1, -1), [i], p.shape[-1])
+            return f.reshape(w.shape)
 
         levels, count = _level_pieces(phi, 0.0, _PATH_END, tol, k)
         live = t[i] > 0.0
-        at, errors = levels(np.log1p(scale * (t[i][live] / top[i])), bounded)
-        values[:, i, live] = at
+        found = levels(np.log1p(scale * (t[i][live] / top[i])), bounded)
+        out[:, :, i, live] = found[: 1 + bounded]
         evals += count
-        if bounded:
-            estimates[:, i, live] = errors
-    return values, estimates, evals
+    return out[0], (out[1] if bounded else None), evals
 
 
 def psi_inverse(D: DivergenceFunctional, path: MixturePath, t):
@@ -405,7 +380,7 @@ def psi_iter(
         raise DomainError("t_grid must be a nonempty 1-d array, not a scalar")
     p, q, t, shape = _lift_path(path, t_grid)
     levels = np.zeros((k + 1,) + t.shape)
-    levels[0] = _along(D, p, q, t, np.arange(len(p)))
+    levels[0] = _along(lambda p, q, r: D.evaluator(p, r), p, q, t, np.arange(len(p)), p.shape[-1])
     constant = np.all(p == q, axis=-1)
     # ds/s is scale-free: above level 0, P -> Q at t is P -> R(T) at t / T.
     top = np.maximum(t.max(axis=-1, keepdims=True), 5e-324)

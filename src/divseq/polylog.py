@@ -69,7 +69,7 @@ import operator
 import numpy as np
 
 from .distributions import _caller_form
-from .errors import DomainError, ToleranceError, require_index, require_orders
+from .errors import DomainError, ToleranceError, require_floats, require_index, require_orders
 
 # Terms per block of the power series. At |z| <= 1/2 the tail past one block
 # is under 2^-64 of the sum, so one block is the whole series.
@@ -99,7 +99,7 @@ def _arguments(z, w) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Flat z and w = 1 - z, each formed from the one the caller gave."""
     if (z is None) == (w is None):
         raise DomainError("give the argument as z or as w = 1 - z, not both")
-    given = np.asarray(z if w is None else w, dtype=float)
+    given = require_floats(z if w is None else w, "polylog argument")
     flat = given.ravel()
     if w is None:
         bad = ~(np.isfinite(flat) & (flat < 1.0))

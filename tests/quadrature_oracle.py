@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from divseq.chebyshev import _BLOCK_CELLS, _kernel_matrices
+from divseq.chebyshev import _kernel_matrices
+from divseq.distributions import _BLOCK_CELLS
 from divseq.errors import DomainError, NonFiniteError, ToleranceError, require_positive
 
 _EPS = np.finfo(float).eps

@@ -4,7 +4,6 @@ import pytest
 
 from divseq import chebyshev
 from divseq.chebyshev import (
-    _BLOCK_CELLS,
     ChebyshevInterpolant,
     _coefficients,
     _fresh_values,
@@ -13,6 +12,7 @@ from divseq.chebyshev import (
     _values,
     lobatto_nodes,
 )
+from divseq.distributions import _BLOCK_CELLS
 from divseq.divergences import named_divergence
 from divseq.verify import _triangular_discrimination
 from divseq.errors import DomainError, NonFiniteError, ToleranceError

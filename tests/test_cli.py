@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from divseq import cli
-from divseq.chebyshev import _BLOCK_CELLS
+from divseq.distributions import _BLOCK_CELLS
 from divseq.cli import main
 from divseq.distributions import (
     MixturePath,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divseq.chebyshev import ChebyshevInterpolant
 from divseq.distributions import (
     Distribution,
     MixturePath,
@@ -10,7 +11,11 @@ from divseq.distributions import (
     new_distribution,
     random_distribution,
 )
+from divseq.divergences import evaluate, named_divergence, path_derivative
 from divseq.errors import DomainError
+from divseq.operators import psi, psi_inverse, psi_iter
+from divseq.polylog import polylog
+from divseq.sequences import hellinger_psi, pl
 
 P_HALF = new_distribution([0.5, 0.5])
 Q_QUART = new_distribution([0.25, 0.75])
@@ -263,3 +268,33 @@ def test_mixture_stays_in_simplex(raw, j):
     r = mixture(MixturePath(p, q), t)
     assert (r.masses > 0).all()
     assert abs(r.masses.sum() - 1.0) < 1e-12
+
+
+_KL = named_divergence("kl")
+_PATH = MixturePath(P_HALF, Q_QUART)
+_MALFORMED = {
+    "distribution_of_strings": lambda: Distribution(["a", "b"]),
+    "ragged_distribution": lambda: Distribution([[0.5, 0.5], [0.5]]),
+    "evaluate_strings": lambda: evaluate(_KL, ["a", "b"], [0.5, 0.5]),
+    "pl_ragged": lambda: pl(2, [[0.5, 0.5], [0.5]], [0.5, 0.5]),
+    "mixture_string": lambda: mixture(_PATH, "a"),
+    "psi_iter_strings": lambda: psi_iter(_KL, 2, _PATH, ["a"]),
+    "polylog_string": lambda: polylog(2, "a"),
+    "psi_tol_string": lambda: psi(_KL, _PATH, 0.5, tol="x"),
+    "path_of_lists": lambda: MixturePath([0.5, 0.5], [0.3, 0.7]),
+    "psi_on_a_string": lambda: psi(_KL, "x", 0.5),
+    "psi_inverse_on_a_string": lambda: psi_inverse(_KL, "x", 0.5),
+    "path_derivative_string": lambda: path_derivative(_KL, _PATH, "a"),
+    "masses_at_string": lambda: _PATH.masses_at("a"),
+    "hellinger_psi_string": lambda: hellinger_psi(P_HALF, Q_QUART, "a"),
+    "interpolant_of_strings": lambda: ChebyshevInterpolant(["a", "b"]),
+    "interpolant_at_a_string": lambda: ChebyshevInterpolant([0.0, 1.0])("a"),
+}
+
+
+@pytest.mark.parametrize("call", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_arguments_raise_domain_error(call):
+    # A DomainError is a ValueError, so callers catching ValueError still do;
+    # numpy's bare ValueError and an AttributeError are not typed.
+    with pytest.raises(DomainError):
+        call()

@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from divseq import chebyshev, operators
+from divseq import chebyshev, distributions, operators
 from divseq.chebyshev import _KERNEL_NODES, _MAX_INTERVALS, ChebyshevInterpolant, lobatto_nodes
 from divseq.distributions import (
     _lift_path,
@@ -136,19 +136,14 @@ class TestPsi:
                     calls += 1
         assert calls == 400
 
-    def test_without_a_generator_psi_samples_the_mixtures(self, monkeypatch):
-        calls, along = [], operators._along
-
-        def recorded(D, p, q, s, paths):
-            calls.append(s.size)
-            return along(D, p, q, s, paths)
-
-        monkeypatch.setattr(operators, "_along", recorded)
-        kl = named_divergence("kl")
+    def test_without_a_generator_psi_samples_the_mixtures(self):
+        # The runner along paths also reads a generator's level kernel, so
+        # the mixtures sampled are counted where the evaluator reads them.
+        kl, calls = _counting(named_divergence("kl"))
         with_generator = psi(kl, PATH, 0.6)
-        assert calls == []
+        assert calls == [0]
         res = psi(dataclasses.replace(kl, generator=None), PATH, 0.6)
-        assert sum(calls) == res.evaluations > 0
+        assert calls[0] == res.evaluations > 0
         assert res.value == pytest.approx(with_generator.value, rel=1e-10)
 
     @pytest.mark.parametrize("name", ["kl", "reverse_kl", "chi2", "jeffreys", "hellinger2"])
@@ -205,7 +200,7 @@ class TestPsi:
         # for their last position. The kernel forms the mixtures at each
         # path's end (m n cells, for its range) and at the positions above
         # 0 only; those at 0 stay +0.0, and every value is the single call's.
-        cells, mix = [0], operators._mix
+        cells, mix = [0], distributions._mix
 
         def counted(p, q, t):
             out = mix(p, q, t)
@@ -221,11 +216,14 @@ class TestPsi:
         t[0, :4] = 0.0
         path = MixturePath(Distribution(A), Distribution(B))
         kl = named_divergence("kl")
-        monkeypatch.setattr(operators, "_mix", counted)
+        # The ends are formed in operators, the positions by distributions._along.
+        for module in (operators, distributions):
+            monkeypatch.setattr(module, "_mix", counted)
         values = psi(kl, path, t)
         assert cells[0] == m * n + np.count_nonzero(t) * n
         assert values[t == 0.0].tobytes() == np.zeros(np.count_nonzero(t == 0.0)).tobytes()
-        monkeypatch.setattr(operators, "_mix", mix)
+        for module in (operators, distributions):
+            monkeypatch.setattr(module, "_mix", mix)
         for i in range(m):
             alone = MixturePath(Distribution(A[i]), Distribution(B[i]))
             for j in np.flatnonzero(t[i]):
@@ -1160,9 +1158,9 @@ def _kernel_rounds(monkeypatch):
     halving."""
     rounds, along = [], operators._along
 
-    def counted(D, p, q, s, paths):
+    def counted(f, p, q, s, paths, width):
         rounds.append(s.size // _KERNEL_NODES)
-        return along(D, p, q, s, paths)
+        return along(f, p, q, s, paths, width)
 
     monkeypatch.setattr(operators, "_along", counted)
     return rounds

@@ -54,7 +54,8 @@ def test_readme_python_blocks_run(capsys):
 
 # A stand-in for perfbench/run.py: it logs which checkout ran it and prints
 # a result line whose op_p90_ms is the checkout's SPEED file, plus the run's
-# index in that checkout, so the sides and the runs can be told apart.
+# index in that checkout, so the sides and the runs can be told apart;
+# op_p50_ms is the run's index alone, a tie in every pair.
 _STUB = """
 import json, pathlib, sys
 here = pathlib.Path.cwd()
@@ -64,6 +65,7 @@ with log.open("a") as f:
 count = sum(1 for line in log.read_text().splitlines() if line.startswith(here.name + " "))
 speed = float((here / "SPEED").read_text())
 metrics = {"op_p90_ms": {"value": speed + count, "unit": "ms"},
+           "op_p50_ms": {"value": 5.0 + count, "unit": "ms"},
            "ok_ops_per_s": {"value": 1000.0 / (speed + count), "unit": "1/s"},
            "trace.untraced_s": {"value": 1.0, "unit": "s"}}
 print("# a human-readable line")
@@ -71,7 +73,9 @@ print(json.dumps({"correct": True, "attempted": 5, "failed": 0, "metrics": metri
 """
 
 
-def test_bench_pairs_alternates_sides_and_summarizes_each_metric(tmp_path):
+def _bench_pairs(tmp_path, workloads: list[str], pairs: int) -> tuple[dict, dict]:
+    """Run bench_pairs.py with the stub on a parent and a change that reads
+    10 ms faster; the checkouts and the report."""
     trees = {}
     for side, speed, lines in (("parent", 20.0, 5), ("change", 10.0, 3)):
         tree = tmp_path / side
@@ -92,30 +96,48 @@ def test_bench_pairs_alternates_sides_and_summarizes_each_metric(tmp_path):
     args = [
         sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
         "--parent", str(trees["parent"]), "--change", str(trees["change"]), "--pr", "x",
-        "--workload", "verify", "--workload", "sweep", "--seed", "7", "--pairs", "4",
-        "--seconds", "3", "--runner", f"{sys.executable} {stub}", "--out", str(out),
+        *(arg for w in workloads for arg in ("--workload", w)), "--seed", "7",
+        "--pairs", str(pairs), "--seconds", "3", "--runner", f"{sys.executable} {stub}",
+        "--out", str(out),
     ]
     done = subprocess.run(args, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    return trees, json.loads(out.read_text())
+
+
+def test_bench_pairs_alternates_sides_and_summarizes_each_metric(tmp_path):
+    trees, report = _bench_pairs(tmp_path, ["verify", "sweep"], 4)
     calls = (tmp_path / "calls.log").read_text().splitlines()
     sides = [line.split()[0] for line in calls]
     assert sides == ["parent", "change", "change", "parent"] * 4
     for i, line in enumerate(calls):
         workload = "verify" if i < 8 else "sweep"
         assert line.split(" ", 1)[1] == f"--workload {workload} --seed 7 --seconds 3 --trace 0"
-    report = json.loads(out.read_text())
     assert set(report["workloads"]) == {"verify/7", "sweep/7"}
     assert report["src_lines"] == {"parent": 5, "change": 3}
     verify = report["workloads"]["verify/7"]
     assert verify["pairs"] == 4 and verify["correct"]["change"] == [True] * 4
     # Only BENCHMARK.json's end-to-end metrics, each in its own direction.
-    assert set(verify["metrics"]) == {"op_p90_ms", "ok_ops_per_s"}
+    assert set(verify["metrics"]) == {"op_p90_ms", "op_p50_ms", "ok_ops_per_s"}
     p90 = verify["metrics"]["op_p90_ms"]
     assert p90["parent"] == [21.0, 22.0, 23.0, 24.0] and p90["change"] == [11.0, 12.0, 13.0, 14.0]
     assert p90["parent_q1_med_q3"] == [21.75, 22.5, 23.25]
     assert p90["relative_change_of_median"] == pytest.approx(-10.0 / 22.5)
     assert p90["change_better_in"] == "4/4" and p90["better"] == "lower"
     assert verify["metrics"]["ok_ops_per_s"]["change_better_in"] == "4/4"
+    # 4 of 4 pairs, but a claim needs ten.
+    assert p90["parent_iqr"] == 1.5 and not p90["claim_rule_holds"]
     for tree in trees.values():  # the benchmark's own files are left alone
         assert [p.name for p in (tree / "perfbench").iterdir()] == ["run.py"]
         assert (tree / "perfbench" / "run.py").read_text() == "# untouched\n"
+
+
+def test_bench_pairs_applies_the_claim_rule(tmp_path):
+    _, report = _bench_pairs(tmp_path, ["verify"], 10)
+    metrics = report["workloads"]["verify/7"]["metrics"]
+    # 10 of 10 pairs, medians 10 ms apart against a parent IQR of 4.5 ms.
+    assert metrics["op_p90_ms"]["parent_iqr"] == 4.5
+    assert metrics["op_p90_ms"]["claim_rule_holds"] and metrics["ok_ops_per_s"]["claim_rule_holds"]
+    # Ties in every pair win none.
+    assert metrics["op_p50_ms"]["change_better_in"] == "0/10"
+    assert not metrics["op_p50_ms"]["claim_rule_holds"]

@@ -3,12 +3,14 @@ every operator and closed form takes them. Row i of a stacked call must
 match the call on path i alone, bitwise where the computation is row by
 row and within the stated tolerance where rows share an adaptive scheme."""
 
+import dataclasses
+import json
 import warnings
 
 import numpy as np
 import pytest
 
-from divseq import chebyshev, distributions, sequences
+from divseq import cli, distributions, operators, sequences
 from divseq.chebyshev import ChebyshevInterpolant, lobatto_nodes
 from divseq.distributions import (
     Distribution,
@@ -216,28 +218,49 @@ def test_constant_rows_give_zeros(D):
 
 
 @pytest.mark.parametrize("D", SUITE[:2], ids=IDS[:2])
-def test_blocking_changes_no_value(D, monkeypatch):
+def test_blocking_changes_no_value(D, monkeypatch, capsys):
+    # Every caller of distributions._blocks, through the runner _along or
+    # directly: level 0, the complex step, both level kernels, the fit's
+    # sampler, barycentric evaluation and the CLI's pl/sl sweep.
     stacked, _ = _stack(10, seed=31)
     grids = _grids(31)
     single = MixturePath(
         Distribution(stacked.start.masses[0]), Distribution(stacked.end.masses[0])
     )
+    bare = dataclasses.replace(D, generator=None)
+    wide = MixturePath(random_distribution(300, 5, 1e-4), random_distribution(300, 6, 1e-4))
+    grid = np.linspace(0.0, 1.0, 101)
+    interp = ChebyshevInterpolant(np.cos(np.arange(M)[:, None] + 7.0 * lobatto_nodes(64)))
+    pair = json.dumps({"p": wide.start.masses.tolist(), "q": wide.end.masses.tolist()})
+    fits, grouped = [], operators._grouped_level_zero
+    monkeypatch.setattr(operators, "_grouped_level_zero", lambda *a: fits.append(a) or grouped(*a))
+
     def outputs():
-        return [
+        at = psi(D, single, grids[0, 3])
+        assert cli.main(["sweep", "--seq", "sl", "--depth", "2", "--t", "0:1:11", "--pair", pair]) == 0
+        values = [
             psi(D, stacked, grids), psi_iter(D, 2, stacked, grids),
             psi(D, single, grids[0]), psi_iter(D, 2, single, grids[0]),
+            psi(bare, single, grids[0]), psi_iter(bare, 2, single, grids[0]),
+            np.array([at.value, at.estimated_error, at.evaluations]),
             psi_inverse(D, stacked, grids), path_derivative(D, stacked, grids),
+            interp(grids), interp(grid),
         ]
+        kernel_fits = len(fits)
+        values.append(psi_iter(D, 2, wide, grid))
+        assert kernel_fits == 0 and len(fits) == 1  # the kernel route, then the fit
+        fits.clear()
+        return [v.tobytes() for v in values] + [capsys.readouterr().out.encode()]
 
     before = outputs()
     # Several whole rows (but not all five) of 9 positions per block, below
-    # one path's positions per block, and below one position's support.
-    for cells in (300, 64, 4):
+    # one path's positions per block, below one position's support, and one
+    # cell: each position, point or grid row a block of its own.
+    for cells in (300, 64, 7, 4, 1):
         monkeypatch.setattr(distributions, "_BLOCK_CELLS", cells)
-        monkeypatch.setattr(chebyshev, "_BLOCK_CELLS", cells)
         after = outputs()
-        for a, b in zip(before, after):
-            assert a.tobytes() == b.tobytes(), cells
+        for i, (a, b) in enumerate(zip(before, after)):
+            assert a == b, (cells, i)
 
 
 class TestStackedDistributions:
