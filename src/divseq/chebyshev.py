@@ -35,7 +35,8 @@ from typing import Callable
 import numpy as np
 
 from .distributions import _blocks
-from .errors import DomainError, NonFiniteError, ToleranceError, require_floats, require_positive
+from .errors import DomainError, NonFiniteError, ToleranceError
+from .errors import require_floats, require_index, require_scalar
 
 
 # fit_adaptive starts at this many intervals and doubles up to the cap.
@@ -65,8 +66,7 @@ def lobatto_nodes(n: int) -> np.ndarray:
     node set for n bitwise, which lets the adaptive fit reuse every previous
     function evaluation.
     """
-    if n < 1:
-        raise DomainError(f"node count parameter must be >= 1, got {n}")
+    n = require_index(n, "node count parameter", minimum=1)
     angles = np.arange(n + 1) * (np.pi / (2 * n))
     return np.sin(angles) ** 2
 
@@ -138,14 +138,12 @@ class ChebyshevInterpolant:
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        values = require_floats(self.values, "interpolant values")
+        values = require_floats(self.values, "interpolant values", -np.inf, np.inf, "()")
         if values.ndim < 1 or values.shape[-1] < 2 or values.size == 0:
             raise DomainError(
                 "values must be a 1-d array of at least 2 entries, or an "
                 "(..., n + 1) stack of them"
             )
-        if not np.isfinite(values).all():
-            raise DomainError("interpolant values must be finite")
         n = values.shape[-1] - 1
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "nodes", lobatto_nodes(n))
@@ -174,9 +172,7 @@ class ChebyshevInterpolant:
         i at x[i] for x of shape (m, L), giving (..., m, L). Raises
         DomainError for a non-finite point.
         """
-        x_arr = require_floats(x, "interpolation points")
-        if not np.isfinite(x_arr).all():
-            raise DomainError("interpolation points must be finite")
+        x_arr = require_floats(x, "interpolation points", -np.inf, np.inf, "()")
         stack = self.values.shape[:-1]
         if stack and x_arr.ndim == 2:
             if x_arr.shape[0] != stack[-1]:
@@ -227,6 +223,7 @@ class ChebyshevInterpolant:
         lifted from the coefficients of the level below, and every level's
         values come from one inverse DCT; each value at s = 0 is 0.
         """
+        k = require_index(k, "lift count", minimum=1)
         a = self.coefficients
         n = a.shape[-1] - 1
         # alt[i] = (-1)^i, which is (-1)^(k-1) for coefficient k = i + 1.
@@ -294,7 +291,7 @@ class ChebyshevInterpolant:
         infinity, and ToleranceError if the residual still exceeds the
         target at _MAX_INTERVALS intervals.
         """
-        require_positive(target, "residual target")
+        target = require_scalar(target, "residual target", 0.0, np.inf, "()")
         grouped = live is not None
         live = live if grouped else [0]
         groups = list(live)

@@ -22,7 +22,7 @@ from .distributions import Distribution, MixturePath, _blocks, mixture
 from .distributions import new_distribution
 from .divergences import NAMED_IDENTIFIERS, named_divergence
 from .errors import DomainError, SpecError, ToleranceError
-from .errors import require_index, require_position
+from .errors import require_floats, require_index, require_scalar
 from .operators import psi_iter
 from .polylog import polylog
 from .sequences import _chain, pl, sl
@@ -86,20 +86,17 @@ def _parse_grid(text: str) -> np.ndarray:
         count = int(parts[2])
     except ValueError:
         raise DomainError(f"t-grid must look like start:stop:count, got {text!r}") from None
-    if count < 2:
-        raise DomainError(f"t-grid count must be at least 2, got {count}")
-    if not (0.0 <= start < stop <= 1.0):
-        raise DomainError(
-            f"t-grid must satisfy 0 <= start < stop <= 1, got {start}:{stop}"
-        )
-    return np.linspace(start, stop, count)
+    require_floats([start, stop], "t-grid start and stop", 0, 1)
+    if not start < stop:
+        raise DomainError(f"t-grid must satisfy start < stop, got {start}:{stop}")
+    return np.linspace(start, stop, require_index(count, "t-grid count", minimum=2))
 
 
 def _cmd_eval(args) -> int:
     start, end = _load_pair(args)
     _check_mode(args)
     depth = require_index(0 if args.depth is None else args.depth, "depth")
-    t = require_position(args.t)
+    t = require_scalar(args.t, "path position", 0, 1)
     path = MixturePath(start, end)
     if args.div is not None:
         value = float(_operator_levels(args, depth, path, np.array([t]))[-1, 0])

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, require_floats, require_index
+from .errors import DomainError, require_floats, require_index, require_scalar, require_type
 
 # Inputs whose mass sum drifts from 1 by less than this are renormalized;
 # anything further off is rejected as a bad input rather than silently fixed.
@@ -145,10 +145,7 @@ def _random_masses(rng: np.random.Generator, shape: tuple, min_mass: float) -> n
 def random_distribution(n: int, seed: int, min_mass: float = 0.01) -> Distribution:
     """Seeded random full-support distribution with a mass floor."""
     n, seed = require_index(n, "support size", minimum=2), require_index(seed, "seed")
-    if not 0.0 < min_mass < 1.0 / n:
-        raise DomainError(
-            f"min_mass must lie in (0, 1/{n}) for support size {n}, got {min_mass}"
-        )
+    min_mass = require_scalar(min_mass, "min_mass", 0.0, 1.0 / n, "()")
     rng = np.random.default_rng(seed)
     return Distribution(_random_masses(rng, (n,), min_mass))
 
@@ -208,8 +205,8 @@ class MixturePath:
     end: Distribution
 
     def __post_init__(self) -> None:
-        if not all(isinstance(X, Distribution) for X in (self.start, self.end)):
-            raise DomainError("path endpoints must be Distributions; see new_distribution")
+        for X in (self.start, self.end):
+            require_type(X, Distribution, "path endpoint")
         if self.start.masses.shape != self.end.masses.shape:
             raise DomainError(
                 "path endpoints need equal support sizes and stack shapes, got "
@@ -222,12 +219,12 @@ class MixturePath:
         return self.start.stack_size
 
     def masses_at(self, t: np.ndarray) -> np.ndarray:
-        """Mixture mass rows at path positions t, of shape t.shape + (n,).
+        """Mixture mass rows at path positions t in [0, 1], of shape t.shape + (n,).
 
         On a stack of m paths t has shape (m, ...), and row i of t moves
         along path i: t of shape (m, k) gives (m, k, n).
         """
-        return _mix(self.start.masses, self.end.masses, require_floats(t, "path positions"))
+        return _mix(self.start.masses, self.end.masses, require_floats(t, "path positions", 0, 1))
 
 
 def _lift_pair(P, Q) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -252,10 +249,8 @@ def _lift_path(path: MixturePath, t) -> tuple[np.ndarray, np.ndarray, np.ndarray
     (..., m, L) computed on the rows is reshaped to (...) + shape on
     return. Every position must lie in [0, 1].
     """
-    if not isinstance(path, MixturePath):
-        raise DomainError(f"need a MixturePath, got {type(path).__name__}")
-    p, q = path.start.masses, path.end.masses
-    t = require_floats(t, "path positions")
+    p, q = require_type(path, MixturePath, "path").start.masses, path.end.masses
+    t = require_floats(t, "path positions", 0, 1)
     shape = t.shape
     if path.stack_size is None:
         p, q, t = p[None], q[None], t[None]
@@ -265,8 +260,6 @@ def _lift_path(path: MixturePath, t) -> tuple[np.ndarray, np.ndarray, np.ndarray
             f"positions take a scalar or a nonempty 1-d grid on a single path, and "
             f"shape ({m},) or ({m}, k) on a stack of {m} paths, got shape {shape}"
         )
-    if not (t.min() >= 0.0 and t.max() <= 1.0):  # NaN fails both
-        raise DomainError("path positions must lie in [0, 1]")
     return p, q, t.reshape(m, -1), shape
 
 

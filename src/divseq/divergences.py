@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import MixturePath, _along, _caller_form, _lift_pair, _lift_path
-from .errors import DomainError, SpecError
+from .errors import DomainError, SpecError, require_spec, require_type
 
 # The complex step h: a power of two, so dividing by it is exact, and so
 # small that h^2 g''' stays far below rounding even at masses of 1e-12.
@@ -40,15 +40,15 @@ class DivergenceFunctional:
 
     ``evaluator`` maps two mass arrays to a value and broadcasts: the
     arguments are arrays (..., n) that broadcast against each other, and
-    the value is a sum of per-coordinate terms over the last axis (every
-    named divergence, swap and factory product is), so every row reduces on
-    its own and a split of the columns sums to the whole, as psi_iter needs.
-    It takes mass arrays, real or complex (path_derivative differentiates
-    it by a complex step); ``evaluate`` is the entry point that also
-    accepts Distribution objects. ``generator`` is phi and ``degree`` is
-    alpha, D(P, R) = Sum_i p_i^alpha phi(r_i / p_i), or the generator is
-    None (a Bregman form of no degree, or a functional built from an
-    evaluator alone). Every f-divergence has degree 1.
+    every row reduces on its own over the last axis. It takes mass arrays,
+    real or complex (path_derivative differentiates it by a complex step);
+    ``evaluate`` is the entry point that also accepts Distribution objects.
+    ``generator`` is phi and ``degree`` is alpha, D(P, R) = Sum_i p_i^alpha
+    phi(r_i / p_i), a sum of per-coordinate terms, which psi_iter may fit
+    by groups of coordinates through phi; or it is None (a Bregman form of
+    no degree, or a functional built from an evaluator alone, which need
+    not be such a sum, as Renyi's log Sum p^2 / r is not), and psi_iter
+    takes whole rows alone. Every f-divergence has degree 1.
     """
 
     identifier: str
@@ -63,7 +63,7 @@ def evaluate(D: DivergenceFunctional, P, Q):
     array of the m rows' values for two stacks of m; DomainError on a
     support or stack mismatch."""
     p, q, shape = _lift_pair(P, Q)
-    return _caller_form(D.evaluator(p, q), shape)
+    return _caller_form(require_type(D, DivergenceFunctional, "divergence").evaluator(p, q), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ NAMED_IDENTIFIERS = tuple(_NAMED)
 def named_divergence(identifier: str) -> DivergenceFunctional:
     try:
         return _NAMED[identifier]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable identifier
         raise DomainError(
             f"unknown divergence {identifier!r}; known: {', '.join(NAMED_IDENTIFIERS)}"
         ) from None
@@ -163,7 +163,7 @@ def make_f_divergence(spec: FDivergenceSpec) -> DivergenceFunctional:
     Raises SpecError if f(1) is not 0 within 1e-12, midpoint convexity
     fails on a sampled grid, or f does not carry a complex step.
     """
-    f = spec.f
+    f = require_spec(spec, FDivergenceSpec).f
     at_one = float(f(np.asarray(1.0)))
     if abs(at_one) > 1e-12:
         raise SpecError(f"f(1) must vanish, got {at_one!r}")
@@ -204,7 +204,7 @@ def make_bregman(spec: BregmanSpec) -> DivergenceFunctional:
     and its swap, whose generator is beta, takes psi's level kernel. A form
     that misses the check gets no generator.
     """
-    F, Fp = spec.F, spec.F_prime
+    F, Fp = require_spec(spec, BregmanSpec).F, spec.F_prime
     x, y = np.meshgrid(_CONVEXITY_GRID, _CONVEXITY_GRID)
     fx, fy = F(x), F(y)
     slack = 1e-9 * (1.0 + np.abs(fx) + np.abs(fy))
@@ -250,11 +250,8 @@ def make_bregman(spec: BregmanSpec) -> DivergenceFunctional:
 def swap_orientation(D: DivergenceFunctional) -> DivergenceFunctional:
     """(P, Q) -> D(Q, P), the orientation flipped, a generator phi of degree
     alpha to w^alpha phi(1/w) of the same degree."""
-    flipped = (
-        Orientation.LEFT_CONVEX
-        if D.orientation is Orientation.RIGHT_CONVEX
-        else Orientation.RIGHT_CONVEX
-    )
+    D, right = require_type(D, DivergenceFunctional, "divergence"), Orientation.RIGHT_CONVEX
+    flipped = Orientation.LEFT_CONVEX if D.orientation is right else right
     base, phi, alpha = D.evaluator, D.generator, D.degree
     conjugate = None if phi is None else lambda w: w**alpha * phi(1.0 / w)
     return DivergenceFunctional(
@@ -275,7 +272,7 @@ def path_derivative(D: DivergenceFunctional, path: MixturePath, t):
     the imaginary part of complex masses.
     """
     p, q, s, shape = _lift_path(path, t)
-    return _caller_form(_slope(D, p, q, s), shape)
+    return _caller_form(_slope(require_type(D, DivergenceFunctional, "divergence"), p, q, s), shape)
 
 
 def _slope(D: DivergenceFunctional, p: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:

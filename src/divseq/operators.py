@@ -43,7 +43,7 @@ import numpy as np
 from .chebyshev import _EPS, _KERNEL_NODES, _MAX_INTERVALS, ChebyshevInterpolant, _level_pieces
 from .distributions import MixturePath, _along, _blocks, _caller_form, _lift_path, _mix
 from .divergences import DivergenceFunctional, Orientation, _slope
-from .errors import DomainError, require_index, require_positive
+from .errors import DomainError, require_index, require_scalar, require_type
 
 __all__ = [
     "OperatorResult",
@@ -60,6 +60,7 @@ class OperatorResult:
 
 
 def _require_right_convex(D: DivergenceFunctional) -> None:
+    D = require_type(D, DivergenceFunctional, "divergence")
     if D.orientation is not Orientation.RIGHT_CONVEX:
         raise DomainError(
             f"divergence {D.identifier!r} is not right-convex; wrap it with "
@@ -209,7 +210,7 @@ def psi(
     bitwise, and t = 0 and a constant path give exact zeros at no cost.
     """
     _require_right_convex(D)
-    tol = require_positive(tol, "tol")
+    tol = require_scalar(tol, "tol", 0.0, np.inf, "()")
     p, q, t, shape = _lift_path(path, t)
     (values,), err, evals = _kernel(D, p, q, t, 1, tol, shape == ())
     if shape == ():
@@ -374,7 +375,7 @@ def psi_iter(
     route raises ToleranceError if it misses tol.
     """
     _require_right_convex(D)
-    tol = require_positive(tol, "tol")
+    tol = require_scalar(tol, "tol", 0.0, np.inf, "()")
     k = require_index(k, "iteration depth")
     if np.ndim(t_grid) == 0:
         raise DomainError("t_grid must be a nonempty 1-d array, not a scalar")

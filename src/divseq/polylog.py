@@ -99,19 +99,11 @@ def _arguments(z, w) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Flat z and w = 1 - z, each formed from the one the caller gave."""
     if (z is None) == (w is None):
         raise DomainError("give the argument as z or as w = 1 - z, not both")
-    given = require_floats(z if w is None else w, "polylog argument")
-    flat = given.ravel()
     if w is None:
-        bad = ~(np.isfinite(flat) & (flat < 1.0))
-        what = "argument must be a finite real below 1"
-    else:
-        bad = ~(np.isfinite(flat) & (flat > 0.0))
-        what = "w = 1 - z must be finite and positive"
-    if bad.any():
-        raise DomainError(f"{what}, got {float(flat[bad][0])!r}")
-    if w is None:
-        return flat, 1.0 - flat, given.shape
-    return 1.0 - flat, flat, given.shape
+        z = require_floats(z, "polylog argument z", -np.inf, 1.0, "()")
+        return z.ravel(), 1.0 - z.ravel(), z.shape
+    w = require_floats(w, "polylog argument w = 1 - z", 0.0, np.inf, "()")
+    return 1.0 - w.ravel(), w.ravel(), w.shape
 
 
 def _by_order(rows, k, shape: tuple):
@@ -406,10 +398,8 @@ def polylog_series(k, z):
     if any has not stopped after 10000 terms, DomainError for |z| > 1.
     """
     k = require_index(k)
-    z, _, shape = _arguments(z, None)
-    if np.any(z < -1.0):  # _arguments has rejected z >= 1
-        raise DomainError(f"the series diverges for |z| > 1, got {float(z[z < -1.0][0])!r}")
-    return _caller_form(_series((k,), z)[0], shape)
+    z = require_floats(z, "polylog_series argument (the series diverges past -1)", -1, 1, "[)")
+    return _caller_form(_series((k,), z.ravel())[0], z.shape)
 
 
 def polylog(k, z=None, *, w=None):

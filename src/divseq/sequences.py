@@ -22,11 +22,9 @@ import math
 import numpy as np
 
 from .distributions import _caller_form, _lift_pair, _mix
-from .divergences import named_divergence
-from .errors import require_orders, require_position
+from .errors import require_orders, require_scalar
 from .polylog import _by_order, _series, polylog
 
-_JEFFREYS = named_divergence("jeffreys")
 # The plain sum Sum_i p_i Li_k(z_i) stands when Sum_i |p_i Li_k(z_i)| is at
 # most this many times its value. Each term is good to 1.6e-15 relative (the
 # polylogarithm's worst against 40-digit mpmath, k = 0..12, w = q/p from
@@ -90,7 +88,11 @@ def sl(k, P, Q):
     orders = require_orders(k)
     p, q, shape = _lift_pair(P, Q)
     top = max(orders, default=0)
-    chain = [_JEFFREYS.evaluator(p, q)]
+    # Jeffreys, Sum d log(p/q), d = p - q, as log1p(d/q) where d is exact (|d| <= q/2):
+    # log of the rounded p/q would lose eps/|d/q| of each term's relative precision.
+    d, logs = p - q, np.log(p / q)
+    np.log1p(d / q, out=logs, where=np.abs(d) <= 0.5 * q)
+    chain = [np.sum(d * logs, axis=-1)]
     for term in _pl(tuple(range(1, top + 1)), p, q) if top else ():
         chain.append(chain[-1] - term)
     return _by_order([chain[j] for j in orders], k, shape)
@@ -107,7 +109,7 @@ def _chain(name: str, first: int, depth: int, P, R) -> np.ndarray:
 
 def _mixture_rows(P, Q, t) -> tuple[np.ndarray, np.ndarray, tuple]:
     p, q, shape = _lift_pair(P, Q)
-    return p, _mix(p, q, np.full(len(p), require_position(t))), shape
+    return p, _mix(p, q, np.full(len(p), require_scalar(t, "path position", 0, 1))), shape
 
 
 def _root_gap(p: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ from .divergences import (
     named_divergence,
     swap_orientation,
 )
-from .errors import NonFiniteError, ToleranceError, require_index
+from .errors import NonFiniteError, ToleranceError, require_index, require_type
 from .operators import psi, psi_inverse, psi_iter
 from .sequences import _chain
 
@@ -145,7 +145,8 @@ def _check(
     operator once. A ToleranceError or a NonFiniteError anywhere, or a NaN
     violation, makes the check's violation infinite.
     """
-    rng = np.random.default_rng(seed)
+    instances = require_index(instances, "instances", minimum=1)
+    rng = np.random.default_rng(require_index(seed, "seed"))
     sizes = rng.integers(2, 11, size=instances)
     width = int(sizes.max())
     stacks = []
@@ -256,7 +257,7 @@ def check_iterated_chain(
     their closed-form polylogarithm expressions.
     """
     depth = require_index(depth, "depth")
-    closed_form = _CLOSED_FORMS.get(D.identifier)
+    closed_form = _CLOSED_FORMS.get(require_type(D, DivergenceFunctional, "divergence").identifier)
 
     def draw(rng, count, n):
         ts = _t_points(rng, count)
@@ -369,7 +370,6 @@ def run_suite(seed: int, instances: int) -> VerificationReport:
     are derived from ``seed`` so the report is reproducible bit for bit.
     """
     seed = require_index(seed, "seed")
-    instances = require_index(instances, "instances", minimum=1)
     checks: list[PropertyCheck] = []
     for d_index, D in enumerate(_suite_divergences()):
         runners = (

@@ -10,7 +10,7 @@ import numpy as np
 
 from divseq.divergences import DivergenceFunctional
 from divseq.distributions import MixturePath
-from divseq.errors import DomainError, require_position
+from divseq.errors import DomainError, require_scalar
 from divseq.operators import _require_right_convex, psi, psi_inverse
 from polylog_oracles import integrate
 from quadrature_oracle import QuadratureConfig
@@ -51,7 +51,7 @@ def psi_roundtrip(
     _require_right_convex(D)
     if path.stack_size is not None:
         raise DomainError("psi_roundtrip takes a single path, not a stack")
-    t = require_position(t)
+    t = require_scalar(t, "path position", 0, 1)
     if t == 0.0:
         raise DomainError("roundtrip position must be positive, got 0.0")
     if is_constant(path):

@@ -27,7 +27,7 @@ import numpy as np
 
 from divseq.chebyshev import _kernel_matrices
 from divseq.distributions import _BLOCK_CELLS
-from divseq.errors import DomainError, NonFiniteError, ToleranceError, require_positive
+from divseq.errors import DomainError, NonFiniteError, ToleranceError, require_scalar
 
 _EPS = np.finfo(float).eps
 # Panel splits each row of edges may make before the call fails.
@@ -49,8 +49,8 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        require_positive(self.rel_tol, "rel_tol")
-        require_positive(self.abs_tol, "abs_tol")
+        require_scalar(self.rel_tol, "rel_tol", 0.0, np.inf, "()")
+        require_scalar(self.abs_tol, "abs_tol", 0.0, np.inf, "()")
 
 
 def _apply_panels(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divseq.chebyshev import ChebyshevInterpolant
+from divseq.chebyshev import ChebyshevInterpolant, lobatto_nodes
 from divseq.distributions import (
     Distribution,
     MixturePath,
@@ -11,11 +11,26 @@ from divseq.distributions import (
     new_distribution,
     random_distribution,
 )
-from divseq.divergences import evaluate, named_divergence, path_derivative
-from divseq.errors import DomainError
+from divseq.divergences import (
+    BregmanSpec,
+    FDivergenceSpec,
+    evaluate,
+    make_bregman,
+    make_f_divergence,
+    named_divergence,
+    path_derivative,
+    swap_orientation,
+)
+from divseq.errors import DomainError, SpecError
 from divseq.operators import psi, psi_inverse, psi_iter
 from divseq.polylog import polylog
-from divseq.sequences import hellinger_psi, pl
+from divseq.sequences import hellinger_psi, hellinger_psi_inverse, pl
+from divseq.verify import (
+    check_derivative_dominates,
+    check_integral_contraction,
+    check_iterated_chain,
+    check_path_invariance,
+)
 
 P_HALF = new_distribution([0.5, 0.5])
 Q_QUART = new_distribution([0.25, 0.75])
@@ -289,12 +304,54 @@ _MALFORMED = {
     "hellinger_psi_string": lambda: hellinger_psi(P_HALF, Q_QUART, "a"),
     "interpolant_of_strings": lambda: ChebyshevInterpolant(["a", "b"]),
     "interpolant_at_a_string": lambda: ChebyshevInterpolant([0.0, 1.0])("a"),
+    # A scalar argument is a real number or a 0-d array: never None, a list
+    # or a one-element array, which numpy 2 no longer converts to a float.
+    "psi_tol_list": lambda: psi(_KL, _PATH, 0.5, tol=[1e-12]),
+    "psi_tol_none": lambda: psi(_KL, _PATH, 0.5, tol=None),
+    "psi_iter_tol_list": lambda: psi_iter(_KL, 2, _PATH, [0.5], tol=[1e-12]),
+    "fit_adaptive_target_list": lambda: ChebyshevInterpolant.fit_adaptive(np.exp, [1e-12]),
+    "hellinger_psi_position_list": lambda: hellinger_psi(P_HALF, Q_QUART, [0.5]),
+    "hellinger_psi_inverse_position_list": lambda: hellinger_psi_inverse(P_HALF, Q_QUART, [0.5]),
+    "masses_at_past_one": lambda: _PATH.masses_at(1.5),
+    "masses_at_nan": lambda: _PATH.masses_at(np.nan),
+    "min_mass_list": lambda: random_distribution(2, 0, min_mass=[0.1]),
+    "min_mass_none": lambda: random_distribution(2, 0, min_mass=None),
+    "lobatto_nodes_fraction": lambda: lobatto_nodes(2.5),
+    "lobatto_nodes_string": lambda: lobatto_nodes("a"),
+    "lifts_negative": lambda: ChebyshevInterpolant([0.0, 1.0]).lifts(-1),
+    "lifts_zero": lambda: ChebyshevInterpolant([0.0, 1.0]).lifts(0),
+    "lifts_fraction": lambda: ChebyshevInterpolant([0.0, 1.0]).lifts(1.5),
+    "evaluate_a_name": lambda: evaluate("kl", P_HALF, Q_QUART),
+    "psi_a_name": lambda: psi("kl", _PATH, 0.5),
+    "psi_inverse_a_name": lambda: psi_inverse("kl", _PATH, 0.5),
+    "psi_iter_a_name": lambda: psi_iter("kl", 2, _PATH, [0.5]),
+    "path_derivative_a_name": lambda: path_derivative("kl", _PATH, 0.5),
+    "swap_orientation_a_name": lambda: swap_orientation("kl"),
+    "named_divergence_list": lambda: named_divergence(["kl"]),
+    "contraction_no_instances": lambda: check_integral_contraction(_KL, 0, 0),
+    "chain_negative_instances": lambda: check_iterated_chain(_KL, 3, -1, 0),
+    "invariance_negative_seed": lambda: check_path_invariance(_KL, 2, -1),
+    "dominates_fractional_instances": lambda: check_derivative_dominates(_KL, 2.5, 0),
+}
+
+# A factory takes its own spec type, with callable generators.
+_MALFORMED_SPECS = {
+    "f_divergence_of_a_function": lambda: make_f_divergence(lambda u: u),
+    "bregman_of_none": lambda: make_bregman(None),
+    "f_divergence_spec_of_none": lambda: make_f_divergence(FDivergenceSpec(f=None)),
+    "bregman_spec_of_a_float": lambda: make_bregman(BregmanSpec(F=np.square, F_prime=2.0)),
 }
 
 
 @pytest.mark.parametrize("call", _MALFORMED.values(), ids=_MALFORMED.keys())
 def test_malformed_arguments_raise_domain_error(call):
     # A DomainError is a ValueError, so callers catching ValueError still do;
-    # numpy's bare ValueError and an AttributeError are not typed.
+    # numpy's bare ValueError, a TypeError and an AttributeError are not typed.
     with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("call", _MALFORMED_SPECS.values(), ids=_MALFORMED_SPECS.keys())
+def test_malformed_specs_raise_spec_error(call):
+    with pytest.raises(SpecError):
         call()

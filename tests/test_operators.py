@@ -25,7 +25,9 @@ from divseq.distributions import (
 )
 from divseq.divergences import (
     BregmanSpec,
+    DivergenceFunctional,
     FDivergenceSpec,
+    Orientation,
     evaluate,
     make_bregman,
     make_f_divergence,
@@ -1558,3 +1560,42 @@ class TestOperatorsOnGenerators:
         ratio = 2.0 ** np.arange(13) * levels / limit
         assert np.all(np.diff(ratio[4:]) > 0.0)
         assert 0.9 <= ratio[12] <= 1.0
+
+
+class TestNonSeparableFunctional:
+    # A functional without a generator need not sum per-coordinate terms:
+    # Renyi-2, log Sum p^2 / r, takes whole rows. Every operator takes it on
+    # the dyadic pair, whose masses are exact, against 40-digit mpmath.
+    RENYI2 = DivergenceFunctional(
+        "renyi2", Orientation.RIGHT_CONVEX, lambda p, r: np.log(np.sum(p * p / r, axis=-1))
+    )
+    PATH = MixturePath(new_distribution([0.25, 0.25, 0.5]), new_distribution([0.5, 0.375, 0.125]))
+    TS = (0.1, 0.5, 1.0)
+
+    @staticmethod
+    def _references(t):
+        with mpmath.workdps(40):
+            p = [mpmath.mpf(1) / 4, mpmath.mpf(1) / 4, mpmath.mpf(1) / 2]
+            q = [mpmath.mpf(1) / 2, mpmath.mpf(3) / 8, mpmath.mpf(1) / 8]
+
+            def total(s, power=1):  # Sum p^2 / r(s)^power
+                return mpmath.fsum(a * a / ((1 - s) * a + s * b) ** power for a, b in zip(p, q))
+
+            integral = mpmath.quad(lambda s: mpmath.log(total(s)) / s, [0, t])
+            slope = -mpmath.fsum(a * a * (b - a) / ((1 - t) * a + t * b) ** 2 for a, b in zip(p, q))
+            return float(integral), float(t * slope / total(t))
+
+    @pytest.mark.parametrize("t", TS)
+    def test_psi_and_psi_inverse_match_mpmath(self, t):
+        integral, derivative = self._references(t)
+        result = psi(self.RENYI2, self.PATH, t)
+        assert abs(result.value - integral) <= 4e-16
+        assert abs(result.value - integral) <= result.estimated_error
+        assert abs(psi_inverse(self.RENYI2, self.PATH, t) - derivative) <= 2e-15 * derivative
+
+    def test_psi_iter_levels_do_not_increase(self):
+        levels = psi_iter(self.RENYI2, 3, self.PATH, np.array(self.TS))
+        assert np.all(np.diff(levels, axis=0) <= 0.0)
+        assert np.all(levels[3] > 0.0)
+        integrals = [self._references(t)[0] for t in self.TS]
+        np.testing.assert_allclose(levels[1], integrals, rtol=1e-13, atol=0.0)

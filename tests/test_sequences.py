@@ -159,6 +159,29 @@ class TestSumSequence:
         scale = abs(jeffreys) + sum(abs(x) for x in terms)
         assert abs(sl(k, A, R) - expected) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
+    def test_near_identical_pairs_keep_relative_accuracy(self, eps):
+        # Near P each Jeffreys term is (p - q) log(p/q), and log of the
+        # rounded ratio p/q would lose eps/|p/q - 1| of its relative
+        # precision; sl takes log1p of the exact p - q over q there. The
+        # chain is about eps^2, far below the terms it is made from.
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(int(-np.log10(eps)))
+        for _ in range(5):
+            p = rng.exponential(size=20)
+            A = new_distribution(p / p.sum())
+            q = A.masses * (1.0 + eps * rng.uniform(-1.0, 1.0, size=20))
+            B = new_distribution(q / q.sum())
+            values = sl((0, 1, 2, 3), A, B)
+            with mp.workdps(50):
+                ps, qs = ([mp.mpf(x) for x in X.masses] for X in (A, B))
+                chain = [mp.fsum((a - b) * mp.log(a / b) for a, b in zip(ps, qs))]
+                for k in (1, 2, 3):
+                    term = mp.fsum(a * mp.polylog(k, 1 - b / a) for a, b in zip(ps, qs))
+                    chain.append(chain[-1] - term)
+            for value, expected in zip(values, map(float, chain)):
+                assert abs(value - expected) <= 1e-13 * abs(expected)
+
     def test_order_zero_is_jeffreys(self):
         j = named_divergence("jeffreys")
         for seed in range(30):
