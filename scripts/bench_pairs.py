@@ -7,12 +7,13 @@ pairs, the change first in odd ones. The results go to a BENCH_<pr>.json
 file: every run's end-to-end metrics, each side's median and quartiles,
 the relative change of the median, in how many pairs the change read
 better, in the direction BENCHMARK.json gives each metric, and whether the
-claim rule holds; and each side's line count of src/divseq/*.py. The claim
-rule: at least ten pairs, the change better in at least nine tenths of
-them, and its median better than the parent's by more than the distance
-between the parent's quartiles. A workload and seed already in the file is
-replaced, the others kept, so one file can gather several invocations.
-Nothing under perfbench/ is written.
+claim rule holds; the same for each run's minor page faults, counted over
+run.py and the workers it waits for; and each side's line count of
+src/divseq/*.py. The claim rule: at least ten pairs, the change better in
+at least nine tenths of them, and its median better than the parent's by
+more than the distance between the parent's quartiles. A workload and
+seed already in the file is replaced, the others kept, so one file can
+gather several invocations. Nothing under perfbench/ is written.
 
 Usage, from the root of a checkout, with the parent exported beside it:
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import resource
 import shlex
 import subprocess
 import sys
@@ -45,13 +47,17 @@ def log(message: str) -> None:
 
 
 def run_once(runner: list[str], tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One benchmark run from the root of tree: its final JSON line."""
+    """One benchmark run from the root of tree: its final JSON line, and as
+    "minor_faults" the minor page faults of the run and of every process it
+    waited for."""
     args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     done = subprocess.run(runner + args, cwd=tree, capture_output=True, text=True, check=False)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"benchmark run in {tree} failed ({done.returncode}): {done.stderr[-500:]}")
-    return json.loads(lines[-1])
+    return {**json.loads(lines[-1]), "minor_faults": faults}
 
 
 def src_lines(tree: Path) -> int:
@@ -89,6 +95,7 @@ def measure(runner, trees, workload: str, seed: int, pairs: int, seconds: int, d
             runs[side].append(run_once(runner, trees[side], workload, seed, seconds))
         log(f"{workload}/{seed} pair {i + 1}/{pairs} done ({order[0]} first)")
     names = [name for name in runs["parent"][0]["metrics"] if name in directions]
+    faults = ([run["minor_faults"] for run in runs[side]] for side in SIDES)
     return {
         "pairs": pairs,
         "order": "parent first in even pairs (0, 2, ...), change first in odd ones",
@@ -102,6 +109,7 @@ def measure(runner, trees, workload: str, seed: int, pairs: int, seconds: int, d
             )
             for name in names
         },
+        "minor_faults": summary(*faults, "lower"),
     }
 
 

@@ -28,15 +28,15 @@ the tests' reference quadrature.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
-from typing import Callable
 
 import numpy as np
 
 from .distributions import _blocks
 from .errors import DomainError, NonFiniteError, ToleranceError
-from .errors import require_floats, require_index, require_scalar
+from .errors import require_floats, require_index, require_scalar, require_type
 
 
 # fit_adaptive starts at this many intervals and doubles up to the cap.
@@ -287,13 +287,17 @@ class ChebyshevInterpolant:
         the residual being the worst over the rows (summed over groups) and
         the evaluations counting nodes. With one group the returned
         interpolant is the fine one, so its own nodes carry exact function
-        values. Raises NonFiniteError as soon as f returns NaN or
-        infinity, and ToleranceError if the residual still exceeds the
+        values. Raises DomainError on an f that is not callable or a live
+        that is not a nonempty list, NonFiniteError as soon as f returns NaN
+        or infinity, and ToleranceError if the residual still exceeds the
         target at _MAX_INTERVALS intervals.
         """
+        require_type(f, Callable, "f")
         target = require_scalar(target, "residual target", 0.0, np.inf, "()")
         grouped = live is not None
-        live = live if grouped else [0]
+        live = require_type(live, list, "live") if grouped else [0]
+        if not live:
+            raise DomainError("live must list at least one group")
         groups = list(live)
 
         # The live groups share their node count, so their values stack

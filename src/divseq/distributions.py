@@ -16,10 +16,12 @@ they record turns the result back into the caller's form on return. They
 are the only places that tell a single input from a stack. Every block of
 positions comes from _blocks, and _along, the one runner along paths,
 forms each block's mixture rows; each position reduces alone, so
-blocking changes no value.
+blocking changes no value. Beside this block policy, importing the module
+sets a heap policy that keeps a block's freed memory for the next block.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,6 +41,20 @@ SUM_TOLERANCE = 1e-12
 # blocks stay in cache: barycentric evaluation of 8192 points against 8193
 # nodes took half the time it took at 2^20 cells.
 _BLOCK_CELLS = 1 << 14
+
+# The heap policy (mallopt(3)): glibc hands the heap's free top back to the OS
+# past 128 KiB, one block's temporary, so each block faulted its pages in anew.
+# A fresh run_suite(101, 200) took 10,400-11,100 minor faults, under these values
+# 700-1,050 (its heap's first touch and numpy.random's import). glibc's dynamic
+# rule reaches these values once a 32 MiB block is freed; the trim threshold alone
+# would end it and mmap anything from 128 KiB up. They override MALLOC_*_THRESHOLD_.
+try:  # off glibc nothing is set: Windows has no CDLL(None), macOS no mallopt
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+except (AttributeError, OSError, TypeError):
+    _mallopt = None
+if _mallopt and _mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD; 0 where refused
+    _mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 # The smallest mass, the smallest normal float: a mass of at most 1 over it
 # is at most 4.5e307, so every ratio q/p is finite. Below it q/p overflows.

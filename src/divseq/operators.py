@@ -377,9 +377,9 @@ def psi_iter(
     _require_right_convex(D)
     tol = require_scalar(tol, "tol", 0.0, np.inf, "()")
     k = require_index(k, "iteration depth")
-    if np.ndim(t_grid) == 0:
-        raise DomainError("t_grid must be a nonempty 1-d array, not a scalar")
     p, q, t, shape = _lift_path(path, t_grid)
+    if shape == ():
+        raise DomainError("t_grid must be a nonempty 1-d array, not a scalar")
     levels = np.zeros((k + 1,) + t.shape)
     levels[0] = _along(lambda p, q, r: D.evaluator(p, r), p, q, t, np.arange(len(p)), p.shape[-1])
     constant = np.all(p == q, axis=-1)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -294,6 +299,7 @@ _MALFORMED = {
     "pl_ragged": lambda: pl(2, [[0.5, 0.5], [0.5]], [0.5, 0.5]),
     "mixture_string": lambda: mixture(_PATH, "a"),
     "psi_iter_strings": lambda: psi_iter(_KL, 2, _PATH, ["a"]),
+    "psi_iter_ragged_grid": lambda: psi_iter(_KL, 1, _PATH, [[0.5], [0.2, 0.3]]),
     "polylog_string": lambda: polylog(2, "a"),
     "psi_tol_string": lambda: psi(_KL, _PATH, 0.5, tol="x"),
     "path_of_lists": lambda: MixturePath([0.5, 0.5], [0.3, 0.7]),
@@ -310,6 +316,9 @@ _MALFORMED = {
     "psi_tol_none": lambda: psi(_KL, _PATH, 0.5, tol=None),
     "psi_iter_tol_list": lambda: psi_iter(_KL, 2, _PATH, [0.5], tol=[1e-12]),
     "fit_adaptive_target_list": lambda: ChebyshevInterpolant.fit_adaptive(np.exp, [1e-12]),
+    "fit_adaptive_of_none": lambda: ChebyshevInterpolant.fit_adaptive(None, 1e-3),
+    "fit_adaptive_live_string": lambda: ChebyshevInterpolant.fit_adaptive(np.exp, 1e-3, "ab"),
+    "fit_adaptive_live_empty": lambda: ChebyshevInterpolant.fit_adaptive(np.exp, 1e-3, []),
     "hellinger_psi_position_list": lambda: hellinger_psi(P_HALF, Q_QUART, [0.5]),
     "hellinger_psi_inverse_position_list": lambda: hellinger_psi_inverse(P_HALF, Q_QUART, [0.5]),
     "masses_at_past_one": lambda: _PATH.masses_at(1.5),
@@ -355,3 +364,57 @@ def test_malformed_arguments_raise_domain_error(call):
 def test_malformed_specs_raise_spec_error(call):
     with pytest.raises(SpecError):
         call()
+
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# Minor page faults per repeated psi(kl) on a verify-shaped stack: 200 paths
+# x 13 positions x 10 outcomes, after one warm-up call.
+_FAULTS_PER_CALL = """
+import resource
+import numpy as np
+from divseq.distributions import Distribution, MixturePath
+from divseq.divergences import named_divergence
+from divseq.operators import psi
+
+w = np.random.default_rng(0).exponential(size=(2, 200, 10))
+p, q = (Distribution(x / x.sum(axis=-1, keepdims=True)) for x in w)
+path, kl = MixturePath(p, q), named_divergence("kl")
+t = np.tile(np.linspace(0.0, 1.0, 13), (200, 1))
+psi(kl, path, t)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    psi(kl, path, t)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
+
+def _python(code: str) -> str:
+    """stdout of code run by a fresh interpreter on this checkout's src."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.skipif(
+    "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}),
+    reason="the heap policy is glibc's",
+)
+def test_blocks_reuse_the_freed_heap():
+    # Under glibc's default trim threshold every block's temporaries went
+    # back to the OS and faulted in again: about 500 minor faults a call.
+    assert float(_python(_FAULTS_PER_CALL)) < 50
+
+
+# Stand-ins for ctypes.CDLL: on macOS dlopen(NULL) has no mallopt, and on
+# Windows CDLL(None) raises TypeError, as int(None) does.
+_NO_MALLOPT = {"no_mallopt_symbol": "lambda name: object()", "no_cdll_of_none": "int"}
+
+
+@pytest.mark.parametrize("cdll", _NO_MALLOPT.values(), ids=_NO_MALLOPT.keys())
+def test_import_without_mallopt_does_not_raise(cdll):
+    # numpy loads ctypes itself, so it is imported before the stand-in.
+    _python(f"import ctypes, numpy; ctypes.CDLL = {cdll}; import divseq.distributions")

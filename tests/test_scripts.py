@@ -55,15 +55,18 @@ def test_readme_python_blocks_run(capsys):
 # A stand-in for perfbench/run.py: it logs which checkout ran it and prints
 # a result line whose op_p90_ms is the checkout's SPEED file, plus the run's
 # index in that checkout, so the sides and the runs can be told apart;
-# op_p50_ms is the run's index alone, a tie in every pair.
+# op_p50_ms is the run's index alone, a tie in every pair. At SPEED 20 it
+# waits for one worker interpreter, whose page faults count for the run.
 _STUB = """
-import json, pathlib, sys
+import json, pathlib, subprocess, sys
 here = pathlib.Path.cwd()
 log = here.parent / "calls.log"
 with log.open("a") as f:
     f.write(here.name + " " + " ".join(sys.argv[1:]) + "\\n")
 count = sum(1 for line in log.read_text().splitlines() if line.startswith(here.name + " "))
 speed = float((here / "SPEED").read_text())
+for _ in range(int(speed) // 20):
+    subprocess.run([sys.executable, "-c", "pass"], check=True)
 metrics = {"op_p90_ms": {"value": speed + count, "unit": "ms"},
            "op_p50_ms": {"value": 5.0 + count, "unit": "ms"},
            "ok_ops_per_s": {"value": 1000.0 / (speed + count), "unit": "1/s"},
@@ -125,6 +128,10 @@ def test_bench_pairs_alternates_sides_and_summarizes_each_metric(tmp_path):
     assert p90["relative_change_of_median"] == pytest.approx(-10.0 / 22.5)
     assert p90["change_better_in"] == "4/4" and p90["better"] == "lower"
     assert verify["metrics"]["ok_ops_per_s"]["change_better_in"] == "4/4"
+    # Every run faults; the parent's also count its worker's faults.
+    faults = verify["minor_faults"]
+    assert all(isinstance(n, int) and n > 0 for side in ("parent", "change") for n in faults[side])
+    assert min(faults["parent"]) > max(faults["change"]) and faults["change_better_in"] == "4/4"
     # 4 of 4 pairs, but a claim needs ten.
     assert p90["parent_iqr"] == 1.5 and not p90["claim_rule_holds"]
     for tree in trees.values():  # the benchmark's own files are left alone
